@@ -13,6 +13,8 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/experiments"
+	"topkdedup/internal/index"
+	"topkdedup/internal/intern"
 )
 
 // Lazy shared fixtures so unrelated benchmarks do not pay repeated
@@ -290,6 +292,52 @@ func BenchmarkLowerBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.EstimateLowerBound(d, collapsed, level.Necessary, 10)
+	}
+}
+
+// BenchmarkPredicateEval is the per-pair cost of the citation N1
+// predicate over every blocking-key candidate pair of a 4,000-record
+// dataset, in its two forms: unbound (Eval derives both signatures from
+// the records on every pair: field lookups and memo probes) and bound
+// (signatures computed once by Bound, then only the match). ns/eval is
+// the figure BENCH_2026-09-28_bound.txt records.
+func BenchmarkPredicateEval(b *testing.B) {
+	dd, err := experiments.CitationSetup(4000, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs, n1 := dd.Data.Recs, dd.Domain.Levels[0].Necessary
+	tab := intern.New()
+	keyIDs := make([][]uint32, len(recs))
+	for i, r := range recs {
+		keyIDs[i] = n1.KeyIDs(tab, r, nil)
+	}
+	var pairs [][2]int32
+	index.BuildID(len(recs), tab.Len(), keyIDs).ForEachPair(func(i, j int) bool {
+		pairs = append(pairs, [2]int32{int32(i), int32(j)})
+		return true
+	})
+	bound := n1.Bound(recs)
+	for _, form := range []struct {
+		name string
+		eval func(i, j int) bool
+	}{
+		{"unbound", func(i, j int) bool { return n1.Eval(recs[i], recs[j]) }},
+		{"bound", bound},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			hits := 0
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				for _, p := range pairs {
+					if form.eval(int(p[0]), int(p[1])) {
+						hits++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/eval")
+			b.ReportMetric(float64(hits)/float64(b.N), "hits")
+		})
 	}
 }
 

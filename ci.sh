@@ -80,6 +80,13 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 go build ./...
 go test -race ./...
 
+# The benchmark harness is its own module (benchmark/go.mod replaces
+# topkdedup with this checkout), so the build and tests above do not
+# notice when an internal/ signature it imports changes. Vet it and run
+# its smoke test (a few hundred records per workload, correctness gate
+# included).
+(cd benchmark && go vet . && go test -count=1 .)
+
 # Serving-layer smoke: topkd brings itself up on an ephemeral port, runs
 # a full client session (healthz, ingest, topk, rank, metrics), and
 # shuts down gracefully — once standalone, once through the in-process
@@ -132,11 +139,13 @@ go test -run '^$' -bench 'BenchmarkNoopSinkOverhead|BenchmarkEngineTopKTracing' 
 go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 
 # Alloc-regression smoke: the zero-alloc pins (stage-0 prune rescan,
-# pooled tokeniser, stop-word fast path) run as ordinary tests via
-# testing.AllocsPerRun; re-run them by name so a steady-state allocation
-# sneaking into the hot path fails CI even when unrelated packages are
-# skipped, and smoke the hot-path benchmarks one iteration each.
+# bound predicate evaluators, pooled tokeniser, stop-word fast path) run
+# as ordinary tests via testing.AllocsPerRun; re-run them by name so a
+# steady-state allocation sneaking into the hot path fails CI even when
+# unrelated packages are skipped, and smoke the hot-path benchmarks one
+# iteration each.
 go test -run 'TestStage0PruneNoAllocs' ./internal/core
+go test -run 'TestBoundEvalNoAllocs' ./internal/domains
 go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server
 go test -run '^$' -bench 'BenchmarkStage0Prune' -benchtime 1x ./internal/core

@@ -604,6 +604,7 @@ func (e *Engine) scoredCandidates(ctx context.Context, groups []Group, lastN Pre
 		fs.keyIDs[i] = lastN.KeyIDs(tab, e.data.Recs[groups[i].Rep], fs.keyIDs[i][:0])
 	}
 	ix := index.BuildID(n, tab.Len(), fs.keyIDs)
+	gate := core.BindReps(e.data, groups, lastN, nil)
 	ix.ForEachPair(func(i, j int) bool {
 		fs.cands = append(fs.cands, scoredPair{int32(i), int32(j)})
 		return true
@@ -619,11 +620,10 @@ func (e *Engine) scoredCandidates(ctx context.Context, groups []Group, lastN Pre
 	}
 	parallel.ForCtx(ctx, e.cfg.Workers, len(cands), func(t int) {
 		c := cands[t]
-		ri, rj := e.data.Recs[groups[c.i].Rep], e.data.Recs[groups[c.j].Rep]
-		if !lastN.Eval(ri, rj) {
+		if !gate(int(c.i), int(c.j)) {
 			return
 		}
-		s := e.scorer.Score(ri, rj)
+		s := e.scorer.Score(e.data.Recs[groups[c.i].Rep], e.data.Recs[groups[c.j].Rep])
 		if !e.cfg.ScaleByMembersOff {
 			s *= float64(len(groups[c.i].Members) * len(groups[c.j].Members))
 		}

@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
+	"strings"
 
 	topk "topkdedup"
 	"topkdedup/internal/strsim"
@@ -25,26 +27,26 @@ func main() {
 		d.Append(1, "", name)
 	}
 
-	// Sufficient predicate: identical token multisets (order-insensitive
-	// exact match) are surely the same person here.
-	sufficient := topk.Predicate{
-		Name: "exact-name",
-		Eval: func(a, b *topk.Record) bool {
-			return strsim.SortedInitials(a.Field("name")) == strsim.SortedInitials(b.Field("name")) &&
-				strsim.JaccardTokens(a.Field("name"), b.Field("name")) == 1
+	// Predicates are written as a per-record signature plus a match on
+	// two signatures (topk.PredicateOf): the engine computes each
+	// record's signature once per phase and then only runs the match.
+	//
+	// Sufficient predicate: identical initials and token sets
+	// (order-insensitive exact match) are surely the same person here.
+	type nameSig struct{ initials, tokens string }
+	sufficient := topk.PredicateOf("exact-name",
+		func(r *topk.Record) nameSig {
+			return nameSig{strsim.SortedInitials(r.Field("name")), tokenSetKey(r.Field("name"))}
 		},
-		Keys: func(r *topk.Record) []string {
+		func(a, b nameSig) bool { return a == b },
+		func(r *topk.Record) []string {
 			return []string{strsim.SortedInitials(r.Field("name"))}
-		},
-	}
+		})
 	// Necessary predicate: duplicates must share a last name token.
-	necessary := topk.Predicate{
-		Name: "shared-surname",
-		Eval: func(a, b *topk.Record) bool {
-			return strsim.CommonTokenCount(lastName(a), lastName(b)) >= 1
-		},
-		Keys: func(r *topk.Record) []string { return []string{lastName(r)} },
-	}
+	necessary := topk.PredicateOf("shared-surname",
+		lastName,
+		func(a, b string) bool { return a != "" && a == b },
+		func(r *topk.Record) []string { return []string{lastName(r)} })
 	// Final scorer: JaroWinkler similarity of the names, shifted so that
 	// ~0.8 is the duplicate decision line.
 	scorer := topk.PairScorerFunc(func(a, b *topk.Record) float64 {
@@ -64,6 +66,20 @@ func main() {
 	}
 	fmt.Printf("records pruned before expensive scoring: %d -> %d survivors\n",
 		d.Len(), res.Survivors)
+}
+
+// tokenSetKey is the name's distinct tokens, sorted and joined: equal
+// keys mean equal token sets.
+func tokenSetKey(name string) string {
+	toks := strsim.Tokenize(name)
+	sort.Strings(toks)
+	uniq := toks[:0]
+	for _, t := range toks {
+		if n := len(uniq); n == 0 || uniq[n-1] != t {
+			uniq = append(uniq, t)
+		}
+	}
+	return strings.Join(uniq, " ")
 }
 
 func lastName(r *topk.Record) string {

@@ -169,9 +169,17 @@ func BoundScanLimit(groups []Group, k int) int {
 // partition guarantees no candidate edge crosses scanners, so the merged
 // verdict stream equals the single-machine one).
 type BoundScanner struct {
-	d       *records.Dataset
-	groups  []Group
-	n       predicate.P
+	d      *records.Dataset
+	groups []Group
+	n      predicate.P
+	// eval is n bound to the representatives of groups[:boundTo], a
+	// prefix grown (by doubling) as blocks with a pair to verify reach
+	// past it: most scans certify K entities within a block or two of a
+	// list thousands long, and the incremental tier keeps one scanner per
+	// canopy component, most of them a single group that never compares
+	// anything.
+	eval    func(i, j int) bool
+	boundTo int
 	workers int
 	// Keys are interned incrementally as the scan discovers them; buckets
 	// is indexed by key id (grown to the table size each block), and seen
@@ -254,9 +262,13 @@ func (sc *BoundScanner) ScanHits(count int) (independent []bool, pairEvals, pair
 		sc.verdict = make([]bool, len(sc.pairs))
 	}
 	sc.verdict = sc.verdict[:len(sc.pairs)]
+	if end > sc.boundTo && len(sc.pairs) > 0 {
+		sc.boundTo = min(max(end, 2*sc.boundTo), len(sc.groups))
+		sc.eval = BindReps(sc.d, sc.groups[:sc.boundTo], sc.n, nil)
+	}
 	parallel.For(sc.workers, len(sc.pairs), func(t int) {
 		p := sc.pairs[t]
-		sc.verdict[t] = sc.n.Eval(sc.d.Recs[sc.groups[p.gi].Rep], sc.d.Recs[sc.groups[p.gj].Rep])
+		sc.verdict[t] = sc.eval(int(p.gi), int(p.gj))
 	})
 
 	independent = make([]bool, end-sc.at)

@@ -62,6 +62,17 @@ func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, work
 		keyIDs[i] = s.KeyIDs(tab, d.Recs[groups[i].Rep], nil)
 	}
 	ix := index.BuildID(n, tab.Len(), keyIDs)
+	// Only a group sharing a bucket with another can appear in a pair.
+	paired := make([]bool, n)
+	for i, ids := range keyIDs {
+		for _, k := range ids {
+			if len(ix.Bucket(k)) > 1 {
+				paired[i] = true
+				break
+			}
+		}
+	}
+	eval := BindReps(d, groups, s, paired)
 	uf := dsu.New(n)
 	var evals, hits int64
 
@@ -83,7 +94,7 @@ func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, work
 		// Verify in parallel; each slot is owned by one index.
 		parallel.For(workers, len(todo), func(k int) {
 			p := buf[todo[k]]
-			verdict[k] = s.Eval(d.Recs[groups[p.a].Rep], d.Recs[groups[p.b].Rep])
+			verdict[k] = eval(int(p.a), int(p.b))
 		})
 		// Merge serially in enumeration order — the deterministic
 		// reduction that keeps the union-find state identical at every

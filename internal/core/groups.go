@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
 
@@ -29,6 +30,36 @@ type Group struct {
 
 // Size returns the number of member records.
 func (g *Group) Size() int { return len(g.Members) }
+
+// BindReps binds p to the groups' representatives (predicate.P.Bound):
+// the returned evaluator takes two indices into groups and equals
+// p.Eval on their representative records. Every phase that compares
+// groups binds once and then calls only this — the per-pair cost is the
+// predicate's match on two precomputed signatures.
+//
+// use, when non-nil, marks the groups the phase can compare at all
+// (groups sharing a blocking key with another, groups still alive);
+// only those get a signature, so a phase that evaluates few pairs does
+// not pay for every group, and the evaluator must not be asked about an
+// unmarked one. nil binds every group.
+func BindReps(d *records.Dataset, groups []Group, p predicate.P, use []bool) func(i, j int) bool {
+	reps := make([]*records.Record, 0, len(groups))
+	if use == nil {
+		for i := range groups {
+			reps = append(reps, d.Recs[groups[i].Rep])
+		}
+		return p.Bound(reps)
+	}
+	slot := make([]int32, len(groups)) // group index -> position in reps
+	for i := range groups {
+		if use[i] {
+			slot[i] = int32(len(reps))
+			reps = append(reps, d.Recs[groups[i].Rep])
+		}
+	}
+	eval := p.Bound(reps)
+	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
+}
 
 // LevelStats reports one pruning iteration, matching the columns of the
 // paper's Figures 2-4.

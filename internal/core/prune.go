@@ -116,9 +116,8 @@ func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 // neighbour's bound on another shard and come back to kill here. A
 // Pruner is not safe for concurrent use.
 type Pruner struct {
-	d       *records.Dataset
 	groups  []Group
-	n       predicate.P
+	eval    func(i, j int) bool // n bound to the stage-0 survivors' representatives
 	m       float64
 	workers int
 	sink    obs.Sink
@@ -161,7 +160,7 @@ type pruneScratch struct {
 func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, workers int, sink obs.Sink) *Pruner {
 	obs.Gauge(sink, "core.prune.bound", m)
 	ng := len(groups)
-	p := &Pruner{d: d, groups: groups, n: n, m: m, workers: workers, sink: sink}
+	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink}
 	// Intern the blocking keys once: every later bucket access is a slice
 	// index on a dense uint32 id instead of a string hash + map probe.
 	tab := intern.New()
@@ -177,6 +176,10 @@ func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, wor
 	p.s0stamp = index.NewStamp(ng)
 	p.RescanStage0()
 	obs.Observe(sink, "core.prune.stage0.pruned", float64(p.stage0Pruned))
+	// The exact passes compare only groups the cascades left alive —
+	// usually a small part of the list. (A later RescanStage0 restores
+	// this same set: it reads only the groups, m and the round cap.)
+	p.eval = BindReps(d, groups, n, p.live)
 	nWorkers := parallel.Resolve(workers)
 	p.scratches = make([]pruneScratch, nWorkers)
 	for w := range p.scratches {
@@ -399,11 +402,10 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 					return groups[gated[a]].Weight > groups[gated[b]].Weight
 				})
 			}
-			repI := p.d.Recs[groups[i].Rep]
 			for _, j32 := range gated {
 				j := int(j32)
 				p.evalCount[i]++
-				if p.n.Eval(repI, p.d.Recs[groups[j].Rep]) {
+				if p.eval(i, j) {
 					p.hitCount[i]++
 					ub += groups[j].Weight
 					if ub >= m {

@@ -42,60 +42,50 @@ func (o *AddressOptions) defaults() {
 // sufficient/necessary predicate level.
 func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
 	opts.defaults()
+	nameOverlap, addrOverlap, commonWords := opts.NameWordOverlap, opts.AddrWordOverlap, opts.CommonWords
 	cache := strsim.NewSharedCache(c)
-	nonStopCache := make(map[string]map[string]struct{})
 	name := func(r *records.Record) string { return r.Field(datagen.FieldOwner) }
 	addr := func(r *records.Record) string { return r.Field(datagen.FieldAddress) }
 
-	nonStopSet := func(s string) map[string]struct{} {
-		if set, ok := nonStopCache[s]; ok {
-			return set
-		}
-		set := make(map[string]struct{})
-		for _, t := range opts.StopWords.Filter(s) {
-			set[t] = struct{}{}
-		}
-		nonStopCache[s] = set
-		return set
-	}
+	// nonStop is a string's set of non-stop words as sorted interned
+	// token ids, memoised per distinct string — by a concurrency-safe
+	// memo, since predicates are bound and evaluated from worker pools.
+	nonStop := strsim.NewMemo(func(s string) []int32 {
+		return cache.InternTokens(opts.StopWords.Filter(s))
+	})
 
 	// S1: initials of names match exactly, > 0.7 common non-stop name
 	// words, and >= 0.6 matching non-stop address words.
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			na, nb := name(a), name(b)
-			if !cache.InitialsEqual(na, nb) {
-				return false
-			}
-			if strsim.Overlap(nonStopSet(na), nonStopSet(nb)) <= opts.NameWordOverlap {
-				return false
-			}
-			return strsim.Overlap(nonStopSet(addr(a)), nonStopSet(addr(b))) >= opts.AddrWordOverlap
-		},
-		Keys: func(r *records.Record) []string {
-			return []string{keyf("a.s1", cache.SortedInitials(name(r)))}
-		},
+	type s1Sig struct {
+		initials   string
+		name, addr []int32 // non-stop word ids
 	}
+	s1 := predicate.Of("S1",
+		func(r *records.Record) s1Sig {
+			return s1Sig{cache.SortedInitials(name(r)), nonStop.Get(name(r)), nonStop.Get(addr(r))}
+		},
+		func(a, b s1Sig) bool {
+			return a.initials == b.initials &&
+				strsim.OverlapSortedIDs(a.name, b.name) > nameOverlap &&
+				strsim.OverlapSortedIDs(a.addr, b.addr) >= addrOverlap
+		},
+		func(r *records.Record) []string {
+			return []string{keyf("a.s1", cache.SortedInitials(name(r)))}
+		})
 
 	// N1: at least 4 common non-stop words in the name+address
 	// concatenation. Since 4 common words imply 2 common words, unordered
 	// word-pair keys are complete and give much smaller buckets than
 	// single-word keys.
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			sa := nonStopSet(name(a) + " " + addr(a))
-			sb := nonStopSet(name(b) + " " + addr(b))
-			return strsim.IntersectionSize(sa, sb) >= opts.CommonWords
-		},
-		Keys: func(r *records.Record) []string {
+	n1 := predicate.Of("N1",
+		func(r *records.Record) []int32 { return nonStop.Get(name(r) + " " + addr(r)) },
+		func(a, b []int32) bool { return strsim.IntersectSortedIDs(a, b) >= commonWords },
+		func(r *records.Record) []string {
 			ts := strsim.GetTokenScratch()
 			defer ts.Release()
 			toks := opts.StopWords.FilterTokens(ts.Tokens(name(r) + " " + addr(r)))
 			return wordPairKeys("a.n1|", toks)
-		},
-	}
+		})
 
 	return Domain{
 		Name:     "addresses",

@@ -48,74 +48,80 @@ func (o *CitationOptions) defaults(corpusDocs int) {
 func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 	opts.defaults(c.DocCount())
 	rareIDF := rareWordIDFThreshold(c, opts.RareDFCap)
+	overlap, coWords := opts.GramOverlap, opts.CommonCoauthorWords
 	cache := strsim.NewSharedCache(c)
 
 	author := func(r *records.Record) string { return r.Field(datagen.FieldAuthor) }
 	coauth := func(r *records.Record) string { return r.Field(datagen.FieldCoauthors) }
 
-	// S1: the names must be sufficiently rare and match exactly up to
-	// word order and initialing — initials match exactly, the minimum IDF
-	// over the author name's *content* words (single-letter initials are
-	// structural, not evidence of identity) clears the rarity threshold,
-	// and the content tokens agree as multisets. The multiset condition
-	// makes the predicate sound on synthetic corpora, where "rare" is a
-	// weaker signal than in a 240k-record crawl: bare initials-plus-rarity
-	// would merge any two rare names sharing an initials multiset.
-	s1ContentRare := func(name string) (string, bool) {
-		content := contentTokensKey(name)
-		if content == "" {
-			return "", false
+	// citName is what S1 and S2 read from one author rendering beyond
+	// what the cache already memoises, computed once per distinct string:
+	// the last token, and the content-token key when the name is
+	// "sufficiently rare" — the minimum IDF over the name's *content*
+	// words (single-letter initials are structural, not evidence of
+	// identity) clears the rarity threshold — else "". The IDF lookup
+	// goes to the corpus directly: this memo already makes it once per
+	// rendering, and the cache's MinIDF memo would pin every non-rare
+	// content key as well.
+	type citName struct{ last, rareContent string }
+	nameOf := strsim.NewMemo(func(name string) citName {
+		n := citName{last: lastToken(name)}
+		if content := contentTokensKey(name); content != "" && c.MinIDF(content) >= rareIDF {
+			n.rareContent = content
 		}
-		return content, cache.MinIDF(content) >= rareIDF
-	}
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			na, nb := author(a), author(b)
-			if !cache.InitialsEqual(na, nb) {
-				return false
-			}
-			ca, okA := s1ContentRare(na)
-			if !okA {
-				return false
-			}
-			cb, okB := s1ContentRare(nb)
-			return okB && ca == cb
+		return n
+	})
+
+	// S1: the names must be sufficiently rare and match exactly up to
+	// word order and initialing — initials match exactly, both names are
+	// rare, and the content tokens agree as multisets. The multiset
+	// condition makes the predicate sound on synthetic corpora, where
+	// "rare" is a weaker signal than in a 240k-record crawl: bare
+	// initials-plus-rarity would merge any two rare names sharing an
+	// initials multiset.
+	type s1Sig struct{ initials, rareContent string }
+	s1 := predicate.Of("S1",
+		func(r *records.Record) s1Sig {
+			name := author(r)
+			return s1Sig{cache.SortedInitials(name), nameOf.Get(name).rareContent}
+		},
+		func(a, b s1Sig) bool {
+			return a.rareContent != "" && a.rareContent == b.rareContent && a.initials == b.initials
 		},
 		// Records whose content words are not all rare can never satisfy
 		// S1, so they get no key at all; the rest key on initials plus
 		// content tokens (complete: S1-true pairs agree on both).
-		Keys: func(r *records.Record) []string {
+		func(r *records.Record) []string {
 			name := author(r)
-			content, ok := s1ContentRare(name)
-			if !ok {
+			content := nameOf.Get(name).rareContent
+			if content == "" {
 				return nil
 			}
 			return []string{keyf("c.s1", cache.SortedInitials(name), content)}
-		},
-	}
+		})
 
 	// S2: initials match exactly, at least three common co-author words,
 	// and the last names match.
-	s2 := predicate.P{
-		Name: "S2",
-		Eval: func(a, b *records.Record) bool {
-			na, nb := author(a), author(b)
-			if !cache.InitialsEqual(na, nb) {
-				return false
-			}
-			if lastToken(na) != lastToken(nb) || lastToken(na) == "" {
-				return false
-			}
-			return cache.CommonTokenCount(coauth(a), coauth(b)) >= opts.CommonCoauthorWords
+	type s2Sig struct {
+		initials, last string
+		coauthors      []int32 // sorted interned token ids
+	}
+	s2 := predicate.Of("S2",
+		func(r *records.Record) s2Sig {
+			name := author(r)
+			return s2Sig{cache.SortedInitials(name), nameOf.Get(name).last, cache.TokenIDs(coauth(r))}
+		},
+		func(a, b s2Sig) bool {
+			return a.last != "" && a.last == b.last && a.initials == b.initials &&
+				strsim.IntersectSortedIDs(a.coauthors, b.coauthors) >= coWords
 		},
 		// S2-true pairs share >= 3 coauthor words, hence at least one
 		// unordered coauthor word pair — so (initials, last, word-pair)
 		// keys are complete and give far smaller buckets than
 		// (initials, last) alone.
-		Keys: func(r *records.Record) []string {
+		func(r *records.Record) []string {
 			name := author(r)
-			last := lastToken(name)
+			last := nameOf.Get(name).last
 			if last == "" {
 				return nil
 			}
@@ -124,34 +130,24 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 			toks := ts.Tokens(coauth(r))
 			prefix := keyf("c.s2", cache.SortedInitials(name), last) + "\x1f"
 			return wordPairKeys(prefix, toks)
-		},
-	}
+		})
 
 	// N1: common author 3-grams exceed 60% of the smaller gram set.
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			return cache.GramOverlapRatio(author(a), author(b)) > opts.GramOverlap
-		},
-		Keys: func(r *records.Record) []string {
-			return gramKeys(cache, "c.n1", author(r))
-		},
-	}
+	n1 := gramOverlapAbove("N1", cache, author, overlap, "c.n1")
 
 	// N2: N1 plus at least one common initial.
-	n2 := predicate.P{
-		Name: "N2",
-		Eval: func(a, b *records.Record) bool {
-			na, nb := author(a), author(b)
-			if !cache.InitialsMatch(na, nb) {
-				return false
-			}
-			return cache.GramOverlapRatio(na, nb) > opts.GramOverlap
-		},
-		Keys: func(r *records.Record) []string {
-			return gramKeys(cache, "c.n2", author(r))
-		},
+	type n2Sig struct {
+		grams   []int32
+		letters uint32 // initial-letter mask
 	}
+	n2 := predicate.Of("N2",
+		func(r *records.Record) n2Sig {
+			return n2Sig{cache.GramIDs(author(r)), cache.InitialLetters(author(r))}
+		},
+		func(a, b n2Sig) bool {
+			return a.letters&b.letters != 0 && strsim.OverlapExceeds(a.grams, b.grams, overlap, true)
+		},
+		func(r *records.Record) []string { return gramKeys(cache, "c.n2", author(r)) })
 
 	return Domain{
 		Name: "citations",

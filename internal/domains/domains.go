@@ -113,6 +113,17 @@ func gramKeys(cache *strsim.Cache, prefix, value string) []string {
 	return keys
 }
 
+// gramOverlapAbove is the single-field necessary predicate several
+// domains share: the field's 3-gram overlap ratio strictly exceeds thr,
+// blocked on one key per gram under keyPrefix. The signature is the
+// field's sorted interned gram ids.
+func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64, keyPrefix string) predicate.P {
+	return predicate.Of(name,
+		func(r *records.Record) []int32 { return cache.GramIDs(field(r)) },
+		func(a, b []int32) bool { return strsim.OverlapExceeds(a, b, thr, true) },
+		func(r *records.Record) []string { return gramKeys(cache, keyPrefix, field(r)) })
+}
+
 // wordPairKeys returns one key per unordered pair of distinct non-stop
 // tokens of the value. For predicates requiring at least two common words,
 // pair keys are complete and give far smaller buckets than single-word

@@ -22,25 +22,12 @@ func Generic(field string, overlap float64) ([]predicate.Level, func(a, b *recor
 	cache := strsim.NewSharedCache(nil)
 	val := func(rec *records.Record) string { return rec.Field(field) }
 
-	s := predicate.P{
-		Name: "S-exact",
-		Eval: func(a, b *records.Record) bool {
-			ka := sortedTokensKey(val(a))
-			return ka != "" && ka == sortedTokensKey(val(b))
-		},
-		Keys: func(rec *records.Record) []string {
-			return []string{"s:" + sortedTokensKey(val(rec))}
-		},
-	}
-	n := predicate.P{
-		Name: "N-grams",
-		Eval: func(a, b *records.Record) bool {
-			return cache.GramOverlapRatio(val(a), val(b)) > overlap
-		},
-		Keys: func(rec *records.Record) []string {
-			return gramKeys(cache, "n:", val(rec))
-		},
-	}
+	tokensKey := strsim.NewMemo(sortedTokensKey)
+	s := predicate.Of("S-exact",
+		func(rec *records.Record) string { return tokensKey.Get(val(rec)) },
+		func(a, b string) bool { return a != "" && a == b },
+		func(rec *records.Record) []string { return []string{"s:" + tokensKey.Get(val(rec))} })
+	n := gramOverlapAbove("N-grams", cache, val, overlap, "n:")
 	scorer := func(a, b *records.Record) float64 {
 		sim := 0.5*cache.JaccardGrams(val(a), val(b)) + 0.5*strsim.JaroWinkler(val(a), val(b))
 		return 6 * (sim - 0.55)

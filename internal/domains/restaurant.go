@@ -12,31 +12,22 @@ import (
 // predicate) and a feature set over name/address/city/cuisine.
 func Restaurants(c *strsim.Corpus) Domain {
 	cache := strsim.NewSharedCache(c)
+	tokensKey := strsim.NewMemo(sortedTokensKey)
 	name := func(r *records.Record) string { return r.Field(datagen.FieldOwner) }
 	addr := func(r *records.Record) string { return r.Field(datagen.FieldAddress) }
 	city := func(r *records.Record) string { return r.Field(datagen.FieldCity) }
 
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			return sortedTokensKey(name(a)) == sortedTokensKey(name(b)) &&
-				sortedTokensKey(addr(a)) == sortedTokensKey(addr(b)) &&
-				city(a) == city(b)
+	type s1Sig struct{ name, addr, city string }
+	s1 := predicate.Of("S1",
+		func(r *records.Record) s1Sig {
+			return s1Sig{tokensKey.Get(name(r)), tokensKey.Get(addr(r)), city(r)}
 		},
-		Keys: func(r *records.Record) []string {
-			return []string{keyf("r.s1", sortedTokensKey(name(r)), sortedTokensKey(addr(r)), city(r))}
-		},
-	}
+		func(a, b s1Sig) bool { return a == b },
+		func(r *records.Record) []string {
+			return []string{keyf("r.s1", tokensKey.Get(name(r)), tokensKey.Get(addr(r)), city(r))}
+		})
 
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			return cache.GramOverlapRatio(name(a), name(b)) > 0.4
-		},
-		Keys: func(r *records.Record) []string {
-			return gramKeys(cache, "r.n1", name(r))
-		},
-	}
+	n1 := gramOverlapAbove("N1", cache, name, 0.4, "r.n1")
 
 	return Domain{
 		Name:     "restaurant",
@@ -85,29 +76,27 @@ func AuthorsOnly(c *strsim.Corpus) Domain {
 
 	// Exact token-multiset equality is NOT sufficient for bare author
 	// names: two entities can both render as "s. sarawagi". Only full
-	// names (no single-letter initials) matching exactly is safe.
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			return strsim.FullNamesEqual(name(a), name(b))
-		},
-		Keys: func(r *records.Record) []string {
-			n := name(r)
-			if hasInitialToken(n) || n == "" {
+	// names (no single-letter initials) matching exactly is safe
+	// (strsim.FullNamesEqual). The signature is the name's sorted-token
+	// key, or "" for a name that has an initial or no token at all and so
+	// can never satisfy S1.
+	fullNameKey := strsim.NewMemo(func(n string) string {
+		if hasInitialToken(n) {
+			return ""
+		}
+		return sortedTokensKey(n)
+	})
+	s1 := predicate.Of("S1",
+		func(r *records.Record) string { return fullNameKey.Get(name(r)) },
+		func(a, b string) bool { return a != "" && a == b },
+		func(r *records.Record) []string {
+			k := fullNameKey.Get(name(r))
+			if k == "" {
 				return nil // can never satisfy S1
 			}
-			return []string{keyf("au.s1", sortedTokensKey(n))}
-		},
-	}
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			return cache.GramOverlapRatio(name(a), name(b)) > 0.3
-		},
-		Keys: func(r *records.Record) []string {
-			return gramKeys(cache, "au.n1", name(r))
-		},
-	}
+			return []string{keyf("au.s1", k)}
+		})
+	n1 := gramOverlapAbove("N1", cache, name, 0.3, "au.n1")
 	return Domain{
 		Name:     "authors",
 		Levels:   []predicate.Level{{Sufficient: s1, Necessary: n1}},
@@ -152,25 +141,15 @@ func GetoorDomain(c *strsim.Corpus) Domain {
 	name := func(r *records.Record) string { return r.Field(datagen.FieldAuthor) }
 	title := func(r *records.Record) string { return r.Field(datagen.FieldTitle) }
 
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			return sortedTokensKey(name(a)) == sortedTokensKey(name(b)) &&
-				sortedTokensKey(title(a)) == sortedTokensKey(title(b))
-		},
-		Keys: func(r *records.Record) []string {
-			return []string{keyf("g.s1", sortedTokensKey(name(r)), sortedTokensKey(title(r)))}
-		},
-	}
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			return cache.GramOverlapRatio(name(a), name(b)) > 0.3
-		},
-		Keys: func(r *records.Record) []string {
-			return gramKeys(cache, "g.n1", name(r))
-		},
-	}
+	tokensKey := strsim.NewMemo(sortedTokensKey)
+	type s1Sig struct{ name, title string }
+	s1 := predicate.Of("S1",
+		func(r *records.Record) s1Sig { return s1Sig{tokensKey.Get(name(r)), tokensKey.Get(title(r))} },
+		func(a, b s1Sig) bool { return a == b },
+		func(r *records.Record) []string {
+			return []string{keyf("g.s1", tokensKey.Get(name(r)), tokensKey.Get(title(r)))}
+		})
+	n1 := gramOverlapAbove("N1", cache, name, 0.3, "g.n1")
 	feats := FeatureSet{
 		Names: []string{
 			"author.jaccard3gram",

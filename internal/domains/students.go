@@ -32,7 +32,9 @@ func (o *StudentOptions) defaults() {
 // entry errors.
 func Students(opts StudentOptions) Domain {
 	opts.defaults()
+	s2Overlap, n2Overlap := opts.S2GramOverlap, opts.N2GramOverlap
 	cache := strsim.NewSharedCache(nil)
+	nameKey := strsim.NewMemo(sortedTokensKey)
 	name := func(r *records.Record) string { return r.Field(datagen.FieldName) }
 	class := func(r *records.Record) string { return r.Field(datagen.FieldClass) }
 	school := func(r *records.Record) string { return r.Field(datagen.FieldSchool) }
@@ -40,43 +42,48 @@ func Students(opts StudentOptions) Domain {
 
 	// S1: student name, class, school code, and birth date all match
 	// exactly (token-normalised).
-	s1 := predicate.P{
-		Name: "S1",
-		Eval: func(a, b *records.Record) bool {
-			return sortedTokensKey(name(a)) == sortedTokensKey(name(b)) &&
-				class(a) == class(b) && school(a) == school(b) && dob(a) == dob(b)
+	type s1Sig struct{ name, class, school, dob string }
+	s1 := predicate.Of("S1",
+		func(r *records.Record) s1Sig {
+			return s1Sig{nameKey.Get(name(r)), class(r), school(r), dob(r)}
 		},
-		Keys: func(r *records.Record) []string {
-			return []string{keyf("st.s1", sortedTokensKey(name(r)), class(r), school(r), dob(r))}
-		},
-	}
+		func(a, b s1Sig) bool { return a == b },
+		func(r *records.Record) []string {
+			return []string{keyf("st.s1", nameKey.Get(name(r)), class(r), school(r), dob(r))}
+		})
 
 	// S2: like S1 but instead of exact name match it requires >= 90%
 	// overlap in the 3-grams of the name field.
-	s2 := predicate.P{
-		Name: "S2",
-		Eval: func(a, b *records.Record) bool {
-			if class(a) != class(b) || school(a) != school(b) || dob(a) != dob(b) {
-				return false
-			}
-			return cache.GramOverlapRatio(name(a), name(b)) >= opts.S2GramOverlap
-		},
-		Keys: func(r *records.Record) []string {
-			return []string{keyf("st.s2", class(r), school(r), dob(r))}
-		},
+	type s2Sig struct {
+		class, school, dob string
+		grams              []int32 // sorted interned name 3-gram ids
 	}
+	s2 := predicate.Of("S2",
+		func(r *records.Record) s2Sig {
+			return s2Sig{class(r), school(r), dob(r), cache.GramIDs(name(r))}
+		},
+		func(a, b s2Sig) bool {
+			return a.class == b.class && a.school == b.school && a.dob == b.dob &&
+				strsim.OverlapExceeds(a.grams, b.grams, s2Overlap, false)
+		},
+		func(r *records.Record) []string {
+			return []string{keyf("st.s2", class(r), school(r), dob(r))}
+		})
 
 	// N1: at least one common initial in the name and matching class and
 	// school code.
-	n1 := predicate.P{
-		Name: "N1",
-		Eval: func(a, b *records.Record) bool {
-			if class(a) != class(b) || school(a) != school(b) {
-				return false
-			}
-			return cache.InitialsMatch(name(a), name(b))
+	type n1Sig struct {
+		class, school string
+		letters       uint32 // initial-letter mask
+	}
+	n1 := predicate.Of("N1",
+		func(r *records.Record) n1Sig {
+			return n1Sig{class(r), school(r), cache.InitialLetters(name(r))}
 		},
-		Keys: func(r *records.Record) []string {
+		func(a, b n1Sig) bool {
+			return a.class == b.class && a.school == b.school && a.letters&b.letters != 0
+		},
+		func(r *records.Record) []string {
 			ts := strsim.GetTokenScratch()
 			defer ts.Release()
 			toks := ts.Tokens(name(r))
@@ -91,27 +98,29 @@ func Students(opts StudentOptions) Domain {
 				keys = append(keys, keyf("st.n1", string(ini), class(r), school(r)))
 			}
 			return keys
-		},
-	}
+		})
 
 	// N2: >= 50% common name 3-grams and exact school and class match.
-	n2 := predicate.P{
-		Name: "N2",
-		Eval: func(a, b *records.Record) bool {
-			if class(a) != class(b) || school(a) != school(b) {
-				return false
-			}
-			return cache.GramOverlapRatio(name(a), name(b)) >= opts.N2GramOverlap
+	type n2Sig struct {
+		class, school string
+		grams         []int32
+	}
+	n2 := predicate.Of("N2",
+		func(r *records.Record) n2Sig {
+			return n2Sig{class(r), school(r), cache.GramIDs(name(r))}
 		},
-		Keys: func(r *records.Record) []string {
+		func(a, b n2Sig) bool {
+			return a.class == b.class && a.school == b.school &&
+				strsim.OverlapExceeds(a.grams, b.grams, n2Overlap, false)
+		},
+		func(r *records.Record) []string {
 			grams := cache.TriGrams(name(r))
 			keys := make([]string, 0, len(grams))
 			for g := range grams {
 				keys = append(keys, keyf("st.n2", g, class(r), school(r)))
 			}
 			return keys
-		},
-	}
+		})
 
 	return Domain{
 		Name: "students",

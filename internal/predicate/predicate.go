@@ -29,6 +29,54 @@ type P struct {
 	// Keys returns the blocking keys of a record. Completeness contract:
 	// Eval(a,b) == true implies Keys(a) ∩ Keys(b) ≠ ∅.
 	Keys func(r *records.Record) []string
+
+	// bind, set by Of, precomputes the signatures of a record slice and
+	// returns the index-addressed evaluator over them; nil for a
+	// hand-written predicate, which Bound serves through Eval.
+	bind func(recs []*records.Record) func(i, j int) bool
+}
+
+// Of builds a predicate from a per-record signature and a match on two
+// signatures: sig extracts everything the predicate reads from one
+// record (interned id slices, normalised keys, the fields compared for
+// equality), and match decides the pair from the two signatures alone.
+// Eval is match(sig(a), sig(b)); Bound computes each record's signature
+// once and then only runs match. Both forms share the one definition of
+// the predicate's logic.
+//
+// Contract: match is pure, allocation-free and safe for concurrent use;
+// sig may allocate and memoise but must be safe for concurrent use and
+// return the same signature for the same record every time.
+func Of[S any](name string, sig func(r *records.Record) S, match func(a, b S) bool, keys func(r *records.Record) []string) P {
+	return P{
+		Name: name,
+		Eval: func(a, b *records.Record) bool { return match(sig(a), sig(b)) },
+		Keys: keys,
+		bind: func(recs []*records.Record) func(i, j int) bool {
+			sigs := make([]S, len(recs))
+			for i, r := range recs {
+				sigs[i] = sig(r)
+			}
+			return func(i, j int) bool { return match(sigs[i], sigs[j]) }
+		},
+	}
+}
+
+// Bound binds the predicate to the records a phase will compare and
+// returns an evaluator addressed by index into recs, with
+// Bound(recs)(i, j) == Eval(recs[i], recs[j]) for every pair. For a
+// predicate built with Of the signatures are computed here, once per
+// record, and each call afterwards touches no map, lock or string hash;
+// a hand-written Eval-only predicate is served by calling Eval. (A value
+// from Of keeps its signatures' definition: assigning a new Eval to it
+// afterwards does not change what Bound evaluates.) The evaluator is
+// read-only and safe for concurrent use whenever the predicate is.
+func (p P) Bound(recs []*records.Record) func(i, j int) bool {
+	if p.bind != nil {
+		return p.bind(recs)
+	}
+	eval := p.Eval
+	return func(i, j int) bool { return eval(recs[i], recs[j]) }
 }
 
 // KeyIDs returns the record's blocking keys interned into tab as dense

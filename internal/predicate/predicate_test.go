@@ -137,3 +137,39 @@ func TestForEachKeyPairDedup(t *testing.T) {
 		t.Errorf("pair sharing two keys visited %d times, want 1", count)
 	}
 }
+
+// TestBoundEqualsEval covers both forms Bound takes — signatures
+// computed once for a predicate built with Of, Eval called through for a
+// hand-written one — against Eval on every pair, and checks that Of
+// computes each record's signature once per bind, not once per pair.
+func TestBoundEqualsEval(t *testing.T) {
+	d := dataset()
+	sigCalls := 0
+	viaOf := Of("nameEqOf",
+		func(r *records.Record) string { sigCalls++; return r.Field("name") },
+		func(a, b string) bool { return a == b && a != "" },
+		nameEq().Keys)
+	for _, p := range []P{viaOf, nameEq(), sharesInitial()} {
+		eval := p.Bound(d.Recs)
+		for i := range d.Recs {
+			for j := range d.Recs {
+				if got, want := eval(i, j), p.Eval(d.Recs[i], d.Recs[j]); got != want {
+					t.Errorf("%s: Bound(%d, %d) = %v, Eval = %v", p.Name, i, j, got, want)
+				}
+			}
+		}
+	}
+	sigCalls = 0
+	eval := viaOf.Bound(d.Recs)
+	for i := range d.Recs {
+		for j := range d.Recs {
+			eval(i, j)
+		}
+	}
+	if sigCalls != d.Len() {
+		t.Errorf("Of: %d signature computations for one bind over %d records", sigCalls, d.Len())
+	}
+	if v := ValidateSufficient(d, viaOf, 0); len(v) != 0 {
+		t.Errorf("validators must keep working on a predicate built with Of: %v", v)
+	}
+}

@@ -146,17 +146,17 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 	}
 	ix := index.Build(ng, func(i int) []string { return keys[i] })
 	stamp := index.NewStamp(ng)
+	eval := core.BindReps(d, groups, n, nil)
 	adj := make([][]int, ng)
 	var cand []int32
 	for i := 0; i < ng; i++ {
 		cand = ix.Candidates(i, keys[i], stamp, cand[:0])
-		repI := d.Recs[groups[i].Rep]
 		for _, j32 := range cand {
 			j := int(j32)
 			if j < i {
 				continue // handled from the smaller side
 			}
-			if n.Eval(repI, d.Recs[groups[j].Rep]) {
+			if eval(i, j) {
 				adj[i] = append(adj[i], j)
 				adj[j] = append(adj[j], i)
 			}

@@ -1,6 +1,7 @@
 package strsim
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -8,8 +9,9 @@ import (
 // Cache memoises per-string derived structures (token sets, 3-gram sets,
 // initials, IDF minima) keyed by the raw field value. Field values repeat
 // heavily across records and every predicate evaluation needs the same
-// derived sets, so memoisation turns the canopy join's per-pair cost into
-// set intersection only.
+// derived sets, so memoisation turns the per-record cost of a predicate
+// signature (see predicate.Of) into a handful of map probes. Each
+// derived structure is one Memo.
 //
 // Concurrency semantics are fixed at construction:
 //
@@ -17,156 +19,122 @@ import (
 //     NOT safe for concurrent use. Use it for strictly serial code.
 //   - NewSharedCache returns a sharded concurrent cache, safe for use
 //     from many goroutines at once — this is what the predicate domains
-//     use so that the pipeline's parallel phases can evaluate predicates
-//     from worker pools. Entries shard by a string hash, each shard
-//     guarded by its own RWMutex; after warm-up every access is a
-//     read-lock on one shard.
+//     use so that the pipeline's parallel phases can bind and evaluate
+//     predicates from worker pools (see Memo for the sharding).
 //
 // The maps and slices returned by Cache methods are shared memoised
 // values: callers must treat them as read-only.
 type Cache struct {
 	shared bool
-	shards []cacheShard
-	mask   uint32
 	corpus *Corpus
+
+	grams    *Memo[map[string]struct{}]
+	tokens   *Memo[map[string]struct{}]
+	initials *Memo[string]
+	letters  *Memo[uint32]
+	minIDF   *Memo[float64]
+	gramIDs  *Memo[[]int32]
+	tokIDs   *Memo[[]int32]
+	sorted   *Memo[[]string]
+
 	// Interned gram/token representation: every distinct gram (and,
 	// separately, token) gets an integer id; per-string gram and token
-	// sets are cached as sorted id slices, so hot overlap predicates
+	// sets are cached as sorted id slices, so overlap predicates
 	// intersect by merge instead of map probing. The id tables are
-	// global (ids must agree across shards) with their own lock in
-	// shared mode.
+	// global to the cache with their own lock in shared mode.
 	internMu sync.Mutex
 	gramID   map[string]int32
 	tokID    map[string]int32
 }
 
-// cacheShard holds the per-string memo maps for one slice of the key
-// space. mu is only used when the cache is shared.
-type cacheShard struct {
-	mu       sync.RWMutex
-	grams    map[string]map[string]struct{}
-	tokens   map[string]map[string]struct{}
-	initials map[string]string
-	letters  map[string]uint32
-	minIDF   map[string]float64
-	gramIDs  map[string][]int32
-	tokIDs   map[string][]int32
-	sorted   map[string][]string
-}
-
-func (sh *cacheShard) init() {
-	sh.grams = make(map[string]map[string]struct{})
-	sh.tokens = make(map[string]map[string]struct{})
-	sh.initials = make(map[string]string)
-	sh.letters = make(map[string]uint32)
-	sh.minIDF = make(map[string]float64)
-	sh.gramIDs = make(map[string][]int32)
-	sh.tokIDs = make(map[string][]int32)
-	sh.sorted = make(map[string][]string)
-}
-
-// sharedCacheShards is the shard count of NewSharedCache (power of two).
-// 16 shards keep write contention negligible for worker pools up to a
-// few dozen goroutines while costing only a handful of empty maps.
-const sharedCacheShards = 16
-
 // NewCache returns an empty unsynchronised cache. corpus may be nil when
 // IDF-based lookups are not needed. A Cache from NewCache is NOT safe
 // for concurrent use; give each goroutine its own, or build a
 // NewSharedCache.
-func NewCache(corpus *Corpus) *Cache {
-	c := &Cache{corpus: corpus, shards: make([]cacheShard, 1), gramID: make(map[string]int32), tokID: make(map[string]int32)}
-	c.shards[0].init()
-	return c
-}
+func NewCache(corpus *Corpus) *Cache { return newCache(false, corpus) }
 
 // NewSharedCache returns an empty concurrency-safe cache, sharded so
 // that goroutines evaluating predicates in parallel contend only on
 // cold-miss writes to the same shard. corpus may be nil.
-func NewSharedCache(corpus *Corpus) *Cache {
-	c := &Cache{
-		shared: true,
-		shards: make([]cacheShard, sharedCacheShards),
-		mask:   sharedCacheShards - 1,
-		corpus: corpus,
-		gramID: make(map[string]int32),
-		tokID:  make(map[string]int32),
-	}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
+func NewSharedCache(corpus *Corpus) *Cache { return newCache(true, corpus) }
+
+func newCache(shared bool, corpus *Corpus) *Cache {
+	c := &Cache{shared: shared, corpus: corpus, gramID: make(map[string]int32), tokID: make(map[string]int32)}
+	c.grams = newMemo(shared, TriGrams)
+	c.tokens = newMemo(shared, TokenSet)
+	c.initials = newMemo(shared, SortedInitials)
+	c.letters = newMemo(shared, initialLetters)
+	c.minIDF = newMemo(shared, func(s string) float64 {
+		if corpus == nil {
+			return 0
+		}
+		return corpus.MinIDF(s)
+	})
+	c.gramIDs = newMemo(shared, func(s string) []int32 {
+		grams := c.TriGrams(s)
+		keys := make([]string, 0, len(grams))
+		for g := range grams {
+			keys = append(keys, g)
+		}
+		return c.internSorted(c.gramID, keys)
+	})
+	c.tokIDs = newMemo(shared, func(s string) []int32 { return c.InternTokens(Tokenize(s)) })
+	c.sorted = newMemo(shared, func(s string) []string {
+		grams := c.TriGrams(s)
+		out := make([]string, 0, len(grams))
+		for g := range grams {
+			out = append(out, g)
+		}
+		sort.Strings(out)
+		return out
+	})
 	return c
 }
 
 // Shared reports whether the cache is safe for concurrent use.
 func (c *Cache) Shared() bool { return c.shared }
 
-// shard picks the shard of key s (FNV-1a, inlined to avoid allocating a
-// hasher on every lookup).
-func (c *Cache) shard(s string) *cacheShard {
-	if c.mask == 0 {
-		return &c.shards[0]
+// internSorted maps keys to their dense ids in table (minting ids for
+// unseen keys) and returns the ids ascending and duplicate-free.
+func (c *Cache) internSorted(table map[string]int32, keys []string) []int32 {
+	ids := make([]int32, 0, len(keys))
+	if c.shared {
+		c.internMu.Lock()
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+	for _, k := range keys {
+		id, ok := table[k]
+		if !ok {
+			id = int32(len(table))
+			table[k] = id
+		}
+		ids = append(ids, id)
 	}
-	return &c.shards[h&c.mask]
+	if c.shared {
+		c.internMu.Unlock()
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
-// lookup memoises compute() under key s in the map sel selects from s's
-// shard, with the locking discipline the cache was constructed with.
-// On a concurrent double-compute the first stored value wins, so all
-// callers observe one canonical entry.
-func lookup[V any](c *Cache, s string, sel func(*cacheShard) map[string]V, compute func() V) V {
-	sh := c.shard(s)
-	if !c.shared {
-		m := sel(sh)
-		if v, ok := m[s]; ok {
-			return v
+// initialLetters is the uncached form of Cache.InitialLetters.
+func initialLetters(s string) uint32 {
+	var mask uint32
+	for _, t := range Tokenize(s) {
+		if ch := t[0]; ch >= 'a' && ch <= 'z' {
+			mask |= 1 << (ch - 'a')
 		}
-		v := compute()
-		m[s] = v
-		return v
 	}
-	sh.mu.RLock()
-	v, ok := sel(sh)[s]
-	sh.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = compute()
-	sh.mu.Lock()
-	if prev, ok := sel(sh)[s]; ok {
-		v = prev
-	} else {
-		sel(sh)[s] = v
-	}
-	sh.mu.Unlock()
-	return v
+	return mask
 }
 
 // TriGrams returns the memoised 3-gram set of s.
-func (c *Cache) TriGrams(s string) map[string]struct{} {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string]map[string]struct{} { return sh.grams },
-		func() map[string]struct{} { return TriGrams(s) })
-}
+func (c *Cache) TriGrams(s string) map[string]struct{} { return c.grams.Get(s) }
 
 // TokenSet returns the memoised token set of s.
-func (c *Cache) TokenSet(s string) map[string]struct{} {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string]map[string]struct{} { return sh.tokens },
-		func() map[string]struct{} { return TokenSet(s) })
-}
+func (c *Cache) TokenSet(s string) map[string]struct{} { return c.tokens.Get(s) }
 
 // SortedInitials returns the memoised sorted initials of s.
-func (c *Cache) SortedInitials(s string) string {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string]string { return sh.initials },
-		func() string { return SortedInitials(s) })
-}
+func (c *Cache) SortedInitials(s string) string { return c.initials.Get(s) }
 
 // InitialsEqual compares memoised sorted initials.
 func (c *Cache) InitialsEqual(a, b string) bool {
@@ -175,19 +143,7 @@ func (c *Cache) InitialsEqual(a, b string) bool {
 
 // InitialLetters returns a bitmask of the a-z initial letters of the
 // tokens of s (bit 0 = 'a'). Non-letter initials are ignored.
-func (c *Cache) InitialLetters(s string) uint32 {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string]uint32 { return sh.letters },
-		func() uint32 {
-			var mask uint32
-			for _, t := range Tokenize(s) {
-				if ch := t[0]; ch >= 'a' && ch <= 'z' {
-					mask |= 1 << (ch - 'a')
-				}
-			}
-			return mask
-		})
-}
+func (c *Cache) InitialLetters(s string) uint32 { return c.letters.Get(s) }
 
 // InitialsMatch reports whether the two strings share at least one token
 // initial, via the memoised letter bitmasks.
@@ -197,96 +153,36 @@ func (c *Cache) InitialsMatch(a, b string) bool {
 
 // MinIDF returns the memoised minimum token IDF of s (0 without a corpus
 // or for token-less strings).
-func (c *Cache) MinIDF(s string) float64 {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string]float64 { return sh.minIDF },
-		func() float64 {
-			if c.corpus == nil {
-				return 0
-			}
-			return c.corpus.MinIDF(s)
-		})
-}
+func (c *Cache) MinIDF(s string) float64 { return c.minIDF.Get(s) }
 
 // GramIDs returns the string's 3-gram set as a sorted slice of interned
 // gram ids (memoised). Id values depend on interning order and are only
 // meaningful within one Cache; intersection sizes are order-independent.
-func (c *Cache) GramIDs(s string) []int32 {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string][]int32 { return sh.gramIDs },
-		func() []int32 {
-			grams := c.TriGrams(s)
-			ids := make([]int32, 0, len(grams))
-			if c.shared {
-				c.internMu.Lock()
-			}
-			for g := range grams {
-				id, ok := c.gramID[g]
-				if !ok {
-					id = int32(len(c.gramID))
-					c.gramID[g] = id
-				}
-				ids = append(ids, id)
-			}
-			if c.shared {
-				c.internMu.Unlock()
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return ids
-		})
-}
+func (c *Cache) GramIDs(s string) []int32 { return c.gramIDs.Get(s) }
 
 // TokenIDs returns the string's distinct-token set as a sorted slice of
 // interned token ids (memoised), mirroring GramIDs for word tokens. Id
 // values depend on interning order and are only meaningful within one
 // Cache; intersection sizes are order-independent.
-func (c *Cache) TokenIDs(s string) []int32 {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string][]int32 { return sh.tokIDs },
-		func() []int32 {
-			toks := c.TokenSet(s)
-			ids := make([]int32, 0, len(toks))
-			if c.shared {
-				c.internMu.Lock()
-			}
-			for t := range toks {
-				id, ok := c.tokID[t]
-				if !ok {
-					id = int32(len(c.tokID))
-					c.tokID[t] = id
-				}
-				ids = append(ids, id)
-			}
-			if c.shared {
-				c.internMu.Unlock()
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return ids
-		})
-}
+func (c *Cache) TokenIDs(s string) []int32 { return c.tokIDs.Get(s) }
+
+// InternTokens returns the given tokens' distinct set as a sorted slice
+// of ids from the table TokenIDs uses, for callers that filter or
+// combine tokens before interning (the address domain's non-stop word
+// sets). Not memoised: wrap it in a Memo keyed by the source string.
+func (c *Cache) InternTokens(toks []string) []int32 { return c.internSorted(c.tokID, toks) }
 
 // SortedGrams returns the string's 3-gram set as a lexicographically
 // sorted slice (memoised). Blocking-key builders range it instead of the
 // gram map, so their key order — and everything downstream that depends
 // on it, like interned id assignment — is deterministic run to run.
-func (c *Cache) SortedGrams(s string) []string {
-	return lookup(c, s,
-		func(sh *cacheShard) map[string][]string { return sh.sorted },
-		func() []string {
-			grams := c.TriGrams(s)
-			out := make([]string, 0, len(grams))
-			for g := range grams {
-				out = append(out, g)
-			}
-			sort.Strings(out)
-			return out
-		})
-}
+func (c *Cache) SortedGrams(s string) []string { return c.sorted.Get(s) }
 
 // GramOverlapRatio is GramOverlapRatio over memoised 3-gram sets, using
-// the interned sorted-id representation (merge intersection — the hot
-// path of the necessary-predicate joins). Note the 0-for-two-empties
-// convention of the string form, not Overlap's 1.
+// the interned sorted-id representation (merge intersection). Note the
+// 0-for-two-empties convention of the string form, not Overlap's 1;
+// OverlapExceeds is its thresholded form, which the bound predicate
+// evaluators call on precomputed id slices without coming through here.
 func (c *Cache) GramOverlapRatio(a, b string) float64 {
 	ga, gb := c.GramIDs(a), c.GramIDs(b)
 	if len(ga) == 0 || len(gb) == 0 {

@@ -8,8 +8,10 @@ import (
 // FuzzStrsim drives the pairwise similarity inventory with arbitrary
 // byte strings and checks the contracts every predicate and scorer in
 // the repo relies on: no panics, results in [0,1], symmetry, and
-// self-similarity 1 for non-empty inputs. ci.sh runs a short -fuzztime
-// smoke over the committed corpus on every build.
+// self-similarity 1 for non-empty inputs — and that the early-exit
+// merge OverlapExceeds gives the verdict of the full overlap ratio at
+// every threshold. ci.sh runs a short -fuzztime smoke over the committed
+// corpus on every build.
 func FuzzStrsim(f *testing.F) {
 	seeds := [][2]string{
 		{"", ""},
@@ -76,5 +78,58 @@ func FuzzStrsim(f *testing.F) {
 		if cache.InitialsMatch(a, b) != cache.InitialsMatch(b, a) {
 			t.Fatalf("InitialsMatch not symmetric on (%q, %q)", a, b)
 		}
+		checkOverlapExceeds(t, cache.GramIDs(a), cache.GramIDs(b))
+		checkOverlapExceeds(t, byteIDs(a), byteIDs(b))
+		checkOverlapExceeds(t, byteIDs(a), nil)
 	})
+}
+
+// byteIDs returns the distinct bytes of s as an ascending id slice: a
+// second source of sorted id sets for the fuzzer, denser in overlaps
+// than 3-gram ids.
+func byteIDs(s string) []int32 {
+	var seen [256]bool
+	for i := 0; i < len(s); i++ {
+		seen[s[i]] = true
+	}
+	var ids []int32
+	for b, ok := range seen {
+		if ok {
+			ids = append(ids, int32(b))
+		}
+	}
+	return ids
+}
+
+// checkOverlapExceeds pins OverlapExceeds(a, b, thr, strict) to the full
+// merge's verdict — OverlapSortedIDs compared against thr, with ratio 0
+// when either side is empty — at fixed thresholds and at every count
+// boundary c/min(len) and its float neighbours, where an early exit that
+// rounded differently would flip.
+func checkOverlapExceeds(t *testing.T, a, b []int32) {
+	t.Helper()
+	ratio := 0.0
+	small := len(a)
+	if len(b) < small {
+		small = len(b)
+	}
+	if small > 0 {
+		ratio = OverlapSortedIDs(a, b)
+	}
+	thrs := []float64{-1, 0, 0.3, 0.4, 0.5, 0.6, 0.9, 1, 1.5, math.NaN()}
+	for c := 0; c <= small; c++ {
+		edge := float64(c) / float64(small)
+		thrs = append(thrs, edge, math.Nextafter(edge, -1), math.Nextafter(edge, 2))
+	}
+	for _, thr := range thrs {
+		if got, want := OverlapExceeds(a, b, thr, true), ratio > thr; got != want {
+			t.Fatalf("OverlapExceeds(%v, %v, %v, strict) = %v, ratio %v", a, b, thr, got, ratio)
+		}
+		if got, want := OverlapExceeds(a, b, thr, false), ratio >= thr; got != want {
+			t.Fatalf("OverlapExceeds(%v, %v, %v, non-strict) = %v, ratio %v", a, b, thr, got, ratio)
+		}
+		if OverlapExceeds(a, b, thr, true) != OverlapExceeds(b, a, thr, true) {
+			t.Fatalf("OverlapExceeds not symmetric on (%v, %v, %v)", a, b, thr)
+		}
+	}
 }

@@ -64,3 +64,81 @@ func OverlapSortedIDs(a, b []int32) float64 {
 	}
 	return float64(IntersectSortedIDs(a, b)) / float64(small)
 }
+
+// OverlapExceeds reports whether the overlap coefficient of two sorted
+// id slices clears thr — ratio > thr when strict, ratio >= thr otherwise
+// — without finishing the merge once the verdict is settled. The ratio
+// follows Cache.GramOverlapRatio's convention: 0 when either side is
+// empty (not OverlapSortedIDs' 1 for two empties), otherwise
+// float64(|A ∩ B|) / float64(min(|A|, |B|)).
+//
+// The verdict equals comparing that float expression against thr
+// exactly: the expression is monotone in the intersection count, so the
+// comparison is settled by the smallest count that passes it, and that
+// count is found with the same expression. The merge then stops as soon
+// as the count is reached, or as soon as one side has skipped more
+// unmatched ids than reaching it allows.
+func OverlapExceeds(a, b []int32, thr float64, strict bool) bool {
+	small := len(a)
+	if len(b) < small {
+		small = len(b)
+	}
+	pass := func(count int) bool {
+		ratio := 0.0
+		if small > 0 {
+			ratio = float64(count) / float64(small)
+		}
+		if strict {
+			return ratio > thr
+		}
+		return ratio >= thr
+	}
+	// need is the smallest intersection count that passes, small+1 when
+	// none does: start from the real-valued estimate and settle it with
+	// the float expression itself.
+	need := 0
+	if est := thr * float64(small); est > float64(small) {
+		need = small + 1
+	} else if est > 0 {
+		need = int(est)
+	}
+	for need > 0 && pass(need-1) {
+		need--
+	}
+	for need <= small && !pass(need) {
+		need++
+	}
+	if need == 0 {
+		return true
+	}
+	if need > small {
+		return false
+	}
+	// Each side may leave at most len-need ids unmatched.
+	slackA, slackB := len(a)-need, len(b)-need
+	count, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			count++
+			if count == need {
+				return true
+			}
+			i++
+			j++
+		case a[i] < b[j]:
+			if slackA == 0 {
+				return false
+			}
+			slackA--
+			i++
+		default:
+			if slackB == 0 {
+				return false
+			}
+			slackB--
+			j++
+		}
+	}
+	return false
+}

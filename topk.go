@@ -56,6 +56,18 @@ func LoadDatasetCSV(name, path string) (*Dataset, error) {
 // predicates (duplicates ⇒ true).
 type Predicate = predicate.P
 
+// PredicateOf builds a Predicate from a per-record signature and a
+// match on two signatures: sig extracts everything the predicate reads
+// from one record, match decides a pair from the two signatures alone,
+// and Eval is match(sig(a), sig(b)). The engine binds such a predicate
+// to each phase's records — signatures computed once per record, then
+// only match per pair — where a literal Predicate{Eval: ...} re-derives
+// both sides on every pair. match must be pure and allocation-free;
+// both functions must be safe for concurrent use when Workers != 1.
+func PredicateOf[S any](name string, sig func(r *Record) S, match func(a, b S) bool, keys func(r *Record) []string) Predicate {
+	return predicate.Of(name, sig, match, keys)
+}
+
 // Level pairs one sufficient with one necessary predicate; the engine
 // runs levels in order of increasing cost and tightness.
 type Level = predicate.Level
