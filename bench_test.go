@@ -13,8 +13,6 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/experiments"
-	"topkdedup/internal/index"
-	"topkdedup/internal/intern"
 )
 
 // Lazy shared fixtures so unrelated benchmarks do not pay repeated
@@ -307,13 +305,8 @@ func BenchmarkPredicateEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	recs, n1 := dd.Data.Recs, dd.Domain.Levels[0].Necessary
-	tab := intern.New()
-	keyIDs := make([][]uint32, len(recs))
-	for i, r := range recs {
-		keyIDs[i] = n1.KeyIDs(tab, r, nil)
-	}
 	var pairs [][2]int32
-	index.BuildID(len(recs), tab.Len(), keyIDs).ForEachPair(func(i, j int) bool {
+	n1.Block(recs, nil).ForEachPair(func(i, j int) bool {
 		pairs = append(pairs, [2]int32{int32(i), int32(j)})
 		return true
 	})

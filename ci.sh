@@ -77,6 +77,12 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
     ./internal/stream \
     ./internal/wal
 
+# One blocking path: predicate.P.Block (which core.BlockReps wraps) is
+# the only non-test code outside internal/index that builds an index, and
+# no pipeline package keeps a string-keyed bucket or owner map of its own.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/shard internal/inc internal/stream internal/experiments; then exit 1; fi
+
 go build ./...
 go test -race ./...
 
@@ -133,8 +139,7 @@ go test -run '^$' -fuzz '^FuzzSketchMerge$' -fuzztime 5s ./internal/sketch
 
 # Smoke-run the instrumentation overhead benchmarks (one iteration per
 # variant; the full comparisons are `go test -bench=NoopSinkOverhead`
-# and `go test -benchmem -bench=EngineTopKTracing`, the latter recorded
-# in BENCH_2026-08-05_tracing.txt).
+# and `go test -benchmem -bench=EngineTopKTracing`).
 go test -run '^$' -bench 'BenchmarkNoopSinkOverhead|BenchmarkEngineTopKTracing' -benchtime 1x -short .
 go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 

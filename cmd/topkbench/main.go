@@ -8,8 +8,9 @@
 //	topkbench -exp fig7 -exp fig6     # selected experiments
 //
 // Experiments: table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank,
-// stream, serve, shard, inc, approx, all. Scales: small, default, full
-// (record counts in DESIGN.md §5).
+// stream, shard, all. Scales: small, default, full (record counts in
+// DESIGN.md §5). Serving-path numbers come from the benchmark module
+// (benchmark/README.md), not from here.
 package main
 
 import (
@@ -26,12 +27,10 @@ import (
 	"topkdedup/internal/experiments"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/parallel"
-	"topkdedup/internal/servebench"
 )
 
 // benchReport is the machine-readable form of one topkbench run, written
-// by -json so the repo can track a BENCH_*.json perf trajectory across
-// changes.
+// by -json.
 type benchReport struct {
 	Timestamp   string            `json:"timestamp"`
 	Scale       string            `json:"scale"`
@@ -50,22 +49,10 @@ type benchExperiment struct {
 	Name      string                  `json:"name"`
 	ElapsedMS float64                 `json:"elapsed_ms"`
 	Rows      []experiments.TimingRow `json:"timing_rows,omitempty"`
-	// ServeRows carries the serving benchmark's per-endpoint exact
-	// latency quantiles (serve experiment only).
-	ServeRows []servebench.Row `json:"serve_rows,omitempty"`
 	// ShardRows carries the sharded-coordinator sweep's per-cell timing
 	// and bound-exchange statistics (shard experiment only).
 	ShardRows []experiments.ShardRow `json:"shard_rows,omitempty"`
-	// IncRows carries the incremental-serving grid: delta apply, cache
-	// miss, cache hit, and from-scratch latencies per ingest-batch size ×
-	// touched-component fraction cell (inc experiment only).
-	IncRows []servebench.IncRow `json:"inc_rows,omitempty"`
-	// ApproxRows carries the approximate-tier capacity sweep: sketch
-	// read vs exact cache-hit vs exact-miss latency, interval
-	// containment, and bound tightness per capacity (approx experiment
-	// only).
-	ApproxRows []servebench.ApproxRow `json:"approx_rows,omitempty"`
-	Phases     *obs.Snapshot          `json:"phases,omitempty"`
+	Phases    *obs.Snapshot          `json:"phases,omitempty"`
 }
 
 type expFlag []string
@@ -83,7 +70,7 @@ func (e *expFlag) Set(v string) error {
 
 func main() {
 	var exps expFlag
-	flag.Var(&exps, "exp", "experiment to run (repeatable / comma separated): table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank, stream, serve, shard, inc, approx, all")
+	flag.Var(&exps, "exp", "experiment to run (repeatable / comma separated): table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank, stream, shard, all")
 	scaleName := flag.String("scale", "default", "dataset scale: small, default, full")
 	jsonPath := flag.String("json", "", "write a machine-readable benchReport of the run to this path")
 	workersFlag := flag.String("workers", "", "comma-separated worker-pool bounds for the fig6 sweep (default \"1,<NumCPU>\"; 0 = NumCPU)")
@@ -184,51 +171,6 @@ func main() {
 	run("embed", noRows(func() error { return runEmbed(scale) }))
 	run("rank", noRows(func() error { return runRank(scale) }))
 	run("stream", noRows(func() error { return runStream(scale) }))
-
-	if all || want["serve"] {
-		fmt.Printf("== serve (scale %s) ==\n", *scaleName)
-		start := time.Now()
-		serveRows, err := runServe(scale)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve failed: %v\n", err)
-			os.Exit(1)
-		}
-		report.Experiments = append(report.Experiments, benchExperiment{
-			Name: "serve", ElapsedMS: float64(elapsed.Microseconds()) / 1000, ServeRows: serveRows,
-		})
-		fmt.Printf("-- serve done in %s --\n\n", elapsed.Round(time.Millisecond))
-	}
-
-	if all || want["inc"] {
-		fmt.Printf("== inc (scale %s) ==\n", *scaleName)
-		start := time.Now()
-		incRows, err := runInc(scale)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "inc failed: %v\n", err)
-			os.Exit(1)
-		}
-		report.Experiments = append(report.Experiments, benchExperiment{
-			Name: "inc", ElapsedMS: float64(elapsed.Microseconds()) / 1000, IncRows: incRows,
-		})
-		fmt.Printf("-- inc done in %s --\n\n", elapsed.Round(time.Millisecond))
-	}
-
-	if all || want["approx"] {
-		fmt.Printf("== approx (scale %s) ==\n", *scaleName)
-		start := time.Now()
-		approxRows, err := runApprox(scale)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "approx failed: %v\n", err)
-			os.Exit(1)
-		}
-		report.Experiments = append(report.Experiments, benchExperiment{
-			Name: "approx", ElapsedMS: float64(elapsed.Microseconds()) / 1000, ApproxRows: approxRows,
-		})
-		fmt.Printf("-- approx done in %s --\n\n", elapsed.Round(time.Millisecond))
-	}
 
 	if all || want["shard"] {
 		fmt.Printf("== shard (scale %s) ==\n", *scaleName)
@@ -462,73 +404,6 @@ func runRank(scale experiments.Scale) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-// runServe measures query latency under concurrent ingest: the trained
-// citation domain behind internal/server, 4 ingest clients streaming
-// half the dataset while 4 query clients record per-request latency.
-// The bench runs twice — tracing disabled, then the default trace ring
-// — so the table reads as a direct tracing-overhead comparison per
-// endpoint (see OBSERVABILITY.md "Distributed query tracing").
-func runServe(scale experiments.Scale) ([]servebench.Row, error) {
-	dd, err := cachedSetup(fmt.Sprintf("citations-trained/%d", scale.Fig6), func() (*experiments.DomainData, error) {
-		return experiments.CitationSetup(scale.Fig6, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("E11 — serving latency under concurrent ingest, %d citation records\n", dd.Data.Len())
-	var rows []servebench.Row
-	for _, v := range []struct {
-		label string
-		limit int
-	}{
-		{"tracing=off", -1},
-		{"tracing=on", 0},
-	} {
-		got, err := servebench.Bench(dd, servebench.Options{TraceLimit: v.limit, Variant: v.label})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, got...)
-	}
-	servebench.RenderTable(os.Stdout, rows)
-	return rows, nil
-}
-
-// runInc sweeps the incremental serving path over the ingest-batch size
-// × touched-component fraction grid: each cell reports the delta-apply
-// (/refresh) latency, the first-query-of-epoch miss, the memoised hit,
-// and the from-scratch batch run the incremental machinery amortises
-// (see INCREMENTAL.md and EXPERIMENTS.md E13).
-func runInc(scale experiments.Scale) ([]servebench.IncRow, error) {
-	// The clustered synthetic domain (one cluster = one canopy
-	// component); entity count scales with the Fig6 record target so
-	// the three scales sweep component counts too.
-	entities := scale.Fig6 / 3
-	fmt.Printf("E13 — incremental serving grid, %d seeded clusters\n", entities)
-	rows, err := servebench.BenchInc(servebench.IncOptions{Entities: entities})
-	if err != nil {
-		return nil, err
-	}
-	servebench.RenderIncTable(os.Stdout, rows)
-	return rows, nil
-}
-
-// runApprox sweeps the approximate tier's sketch capacity on the
-// clustered synthetic domain: per capacity, the unchanged-epoch latency
-// of mode=approx vs the exact cache hit vs the exact miss, plus the
-// served intervals' containment of ground truth and their tightness
-// (see SERVING.md "Approximate tier" and EXPERIMENTS.md E14).
-func runApprox(scale experiments.Scale) ([]servebench.ApproxRow, error) {
-	entities := scale.Fig6 / 3
-	fmt.Printf("E14 — approximate-tier capacity sweep, %d seeded clusters\n", entities)
-	rows, err := servebench.BenchApprox(servebench.ApproxOptions{Entities: entities})
-	if err != nil {
-		return nil, err
-	}
-	servebench.RenderApproxTable(os.Stdout, rows)
-	return rows, nil
 }
 
 // runShard sweeps the in-process sharded coordinator over the K × shard

@@ -13,8 +13,6 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/embed"
-	"topkdedup/internal/index"
-	"topkdedup/internal/intern"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/parallel"
 	"topkdedup/internal/rankquery"
@@ -583,27 +581,17 @@ func (fs *finalScratch) release() {
 // scoredCandidates enumerates the candidate group pairs — those sharing a
 // blocking key and passing the last necessary predicate — and scores each
 // with P, returning a pooled scratch holding the pair-score map and the
-// embedding edges (the caller releases it when done). Blocking keys are
-// interned to dense ids so the pair walk runs over the id-keyed index in
-// a fixed order (item-major, keys in Keys() order) — where the
-// string-keyed index enumerated in map-iteration order, varying run to
-// run. The pairs are buffered serially, evaluated and scored in parallel
-// (one result slot per pair), and folded back into the map in
-// enumeration order, so the output is identical at every Config.Workers
-// value. It also returns the candidate-pair count (the final phase's
-// similarity-evaluation budget) for the EXPLAIN report.
+// embedding edges (the caller releases it when done). The pair walk runs
+// over core.BlockReps' index in its fixed order (item-major, keys in
+// Keys() order). The pairs are buffered serially, evaluated and scored
+// in parallel (one result slot per pair), and folded back into the map
+// in enumeration order, so the output is identical at every
+// Config.Workers value. It also returns the candidate-pair count (the
+// final phase's similarity-evaluation budget) for the EXPLAIN report.
 func (e *Engine) scoredCandidates(ctx context.Context, groups []Group, lastN Predicate) (*finalScratch, int) {
-	n := len(groups)
 	fs := finalScratchPool.Get().(*finalScratch)
-	tab := intern.New()
-	if cap(fs.keyIDs) < n {
-		fs.keyIDs = make([][]uint32, n)
-	}
-	fs.keyIDs = fs.keyIDs[:n]
-	for i := range groups {
-		fs.keyIDs[i] = lastN.KeyIDs(tab, e.data.Recs[groups[i].Rep], fs.keyIDs[i][:0])
-	}
-	ix := index.BuildID(n, tab.Len(), fs.keyIDs)
+	ix := core.BlockReps(e.data, groups, lastN, fs.keyIDs)
+	fs.keyIDs = ix.KeyIDs()
 	gate := core.BindReps(e.data, groups, lastN, nil)
 	ix.ForEachPair(func(i, j int) bool {
 		fs.cands = append(fs.cands, scoredPair{int32(i), int32(j)})

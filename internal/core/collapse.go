@@ -2,8 +2,6 @@ package core
 
 import (
 	"topkdedup/internal/dsu"
-	"topkdedup/internal/index"
-	"topkdedup/internal/intern"
 	"topkdedup/internal/parallel"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
@@ -51,20 +49,13 @@ func CollapseWorkers(d *records.Dataset, groups []Group, s predicate.P, workers 
 // every worker count; the EXPLAIN layer reports them per level.
 func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, workers int) ([]Group, int64, int64) {
 	n := len(groups)
-	// Intern the blocking keys to dense ids and index on those: bucket
-	// lookup becomes an array index, and the pair walk below enumerates in
-	// a fixed order (item-major, keys in Keys() order) instead of the
-	// string index's map-iteration order, so chunk boundaries — and with
-	// them the eval counter — are identical run to run.
-	tab := intern.New()
-	keyIDs := make([][]uint32, n)
-	for i := range groups {
-		keyIDs[i] = s.KeyIDs(tab, d.Recs[groups[i].Rep], nil)
-	}
-	ix := index.BuildID(n, tab.Len(), keyIDs)
+	// The pair walk below enumerates in the index's fixed order, so chunk
+	// boundaries — and with them the eval counter — are identical run to
+	// run.
+	ix := BlockReps(d, groups, s, nil)
 	// Only a group sharing a bucket with another can appear in a pair.
 	paired := make([]bool, n)
-	for i, ids := range keyIDs {
+	for i, ids := range ix.KeyIDs() {
 		for _, k := range ids {
 			if len(ix.Bucket(k)) > 1 {
 				paired[i] = true

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"topkdedup/internal/index"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -59,6 +60,21 @@ func BindReps(d *records.Dataset, groups []Group, p predicate.P, use []bool) fun
 	}
 	eval := p.Bound(reps)
 	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
+}
+
+// BlockReps indexes the groups' representatives by p's blocking keys
+// (predicate.P.Block): items of the returned index are indices into
+// groups, the same addressing as BindReps' evaluator. It is the one
+// place representative keys are interned and indexed — collapse, prune,
+// the final scoring phase, the rank queries and the experiment baselines
+// all take their candidates from it. dst is Block's reusable id-list
+// buffer; nil allocates.
+func BlockReps(d *records.Dataset, groups []Group, p predicate.P, dst [][]uint32) *index.IDIndex {
+	reps := make([]*records.Record, len(groups))
+	for i := range groups {
+		reps[i] = d.Recs[groups[i].Rep]
+	}
+	return p.Block(reps, dst)
 }
 
 // LevelStats reports one pruning iteration, matching the columns of the

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"topkdedup/internal/index"
-	"topkdedup/internal/intern"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/parallel"
 	"topkdedup/internal/predicate"
@@ -46,10 +45,18 @@ func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes 
 // identical for every worker count. n.Eval must be safe for concurrent
 // use when workers != 1.
 func PruneWorkers(d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int) (alive []Group, evals int64) {
-	return PruneWorkersObs(d, groups, n, m, passes, workers, nil)
+	alive, evals, _ = PruneCtx(context.Background(), d, groups, n, m, passes, workers, nil)
+	return alive, evals
 }
 
-// PruneWorkersObs is PruneWorkers with an optional observability sink.
+// PruneCtx is PruneWorkers under a context, with an optional
+// observability sink: it additionally returns the necessary-predicate
+// hit count (confirmed neighbours across all passes) and, when ctx
+// carries a trace span, wraps the phase in a "core.prune" child span
+// (with one "core.prune.pass" span per Jacobi round) annotated with the
+// counts the EXPLAIN report renders. An untraced context costs one nil
+// check.
+//
 // When sink is non-nil it receives the evaluation-free stage-0 kill
 // count (core.prune.stage0.pruned) and, for each exact refinement pass,
 // the pairs evaluated, groups pruned, and wall time
@@ -65,17 +72,6 @@ func PruneWorkers(d *records.Dataset, groups []Group, n predicate.P, m float64, 
 // across shards so the stop decision ("no group died anywhere") is taken
 // globally, which is what keeps sharded survivors byte-identical to this
 // single-machine loop.
-func PruneWorkersObs(d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals int64) {
-	alive, evals, _ = PruneCtx(context.Background(), d, groups, n, m, passes, workers, sink)
-	return alive, evals
-}
-
-// PruneCtx is PruneWorkersObs under a context: it additionally returns
-// the necessary-predicate hit count (confirmed neighbours across all
-// passes) and, when ctx carries a trace span, wraps the phase in a
-// "core.prune" child span (with one "core.prune.pass" span per Jacobi
-// round) annotated with the counts the EXPLAIN report renders. An
-// untraced context costs one nil check.
 func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
 	if m <= 0 || len(groups) == 0 {
 		return groups, 0, 0
@@ -108,7 +104,7 @@ func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 // Pruner is the stateful form of the §4.3 prune step. NewPruner runs the
 // evaluation-free stage-0 cascades; each Pass then performs one exact
 // Jacobi refinement round, and Alive returns the surviving groups in
-// their input order. PruneWorkersObs composes these into the
+// their input order. PruneCtx composes these into the
 // single-machine loop (pass until nothing dies, capped at the configured
 // pass count); the sharded coordinator instead interleaves Pass calls
 // across shards, because a pass with no local kills does not mean the
@@ -122,15 +118,14 @@ type Pruner struct {
 	workers int
 	sink    obs.Sink
 
-	// keyIDs holds each group's blocking keys as dense interned ids
-	// (first-seen order over the group list, so ids are identical run to
-	// run); ix is the id-keyed index over them. Everything below is a
-	// buffer retained across rounds and passes: totals (one slot per key
-	// id) backs the stage-0 bucket sums, s0stamp/s0cand the stage-0.5
-	// candidate walks, next the Jacobi bound snapshot — so the stage-0
-	// cascades and each pass's setup allocate nothing in steady state.
-	keyIDs       [][]uint32
+	// ix indexes the groups by n's blocking keys (BlockReps); keyIDs is
+	// its per-group id lists. Everything below is a buffer retained
+	// across rounds and passes: totals (one slot per key id) backs the
+	// stage-0 bucket sums, s0stamp/s0cand the stage-0.5 candidate walks,
+	// next the Jacobi bound snapshot — so the stage-0 cascades and each
+	// pass's setup allocate nothing in steady state.
 	ix           *index.IDIndex
+	keyIDs       [][]uint32
 	u            []float64
 	next         []float64
 	live         []bool
@@ -156,23 +151,17 @@ type pruneScratch struct {
 // over-approximation (stage 0) and the deduplicated candidate-weight
 // cascade (stage 0.5). When sink is non-nil it receives the
 // core.prune.bound gauge and the combined stage-0 kill count
-// (core.prune.stage0.pruned), exactly as PruneWorkersObs documents.
+// (core.prune.stage0.pruned), exactly as PruneCtx documents.
 func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, workers int, sink obs.Sink) *Pruner {
 	obs.Gauge(sink, "core.prune.bound", m)
 	ng := len(groups)
 	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink}
-	// Intern the blocking keys once: every later bucket access is a slice
-	// index on a dense uint32 id instead of a string hash + map probe.
-	tab := intern.New()
-	p.keyIDs = make([][]uint32, ng)
-	for i := range groups {
-		p.keyIDs[i] = n.KeyIDs(tab, d.Recs[groups[i].Rep], nil)
-	}
-	p.ix = index.BuildID(ng, tab.Len(), p.keyIDs)
+	p.ix = BlockReps(d, groups, n, nil)
+	p.keyIDs = p.ix.KeyIDs()
 	p.u = make([]float64, ng)
 	p.next = make([]float64, ng)
 	p.live = make([]bool, ng)
-	p.totals = make([]float64, tab.Len())
+	p.totals = make([]float64, p.ix.KeySpace())
 	p.s0stamp = index.NewStamp(ng)
 	p.RescanStage0()
 	obs.Observe(sink, "core.prune.stage0.pruned", float64(p.stage0Pruned))
@@ -452,15 +441,6 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 }
 
 // prunePass0Rounds caps the evaluation-free bucket-total refinement
-// rounds. Exposed as a variable for the E7 ablation, which contrasts a
-// single round with the full cascade.
+// rounds. A variable so TestPass0RoundsAblation can contrast a single
+// round with the full cascade (the E7 claim).
 var prunePass0Rounds = 6
-
-// SetPrunePass0Rounds overrides the stage-0 refinement round cap (for
-// ablation experiments); values < 1 reset the default.
-func SetPrunePass0Rounds(n int) {
-	if n < 1 {
-		n = 6
-	}
-	prunePass0Rounds = n
-}

@@ -75,18 +75,12 @@ func PrunedDedupCtx(ctx context.Context, d *records.Dataset, levels []predicate.
 	return PrunedDedupFromCtx(ctx, d, singletonGroups(d), levels, opts)
 }
 
-// PrunedDedupFrom runs Algorithm 2 starting from an existing grouping
-// (each group's members must already be established duplicates). This is
-// the entry point for incremental/streaming use: stream.Incremental keeps
-// the level-1 sufficient collapse up to date as records arrive and hands
-// its groups here at query time, so only the K-dependent phases are paid
-// per query.
-func PrunedDedupFrom(d *records.Dataset, groups []Group, levels []predicate.Level, opts Options) (*Result, error) {
-	return PrunedDedupFromCtx(context.Background(), d, groups, levels, opts)
-}
-
-// PrunedDedupFromCtx is PrunedDedupFrom under a context, with the same
-// optional tracing as PrunedDedupCtx.
+// PrunedDedupFromCtx runs Algorithm 2 starting from an existing grouping
+// (each group's members must already be established duplicates), with
+// the same optional tracing as PrunedDedupCtx. This is the entry point
+// for incremental/streaming use: stream.Incremental keeps the level-1
+// sufficient collapse up to date as records arrive and hands its groups
+// here at query time, so only the K-dependent phases are paid per query.
 func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group, levels []predicate.Level, opts Options) (*Result, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", opts.K)

@@ -48,35 +48,37 @@ func boundCases() []boundCase {
 // testPairs returns every distinct within-key candidate pair of p over
 // d, plus extra seeded random pairs (almost all of them non-candidates).
 func testPairs(d *records.Dataset, p predicate.P, extra int) [][2]int {
-	buckets := make(map[string][]int)
-	for _, r := range d.Recs {
-		for _, k := range p.Keys(r) {
-			buckets[k] = append(buckets[k], r.ID)
-		}
-	}
-	seen := make(map[[2]int]struct{})
-	for _, ids := range buckets {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				i, j := ids[x], ids[y]
-				if i > j {
-					i, j = j, i
-				}
-				if i != j {
-					seen[[2]int{i, j}] = struct{}{}
-				}
-			}
-		}
-	}
-	pairs := make([][2]int, 0, len(seen)+extra)
-	for pr := range seen {
-		pairs = append(pairs, pr)
-	}
+	pairs := make([][2]int, 0, extra)
+	p.Block(d.Recs, nil).ForEachPair(func(i, j int) bool {
+		pairs = append(pairs, [2]int{i, j})
+		return true
+	})
 	rng := rand.New(rand.NewSource(17))
 	for t := 0; t < extra; t++ {
 		pairs = append(pairs, [2]int{rng.Intn(d.Len()), rng.Intn(d.Len())})
 	}
 	return pairs
+}
+
+// TestKeysOrderStable: for every predicate of every domain, Keys returns
+// the same slice on every call — key order feeds key-id interning, and
+// through it candidate order and eval counts, so a Keys that ranges a
+// map makes those differ run to run.
+func TestKeysOrderStable(t *testing.T) {
+	for _, bc := range boundCases() {
+		for li, level := range bc.build() {
+			for _, p := range []predicate.P{level.Sufficient, level.Necessary} {
+				for _, r := range bc.d.Recs {
+					first := p.Keys(r)
+					for call := 1; call < 8; call++ {
+						if got := p.Keys(r); !reflect.DeepEqual(got, first) {
+							t.Fatalf("%s level %d %s record %d: call %d returned %q, first call %q", bc.name, li+1, p.Name, r.ID, call, got, first)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBoundMatchesEval pins the contract core relies on, for every

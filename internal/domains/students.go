@@ -114,9 +114,10 @@ func Students(opts StudentOptions) Domain {
 				strsim.OverlapExceeds(a.grams, b.grams, n2Overlap, false)
 		},
 		func(r *records.Record) []string {
-			grams := cache.TriGrams(name(r))
+			// The sorted gram list, not the gram map: see gramKeys.
+			grams := cache.SortedGrams(name(r))
 			keys := make([]string, 0, len(grams))
-			for g := range grams {
+			for _, g := range grams {
 				keys = append(keys, keyf("st.n2", g, class(r), school(r)))
 			}
 			return keys

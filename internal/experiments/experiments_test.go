@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"topkdedup/internal/classifier"
+	"topkdedup/internal/domains"
+	"topkdedup/internal/predicate"
+	"topkdedup/internal/records"
 )
 
 func TestKsForScale(t *testing.T) {
@@ -144,6 +150,60 @@ func TestFig6Shape(t *testing.T) {
 	RenderTimingTable(&buf, rows)
 	if !strings.Contains(buf.String(), "None") {
 		t.Error("timing table rendering wrong")
+	}
+}
+
+// TestFig6EvalsRepeat: the P-evals column is a property of the data, not
+// of the run. Each canopy walk skips pairs its union-find already
+// connects, so its count depends on enumeration order, and the data here
+// makes every order give a different count: per gadget, a hub (scored
+// positive with everything) first connects six partners through key
+// "c"; a probe then shares one private key with each partner and scores
+// positive with the first only, so the walk evaluates probe pairs until
+// it reaches that one — as many as the position of its key among the
+// probe's keys.
+func TestFig6EvalsRepeat(t *testing.T) {
+	d := records.New("gadgets", "tag", "keys")
+	for g := 0; g < 40; g++ {
+		d.Append(1, "", "hub", fmt.Sprintf("g%d.c", g))
+		probe := ""
+		for p := 0; p < 6; p++ {
+			probe += fmt.Sprintf("g%d.k%d ", g, p)
+		}
+		d.Append(1, "", "probe", probe)
+		for p := 0; p < 6; p++ {
+			tag := "other"
+			if p == 3 {
+				tag = "first"
+			}
+			d.Append(1, "", tag, fmt.Sprintf("g%d.c g%d.k%d", g, g, p))
+		}
+	}
+	never := predicate.P{Name: "S", Eval: func(a, b *records.Record) bool { return false },
+		Keys: func(r *records.Record) []string { return nil }}
+	shared := predicate.P{Name: "N", Eval: func(a, b *records.Record) bool { return true },
+		Keys: func(r *records.Record) []string { return strings.Fields(r.Field("keys")) }}
+	positive := func(a, b *records.Record) []float64 {
+		ta, tb := a.Field("tag"), b.Field("tag")
+		if ta == "hub" || tb == "hub" || ta == "probe" && tb == "first" || ta == "first" && tb == "probe" {
+			return []float64{1}
+		}
+		return []float64{-1}
+	}
+	dd := &DomainData{
+		Data:   d,
+		Domain: domains.Domain{Levels: []predicate.Level{{Sufficient: never, Necessary: shared}}},
+		Model:  &classifier.Model{Feats: classifier.FeatureSet{Vec: positive}, Weights: []float64{1}},
+	}
+	for _, m := range Fig6Methods[1:] {
+		first, err := RunFig6Method(dd, m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := RunFig6Method(dd, m, 1)
+		if first == 0 || again != first {
+			t.Errorf("%s: %d P-evals on the first run, %d on the second over the same data", m, first, again)
+		}
 	}
 }
 

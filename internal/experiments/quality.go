@@ -7,7 +7,6 @@ import (
 	"topkdedup/internal/cluster"
 	"topkdedup/internal/embed"
 	"topkdedup/internal/eval"
-	"topkdedup/internal/index"
 	"topkdedup/internal/score"
 	"topkdedup/internal/segment"
 )
@@ -41,14 +40,9 @@ type QualityRow struct {
 func candidatePairs(dd *DomainData) (score.PairFunc, []cluster.Edge) {
 	d := dd.Data
 	n1 := dd.Domain.Levels[0].Necessary
-	keys := make([][]string, d.Len())
-	for i, r := range d.Recs {
-		keys[i] = n1.Keys(r)
-	}
-	ix := index.Build(d.Len(), func(i int) []string { return keys[i] })
 	pairScore := make(map[[2]int]float64)
 	var edges []cluster.Edge
-	ix.ForEachPair(func(i, j int) bool {
+	n1.Block(d.Recs, nil).ForEachPair(func(i, j int) bool {
 		if !n1.Eval(d.Recs[i], d.Recs[j]) {
 			return true
 		}

@@ -8,13 +8,13 @@ import (
 	"topkdedup/internal/core"
 	"topkdedup/internal/dsu"
 	"topkdedup/internal/eval"
-	"topkdedup/internal/index"
 	"topkdedup/internal/obs"
+	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
 
 // TimingRow is one point of the Figure-6 running-time comparison. The
-// JSON form feeds the topkbench -json trajectory (BENCH_*.json).
+// JSON form is what topkbench -json writes.
 type TimingRow struct {
 	Method    string        `json:"method"`
 	K         int           `json:"k"`
@@ -59,7 +59,7 @@ func Fig6(dd *DomainData, ks []int) ([]TimingRow, error) {
 	}
 
 	start = time.Now()
-	evals = runCanopyCollapse(dd, ks[0])
+	evals = runCanopyCollapse(dd)
 	ccTime := time.Since(start)
 	for _, k := range ks {
 		rows = append(rows, TimingRow{Method: "Canopy+Collapse", K: k, Elapsed: ccTime, PairEvals: evals})
@@ -119,7 +119,7 @@ func RunFig6Method(dd *DomainData, method string, k int) (int64, error) {
 	case "Canopy":
 		return runCanopy(dd, k), nil
 	case "Canopy+Collapse":
-		return runCanopyCollapse(dd, k), nil
+		return runCanopyCollapse(dd), nil
 	case "Canopy+Collapse+Prune":
 		evals, _, err := runPruned(dd, k, 1)
 		return evals, err
@@ -192,58 +192,20 @@ func runNone(dd *DomainData, k int) int64 {
 	return evals
 }
 
-// runCanopy applies the necessary predicate as a canopy (blocking) step
-// and scores only canopy pairs.
-func runCanopy(dd *DomainData, k int) int64 {
+// canopyJoin is the last step of every Figure-6 method but None: over
+// the groups' representatives, each pair that shares a blocking key of n,
+// is not yet connected and passes n is scored with P, and positive pairs
+// are unioned. Returns the closure over group indices and the number of
+// P evaluations. The walk is core.BlockReps' fixed order, so the count —
+// which depends on which pairs the union-find short-circuits — is the
+// same on every run.
+func canopyJoin(dd *DomainData, groups []core.Group, n predicate.P) (*dsu.DSU, int64) {
 	d := dd.Data
-	n1 := dd.Domain.Levels[0].Necessary
-	keys := make([][]string, d.Len())
-	for i, r := range d.Recs {
-		keys[i] = n1.Keys(r)
-	}
-	ix := index.Build(d.Len(), func(i int) []string { return keys[i] })
-	uf := dsu.New(d.Len())
-	var evals int64
-	ix.ForEachPair(func(i, j int) bool {
-		if uf.Same(i, j) {
-			return true
-		}
-		if !n1.Eval(d.Recs[i], d.Recs[j]) {
-			return true
-		}
-		evals++
-		if dd.Model.Score(d.Recs[i], d.Recs[j]) > 0 {
-			uf.Union(i, j)
-		}
-		return true
-	})
-	topKByWeight(d, uf, k)
-	return evals
-}
-
-// runCanopyCollapse additionally collapses sure duplicates with the
-// sufficient predicates before the canopy join, so P runs on collapsed
-// representatives.
-func runCanopyCollapse(dd *DomainData, k int) int64 {
-	d := dd.Data
-	groups := singletons(d)
-	for _, level := range dd.Domain.Levels {
-		groups, _ = core.Collapse(d, groups, level.Sufficient)
-	}
-	n1 := dd.Domain.Levels[0].Necessary
-	keys := make([][]string, len(groups))
-	for i := range groups {
-		keys[i] = n1.Keys(d.Recs[groups[i].Rep])
-	}
-	ix := index.Build(len(groups), func(i int) []string { return keys[i] })
 	uf := dsu.New(len(groups))
 	var evals int64
-	ix.ForEachPair(func(i, j int) bool {
-		if uf.Same(i, j) {
-			return true
-		}
+	core.BlockReps(d, groups, n, nil).ForEachPair(func(i, j int) bool {
 		ri, rj := d.Recs[groups[i].Rep], d.Recs[groups[j].Rep]
-		if !n1.Eval(ri, rj) {
+		if uf.Same(i, j) || !n.Eval(ri, rj) {
 			return true
 		}
 		evals++
@@ -252,12 +214,27 @@ func runCanopyCollapse(dd *DomainData, k int) int64 {
 		}
 		return true
 	})
-	// Aggregate weights through group membership.
-	weights := map[int]float64{}
-	for gi, g := range groups {
-		weights[uf.Find(gi)] += g.Weight
+	return uf, evals
+}
+
+// runCanopy applies the necessary predicate as a canopy (blocking) step
+// and scores only canopy pairs.
+func runCanopy(dd *DomainData, k int) int64 {
+	// A singleton group's index is its record's ID.
+	uf, evals := canopyJoin(dd, singletons(dd.Data), dd.Domain.Levels[0].Necessary)
+	topKByWeight(dd.Data, uf, k)
+	return evals
+}
+
+// runCanopyCollapse additionally collapses sure duplicates with the
+// sufficient predicates before the canopy join, so P runs on collapsed
+// representatives.
+func runCanopyCollapse(dd *DomainData) int64 {
+	groups := singletons(dd.Data)
+	for _, level := range dd.Domain.Levels {
+		groups, _ = core.Collapse(dd.Data, groups, level.Sufficient)
 	}
-	_ = k
+	_, evals := canopyJoin(dd, groups, dd.Domain.Levels[0].Necessary)
 	return evals
 }
 
@@ -265,43 +242,15 @@ func runCanopyCollapse(dd *DomainData, k int) int64 {
 // surviving groups' candidate pairs. workers bounds the pipeline's
 // worker pool (1 = serial). Returns P evaluations and the survivor count.
 func runPruned(dd *DomainData, k, workers int) (int64, int, error) {
-	d := dd.Data
-	res, err := core.PrunedDedup(d, dd.Domain.Levels, core.Options{K: k, Workers: workers, Sink: metricsSink})
+	res, err := core.PrunedDedup(dd.Data, dd.Domain.Levels, core.Options{K: k, Workers: workers, Sink: metricsSink})
 	if err != nil {
 		return 0, 0, err
 	}
 	finalSpan := obs.StartSpan(metricsSink, "bench.final")
 	defer finalSpan.End()
-	groups := res.Groups
-	lastN := dd.Domain.Levels[len(dd.Domain.Levels)-1].Necessary
-	keys := make([][]string, len(groups))
-	for i := range groups {
-		keys[i] = lastN.Keys(d.Recs[groups[i].Rep])
-	}
-	ix := index.Build(len(groups), func(i int) []string { return keys[i] })
-	uf := dsu.New(len(groups))
-	var evals int64
-	ix.ForEachPair(func(i, j int) bool {
-		if uf.Same(i, j) {
-			return true
-		}
-		ri, rj := d.Recs[groups[i].Rep], d.Recs[groups[j].Rep]
-		if !lastN.Eval(ri, rj) {
-			return true
-		}
-		evals++
-		if dd.Model.Score(ri, rj) > 0 {
-			uf.Union(i, j)
-		}
-		return true
-	})
-	weights := map[int]float64{}
-	for gi, g := range groups {
-		weights[uf.Find(gi)] += g.Weight
-	}
-	_ = k
+	_, evals := canopyJoin(dd, res.Groups, dd.Domain.Levels[len(dd.Domain.Levels)-1].Necessary)
 	obs.Count(metricsSink, "bench.final.evals", evals)
-	return evals, len(groups), nil
+	return evals, len(res.Groups), nil
 }
 
 func singletons(d *records.Dataset) []core.Group {

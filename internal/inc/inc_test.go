@@ -10,6 +10,7 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/dsu"
+	"topkdedup/internal/intern"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -50,11 +51,12 @@ type harness struct {
 	uf   *dsu.DSU
 	st   *State
 	by   map[string]int // name -> first record id (exact-match closure)
+	tab  *intern.Table  // the harness's own sufficient-key ids, as stream.Add's
 }
 
 func newHarness() *harness {
 	d := records.New("inc-test", "name")
-	return &harness{data: d, uf: dsu.NewGrowable(), st: NewState(d, toyLevels()), by: make(map[string]int)}
+	return &harness{data: d, uf: dsu.NewGrowable(), st: NewState(d, toyLevels()), by: make(map[string]int), tab: intern.New()}
 }
 
 func (h *harness) add(weight float64, name string) {
@@ -65,7 +67,7 @@ func (h *harness) add(weight float64, name string) {
 	} else {
 		h.by[name] = rec.ID
 	}
-	h.st.Observe(rec)
+	h.st.Observe(rec, toyLevels()[0].Sufficient.KeyIDs(h.tab, rec, nil))
 }
 
 // scratchGroups is the reference from-scratch sweep (the pre-incremental

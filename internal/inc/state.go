@@ -22,24 +22,10 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/dsu"
-	"topkdedup/internal/intern"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
-
-// keyspace is one blocking-key namespace of the canopy union-find: a
-// predicate whose keys connect records, with its own intern table (so
-// namespaces cannot collide) and the first record seen per key id. One
-// union against the first user per key yields the same transitive
-// closure as unioning every pair sharing the key — the owner idiom of
-// internal/shard's partitioner, applied per record instead of per group
-// representative.
-type keyspace struct {
-	p     predicate.P
-	tab   *intern.Table
-	owner []int32
-}
 
 // component is one canopy component: its member record ids, the level-1
 // sufficient collapse of those members, and whether the collapse needs
@@ -71,8 +57,13 @@ type component struct {
 type State struct {
 	data   *records.Dataset
 	canopy *dsu.DSU
-	spaces []keyspace
-	comps  map[int]*component
+	// suf and nec are the canopy's two blocking-key namespaces: level 1's
+	// sufficient keys (ids handed to Observe by the accumulator, which
+	// interns them for its own collapse) and its necessary keys (ids from
+	// nec's own table). necP is the zero P under an empty schedule.
+	suf, nec predicate.Keyspace
+	necP     predicate.P
+	comps    map[int]*component
 	// rootOf freezes each record's canopy root as of the last Groups
 	// call. Estimator copies it, so snapshot queries keep a consistent
 	// component partition while later ingests union components away.
@@ -98,10 +89,7 @@ func NewState(data *records.Dataset, levels []predicate.Level) *State {
 		bound:  newBoundCache(),
 	}
 	if len(levels) > 0 {
-		st.spaces = []keyspace{
-			{p: levels[0].Sufficient, tab: intern.New()},
-			{p: levels[0].Necessary, tab: intern.New()},
-		}
+		st.necP = levels[0].Necessary
 	}
 	return st
 }
@@ -114,11 +102,14 @@ func (st *State) SetMetrics(s obs.Sink) { st.sink = s }
 // Components returns the current number of canopy components.
 func (st *State) Components() int { return len(st.comps) }
 
-// Observe folds one appended record into the canopy: it interns the
-// record's level-1 blocking keys, unions it with each key's first user,
-// and marks every component it lands in or merges away as dirty. Must be
-// called once per record, in record-id order, after the dataset append.
-func (st *State) Observe(rec *records.Record) {
+// Observe folds one appended record into the canopy: it unions the
+// record with the first user of each of its level-1 blocking keys and
+// marks every component it lands in or merges away as dirty. sufKeyIDs
+// are the record's level-1 sufficient keys as the caller interned them
+// (any one table, used for every call); the necessary keys are interned
+// here. Must be called once per record, in record-id order, after the
+// dataset append.
+func (st *State) Observe(rec *records.Record, sufKeyIDs []uint32) {
 	id := rec.ID
 	for st.canopy.Len() <= id {
 		st.canopy.Add()
@@ -127,19 +118,10 @@ func (st *State) Observe(rec *records.Record) {
 		st.rootOf = append(st.rootOf, int32(len(st.rootOf)))
 	}
 	st.comps[id] = &component{members: []int32{int32(id)}, dirty: true}
-	for si := range st.spaces {
-		sp := &st.spaces[si]
-		st.keyIDs = sp.p.KeyIDs(sp.tab, rec, st.keyIDs[:0])
-		for len(sp.owner) < sp.tab.Len() {
-			sp.owner = append(sp.owner, -1)
-		}
-		for _, kid := range st.keyIDs {
-			if own := sp.owner[kid]; own >= 0 {
-				st.union(id, int(own))
-			} else {
-				sp.owner[kid] = int32(id)
-			}
-		}
+	st.suf.Claim(id, sufKeyIDs, st.union)
+	if st.necP.Keys != nil {
+		st.keyIDs = st.nec.KeyIDs(st.necP, rec, st.keyIDs[:0])
+		st.nec.Claim(id, st.keyIDs, st.union)
 	}
 }
 

@@ -1,11 +1,17 @@
+// Package index provides the inverted index used to generate candidate
+// pairs for blocking-key predicates without an O(n²) scan. Items are
+// integers [0, n) (record or group IDs); each item carries a list of
+// interned blocking-key ids, and only items sharing a key can possibly
+// satisfy the predicate (the completeness contract of predicate.P.Keys).
 package index
 
-// IDIndex is the id-keyed twin of Index: an inverted index from interned
-// blocking-key ids (dense uint32 ids from an intern.Table) to the items
-// carrying them. Buckets live in one flat slice indexed by key id, so
-// bucket lookup is an array index instead of a string hash + map probe,
-// and the key inversion (item -> its key ids) is the build input itself,
-// cached once — ForEachPair and PairCount never re-derive it.
+// IDIndex is an inverted index from interned blocking-key ids (dense
+// uint32 ids from an intern.Table) to the items carrying them. Buckets
+// live in one flat slice indexed by key id, so bucket lookup is an array
+// index, and the key inversion (item -> its key ids) is the build input
+// itself — ForEachPair and PairCount never re-derive it. Every
+// enumeration order is fixed by the build input: items ascending, each
+// item's keys in their build order, buckets in insertion order.
 type IDIndex struct {
 	n       int
 	buckets [][]int32
@@ -50,9 +56,13 @@ func (ix *IDIndex) Bucket(id uint32) []int32 {
 	return ix.buckets[id]
 }
 
-// KeyIDs returns item i's key ids as cached at build time (shared slice;
-// do not mutate).
-func (ix *IDIndex) KeyIDs(i int) []uint32 { return ix.keysOf[i] }
+// KeyIDs returns the build input: every item's key ids, indexed by item
+// (shared; do not mutate).
+func (ix *IDIndex) KeyIDs() [][]uint32 { return ix.keysOf }
+
+// KeySpace returns the build's idSpace — the length of any slice
+// indexed by key id, such as BucketWeightTotals' destination.
+func (ix *IDIndex) KeySpace() int { return len(ix.buckets) }
 
 // MaxBucket returns the size of the largest bucket.
 func (ix *IDIndex) MaxBucket() int {
@@ -66,7 +76,7 @@ func (ix *IDIndex) MaxBucket() int {
 }
 
 // ForEachBucket calls fn for every non-empty bucket in increasing id
-// order (deterministic, unlike the map-keyed Index).
+// order.
 func (ix *IDIndex) ForEachBucket(fn func(id uint32, items []int32)) {
 	for id, b := range ix.buckets {
 		if len(b) > 0 {
@@ -76,11 +86,10 @@ func (ix *IDIndex) ForEachBucket(fn func(id uint32, items []int32)) {
 }
 
 // BucketWeightTotals fills dst (grown as needed, one slot per key id)
-// with the total item weight of every bucket and returns it. Passing a
-// previous call's slice back in reuses its storage — the prune cascade
-// recomputes totals every round, so the buffer makes the round
-// allocation-free. See Index.BucketWeightTotals for the bound this
-// feeds.
+// with the total item weight of every bucket and returns it; passing a
+// previous call's slice back in reuses its storage. The totals feed a
+// cheap upper bound: an item's neighbour weight is at most Σ over its
+// keys of (bucket total − own weight), since that sum only overcounts.
 func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64) []float64 {
 	if cap(dst) < len(ix.buckets) {
 		dst = make([]float64, len(ix.buckets))
@@ -98,9 +107,8 @@ func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64)
 
 // Candidates appends to dst the distinct items sharing at least one of
 // the given key ids, excluding self, and returns the extended slice. The
-// stamp is reset internally. Identical semantics to Index.Candidates;
-// the enumeration order is the given key order, then bucket insertion
-// order.
+// stamp is reset internally. The enumeration order is the given key
+// order, then bucket insertion order.
 func (ix *IDIndex) Candidates(self int, keys []uint32, stamp *Stamp, dst []int32) []int32 {
 	stamp.Reset()
 	if self >= 0 {
@@ -118,10 +126,9 @@ func (ix *IDIndex) Candidates(self int, keys []uint32, stamp *Stamp, dst []int32
 
 // ForEachPair enumerates every distinct unordered pair of items sharing
 // at least one key, as (i, j) with i < j, each pair exactly once; fn
-// returning false stops the walk. Unlike the string-keyed Index, the
-// key inversion is the cached build input, so the walk allocates only
-// its stamp, and the enumeration order is deterministic (items
-// ascending, each item's keys in their build order).
+// returning false stops the walk. Cost is Σ_buckets |b|² stamp
+// operations, but each expensive downstream evaluation runs once per
+// distinct pair; the walk allocates only its stamp.
 func (ix *IDIndex) ForEachPair(fn func(i, j int) bool) {
 	stamp := NewStamp(ix.n)
 	for i := 0; i < ix.n; i++ {
@@ -143,9 +150,9 @@ func (ix *IDIndex) ForEachPair(fn func(i, j int) bool) {
 	}
 }
 
-// PairCount returns the number of distinct candidate pairs, counted
-// directly from per-item dedup'd bucket walks — no callback dispatch,
-// no inversion rebuild.
+// PairCount returns the number of distinct candidate pairs (the size of
+// the canopy join ForEachPair would enumerate), counted directly from
+// per-item dedup'd bucket walks — no callback dispatch per pair.
 func (ix *IDIndex) PairCount() int {
 	stamp := NewStamp(ix.n)
 	count := 0
@@ -161,4 +168,33 @@ func (ix *IDIndex) PairCount() int {
 		}
 	}
 	return count
+}
+
+// Stamp is a reusable visited-set over [0, n) with O(1) reset.
+type Stamp struct {
+	mark []int32
+	cur  int32
+}
+
+// NewStamp returns a Stamp for n items.
+func NewStamp(n int) *Stamp { return &Stamp{mark: make([]int32, n)} }
+
+// Reset clears the stamp in O(1).
+func (s *Stamp) Reset() {
+	s.cur++
+	if s.cur == 0 { // wrapped; clear explicitly
+		for i := range s.mark {
+			s.mark[i] = 0
+		}
+		s.cur = 1
+	}
+}
+
+// Visit marks i and reports whether i was already marked since Reset.
+func (s *Stamp) Visit(i int) bool {
+	if s.mark[i] == s.cur {
+		return true
+	}
+	s.mark[i] = s.cur
+	return false
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"topkdedup/internal/intern"
@@ -33,104 +32,12 @@ func internKeySets(keys [][]string) (*intern.Table, [][]uint32) {
 	return tab, keyIDs
 }
 
-// TestIDIndexMatchesStringIndex is the differential guarantee behind the
-// interned hot path: for random key sets, the id-keyed index produces
-// exactly the candidate sets, pair set, pair count, bucket contents, and
-// bucket weight totals of the string-keyed index.
-func TestIDIndexMatchesStringIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(60)
-		keys := randomKeySets(r, n, 1+r.Intn(25), 4)
-		sx := Build(n, keyFunc(keys))
-		tab, keyIDs := internKeySets(keys)
-		ix := BuildID(n, tab.Len(), keyIDs)
-
-		if sx.Len() != ix.Len() || sx.BucketCount() != ix.BucketCount() || sx.MaxBucket() != ix.MaxBucket() {
-			t.Fatalf("trial %d: len/buckets/max mismatch: (%d,%d,%d) vs (%d,%d,%d)", trial,
-				sx.Len(), sx.BucketCount(), sx.MaxBucket(), ix.Len(), ix.BucketCount(), ix.MaxBucket())
-		}
-
-		// Buckets: every string key's bucket equals its id's bucket.
-		for i, ks := range keys {
-			for ki, k := range ks {
-				sb, idb := sx.Bucket(k), ix.Bucket(keyIDs[i][ki])
-				if len(sb) != len(idb) {
-					t.Fatalf("trial %d: bucket %q sizes differ: %v vs %v", trial, k, sb, idb)
-				}
-				for x := range sb {
-					if sb[x] != idb[x] {
-						t.Fatalf("trial %d: bucket %q differs: %v vs %v", trial, k, sb, idb)
-					}
-				}
-			}
-		}
-
-		// Candidates: identical content and order for every item.
-		stampS, stampID := NewStamp(n), NewStamp(n)
-		for i := 0; i < n; i++ {
-			cs := sx.Candidates(i, keys[i], stampS, nil)
-			ci := ix.Candidates(i, keyIDs[i], stampID, nil)
-			if len(cs) != len(ci) {
-				t.Fatalf("trial %d item %d: candidates differ: %v vs %v", trial, i, cs, ci)
-			}
-			for x := range cs {
-				if cs[x] != ci[x] {
-					t.Fatalf("trial %d item %d: candidates differ: %v vs %v", trial, i, cs, ci)
-				}
-			}
-		}
-
-		// Pair sets: identical (as sets; the string walk's order is
-		// map-iteration dependent) and counts agree.
-		collect := func(fe func(func(i, j int) bool)) [][2]int {
-			var ps [][2]int
-			fe(func(i, j int) bool {
-				ps = append(ps, [2]int{i, j})
-				return true
-			})
-			sort.Slice(ps, func(a, b int) bool {
-				if ps[a][0] != ps[b][0] {
-					return ps[a][0] < ps[b][0]
-				}
-				return ps[a][1] < ps[b][1]
-			})
-			return ps
-		}
-		sp, ip := collect(sx.ForEachPair), collect(ix.ForEachPair)
-		if len(sp) != len(ip) {
-			t.Fatalf("trial %d: pair sets differ: %d vs %d pairs", trial, len(sp), len(ip))
-		}
-		for x := range sp {
-			if sp[x] != ip[x] {
-				t.Fatalf("trial %d: pair sets differ at %d: %v vs %v", trial, x, sp[x], ip[x])
-			}
-		}
-		if sx.PairCount() != len(sp) || ix.PairCount() != len(ip) {
-			t.Fatalf("trial %d: PairCount (%d, %d) vs walked (%d)", trial, sx.PairCount(), ix.PairCount(), len(sp))
-		}
-
-		// Bucket weight totals agree key by key.
-		weight := func(i int) float64 { return float64(i + 1) }
-		st := sx.BucketWeightTotals(weight)
-		it := ix.BucketWeightTotals(weight, nil)
-		for i, ks := range keys {
-			for ki, k := range ks {
-				if st[k] != it[keyIDs[i][ki]] {
-					t.Fatalf("trial %d: totals for %q differ: %v vs %v", trial, k, st[k], it[keyIDs[i][ki]])
-				}
-			}
-		}
-	}
-}
-
 // TestIDIndexPairOrderDeterministic: the id walk enumerates item-major
 // with each item's keys in build order — the same sequence every time.
 func TestIDIndexPairOrderDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	keys := randomKeySets(r, 40, 12, 3)
-	tab, keyIDs := internKeySets(keys)
-	ix := BuildID(40, tab.Len(), keyIDs)
+	ix, _ := build(keys)
 	var ref [][2]int
 	ix.ForEachPair(func(i, j int) bool { ref = append(ref, [2]int{i, j}); return true })
 	for trial := 0; trial < 5; trial++ {
@@ -148,8 +55,8 @@ func TestIDIndexPairOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestIDIndexForEachPairEarlyStop mirrors the string index's early-stop
-// contract.
+// TestIDIndexForEachPairEarlyStop: the walk stops at the pair fn
+// refuses, not only at the first.
 func TestIDIndexForEachPairEarlyStop(t *testing.T) {
 	keyIDs := [][]uint32{{0}, {0}, {0}}
 	ix := BuildID(3, 1, keyIDs)
@@ -163,24 +70,13 @@ func TestIDIndexForEachPairEarlyStop(t *testing.T) {
 	}
 }
 
-// BenchmarkIndexBuild contrasts the string-keyed and id-keyed builds on
-// the same key sets (the id build's interning cost is charged to it, as
-// in the real pipeline).
+// BenchmarkIndexBuild measures interning plus the id-keyed build, as
+// every pipeline phase pays them.
 func BenchmarkIndexBuild(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
-	const n = 2000
-	keys := randomKeySets(r, n, 400, 4)
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Build(n, keyFunc(keys))
-		}
-	})
-	b.Run("interned", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tab, keyIDs := internKeySets(keys)
-			BuildID(n, tab.Len(), keyIDs)
-		}
-	})
+	keys := randomKeySets(r, 2000, 400, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build(keys)
+	}
 }

@@ -5,25 +5,30 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"topkdedup/internal/intern"
 )
 
-func keyFunc(keys [][]string) func(int) []string {
-	return func(i int) []string { return keys[i] }
+// build interns the items' string keys in item order and indexes the ids.
+func build(keys [][]string) (*IDIndex, *intern.Table) {
+	tab, keyIDs := internKeySets(keys)
+	return BuildID(len(keys), tab.Len(), keyIDs), tab
 }
 
 func TestBuildAndBuckets(t *testing.T) {
 	keys := [][]string{{"a", "b"}, {"b"}, {"c"}, {}}
-	ix := Build(4, keyFunc(keys))
+	ix, tab := build(keys)
 	if ix.Len() != 4 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	if ix.BucketCount() != 3 {
-		t.Errorf("BucketCount = %d, want 3", ix.BucketCount())
+	if ix.BucketCount() != 3 || ix.KeySpace() != 3 {
+		t.Errorf("BucketCount = %d, KeySpace = %d, want 3, 3", ix.BucketCount(), ix.KeySpace())
 	}
-	if got := ix.Bucket("b"); len(got) != 2 {
+	b, _ := tab.Lookup("b")
+	if got := ix.Bucket(b); len(got) != 2 {
 		t.Errorf("Bucket(b) = %v", got)
 	}
-	if got := ix.Bucket("zzz"); got != nil {
+	if got := ix.Bucket(uint32(tab.Len())); got != nil {
 		t.Errorf("missing bucket should be nil, got %v", got)
 	}
 	if ix.MaxBucket() != 2 {
@@ -33,7 +38,7 @@ func TestBuildAndBuckets(t *testing.T) {
 
 func TestForEachPair(t *testing.T) {
 	keys := [][]string{{"a"}, {"a", "b"}, {"b"}, {"c"}}
-	ix := Build(4, keyFunc(keys))
+	ix, _ := build(keys)
 	var pairs [][2]int
 	ix.ForEachPair(func(i, j int) bool {
 		pairs = append(pairs, [2]int{i, j})
@@ -58,7 +63,7 @@ func TestForEachPair(t *testing.T) {
 
 func TestForEachPairEarlyStop(t *testing.T) {
 	keys := [][]string{{"a"}, {"a"}, {"a"}}
-	ix := Build(3, keyFunc(keys))
+	ix, _ := build(keys)
 	count := 0
 	ix.ForEachPair(func(_, _ int) bool {
 		count++
@@ -72,7 +77,7 @@ func TestForEachPairEarlyStop(t *testing.T) {
 func TestPairCountMultiKeyDedup(t *testing.T) {
 	// Items share two keys; the pair must be counted once.
 	keys := [][]string{{"a", "b"}, {"a", "b"}}
-	ix := Build(2, keyFunc(keys))
+	ix, _ := build(keys)
 	if got := ix.PairCount(); got != 1 {
 		t.Errorf("PairCount = %d, want 1", got)
 	}
@@ -80,9 +85,9 @@ func TestPairCountMultiKeyDedup(t *testing.T) {
 
 func TestCandidates(t *testing.T) {
 	keys := [][]string{{"a", "b"}, {"a"}, {"b"}, {"c"}}
-	ix := Build(4, keyFunc(keys))
+	ix, _ := build(keys)
 	stamp := NewStamp(4)
-	got := ix.Candidates(0, keys[0], stamp, nil)
+	got := ix.Candidates(0, ix.KeyIDs()[0], stamp, nil)
 	ints := make([]int, len(got))
 	for i, v := range got {
 		ints[i] = int(v)
@@ -101,10 +106,12 @@ func TestCandidates(t *testing.T) {
 
 func TestBucketWeightTotals(t *testing.T) {
 	keys := [][]string{{"a"}, {"a"}, {"b"}}
-	ix := Build(3, keyFunc(keys))
+	ix, tab := build(keys)
 	w := []float64{1, 2, 5}
-	totals := ix.BucketWeightTotals(func(i int) float64 { return w[i] })
-	if totals["a"] != 3 || totals["b"] != 5 {
+	totals := ix.BucketWeightTotals(func(i int) float64 { return w[i] }, nil)
+	a, _ := tab.Lookup("a")
+	b, _ := tab.Lookup("b")
+	if len(totals) != ix.KeySpace() || totals[a] != 3 || totals[b] != 5 {
 		t.Errorf("totals = %v", totals)
 	}
 }
@@ -135,8 +142,9 @@ func TestStampWraparound(t *testing.T) {
 	}
 }
 
-// Property: ForEachPair enumerates exactly the distinct key-sharing pairs,
-// each once, matching a brute-force computation.
+// Property: ForEachPair, PairCount and Candidates enumerate exactly the
+// distinct key-sharing pairs, each once, matching a brute-force
+// computation.
 func TestForEachPairMatchesBruteForce(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -150,7 +158,7 @@ func TestForEachPairMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		ix := Build(n, keyFunc(keys))
+		ix, _ := build(keys)
 		got := map[[2]int]int{}
 		ix.ForEachPair(func(i, j int) bool {
 			if i >= j {
@@ -175,11 +183,29 @@ func TestForEachPairMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if len(got) != len(want) {
+		if len(got) != len(want) || ix.PairCount() != len(want) {
 			return false
 		}
 		for p, c := range got {
 			if c != 1 || !want[p] {
+				return false
+			}
+		}
+		// Candidates(i) is i's side of the same pair set: each partner
+		// once, never i itself.
+		stamp := NewStamp(n)
+		for i := 0; i < n; i++ {
+			cand := ix.Candidates(i, ix.KeyIDs()[i], stamp, nil)
+			for _, j := range cand {
+				lo, hi := min(i, int(j)), max(i, int(j))
+				if lo == hi || !want[[2]int{lo, hi}] {
+					return false
+				}
+				got[[2]int{lo, hi}]++
+			}
+		}
+		for _, c := range got {
+			if c != 3 { // once from the walk, once from each side
 				return false
 			}
 		}

@@ -16,6 +16,7 @@ package predicate
 import (
 	"fmt"
 
+	"topkdedup/internal/index"
 	"topkdedup/internal/intern"
 	"topkdedup/internal/records"
 )
@@ -81,13 +82,35 @@ func (p P) Bound(recs []*records.Record) func(i, j int) bool {
 
 // KeyIDs returns the record's blocking keys interned into tab as dense
 // uint32 ids, appended to dst (pass a reused slice to avoid per-record
-// allocation). Id order matches Keys order, so candidate enumeration
-// over an id-keyed index visits buckets in the same order as over the
-// string-keyed one. The completeness contract carries over verbatim:
-// Eval(a,b) == true implies KeyIDs(a) ∩ KeyIDs(b) ≠ ∅ for ids from one
-// table.
+// allocation). Id order matches Keys order. The completeness contract
+// carries over verbatim: Eval(a,b) == true implies KeyIDs(a) ∩
+// KeyIDs(b) ≠ ∅ for ids from one table.
 func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 	return tab.InternAll(dst, p.Keys(r))
+}
+
+// Block is the blocking half of what Bound is for matching: it interns
+// the blocking keys of the records a phase will compare (ids in
+// first-seen order over recs, so they are identical run to run) and
+// returns the inverted index over them, addressed like Bound's
+// evaluator by index into recs. Every candidate walk — pairs sharing a
+// key, one item's candidates, bucket weight totals — reads this index,
+// so enumeration order is fixed everywhere: items ascending, each
+// item's keys in Keys order, buckets in insertion order.
+//
+// dst, when non-nil, is reused for the per-record id lists (the index
+// retains it; read it back with KeyIDs to hand to the next call), so a
+// caller building one index per query allocates them once.
+func (p P) Block(recs []*records.Record, dst [][]uint32) *index.IDIndex {
+	if cap(dst) < len(recs) {
+		dst = make([][]uint32, len(recs))
+	}
+	dst = dst[:len(recs)]
+	tab := intern.New()
+	for i, r := range recs {
+		dst[i] = p.KeyIDs(tab, r, dst[i][:0])
+	}
+	return index.BuildID(len(recs), tab.Len(), dst)
 }
 
 // Level pairs one sufficient with one necessary predicate; PrunedDedup
@@ -164,49 +187,12 @@ func ValidateNecessary(d *records.Dataset, n P, maxViolations int) []Violation {
 }
 
 func keysIntersect(p P, a, b *records.Record) bool {
-	ka := p.Keys(a)
-	if len(ka) == 0 {
-		return false
-	}
-	set := make(map[string]struct{}, len(ka))
-	for _, k := range ka {
-		set[k] = struct{}{}
-	}
-	for _, k := range p.Keys(b) {
-		if _, ok := set[k]; ok {
-			return true
-		}
-	}
-	return false
+	return p.Block([]*records.Record{a, b}, nil).PairCount() > 0
 }
 
 // forEachKeyPair enumerates candidate pairs sharing at least one blocking
 // key and calls fn for each distinct pair once; fn returning false stops
 // the enumeration.
 func forEachKeyPair(d *records.Dataset, p P, fn func(a, b *records.Record) bool) {
-	buckets := make(map[string][]int)
-	for _, r := range d.Recs {
-		for _, k := range p.Keys(r) {
-			buckets[k] = append(buckets[k], r.ID)
-		}
-	}
-	seen := make(map[[2]int]struct{})
-	for _, ids := range buckets {
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				a, b := ids[i], ids[j]
-				if a > b {
-					a, b = b, a
-				}
-				key := [2]int{a, b}
-				if _, ok := seen[key]; ok {
-					continue
-				}
-				seen[key] = struct{}{}
-				if !fn(d.Recs[a], d.Recs[b]) {
-					return
-				}
-			}
-		}
-	}
+	p.Block(d.Recs, nil).ForEachPair(func(i, j int) bool { return fn(d.Recs[i], d.Recs[j]) })
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"topkdedup/internal/core"
-	"topkdedup/internal/index"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -140,32 +139,18 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 	// the single-machine pruner deliver them differently).
 	groups = append([]core.Group(nil), groups...)
 	sortByWeight(groups)
-	keys := make([][]string, ng)
-	for i := range groups {
-		keys[i] = n.Keys(d.Recs[groups[i].Rep])
-	}
-	ix := index.Build(ng, func(i int) []string { return keys[i] })
-	stamp := index.NewStamp(ng)
 	eval := core.BindReps(d, groups, n, nil)
 	adj := make([][]int, ng)
-	var cand []int32
-	for i := 0; i < ng; i++ {
-		cand = ix.Candidates(i, keys[i], stamp, cand[:0])
-		for _, j32 := range cand {
-			j := int(j32)
-			if j < i {
-				continue // handled from the smaller side
-			}
-			if eval(i, j) {
-				adj[i] = append(adj[i], j)
-				adj[j] = append(adj[j], i)
-			}
+	core.BlockReps(d, groups, n, nil).ForEachPair(func(i, j int) bool {
+		if eval(i, j) {
+			adj[i] = append(adj[i], j)
+			adj[j] = append(adj[j], i)
 		}
-	}
+		return true
+	})
 	u := make([]float64, ng)
 	for i := range groups {
-		// Neighbour discovery order follows the predicate's key order,
-		// which need not be deterministic (e.g. map-backed gram keys);
+		// Neighbour discovery order follows the predicate's key order;
 		// sort so the floating sum below always accumulates in the
 		// canonical group order.
 		sort.Ints(adj[i])

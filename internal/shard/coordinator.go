@@ -63,7 +63,7 @@ type RunStats struct {
 // into the global rank order, runs the bound-exchange protocol to the
 // exact global (m, M), broadcasts M, and coordinates prune rounds until
 // no shard's alive set shrinks. The produced result is byte-identical to
-// core.PrunedDedupFrom on the unpartitioned input (groups, order,
+// core.PrunedDedupFromCtx on the unpartitioned input (groups, order,
 // per-level NGroups/MRank/LowerBound/Survivors, ExactlyK); eval counters
 // and wall times are aggregated per shard and may differ.
 //

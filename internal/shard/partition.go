@@ -62,26 +62,16 @@ func Split(d *records.Dataset, groups []core.Group, levels []predicate.Level, s 
 		s = 1
 	}
 	uf := dsu.New(len(groups))
-	owner := make(map[string]int32) // namespaced key -> first group that used it
-	var keyBuf []byte
+	union := func(a, b int) { uf.Union(a, b) }
+	spaces := make([]predicate.Keyspace, 2*len(levels)) // one per (level, role)
+	var ids []uint32
 	for gi := range groups {
 		rec := d.Recs[groups[gi].Rep]
 		for li, level := range levels {
-			for _, rp := range [2]struct {
-				role byte
-				p    predicate.P
-			}{{'s', level.Sufficient}, {'n', level.Necessary}} {
-				role, p := rp.role, rp.p
-				for _, k := range p.Keys(rec) {
-					keyBuf = append(keyBuf[:0], byte('0'+li), role)
-					keyBuf = append(keyBuf, k...)
-					key := string(keyBuf)
-					if j, ok := owner[key]; ok {
-						uf.Union(gi, int(j))
-					} else {
-						owner[key] = int32(gi)
-					}
-				}
+			for role, p := range [2]predicate.P{level.Sufficient, level.Necessary} {
+				ks := &spaces[2*li+role]
+				ids = ks.KeyIDs(p, rec, ids[:0])
+				ks.Claim(gi, ids, union)
 			}
 		}
 	}

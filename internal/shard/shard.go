@@ -88,7 +88,7 @@ type Options struct {
 // Worker per shard over the shared dataset, and drives Exchange. groups
 // may be nil to start from singletons (the batch entry point); the
 // streaming path passes its maintained level-1 grouping. The returned
-// result is byte-identical to core.PrunedDedupFrom on the same inputs at
+// result is byte-identical to core.PrunedDedupFromCtx on the same inputs at
 // every shard count; RunStats reports the coordination work.
 func Run(d *records.Dataset, groups []core.Group, levels []predicate.Level, opts Options) (*core.Result, *RunStats, error) {
 	return RunCtx(context.Background(), d, groups, levels, opts)

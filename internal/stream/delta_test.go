@@ -71,7 +71,7 @@ func TestStreamGroupsMatchScratch(t *testing.T) {
 // TestSnapshotBoundEstimatorMatchesScratch pins the frozen estimator:
 // snapshot queries that replay cached bound verdicts must return the
 // same pruning result — including MRank, LowerBound, BoundEvals, and
-// PruneEvals — as a from-scratch PrunedDedupFrom over the same groups,
+// PruneEvals — as a from-scratch PrunedDedupFromCtx over the same groups,
 // across interleaved ingest and repeated (warm-cache) queries.
 func TestSnapshotBoundEstimatorMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -93,7 +93,7 @@ func (s *Snapshot) Taken() time.Time { return s.taken }
 func (s *Snapshot) Evals() int64 { return s.evals }
 
 // Groups returns the frozen level-1 collapse as a fresh top-level slice
-// per call, so each caller may hand it to core.PrunedDedupFrom (which
+// per call, so each caller may hand it to core.PrunedDedupFromCtx (which
 // sorts and merges the slice in place) without affecting other readers.
 // The Group values — including their Members slices — are shared and
 // must be treated as read-only.

@@ -133,7 +133,7 @@ func (inc *Incremental) Add(weight float64, truth string, values ...string) int 
 	if inc.sk != nil {
 		inc.sk.Update(inc.uf.Find(id), rec.Weight)
 	}
-	inc.st.Observe(rec)
+	inc.st.Observe(rec, inc.keyIDs)
 	if inc.sink != nil {
 		inc.sink.Count("stream.add.records", 1)
 		inc.sink.Count("stream.add.evals", inc.evals-before)
@@ -226,7 +226,7 @@ func (inc *Incremental) Groups() []core.Group {
 }
 
 // TopK answers the TopK count query over the current state: the
-// incremental collapse feeds core.PrunedDedupFrom, so only the
+// incremental collapse feeds core.PrunedDedupFromCtx, so only the
 // K-dependent phases run now.
 func (inc *Incremental) TopK(k int) (*core.Result, error) {
 	return inc.TopKCtx(context.Background(), k)

@@ -60,11 +60,19 @@ func TestNewRequiresLevels(t *testing.T) {
 func TestIncrementalCollapseMatchesBatch(t *testing.T) {
 	// For an exact-match sufficient predicate, the incremental partition
 	// must equal the batch Collapse partition.
-	inc, err := New("t", []string{"name"}, toyLevels())
+	levels := toyLevels()
+	keys, keysCalls := levels[0].Sufficient.Keys, 0
+	levels[0].Sufficient.Keys = func(r *records.Record) []string { keysCalls++; return keys(r) }
+	inc, err := New("t", []string{"name"}, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed(t, inc, 3, 20, 10)
+	// Add interns a record's sufficient keys once and hands the ids to
+	// the canopy state; nothing derives them a second time.
+	if keysCalls != inc.Len() {
+		t.Fatalf("sufficient Keys called %d times for %d records", keysCalls, inc.Len())
+	}
 	incGroups := inc.Groups()
 
 	d := inc.Dataset()
