@@ -83,6 +83,14 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
 if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/shard internal/inc internal/stream internal/experiments; then exit 1; fi
 
+# One route to a pruning, each piece of work once: segment.BestR and the
+# canonical group order stay off reflection-based sort.Slice (BestR
+# merges sorted rows; groups sort by slices.SortFunc), and the engine
+# seeding the server's single route replaced (StartGroups) does not come
+# back under that name.
+if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core/groups.go; then exit 1; fi
+if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'StartGroups' .; then exit 1; fi
+
 go build ./...
 go test -race ./...
 

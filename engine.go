@@ -95,20 +95,6 @@ type Config struct {
 	// context (TopKCtx under a server span), that trace wins and Tracer
 	// is not consulted.
 	Tracer *Tracer
-	// StartGroups, when non-nil, seeds Algorithm 2 with an existing
-	// grouping instead of per-record singletons — the incremental
-	// serving path hands the maintained level-1 collapse of an epoch
-	// snapshot here (see INCREMENTAL.md). Each group's members must
-	// already be established duplicates. Queries clone the top-level
-	// slice, so one engine may serve concurrent queries off a shared
-	// grouping; the Group values (including Members) are treated as
-	// read-only throughout the pipeline.
-	StartGroups []Group
-	// Bound, when non-nil, replaces the from-scratch §4.2 lower-bound
-	// scan (an alias of core.Options.Bound — see there for the byte-
-	// identity contract). Consulted on the single-machine path only;
-	// the sharded coordinator keeps its own per-shard scanners.
-	Bound BoundEstimator
 	// Explain, when true, attaches a per-query EXPLAIN report
 	// (Result.Explain) derived from the query's trace: predicate
 	// evaluation/hit counts per level, groups collapsed and pruned per
@@ -147,11 +133,6 @@ type TraceSummary = obs.TraceSummary
 func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 	return obs.WriteChromeTrace(w, spans)
 }
-
-// BoundEstimator is the pluggable lower-bound phase — an alias of the
-// internal core.BoundEstimator so the incremental serving layer can
-// inject internal/inc's verdict-replaying estimator via Config.Bound.
-type BoundEstimator = core.BoundEstimator
 
 // MetricsSink is the observability sink interface of the pipeline — an
 // alias of the internal obs.Sink so callers can pass a
@@ -343,18 +324,14 @@ func (e *Engine) attachExplain(res *Result, root *obs.TraceSpan) {
 }
 
 // prunedCtx runs the pruning phases (Algorithm 2 up to the final scoring
-// phase), routed through the sharded coordinator when Config.Shards > 1
-// and seeded from Config.StartGroups when one is configured.
+// phase), routed through the sharded coordinator when Config.Shards > 1.
 func (e *Engine) prunedCtx(ctx context.Context, k int) (*core.Result, error) {
 	if e.cfg.Shards > 1 {
-		res, _, err := shard.RunCtx(ctx, e.data, e.startGroups(), e.levels, shard.Options{
+		res, _, err := shard.RunCtx(ctx, e.data, nil, e.levels, shard.Options{
 			K: k, Shards: e.cfg.Shards, PrunePasses: e.cfg.PrunePasses,
 			Workers: e.cfg.Workers, Sink: e.cfg.Metrics,
 		})
 		return res, err
-	}
-	if sg := e.startGroups(); sg != nil {
-		return core.PrunedDedupFromCtx(ctx, e.data, sg, e.levels, e.coreOpts(k))
 	}
 	return core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
 }
@@ -362,18 +339,7 @@ func (e *Engine) prunedCtx(ctx context.Context, k int) (*core.Result, error) {
 // coreOpts assembles the core options of one query from the engine
 // configuration.
 func (e *Engine) coreOpts(k int) core.Options {
-	return core.Options{K: k, PrunePasses: e.cfg.PrunePasses, Workers: e.cfg.Workers, Sink: e.cfg.Metrics, Bound: e.cfg.Bound}
-}
-
-// startGroups clones Config.StartGroups' top-level slice for one query
-// (nil when unconfigured). Only the top level needs copying: the
-// pipeline sorts and re-merges the slice but never writes to an input
-// group's Members.
-func (e *Engine) startGroups() []Group {
-	if e.cfg.StartGroups == nil {
-		return nil
-	}
-	return append([]Group(nil), e.cfg.StartGroups...)
+	return core.Options{K: k, PrunePasses: e.cfg.PrunePasses, Workers: e.cfg.Workers, Sink: e.cfg.Metrics}
 }
 
 // finishTopKCtx turns a pruning result into the query answer, running
@@ -717,7 +683,7 @@ func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 		root.Attr("workers", float64(e.cfg.Workers))
 		defer root.End()
 	}
-	if e.cfg.Shards > 1 || e.cfg.StartGroups != nil {
+	if e.cfg.Shards > 1 {
 		pd, err := e.prunedCtx(ctx, k)
 		if err != nil {
 			return nil, err

@@ -6,7 +6,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"topkdedup/internal/index"
@@ -139,14 +140,20 @@ func SingletonGroups(d *records.Dataset) []Group { return singletonGroups(d) }
 func SortGroupsByWeight(groups []Group) { sortGroupsByWeight(groups) }
 
 // sortGroupsByWeight sorts groups by decreasing weight; ties break on
-// representative ID for determinism.
-func sortGroupsByWeight(groups []Group) {
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Weight != groups[j].Weight {
-			return groups[i].Weight > groups[j].Weight
+// representative ID for determinism — a total order (no two groups share
+// a representative), so the result does not depend on the input order.
+func sortGroupsByWeight(groups []Group) { slices.SortFunc(groups, CompareGroups) }
+
+// CompareGroups is the canonical rank order as a comparison for
+// slices.SortFunc: weight descending, then representative ID ascending.
+func CompareGroups(a, b Group) int {
+	if a.Weight != b.Weight {
+		if a.Weight > b.Weight {
+			return -1
 		}
-		return groups[i].Rep < groups[j].Rep
-	})
+		return 1
+	}
+	return cmp.Compare(a.Rep, b.Rep)
 }
 
 // TruthGroups collapses a labelled dataset by its ground-truth labels —

@@ -73,6 +73,13 @@ func PruneWorkers(d *records.Dataset, groups []Group, n predicate.P, m float64, 
 // globally, which is what keeps sharded survivors byte-identical to this
 // single-machine loop.
 func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
+	return pruneCtx(ctx, d, groups, n, func() *index.IDIndex { return BlockReps(d, groups, n, nil) }, m, passes, workers, sink)
+}
+
+// pruneCtx is PruneCtx with the groups' blocking index under n supplied
+// by block, which is called only when something can be pruned — a
+// PreparedLevel hands in the index it keeps.
+func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
 	if m <= 0 || len(groups) == 0 {
 		return groups, 0, 0
 	}
@@ -80,7 +87,7 @@ func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 		passes = 2
 	}
 	ctx, sp := obs.StartChild(ctx, "core.prune")
-	p := NewPruner(d, groups, n, m, workers, sink)
+	p := newPruner(d, groups, n, block(), m, workers, sink)
 	for pass := 0; pass < passes; pass++ {
 		pruned, passEvals, passHits := p.PassCtx(ctx)
 		evals += passEvals
@@ -153,10 +160,15 @@ type pruneScratch struct {
 // core.prune.bound gauge and the combined stage-0 kill count
 // (core.prune.stage0.pruned), exactly as PruneCtx documents.
 func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, workers int, sink obs.Sink) *Pruner {
+	return newPruner(d, groups, n, BlockReps(d, groups, n, nil), m, workers, sink)
+}
+
+// newPruner is NewPruner over ix = BlockReps(d, groups, n, nil), which
+// it only reads: one index may back any number of Pruners at once.
+func newPruner(d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIndex, m float64, workers int, sink obs.Sink) *Pruner {
 	obs.Gauge(sink, "core.prune.bound", m)
 	ng := len(groups)
-	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink}
-	p.ix = BlockReps(d, groups, n, nil)
+	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink, ix: ix}
 	p.keyIDs = p.ix.KeyIDs()
 	p.u = make([]float64, ng)
 	p.next = make([]float64, ng)

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
+	"topkdedup/internal/index"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
@@ -75,13 +78,86 @@ func PrunedDedupCtx(ctx context.Context, d *records.Dataset, levels []predicate.
 	return PrunedDedupFromCtx(ctx, d, singletonGroups(d), levels, opts)
 }
 
+// PreparedLevel is the part of one level of Algorithm 2 that does not
+// depend on K: the groups collapsed under the level's sufficient
+// predicate and put in canonical order, the collapse's counts, and the
+// index of the collapsed groups' representatives under the necessary
+// predicate's blocking keys that the prune step walks. Both halves are
+// computed on first use and kept, so a level prepared once serves any
+// number of queries, concurrently — stream.Snapshot holds one for level
+// 1 of its epoch. Nothing reachable from a PreparedLevel is written
+// after it is computed, and the input groups are never written at all.
+type PreparedLevel struct {
+	d     *records.Dataset
+	level predicate.Level
+
+	collapse    sync.Once
+	input       []Group // dropped once collapsed
+	before      int     // len(input)
+	groups      []Group
+	evals, hits int64
+
+	block sync.Once
+	ix    *index.IDIndex
+}
+
+// PrepareLevel returns the level's K-independent work over groups (each
+// group's members must already be established duplicates), to be
+// computed on first use. groups is only read.
+func PrepareLevel(d *records.Dataset, groups []Group, level predicate.Level) *PreparedLevel {
+	return &PreparedLevel{d: d, level: level, input: groups}
+}
+
+// collapsed runs the sufficient-predicate collapse and the weight sort
+// unless an earlier call did, and reports whether this call did the
+// work — what decides whether its evaluations are counted as performed.
+func (pl *PreparedLevel) collapsed(workers int) (fresh bool) {
+	pl.collapse.Do(func() {
+		fresh = true
+		pl.before = len(pl.input)
+		pl.groups, pl.evals, pl.hits = CollapseWorkersHits(pl.d, pl.input, pl.level.Sufficient, workers)
+		pl.input = nil
+		if !slices.IsSortedFunc(pl.groups, CompareGroups) {
+			if len(pl.groups) == pl.before {
+				// Nothing merged, so CollapseWorkersHits handed the
+				// input back, and that is not ours to write.
+				pl.groups = slices.Clone(pl.groups)
+			}
+			sortGroupsByWeight(pl.groups)
+		}
+	})
+	return fresh
+}
+
+// index returns BlockReps over the collapsed groups and the necessary
+// predicate, built on first use: a level whose bound comes out at zero
+// prunes nothing and never asks.
+func (pl *PreparedLevel) index() *index.IDIndex {
+	pl.block.Do(func() { pl.ix = BlockReps(pl.d, pl.groups, pl.level.Necessary, nil) })
+	return pl.ix
+}
+
 // PrunedDedupFromCtx runs Algorithm 2 starting from an existing grouping
 // (each group's members must already be established duplicates), with
-// the same optional tracing as PrunedDedupCtx. This is the entry point
-// for incremental/streaming use: stream.Incremental keeps the level-1
-// sufficient collapse up to date as records arrive and hands its groups
-// here at query time, so only the K-dependent phases are paid per query.
+// the same optional tracing as PrunedDedupCtx. groups is only read.
 func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group, levels []predicate.Level, opts Options) (*Result, error) {
+	var first *PreparedLevel
+	if len(levels) > 0 { // else PrunedDedupPreparedCtx reports it
+		first = PrepareLevel(d, groups, levels[0])
+	}
+	return PrunedDedupPreparedCtx(ctx, d, first, levels, opts)
+}
+
+// PrunedDedupPreparedCtx is PrunedDedupFromCtx with level 1 handed in
+// prepared (PrepareLevel over d, the starting groups and levels[0]) —
+// the entry point for incremental/streaming use: stream.Snapshot keeps
+// one prepared level 1 per epoch, so a query pays its collapse and its
+// blocking only if no earlier query of the epoch did. The result is the
+// one PrunedDedupFromCtx gives on the same starting groups, LevelStats
+// eval counts included; only the sink's core.collapse.* metrics differ,
+// which count a collapse where it ran. The result's Groups may share
+// storage with first and must be treated as read-only.
+func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *PreparedLevel, levels []predicate.Level, opts Options) (*Result, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", opts.K)
 	}
@@ -100,30 +176,32 @@ func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group,
 
 	sink := opts.Sink
 	res := &Result{TotalRecords: total}
+	lv := first
 	for li, level := range levels {
 		stats := LevelStats{Level: li + 1}
 		ctxL, spL := obs.StartChild(ctx, "core.level")
 		spL.Attr("level", float64(li+1))
 
 		start := time.Now()
-		before := len(groups)
 		_, spC := obs.StartChild(ctxL, "core.collapse")
-		var collapseHits int64
-		groups, stats.CollapseEvals, collapseHits = CollapseWorkersHits(d, groups, level.Sufficient, opts.Workers)
-		sortGroupsByWeight(groups)
+		fresh := lv.collapsed(opts.Workers)
+		groups := lv.groups
+		stats.CollapseEvals = lv.evals
 		if spC != nil {
 			spC.Attr("evals", float64(stats.CollapseEvals))
-			spC.Attr("hits", float64(collapseHits))
-			spC.Attr("groups_before", float64(before))
+			spC.Attr("hits", float64(lv.hits))
+			spC.Attr("groups_before", float64(lv.before))
 			spC.Attr("groups_after", float64(len(groups)))
 			spC.End()
 		}
 		stats.CollapseTime = time.Since(start)
 		stats.NGroups = len(groups)
 		stats.NGroupsPct = pct(len(groups))
-		obs.ObserveDuration(sink, "core.collapse", stats.CollapseTime)
-		obs.Count(sink, "core.collapse.evals", stats.CollapseEvals)
-		obs.Observe(sink, "core.collapse.groups", float64(stats.NGroups))
+		if fresh {
+			obs.ObserveDuration(sink, "core.collapse", stats.CollapseTime)
+			obs.Count(sink, "core.collapse.evals", stats.CollapseEvals)
+			obs.Observe(sink, "core.collapse.groups", float64(stats.NGroups))
+		}
 
 		start = time.Now()
 		var m float64
@@ -140,7 +218,7 @@ func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group,
 		obs.Gauge(sink, "core.bound.lower", m)
 
 		start = time.Now()
-		groups, stats.PruneEvals, _ = PruneCtx(ctxL, d, groups, level.Necessary, m, passes, opts.Workers, sink)
+		groups, stats.PruneEvals, _ = pruneCtx(ctxL, d, groups, level.Necessary, lv.index, m, passes, opts.Workers, sink)
 		stats.PruneTime = time.Since(start)
 		stats.Survivors = len(groups)
 		stats.SurvivorsPct = pct(len(groups))
@@ -151,14 +229,18 @@ func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group,
 		res.Stats = append(res.Stats, stats)
 		obs.Count(sink, "core.levels", 1)
 		spL.End()
+		// Canonical order already: the level sorted its groups and
+		// pruning keeps the survivors in input order.
+		res.Groups = groups
 		if len(groups) == opts.K {
 			res.ExactlyK = true
 			obs.Count(sink, "core.exactly_k", 1)
 			break
 		}
+		if li+1 < len(levels) {
+			lv = PrepareLevel(d, groups, levels[li+1])
+		}
 	}
-	sortGroupsByWeight(groups)
-	res.Groups = groups
 	return res, nil
 }
 

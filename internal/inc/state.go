@@ -17,7 +17,7 @@
 package inc
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"topkdedup/internal/core"
@@ -203,7 +203,7 @@ func (st *State) Groups(sufRoot func(int) int) []core.Group {
 // members in ascending record-id order (see Groups for why that order
 // is the byte-identity anchor).
 func (st *State) rebuild(c *component, sufRoot func(int) int) {
-	sort.Slice(c.members, func(i, j int) bool { return c.members[i] < c.members[j] })
+	slices.Sort(c.members)
 	idx := make(map[int]int, len(c.members))
 	groups := make([]core.Group, 0, len(c.members))
 	for _, m := range c.members {

@@ -7,6 +7,7 @@ package rankquery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"topkdedup/internal/core"
@@ -84,12 +85,12 @@ func ThresholdedRank(d *records.Dataset, levels []predicate.Level, t float64, pr
 	if t <= 0 {
 		return nil, fmt.Errorf("rankquery: threshold must be positive, got %g", t)
 	}
-	groups := singletons(d)
+	groups := core.SingletonGroups(d)
 	var stats []core.LevelStats
 	for li, level := range levels {
 		st := core.LevelStats{Level: li + 1, LowerBound: t}
 		groups, st.CollapseEvals = core.Collapse(d, groups, level.Sufficient)
-		sortByWeight(groups)
+		core.SortGroupsByWeight(groups)
 		st.NGroups = len(groups)
 		st.NGroupsPct = pct(len(groups), d.Len())
 		groups, st.PruneEvals = core.Prune(d, groups, level.Necessary, t, prunePasses)
@@ -97,7 +98,7 @@ func ThresholdedRank(d *records.Dataset, levels []predicate.Level, t float64, pr
 		st.SurvivorsPct = pct(len(groups), d.Len())
 		stats = append(stats, st)
 	}
-	sortByWeight(groups)
+	core.SortGroupsByWeight(groups)
 	lastN := levels[len(levels)-1].Necessary
 	rr := resolveEntries(d, groups, lastN, t)
 	rr.PrunedStats = stats
@@ -138,7 +139,7 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 	// on how the caller ordered the survivors (a sharded coordinator and
 	// the single-machine pruner deliver them differently).
 	groups = append([]core.Group(nil), groups...)
-	sortByWeight(groups)
+	core.SortGroupsByWeight(groups)
 	eval := core.BindReps(d, groups, n, nil)
 	adj := make([][]int, ng)
 	core.BlockReps(d, groups, n, nil).ForEachPair(func(i, j int) bool {
@@ -211,30 +212,8 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 		}
 		rr.Entries = append(rr.Entries, Entry{Group: groups[i], Upper: u[i], Resolved: resolved[i]})
 	}
-	sort.Slice(rr.Entries, func(a, b int) bool {
-		if rr.Entries[a].Group.Weight != rr.Entries[b].Group.Weight {
-			return rr.Entries[a].Group.Weight > rr.Entries[b].Group.Weight
-		}
-		return rr.Entries[a].Group.Rep < rr.Entries[b].Group.Rep
-	})
+	slices.SortFunc(rr.Entries, func(a, b Entry) int { return core.CompareGroups(a.Group, b.Group) })
 	return rr
-}
-
-func singletons(d *records.Dataset) []core.Group {
-	groups := make([]core.Group, d.Len())
-	for i, r := range d.Recs {
-		groups[i] = core.Group{Rep: r.ID, Members: []int{r.ID}, Weight: r.Weight}
-	}
-	return groups
-}
-
-func sortByWeight(groups []core.Group) {
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Weight != groups[j].Weight {
-			return groups[i].Weight > groups[j].Weight
-		}
-		return groups[i].Rep < groups[j].Rep
-	})
 }
 
 func pct(n, total int) float64 {

@@ -1,8 +1,6 @@
 package segment
 
 import (
-	"sort"
-
 	"topkdedup/internal/score"
 )
 
@@ -22,6 +20,16 @@ type Ranked struct {
 // the highest-scoring grouping when segment lengths tie (see
 // Engine.finalPhase). TopR remains the paper-faithful construction for
 // unit-weight records.
+//
+// The cells of position i are the r best of dp[j][rank].score +
+// Score(j, i-1) over the band's start positions j, in the total order
+// (score descending, j descending, rank ascending). Each j contributes a
+// row that is already in that order — dp[j] is, and adding one constant
+// to a non-increasing sequence keeps it non-increasing — so the r best
+// are an r-step merge of at most MaxWidth sorted rows: scan the row heads
+// from the highest j down and take a head only when it is strictly
+// better, which resolves score ties to the highest j and, within a row,
+// to the lowest rank.
 func BestR(sc *score.SegmentScorer, r int) []Ranked {
 	n, w := sc.N(), sc.MaxWidth()
 	if n == 0 || r < 1 {
@@ -35,31 +43,34 @@ func BestR(sc *score.SegmentScorer, r int) []Ranked {
 	// dp[i] holds up to r best scores for the first i positions.
 	dp := make([][]cell, n+1)
 	dp[0] = []cell{{score: 0, prevPos: -1}}
+	// Per start position of the band, relative to lo: the segment score,
+	// the row's head rank, and the head's total.
+	segScore := make([]float64, w)
+	head := make([]int, w)
+	headVal := make([]float64, w)
 	for i := 1; i <= n; i++ {
-		var cands []cell
-		lo := i - w
-		if lo < 0 {
-			lo = 0
-		}
+		lo := max(i-w, 0)
+		total := 0
 		for j := lo; j < i; j++ {
 			s := sc.Score(j, i-1)
-			for rank, pe := range dp[j] {
-				cands = append(cands, cell{score: pe.score + s, prevPos: j, prevRank: rank})
+			segScore[j-lo], head[j-lo], headVal[j-lo] = s, 0, dp[j][0].score+s
+			total += len(dp[j])
+		}
+		row := make([]cell, 0, min(r, total))
+		for len(row) < cap(row) {
+			best := -1
+			for j := i - 1; j >= lo; j-- {
+				if head[j-lo] < len(dp[j]) && (best < 0 || headVal[j-lo] > headVal[best-lo]) {
+					best = j
+				}
+			}
+			b := best - lo
+			row = append(row, cell{score: headVal[b], prevPos: best, prevRank: head[b]})
+			if head[b]++; head[b] < len(dp[best]) {
+				headVal[b] = dp[best][head[b]].score + segScore[b]
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].score != cands[b].score {
-				return cands[a].score > cands[b].score
-			}
-			if cands[a].prevPos != cands[b].prevPos {
-				return cands[a].prevPos > cands[b].prevPos
-			}
-			return cands[a].prevRank < cands[b].prevRank
-		})
-		if len(cands) > r {
-			cands = cands[:r]
-		}
-		dp[i] = cands
+		dp[i] = row
 	}
 	out := make([]Ranked, 0, len(dp[n]))
 	for rank := range dp[n] {

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"testing"
 
 	"topkdedup/internal/score"
@@ -10,20 +11,28 @@ import (
 // tables (derived deterministically from the fuzz bytes) and checks its
 // structural contract: no panics, ranked scores non-increasing in rank,
 // every segmentation tiles [0, n) with segments no wider than the band,
-// and rank 1 agreeing with the single-best DP. ci.sh runs a short
-// -fuzztime smoke over the committed corpus.
+// rank 1 agreeing with the single-best DP, and every rank equal — Score
+// and Segs — to the collect-and-sort reference (bestRSort); the
+// /16-quantised scores tie constantly, so the tie order is what the last
+// check exercises. ci.sh runs a short -fuzztime smoke over the committed
+// corpus.
 func FuzzSegmentDP(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 0x10, 0x90, 0x7f})
 	f.Add([]byte{8, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{1, 1, 1, 0xff})
 	f.Add([]byte{12, 12, 5, 0x80, 0x40, 0xc0, 0x20})
+	f.Add([]byte{0, 0, 7, 0x33})                       // n = 1
+	f.Add([]byte{9, 0, 3, 0x10, 0x10, 0xf0})           // maxWidth = 1: one segmentation
+	f.Add([]byte{3, 3, 7, 0x20, 0x20, 0x20, 0x20})     // r = 8 = all 2^(n-1) segmentations
+	f.Add([]byte{2, 1, 6, 0x08, 0xf8})                 // r > candidates
+	f.Add([]byte{13, 5, 7, 0, 0, 0, 0x10, 0, 0, 0x10}) // mostly-zero scores: ties everywhere
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip("need header bytes")
 		}
 		n := 1 + int(data[0])%14
 		maxWidth := 1 + int(data[1])%n
-		r := 1 + int(data[2])%5
+		r := 1 + int(data[2])%8
 		body := data[3:]
 		// Deterministic symmetric pair scores in [-8, +7.9] driven by the
 		// remaining fuzz bytes.
@@ -66,5 +75,6 @@ func FuzzSegmentDP(f *testing.F) {
 		if len(segs) == 0 {
 			t.Fatalf("Best returned no segments for n=%d", n)
 		}
+		requireSameRanked(t, ranked, bestRSort(sc, r), fmt.Sprintf("n=%d w=%d r=%d", n, maxWidth, r))
 	})
 }

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"topkdedup/internal/cluster"
@@ -110,9 +112,8 @@ func HierarchyBestR(dend *cluster.Dendrogram, pf score.PairFunc, r int) []Ranked
 		for _, c := range out[i].Clusters {
 			sort.Ints(c)
 		}
-		sort.Slice(out[i].Clusters, func(x, y int) bool {
-			return out[i].Clusters[x][0] < out[i].Clusters[y][0]
-		})
+		// Clusters are disjoint, so their least members are distinct.
+		slices.SortFunc(out[i].Clusters, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	}
 	return out
 }

@@ -27,8 +27,10 @@ package segment
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"topkdedup/internal/score"
 )
@@ -203,11 +205,15 @@ func topEntries(m map[string]entry, r int) []entry {
 	for _, e := range m {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
+	// Score descending, key ascending: keys are unique, so a total order.
+	slices.SortFunc(out, func(a, b entry) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
 		}
-		return out[i].key < out[j].key
+		return strings.Compare(a.key, b.key)
 	})
 	if len(out) > r {
 		out = out[:r]

@@ -316,6 +316,10 @@ func New(cfg Config) (*Server, error) {
 	// incremental state's inc.delta.* delta-apply counters) into the
 	// server collector so /metrics shows ingest-side work too.
 	acc.SetMetrics(s.metrics)
+	// Query-time pruning runs on the published snapshots, which inherit
+	// these from the accumulator.
+	acc.SetShards(cfg.Engine.Shards)
+	acc.SetPrunePasses(cfg.Engine.PrunePasses)
 	// Enable the approximate tier before WAL recovery runs: replay goes
 	// through acc.Add, so the recovered sketch is byte-identical to the
 	// one an uninterrupted run would hold (no sketch log records).
@@ -796,7 +800,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, status, err := s.rankAnswer(r.Context(), ep, answerKey{kind: 'r', t: t}, func() (*topk.RankResult, error) {
-			return s.queryEngine(ep, false).ThresholdedRank(t)
+			return s.finalEngine(ep, false).ThresholdedRank(t)
 		})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -824,14 +828,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	res, status, err := s.rankAnswer(ctx, ep, answerKey{kind: 'k', k: k}, func() (*topk.RankResult, error) {
-		if len(s.cfg.ShardPeers) > 0 {
-			pd, perr := s.shardedPruned(ctx, ep, k)
-			if perr != nil {
-				return nil, fmt.Errorf("shard peers: %w", perr)
-			}
-			return s.queryEngine(ep, false).TopKRankFrom(pd, k)
+		pd, _, perr := s.pruned(ctx, ep, k, false)
+		if perr != nil {
+			return nil, perr
 		}
-		return s.queryEngine(ep, false).TopKRankCtx(ctx, k)
+		return s.finalEngine(ep, false).TopKRankFrom(pd, k)
 	})
 	root.End()
 	if err != nil {
@@ -872,41 +873,54 @@ func (s *Server) rankAnswer(ctx context.Context, ep *epoch, key answerKey, compu
 }
 
 // computeExact runs the exact TopK pipeline over an epoch — the shared
-// compute step of the /topk miss path and hybrid mode's background
-// refresh. The returned bool marks a shard-peer failure (surfaced as
-// 502 rather than 500).
+// compute step of the /topk miss path, hybrid mode's background refresh
+// and the auditor: the epoch's pruning for K (pruned), then the final
+// phase for (K, R) on a per-query engine. The returned bool marks a
+// shard-peer failure (surfaced as 502 rather than 500).
 func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain bool) (*topk.Result, bool, error) {
+	pd, badGateway, err := s.pruned(ctx, ep, k, explain)
+	if err != nil {
+		return nil, badGateway, err
+	}
+	res, err := s.finalEngine(ep, explain).TopKFromCtx(ctx, pd, k, rr)
+	return res, false, err
+}
+
+// pruned is the server's one way to a pruning result: the epoch
+// snapshot's per-K memo (INCREMENTAL.md — the maintained level-1
+// collapse, the frozen bound-verdict estimator, and at most one run of
+// the K-dependent phases per epoch), or the shard peers in coordinator
+// mode. fresh bypasses the memo so ?explain=1 reports from a full span
+// tree. The result is shared between queries and read-only. The
+// returned bool marks a shard-peer failure.
+func (s *Server) pruned(ctx context.Context, ep *epoch, k int, fresh bool) (*topk.PrunedResult, bool, error) {
 	if len(s.cfg.ShardPeers) > 0 {
 		pd, err := s.shardedPruned(ctx, ep, k)
 		if err != nil {
 			return nil, true, fmt.Errorf("shard peers: %w", err)
 		}
-		res, err := s.queryEngine(ep, explain).TopKFromCtx(ctx, pd, k, rr)
-		return res, false, err
+		return pd, false, nil
 	}
-	res, err := s.queryEngine(ep, explain).TopKCtx(ctx, k, rr)
-	return res, false, err
+	run := ep.snap.TopKCtx
+	if fresh {
+		run = ep.snap.FreshTopKCtx
+	}
+	pd, err := run(ctx, k, s.cfg.Engine.Workers, s.metrics)
+	return pd, false, err
 }
 
-// queryEngine builds the per-query engine over an epoch's frozen
-// dataset. Engines are cheap stateless wrappers; every query gets a
-// fresh one so epochs can be garbage collected as they age out.
-// explain turns on the engine's per-query EXPLAIN report (the
-// ?explain=1 form); the query's spans land in the server's tracer via
-// the traced request context, not via Config.Tracer.
-func (s *Server) queryEngine(ep *epoch, explain bool) *topk.Engine {
+// finalEngine builds the per-query engine over an epoch's frozen
+// dataset, for the phases after pruning (Engine.TopKFromCtx,
+// TopKRankFrom) and the thresholded rank query. Engines are cheap
+// stateless wrappers; every query gets a fresh one so epochs can be
+// garbage collected as they age out. explain turns on the engine's
+// per-query EXPLAIN report (the ?explain=1 form); the query's spans land
+// in the server's tracer via the traced request context, not via
+// Config.Tracer.
+func (s *Server) finalEngine(ep *epoch, explain bool) *topk.Engine {
 	cfg := s.cfg.Engine
 	cfg.Metrics = s.metrics
 	cfg.Explain = explain
-	// Incremental serving (INCREMENTAL.md): seed Algorithm 2 with the
-	// epoch's maintained level-1 collapse and its frozen bound-verdict
-	// estimator, so a query pays only the K-dependent phases plus any
-	// component work not already cached. Byte-identity with the batch
-	// pipeline is pinned by the differential tests; only collapse eval
-	// counters legitimately differ (the maintained collapse amortised
-	// them at ingest).
-	cfg.StartGroups = ep.snap.Groups()
-	cfg.Bound = ep.snap.BoundEstimator()
 	return topk.New(ep.snap.Dataset(), s.cfg.Levels, s.cfg.Scorer, cfg)
 }
 

@@ -86,12 +86,12 @@ func TestSnapshotBoundEstimatorMatchesScratch(t *testing.T) {
 				fmt.Sprintf("%c%03d.v%d", 'a'+e%6, e, rng.Intn(2)))
 		}
 		snap := inc.Snapshot()
-		if snap.BoundEstimator() == nil {
+		if snap.est == nil {
 			t.Fatal("snapshot has no bound estimator")
 		}
 		for _, k := range []int{1, 3, 5} {
-			for pass := 0; pass < 2; pass++ { // cold then warm cache
-				got, err := snap.TopK(k, 1, nil)
+			for pass := 0; pass < 2; pass++ { // cold then warm verdict cache; the per-K memo would hide the second
+				got, err := snap.FreshTopKCtx(context.Background(), k, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +158,9 @@ func TestIncrementalGridMatchesScratch(t *testing.T) {
 			snap := inc.Snapshot()
 			for _, workers := range []int{1, 2, 4} {
 				for _, k := range []int{1, 3, 6} {
-					got, err := snap.TopK(k, workers, nil)
+					// Fresh: the per-K memo would answer every workers
+					// value after the first from the first one's run.
+					got, err := snap.FreshTopKCtx(context.Background(), k, workers, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"topkdedup/internal/core"
@@ -31,17 +32,40 @@ import (
 // shared read-only — nothing in core ever writes to an input group's
 // Members.
 //
+// A snapshot also owns everything on the exact read path that does not
+// depend on the request, each piece computed by the first query that
+// needs it and kept for as long as the snapshot is reachable (in the
+// serving layer: until the next epoch publishes and the last query on
+// this one returns): the level-1 prefix of Algorithm 2 (level1 — the S1
+// collapse of the maintained groups, the weight sort and the N1 blocking
+// index, none of which depend on K) and one pruning result per K
+// (pruned). Everything kept is shared read-only.
+//
 // Taking a snapshot requires the same external synchronisation as every
 // other Incremental method; using a taken Snapshot requires none.
 type Snapshot struct {
-	data   *records.Dataset
-	groups []core.Group
-	levels []predicate.Level
-	est    *inc.Estimator
-	sk     *sketch.View
-	evals  int64
-	shards int
-	taken  time.Time
+	data        *records.Dataset
+	groups      []core.Group
+	levels      []predicate.Level
+	est         *inc.Estimator
+	sk          *sketch.View
+	evals       int64
+	shards      int
+	prunePasses int
+	taken       time.Time
+
+	level1 *core.PreparedLevel
+
+	mu     sync.Mutex
+	pruned map[int]*prunedOnce // by K
+}
+
+// prunedOnce is one K's pruning: computed by the first TopKCtx to ask
+// for it while later ones wait on once, then read by all of them.
+type prunedOnce struct {
+	once sync.Once
+	res  *core.Result
+	err  error
 }
 
 // Snapshot freezes the accumulator's current state. Like every other
@@ -59,22 +83,25 @@ func (inc *Incremental) Snapshot() *Snapshot {
 	if inc.sk != nil {
 		sk = inc.sk.View()
 	}
+	data := &records.Dataset{
+		Name:   inc.data.Name,
+		Schema: inc.data.Schema,
+		// Full slice expression: capacity == length, so the write
+		// side's next append copies to a fresh array instead of
+		// writing past the snapshot's window.
+		Recs: inc.data.Recs[:n:n],
+	}
 	return &Snapshot{
-		data: &records.Dataset{
-			Name:   inc.data.Name,
-			Schema: inc.data.Schema,
-			// Full slice expression: capacity == length, so the write
-			// side's next append copies to a fresh array instead of
-			// writing past the snapshot's window.
-			Recs: inc.data.Recs[:n:n],
-		},
-		groups: groups,
-		levels: inc.levels,
-		est:    inc.st.Estimator(),
-		sk:     sk,
-		evals:  inc.evals,
-		shards: inc.shards,
-		taken:  time.Now(),
+		data:        data,
+		groups:      groups,
+		levels:      inc.levels,
+		est:         inc.st.Estimator(),
+		sk:          sk,
+		evals:       inc.evals,
+		shards:      inc.shards,
+		prunePasses: inc.prunePasses,
+		taken:       time.Now(),
+		level1:      core.PrepareLevel(data, groups, inc.levels[0]),
 	}
 }
 
@@ -93,8 +120,7 @@ func (s *Snapshot) Taken() time.Time { return s.taken }
 func (s *Snapshot) Evals() int64 { return s.evals }
 
 // Groups returns the frozen level-1 collapse as a fresh top-level slice
-// per call, so each caller may hand it to core.PrunedDedupFromCtx (which
-// sorts and merges the slice in place) without affecting other readers.
+// per call, so a caller may reorder it without affecting other readers.
 // The Group values — including their Members slices — are shared and
 // must be treated as read-only.
 func (s *Snapshot) Groups() []core.Group {
@@ -114,7 +140,29 @@ func (s *Snapshot) TopK(k, workers int, sink obs.Sink) (*core.Result, error) {
 
 // TopKCtx is TopK under a context: with a traced ctx a stream.topk
 // child span wraps the query and the pruning phases record beneath it.
+//
+// The pruning of one K is computed once per snapshot: the first call
+// runs it (workers, sink and the trace are that call's) and concurrent
+// or later calls for the same K wait for and return the same result —
+// their stream.topk span carries reused=1 and no core.* children, and
+// sink counts stream.topk.reused. Results do not depend on workers, so
+// K alone keys the memo. The returned Result is shared: treat it, and
+// everything reachable from it, as read-only. An error is returned to
+// the calls that waited on it and then forgotten, so the next call
+// computes again.
 func (s *Snapshot) TopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
+	return s.topK(ctx, k, workers, sink, true)
+}
+
+// FreshTopKCtx is TopKCtx without the per-K memo: it always runs the
+// K-dependent phases, neither reading nor filling the memo, so a traced
+// ctx gets the full core.* span tree — what ?explain=1 reports from.
+// Level 1's collapse and blocking are still the snapshot's own.
+func (s *Snapshot) FreshTopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
+	return s.topK(ctx, k, workers, sink, false)
+}
+
+func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo bool) (*core.Result, error) {
 	if s.data.Len() == 0 {
 		return &core.Result{}, nil
 	}
@@ -122,13 +170,49 @@ func (s *Snapshot) TopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (
 	defer sp.End()
 	ctx, tsp := obs.StartChild(ctx, "stream.topk")
 	defer tsp.End()
+	if !memo {
+		return s.prune(ctx, k, workers, sink)
+	}
+	s.mu.Lock()
+	ent := s.pruned[k]
+	if ent == nil {
+		if s.pruned == nil {
+			s.pruned = make(map[int]*prunedOnce)
+		}
+		ent = &prunedOnce{}
+		s.pruned[k] = ent
+	}
+	s.mu.Unlock()
+	reused := true
+	ent.once.Do(func() {
+		reused = false
+		ent.res, ent.err = s.prune(ctx, k, workers, sink)
+		if ent.err != nil {
+			s.mu.Lock()
+			if s.pruned[k] == ent {
+				delete(s.pruned, k)
+			}
+			s.mu.Unlock()
+		}
+	})
+	if reused {
+		tsp.Attr("reused", 1)
+		obs.Count(sink, "stream.topk.reused", 1)
+	}
+	return ent.res, ent.err
+}
+
+// prune runs the pruning phases of one query over the frozen state.
+func (s *Snapshot) prune(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
 	if s.shards > 1 {
 		res, _, err := shard.RunCtx(ctx, s.data, s.Groups(), s.levels, shard.Options{
-			K: k, Shards: s.shards, Workers: workers, Sink: sink,
+			K: k, Shards: s.shards, PrunePasses: s.prunePasses, Workers: workers, Sink: sink,
 		})
 		return res, err
 	}
-	return core.PrunedDedupFromCtx(ctx, s.data, s.Groups(), s.levels, core.Options{K: k, Workers: workers, Sink: sink, Bound: s.est})
+	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, core.Options{
+		K: k, PrunePasses: s.prunePasses, Workers: workers, Sink: sink, Bound: s.est,
+	})
 }
 
 // SketchView returns the frozen approximate-tier sketch, or nil when
@@ -136,10 +220,3 @@ func (s *Snapshot) TopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (
 // The serving layer answers mode=approx /topk queries from it without
 // touching the exact pipeline.
 func (s *Snapshot) SketchView() *sketch.View { return s.sk }
-
-// BoundEstimator returns the snapshot's frozen verdict-replaying
-// lower-bound estimator (see internal/inc): byte-identical to the
-// from-scratch §4.2 scan but reusing cached greedy-independence
-// verdicts for canopy components untouched since earlier queries. The
-// serving layer injects it into its per-epoch engine alongside Groups.
-func (s *Snapshot) BoundEstimator() *inc.Estimator { return s.est }

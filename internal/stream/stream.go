@@ -53,6 +53,9 @@ type Incremental struct {
 	// shards routes query-time pruning through the sharded coordinator
 	// when > 1 (see SetShards).
 	shards int
+	// prunePasses is the exact refinement pass count of query-time
+	// pruning (see SetPrunePasses).
+	prunePasses int
 	// sink receives the stream.* metrics and the query-time core.*
 	// metrics (see SetMetrics).
 	sink obs.Sink
@@ -157,6 +160,12 @@ func (inc *Incremental) SetWorkers(workers int) { inc.workers = workers }
 // taken after the call inherit the setting.
 func (inc *Incremental) SetShards(shards int) { inc.shards = shards }
 
+// SetPrunePasses sets the number of exact upper-bound refinement passes
+// query-time pruning runs (core.Options.PrunePasses; <= 0 — the default
+// — is the paper's 2). Snapshots taken after the call inherit the
+// setting, like SetShards.
+func (inc *Incremental) SetPrunePasses(passes int) { inc.prunePasses = passes }
+
 // SetMetrics attaches an observability sink: each Add emits the
 // stream.add.records and stream.add.evals counters, each Groups emits
 // the inc.delta.* delta-apply metrics, and each TopK emits a
@@ -246,9 +255,11 @@ func (inc *Incremental) TopKCtx(ctx context.Context, k int) (*core.Result, error
 	defer tsp.End()
 	if inc.shards > 1 {
 		res, _, err := shard.RunCtx(ctx, inc.data, inc.Groups(), inc.levels, shard.Options{
-			K: k, Shards: inc.shards, Workers: inc.workers, Sink: inc.sink,
+			K: k, Shards: inc.shards, PrunePasses: inc.prunePasses, Workers: inc.workers, Sink: inc.sink,
 		})
 		return res, err
 	}
-	return core.PrunedDedupFromCtx(ctx, inc.data, inc.Groups(), inc.levels, core.Options{K: k, Workers: inc.workers, Sink: inc.sink})
+	return core.PrunedDedupFromCtx(ctx, inc.data, inc.Groups(), inc.levels, core.Options{
+		K: k, PrunePasses: inc.prunePasses, Workers: inc.workers, Sink: inc.sink,
+	})
 }
