@@ -91,6 +91,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int
 if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core/groups.go; then exit 1; fi
 if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'StartGroups' .; then exit 1; fi
 
+# One §4.2 bound scan: the consume loop (controller, block events) lives
+# in one non-test file — core.ReplayBound, which the single-machine scan
+# and the sharded coordinator both run — and the estimator seam a second
+# loop once plugged into does not come back under that name.
+for pat in 'NewPrefixController(' '"bound.block"'; do
+    n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=graph --exclude-dir=obs --exclude-dir=.bench_build "$pat" . | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "$pat appears in $n non-test files outside internal/graph and internal/obs, want 1" >&2
+        exit 1
+    fi
+done
+if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'BoundEstimator' .; then exit 1; fi
+
 go build ./...
 go test -race ./...
 

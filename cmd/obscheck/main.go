@@ -23,8 +23,8 @@
 //   - StartSpan / ObserveSince / ObserveDuration emit "<name>.seconds"
 //     (the obs duration convention);
 //   - StartChild / StartTrace / Event, and the repo's thin wrappers
-//     traceCtx / shardSpan / workerSpan / startQuerySpan, emit trace
-//     span (or span event) names.
+//     traceCtx / shardSpan / workerSpan / startQuerySpan / ReplayBound,
+//     emit trace span (or span event) names.
 //
 // The first string-shaped argument that looks like a dotted lower-case
 // name is taken; concatenation with a non-literal part becomes a `*`
@@ -91,6 +91,7 @@ var metricEmitters = map[string]string{
 	"shardSpan":       "",
 	"workerSpan":      "",
 	"startQuerySpan":  "",
+	"ReplayBound":     "",
 }
 
 // opsPrefixes are the registry prefixes the ops-health surface depends

@@ -360,23 +360,6 @@ func TestPrunedDedupEarlyExit(t *testing.T) {
 	}
 }
 
-func TestSurvivorDataset(t *testing.T) {
-	d := genDataset(5, 6, 8)
-	res, err := PrunedDedup(d, toyLevels(), Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, groupOf := res.SurvivorDataset(d)
-	if sub.Len() != len(res.Groups) || len(groupOf) != len(res.Groups) {
-		t.Fatalf("survivor dataset size mismatch")
-	}
-	for i, g := range res.Groups {
-		if sub.Recs[i].Field("name") != d.Recs[g.Rep].Field("name") {
-			t.Errorf("survivor %d is not the group representative", i)
-		}
-	}
-}
-
 func TestMultiLevelTightens(t *testing.T) {
 	// Level 2 with a tighter necessary predicate (first two chars) should
 	// not prune less than level 1 alone.

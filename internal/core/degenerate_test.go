@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"topkdedup/internal/records"
@@ -87,7 +88,7 @@ func TestBoundAndPruneSingletonOnlyShard(t *testing.T) {
 
 func TestPrunerPassesMatchWrapper(t *testing.T) {
 	// Driving the stateful Pruner pass-by-pass (as the shard coordinator
-	// does) must reproduce PruneWorkers exactly when the stop rule is
+	// does) must reproduce Prune exactly when the stop rule is
 	// the same.
 	d := genDataset(7, 40, 6)
 	groups := SingletonGroups(d)
@@ -96,12 +97,12 @@ func TestPrunerPassesMatchWrapper(t *testing.T) {
 	if m <= 0 {
 		t.Skip("toy dataset produced no usable bound")
 	}
-	want, wantEvals := PruneWorkers(d, groups, toyN(), m, 2, 1)
+	want, wantEvals := Prune(d, groups, toyN(), m, 2)
 
 	p := NewPruner(d, groups, toyN(), m, 1, nil)
 	var evals int64
 	for pass := 0; pass < 2; pass++ {
-		pruned, pe := p.Pass()
+		pruned, pe, _ := p.PassCtx(context.Background())
 		evals += pe
 		if pruned == 0 {
 			break

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -43,12 +44,12 @@ func TestEstimateLowerBoundWorkersDeterministic(t *testing.T) {
 	groups, _ := Collapse(d, singletonGroups(d), toyS())
 	sortGroupsByWeight(groups)
 	for _, k := range []int{1, 3, 8} {
-		refM, refLower, refEvals := EstimateLowerBoundWorkers(d, groups, toyN(), k, 1)
+		refM, refLower, refEvals, refHits := EstimateLowerBoundCtx(context.Background(), d, groups, toyN(), k, 1)
 		for _, w := range workerCounts()[1:] {
-			m, lower, evals := EstimateLowerBoundWorkers(d, groups, toyN(), k, w)
-			if m != refM || lower != refLower || evals != refEvals {
-				t.Errorf("k=%d workers=%d: (m=%d M=%v evals=%d) != serial (m=%d M=%v evals=%d)",
-					k, w, m, lower, evals, refM, refLower, refEvals)
+			m, lower, evals, hits := EstimateLowerBoundCtx(context.Background(), d, groups, toyN(), k, w)
+			if m != refM || lower != refLower || evals != refEvals || hits != refHits {
+				t.Errorf("k=%d workers=%d: (m=%d M=%v evals=%d hits=%d) != serial (m=%d M=%v evals=%d hits=%d)",
+					k, w, m, lower, evals, hits, refM, refLower, refEvals, refHits)
 			}
 		}
 	}
@@ -65,9 +66,9 @@ func TestPruneWorkersDeterministic(t *testing.T) {
 		if m == 0 {
 			continue
 		}
-		refAlive, refEvals := PruneWorkers(d, groups, toyN(), m, 2, 1)
+		refAlive, refEvals := Prune(d, groups, toyN(), m, 2)
 		for _, w := range workerCounts()[1:] {
-			alive, evals := PruneWorkers(d, groups, toyN(), m, 2, w)
+			alive, evals, _ := PruneCtx(context.Background(), d, groups, toyN(), m, 2, w, nil)
 			if evals != refEvals {
 				t.Errorf("k=%d workers=%d: evals %d != serial %d", k, w, evals, refEvals)
 			}

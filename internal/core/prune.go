@@ -32,30 +32,25 @@ import (
 // input is returned unchanged. Pruning keeps ties (bound == M) alive so
 // answers tying with the K-th group are not lost.
 //
-// Serial entry point: PruneWorkers with one worker.
+// Serial entry point: PruneCtx with one worker, no trace and no sink.
 func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes int) (alive []Group, evals int64) {
-	return PruneWorkers(d, groups, n, m, passes, 1)
-}
-
-// PruneWorkers is Prune with the exact refinement passes spread over a
-// worker pool (workers <= 0 means all CPUs, 1 is serial). Each exact
-// pass is a Jacobi update — every group's new bound reads only the
-// previous pass's bounds and liveness, so the per-group computations are
-// independent and the survivor set, bounds, and eval counter are
-// identical for every worker count. n.Eval must be safe for concurrent
-// use when workers != 1.
-func PruneWorkers(d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int) (alive []Group, evals int64) {
-	alive, evals, _ = PruneCtx(context.Background(), d, groups, n, m, passes, workers, nil)
+	alive, evals, _ = PruneCtx(context.Background(), d, groups, n, m, passes, 1, nil)
 	return alive, evals
 }
 
-// PruneCtx is PruneWorkers under a context, with an optional
-// observability sink: it additionally returns the necessary-predicate
-// hit count (confirmed neighbours across all passes) and, when ctx
-// carries a trace span, wraps the phase in a "core.prune" child span
-// (with one "core.prune.pass" span per Jacobi round) annotated with the
-// counts the EXPLAIN report renders. An untraced context costs one nil
-// check.
+// PruneCtx is Prune with the exact refinement passes spread over a
+// worker pool (workers <= 0 means all CPUs, 1 is serial), under a
+// context and with an optional observability sink. Each exact pass is a
+// Jacobi update — every group's new bound reads only the previous pass's
+// bounds and liveness, so the per-group computations are independent and
+// the survivor set, bounds, and eval counter are identical for every
+// worker count. n.Eval must be safe for concurrent use when workers != 1.
+//
+// It additionally returns the necessary-predicate hit count (confirmed
+// neighbours across all passes) and, when ctx carries a trace span,
+// wraps the phase in a "core.prune" child span (with one
+// "core.prune.pass" span per Jacobi round) annotated with the counts the
+// EXPLAIN report renders. An untraced context costs one nil check.
 //
 // When sink is non-nil it receives the evaluation-free stage-0 kill
 // count (core.prune.stage0.pruned) and, for each exact refinement pass,
@@ -67,7 +62,7 @@ func PruneWorkers(d *records.Dataset, groups []Group, n predicate.P, m float64, 
 // or without it, at every worker count.
 //
 // Internally this drives a Pruner: construction runs the evaluation-free
-// cascades, then one Pass per exact refinement round until a pass kills
+// cascades, then one PassCtx per exact refinement round until a pass kills
 // nothing. The sharded coordinator drives the same Pruner pass-by-pass
 // across shards so the stop decision ("no group died anywhere") is taken
 // globally, which is what keeps sharded survivors byte-identical to this
@@ -109,11 +104,11 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 }
 
 // Pruner is the stateful form of the §4.3 prune step. NewPruner runs the
-// evaluation-free stage-0 cascades; each Pass then performs one exact
+// evaluation-free stage-0 cascades; each PassCtx then performs one exact
 // Jacobi refinement round, and Alive returns the surviving groups in
 // their input order. PruneCtx composes these into the
 // single-machine loop (pass until nothing dies, capped at the configured
-// pass count); the sharded coordinator instead interleaves Pass calls
+// pass count); the sharded coordinator instead interleaves PassCtx calls
 // across shards, because a pass with no local kills does not mean the
 // global fixpoint is reached — a later global pass can tighten a
 // neighbour's bound on another shard and come back to kill here. A
@@ -321,13 +316,17 @@ func (p *Pruner) Alive() []Group {
 	return alive
 }
 
-// Pass runs one exact refinement pass with the previous pass's bounds
+// PassCtx runs one exact refinement pass with the previous pass's bounds
 // (a Jacobi update over both bounds and liveness — the pass reads the
 // stored bounds and liveness as frozen snapshots and publishes new ones,
 // so the per-group computations are independent and the pass
-// parallelises). It returns how many groups the pass killed and how many
-// candidate pairs it evaluated; when the Pruner was built with a sink,
-// the pass also emits core.prune.pass.{evals,pruned,seconds}.
+// parallelises). It returns how many groups the pass killed, how many
+// candidate pairs it evaluated and how many of those were confirmed
+// neighbours; when the Pruner was built with a sink, the pass also emits
+// core.prune.pass.{evals,pruned,seconds}, and when ctx carries a trace
+// span it is wrapped in a "core.prune.pass" child span annotated with
+// the round number and its eval/hit/pruned counts (an untraced context
+// costs one nil check).
 //
 // Two observations keep the necessary-predicate join far below a full
 // canopy enumeration:
@@ -341,16 +340,6 @@ func (p *Pruner) Alive() []Group {
 //
 // Early-stopped bounds are stored as exactly M ("at least M"), which
 // keeps both comparisons truthful.
-func (p *Pruner) Pass() (pruned int, evals int64) {
-	pruned, evals, _ = p.PassCtx(context.Background())
-	return pruned, evals
-}
-
-// PassCtx is Pass under a context: it additionally returns the pass's
-// confirmed-neighbour hit count and, when ctx carries a trace span,
-// wraps the pass in a "core.prune.pass" child span annotated with the
-// round number and its eval/hit/pruned counts. An untraced context
-// costs one nil check.
 func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	p.passNum++
 	ctx, sp := obs.StartChild(ctx, "core.prune.pass")

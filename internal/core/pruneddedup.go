@@ -31,26 +31,6 @@ type Options struct {
 	// observational only: results are byte-identical with or without a
 	// sink, at every Workers count. nil (the default) is free.
 	Sink obs.Sink
-	// Bound, when non-nil, replaces the built-in EstimateLowerBoundCtx
-	// call for the lower-bound phase of every level. The incremental
-	// serving layer injects a verdict-replaying estimator here
-	// (internal/inc) so unchanged canopy components skip re-evaluating
-	// the necessary predicate; the estimator must reproduce
-	// EstimateLowerBoundCtx byte for byte — results, counters, and trace
-	// events (see INCREMENTAL.md). nil runs the from-scratch scan.
-	Bound BoundEstimator
-}
-
-// BoundEstimator is the pluggable lower-bound phase of Algorithm 2 (see
-// Options.Bound). level is 1-based; implementations that only accelerate
-// some levels delegate the rest to EstimateLowerBoundCtx. The contract
-// is byte identity with EstimateLowerBoundCtx on the same inputs: the
-// same (m, lower, evals, hits), the same "core.bound" span attributes,
-// and the same "bound.block" event cadence.
-type BoundEstimator interface {
-	// EstimateLowerBound mirrors EstimateLowerBoundCtx with the level
-	// index and the metrics sink added.
-	EstimateLowerBound(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, level, k, workers int, sink obs.Sink) (m int, lower float64, evals, hits int64)
 }
 
 // PrunedDedup runs Algorithm 2 of the paper over the dataset: for each
@@ -205,11 +185,7 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 
 		start = time.Now()
 		var m float64
-		if opts.Bound != nil {
-			stats.MRank, m, stats.BoundEvals, _ = opts.Bound.EstimateLowerBound(ctxL, d, groups, level.Necessary, li+1, opts.K, opts.Workers, sink)
-		} else {
-			stats.MRank, m, stats.BoundEvals, _ = EstimateLowerBoundCtx(ctxL, d, groups, level.Necessary, opts.K, opts.Workers)
-		}
+		stats.MRank, m, stats.BoundEvals, _ = EstimateLowerBoundCtx(ctxL, d, groups, level.Necessary, opts.K, opts.Workers)
 		stats.BoundTime = time.Since(start)
 		stats.LowerBound = m
 		obs.ObserveDuration(sink, "core.bound", stats.BoundTime)
@@ -242,20 +218,4 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 		}
 	}
 	return res, nil
-}
-
-// SurvivorDataset extracts the surviving groups' representative records as
-// a fresh dataset for downstream scoring, returning also the mapping from
-// new record IDs back to group indices in res.Groups.
-func (res *Result) SurvivorDataset(d *records.Dataset) (*records.Dataset, []int) {
-	ids := make([]int, len(res.Groups))
-	for i, g := range res.Groups {
-		ids[i] = g.Rep
-	}
-	sub := d.Subset(ids)
-	groupOf := make([]int, len(res.Groups))
-	for i := range groupOf {
-		groupOf[i] = i
-	}
-	return sub, groupOf
 }

@@ -1,6 +1,7 @@
 package domains
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -163,11 +164,12 @@ func TestAddressPruneParallel(t *testing.T) {
 		level := Addresses(BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress), AddressOptions{}).Levels[0]
 		groups, _ := core.CollapseWorkers(d, core.SingletonGroups(d), level.Sufficient, workers)
 		core.SortGroupsByWeight(groups)
-		_, m, _ := core.EstimateLowerBoundWorkers(d, groups, level.Necessary, 10, workers)
+		_, m, _, _ := core.EstimateLowerBoundCtx(context.Background(), d, groups, level.Necessary, 10, workers)
 		if m <= 0 {
 			t.Fatalf("workers=%d: no lower bound established, prune would not run", workers)
 		}
-		return core.PruneWorkers(d, groups, level.Necessary, m, 2, workers)
+		alive, evals, _ := core.PruneCtx(context.Background(), d, groups, level.Necessary, m, 2, workers, nil)
+		return alive, evals
 	}
 	serial, serialEvals := run(1)
 	parallel, parallelEvals := run(4)

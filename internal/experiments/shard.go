@@ -37,19 +37,19 @@ type ShardRow struct {
 	// TransportCalls counts coordinator→shard calls.
 	TransportCalls int64 `json:"transport_calls"`
 	// Match reports byte-identity with the single-machine run (modulo
-	// eval counters and wall times).
+	// collapse and prune eval counters and wall times).
 	Match bool `json:"match"`
 	// Levels is the coordinator's per-level exchange log.
 	Levels []shard.LevelExchange `json:"levels,omitempty"`
 }
 
-// shardCanon serialises a result with the shard-local stats fields (eval
-// counters, wall times) zeroed — everything else is the byte-identity
-// contract.
+// shardCanon serialises a result with the shard-local stats fields
+// (collapse and prune eval counters, wall times) zeroed — everything
+// else is the byte-identity contract.
 func shardCanon(res *core.Result) (string, error) {
 	stats := append([]core.LevelStats(nil), res.Stats...)
 	for i := range stats {
-		stats[i].CollapseEvals, stats[i].BoundEvals, stats[i].PruneEvals = 0, 0, 0
+		stats[i].CollapseEvals, stats[i].PruneEvals = 0, 0
 		stats[i].CollapseTime, stats[i].BoundTime, stats[i].PruneTime = 0, 0, 0
 	}
 	canon := *res

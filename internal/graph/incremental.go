@@ -1,12 +1,12 @@
 package graph
 
-// PrefixCPN incrementally grows a graph one vertex at a time (each new
-// vertex arrives with its edges to earlier vertices) and finds the
+// This file is the "incremental version" of Algorithm 1 the paper
+// alludes to in §4.2.1: grow a graph one vertex at a time (each new
+// vertex arrives with its edges to earlier vertices) and find the
 // smallest prefix length m such that the CPN lower bound of the induced
-// prefix graph reaches a target K. This is the "incremental version" of
-// Algorithm 1 the paper alludes to in §4.2.1: PrunedDedup feeds in
-// collapsed groups in decreasing size order and stops as soon as K
-// distinct entities are guaranteed.
+// prefix graph reaches a target K. PrunedDedup feeds in collapsed groups
+// in decreasing size order and stops as soon as K distinct entities are
+// guaranteed.
 //
 // Two bounds are combined:
 //
@@ -20,50 +20,16 @@ package graph
 // Both are true lower bounds on the clique partition number, so whichever
 // fires first yields a correct (merely possibly non-minimal) m.
 //
-// Internally PrefixCPN is the composition of two halves that the sharded
-// pipeline (internal/shard) also uses separately: a LocalPrefix holds the
-// graph plus the greedy independent set, and a PrefixController makes the
-// stop/stall/full-check decisions from the per-vertex verdicts alone. The
-// split is what makes cross-shard bound estimation exact: both bounds
+// The machinery comes in two halves: a LocalPrefix holds the graph plus
+// the greedy independent set, and a PrefixController makes the
+// stop/stall/full-check decisions from the per-vertex verdicts alone
+// (core.ReplayBound is the one place that puts them together). The split
+// is what makes cross-shard bound estimation exact: both bounds
 // decompose over vertex-disjoint components (a vertex joins the greedy
 // set based only on its own neighbours; Min-fill elimination never
-// crosses a connected component), so a coordinator can drive one
-// PrefixController with verdicts produced by per-shard LocalPrefix
-// instances and obtain the same trajectory as a single-machine run.
-type PrefixCPN struct {
-	lp *LocalPrefix
-	pc *PrefixController
-}
-
-// NewPrefixCPN returns an estimator for the given target K (must be >= 1).
-func NewPrefixCPN(target int) *PrefixCPN {
-	return &PrefixCPN{lp: NewLocalPrefix(), pc: NewPrefixController(target)}
-}
-
-// Len returns the number of vertices added so far.
-func (p *PrefixCPN) Len() int { return p.lp.Len() }
-
-// Reached reports whether some prefix has hit the target.
-func (p *PrefixCPN) Reached() bool { return p.pc.Reached() }
-
-// ReachedAt returns the smallest prefix length known to reach the target,
-// or -1 when the target has not been reached.
-func (p *PrefixCPN) ReachedAt() int { return p.pc.ReachedAt() }
-
-// Add inserts the next vertex together with its edges to earlier vertices
-// (indices < current Len) and reports whether the target is now reached.
-// Adding after the target is reached is allowed but does no further work.
-func (p *PrefixCPN) Add(neighbors []int) bool {
-	independent := p.lp.Add(neighbors)
-	if p.pc.Reached() {
-		return true
-	}
-	return p.pc.Feed(independent, p.lp.CPNAt)
-}
-
-// Finish runs a final strong check; call it when no more vertices remain.
-// It reports whether the target was reached.
-func (p *PrefixCPN) Finish() bool { return p.pc.Finish(p.lp.CPNAt) }
+// crosses a connected component), so one PrefixController fed verdicts
+// from per-shard LocalPrefix instances follows the same trajectory as
+// one fed from a single LocalPrefix over the whole graph.
 
 // LocalPrefix is the graph half of the incremental prefix-CPN machinery:
 // a prefix graph grown one vertex at a time plus the greedy independent
@@ -84,9 +50,6 @@ type LocalPrefix struct {
 
 // NewLocalPrefix returns an empty prefix graph.
 func NewLocalPrefix() *LocalPrefix { return &LocalPrefix{g: New(0)} }
-
-// Len returns the number of vertices added so far.
-func (lp *LocalPrefix) Len() int { return lp.g.Len() }
 
 // Add inserts the next vertex together with its edges to earlier vertices
 // (indices < current Len; out-of-range entries are ignored) and reports
@@ -129,7 +92,7 @@ func (lp *LocalPrefix) CPNAt(prefix int) int {
 // the cheap greedy bound has stalled for a while. It never touches the
 // graph itself, which is what lets the sharded coordinator replay
 // verdicts gathered from remote LocalPrefix instances through the exact
-// control flow a single-machine PrefixCPN would follow.
+// control flow a single-machine scan follows.
 type PrefixController struct {
 	target    int
 	n         int // verdicts consumed so far = current prefix length
@@ -147,12 +110,6 @@ func NewPrefixController(target int) *PrefixController {
 	}
 	return &PrefixController{target: target, interval: 8 + target/4, reachedAt: -1}
 }
-
-// Len returns the number of verdicts consumed so far.
-func (pc *PrefixController) Len() int { return pc.n }
-
-// Reached reports whether some prefix has hit the target.
-func (pc *PrefixController) Reached() bool { return pc.reachedAt >= 0 }
 
 // ReachedAt returns the smallest prefix length known to reach the target,
 // or -1 when the target has not been reached.

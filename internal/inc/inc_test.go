@@ -1,7 +1,6 @@
 package inc
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -176,89 +175,3 @@ func (f *fakeSink) Count(name string, delta int64) {
 func (f *fakeSink) Gauge(string, float64)   {}
 func (f *fakeSink) Observe(string, float64) {}
 func (f *fakeSink) reset()                  { f.counts = nil }
-
-// TestEstimatorMatchesScratchBound interleaves ingest with lower-bound
-// queries at several K and checks the cached replay returns exactly what
-// core.EstimateLowerBoundCtx computes from scratch — m, lower, evals,
-// hits — on the first query (cold cache), on a repeat (warm cache), and
-// after further ingest invalidates part of the cache.
-func TestEstimatorMatchesScratchBound(t *testing.T) {
-	n := toyLevels()[0].Necessary
-	for trial := 0; trial < 8; trial++ {
-		rng := rand.New(rand.NewSource(int64(900 + trial)))
-		h := newHarness()
-		entities := 10 + rng.Intn(60)
-		for batch := 0; batch < 6; batch++ {
-			for i := 0; i < 5+rng.Intn(20); i++ {
-				h.add(float64(rng.Intn(30))+rng.Float64(), randomName(rng, entities))
-			}
-			groups := h.st.Groups(h.uf.Find)
-			est := h.st.Estimator()
-			for _, k := range []int{1, 2, 3, 5, 8} {
-				for pass := 0; pass < 2; pass++ { // cold then warm
-					gm, gl, ge, gh := est.EstimateLowerBound(context.Background(), h.data, groups, n, 1, k, 1, nil)
-					wm, wl, we, wh := core.EstimateLowerBoundCtx(context.Background(), h.data, append([]core.Group(nil), groups...), n, k, 1)
-					if gm != wm || gl != wl || ge != we || gh != wh {
-						t.Fatalf("trial %d batch %d k=%d pass=%d: replay (m=%d M=%v evals=%d hits=%d) != scratch (m=%d M=%v evals=%d hits=%d)",
-							trial, batch, k, pass, gm, gl, ge, gh, wm, wl, we, wh)
-					}
-				}
-			}
-			if h.st.bound.Entries() == 0 && len(groups) > 0 {
-				t.Fatalf("trial %d batch %d: no bound-cache entries retained", trial, batch)
-			}
-		}
-	}
-}
-
-// TestEstimatorDeeperLevelDelegates checks level != 1 falls through to
-// the from-scratch scan unchanged.
-func TestEstimatorDeeperLevelDelegates(t *testing.T) {
-	h := newHarness()
-	for i := 0; i < 20; i++ {
-		h.add(float64(i)+1, fmt.Sprintf("%c%03d", 'a'+i%3, i%6))
-	}
-	groups := h.st.Groups(h.uf.Find)
-	n := toyLevels()[0].Necessary
-	est := h.st.Estimator()
-	gm, gl, ge, gh := est.EstimateLowerBound(context.Background(), h.data, groups, n, 2, 3, 1, nil)
-	wm, wl, we, wh := core.EstimateLowerBoundCtx(context.Background(), h.data, groups, n, 3, 1)
-	if gm != wm || gl != wl || ge != we || gh != wh {
-		t.Fatal("level-2 delegation diverged from EstimateLowerBoundCtx")
-	}
-	if h.st.bound.Entries() != 0 {
-		t.Fatal("level-2 delegation populated the level-1 cache")
-	}
-}
-
-// TestEstimatorStaleSnapshot takes an estimator, ingests records that
-// merge components in the live state, and checks the stale snapshot
-// still answers byte-identically over its own (old) group list.
-func TestEstimatorStaleSnapshot(t *testing.T) {
-	n := toyLevels()[0].Necessary
-	h := newHarness()
-	for i := 0; i < 40; i++ {
-		h.add(float64(i%9)+1, fmt.Sprintf("%c%03d", 'a'+i%6, i%12))
-	}
-	oldGroups := h.st.Groups(h.uf.Find)
-	oldEst := h.st.Estimator()
-	// Ingest more, query the new epoch (rebuilds cache entries under
-	// possibly reused roots), then re-query the old snapshot.
-	for i := 0; i < 25; i++ {
-		h.add(float64(i%5)+2, fmt.Sprintf("%c%03d", 'a'+i%6, i%15))
-	}
-	newGroups := h.st.Groups(h.uf.Find)
-	newEst := h.st.Estimator()
-	for _, k := range []int{1, 3, 6} {
-		gm, gl, ge, gh := newEst.EstimateLowerBound(context.Background(), h.data, newGroups, n, 1, k, 1, nil)
-		wm, wl, we, wh := core.EstimateLowerBoundCtx(context.Background(), h.data, newGroups, n, k, 1)
-		if gm != wm || gl != wl || ge != we || gh != wh {
-			t.Fatalf("new epoch k=%d: replay diverged", k)
-		}
-		gm, gl, ge, gh = oldEst.EstimateLowerBound(context.Background(), h.data, oldGroups, n, 1, k, 1, nil)
-		wm, wl, we, wh = core.EstimateLowerBoundCtx(context.Background(), h.data, oldGroups, n, k, 1)
-		if gm != wm || gl != wl || ge != we || gh != wh {
-			t.Fatalf("stale snapshot k=%d: replay diverged", k)
-		}
-	}
-}

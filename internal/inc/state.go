@@ -1,19 +1,15 @@
 // Package inc maintains persistent deduplication state across epoch
-// publishes: a canopy union-find over every record ever ingested, the
-// level-1 sufficient collapse per canopy component, and a cache of §4.2
-// lower-bound scan verdicts per component. Ingest marks the components a
-// new record touches dirty; Groups rebuilds only those and reuses every
-// untouched component's collapsed groups verbatim, and the bound cache
-// replays retained greedy-independence verdicts through a fresh
-// graph.PrefixController so served queries skip re-evaluating the
-// necessary predicate on unchanged components (see INCREMENTAL.md).
+// publishes: a canopy union-find over every record ever ingested and the
+// level-1 sufficient collapse per canopy component. Ingest marks the
+// components a new record touches dirty; Groups rebuilds only those and
+// reuses every untouched component's collapsed groups verbatim (see
+// INCREMENTAL.md).
 //
-// The contract throughout is byte identity: Groups returns exactly what
-// a from-scratch sweep over the accumulated records would, and Estimator
-// reproduces core.EstimateLowerBoundCtx's results, counters, and trace
-// events bit for bit. Only collapse-phase eval counters may differ from
-// the batch pipeline — those depend on global evaluation interleaving,
-// not on the answer (INCREMENTAL.md §5).
+// The contract is byte identity: Groups returns exactly what a
+// from-scratch sweep over the accumulated records would. Only
+// collapse-phase eval counters may differ from the batch pipeline —
+// those depend on global evaluation interleaving, not on the answer
+// (INCREMENTAL.md §5).
 package inc
 
 import (
@@ -38,22 +34,16 @@ type component struct {
 
 // State is the persistent incremental dedup state. It is not safe for
 // concurrent use — the owning accumulator serialises Observe and Groups
-// (stream.Incremental calls them under the server's ingest lock); the
-// BoundCache it feeds is internally locked because served queries hit it
-// concurrently.
+// (stream.Incremental calls them under the server's ingest lock).
 //
 // Canopy components are connected components over the level-1 sufficient
 // AND necessary blocking keys. Deeper levels never consult this state
 // (they run from scratch on the tiny survivor sets), so coarsening the
 // canopy with their keys would shrink reuse without buying correctness.
-// Two invariants follow from the keyspace choice:
-//
-//   - every sufficient-collapse union stays inside one component
-//     (predicate.P.Keys completeness: Eval true implies a shared key),
-//     so dirty tracking by component is complete for Groups; and
-//   - no necessary-predicate candidate pair crosses components, so the
-//     bound phase decomposes exactly per component (the same canopy
-//     theorem the sharded coordinator relies on).
+// The invariant that follows from the keyspace choice: every
+// sufficient-collapse union stays inside one component
+// (predicate.P.Keys completeness: Eval true implies a shared key), so
+// dirty tracking by component is complete for Groups.
 type State struct {
 	data   *records.Dataset
 	canopy *dsu.DSU
@@ -64,16 +54,8 @@ type State struct {
 	suf, nec predicate.Keyspace
 	necP     predicate.P
 	comps    map[int]*component
-	// rootOf freezes each record's canopy root as of the last Groups
-	// call. Estimator copies it, so snapshot queries keep a consistent
-	// component partition while later ingests union components away.
-	rootOf []int32
-	// stale collects the pre-union roots of every union since the last
-	// Groups call; their cached bound scans are dropped there.
-	stale  []int32
-	keyIDs []uint32
-	bound  *BoundCache
-	sink   obs.Sink
+	keyIDs   []uint32
+	sink     obs.Sink
 }
 
 // NewState creates empty incremental state over the dataset the caller
@@ -86,7 +68,6 @@ func NewState(data *records.Dataset, levels []predicate.Level) *State {
 		data:   data,
 		canopy: dsu.NewGrowable(),
 		comps:  make(map[int]*component),
-		bound:  newBoundCache(),
 	}
 	if len(levels) > 0 {
 		st.necP = levels[0].Necessary
@@ -114,9 +95,6 @@ func (st *State) Observe(rec *records.Record, sufKeyIDs []uint32) {
 	for st.canopy.Len() <= id {
 		st.canopy.Add()
 	}
-	for len(st.rootOf) <= id {
-		st.rootOf = append(st.rootOf, int32(len(st.rootOf)))
-	}
 	st.comps[id] = &component{members: []int32{int32(id)}, dirty: true}
 	st.suf.Claim(id, sufKeyIDs, st.union)
 	if st.necP.Keys != nil {
@@ -126,8 +104,7 @@ func (st *State) Observe(rec *records.Record, sufKeyIDs []uint32) {
 }
 
 // union merges the components of records a and b (no-op when already
-// together), recording both pre-union roots as stale so their cached
-// bound scans are invalidated at the next Groups call.
+// together).
 func (st *State) union(a, b int) {
 	ra, rb := st.canopy.Find(a), st.canopy.Find(b)
 	if ra == rb {
@@ -145,7 +122,6 @@ func (st *State) union(a, b int) {
 	delete(st.comps, ra)
 	delete(st.comps, rb)
 	st.comps[nr] = ca
-	st.stale = append(st.stale, int32(ra), int32(rb))
 }
 
 // Groups materialises the level-1 sufficient collapse, rebuilding only
@@ -163,18 +139,11 @@ func (st *State) union(a, b int) {
 // order irrelevant.
 func (st *State) Groups(sufRoot func(int) int) []core.Group {
 	start := time.Now()
-	if len(st.stale) > 0 {
-		st.bound.invalidate(st.stale)
-		st.stale = st.stale[:0]
-	}
 	var dirtyComps, cleanComps, rebuiltGroups, reusedGroups int64
 	total := 0
-	for root, c := range st.comps {
+	for _, c := range st.comps {
 		if c.dirty {
 			st.rebuild(c, sufRoot)
-			for _, m := range c.members {
-				st.rootOf[m] = int32(root)
-			}
 			c.dirty = false
 			dirtyComps++
 			rebuiltGroups += int64(len(c.groups))
@@ -222,17 +191,4 @@ func (st *State) rebuild(c *component, sufRoot func(int) int) {
 		}
 	}
 	c.groups = groups
-}
-
-// Estimator freezes the current component partition into a
-// core.BoundEstimator backed by the shared verdict cache. Call it after
-// Groups (rootOf is only current then); the returned estimator stays
-// valid for the snapshot it was taken with even as later ingests mutate
-// the state, because invalidation is keyed by the pre-union roots the
-// frozen partition still uses.
-func (st *State) Estimator() *Estimator {
-	return &Estimator{
-		cache:  st.bound,
-		rootOf: append([]int32(nil), st.rootOf...),
-	}
 }

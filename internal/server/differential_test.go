@@ -324,8 +324,8 @@ func shrinkInterleaved(t *testing.T, recs []IngestRecord, k, r int) []IngestReco
 // interleavings — every epoch queried (twice, so cache hits serve real
 // traffic) before the next batch lands — must leave the final answer
 // byte-identical to the batch engine. This is the strongest exercise of
-// the delta collapse, the cross-epoch bound-verdict reuse, and the
-// per-epoch answer cache invalidation working together.
+// the delta collapse and the per-epoch answer cache invalidation
+// working together.
 func TestDifferentialInterleavedQueries(t *testing.T) {
 	const trials = 8
 	for trial := 0; trial < trials; trial++ {

@@ -888,8 +888,7 @@ func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain
 
 // pruned is the server's one way to a pruning result: the epoch
 // snapshot's per-K memo (INCREMENTAL.md — the maintained level-1
-// collapse, the frozen bound-verdict estimator, and at most one run of
-// the K-dependent phases per epoch), or the shard peers in coordinator
+// collapse and at most one run of the K-dependent phases per epoch), or the shard peers in coordinator
 // mode. fresh bypasses the memo so ?explain=1 reports from a full span
 // tree. The result is shared between queries and read-only. The
 // returned bool marks a shard-peer failure.

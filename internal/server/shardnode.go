@@ -140,17 +140,14 @@ func (s *Server) handleShardBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	defer sp.End()
-	switch req.Op {
-	case shard.BoundsScan:
-		flags, evals, hits := ss.worker.BoundScan(req.Count)
-		writeJSON(w, http.StatusOK, shard.BoundsResponse{Independent: flags, Evals: evals, Hits: hits})
-	case shard.BoundsCPN:
-		writeJSON(w, http.StatusOK, shard.BoundsResponse{CPN: ss.worker.BoundCPN(req.Prefix)})
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown bounds op %q", req.Op))
+	resp, err := ss.worker.Bounds(&req)
+	ss.mu.Unlock()
+	sp.End()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleShardPrune(w http.ResponseWriter, r *http.Request) {
@@ -168,20 +165,14 @@ func (s *Server) handleShardPrune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	defer sp.End()
-	switch req.Op {
-	case shard.PruneStart:
-		writeJSON(w, http.StatusOK, shard.PruneResponse{Alive: ss.worker.PruneStart(req.M)})
-	case shard.PrunePass:
-		pruned, evals, hits := ss.worker.PrunePass(ctx)
-		writeJSON(w, http.StatusOK, shard.PruneResponse{Alive: ss.worker.AliveCount(), Pruned: pruned, Evals: evals, Hits: hits})
-	case shard.PruneFinish:
-		groups := ss.worker.PruneFinish()
-		writeJSON(w, http.StatusOK, shard.PruneResponse{Groups: groups, Alive: ss.worker.AliveCount()})
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown prune op %q", req.Op))
+	resp, err := ss.worker.Prune(ctx, &req)
+	ss.mu.Unlock()
+	sp.End()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleShardGroups(w http.ResponseWriter, r *http.Request) {

@@ -12,16 +12,20 @@ import (
 	"testing"
 
 	topk "topkdedup"
+	"topkdedup/internal/core"
+	"topkdedup/internal/records"
+	"topkdedup/internal/shard"
 )
 
-// stripEvals zeroes the evaluation counters inside per-level stats. A
-// coordinator aggregates them per shard, where pruning's candidate
-// visit order (and so its early-exit points) legitimately differs from
-// the single-machine sweep; every other stats field is part of the
-// byte-identity contract and stays.
+// stripEvals zeroes the collapse and prune evaluation counters inside
+// per-level stats. A coordinator aggregates them per shard, where
+// pruning's candidate visit order (and so its early-exit points)
+// legitimately differs from the single-machine sweep; every other stats
+// field — BoundEvals included — is part of the byte-identity contract
+// and stays.
 func stripEvals(stats []topk.LevelStats) {
 	for i := range stats {
-		stats[i].CollapseEvals, stats[i].BoundEvals, stats[i].PruneEvals = 0, 0, 0
+		stats[i].CollapseEvals, stats[i].PruneEvals = 0, 0
 	}
 }
 
@@ -129,6 +133,65 @@ func TestDifferentialShardPeersVsStandalone(t *testing.T) {
 	}
 }
 
+// TestShardedBoundEvalsEqualSingleMachine: every transport consumes the
+// ranks the single-machine scan consumes and counts evaluations per
+// consumed rank, so a sharded run's per-level BoundEvals (with MRank and
+// LowerBound) are core.PrunedDedup's — in-process and over HTTP peers,
+// with and without replication.
+func TestShardedBoundEvalsEqualSingleMachine(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	d := records.New("bounds", "name")
+	for e := 0; e < 60; e++ {
+		for c := 1 + r.Intn(4); c > 0; c-- {
+			d.Append(1+0.001*r.Float64(), fmt.Sprintf("E%03d", e), fmt.Sprintf("%c%03d.v%d", 'a'+e%9, e, r.Intn(3)))
+		}
+	}
+	levels := toyLevels()
+	sawEvals := false
+	for _, shards := range []int{2, 3, 5} {
+		peers := make([]string, shards)
+		for i := range peers {
+			_, ts := newTestServer(t, nil)
+			peers[i] = ts.URL
+		}
+		for _, k := range []int{2, 4, 12} {
+			want, err := core.PrunedDedup(d, levels, core.Options{K: k, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range want.Stats {
+				sawEvals = sawEvals || st.BoundEvals > 0
+			}
+			for _, replicate := range []bool{false, true} {
+				opts := shard.Options{K: k, Shards: shards, Workers: 1, Replicate: replicate, Replica: fastReplica()}
+				inProc, _, err := shard.Run(d, nil, levels, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				overHTTP, _, err := shard.RunHTTP(d, nil, levels, peers, nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, got := range map[string]*core.Result{"in-process": inProc, "http": overHTTP} {
+					if len(got.Stats) != len(want.Stats) {
+						t.Fatalf("%s shards=%d k=%d replicate=%v: %d levels, want %d", name, shards, k, replicate, len(got.Stats), len(want.Stats))
+					}
+					for li, g := range got.Stats {
+						w := want.Stats[li]
+						if g.BoundEvals != w.BoundEvals || g.MRank != w.MRank || g.LowerBound != w.LowerBound {
+							t.Fatalf("%s shards=%d k=%d replicate=%v level %d: bound (evals %d, m %d, M %v), want (evals %d, m %d, M %v)",
+								name, shards, k, replicate, li+1, g.BoundEvals, g.MRank, g.LowerBound, w.BoundEvals, w.MRank, w.LowerBound)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawEvals {
+		t.Fatal("no single-machine bound scan evaluated a pair")
+	}
+}
+
 // TestShardSessionErrors exercises the shard-node endpoint edges: calls
 // against a session that was never loaded must fail clean with 404, and
 // malformed bodies with 400 — never a panic or a hung worker.
@@ -145,6 +208,16 @@ func TestShardSessionErrors(t *testing.T) {
 		{"/shard/collapse", `{"session":"nope","level":7}`, http.StatusBadRequest},
 		{"/shard/load", `{"session":""}`, http.StatusBadRequest},
 		{"/shard/bounds", `not json`, http.StatusBadRequest},
+		// A loaded session asked for work out of sequence or of negative
+		// size: each used to panic the handler (w.levels[-1]; makeslice),
+		// which the client saw as a dropped connection.
+		{"/shard/load", `{"session":"s1","schema":["name"],"k":1,"records":[{"id":0,"w":2,"values":["a1"]},{"id":1,"w":1,"values":["a2"]}],"groups":[{"rep":0,"members":[0],"w":2},{"rep":1,"members":[1],"w":1}]}`, http.StatusOK},
+		{"/shard/bounds", `{"session":"s1","op":"scan","count":1}`, http.StatusBadRequest},
+		{"/shard/prune", `{"session":"s1","op":"start","m":1}`, http.StatusBadRequest},
+		{"/shard/collapse", `{"session":"s1","level":0}`, http.StatusOK},
+		{"/shard/bounds", `{"session":"s1","op":"scan","count":-1}`, http.StatusBadRequest},
+		{"/shard/bounds", `{"session":"s1","op":"cpn","prefix":-1}`, http.StatusBadRequest},
+		{"/shard/bounds", `{"session":"s1","op":"scan","count":1}`, http.StatusOK},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))

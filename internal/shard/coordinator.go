@@ -6,18 +6,8 @@ import (
 	"time"
 
 	"topkdedup/internal/core"
-	"topkdedup/internal/graph"
 	"topkdedup/internal/obs"
 )
-
-// exchangeBlock is how many global ranks one bound-exchange round
-// covers: the coordinator slices the next block of the merged rank order
-// into per-shard counts, fans the scans out, and replays the returned
-// verdicts in global order. The final (m, M) is independent of the block
-// size — the controller consumes one verdict at a time — so this only
-// trades round-trips against wasted post-exit scanning; it matches the
-// single-machine pipeline's block size.
-const exchangeBlock = 256
 
 // LevelExchange reports one level's coordination work.
 type LevelExchange struct {
@@ -44,8 +34,9 @@ type LevelExchange struct {
 
 // RunStats reports a sharded run's coordination work, alongside the
 // core.Result stats (which carry the per-level group counts and bounds
-// and are byte-identical to a single-shard run except for eval counters
-// and wall times, whose aggregation is transport-dependent).
+// and are byte-identical to a single-shard run except for the collapse
+// and prune eval counters and wall times, whose aggregation is
+// shard-local).
 type RunStats struct {
 	// Shards is the shard count the run used.
 	Shards int `json:"shards"`
@@ -64,8 +55,9 @@ type RunStats struct {
 // exact global (m, M), broadcasts M, and coordinates prune rounds until
 // no shard's alive set shrinks. The produced result is byte-identical to
 // core.PrunedDedupFromCtx on the unpartitioned input (groups, order,
-// per-level NGroups/MRank/LowerBound/Survivors, ExactlyK); eval counters
-// and wall times are aggregated per shard and may differ.
+// per-level NGroups/MRank/LowerBound/BoundEvals/Survivors, ExactlyK);
+// collapse and prune eval counters and wall times are aggregated per
+// shard and may differ.
 //
 // When ctx carries a trace span, the coordinator records a
 // shard.exchange span with one shard.level child per level, whose
@@ -131,7 +123,7 @@ func Exchange(ctx context.Context, t Transport, nlevels, totalRecords int, opts 
 		obs.ObserveDuration(sink, "shard.collapse", stats.CollapseTime)
 
 		start = time.Now()
-		stats.MRank, stats.LowerBound, stats.BoundEvals, err = exchangeBounds(ctxL, t, merged, shardOf, k, rs, &lx)
+		stats.MRank, stats.LowerBound, stats.BoundEvals, _, err = core.ReplayBound(ctxL, "shard.bound", merged, shardOf, shardParts{t, rs, &lx}, k)
 		if err != nil {
 			return nil, rs, err
 		}
@@ -258,143 +250,67 @@ func Exchange(ctx context.Context, t Transport, nlevels, totalRecords int, opts 
 	return res, rs, nil
 }
 
-// exchangeBounds runs the §4.2 scan as a coordinator-driven protocol:
-// block by block, shards scan their slice of the next exchangeBlock
-// global ranks and return greedy-independence verdicts, which the
-// coordinator replays in global rank order through one
-// graph.PrefixController. When the cheap bound stalls, the controller's
-// full check folds per-shard Algorithm-1 bounds — their sum equals the
-// global prefix bound because canopy components never straddle shards,
-// so the Min-fill elimination of the global prefix graph decomposes into
-// the per-shard eliminations. The controller therefore traverses the
-// exact decision sequence of the single-machine scan and certifies the
-// same rank m and bound M.
-func exchangeBounds(ctx context.Context, t Transport, merged []core.Group, shardOf []int32, k int, rs *RunStats, lx *LevelExchange) (mRank int, lower float64, evals int64, err error) {
-	if len(merged) == 0 || k < 1 {
-		return 0, 0, 0, nil
-	}
-	var hits int64
-	independentSoFar := 0
-	consumed := 0
-	ctx, sp := obs.StartChild(ctx, "shard.bound")
-	defer func() {
-		if sp != nil {
-			sp.Attr("evals", float64(evals))
-			sp.Attr("hits", float64(hits))
-			sp.Attr("m_rank", float64(mRank))
-			sp.Attr("m", lower)
-			sp.End()
-		}
-	}()
-	blockEvent := func(m float64) {
-		if sp != nil {
-			sp.Event("bound.block", obs.Num("scanned", float64(consumed)),
-				obs.Num("independent", float64(independentSoFar)), obs.Num("m", m))
-		}
-	}
-	limit := core.BoundScanLimit(merged, k)
-	pc := graph.NewPrefixController(k)
-	S := t.Shards()
-	counts := make([]int, S)
-	var cpnErr error
-	fullCPN := func(prefix int) int {
-		lx.FullChecks++
-		for i := range counts {
-			counts[i] = 0
-		}
-		for r := 0; r < prefix; r++ {
-			counts[shardOf[r]]++
-		}
-		for _, c := range counts {
-			if c == 0 {
-				rs.TransportCalls--
-			}
-		}
-		resps, ferr := fanOut(S, rs, func(s int) (*BoundsResponse, error) {
-			if counts[s] == 0 {
-				return &BoundsResponse{}, nil
-			}
-			return t.Bounds(ctx, s, &BoundsRequest{Op: BoundsCPN, Prefix: counts[s]})
-		})
-		if ferr != nil {
-			cpnErr = ferr
-			return 0
-		}
-		total := 0
-		for _, r := range resps {
-			total += r.CPN
-		}
-		return total
-	}
+// shardParts is the coordinator's side of the §4.2 scan: the
+// core.BoundParts whose part s is shard s's local group list, scanned by
+// the shard's own BoundScanner on the far side of the Transport.
+// core.ReplayBound — the loop the single-machine scan runs — replays the
+// returned verdicts in global rank order through one
+// graph.PrefixController, and when the cheap bound stalls folds the
+// per-shard Algorithm-1 bounds: their sum equals the global prefix bound
+// because canopy components never straddle shards, so the Min-fill
+// elimination of the global prefix graph decomposes into the per-shard
+// eliminations. The controller therefore traverses the exact decision
+// sequence of the single-machine scan and certifies the same rank m and
+// bound M from the same evaluations. A shard with no rank in a block (or
+// in a probed prefix) is not called.
+type shardParts struct {
+	t  Transport
+	rs *RunStats
+	lx *LevelExchange
+}
 
-	scanned := 0
-	idx := make([]int, S)
-	for scanned < limit {
-		blockEnd := scanned + exchangeBlock
-		if blockEnd > limit {
-			blockEnd = limit
+// Parts implements core.BoundParts.
+func (sp shardParts) Parts() int { return sp.t.Shards() }
+
+// call fans one Bounds sub-operation out to the shards with a non-zero
+// count; req builds a shard's request from its count.
+func (sp shardParts) call(ctx context.Context, counts []int, req func(n int) *BoundsRequest) ([]*BoundsResponse, error) {
+	for _, c := range counts {
+		if c == 0 {
+			sp.rs.TransportCalls--
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for r := scanned; r < blockEnd; r++ {
-			counts[shardOf[r]]++
-		}
-		for _, c := range counts {
-			if c == 0 {
-				rs.TransportCalls--
-			}
-		}
-		resps, ferr := fanOut(S, rs, func(s int) (*BoundsResponse, error) {
-			if counts[s] == 0 {
-				return &BoundsResponse{}, nil
-			}
-			return t.Bounds(ctx, s, &BoundsRequest{Op: BoundsScan, Count: counts[s]})
-		})
-		if ferr != nil {
-			return 0, 0, evals, ferr
-		}
-		lx.BoundRounds++
-		for s, r := range resps {
-			evals += r.Evals
-			hits += r.Hits
-			idx[s] = 0
-		}
-		for r := scanned; r < blockEnd; r++ {
-			s := shardOf[r]
-			independent := resps[s].Independent[idx[s]]
-			idx[s]++
-			consumed++
-			if independent {
-				independentSoFar++
-			}
-			reached := pc.Feed(independent, fullCPN)
-			if cpnErr != nil {
-				return 0, 0, evals, cpnErr
-			}
-			if reached {
-				mRank = pc.ReachedAt()
-				lower = merged[mRank-1].Weight
-				blockEvent(lower)
-				return mRank, lower, evals, nil
-			}
-		}
-		blockEvent(0)
-		scanned = blockEnd
 	}
-	if limit == len(merged) && pc.Finish(fullCPN) {
-		if cpnErr != nil {
-			return 0, 0, evals, cpnErr
+	return fanOut(len(counts), sp.rs, func(s int) (*BoundsResponse, error) {
+		if counts[s] == 0 {
+			return &BoundsResponse{}, nil
 		}
-		mRank = pc.ReachedAt()
-		lower = merged[mRank-1].Weight
-		blockEvent(lower)
-		return mRank, lower, evals, nil
+		return sp.t.Bounds(ctx, s, req(counts[s]))
+	})
+}
+
+// Scan implements core.BoundParts: one bound-exchange round.
+func (sp shardParts) Scan(ctx context.Context, counts []int) ([]core.PartScan, error) {
+	resps, err := sp.call(ctx, counts, func(n int) *BoundsRequest { return &BoundsRequest{Op: BoundsScan, Count: n} })
+	if err != nil {
+		return nil, err
 	}
-	if cpnErr != nil {
-		return 0, 0, evals, cpnErr
+	sp.lx.BoundRounds++
+	out := make([]core.PartScan, len(resps))
+	for s, r := range resps {
+		out[s] = core.PartScan{Independent: r.Independent, Evals: r.Evals, Hits: r.Hits}
 	}
-	return 0, 0, evals, nil
+	return out, nil
+}
+
+// CPN implements core.BoundParts: one CPN fold round.
+func (sp shardParts) CPN(ctx context.Context, prefix []int) (int, error) {
+	sp.lx.FullChecks++
+	resps, err := sp.call(ctx, prefix, func(n int) *BoundsRequest { return &BoundsRequest{Op: BoundsCPN, Prefix: n} })
+	total := 0
+	for _, r := range resps {
+		total += r.CPN
+	}
+	return total, err
 }
 
 // mergeMetas folds per-shard rank-ordered metadata into the global rank

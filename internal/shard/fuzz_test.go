@@ -9,9 +9,9 @@
 //     (canopy components never straddle shards, so the Min-fill
 //     elimination decomposes).
 //  2. Full equality: shard.Run matches core.PrunedDedup — groups, order,
-//     per-level NGroups/MRank/LowerBound/Survivors, ExactlyK — for
-//     several shard counts (eval counters and wall times excluded; their
-//     aggregation is shard-local by design).
+//     per-level NGroups/MRank/LowerBound/BoundEvals/Survivors, ExactlyK —
+//     for several shard counts (collapse and prune eval counters and
+//     wall times excluded; their aggregation is shard-local by design).
 //  3. Truth soundness: with predicates that group exactly by entity,
 //     every entity strictly heavier than the K-th heaviest survives
 //     pruning.
@@ -90,7 +90,7 @@ func fuzzDataset(data []byte) (int, *records.Dataset) {
 // legitimately report differently (see the package comment).
 func stripShardLocal(stats []core.LevelStats) {
 	for i := range stats {
-		stats[i].CollapseEvals, stats[i].BoundEvals, stats[i].PruneEvals = 0, 0, 0
+		stats[i].CollapseEvals, stats[i].PruneEvals = 0, 0
 		stats[i].CollapseTime, stats[i].BoundTime, stats[i].PruneTime = 0, 0, 0
 	}
 }
@@ -185,9 +185,11 @@ func FuzzBoundMerge(f *testing.F) {
 				counts[shardOf[i]]++
 			}
 			sc := core.NewBoundScanner(d, entities, levels[0].Necessary, 1)
-			sc.Scan(len(entities))
+			sc.ScanHits(len(entities))
 			for i, w := range workers {
-				w.BoundScan(counts[i])
+				if _, err := w.Bounds(&BoundsRequest{Op: BoundsScan, Count: counts[i]}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for i := range counts {
 				counts[i] = 0
@@ -195,7 +197,11 @@ func FuzzBoundMerge(f *testing.F) {
 			for p := 0; p <= len(merged); p++ {
 				sum := 0
 				for i, w := range workers {
-					sum += w.BoundCPN(counts[i])
+					resp, err := w.Bounds(&BoundsRequest{Op: BoundsCPN, Prefix: counts[i]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += resp.CPN
 				}
 				if global := sc.CPNAt(p); global != sum {
 					t.Fatalf("shards=%d prefix %d: global CPN %d != shard sum %d", s, p, global, sum)

@@ -19,13 +19,15 @@
 //     holding per-level state between coordinator calls.
 //
 //   - The coordinator (Exchange) merges per-shard group metadata into the
-//     global rank order and runs the bound-exchange protocol: per block,
-//     shards report local greedy-independence verdicts and the
-//     coordinator replays them in global rank order through one
-//     graph.PrefixController — folding per-shard CPN bounds (which sum
-//     exactly across canopy components) whenever the cheap bound stalls
-//     — so the global rank m and bound M come out exactly as a
-//     single-machine scan would produce them. Pruning then proceeds in
+//     global rank order and runs the bound-exchange protocol, which is
+//     core.ReplayBound — the single-machine scan's own loop — over one
+//     part per shard: per block, shards report local greedy-independence
+//     verdicts and the loop replays them in global rank order through
+//     one graph.PrefixController — folding per-shard CPN bounds (which
+//     sum exactly across canopy components) whenever the cheap bound
+//     stalls — so the global rank m, the bound M and the evaluations
+//     counted come out exactly as on a single machine. Pruning then
+//     proceeds in
 //     coordinator-driven rounds: every round each shard runs one exact
 //     Jacobi refinement pass with the broadcast global M and reports how
 //     many groups died; the coordinator stops when no shard's alive set

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
@@ -94,10 +93,14 @@ type BoundsResponse struct {
 	// Independent holds one greedy-independence verdict per scanned
 	// group, in local rank order (BoundsScan).
 	Independent []bool `json:"independent,omitempty"`
-	// Evals counts the necessary-predicate pairs the scan evaluated.
-	Evals int64 `json:"evals,omitempty"`
-	// Hits counts the pairs that evaluated true (prefix-graph edges).
-	Hits int64 `json:"hits,omitempty"`
+	// Evals counts, per scanned group, the necessary-predicate pairs the
+	// scan evaluated. Per group, not per call: the coordinator counts
+	// only the groups it consumes before the bound is certified, which is
+	// what makes a sharded run's BoundEvals the single-machine one.
+	Evals []int64 `json:"evals,omitempty"`
+	// Hits counts, per scanned group, the pairs that evaluated true
+	// (prefix-graph edges).
+	Hits []int64 `json:"hits,omitempty"`
 	// CPN is the prefix bound (BoundsCPN).
 	CPN int `json:"cpn,omitempty"`
 }
@@ -197,39 +200,25 @@ func (t *InProcess) Collapse(ctx context.Context, shard, level int) (*CollapseRe
 	return &CollapseResponse{Groups: metas, Evals: evals, Hits: hits, Before: before}, nil
 }
 
-// Bounds implements Transport by direct Worker call.
+// Bounds implements Transport by direct Worker call; a CPN probe is too
+// short to be worth a span.
 func (t *InProcess) Bounds(ctx context.Context, shard int, req *BoundsRequest) (*BoundsResponse, error) {
-	w := t.ws[shard]
-	switch req.Op {
-	case BoundsScan:
+	if req.Op != BoundsCPN {
 		_, sp := workerSpan(ctx, "shard.worker.bounds", shard)
-		flags, evals, hits := w.BoundScan(req.Count)
-		sp.End()
-		return &BoundsResponse{Independent: flags, Evals: evals, Hits: hits}, nil
-	case BoundsCPN:
-		return &BoundsResponse{CPN: w.BoundCPN(req.Prefix)}, nil
+		defer sp.End()
 	}
-	return nil, fmt.Errorf("shard: unknown bounds op %q", req.Op)
+	return t.ws[shard].Bounds(req)
 }
 
-// Prune implements Transport by direct Worker call.
+// Prune implements Transport by direct Worker call; PruneFinish only
+// hands back metadata and gets no span.
 func (t *InProcess) Prune(ctx context.Context, shard int, req *PruneRequest) (*PruneResponse, error) {
-	w := t.ws[shard]
-	switch req.Op {
-	case PruneStart:
-		_, sp := workerSpan(ctx, "shard.worker.prune", shard)
-		alive := w.PruneStart(req.M)
-		sp.End()
-		return &PruneResponse{Alive: alive}, nil
-	case PrunePass:
-		ctxW, sp := workerSpan(ctx, "shard.worker.prune", shard)
-		pruned, evals, hits := w.PrunePass(ctxW)
-		sp.End()
-		return &PruneResponse{Alive: w.AliveCount(), Pruned: pruned, Evals: evals, Hits: hits}, nil
-	case PruneFinish:
-		return &PruneResponse{Groups: w.PruneFinish(), Alive: w.AliveCount()}, nil
+	if req.Op != PruneFinish {
+		var sp *obs.TraceSpan
+		ctx, sp = workerSpan(ctx, "shard.worker.prune", shard)
+		defer sp.End()
 	}
-	return nil, fmt.Errorf("shard: unknown prune op %q", req.Op)
+	return t.ws[shard].Prune(ctx, req)
 }
 
 // Groups implements Transport by direct Worker call.

@@ -172,70 +172,76 @@ func (w *Worker) Collapse(level int) (metas []GroupMeta, before int, evals, hits
 	return w.meta(), before, evals, hits
 }
 
-// BoundScan consumes the worker's next count groups in local rank order
-// and returns their greedy-independence verdicts plus the
-// necessary-predicate pairs evaluated and hit. The scanner is created
-// lazily on the first call after a Collapse.
-func (w *Worker) BoundScan(count int) ([]bool, int64, int64) {
-	if w.scanner == nil {
-		w.scanner = core.NewBoundScanner(w.data, w.groups, w.levels[w.level].Necessary, w.workers)
+// Bounds runs one bound-exchange sub-operation. BoundsScan consumes the
+// worker's next Count groups in local rank order and returns, per group,
+// its greedy-independence verdict and the necessary-predicate pairs it
+// evaluated and hit (the scanner is created on the first scan after a
+// Collapse); BoundsCPN returns the Algorithm-1 CPN lower bound of the
+// first Prefix scanned groups (0 when nothing has been scanned). An
+// unknown op, a negative Count or Prefix, or any op before the first
+// Collapse is an error.
+func (w *Worker) Bounds(req *BoundsRequest) (*BoundsResponse, error) {
+	if w.level < 0 {
+		return nil, fmt.Errorf("shard: bounds %q before any collapse", req.Op)
 	}
-	flags, pairEvals, pairHits := w.scanner.ScanHits(count)
-	var evals, hits int64
-	for i := range pairEvals {
-		evals += pairEvals[i]
-		hits += pairHits[i]
+	if req.Count < 0 || req.Prefix < 0 {
+		return nil, fmt.Errorf("shard: bounds %q: count %d and prefix %d must not be negative", req.Op, req.Count, req.Prefix)
 	}
-	return flags, evals, hits
+	switch req.Op {
+	case BoundsScan:
+		if w.scanner == nil {
+			w.scanner = core.NewBoundScanner(w.data, w.groups, w.levels[w.level].Necessary, w.workers)
+		}
+		resp := &BoundsResponse{}
+		resp.Independent, resp.Evals, resp.Hits = w.scanner.ScanHits(req.Count)
+		return resp, nil
+	case BoundsCPN:
+		if w.scanner == nil {
+			return &BoundsResponse{}, nil
+		}
+		return &BoundsResponse{CPN: w.scanner.CPNAt(req.Prefix)}, nil
+	}
+	return nil, fmt.Errorf("shard: unknown bounds op %q", req.Op)
 }
 
-// BoundCPN returns the Algorithm-1 CPN lower bound of the worker's first
-// prefix scanned groups (0 when nothing has been scanned).
-func (w *Worker) BoundCPN(prefix int) int {
-	if w.scanner == nil {
-		return 0
-	}
-	return w.scanner.CPNAt(prefix)
-}
-
-// PruneStart builds the prune state for the broadcast global bound m
-// (running the evaluation-free cascades) and returns the alive count.
-// m <= 0 or an empty grouping disables pruning for the level.
-func (w *Worker) PruneStart(m float64) int {
-	w.pruner = nil
-	if m > 0 && len(w.groups) > 0 {
-		w.pruner = core.NewPruner(w.data, w.groups, w.levels[w.level].Necessary, m, w.workers, w.sink)
-		return w.pruner.AliveCount()
-	}
-	return len(w.groups)
-}
-
-// PrunePass runs one exact Jacobi refinement pass, returning the groups
-// killed and the pairs evaluated/hit (zeros when pruning is disabled).
-// A traced ctx records the pass's core.prune.pass span into the trace.
-func (w *Worker) PrunePass(ctx context.Context) (pruned int, evals, hits int64) {
-	if w.pruner == nil {
-		return 0, 0, 0
-	}
-	return w.pruner.PassCtx(ctx)
-}
-
-// AliveCount returns the worker's current unpruned group count.
-func (w *Worker) AliveCount() int {
-	if w.pruner != nil {
-		return w.pruner.AliveCount()
-	}
-	return len(w.groups)
-}
-
+// Prune runs one prune sub-operation. PruneStart builds the prune state
+// for the broadcast global bound M (running the evaluation-free
+// cascades; M <= 0 or an empty grouping disables pruning for the level);
+// PrunePass runs one exact Jacobi refinement pass (a traced ctx records
+// its core.prune.pass span; zeros when pruning is disabled);
 // PruneFinish retires the prune state, keeping only survivors, and
-// returns the surviving metadata in local rank order.
-func (w *Worker) PruneFinish() []GroupMeta {
-	if w.pruner != nil {
-		w.groups = w.pruner.Alive()
-		w.pruner = nil
+// returns their metadata in local rank order. Every answer carries the
+// current unpruned group count. An unknown op, or any op before the
+// first Collapse, is an error.
+func (w *Worker) Prune(ctx context.Context, req *PruneRequest) (*PruneResponse, error) {
+	if w.level < 0 {
+		return nil, fmt.Errorf("shard: prune %q before any collapse", req.Op)
 	}
-	return w.meta()
+	resp := &PruneResponse{}
+	switch req.Op {
+	case PruneStart:
+		w.pruner = nil
+		if req.M > 0 && len(w.groups) > 0 {
+			w.pruner = core.NewPruner(w.data, w.groups, w.levels[w.level].Necessary, req.M, w.workers, w.sink)
+		}
+	case PrunePass:
+		if w.pruner != nil {
+			resp.Pruned, resp.Evals, resp.Hits = w.pruner.PassCtx(ctx)
+		}
+	case PruneFinish:
+		if w.pruner != nil {
+			w.groups = w.pruner.Alive()
+			w.pruner = nil
+		}
+		resp.Groups = w.meta()
+	default:
+		return nil, fmt.Errorf("shard: unknown prune op %q", req.Op)
+	}
+	resp.Alive = len(w.groups)
+	if w.pruner != nil {
+		resp.Alive = w.pruner.AliveCount()
+	}
+	return resp, nil
 }
 
 // Groups returns the worker's current groups with global record IDs, in

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"topkdedup/internal/core"
-	"topkdedup/internal/inc"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
@@ -47,7 +46,6 @@ type Snapshot struct {
 	data        *records.Dataset
 	groups      []core.Group
 	levels      []predicate.Level
-	est         *inc.Estimator
 	sk          *sketch.View
 	evals       int64
 	shards      int
@@ -75,8 +73,6 @@ type prunedOnce struct {
 func (inc *Incremental) Snapshot() *Snapshot {
 	start := time.Now()
 	n := inc.data.Len()
-	// Groups first: the delta rebuild refreshes the component partition
-	// the estimator then freezes (inc.State.Estimator's contract).
 	groups := inc.Groups()
 	defer obs.ObserveSince(inc.sink, "stream.snapshot", start)
 	var sk *sketch.View
@@ -95,7 +91,6 @@ func (inc *Incremental) Snapshot() *Snapshot {
 		data:        data,
 		groups:      groups,
 		levels:      inc.levels,
-		est:         inc.st.Estimator(),
 		sk:          sk,
 		evals:       inc.evals,
 		shards:      inc.shards,
@@ -211,7 +206,7 @@ func (s *Snapshot) prune(ctx context.Context, k, workers int, sink obs.Sink) (*c
 		return res, err
 	}
 	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, core.Options{
-		K: k, PrunePasses: s.prunePasses, Workers: workers, Sink: sink, Bound: s.est,
+		K: k, PrunePasses: s.prunePasses, Workers: workers, Sink: sink,
 	})
 }
 

@@ -23,7 +23,6 @@ import (
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
-	"topkdedup/internal/shard"
 	"topkdedup/internal/sketch"
 )
 
@@ -60,9 +59,8 @@ type Incremental struct {
 	// metrics (see SetMetrics).
 	sink obs.Sink
 	// st is the persistent incremental state (internal/inc): the canopy
-	// component partition over all records, the per-component collapse
-	// reused across Groups calls, and the cross-epoch bound-verdict
-	// cache that Snapshot freezes into an estimator.
+	// component partition over all records and the per-component
+	// collapse reused across Groups calls.
 	st *inc.State
 	// sk, when enabled, is the approximate fast tier (internal/sketch):
 	// a bounded Space-Saving summary keyed by the sufficient-closure
@@ -155,7 +153,8 @@ func (inc *Incremental) SetWorkers(workers int) { inc.workers = workers }
 // sharded coordinator (internal/shard) when shards > 1: the maintained
 // level-1 collapse is partitioned into canopy-closed shards and the
 // bound-exchange protocol reproduces the single-machine result byte for
-// byte (only eval counters and phase times in the stats may differ).
+// byte (only the collapse and prune eval counters and phase times in the
+// stats may differ).
 // <= 1 — the default — runs the single-machine pipeline. Snapshots
 // taken after the call inherit the setting.
 func (inc *Incremental) SetShards(shards int) { inc.shards = shards }
@@ -234,9 +233,9 @@ func (inc *Incremental) Groups() []core.Group {
 	return inc.st.Groups(inc.uf.Find)
 }
 
-// TopK answers the TopK count query over the current state: the
-// incremental collapse feeds core.PrunedDedupFromCtx, so only the
-// K-dependent phases run now.
+// TopK answers the TopK count query over the current state: the fresh
+// (un-memoised) TopK of a Snapshot taken now, so only the K-dependent
+// phases run and the result is the one a published snapshot serves.
 func (inc *Incremental) TopK(k int) (*core.Result, error) {
 	return inc.TopKCtx(context.Background(), k)
 }
@@ -246,20 +245,5 @@ func (inc *Incremental) TopK(k int) (*core.Result, error) {
 // K-dependent phases record their own spans beneath it; an untraced
 // context adds no work.
 func (inc *Incremental) TopKCtx(ctx context.Context, k int) (*core.Result, error) {
-	if inc.data.Len() == 0 {
-		return &core.Result{}, nil
-	}
-	sp := obs.StartSpan(inc.sink, "stream.topk")
-	defer sp.End()
-	ctx, tsp := obs.StartChild(ctx, "stream.topk")
-	defer tsp.End()
-	if inc.shards > 1 {
-		res, _, err := shard.RunCtx(ctx, inc.data, inc.Groups(), inc.levels, shard.Options{
-			K: k, Shards: inc.shards, PrunePasses: inc.prunePasses, Workers: inc.workers, Sink: inc.sink,
-		})
-		return res, err
-	}
-	return core.PrunedDedupFromCtx(ctx, inc.data, inc.Groups(), inc.levels, core.Options{
-		K: k, PrunePasses: inc.prunePasses, Workers: inc.workers, Sink: inc.sink,
-	})
+	return inc.Snapshot().FreshTopKCtx(ctx, k, inc.workers, inc.sink)
 }
