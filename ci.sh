@@ -35,7 +35,6 @@ go run ./cmd/doccheck \
     ./internal/experiments \
     ./internal/faulty \
     ./internal/graph \
-    ./internal/inc \
     ./internal/index \
     ./internal/intern \
     ./internal/obs \
@@ -68,7 +67,6 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
     ./internal/cluster \
     ./internal/core \
     ./internal/experiments \
-    ./internal/inc \
     ./internal/obs \
     ./internal/parallel \
     ./internal/server \
@@ -81,7 +79,7 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 # the only non-test code outside internal/index that builds an index, and
 # no pipeline package keeps a string-keyed bucket or owner map of its own.
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
-if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/shard internal/inc internal/stream internal/experiments; then exit 1; fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/shard internal/stream internal/experiments; then exit 1; fi
 
 # One route to a pruning, each piece of work once: segment.BestR and the
 # canonical group order stay off reflection-based sort.Slice (BestR
@@ -103,6 +101,17 @@ for pat in 'NewPrefixController(' '"bound.block"'; do
     fi
 done
 if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'BoundEstimator' .; then exit 1; fi
+
+# One union-find on the write path: stream.Incremental owns the only
+# growable DSU (the sufficient closure Add maintains is also what decides
+# which groups a publish rebuilds), and the package that kept a second
+# one beside it does not come back.
+n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=dsu --exclude-dir=.bench_build 'dsu.NewGrowable(' . | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "dsu.NewGrowable( is called from $n non-test files outside internal/dsu, want 1" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude-dir=.bench_build 'topkdedup/internal/inc"' .; then exit 1; fi
 
 go build ./...
 go test -race ./...

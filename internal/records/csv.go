@@ -60,7 +60,7 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 		if len(row) != len(header) {
 			return nil, fmt.Errorf("records: CSV line %d has %d columns, want %d", line, len(row), len(header))
 		}
-		w, err := strconv.ParseFloat(row[0], 64)
+		w, err := parseWeight(row[0])
 		if err != nil {
 			return nil, fmt.Errorf("records: CSV line %d weight: %v", line, err)
 		}
@@ -107,7 +107,7 @@ func ReadRawCSV(name string, r io.Reader, weightColumn string) (*Dataset, error)
 		}
 		w := 1.0
 		if wIdx >= 0 {
-			w, err = strconv.ParseFloat(row[wIdx], 64)
+			w, err = parseWeight(row[wIdx])
 			if err != nil {
 				return nil, fmt.Errorf("records: CSV line %d weight column: %v", line, err)
 			}

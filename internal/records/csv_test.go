@@ -114,3 +114,36 @@ func TestSaveAndLoadCSV(t *testing.T) {
 		t.Error("missing file should error")
 	}
 }
+
+// TestReadersRejectBadWeights: a NaN, infinite or negative weight parses
+// as a float but is not a weight; each reader refuses it and names the
+// line, and the same row with a good weight loads.
+func TestReadersRejectBadWeights(t *testing.T) {
+	readers := map[string]func(w string) error{
+		"ReadTSV": func(w string) error {
+			_, err := ReadTSV("t", strings.NewReader("#weight\ttruth\tname\n1\tE1\tann\n"+w+"\tE2\tbob\n"))
+			return err
+		},
+		"ReadCSV": func(w string) error {
+			_, err := ReadCSV("t", strings.NewReader("weight,truth,name\n1,E1,ann\n"+w+",E2,bob\n"))
+			return err
+		},
+		"ReadRawCSV": func(w string) error {
+			_, err := ReadRawCSV("t", strings.NewReader("name,n\nann,1\nbob,"+w+"\n"), "n")
+			return err
+		},
+	}
+	for name, read := range readers {
+		for _, w := range []string{"NaN", "+Inf", "-Inf", "Infinity", "-5", "-0.001"} {
+			err := read(w)
+			if err == nil || !strings.Contains(err.Error(), "line 3") {
+				t.Errorf("%s weight %s: err = %v, want one naming line 3", name, w, err)
+			}
+		}
+		for _, w := range []string{"0", "2.5", "1e300"} {
+			if err := read(w); err != nil {
+				t.Errorf("%s weight %s: %v", name, w, err)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -149,7 +150,7 @@ func ReadTSV(name string, r io.Reader) (*Dataset, error) {
 		if len(parts) != len(header) {
 			return nil, fmt.Errorf("records: line %d has %d columns, want %d", lineNo, len(parts), len(header))
 		}
-		w, err := strconv.ParseFloat(parts[0], 64)
+		w, err := parseWeight(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("records: line %d weight: %v", lineNo, err)
 		}
@@ -159,6 +160,27 @@ func ReadTSV(name string, r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// CheckWeight is the one validity rule for a record weight at every way
+// into the system (the file readers here, the server's /ingest and
+// Seed): finite and not negative. A NaN or infinite weight poisons every
+// group sum it reaches and cannot be encoded as JSON; a negative one
+// silently shrinks its group.
+func CheckWeight(w float64) error {
+	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("weight %v is not a finite, non-negative number", w)
+	}
+	return nil
+}
+
+// parseWeight parses and checks the weight column of a file row.
+func parseWeight(s string) (float64, error) {
+	w, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	return w, CheckWeight(w)
 }
 
 // LoadTSV reads a dataset from the named file.

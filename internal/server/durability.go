@@ -36,16 +36,12 @@ func (s *Server) openWAL() error {
 	}
 	var from uint64
 	if ok {
-		for _, r := range recs {
-			s.acc.Add(r.Weight, r.Truth, r.Values...)
-		}
+		s.apply(recs)
 		s.recovered += len(recs)
 		from = applied
 	}
 	if err := l.Replay(from, func(_ uint64, b wal.Batch) error {
-		for _, r := range b {
-			s.acc.Add(r.Weight, r.Truth, r.Values...)
-		}
+		s.apply(b)
 		s.recovered += len(b)
 		return nil
 	}); err != nil {
@@ -109,11 +105,12 @@ func (s *Server) Close() error {
 	return s.wal.Close()
 }
 
-// walRecords flattens a frozen dataset into WAL snapshot records, in
-// insertion order — replaying them re-Adds exactly the original
-// sequence, which is what makes recovery byte-identical.
-func walRecords(d *topk.Dataset, schema []string) []wal.Record {
-	recs := make([]wal.Record, len(d.Recs))
+// walRecords flattens a dataset into WAL records, in insertion order —
+// a checkpoint's snapshot of the frozen state, or Seed's one batch.
+// Replaying them re-Adds exactly the original sequence, which is what
+// makes recovery byte-identical.
+func walRecords(d *topk.Dataset, schema []string) wal.Batch {
+	recs := make(wal.Batch, len(d.Recs))
 	for i, r := range d.Recs {
 		values := make([]string, len(schema))
 		for j, f := range schema {
@@ -122,20 +119,6 @@ func walRecords(d *topk.Dataset, schema []string) []wal.Record {
 		recs[i] = wal.Record{Weight: r.Weight, Truth: r.Truth, Values: values}
 	}
 	return recs
-}
-
-// seedBatch converts a bulk-load dataset into one WAL batch (Seed's
-// durability unit).
-func seedBatch(d *topk.Dataset) wal.Batch {
-	batch := make(wal.Batch, len(d.Recs))
-	for i, rec := range d.Recs {
-		values := make([]string, len(d.Schema))
-		for j, f := range d.Schema {
-			values[j] = rec.Fields[f]
-		}
-		batch[i] = wal.Record{Weight: rec.Weight, Truth: rec.Truth, Values: values}
-	}
-	return batch
 }
 
 // walBatch converts validated ingest records into one WAL batch,

@@ -42,6 +42,7 @@ import (
 
 	topk "topkdedup"
 	"topkdedup/internal/obs"
+	"topkdedup/internal/records"
 	"topkdedup/internal/shard"
 	"topkdedup/internal/sketch"
 	"topkdedup/internal/stream"
@@ -313,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.answers.entries = make(map[answerKey]*answerEntry)
 	// Route the accumulator's maintenance metrics (stream.add.*, and the
-	// incremental state's inc.delta.* delta-apply counters) into the
+	// inc.delta.* rebuilt/reused group counts of each publish) into the
 	// server collector so /metrics shows ingest-side work too.
 	acc.SetMetrics(s.metrics)
 	// Query-time pruning runs on the published snapshots, which inherit
@@ -446,24 +447,53 @@ func (s *Server) Seed(d *topk.Dataset) (int, error) {
 			return 0, fmt.Errorf("server: seed schema %v does not match server schema %v", d.Schema, s.cfg.Schema)
 		}
 	}
-	batch := seedBatch(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal != nil {
-		// Seeded records follow the same WAL-then-apply ordering as
-		// /ingest, so a restart recovers them without re-reading the file.
-		if _, err := s.wal.Append(batch); err != nil {
-			return 0, fmt.Errorf("server: seed wal append: %w", err)
+	for i, rec := range d.Recs {
+		if err := records.CheckWeight(rec.Weight); err != nil {
+			return 0, fmt.Errorf("server: seed record %d: %w", i, err)
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Seeded records follow the same WAL-then-apply ordering as /ingest,
+	// so a restart recovers them without re-reading the file.
+	if _, err := s.commitLocked(walRecords(d, s.cfg.Schema), true); err != nil {
+		return 0, fmt.Errorf("server: seed wal append: %w", err)
+	}
+	s.metrics.Count("server.ingest.records", int64(len(d.Recs)))
+	return len(d.Recs), nil
+}
+
+// apply runs one batch through the accumulator in order — the write
+// side's only acc.Add loop. /ingest, Seed, and boot recovery's snapshot
+// restore and tail replay all go through it, so a recovered accumulator
+// re-Adds exactly the sequence the uninterrupted one did. Callers hold
+// s.mu, or own the server alone (New).
+func (s *Server) apply(batch wal.Batch) {
 	for _, rec := range batch {
 		s.acc.Add(rec.Weight, rec.Truth, rec.Values...)
 	}
+}
+
+// commitLocked makes one validated batch part of the write-side state:
+// WAL-then-apply (a batch that cannot be made durable is never applied,
+// so an acknowledged batch is always recoverable and a failed one leaves
+// no trace), then the sketch counters, the pending count, and a new
+// epoch when publish is set or Config.RefreshEvery is due. It reports
+// whether it published. Callers hold s.mu.
+func (s *Server) commitLocked(batch wal.Batch, publish bool) (bool, error) {
+	if s.wal != nil {
+		if _, err := s.wal.Append(batch); err != nil {
+			return false, err
+		}
+	}
+	s.apply(batch)
 	s.acc.FlushSketchMetrics()
-	s.pending += len(d.Recs)
-	s.publishLocked()
-	s.metrics.Count("server.ingest.records", int64(len(d.Recs)))
-	return len(d.Recs), nil
+	s.pending += len(batch)
+	if publish || (s.cfg.RefreshEvery >= 0 && s.pending >= s.cfg.RefreshEvery) {
+		s.publishLocked()
+		return true, nil
+	}
+	return false, nil
 }
 
 // Handler returns the server's HTTP handler. It is safe to serve from
@@ -611,8 +641,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("record %d: %d values for schema of %d fields", i, len(rec.Values), len(s.cfg.Schema)))
 			return
 		}
-		if rec.Weight < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("record %d: negative weight", i))
+		if err := records.CheckWeight(rec.Weight); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("record %d: %v", i, err))
 			return
 		}
 	}
@@ -621,25 +651,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// same sequence and recovery is byte-identical.
 	batch := walBatch(req.Records)
 	s.mu.Lock()
-	if s.wal != nil {
-		// WAL-then-apply: a batch that cannot be made durable is never
-		// applied, so an acknowledged batch is always recoverable and a
-		// failed one leaves no trace.
-		if _, err := s.wal.Append(batch); err != nil {
-			s.mu.Unlock()
-			writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
-			return
-		}
-	}
-	for _, rec := range batch {
-		s.acc.Add(rec.Weight, rec.Truth, rec.Values...)
-	}
-	s.acc.FlushSketchMetrics()
-	s.pending += len(req.Records)
-	published := false
-	if s.cfg.RefreshEvery >= 0 && s.pending >= s.cfg.RefreshEvery {
-		s.publishLocked()
-		published = true
+	published, err := s.commitLocked(batch, false)
+	if err != nil {
+		s.mu.Unlock()
+		writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
+		return
 	}
 	checkpoint := false
 	if s.wal != nil && s.cfg.WALSnapshotEvery > 0 {

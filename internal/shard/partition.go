@@ -7,6 +7,7 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/dsu"
+	"topkdedup/internal/intern"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -62,16 +63,12 @@ func Split(d *records.Dataset, groups []core.Group, levels []predicate.Level, s 
 		s = 1
 	}
 	uf := dsu.New(len(groups))
-	union := func(a, b int) { uf.Union(a, b) }
-	spaces := make([]predicate.Keyspace, 2*len(levels)) // one per (level, role)
-	var ids []uint32
+	spaces := make([]keyspace, 2*len(levels)) // one per (level, role)
 	for gi := range groups {
 		rec := d.Recs[groups[gi].Rep]
 		for li, level := range levels {
 			for role, p := range [2]predicate.P{level.Sufficient, level.Necessary} {
-				ks := &spaces[2*li+role]
-				ids = ks.KeyIDs(p, rec, ids[:0])
-				ks.Claim(gi, ids, union)
+				spaces[2*li+role].claim(p, rec, gi, uf)
 			}
 		}
 	}
@@ -101,4 +98,35 @@ func Split(d *records.Dataset, groups []core.Group, levels []predicate.Level, s 
 		sort.Ints(p.RecordIDs)
 	}
 	return &Partition{Parts: parts, Components: len(comps)}
+}
+
+// keyspace is one blocking-key namespace of Split's closure pass: its
+// own intern table (so the keys of different predicates or levels cannot
+// collide) and the first group seen per key id. One union against the
+// first carrier of each key yields the same transitive closure as
+// unioning every pair sharing the key. The zero value is ready to use.
+type keyspace struct {
+	tab   *intern.Table
+	owner []int32
+	ids   []uint32
+}
+
+// claim registers item as a carrier of each of p's blocking keys of r: a
+// key nobody carried yet becomes item's, and for each key already owned
+// item is unioned with the key's first carrier.
+func (ks *keyspace) claim(p predicate.P, r *records.Record, item int, uf *dsu.DSU) {
+	if ks.tab == nil {
+		ks.tab = intern.New()
+	}
+	ks.ids = p.KeyIDs(ks.tab, r, ks.ids[:0])
+	for _, id := range ks.ids {
+		for int(id) >= len(ks.owner) {
+			ks.owner = append(ks.owner, -1)
+		}
+		if own := ks.owner[id]; own >= 0 {
+			uf.Union(item, int(own))
+		} else {
+			ks.owner[id] = int32(item)
+		}
+	}
 }

@@ -1,38 +1,98 @@
 package stream
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"topkdedup/internal/core"
+	"topkdedup/internal/predicate"
 )
 
+// TestSnapshotIsImmutableUnderGrowth holds a snapshot while ingest keeps
+// landing in — and, on the bridge domain, merging — the very groups it
+// contains, with new snapshots published in between. A reader goroutine
+// keeps walking the held snapshot meanwhile, so under -race a rebuild
+// that wrote into a shared Members array would be reported as well as
+// seen in the DeepEqual.
 func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
-	inc, _ := New("t", []string{"name"}, toyLevels())
-	feed(t, inc, 5, 15, 8)
-	snap := inc.Snapshot()
-	wantLen := snap.Len()
-	wantGroups := len(snap.Groups())
-	before, err := snap.TopK(3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		levels []predicate.Level
+		grow   func(inc *Incremental, seed int64)
+	}{
+		// The same seed feeds the same names again: into the held groups.
+		{"toy", toyLevels(), func(inc *Incremental, seed int64) { feed(t, inc, seed, 15, 8) }},
+		// Thirty one-token groups, then two-token records joining them.
+		{"bridge", bridgeLevels(), func(inc *Incremental, seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 30 && inc.Len() < 30; i++ {
+				inc.Add(float64(1+i%4), "", fmt.Sprintf("t%02d", i))
+			}
+			for i := 0; i < 20; i++ {
+				inc.Add(1+rng.Float64(), "", fmt.Sprintf("t%02d t%02d", rng.Intn(30), rng.Intn(30)))
+			}
+		}},
 	}
+	for _, tc := range cases {
+		name := tc.name
+		inc, _ := New("t", []string{"name"}, tc.levels)
+		grow := func(seed int64) { tc.grow(inc, seed) }
+		grow(5)
+		snap := inc.Snapshot()
+		wantLen := snap.Len()
+		wantGroups := deepCopyGroups(snap.Groups())
+		before, err := snap.TopK(3, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Keep growing the accumulator; the snapshot must not move.
-	feed(t, inc, 6, 25, 10)
-	if snap.Len() != wantLen {
-		t.Fatalf("snapshot length moved: %d -> %d", wantLen, snap.Len())
-	}
-	if len(snap.Groups()) != wantGroups {
-		t.Fatalf("snapshot groups moved: %d -> %d", wantGroups, len(snap.Groups()))
-	}
-	after, err := snap.TopK(3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(before.Groups) != fmt.Sprint(after.Groups) {
-		t.Fatal("snapshot TopK changed after accumulator growth")
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, g := range snap.Groups() {
+					for _, m := range g.Members {
+						_ = snap.Dataset().Recs[m].Weight
+					}
+				}
+			}
+		}()
+		// Keep growing the accumulator and publishing; the held snapshot
+		// must not move.
+		for round := int64(0); round < 4; round++ {
+			grow(5 + round%2)
+			if len(inc.Snapshot().Groups()) == 0 {
+				t.Fatal("expected groups")
+			}
+		}
+		close(stop)
+		<-done
+
+		if name == "bridge" && len(inc.Groups()) >= len(wantGroups) {
+			t.Fatalf("bridge growth merged nothing: %d groups held, %d now", len(wantGroups), len(inc.Groups()))
+		}
+		if snap.Len() != wantLen {
+			t.Fatalf("%s: snapshot length moved: %d -> %d", name, wantLen, snap.Len())
+		}
+		if got := snap.Groups(); !reflect.DeepEqual(got, wantGroups) {
+			t.Fatalf("%s: snapshot groups moved under ingest\n got=%v\nwant=%v", name, got, wantGroups)
+		}
+		after, err := snap.FreshTopKCtx(context.Background(), 3, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before.Groups, after.Groups) {
+			t.Fatalf("%s: snapshot TopK changed after accumulator growth", name)
+		}
 	}
 }
 

@@ -10,15 +10,22 @@
 // blocking keys, so the dominant cost of Algorithm 2's first phase is
 // amortised over the feed. TopK queries then run only the K-dependent
 // phases (lower bound, prune, deeper levels) on the pre-collapsed state.
+//
+// The closure is one structure with one owner: the union-find Add
+// maintains is also what decides which groups a publish has to rebuild.
+// Add performed the unions, so it knows exactly which closures changed;
+// Groups re-materialises those and reuses every other group verbatim
+// (see INCREMENTAL.md). The contract is byte identity: Groups returns
+// exactly what a from-scratch sweep over the accumulated records would.
 package stream
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/dsu"
-	"topkdedup/internal/inc"
 	"topkdedup/internal/intern"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
@@ -58,15 +65,24 @@ type Incremental struct {
 	// sink receives the stream.* metrics and the query-time core.*
 	// metrics (see SetMetrics).
 	sink obs.Sink
-	// st is the persistent incremental state (internal/inc): the canopy
-	// component partition over all records and the per-component
-	// collapse reused across Groups calls.
-	st *inc.State
+	// closures is indexed by record id and non-nil exactly at the roots
+	// of uf: the sufficient closure each root stands for (see closure).
+	closures []*closure
 	// sk, when enabled, is the approximate fast tier (internal/sketch):
 	// a bounded Space-Saving summary keyed by the sufficient-closure
 	// roots this accumulator maintains, updated in lock-step with Add's
 	// unions so Snapshot can freeze a consistent View per epoch.
 	sk *sketch.Sketch
+}
+
+// closure is one sufficient-closure component of the accumulator: its
+// member record ids, the core.Group materialised from them by the last
+// Groups call, and whether Add changed the membership since (a new
+// record, or a union that folded another closure in).
+type closure struct {
+	members []int32
+	group   core.Group
+	dirty   bool
 }
 
 // New creates an empty accumulator with the given schema and predicate
@@ -76,13 +92,11 @@ func New(name string, schema []string, levels []predicate.Level) (*Incremental, 
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("stream: at least one predicate level required")
 	}
-	data := records.New(name, schema...)
 	return &Incremental{
-		data:   data,
+		data:   records.New(name, schema...),
 		levels: levels,
 		uf:     dsu.NewGrowable(),
 		tab:    intern.New(),
-		st:     inc.NewState(data, levels),
 	}, nil
 }
 
@@ -93,6 +107,7 @@ func New(name string, schema []string, levels []predicate.Level) (*Incremental, 
 func (inc *Incremental) Add(weight float64, truth string, values ...string) int {
 	rec := inc.data.Append(weight, truth, values...)
 	id := inc.uf.Add()
+	inc.closures = append(inc.closures, &closure{members: []int32{int32(id)}, dirty: true})
 	s := inc.levels[0].Sufficient
 	before := inc.evals
 	inc.keyIDs = s.KeyIDs(inc.tab, rec, inc.keyIDs[:0])
@@ -116,6 +131,7 @@ func (inc *Incremental) Add(weight float64, truth string, values ...string) int 
 			if s.Eval(rec, inc.data.Recs[other]) {
 				ra := inc.uf.Find(id)
 				inc.uf.Union(id, int(other))
+				inc.mergeClosures(ra, root, inc.uf.Find(id))
 				if inc.sk != nil {
 					if fresh {
 						// First union of a just-appended record: its side is
@@ -134,12 +150,26 @@ func (inc *Incremental) Add(weight float64, truth string, values ...string) int 
 	if inc.sk != nil {
 		inc.sk.Update(inc.uf.Find(id), rec.Weight)
 	}
-	inc.st.Observe(rec, inc.keyIDs)
 	if inc.sink != nil {
 		inc.sink.Count("stream.add.records", 1)
 		inc.sink.Count("stream.add.evals", inc.evals-before)
 	}
 	return id
+}
+
+// mergeClosures folds the closures of the two roots a union just joined
+// into the one at the surviving root and marks it dirty. The union-find
+// unions by size and a closure's size is its member count, so the
+// survivor is the larger one and the append is small-to-large.
+func (inc *Incremental) mergeClosures(ra, rb, survivor int) {
+	dead := ra
+	if dead == survivor {
+		dead = rb
+	}
+	c := inc.closures[survivor]
+	c.members = append(c.members, inc.closures[dead].members...)
+	c.dirty = true
+	inc.closures[dead] = nil
 }
 
 // SetWorkers bounds the worker pool used by TopK's query-time phases
@@ -167,15 +197,12 @@ func (inc *Incremental) SetPrunePasses(passes int) { inc.prunePasses = passes }
 
 // SetMetrics attaches an observability sink: each Add emits the
 // stream.add.records and stream.add.evals counters, each Groups emits
-// the inc.delta.* delta-apply metrics, and each TopK emits a
+// the inc.delta.* rebuilt/reused group counts, and each TopK emits a
 // stream.topk span plus the usual core.* per-phase metrics (see
 // OBSERVABILITY.md). Pass nil to detach. Observational only — the
 // accumulated state and query results are byte-identical with or
 // without a sink.
-func (inc *Incremental) SetMetrics(s obs.Sink) {
-	inc.sink = s
-	inc.st.SetMetrics(s)
-}
+func (inc *Incremental) SetMetrics(s obs.Sink) { inc.sink = s }
 
 // EnableSketch attaches the approximate fast tier: a bounded
 // Space-Saving sketch (internal/sketch) over the sufficient-closure
@@ -224,13 +251,56 @@ func (inc *Incremental) Dataset() *records.Dataset { return inc.data }
 
 // Groups materialises the current sure-duplicate components as collapsed
 // groups, sorted by decreasing weight. The representative is the
-// heaviest member. Since the incremental-state rework this is a delta
-// rebuild: only canopy components touched by ingest since the previous
-// call are re-collapsed; every other component's groups are reused
-// verbatim (inc.State documents why the result is byte-identical to a
-// from-scratch sweep, and TestStreamGroupsMatchScratch pins it).
+// heaviest member. It is a delta rebuild: only closures Add changed
+// since the previous call are re-materialised; every other group is
+// reused verbatim.
+//
+// The result is byte-identical to a from-scratch sweep
+// (TestStreamGroupsMatchScratch pins it): a rebuilt group visits its
+// members in ascending record id — the order a global sweep meets them
+// — so member order, float-summed weight and first-strict-max
+// representative match, and the final (weight desc, rep asc) sort is a
+// total order, making collection order irrelevant. A rebuilt group gets
+// a fresh Members slice: the previous one may be shared, read-only, with
+// a published Snapshot and is never written.
 func (inc *Incremental) Groups() []core.Group {
-	return inc.st.Groups(inc.uf.Find)
+	out := make([]core.Group, 0, inc.uf.Components())
+	var rebuilt int64
+	for _, c := range inc.closures {
+		if c == nil {
+			continue
+		}
+		if c.dirty {
+			inc.rebuild(c)
+			rebuilt++
+		}
+		out = append(out, c.group)
+	}
+	core.SortGroupsByWeight(out)
+	if inc.sink != nil {
+		inc.sink.Count("inc.delta.rebuilt_groups", rebuilt)
+		inc.sink.Count("inc.delta.reused_groups", int64(len(out))-rebuilt)
+	}
+	return out
+}
+
+// rebuild re-materialises one closure's group from its members in
+// ascending record-id order (see Groups for why that order is the
+// byte-identity anchor).
+func (inc *Incremental) rebuild(c *closure) {
+	slices.Sort(c.members)
+	first := inc.data.Recs[c.members[0]]
+	g := core.Group{Rep: first.ID, Members: make([]int, len(c.members)), Weight: first.Weight}
+	g.Members[0] = first.ID
+	for i, m := range c.members[1:] {
+		r := inc.data.Recs[m]
+		g.Members[i+1] = r.ID
+		g.Weight += r.Weight
+		if r.Weight > inc.data.Recs[g.Rep].Weight {
+			g.Rep = r.ID
+		}
+	}
+	c.group, c.dirty = g, false
 }
 
 // TopK answers the TopK count query over the current state: the fresh

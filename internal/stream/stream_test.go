@@ -68,8 +68,8 @@ func TestIncrementalCollapseMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, inc, 3, 20, 10)
-	// Add interns a record's sufficient keys once and hands the ids to
-	// the canopy state; nothing derives them a second time.
+	// Add interns a record's sufficient keys once; nothing derives them
+	// a second time.
 	if keysCalls != inc.Len() {
 		t.Fatalf("sufficient Keys called %d times for %d records", keysCalls, inc.Len())
 	}
