@@ -142,11 +142,9 @@ func runClient(base, path, field string, k, r int, rank bool, threshold float64,
 		if err := clientGet(client, q, &out); err != nil {
 			return err
 		}
-		fmt.Printf("approximate top-%d (sketch capacity %d, max error bound %g):\n",
-			out.K, out.SketchCapacity, out.MaxErr)
+		fmt.Printf("approximate top-%d (level-1 closure weights, a lower bound on each exact group's):\n", out.K)
 		for i, e := range out.Entries {
-			fmt.Printf("%3d. %-40s count in [%.2f, %.2f] err=%.2f\n",
-				i+1, name(e.Rep), e.Lower, e.Count, e.Err)
+			fmt.Printf("%3d. %-40s weight=%.2f\n", i+1, name(e.Rep), e.Count)
 		}
 		if out.Exact != "" {
 			fmt.Printf("(exact tier: %s)\n", out.Exact)

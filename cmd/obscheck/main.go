@@ -43,7 +43,7 @@
 //     family name (obs.PromName + `_total` for counters), injectively —
 //     two rows may not collide after mangling;
 //  4. the registry must carry at least one row per ops-health prefix
-//     (`runtime.`, `slo.`, `audit.`, `wal.`).
+//     (`runtime.`, `slo.`, `wal.`).
 //
 // With -prom, the file is additionally parsed as a Prometheus text
 // exposition (obs.CheckExposition: declared types, monotone buckets,
@@ -96,7 +96,7 @@ var metricEmitters = map[string]string{
 
 // opsPrefixes are the registry prefixes the ops-health surface depends
 // on; each must keep at least one registry row.
-var opsPrefixes = []string{"runtime.", "slo.", "audit.", "wal."}
+var opsPrefixes = []string{"runtime.", "slo.", "wal."}
 
 func main() {
 	doc := flag.String("doc", "OBSERVABILITY.md", "registry document to check against")

@@ -86,10 +86,8 @@ type options struct {
 	walSnapshotEvery int
 	logLevel         string
 	traceLimit       int
-	sketchCapacity   int
 	modeDefault      string
 	sloTarget        time.Duration
-	auditRate        float64
 	runtimeSample    time.Duration
 	smokeProm        string
 }
@@ -117,10 +115,8 @@ func main() {
 	flag.IntVar(&o.walSnapshotEvery, "wal-snapshot-every", 0, "write a WAL state snapshot and prune replayed segments every N ingest batches (0 = default 256, negative disables)")
 	flag.StringVar(&o.logLevel, "log", "", "structured JSON request logging to stderr: debug, info, warn, or error (empty disables)")
 	flag.IntVar(&o.traceLimit, "trace-limit", 0, "query traces retained for GET /debug/traces (0 = default ring, negative disables tracing)")
-	flag.IntVar(&o.sketchCapacity, "sketch-capacity", 0, "monitored-set size of the approximate tier's Space-Saving sketch (0 = default, negative disables mode=approx|hybrid)")
 	flag.StringVar(&o.modeDefault, "mode-default", "", "serving mode for /topk requests without ?mode=: exact, approx, or hybrid (empty = exact)")
 	flag.DurationVar(&o.sloTarget, "slo-target", 0, "per-request latency SLO target; slower answers burn the error budget (0 = per-endpoint defaults)")
-	flag.Float64Var(&o.auditRate, "audit-rate", 0, "fraction of served approx/hybrid answers the background accuracy auditor re-executes exactly (0 disables, 1 audits every answer)")
 	flag.DurationVar(&o.runtimeSample, "runtime-sample-interval", 0, "how often the runtime health gauges (GC, heap, goroutines) refresh between scrapes (0 = default 10s, negative disables the ticker)")
 	flag.StringVar(&o.smokeProm, "smoke-prom", "", "with -smoke: write the scraped Prometheus exposition to this file for external validation")
 	flag.Parse()
@@ -232,10 +228,8 @@ func run(o options) error {
 		WALOptions:            wal.Options{Sync: fsync},
 		WALSnapshotEvery:      o.walSnapshotEvery,
 		TraceLimit:            o.traceLimit,
-		SketchCapacity:        o.sketchCapacity,
 		DefaultMode:           o.modeDefault,
 		SLO:                   server.SLOConfig{LatencyTarget: o.sloTarget},
-		AuditRate:             o.auditRate,
 		RuntimeSampleInterval: o.runtimeSample,
 		Logger:                logger,
 	})
@@ -408,10 +402,10 @@ func smokeSession(base, promOut string) error {
 	}
 
 	// Approximate-tier round trip (SERVING.md "Approximate tier"): approx
-	// must answer with sketch entries and the X-Approx-Bound header, a
-	// misspelled mode must be a typed 400 (never a silent exact answer),
-	// and hybrid must serve immediately while naming the exact tier's
-	// state.
+	// must answer with the heaviest level-1 groups first and
+	// X-Approx-Bound: 0, a misspelled mode must be a typed 400 (never a
+	// silent exact answer), and hybrid must serve immediately while naming
+	// the exact tier's state.
 	ar, bound, err := getApprox(client, base+"/topk?mode=approx&k=2")
 	if err != nil {
 		return fmt.Errorf("topk approx: %w", err)
@@ -419,8 +413,13 @@ func smokeSession(base, promOut string) error {
 	if ar.Mode != "approx" || len(ar.Entries) == 0 {
 		return fmt.Errorf("topk approx: bad answer %+v", ar)
 	}
-	if bound == "" {
-		return fmt.Errorf("topk approx: no %s header", server.XApproxBound)
+	for i := 1; i < len(ar.Entries); i++ {
+		if ar.Entries[i].Count > ar.Entries[i-1].Count {
+			return fmt.Errorf("topk approx: entries not in decreasing weight: %+v", ar.Entries)
+		}
+	}
+	if bound != "0" {
+		return fmt.Errorf("topk approx: %s = %q, want \"0\"", server.XApproxBound, bound)
 	}
 	if resp, err := client.Get(base + "/topk?mode=aprox"); err != nil {
 		return fmt.Errorf("topk mode typo probe: %w", err)

@@ -1,11 +1,12 @@
-// The approximate fast tier of /topk: mode=approx answers straight
-// from the epoch's frozen Space-Saving sketch (internal/sketch) in
-// microseconds with a per-entry [count−ε, count] interval; mode=hybrid
-// returns the same sketch answer immediately and kicks off a
-// singleflight background task that computes the exact answer, warms
-// the epoch answer cache, and records observed-vs-bound error under
-// the sketch.hybrid.* metrics. mode=exact is the pre-existing path,
-// byte-identical. See SERVING.md "Approximate tier".
+// The approximate fast tier of /topk: mode=approx answers with the
+// first k groups of the level-1 collapse the epoch's snapshot already
+// holds (stream.Snapshot.Heaviest) — exact level-1 closure weights, in
+// microseconds, with no pruning, scoring or segmentation; mode=hybrid
+// returns the same answer immediately and kicks off a singleflight
+// background task that computes the exact answer, warms the epoch answer
+// cache, and records how far the final weights moved under
+// sketch.hybrid.observed_error. mode=exact is the full pipeline. See
+// SERVING.md "Approximate tier".
 package server
 
 import (
@@ -16,16 +17,15 @@ import (
 	"time"
 
 	topk "topkdedup"
-	"topkdedup/internal/sketch"
 )
 
 // The /topk serving modes (Config.DefaultMode, ?mode=).
 const (
-	// ModeExact runs the full PrunedDedup pipeline — today's behaviour.
+	// ModeExact runs the full PrunedDedup pipeline.
 	ModeExact = "exact"
-	// ModeApprox answers from the epoch's sketch only.
+	// ModeApprox answers from the epoch's level-1 group list only.
 	ModeApprox = "approx"
-	// ModeHybrid answers from the sketch and refreshes the exact answer
+	// ModeHybrid answers like ModeApprox and refreshes the exact answer
 	// in the background.
 	ModeHybrid = "hybrid"
 )
@@ -81,24 +81,25 @@ func (s *Server) topkMode(r *http.Request) (string, *apiError) {
 	}
 }
 
-// ApproxEntry is one entry of an approximate /topk answer: the
-// component's true accumulated weight lies in [Lower, Count], with
-// Err = Count − Lower the overestimation bound (ε). Rep is a record id
-// of the component — the sketch's DSU-root key.
+// ApproxEntry is one entry of an approximate /topk answer: one group of
+// the epoch's level-1 sufficient closure. Count is its exact accumulated
+// weight, so Lower == Count and Err == 0; the interval fields stay on
+// the wire for clients that gate on them. The weight is a lower bound on
+// the weight of the final group mode=exact reports for the same records,
+// because deeper levels and the scorer only merge.
 type ApproxEntry struct {
-	// Rep is a member record id of the component.
+	// Rep is the group's representative: its heaviest member record.
 	Rep int `json:"rep"`
-	// Count is the sketch's overestimate of the component weight.
+	// Count is the group's level-1 closure weight.
 	Count float64 `json:"count"`
-	// Lower is the interval's lower edge, max(0, Count−Err).
+	// Lower equals Count.
 	Lower float64 `json:"lower"`
-	// Err is the per-entry overestimation bound ε.
+	// Err is always 0.
 	Err float64 `json:"err"`
 }
 
-// ApproxTopKResponse is the GET /topk?mode=approx|hybrid body: the
-// sketch's top-k with per-entry error intervals, plus enough context to
-// judge the answer's quality (capacity, floor, the served bound).
+// ApproxTopKResponse is the GET /topk?mode=approx|hybrid body: the k
+// heaviest level-1 closure groups of the named epoch.
 type ApproxTopKResponse struct {
 	// K echoes the query parameter.
 	K int `json:"k"`
@@ -108,162 +109,120 @@ type ApproxTopKResponse struct {
 	SnapshotSeq uint64 `json:"snapshot_seq"`
 	// Records is the record count of that epoch.
 	Records int `json:"records"`
-	// SketchCapacity is the monitored-set bound of the serving sketch.
-	SketchCapacity int `json:"sketch_capacity"`
-	// SketchFloor is the eviction floor: zero means the sketch never
-	// evicted and every interval is exact.
-	SketchFloor float64 `json:"sketch_floor"`
-	// MaxErr is the largest Err across the returned entries — the same
-	// number the X-Approx-Bound header carries.
+	// MaxErr is the largest Err across the returned entries: always 0,
+	// the same number the X-Approx-Bound header carries.
 	MaxErr float64 `json:"max_err"`
-	// Entries are the approximate top-k, Count descending.
+	// Entries are the top-k groups, weight descending, ties by ascending
+	// Rep.
 	Entries []ApproxEntry `json:"entries"`
 	// Exact reports the exact tier's state in hybrid mode: "cached"
 	// when the epoch answer cache already holds the exact answer for
-	// (k, r), "refreshing" while the background task computes it.
-	// Empty in approx mode.
+	// (k, r), "refreshing" otherwise. Empty in approx mode.
 	Exact string `json:"exact,omitempty"`
 	// TraceID names the query's trace (fetch the span tree from
-	// /debug/traces?trace=<id>); empty when tracing is disabled. The
-	// audit sampler logs containment violations under this id.
+	// /debug/traces?trace=<id>); empty when tracing is disabled.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
 // XApproxBound is the response header carrying the served answer's
-// largest per-entry error bound, so clients can gate on answer quality
-// without parsing the body.
+// largest per-entry error bound (always 0), so clients that gate on
+// answer quality need not parse the body.
 const XApproxBound = "X-Approx-Bound"
 
 func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, mode string, k, rr int) {
 	ep := s.epoch.Load()
-	view := ep.snap.SketchView()
-	if view == nil {
-		writeTypedError(w, http.StatusBadRequest, "sketch_disabled",
-			"approximate tier is disabled (SketchCapacity < 0); use mode=exact")
-		return
-	}
-	if s.cfg.auditViewHook != nil {
-		view = s.cfg.auditViewHook(view)
-	}
 	_, root := s.traceCtx(r, "server.approx")
 	if root != nil {
 		root.Attr("k", float64(k))
 	}
 	start := time.Now()
-	entries := view.Top(k)
+	groups := ep.snap.Heaviest(k)
 	resp := ApproxTopKResponse{
 		K: k, Mode: mode, SnapshotSeq: ep.seq, Records: ep.snap.Len(),
-		SketchCapacity: view.Capacity(), SketchFloor: view.Floor(),
-		Entries: make([]ApproxEntry, len(entries)),
+		Entries: make([]ApproxEntry, len(groups)),
 	}
-	for i, e := range entries {
-		lower := e.Count - e.Err
-		if lower < 0 {
-			lower = 0
-		}
-		resp.Entries[i] = ApproxEntry{Rep: e.Key, Count: e.Count, Lower: lower, Err: e.Err}
-		if e.Err > resp.MaxErr {
-			resp.MaxErr = e.Err
-		}
+	for i, g := range groups {
+		resp.Entries[i] = ApproxEntry{Rep: g.Rep, Count: g.Weight, Lower: g.Weight}
 	}
 	if root != nil {
 		resp.TraceID = root.TraceID().String()
 	}
 	if mode == ModeHybrid {
-		resp.Exact = s.startHybridExact(ep, view, k, rr)
+		resp.Exact = s.startHybridExact(ep, resp.Entries, k, rr)
 	}
 	root.End()
 	s.metrics.Count("sketch.serve."+mode, 1)
 	s.metrics.Observe("sketch.serve.seconds", time.Since(start).Seconds())
 	if s.logger != nil {
-		s.logger.Info("approx topk query", "k", k, "mode", mode,
-			"snapshot_seq", ep.seq, "max_err", resp.MaxErr,
+		s.logger.Info("approx topk query", "k", k, "mode", mode, "snapshot_seq", ep.seq,
 			"seconds", time.Since(start).Seconds(), "trace", resp.TraceID)
 	}
-	w.Header().Set(XApproxBound, strconv.FormatFloat(resp.MaxErr, 'g', -1, 64))
+	w.Header().Set(XApproxBound, "0")
 	writeJSON(w, http.StatusOK, resp)
-	// Sample this served answer for background re-execution against the
-	// exact path (audit.go); never blocks the response.
-	s.maybeAudit(auditJob{ep: ep, mode: mode, traceID: resp.TraceID, k: k, r: rr, entries: resp.Entries})
 }
 
 // startHybridExact arranges for the exact (k, r) answer to land in the
 // epoch answer cache: a cache hit means it is already there, an
 // in-flight identical computation is left alone (singleflight), and a
 // miss claims the entry and computes in a background goroutine — the
-// hybrid request itself never waits. Returns the Exact field value for
-// the response.
-func (s *Server) startHybridExact(ep *epoch, view *sketch.View, k, rr int) string {
+// hybrid request itself never waits. The background computation holds a
+// slot of the pool guard admits requests through, taken before the cache
+// entry is claimed, so MaxInFlight bounds it like any foreground query;
+// with no slot free nothing is claimed or computed
+// (sketch.hybrid.skipped). Returns the Exact field value for the
+// response.
+func (s *Server) startHybridExact(ep *epoch, served []ApproxEntry, k, rr int) string {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.metrics.Count("sketch.hybrid.skipped", 1)
+		return "refreshing"
+	}
 	key := answerKey{kind: 't', k: k, r: rr}
 	status, ent := s.beginAnswer(ep.seq, key, false)
-	switch status {
-	case cacheHit:
-		return "cached"
-	case cacheMiss:
-		s.bg.Add(1)
-		go func() {
-			defer s.bg.Done()
-			res, _, err := s.computeExact(context.Background(), ep, k, rr, false)
-			ent.topk, ent.err = res, err
-			s.answers.finish(ep.seq, key, ent)
-			s.metrics.Count("sketch.hybrid.refreshed", 1)
-			if err == nil {
-				s.verifySketch(view, res)
-			}
-		}()
+	if status != cacheMiss {
+		<-s.sem
+		if status == cacheHit {
+			return "cached"
+		}
+		// cacheCoalesced: another request owns the computation; cacheBypass:
+		// the epoch moved on under us — nothing worth memoising either way.
+		return "refreshing"
 	}
-	// cacheCoalesced: another request owns the computation; cacheBypass:
-	// the epoch moved on under us — nothing worth memoising either way.
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		defer func() { <-s.sem }()
+		res, _, err := s.computeExact(context.Background(), ep, k, rr, false)
+		ent.topk, ent.err = res, err
+		s.answers.finish(ep.seq, key, ent)
+		s.metrics.Count("sketch.hybrid.refreshed", 1)
+		if err == nil {
+			s.observeHybridError(served, res)
+		}
+	}()
 	return "refreshing"
 }
 
-// verifySketch scores the served sketch entries against the exact
-// engine answer: for every sketch entry whose component appears in the
-// exact top groups, the observed error |Count − exact weight| is
-// recorded (sketch.hybrid.observed_error) and the entry counted as
-// within or outside its claimed interval (sketch.hybrid.within_bound /
-// sketch.hybrid.outside_bound). Outside-bound observations are
-// expected when deeper predicate levels or the scorer merge components
-// beyond the level-1 closure the sketch tracks — the interval contract
-// is per sufficient-closure component, not per final entity (SERVING.md
-// spells this out).
-func (s *Server) verifySketch(view *sketch.View, res *topk.Result) {
+// observeHybridError records, for every served entry whose
+// representative is in a group of the exact answer, how much weight the
+// deeper levels and the scorer added on top of the served level-1
+// weight: final exact weight − served weight
+// (sketch.hybrid.observed_error) — the measured answer to "how far is
+// mode=approx from mode=exact" that SERVING.md cites.
+func (s *Server) observeHybridError(served []ApproxEntry, res *topk.Result) {
 	if len(res.Answers) == 0 {
 		return
 	}
-	weightOf := make(map[int]float64)
+	final := make(map[int]float64)
 	for _, g := range res.Answers[0].Groups {
 		for _, id := range g.Records {
-			weightOf[id] = g.Weight
+			final[id] = g.Weight
 		}
 	}
-	var within, outside int64
-	for _, e := range view.Top(0) {
-		exact, ok := weightOf[e.Key]
-		if !ok {
-			continue
+	for _, e := range served {
+		if exact, ok := final[e.Rep]; ok {
+			s.metrics.Observe("sketch.hybrid.observed_error", exact-e.Count)
 		}
-		diff := exact - e.Count
-		if diff < 0 {
-			diff = -diff
-		}
-		s.metrics.Observe("sketch.hybrid.observed_error", diff)
-		// Tolerance for float summation order: the engine and the sketch
-		// accumulate the same weights along different op sequences.
-		eps := 1e-9 * e.Count
-		if eps < 1e-9 {
-			eps = 1e-9
-		}
-		if exact <= e.Count+eps && exact >= e.Count-e.Err-eps {
-			within++
-		} else {
-			outside++
-		}
-	}
-	if within != 0 {
-		s.metrics.Count("sketch.hybrid.within_bound", within)
-	}
-	if outside != 0 {
-		s.metrics.Count("sketch.hybrid.outside_bound", outside)
 	}
 }

@@ -1,24 +1,28 @@
 // Tests of the approximate fast tier: strict /topk parameter
 // validation (the mode=aprox regression), byte identity of mode=exact
 // with the default path, the approx answer shape and X-Approx-Bound
-// header, hybrid's background exact refresh and sketch.* metrics, WAL
-// rebuild identity, and the differential containment property across
-// seeded domains (toy + citations) and randomized ingest interleavings
-// with greedy shrinking — the served error interval must contain the
-// exact engine count in 100% of queries.
+// header, hybrid's background exact refresh (bounded by the slot pool)
+// and its sketch.hybrid.* metrics, WAL rebuild identity, and the prefix
+// identity across seeded domains (toy + citations) and randomized ingest
+// interleavings with greedy shrinking — every served answer is the first
+// k groups of a from-scratch closure over the same records.
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	topk "topkdedup"
 	"topkdedup/internal/experiments"
+	"topkdedup/internal/records"
 	"topkdedup/internal/stream"
 )
 
@@ -109,36 +113,16 @@ func TestApproxAnswerAndHeader(t *testing.T) {
 	if len(ar.Entries) != 2 || ar.Entries[0].Count != 3 || ar.Entries[1].Count != 2 {
 		t.Fatalf("approx entries: %+v, want counts 3, 2", ar.Entries)
 	}
-	// Under capacity the sketch is exact: zero bounds, tight intervals.
 	for _, e := range ar.Entries {
 		if e.Err != 0 || e.Lower != e.Count {
-			t.Fatalf("entry %+v: want exact interval under capacity", e)
+			t.Fatalf("entry %+v: want a zero-width interval", e)
 		}
 	}
 	if got := resp.Header.Get(XApproxBound); got != "0" {
 		t.Fatalf("X-Approx-Bound = %q, want 0", got)
 	}
-	if ar.SketchFloor != 0 || ar.MaxErr != 0 {
-		t.Fatalf("floor %g maxerr %g, want 0 0", ar.SketchFloor, ar.MaxErr)
-	}
-}
-
-func TestApproxDisabledSketch(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.SketchCapacity = -1 })
-	ingestBatch(t, ts, names("alice", "bob"))
-	for _, mode := range []string{ModeApprox, ModeHybrid} {
-		resp, body := get(t, ts, "/topk?mode="+mode)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("mode=%s with disabled sketch: status %d: %s", mode, resp.StatusCode, body)
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Code != "sketch_disabled" {
-			t.Fatalf("mode=%s error body: %s", mode, body)
-		}
-	}
-	// exact still works.
-	if resp, body := get(t, ts, "/topk?k=1"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("exact with disabled sketch: %d: %s", resp.StatusCode, body)
+	if ar.MaxErr != 0 {
+		t.Fatalf("max_err %g, want 0", ar.MaxErr)
 	}
 }
 
@@ -180,13 +164,10 @@ func TestHybridRefreshesExactAnswer(t *testing.T) {
 	if got := srv.Metrics().CounterValue("sketch.hybrid.refreshed"); got < 1 {
 		t.Fatalf("sketch.hybrid.refreshed = %d, want >= 1", got)
 	}
-	// All entries are exact here (no evictions), so verification must
-	// count them within bound and record zero observed error.
-	if got := srv.Metrics().CounterValue("sketch.hybrid.within_bound"); got < 1 {
-		t.Fatalf("sketch.hybrid.within_bound = %d, want >= 1", got)
-	}
-	if got := srv.Metrics().CounterValue("sketch.hybrid.outside_bound"); got != 0 {
-		t.Fatalf("sketch.hybrid.outside_bound = %d, want 0", got)
+	// Both served entries are groups of the exact answer, and on this
+	// data nothing merges past level 1: two observations of zero.
+	if d := srv.Metrics().Snapshot().Observations["sketch.hybrid.observed_error"]; d.Count != 2 || d.Max != 0 {
+		t.Fatalf("sketch.hybrid.observed_error = %+v, want 2 observations of 0", d)
 	}
 	if got := srv.Metrics().CounterValue("sketch.serve.hybrid"); got != 2 {
 		t.Fatalf("sketch.serve.hybrid = %d, want 2", got)
@@ -195,16 +176,12 @@ func TestHybridRefreshesExactAnswer(t *testing.T) {
 
 func TestApproxSurvivesRestart(t *testing.T) {
 	// A rebooted server replays the WAL through the same accumulator
-	// path, so the recovered sketch — including eviction floor and error
-	// bounds at a deliberately tiny capacity — must serve identical
-	// approximate entries.
+	// path, so the recovered closure must serve the same entries, and
+	// both must be the closure prefix of the records ingested.
 	dir := t.TempDir()
-	mutate := func(c *Config) {
-		c.WALDir = dir
-		c.SketchCapacity = 3
-	}
-	srv, ts := newTestServer(t, mutate)
+	srv, ts := newTestServer(t, func(c *Config) { c.WALDir = dir })
 	r := rand.New(rand.NewSource(42))
+	var all []IngestRecord
 	for b := 0; b < 4; b++ {
 		recs := make([]IngestRecord, 8)
 		for i := range recs {
@@ -216,6 +193,7 @@ func TestApproxSurvivesRestart(t *testing.T) {
 			}
 		}
 		ingestBatch(t, ts, recs)
+		all = append(all, recs...)
 	}
 	_, before := get(t, ts, "/topk?mode=approx&k=5")
 	ts.Close()
@@ -223,8 +201,7 @@ func TestApproxSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	reborn, err := New(Config{
-		Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer(),
-		WALDir: dir, SketchCapacity: 3,
+		Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer(), WALDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,71 +217,176 @@ func TestApproxSurvivesRestart(t *testing.T) {
 	if err := json.Unmarshal(after, &b); err != nil {
 		t.Fatalf("decode post-crash approx: %v: %s", err, after)
 	}
-	if len(a.Entries) == 0 || a.SketchFloor == 0 {
-		t.Fatalf("test needs a sketch with evictions, got %+v", a)
+	want := closurePrefix(t, []string{"name"}, toyLevels(), all, 5)
+	if len(want) != 5 || !slices.Equal(a.Entries, want) {
+		t.Fatalf("pre-crash entries %+v, want the closure prefix %+v", a.Entries, want)
 	}
-	if a.SketchFloor != b.SketchFloor || a.MaxErr != b.MaxErr || len(a.Entries) != len(b.Entries) {
-		t.Fatalf("recovered sketch diverges:\nbefore: %s\nafter:  %s", before, after)
+	if !slices.Equal(a.Entries, b.Entries) {
+		t.Fatalf("recovered answer diverges:\nbefore: %s\nafter:  %s", before, after)
 	}
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
-			t.Fatalf("recovered entry %d: %+v vs %+v", i, a.Entries[i], b.Entries[i])
+}
+
+// TestHybridRefreshHoldsSlot pins that hybrid's background exact
+// computation is bounded by the slot pool. With the scorer blocked, a run
+// of hybrid requests for distinct r starts the one computation a free
+// slot allows and skips the rest; once the scorer is released every
+// request is accounted for as skipped, refreshed or cached, and Close
+// drains what is still running.
+func TestHybridRefreshHoldsSlot(t *testing.T) {
+	const maxInFlight, blocked, requests = 2, 20, 40
+	var running, peak atomic.Int32
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	scorer := toyScorer()
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.MaxInFlight = maxInFlight
+		c.Engine.Workers = 1 // one scorer call at a time per computation
+		c.Scorer = topk.PairScorerFunc(func(a, b *records.Record) float64 {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+			return scorer.Score(a, b)
+		})
+	})
+	ingestBatch(t, ts, names("alice", "alice", "alicia", "alan", "bob", "bobby", "bart"))
+	m := srv.Metrics()
+	var cached int64
+	hybrid := func(r int) {
+		t.Helper()
+		var ar ApproxTopKResponse
+		if err := json.Unmarshal(approxBody(t, ts, fmt.Sprintf("/topk?mode=hybrid&k=2&r=%d", r)), &ar); err != nil {
+			t.Fatal(err)
 		}
+		switch ar.Exact {
+		case "cached":
+			cached++
+		case "refreshing":
+		default:
+			t.Fatalf("r=%d: exact tier state %q", r, ar.Exact)
+		}
+	}
+	for r := 1; r <= blocked; r++ {
+		hybrid(r)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no background computation reached the scorer")
+	}
+	// The request holds one of the two slots, so exactly one computation
+	// could start: r=1's. It is still in the scorer.
+	if got := m.CounterValue("sketch.hybrid.skipped"); got != blocked-1 {
+		t.Fatalf("sketch.hybrid.skipped = %d with the scorer blocked, want %d", got, blocked-1)
+	}
+	close(release)
+	for r := blocked + 1; r < requests; r++ {
+		hybrid(r)
+	}
+	hybrid(1) // cached, or skipped while r=39's computation holds the slot
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if running.Load() != 0 || len(srv.sem) != 0 {
+		t.Fatalf("after Close: %d scorer calls running, %d slots held", running.Load(), len(srv.sem))
+	}
+	if p := peak.Load(); p < 1 || p > maxInFlight {
+		t.Fatalf("peak concurrent scorer calls %d, want 1..%d", p, maxInFlight)
+	}
+	skipped, refreshed := m.CounterValue("sketch.hybrid.skipped"), m.CounterValue("sketch.hybrid.refreshed")
+	if refreshed < 1 || skipped+refreshed+cached != requests {
+		t.Fatalf("skipped %d + refreshed %d + cached %d, want %d requests", skipped, refreshed, cached, requests)
+	}
+}
+
+// TestTopKNormalisesR pins that every r < 1 is the r = 1 query: one
+// computation, one cache entry, one body apart from the echoed r — on
+// the exact path and for hybrid's view of the cache.
+func TestTopKNormalisesR(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.TraceLimit = -1 })
+	ingestBatch(t, ts, names("alice", "alice", "alice", "bob", "bob", "carol"))
+	var bodies [][]byte
+	for i, r := range []int{0, -7, 1} {
+		resp, body := get(t, ts, fmt.Sprintf("/topk?k=2&r=%d", r))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("r=%d: status %d: %s", r, resp.StatusCode, body)
+		}
+		want := cacheHit
+		if i == 0 {
+			want = cacheMiss
+		}
+		if xc := resp.Header.Get("X-Cache"); xc != want {
+			t.Fatalf("r=%d: X-Cache %q, want %q", r, xc, want)
+		}
+		var tr TopKResponse
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.R != r {
+			t.Fatalf("r=%d echoed as %d", r, tr.R)
+		}
+		bodies = append(bodies, bytes.Replace(body, []byte(fmt.Sprintf(`"r":%d,`, r)), []byte(`"r":1,`), 1))
+	}
+	if !bytes.Equal(bodies[0], bodies[2]) || !bytes.Equal(bodies[1], bodies[2]) {
+		t.Fatalf("bodies differ beyond the echoed r:\n%s\n%s\n%s", bodies[0], bodies[1], bodies[2])
+	}
+	var ar ApproxTopKResponse
+	if err := json.Unmarshal(approxBody(t, ts, "/topk?mode=hybrid&k=2&r=-3"), &ar); err != nil || ar.Exact != "cached" {
+		t.Fatalf("hybrid r=-3 after exact r=1: %+v (%v), want exact=cached", ar, err)
 	}
 }
 
 // approxCase is one differential trial: a record stream, a batch split,
-// a sketch capacity, and the k to query.
+// and the k to query.
 type approxCase struct {
 	schema  []string
 	levels  []topk.Level
 	recs    []IngestRecord
 	batches []int
-	cap     int
 	k       int
 }
 
-// closureWeights replays the records through a bare accumulator and
-// returns each record id's sufficient-closure component weight — the
-// truth the sketch's intervals are measured against.
-func closureWeights(t *testing.T, c *approxCase, n int) map[int]float64 {
+// closurePrefix replays the records through a bare accumulator and
+// returns what mode=approx must serve for them: the first k groups of
+// the from-scratch sufficient closure, each with its weight re-summed
+// from its members' records.
+func closurePrefix(t *testing.T, schema []string, levels []topk.Level, recs []IngestRecord, k int) []ApproxEntry {
 	t.Helper()
-	acc, err := stream.New("truth", c.schema, c.levels)
+	acc, err := stream.New("truth", schema, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range c.recs[:n] {
-		w := rec.Weight
-		if w == 0 {
-			w = 1
-		}
-		acc.Add(w, rec.Truth, rec.Values...)
+	for _, rec := range walBatch(recs) { // omitted weights are 1, as applied
+		acc.Add(rec.Weight, rec.Truth, rec.Values...)
 	}
-	out := make(map[int]float64)
-	for _, g := range acc.Groups() {
+	groups := acc.Groups()
+	out := make([]ApproxEntry, min(k, len(groups)))
+	for i := range out {
 		var sum float64
-		for _, id := range g.Members {
+		for _, id := range groups[i].Members {
 			sum += acc.Dataset().Recs[id].Weight
 		}
-		for _, id := range g.Members {
-			out[id] = sum
-		}
+		out[i] = ApproxEntry{Rep: groups[i].Rep, Count: sum, Lower: sum}
 	}
 	return out
 }
 
 // runApproxCase ingests the case's records (random batch split, approx
 // queries after every publish), and returns a description of the first
-// containment violation, or "" when every interval contained both the
-// closure truth and the matching exact engine count.
+// answer that is not the closure prefix, out of (weight desc, rep asc)
+// order, or at odds with the exact engine answer — "" when none is.
 func runApproxCase(t *testing.T, c *approxCase) string {
 	t.Helper()
-	srv, err := New(Config{
-		Schema: c.schema, Levels: c.levels, SketchCapacity: c.cap, TraceLimit: -1,
-	})
+	srv, err := New(Config{Schema: c.schema, Levels: c.levels, TraceLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	at := 0
@@ -325,21 +407,20 @@ func runApproxCase(t *testing.T, c *approxCase) string {
 		if err := json.Unmarshal(body, &ar); err != nil {
 			t.Fatalf("decode approx: %v: %s", err, body)
 		}
-		truth := closureWeights(t, c, at)
-		eps := 1e-6
-		for _, e := range ar.Entries {
-			w, ok := truth[e.Rep]
-			if !ok {
-				return fmt.Sprintf("after %d records: entry rep %d is not a known record", at, e.Rep)
-			}
-			if w > e.Count+eps || w < e.Count-e.Err-eps {
-				return fmt.Sprintf("after %d records: rep %d weight %g outside [%g, %g]",
-					at, e.Rep, w, e.Count-e.Err, e.Count)
+		if want := closurePrefix(t, c.schema, c.levels, c.recs[:at], c.k); ar.Records != at || !slices.Equal(ar.Entries, want) {
+			return fmt.Sprintf("after %d records: served %+v over %d records, closure prefix is %+v",
+				at, ar.Entries, ar.Records, want)
+		}
+		for i := 1; i < len(ar.Entries); i++ {
+			p, e := ar.Entries[i-1], ar.Entries[i]
+			if e.Count > p.Count || (e.Count == p.Count && e.Rep <= p.Rep) {
+				return fmt.Sprintf("after %d records: entries %d, %d out of (weight desc, rep asc) order: %+v %+v",
+					at, i-1, i, p, e)
 			}
 		}
-		// The served intervals must also contain the exact engine answer's
-		// weights: with a single-level schedule and no scorer the engine's
-		// top groups ARE closure components, matched by membership.
+		// With a single-level schedule and no scorer the engine's top
+		// groups ARE closure components, matched by membership, so the
+		// served weight is also the exact answer's, to the bit.
 		_, exactBody := get(t, ts, fmt.Sprintf("/topk?mode=exact&k=%d", c.k))
 		var tr TopKResponse
 		if err := json.Unmarshal(exactBody, &tr); err != nil {
@@ -354,13 +435,8 @@ func runApproxCase(t *testing.T, c *approxCase) string {
 			}
 		}
 		for _, e := range ar.Entries {
-			w, ok := exactOf[e.Rep]
-			if !ok {
-				continue // component below the exact top-k
-			}
-			if w > e.Count+eps || w < e.Count-e.Err-eps {
-				return fmt.Sprintf("after %d records: rep %d exact count %g outside [%g, %g]",
-					at, e.Rep, w, e.Count-e.Err, e.Count)
+			if w, ok := exactOf[e.Rep]; ok && w != e.Count {
+				return fmt.Sprintf("after %d records: rep %d served %g, exact answer says %g", at, e.Rep, e.Count, w)
 			}
 		}
 	}
@@ -392,12 +468,13 @@ func shrinkApprox(t *testing.T, c *approxCase) *approxCase {
 }
 
 // TestDifferentialSketchContainment is the approximate tier's
-// correctness anchor (the ISSUE 9 acceptance criterion): across seeded
-// domains and randomized ingest interleavings, every served approx
-// entry's [lower, count] interval contains both the record's
-// sufficient-closure component weight and the exact engine.TopK count
-// of the matching group — in 100% of queries, at every capacity tried,
-// including capacities small enough to force heavy eviction churn.
+// correctness anchor, now an identity rather than a containment: across
+// seeded domains and randomized ingest interleavings, every served
+// approx answer is, entry for entry and bit for bit, the first k groups
+// of a from-scratch sufficient closure over the records its body names
+// (Count == Lower == the closure weight, Err == 0), in (weight desc, rep
+// asc) order, and agrees with the exact engine.TopK weight of the
+// matching group.
 func TestDifferentialSketchContainment(t *testing.T) {
 	type domainGen func(t *testing.T, r *rand.Rand) *approxCase
 	toyGen := func(t *testing.T, r *rand.Rand) *approxCase {
@@ -422,14 +499,12 @@ func TestDifferentialSketchContainment(t *testing.T) {
 			recs:   citations.recs[:n],
 		}
 	}
-	caps := []int{2, 5, 16, 0}
 	trial := 0
 	for _, gen := range []domainGen{toyGen, citationGen} {
-		for _, capacity := range caps {
+		for rep := 0; rep < 4; rep++ {
 			trial++
 			r := rand.New(rand.NewSource(int64(7000 + trial)))
 			c := gen(t, r)
-			c.cap = capacity
 			c.k = 1 + r.Intn(6)
 			for left := len(c.recs); left > 0; {
 				sz := 1 + r.Intn(17)
@@ -441,8 +516,8 @@ func TestDifferentialSketchContainment(t *testing.T) {
 			}
 			if msg := runApproxCase(t, c); msg != "" {
 				small := shrinkApprox(t, c)
-				t.Fatalf("trial %d (cap=%d, k=%d, batches %v): %s\nshrunk to %d records:\n%s",
-					trial, capacity, c.k, c.batches, msg, len(small.recs), dumpRecords(small.recs))
+				t.Fatalf("trial %d (k=%d, batches %v): %s\nshrunk to %d records:\n%s",
+					trial, c.k, c.batches, msg, len(small.recs), dumpRecords(small.recs))
 			}
 		}
 	}
@@ -450,8 +525,7 @@ func TestDifferentialSketchContainment(t *testing.T) {
 
 // citationDomain is the citation-analogue dataset reshaped for ingest:
 // a single-level schedule (sufficient closure only, no scorer), so the
-// exact engine's answer weights equal closure weights and containment
-// is a deterministic 100% contract.
+// exact engine's answer weights equal closure weights.
 type citationDomain struct {
 	schema []string
 	levels []topk.Level

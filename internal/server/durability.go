@@ -87,9 +87,8 @@ func (s *Server) Checkpoint() error {
 }
 
 // Close releases the server's durable resources: it stops the runtime
-// sampler ticker, drains hybrid mode's background exact computations
-// and in-flight audits, then closes the WAL's active segment and its
-// background sync ticker. Safe when durability is disabled, and safe to
+// sampler ticker, drains hybrid mode's background exact computations,
+// then closes the WAL's active segment and its background sync ticker. Safe when durability is disabled, and safe to
 // call more than once (later calls re-close the WAL and report its
 // error).
 func (s *Server) Close() error {

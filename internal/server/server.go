@@ -44,7 +44,6 @@ import (
 	"topkdedup/internal/obs"
 	"topkdedup/internal/records"
 	"topkdedup/internal/shard"
-	"topkdedup/internal/sketch"
 	"topkdedup/internal/stream"
 	"topkdedup/internal/wal"
 )
@@ -122,14 +121,6 @@ type Config struct {
 	// tail behind the newest snapshot. 0 selects 256; negative disables
 	// snapshotting (boot replays the whole log).
 	WALSnapshotEvery int
-	// SketchCapacity sizes the approximate fast tier: a bounded
-	// Space-Saving sketch (internal/sketch) over the maintained
-	// sufficient-closure components, serving GET /topk?mode=approx in
-	// microseconds with per-entry error intervals. 0 selects
-	// sketch.DefaultCapacity; a negative value disables the sketch
-	// entirely (mode=approx and mode=hybrid then answer 400). The
-	// sketch is rebuilt from WAL replay on boot — no extra log records.
-	SketchCapacity int
 	// DefaultMode is the /topk serving mode when the request omits
 	// ?mode=: "exact" (the default), "approx", or "hybrid". See
 	// SERVING.md "Approximate tier".
@@ -150,13 +141,6 @@ type Config struct {
 	// tracking off. Observational only: answers never change with SLO
 	// state.
 	SLO SLOConfig
-	// AuditRate is the fraction of served approx/hybrid answers the
-	// background accuracy auditor re-executes against the exact path
-	// (OBSERVABILITY.md "Continuous accuracy auditing"): 0 or negative
-	// disables the auditor, 1 audits every served answer, 0.01 every
-	// hundredth (deterministic 1-in-N sampling). Values above 1 clamp
-	// to 1.
-	AuditRate float64
 	// RuntimeSampleInterval is the period of the runtime.* health
 	// sampler (GC pauses, heap, goroutines — see obs.RuntimeSampler).
 	// 0 selects 10s; a negative value disables the background ticker
@@ -165,12 +149,8 @@ type Config struct {
 
 	// wrapShardTransport, when non-nil (in-package tests only), wraps
 	// the shard transport of every coordinator query — the
-	// fault-injection seam (internal/faulty) of the audit tests.
+	// fault-injection seam (internal/faulty).
 	wrapShardTransport func(shard.Transport) shard.Transport
-	// auditViewHook, when non-nil (in-package tests only), replaces the
-	// sketch view mode=approx/hybrid serves — the corruption seam the
-	// audit tests use to seed containment violations.
-	auditViewHook func(*sketch.View) *sketch.View
 }
 
 func (c *Config) defaults() error {
@@ -194,12 +174,6 @@ func (c *Config) defaults() error {
 	}
 	if c.WALSnapshotEvery == 0 {
 		c.WALSnapshotEvery = 256
-	}
-	if c.AuditRate < 0 {
-		c.AuditRate = 0
-	}
-	if c.AuditRate > 1 {
-		c.AuditRate = 1
 	}
 	switch c.DefaultMode {
 	case "":
@@ -253,24 +227,21 @@ type Server struct {
 	recovered  int
 	snapMu     sync.Mutex // serialises Checkpoint's write + prune
 
-	// bg tracks hybrid-mode background exact computations, audit runs,
-	// and the runtime sampler loop so Close can drain them before
-	// releasing durable resources.
+	// bg tracks hybrid-mode background exact computations and the runtime
+	// sampler loop so Close can drain them before releasing durable
+	// resources.
 	bg sync.WaitGroup
 
-	// Ops-grade telemetry state (slo.go, audit.go): start time for
-	// uptime, the SLO tracker (nil when disabled), the runtime sampler
-	// and its ticker stop channel, the last completed WAL checkpoint
-	// (unixnano, for wal.checkpoint.age_seconds), and the audit
-	// sampler's 1-in-N state.
+	// Ops-grade telemetry state (slo.go): start time for uptime, the SLO
+	// tracker (nil when disabled), the runtime sampler and its ticker stop
+	// channel, and the last completed WAL checkpoint (unixnano, for
+	// wal.checkpoint.age_seconds).
 	started        time.Time
 	slo            *sloTracker
 	rtSampler      *obs.RuntimeSampler
 	rtStop         chan struct{}
 	stopOnce       sync.Once
 	lastCheckpoint atomic.Int64
-	auditEvery     uint64
-	auditSeq       atomic.Uint64
 }
 
 // New creates a Server and publishes the initial (empty) snapshot as
@@ -296,12 +267,6 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.SLO.Disable {
 		s.slo = newSLOTracker(cfg.SLO, s.metrics)
 	}
-	if cfg.AuditRate > 0 {
-		s.auditEvery = uint64(math.Round(1 / cfg.AuditRate))
-		if s.auditEvery < 1 {
-			s.auditEvery = 1
-		}
-	}
 	s.rtSampler = obs.NewRuntimeSampler(s.metrics)
 	if cfg.RuntimeSampleInterval >= 0 {
 		interval := cfg.RuntimeSampleInterval
@@ -321,12 +286,6 @@ func New(cfg Config) (*Server, error) {
 	// these from the accumulator.
 	acc.SetShards(cfg.Engine.Shards)
 	acc.SetPrunePasses(cfg.Engine.PrunePasses)
-	// Enable the approximate tier before WAL recovery runs: replay goes
-	// through acc.Add, so the recovered sketch is byte-identical to the
-	// one an uninterrupted run would hold (no sketch log records).
-	if cfg.SketchCapacity >= 0 {
-		acc.EnableSketch(cfg.SketchCapacity)
-	}
 	if cfg.TraceLimit >= 0 {
 		s.tracer = obs.NewRecorder(cfg.TraceLimit)
 	}
@@ -342,7 +301,6 @@ func New(cfg Config) (*Server, error) {
 	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
-	acc.FlushSketchMetrics() // replay-time sketch counters, one batch
 	s.epoch.Store(&epoch{snap: acc.Snapshot(), seq: 0})
 	return s, nil
 }
@@ -477,9 +435,9 @@ func (s *Server) apply(batch wal.Batch) {
 // commitLocked makes one validated batch part of the write-side state:
 // WAL-then-apply (a batch that cannot be made durable is never applied,
 // so an acknowledged batch is always recoverable and a failed one leaves
-// no trace), then the sketch counters, the pending count, and a new
-// epoch when publish is set or Config.RefreshEvery is due. It reports
-// whether it published. Callers hold s.mu.
+// no trace), then the pending count, and a new epoch when publish is set
+// or Config.RefreshEvery is due. It reports whether it published. Callers
+// hold s.mu.
 func (s *Server) commitLocked(batch wal.Batch, publish bool) (bool, error) {
 	if s.wal != nil {
 		if _, err := s.wal.Append(batch); err != nil {
@@ -487,7 +445,6 @@ func (s *Server) commitLocked(batch wal.Batch, publish bool) (bool, error) {
 		}
 	}
 	s.apply(batch)
-	s.acc.FlushSketchMetrics()
 	s.pending += len(batch)
 	if publish || (s.cfg.RefreshEvery >= 0 && s.pending >= s.cfg.RefreshEvery) {
 		s.publishLocked()
@@ -698,7 +655,8 @@ func (s *Server) handleRefresh(w http.ResponseWriter, _ *http.Request) {
 type TopKResponse struct {
 	// K and R echo the query parameters.
 	K int `json:"k"`
-	// R is the number of alternative answers requested.
+	// R is the number of alternative answers requested, as sent: a value
+	// below 1 is echoed as is and answered as 1.
 	R int `json:"r"`
 	// SnapshotSeq identifies the epoch the answer was computed on.
 	SnapshotSeq uint64 `json:"snapshot_seq"`
@@ -733,6 +691,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeTypedError(w, http.StatusBadRequest, aerr.code, aerr.msg)
 		return
 	}
+	// The engine answers r < 1 as r = 1 (Engine.TopKFromCtx), so they are
+	// one answer and one cache entry; only the echoed R keeps what was
+	// sent.
+	sentR := rr
+	rr = max(rr, 1)
 	if mode != ModeExact {
 		s.handleApprox(w, r, mode, k, rr)
 		return
@@ -778,7 +741,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := TopKResponse{
-		K: k, R: rr, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res,
+		K: k, R: sentR, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res,
 	}
 	if root != nil {
 		resp.TraceID = root.TraceID().String()
@@ -889,9 +852,9 @@ func (s *Server) rankAnswer(ctx context.Context, ep *epoch, key answerKey, compu
 }
 
 // computeExact runs the exact TopK pipeline over an epoch — the shared
-// compute step of the /topk miss path, hybrid mode's background refresh
-// and the auditor: the epoch's pruning for K (pruned), then the final
-// phase for (K, R) on a per-query engine. The returned bool marks a
+// compute step of the /topk miss path and hybrid mode's background
+// refresh: the epoch's pruning for K (pruned), then the final phase for
+// (K, R) on a per-query engine. The returned bool marks a
 // shard-peer failure (surfaced as 502 rather than 500).
 func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain bool) (*topk.Result, bool, error) {
 	pd, badGateway, err := s.pruned(ctx, ep, k, explain)
@@ -1129,8 +1092,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is a stable machine-readable discriminator, present on the
 	// typed request-validation failures ("unknown_param", "bad_param",
-	// "bad_mode", "sketch_disabled"); absent elsewhere so pre-existing
-	// error bodies are unchanged.
+	// "bad_mode"); absent elsewhere so pre-existing error bodies are
+	// unchanged.
 	Code string `json:"code,omitempty"`
 }
 

@@ -10,7 +10,6 @@ import (
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 	"topkdedup/internal/shard"
-	"topkdedup/internal/sketch"
 )
 
 // Snapshot is an immutable point-in-time view of an Incremental
@@ -46,7 +45,6 @@ type Snapshot struct {
 	data        *records.Dataset
 	groups      []core.Group
 	levels      []predicate.Level
-	sk          *sketch.View
 	evals       int64
 	shards      int
 	prunePasses int
@@ -75,10 +73,6 @@ func (inc *Incremental) Snapshot() *Snapshot {
 	n := inc.data.Len()
 	groups := inc.Groups()
 	defer obs.ObserveSince(inc.sink, "stream.snapshot", start)
-	var sk *sketch.View
-	if inc.sk != nil {
-		sk = inc.sk.View()
-	}
 	data := &records.Dataset{
 		Name:   inc.data.Name,
 		Schema: inc.data.Schema,
@@ -91,7 +85,6 @@ func (inc *Incremental) Snapshot() *Snapshot {
 		data:        data,
 		groups:      groups,
 		levels:      inc.levels,
-		sk:          sk,
 		evals:       inc.evals,
 		shards:      inc.shards,
 		prunePasses: inc.prunePasses,
@@ -210,8 +203,23 @@ func (s *Snapshot) prune(ctx context.Context, k, workers int, sink obs.Sink) (*c
 	})
 }
 
-// SketchView returns the frozen approximate-tier sketch, or nil when
-// the accumulator had no sketch enabled when the snapshot was taken.
-// The serving layer answers mode=approx /topk queries from it without
-// touching the exact pipeline.
-func (s *Snapshot) SketchView() *sketch.View { return s.sk }
+// Heaviest returns the k heaviest groups of the frozen level-1 collapse
+// (all of them when there are fewer), in the (weight desc, rep asc)
+// order of core.SortGroupsByWeight — what mode=approx serves. It is a
+// window onto the snapshot's own list, not a copy: read-only, like
+// everything else reachable from a Snapshot. k must not be negative.
+func (s *Snapshot) Heaviest(k int) []core.Group {
+	n := min(k, len(s.groups))
+	return s.groups[:n:n]
+}
+
+// SketchView is kept because the frozen benchmark harness
+// (benchmark/replay.go) times snap.SketchView().Top(k), which is
+// s.Heaviest(k).
+func (s *Snapshot) SketchView() SketchView { return SketchView{s} }
+
+// SketchView is what Snapshot.SketchView returns.
+type SketchView struct{ s *Snapshot }
+
+// Top is Snapshot.Heaviest.
+func (v SketchView) Top(k int) []core.Group { return v.s.Heaviest(k) }

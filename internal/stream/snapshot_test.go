@@ -17,7 +17,8 @@ import (
 // contains, with new snapshots published in between. A reader goroutine
 // keeps walking the held snapshot meanwhile, so under -race a rebuild
 // that wrote into a shared Members array would be reported as well as
-// seen in the DeepEqual.
+// seen in the DeepEqual. A Heaviest window — a view of the snapshot's own
+// list, not a copy — is held and walked alongside.
 func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -45,6 +46,10 @@ func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
 		snap := inc.Snapshot()
 		wantLen := snap.Len()
 		wantGroups := deepCopyGroups(snap.Groups())
+		heaviest := snap.Heaviest(5)
+		if len(heaviest) != 5 {
+			t.Fatalf("%s: Heaviest(5) returned %d groups", name, len(heaviest))
+		}
 		before, err := snap.TopK(3, 1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -59,9 +64,11 @@ func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
 					return
 				default:
 				}
-				for _, g := range snap.Groups() {
-					for _, m := range g.Members {
-						_ = snap.Dataset().Recs[m].Weight
+				for _, groups := range [][]core.Group{snap.Groups(), heaviest} {
+					for _, g := range groups {
+						for _, m := range g.Members {
+							_ = snap.Dataset().Recs[m].Weight
+						}
 					}
 				}
 			}
@@ -85,6 +92,9 @@ func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
 		}
 		if got := snap.Groups(); !reflect.DeepEqual(got, wantGroups) {
 			t.Fatalf("%s: snapshot groups moved under ingest\n got=%v\nwant=%v", name, got, wantGroups)
+		}
+		if !reflect.DeepEqual(heaviest, wantGroups[:5]) {
+			t.Fatalf("%s: held Heaviest window moved under ingest\n got=%v\nwant=%v", name, heaviest, wantGroups[:5])
 		}
 		after, err := snap.FreshTopKCtx(context.Background(), 3, 1, nil)
 		if err != nil {
@@ -158,6 +168,9 @@ func TestSnapshotEmpty(t *testing.T) {
 	res, err := snap.TopK(4, 1, nil)
 	if err != nil || len(res.Groups) != 0 {
 		t.Fatalf("empty snapshot TopK: %v %v", res, err)
+	}
+	if len(snap.Heaviest(4)) != 0 {
+		t.Fatal("empty snapshot has heaviest groups")
 	}
 	if snap.Len() != 0 || snap.Evals() != 0 || snap.Taken().IsZero() {
 		t.Fatal("empty snapshot metadata wrong")

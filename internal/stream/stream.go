@@ -30,7 +30,6 @@ import (
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
-	"topkdedup/internal/sketch"
 )
 
 // Incremental is a growing dataset with an incrementally maintained
@@ -68,11 +67,6 @@ type Incremental struct {
 	// closures is indexed by record id and non-nil exactly at the roots
 	// of uf: the sufficient closure each root stands for (see closure).
 	closures []*closure
-	// sk, when enabled, is the approximate fast tier (internal/sketch):
-	// a bounded Space-Saving summary keyed by the sufficient-closure
-	// roots this accumulator maintains, updated in lock-step with Add's
-	// unions so Snapshot can freeze a consistent View per epoch.
-	sk *sketch.Sketch
 }
 
 // closure is one sufficient-closure component of the accumulator: its
@@ -116,7 +110,6 @@ func (inc *Incremental) Add(weight float64, truth string, values ...string) int 
 	}
 	inc.seenRoot = append(inc.seenRoot, 0) // slot for the new record's root
 	stamp := int32(id + 1)
-	fresh := true // id's component has zero mass until its first union
 	for _, key := range inc.keyIDs {
 		for _, other := range inc.buckets[key] {
 			root := inc.uf.Find(int(other))
@@ -132,23 +125,9 @@ func (inc *Incremental) Add(weight float64, truth string, values ...string) int 
 				ra := inc.uf.Find(id)
 				inc.uf.Union(id, int(other))
 				inc.mergeClosures(ra, root, inc.uf.Find(id))
-				if inc.sk != nil {
-					if fresh {
-						// First union of a just-appended record: its side is
-						// a zero-mass singleton, so the sketch absorbs it for
-						// free instead of paying the two-sided merge bound.
-						inc.sk.MergeFresh(root, inc.uf.Find(id))
-					} else {
-						inc.sk.Merge(ra, root, inc.uf.Find(id))
-					}
-				}
-				fresh = false
 			}
 		}
 		inc.buckets[key] = append(inc.buckets[key], int32(id))
-	}
-	if inc.sk != nil {
-		inc.sk.Update(inc.uf.Find(id), rec.Weight)
 	}
 	if inc.sink != nil {
 		inc.sink.Count("stream.add.records", 1)
@@ -204,39 +183,13 @@ func (inc *Incremental) SetPrunePasses(passes int) { inc.prunePasses = passes }
 // without a sink.
 func (inc *Incremental) SetMetrics(s obs.Sink) { inc.sink = s }
 
-// EnableSketch attaches the approximate fast tier: a bounded
-// Space-Saving sketch (internal/sketch) over the sufficient-closure
-// components, with capacity <= 0 selecting sketch.DefaultCapacity.
-// From then on every Add updates the sketch in lock-step with the
-// component unions, and Snapshot freezes a consistent View alongside
-// the group list. Records already accumulated are back-filled from the
-// current component partition, so enabling is valid at any point —
-// though the serving layer enables it before WAL replay, which is what
-// makes a recovered sketch byte-identical to an uninterrupted run's.
-// Enabling is observational for the exact tier: Groups and TopK are
-// unaffected.
-func (inc *Incremental) EnableSketch(capacity int) {
-	inc.sk = sketch.New(capacity)
-	for id := range inc.data.Recs {
-		inc.sk.Update(inc.uf.Find(id), inc.data.Recs[id].Weight)
-	}
-}
+// EnableSketch does nothing: it is kept because the frozen benchmark
+// harness (benchmark/replay.go) calls it.
+func (inc *Incremental) EnableSketch(int) {}
 
-// Sketch returns the attached approximate-tier sketch, or nil when
-// EnableSketch was never called. Callers mutate it only through this
-// accumulator's Add path; reads require the same external
-// synchronisation as every other Incremental method.
-func (inc *Incremental) Sketch() *sketch.Sketch { return inc.sk }
-
-// FlushSketchMetrics drains the sketch's batched maintenance counters
-// into the attached metrics sink (see sketch.EmitMetrics). The serving
-// layer calls it once per applied ingest batch; a disabled sketch or
-// detached sink makes it a no-op.
-func (inc *Incremental) FlushSketchMetrics() {
-	if inc.sk != nil {
-		inc.sk.EmitMetrics(inc.sink)
-	}
-}
+// FlushSketchMetrics does nothing: it is kept because the frozen
+// benchmark harness (benchmark/replay.go) calls it.
+func (inc *Incremental) FlushSketchMetrics() {}
 
 // Len returns the number of accumulated records.
 func (inc *Incremental) Len() int { return inc.data.Len() }
