@@ -1,5 +1,5 @@
 // Command doccheck enforces the repository's documentation discipline.
-// It has two modes, selected per argument:
+// It has two modes selected per argument, and one selected by flag:
 //
 //   - A package directory: every exported top-level identifier must
 //     carry a doc comment. ci.sh runs this over the API-bearing
@@ -10,10 +10,17 @@
 //     exist on disk, so design references (INCREMENTAL.md,
 //     OBSERVABILITY.md, ...) cannot drift to naming files or packages
 //     that were renamed away.
+//   - -errata doc.md: every backticked benchmark row name (a dotted
+//     lower-case token such as `shard.transport_calls`) in the first
+//     column of the document's "Benchmark errata" table must still occur
+//     somewhere under benchmark/ or in BENCHMARK.json (beside the
+//     document), so the list of frozen rows that no longer mean what
+//     they say cannot outlive the rows.
 //
 // Usage:
 //
 //	doccheck ./internal/core ./internal/parallel . INCREMENTAL.md
+//	doccheck -errata EXPERIMENTS.md
 //
 // Package arguments are directories (not recursive). Exported
 // functions, methods on exported types, type declarations, and
@@ -24,26 +31,26 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <package-dir|doc.md> [...]")
+	errata := flag.String("errata", "", "markdown file whose \"Benchmark errata\" table must name only rows the benchmark still has")
+	flag.Parse()
+	if flag.NArg() == 0 && *errata == "" {
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-errata doc.md] <package-dir|doc.md> [...]")
 		os.Exit(2)
 	}
 	bad := 0
-	for _, arg := range os.Args[1:] {
-		check := checkDir
-		if strings.HasSuffix(arg, ".md") {
-			check = checkDoc
-		}
+	run := func(check func(string) ([]string, error), arg string) {
 		missing, err := check(arg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", arg, err)
@@ -53,6 +60,16 @@ func main() {
 			fmt.Println(m)
 			bad++
 		}
+	}
+	for _, arg := range flag.Args() {
+		if strings.HasSuffix(arg, ".md") {
+			run(checkDoc, arg)
+		} else {
+			run(checkDir, arg)
+		}
+	}
+	if *errata != "" {
+		run(checkErrata, *errata)
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d documentation failure(s)\n", bad)
@@ -185,6 +202,64 @@ func checkDoc(path string) ([]string, error) {
 		}
 	}
 	return missing, sc.Err()
+}
+
+// rowNameRE is the shape of a benchmark row name: dotted lower-case
+// segments, the last possibly `*` for a family of rows.
+var rowNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\.([a-z0-9_]+|\*)$`)
+
+// checkErrata reads the table under the document's "## Benchmark errata"
+// heading and returns one failure per row name in its first column that
+// occurs in no file under benchmark/ and not in BENCHMARK.json, both
+// looked up beside the document. A name ending in `.*` matches by its
+// prefix.
+func checkErrata(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	root := filepath.Dir(path)
+	corpus, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return nil, err
+	}
+	files, err := filepath.Glob(filepath.Join(root, "benchmark", "*"))
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range files {
+		if b, err := os.ReadFile(f); err == nil { // a directory reads as an error and holds no row
+			corpus = append(append(corpus, '\n'), b...)
+		}
+	}
+	var missing []string
+	rows, inSection := 0, false
+	for n, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inSection = strings.TrimSpace(line[3:]) == "Benchmark errata"
+			continue
+		}
+		if !inSection || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, tok := range inlineCode(cells[1]) {
+			if !rowNameRE.MatchString(tok) {
+				continue
+			}
+			rows++
+			if !strings.Contains(string(corpus), strings.TrimSuffix(tok, "*")) {
+				missing = append(missing, fmt.Sprintf("%s:%d: errata row `%s` occurs nowhere under benchmark/ or in BENCHMARK.json", path, n+1, tok))
+			}
+		}
+	}
+	if rows == 0 {
+		return nil, fmt.Errorf("no \"Benchmark errata\" table with row names found")
+	}
+	return missing, nil
 }
 
 // inlineCode returns the contents of every single-backtick span on the

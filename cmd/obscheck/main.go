@@ -23,7 +23,7 @@
 //   - StartSpan / ObserveSince / ObserveDuration emit "<name>.seconds"
 //     (the obs duration convention);
 //   - StartChild / StartTrace / Event, and the repo's thin wrappers
-//     traceCtx / shardSpan / workerSpan / startQuerySpan / ReplayBound,
+//     traceCtx / startQuerySpan / ReplayBound,
 //     emit trace span (or span event) names.
 //
 // The first string-shaped argument that looks like a dotted lower-case
@@ -88,8 +88,6 @@ var metricEmitters = map[string]string{
 	"StartTrace":      "",
 	"Event":           "",
 	"traceCtx":        "",
-	"shardSpan":       "",
-	"workerSpan":      "",
 	"startQuerySpan":  "",
 	"ReplayBound":     "",
 }

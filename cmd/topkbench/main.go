@@ -49,8 +49,8 @@ type benchExperiment struct {
 	Name      string                  `json:"name"`
 	ElapsedMS float64                 `json:"elapsed_ms"`
 	Rows      []experiments.TimingRow `json:"timing_rows,omitempty"`
-	// ShardRows carries the sharded-coordinator sweep's per-cell timing
-	// and bound-exchange statistics (shard experiment only).
+	// ShardRows carries the single-machine vs sharded sweep's per-cell
+	// timing and bound-exchange statistics (shard experiment only).
 	ShardRows []experiments.ShardRow `json:"shard_rows,omitempty"`
 	Phases    *obs.Snapshot          `json:"phases,omitempty"`
 }
@@ -406,26 +406,38 @@ func runRank(scale experiments.Scale) error {
 	return nil
 }
 
-// runShard sweeps the in-process sharded coordinator over the K × shard
-// count × worker bound grid on the citation dataset, verifying every
-// cell byte-identical to the single-machine pipeline. Shard count 1 runs
-// the whole protocol over a single shard, so the table's first rows read
-// as the pure coordination overhead.
+// runShard times PrunedDedup single-machine and through the sharded
+// coordinator over the K × worker bound × shard count grid, on citations
+// (one canopy component: every shard but one runs empty) and students
+// (hundreds of components: the data sharding is shaped for), verifying
+// every cell byte-identical to the single-machine pipeline. The "x
+// single" column is the answer to "does sharding pay": shard count 1
+// reads as the pure coordination overhead.
 func runShard(scale experiments.Scale, workerSweep []int) ([]experiments.ShardRow, error) {
-	dd, err := cachedSetup(fmt.Sprintf("citations/%d", scale.Citations), func() (*experiments.DomainData, error) {
+	cit, err := cachedSetup(fmt.Sprintf("citations/%d", scale.Citations), func() (*experiments.DomainData, error) {
 		return experiments.CitationSetup(scale.Citations, false)
 	})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("E12 — sharded PrunedDedup sweep on %d citation records\n", dd.Data.Len())
-	ks := experiments.KsForScale(dd.Data.Len())
-	if len(ks) > 3 {
-		ks = ks[:3]
-	}
-	rows, err := experiments.ShardSweep(dd, ks, []int{1, 2, 4, 8}, workerSweep)
+	stu, err := cachedSetup(fmt.Sprintf("students/%d", scale.Students), func() (*experiments.DomainData, error) {
+		return experiments.StudentSetup(scale.Students, false)
+	})
 	if err != nil {
 		return nil, err
+	}
+	fmt.Printf("E12 — single-machine vs sharded PrunedDedup on %d citation and %d student records (median of 3 runs per cell)\n", cit.Data.Len(), stu.Data.Len())
+	var rows []experiments.ShardRow
+	for _, dd := range []*experiments.DomainData{cit, stu} {
+		ks := experiments.KsForScale(dd.Data.Len())
+		if len(ks) > 3 {
+			ks = ks[:3]
+		}
+		r, err := experiments.ShardSweep(dd, ks, []int{1, 2, 4, 8}, workerSweep)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
 	}
 	experiments.RenderShardTable(os.Stdout, rows)
 	return rows, nil

@@ -18,23 +18,9 @@
 //
 //	topkd -addr :8080 -schema name,addr -field name
 //	topkd -addr :8080 -field name -in seed.tsv      (warm-start from TSV)
-//	topkd -addr :8080 -shards 4                     (in-process sharded pruning)
 //	topkd -addr :8080 -wal /var/lib/topkd/wal       (durable ingest, replay on boot)
 //	topkd -smoke                                    (self-test and exit)
 //	topkd -crash-smoke                              (SIGKILL-recovery self-test and exit)
-//
-// Multi-node sharding (see SHARDING.md for the worked example): start
-// shard executors with -role shard, then a coordinator naming them:
-//
-//	topkd -role shard -addr :7601 &
-//	topkd -role shard -addr :7602 &
-//	topkd -role coordinator -addr :8080 -peers http://localhost:7601,http://localhost:7602
-//
-// Every node must be configured with the same -schema, -field, and
-// -overlap (predicates are rebuilt from flags, not shipped). Ingest goes
-// to the coordinator; each query partitions the snapshot across the
-// peers and runs the bound-exchange protocol over their /shard/*
-// endpoints.
 //
 // Shutdown is graceful: SIGINT/SIGTERM stops accepting connections and
 // drains in-flight queries for up to 10 seconds.
@@ -77,10 +63,6 @@ type options struct {
 	in               string
 	smoke            bool
 	crashSmoke       bool
-	role             string
-	peers            string
-	shards           int
-	replicate        bool
 	walDir           string
 	walFsync         string
 	walSnapshotEvery int
@@ -106,10 +88,6 @@ func main() {
 	flag.StringVar(&o.in, "in", "", "optional seed TSV/CSV to load and publish before serving")
 	flag.BoolVar(&o.smoke, "smoke", false, "self-test: serve on an ephemeral port, run a client session against it, shut down, exit")
 	flag.BoolVar(&o.crashSmoke, "crash-smoke", false, "self-test: SIGKILL a child topkd mid-ingest, restart it on the same WAL, verify recovery, exit")
-	flag.StringVar(&o.role, "role", "standalone", "node role: standalone, coordinator (partitions queries across -peers), or shard (executes a coordinator's partition)")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated shard base URLs (coordinator role only)")
-	flag.IntVar(&o.shards, "shards", 0, "in-process shard count for query pruning (standalone/shard roles; <= 1 disables)")
-	flag.BoolVar(&o.replicate, "replicate", false, "coordinator role: place each shard on a primary + replica peer pair and fail queries over on peer loss (needs >= 2 -peers)")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: ingest is logged and fsynced before it is applied, and replayed on boot (empty disables durability)")
 	flag.StringVar(&o.walFsync, "wal-fsync", "always", "WAL fsync policy: always (durable on 200), interval (background ticker), or never (OS page cache)")
 	flag.IntVar(&o.walSnapshotEvery, "wal-snapshot-every", 0, "write a WAL state snapshot and prune replayed segments every N ingest batches (0 = default 256, negative disables)")
@@ -165,35 +143,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	var peerList []string
-	if o.peers != "" {
-		for _, p := range strings.Split(o.peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-	}
-	switch o.role {
-	case "standalone", "shard":
-		if len(peerList) > 0 {
-			return fmt.Errorf("-peers only applies to -role coordinator")
-		}
-		if o.replicate {
-			return fmt.Errorf("-replicate only applies to -role coordinator")
-		}
-	case "coordinator":
-		if len(peerList) == 0 {
-			return fmt.Errorf("-role coordinator requires -peers")
-		}
-		if o.shards > 1 {
-			return fmt.Errorf("-shards does not apply to -role coordinator (the shard count is the peer count)")
-		}
-		if o.replicate && len(peerList) < 2 {
-			return fmt.Errorf("-replicate needs at least 2 -peers (each shard gets a primary and a replica on distinct peers)")
-		}
-	default:
-		return fmt.Errorf("unknown -role %q (use standalone, coordinator, or shard)", o.role)
-	}
 	fields := strings.Split(o.schema, ",")
 	for i := range fields {
 		fields[i] = strings.TrimSpace(fields[i])
@@ -217,13 +166,11 @@ func run(o options) error {
 		Schema:                fields,
 		Levels:                levels,
 		Scorer:                topk.PairScorerFunc(scorer),
-		Engine:                topk.Config{Workers: o.workers, Shards: o.shards},
+		Engine:                topk.Config{Workers: o.workers},
 		RefreshEvery:          o.refreshEvery,
 		MaxInFlight:           o.maxInFlight,
 		RequestTimeout:        o.requestTimeout,
 		MaxBatch:              o.maxBatch,
-		ShardPeers:            peerList,
-		ShardReplicate:        o.replicate,
 		WALDir:                o.walDir,
 		WALOptions:            wal.Options{Sync: fsync},
 		WALSnapshotEvery:      o.walSnapshotEvery,
@@ -283,7 +230,7 @@ func run(o options) error {
 	fmt.Fprintf(os.Stderr, "topkd: listening on %s\n", ln.Addr())
 	if logger != nil {
 		logger.Info("topkd started",
-			"version", version, "go", goVersion, "addr", ln.Addr().String(), "role", o.role)
+			"version", version, "go", goVersion, "addr", ln.Addr().String())
 	}
 
 	if o.smoke {

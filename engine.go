@@ -18,7 +18,6 @@ import (
 	"topkdedup/internal/rankquery"
 	"topkdedup/internal/score"
 	"topkdedup/internal/segment"
-	"topkdedup/internal/shard"
 )
 
 // Mode selects how answer scores combine over the groupings supporting an
@@ -39,15 +38,6 @@ type Config struct {
 	// PrunePasses is the number of exact upper-bound refinement passes in
 	// the prune step (default 2, the paper's choice).
 	PrunePasses int
-	// Shards, when > 1, runs the pruning phases through the in-process
-	// sharded coordinator (internal/shard): the dataset is partitioned
-	// into canopy-closed shards, each executes collapse/bound/prune on
-	// its slice, and the coordinator folds per-shard bounds into the
-	// global M with the bound-exchange protocol (see SHARDING.md).
-	// Results are byte-identical at every shard count; only eval
-	// counters and phase wall times in the reported stats may differ.
-	// <= 1 (the default) runs the single-machine pipeline.
-	Shards int
 	// MaxGroupWidth caps how many collapsed groups one answer group may
 	// span in the segmentation search (default 24). Larger is slower;
 	// the paper's equivalent is "not considering any cluster including
@@ -88,8 +78,8 @@ type Config struct {
 	// TopK/TopKRank call becomes one trace whose spans cover the
 	// per-level collapse/bound/prune phases, prune passes, and the final
 	// scoring steps. Like Metrics it is observational only and byte-
-	// identical results are guaranteed at every Workers and Shards
-	// count; the default nil tracer costs one pointer check per query
+	// identical results are guaranteed at every Workers count; the
+	// default nil tracer costs one pointer check per query
 	// and zero allocations (guarded by the tracing benchmarks in
 	// bench_test.go). When a query arrives with an already-traced
 	// context (TopKCtx under a server span), that trace wins and Tracer
@@ -276,11 +266,10 @@ func (e *Engine) TopKCtx(ctx context.Context, k, r int) (*Result, error) {
 	if root != nil {
 		root.Attr("k", float64(k))
 		root.Attr("r", float64(r))
-		root.Attr("shards", float64(e.cfg.Shards))
 		root.Attr("workers", float64(e.cfg.Workers))
 	}
 	sp := obs.StartSpan(e.cfg.Metrics, "engine.topk")
-	pd, err := e.prunedCtx(ctx, k)
+	pd, err := core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
 	if err != nil {
 		sp.End()
 		root.End()
@@ -323,19 +312,6 @@ func (e *Engine) attachExplain(res *Result, root *obs.TraceSpan) {
 	res.Explain = obs.BuildExplain(root.Recorder().Spans(root.TraceID()))
 }
 
-// prunedCtx runs the pruning phases (Algorithm 2 up to the final scoring
-// phase), routed through the sharded coordinator when Config.Shards > 1.
-func (e *Engine) prunedCtx(ctx context.Context, k int) (*core.Result, error) {
-	if e.cfg.Shards > 1 {
-		res, _, err := shard.RunCtx(ctx, e.data, nil, e.levels, shard.Options{
-			K: k, Shards: e.cfg.Shards, PrunePasses: e.cfg.PrunePasses,
-			Workers: e.cfg.Workers, Sink: e.cfg.Metrics,
-		})
-		return res, err
-	}
-	return core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
-}
-
 // coreOpts assembles the core options of one query from the engine
 // configuration.
 func (e *Engine) coreOpts(k int) core.Options {
@@ -360,17 +336,16 @@ func (e *Engine) finishTopKCtx(ctx context.Context, pd *core.Result, k, r int) (
 }
 
 // PrunedResult is the output of the pruning phases — an alias of the
-// internal core result, exposed so externally coordinated pruning (a
-// distributed shard run, see internal/shard.RunHTTP) can be finished
-// into full answers with TopKFrom and TopKRankFrom.
+// internal core result, exposed so a pruning computed elsewhere (the
+// serving layer's per-epoch snapshots) can be finished into full answers
+// with TopKFrom and TopKRankFrom.
 type PrunedResult = core.Result
 
 // TopKFrom finishes a TopK query from an externally produced pruning
 // result: it runs the final R-best scoring phase over pd's surviving
 // groups exactly as TopK would after its own pruning. pd must come from
-// the same dataset and levels (e.g. a shard.RunHTTP over this engine's
-// data); the HTTP serving layer's coordinator mode is the intended
-// caller.
+// the same dataset and levels; the HTTP serving layer, which prunes once
+// per (epoch, K), is the intended caller.
 func (e *Engine) TopKFrom(pd *PrunedResult, k, r int) (*Result, error) {
 	return e.TopKFromCtx(context.Background(), pd, k, r)
 }
@@ -661,17 +636,15 @@ type RankResult = rankquery.RankResult
 // TopKRank answers the TopK rank query (paper §7.1): the ranked order of
 // the K largest groups, each identified by a canonical member, without
 // resolving exact sizes. The rank-specific resolved-group pruning applies
-// on top of the standard TopK pruning. Config.Shards routes the pruning
-// phases through the sharded coordinator just as for TopK.
+// on top of the standard TopK pruning.
 func (e *Engine) TopKRank(k int) (*RankResult, error) {
 	return e.TopKRankCtx(context.Background(), k)
 }
 
 // TopKRankCtx is TopKRank under a context, with the same tracing
 // behaviour as TopKCtx: the query runs under an "engine.rank" root span
-// (or joins the context's trace). The sharded path's pruning rounds
-// record the full per-level span tree; the single-machine rank pipeline
-// records the root span only.
+// (or joins the context's trace); the rank pipeline records the root
+// span only.
 func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topk: K must be >= 1, got %d", k)
@@ -679,16 +652,8 @@ func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 	ctx, root := e.startQuerySpan(ctx, "engine.rank")
 	if root != nil {
 		root.Attr("k", float64(k))
-		root.Attr("shards", float64(e.cfg.Shards))
 		root.Attr("workers", float64(e.cfg.Workers))
 		defer root.End()
-	}
-	if e.cfg.Shards > 1 {
-		pd, err := e.prunedCtx(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		return rankquery.FromPruned(e.data, e.levels, pd, k), nil
 	}
 	return rankquery.TopKRank(e.data, e.levels, e.coreOpts(k))
 }

@@ -44,33 +44,6 @@ func TestEngineTopKWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersShardsGridDeterministic pins byte-identical answers
-// over the full Workers × Shards grid the interned hot path must
-// preserve: every combination of Workers in {1, 4, NumCPU} and Shards in
-// {1, 2, 4} reproduces the serial single-shard result exactly.
-func TestEngineWorkersShardsGridDeterministic(t *testing.T) {
-	d := toyData(23, 36, 6)
-	ref, err := New(d, toyLevels(), oracleScorer(), Config{Workers: 1, Shards: 1}).TopK(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		for _, s := range []int{1, 2, 4} {
-			got, err := New(d, toyLevels(), oracleScorer(), Config{Workers: w, Shards: s}).TopK(4, 3)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", w, s, err)
-			}
-			if !reflect.DeepEqual(got.Answers, ref.Answers) {
-				t.Errorf("workers=%d shards=%d: answers differ from serial single-shard", w, s)
-			}
-			if got.Survivors != ref.Survivors || got.Exact != ref.Exact {
-				t.Errorf("workers=%d shards=%d: survivors/exact (%d,%v) != (%d,%v)",
-					w, s, got.Survivors, got.Exact, ref.Survivors, ref.Exact)
-			}
-		}
-	}
-}
-
 // TestEngineDedupWorkersDeterministic covers the batch Dedup path.
 func TestEngineDedupWorkersDeterministic(t *testing.T) {
 	d := toyData(22, 25, 5)

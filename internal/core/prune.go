@@ -294,17 +294,6 @@ func (p *Pruner) RescanStage0() {
 // cascades killed during construction.
 func (p *Pruner) Stage0Pruned() int { return p.stage0Pruned }
 
-// AliveCount returns how many groups are currently unpruned.
-func (p *Pruner) AliveCount() int {
-	n := 0
-	for _, ok := range p.live {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
 // Alive returns the surviving groups in their input order.
 func (p *Pruner) Alive() []Group {
 	alive := make([]Group, 0, len(p.groups))

@@ -1,233 +1,20 @@
-// Package faulty makes failures reproducible: a deterministic
-// fault-injecting wrapper around shard.Transport plus crash hooks for
-// the wal writer. Faults are expressed as rules matched against the
-// per-shard, per-operation occurrence count of each call — NOT a global
-// call index — because the coordinator serialises calls per shard but
-// interleaves shards nondeterministically; per-shard occurrence is the
-// only counter every run agrees on, which is what makes a fault
-// schedule replayable. The failover differential tests and the WAL
+// Package faulty makes failures reproducible: crash hooks for the wal
+// writer that fire at exactly one (crash point, batch index) pair, so a
+// failing crash schedule replays from its two numbers alone. The WAL
 // crash-recovery tests are built on this package; production code never
 // imports it.
 package faulty
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
-	"topkdedup/internal/shard"
 	"topkdedup/internal/wal"
 )
-
-// Op names a Transport operation a Rule can match.
-type Op string
-
-// Transport operations addressable by rules. OpAny matches all of them.
-const (
-	// OpCollapse matches Transport.Collapse calls.
-	OpCollapse Op = "collapse"
-	// OpBounds matches Transport.Bounds calls (both scan and CPN).
-	OpBounds Op = "bounds"
-	// OpPrune matches Transport.Prune calls.
-	OpPrune Op = "prune"
-	// OpGroups matches Transport.Groups calls.
-	OpGroups Op = "groups"
-	// OpAny matches every operation.
-	OpAny Op = ""
-)
-
-// Action is what a matched rule does to the call.
-type Action int
-
-const (
-	// Drop fails the call WITHOUT reaching the inner transport: the
-	// request was lost in flight, the peer never saw it.
-	Drop Action = iota
-	// Error applies the call on the inner transport, then discards the
-	// response and returns an error: the peer did the work but the
-	// answer was lost — the indeterminate case failover must treat as
-	// possibly-applied.
-	Error
-	// Delay holds the call for Rule.Delay (honouring ctx cancellation),
-	// then lets it through — the slow-peer case hedging targets.
-	Delay
-	// Kill marks the shard's endpoint permanently dead: this call and
-	// every later call to the same shard fail without reaching the
-	// inner transport, like a SIGKILLed peer process.
-	Kill
-)
-
-// String names the action for error messages.
-func (a Action) String() string {
-	switch a {
-	case Drop:
-		return "drop"
-	case Error:
-		return "error"
-	case Delay:
-		return "delay"
-	case Kill:
-		return "kill"
-	}
-	return fmt.Sprintf("action(%d)", int(a))
-}
-
-// Rule schedules one fault: when the Occurrence'th call (0-based,
-// counted per shard × op) matching Shard and Op arrives, Action fires.
-type Rule struct {
-	// Shard is the shard index to match; negative matches every shard.
-	Shard int
-	// Op is the operation to match; OpAny matches every operation.
-	Op Op
-	// Occurrence selects the n'th matching call, counting from 0
-	// separately for every (shard, op) pair.
-	Occurrence int
-	// Action is the fault to inject.
-	Action Action
-	// Delay is the hold time for Action == Delay.
-	Delay time.Duration
-}
 
 // ErrInjected is the base error of every injected fault; tests can
 // errors.Is against it to tell injected failures from real ones.
 var ErrInjected = errors.New("faulty: injected fault")
-
-// Transport wraps an inner shard.Transport and applies Rules
-// deterministically. It is safe under the coordinator's concurrency
-// model (concurrent calls only across distinct shards).
-type Transport struct {
-	inner shard.Transport
-	rules []Rule
-
-	mu       sync.Mutex
-	counts   map[countKey]int
-	killed   map[int]bool
-	injected int
-}
-
-type countKey struct {
-	shard int
-	op    Op
-}
-
-// Wrap builds a fault-injecting view of inner governed by rules.
-func Wrap(inner shard.Transport, rules ...Rule) *Transport {
-	return &Transport{
-		inner:  inner,
-		rules:  rules,
-		counts: map[countKey]int{},
-		killed: map[int]bool{},
-	}
-}
-
-// Injected reports how many faults have fired so far — tests assert it
-// to prove the schedule they wrote actually exercised the fault path.
-func (t *Transport) Injected() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.injected
-}
-
-// Shards returns the inner shard count.
-func (t *Transport) Shards() int { return t.inner.Shards() }
-
-// check consumes one occurrence of (shard, op) and decides the fault.
-// The occurrence is counted once per call regardless of how many rules
-// exist, so schedules compose predictably.
-func (t *Transport) check(shardIdx int, op Op) (act Action, delay time.Duration, fault bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.killed[shardIdx] {
-		t.injected++
-		return Kill, 0, true, fmt.Errorf("%w: shard %d killed", ErrInjected, shardIdx)
-	}
-	n := t.counts[countKey{shardIdx, op}]
-	t.counts[countKey{shardIdx, op}] = n + 1
-	for _, r := range t.rules {
-		if r.Shard >= 0 && r.Shard != shardIdx {
-			continue
-		}
-		if r.Op != OpAny && r.Op != op {
-			continue
-		}
-		if r.Occurrence != n {
-			continue
-		}
-		t.injected++
-		switch r.Action {
-		case Kill:
-			t.killed[shardIdx] = true
-			return Kill, 0, true, fmt.Errorf("%w: killed shard %d at %s occurrence %d", ErrInjected, shardIdx, op, n)
-		case Drop:
-			return Drop, 0, true, fmt.Errorf("%w: dropped %s occurrence %d on shard %d", ErrInjected, op, n, shardIdx)
-		case Error:
-			return Error, 0, true, fmt.Errorf("%w: errored %s occurrence %d on shard %d", ErrInjected, op, n, shardIdx)
-		case Delay:
-			return Delay, r.Delay, true, nil
-		}
-	}
-	return 0, 0, false, nil
-}
-
-// call wraps one inner invocation with the fault decision.
-func call[T any](t *Transport, ctx context.Context, shardIdx int, op Op, inner func(context.Context) (T, error)) (T, error) {
-	var zero T
-	act, delay, fault, ferr := t.check(shardIdx, op)
-	if fault {
-		switch act {
-		case Drop, Kill:
-			return zero, ferr
-		case Error:
-			// The peer applies the mutation; only the response is lost.
-			if _, err := inner(ctx); err != nil {
-				return zero, err
-			}
-			return zero, ferr
-		case Delay:
-			select {
-			case <-ctx.Done():
-				return zero, ctx.Err()
-			case <-time.After(delay):
-			}
-		}
-	}
-	return inner(ctx)
-}
-
-// Collapse implements shard.Transport with fault injection.
-func (t *Transport) Collapse(ctx context.Context, shardIdx, level int) (*shard.CollapseResponse, error) {
-	return call(t, ctx, shardIdx, OpCollapse, func(c context.Context) (*shard.CollapseResponse, error) {
-		return t.inner.Collapse(c, shardIdx, level)
-	})
-}
-
-// Bounds implements shard.Transport with fault injection.
-func (t *Transport) Bounds(ctx context.Context, shardIdx int, req *shard.BoundsRequest) (*shard.BoundsResponse, error) {
-	return call(t, ctx, shardIdx, OpBounds, func(c context.Context) (*shard.BoundsResponse, error) {
-		return t.inner.Bounds(c, shardIdx, req)
-	})
-}
-
-// Prune implements shard.Transport with fault injection.
-func (t *Transport) Prune(ctx context.Context, shardIdx int, req *shard.PruneRequest) (*shard.PruneResponse, error) {
-	return call(t, ctx, shardIdx, OpPrune, func(c context.Context) (*shard.PruneResponse, error) {
-		return t.inner.Prune(c, shardIdx, req)
-	})
-}
-
-// Groups implements shard.Transport with fault injection.
-func (t *Transport) Groups(ctx context.Context, shardIdx int) (*shard.GroupsResponse, error) {
-	return call(t, ctx, shardIdx, OpGroups, func(c context.Context) (*shard.GroupsResponse, error) {
-		return t.inner.Groups(c, shardIdx)
-	})
-}
-
-// Close closes the inner transport (never fault-injected, so tests
-// always release remote sessions).
-func (t *Transport) Close() error { return t.inner.Close() }
 
 // CrashAt returns a wal.Hook that simulates a process crash at exactly
 // one (crash point, batch index) pair — the building block of the
@@ -239,34 +26,4 @@ func CrashAt(point wal.CrashPoint, index uint64) wal.Hook {
 		}
 		return nil
 	}
-}
-
-// RandomRules draws n fault rules from a seeded RNG over the given
-// shard count — deterministic for a given seed, so a failing schedule
-// reproduces from its seed alone. Kill actions are drawn with low
-// probability to keep most schedules single-fault.
-func RandomRules(seed int64, shards, n int) []Rule {
-	rng := rand.New(rand.NewSource(seed))
-	ops := []Op{OpCollapse, OpBounds, OpPrune, OpGroups}
-	rules := make([]Rule, n)
-	for i := range rules {
-		r := Rule{
-			Shard:      rng.Intn(shards),
-			Op:         ops[rng.Intn(len(ops))],
-			Occurrence: rng.Intn(4),
-		}
-		switch d := rng.Intn(10); {
-		case d < 4:
-			r.Action = Drop
-		case d < 7:
-			r.Action = Error
-		case d < 9:
-			r.Action = Delay
-			r.Delay = time.Duration(rng.Intn(5)) * time.Millisecond
-		default:
-			r.Action = Kill
-		}
-		rules[i] = r
-	}
-	return rules
 }

@@ -1,143 +1,11 @@
 package faulty
 
 import (
-	"context"
 	"errors"
-	"reflect"
-	"sync"
 	"testing"
-	"time"
 
-	"topkdedup/internal/shard"
 	"topkdedup/internal/wal"
 )
-
-// stubTransport records calls and answers canned responses, so rule
-// matching can be asserted without a real pipeline.
-type stubTransport struct {
-	mu    sync.Mutex
-	calls []string
-}
-
-func (s *stubTransport) log(op string, shardIdx int) {
-	s.mu.Lock()
-	s.calls = append(s.calls, op)
-	s.mu.Unlock()
-	_ = shardIdx
-}
-
-func (s *stubTransport) Shards() int { return 2 }
-func (s *stubTransport) Collapse(ctx context.Context, shardIdx, level int) (*shard.CollapseResponse, error) {
-	s.log("collapse", shardIdx)
-	return &shard.CollapseResponse{Evals: 1}, nil
-}
-func (s *stubTransport) Bounds(ctx context.Context, shardIdx int, req *shard.BoundsRequest) (*shard.BoundsResponse, error) {
-	s.log("bounds", shardIdx)
-	return &shard.BoundsResponse{}, nil
-}
-func (s *stubTransport) Prune(ctx context.Context, shardIdx int, req *shard.PruneRequest) (*shard.PruneResponse, error) {
-	s.log("prune", shardIdx)
-	return &shard.PruneResponse{}, nil
-}
-func (s *stubTransport) Groups(ctx context.Context, shardIdx int) (*shard.GroupsResponse, error) {
-	s.log("groups", shardIdx)
-	return &shard.GroupsResponse{}, nil
-}
-func (s *stubTransport) Close() error { return nil }
-
-func (s *stubTransport) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.calls)
-}
-
-func TestOccurrenceMatchingIsPerShardAndOp(t *testing.T) {
-	inner := &stubTransport{}
-	ft := Wrap(inner, Rule{Shard: 1, Op: OpCollapse, Occurrence: 1, Action: Drop})
-	ctx := context.Background()
-	// Shard 0 collapses never match; shard 1's SECOND collapse does.
-	if _, err := ft.Collapse(ctx, 0, 0); err != nil {
-		t.Fatalf("shard 0 occ 0: %v", err)
-	}
-	if _, err := ft.Collapse(ctx, 1, 0); err != nil {
-		t.Fatalf("shard 1 occ 0: %v", err)
-	}
-	if _, err := ft.Collapse(ctx, 0, 1); err != nil {
-		t.Fatalf("shard 0 occ 1: %v", err)
-	}
-	// Bounds share the shard but not the op counter.
-	if _, err := ft.Bounds(ctx, 1, &shard.BoundsRequest{Op: shard.BoundsCPN}); err != nil {
-		t.Fatalf("bounds must not consume the collapse counter: %v", err)
-	}
-	if _, err := ft.Collapse(ctx, 1, 1); !errors.Is(err, ErrInjected) {
-		t.Fatalf("shard 1 occ 1 should drop, got %v", err)
-	}
-	if _, err := ft.Collapse(ctx, 1, 2); err != nil {
-		t.Fatalf("occ 2 after the drop must pass: %v", err)
-	}
-	if ft.Injected() != 1 {
-		t.Fatalf("Injected = %d, want 1", ft.Injected())
-	}
-}
-
-func TestDropNeverReachesInner(t *testing.T) {
-	inner := &stubTransport{}
-	ft := Wrap(inner, Rule{Shard: 0, Op: OpPrune, Occurrence: 0, Action: Drop})
-	if _, err := ft.Prune(context.Background(), 0, &shard.PruneRequest{Op: shard.PruneStart}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
-	}
-	if inner.count() != 0 {
-		t.Fatalf("drop reached the inner transport (%d calls)", inner.count())
-	}
-}
-
-func TestErrorAppliesThenFails(t *testing.T) {
-	inner := &stubTransport{}
-	ft := Wrap(inner, Rule{Shard: 0, Op: OpPrune, Occurrence: 0, Action: Error})
-	if _, err := ft.Prune(context.Background(), 0, &shard.PruneRequest{Op: shard.PruneStart}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected error, got %v", err)
-	}
-	if inner.count() != 1 {
-		t.Fatalf("Error action must apply on the inner transport first (%d calls)", inner.count())
-	}
-}
-
-func TestKillIsPermanentPerShard(t *testing.T) {
-	inner := &stubTransport{}
-	ft := Wrap(inner, Rule{Shard: 1, Op: OpBounds, Occurrence: 0, Action: Kill})
-	ctx := context.Background()
-	if _, err := ft.Bounds(ctx, 1, &shard.BoundsRequest{Op: shard.BoundsCPN}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("kill call: %v", err)
-	}
-	// Every later op on shard 1 is dead; shard 0 lives.
-	if _, err := ft.Collapse(ctx, 1, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("collapse on killed shard must fail, got %v", err)
-	}
-	if _, err := ft.Groups(ctx, 1); !errors.Is(err, ErrInjected) {
-		t.Fatalf("groups on killed shard must fail, got %v", err)
-	}
-	if _, err := ft.Collapse(ctx, 0, 0); err != nil {
-		t.Fatalf("shard 0 must be unaffected: %v", err)
-	}
-	if inner.count() != 1 {
-		t.Fatalf("killed shard leaked %d calls to inner", inner.count()-1)
-	}
-}
-
-func TestDelayHonoursContext(t *testing.T) {
-	inner := &stubTransport{}
-	ft := Wrap(inner, Rule{Shard: 0, Op: OpGroups, Occurrence: 0, Action: Delay, Delay: time.Minute})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := ft.Groups(ctx, 0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline exceeded, got %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("delay ignored cancellation")
-	}
-}
 
 func TestCrashAtFiresOnce(t *testing.T) {
 	hook := CrashAt(wal.CrashMidFrame, 3)
@@ -149,22 +17,5 @@ func TestCrashAtFiresOnce(t *testing.T) {
 	}
 	if err := hook(wal.CrashMidFrame, 3); !errors.Is(err, ErrInjected) {
 		t.Fatalf("matching point/index must crash, got %v", err)
-	}
-}
-
-func TestRandomRulesDeterministic(t *testing.T) {
-	a := RandomRules(99, 4, 5)
-	b := RandomRules(99, 4, 5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different schedules:\n%+v\n%+v", a, b)
-	}
-	c := RandomRules(100, 4, 5)
-	if reflect.DeepEqual(a, c) {
-		t.Fatalf("different seeds produced identical schedules")
-	}
-	for _, r := range a {
-		if r.Shard < 0 || r.Shard >= 4 {
-			t.Fatalf("rule shard %d out of range", r.Shard)
-		}
 	}
 }

@@ -91,8 +91,8 @@ func (lp *LocalPrefix) CPNAt(prefix int) int {
 // the full Algorithm-1 bound (via the supplied fullCPN callback) when
 // the cheap greedy bound has stalled for a while. It never touches the
 // graph itself, which is what lets the sharded coordinator replay
-// verdicts gathered from remote LocalPrefix instances through the exact
-// control flow a single-machine scan follows.
+// verdicts gathered from per-shard LocalPrefix instances through the
+// exact control flow a single-machine scan follows.
 type PrefixController struct {
 	target    int
 	n         int // verdicts consumed so far = current prefix length

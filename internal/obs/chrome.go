@@ -7,14 +7,11 @@ import (
 )
 
 // Chrome trace_event export: renders one trace's spans in the JSON
-// format chrome://tracing and Perfetto load directly. Each pipeline
-// node (0 = coordinator / single process, s+1 = shard s) becomes one
-// "process" row; spans become complete ("X") events with microsecond
-// timestamps, so a stitched multi-shard query reads as parallel
-// per-shard timelines under the coordinator's.
+// format chrome://tracing and Perfetto load directly: one "process" row
+// whose spans are complete ("X") events with microsecond timestamps.
 
-// chromeEvent is one entry of the trace_event JSON array. Complete
-// events carry Ts/Dur; metadata events ("M") carry Args only.
+// chromeEvent is one complete event of the trace_event JSON array; pid
+// and tid are always 0 (one process, one row).
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -31,29 +28,13 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// nodeLabel names a node's process row in the trace viewer.
-func nodeLabel(node int) string {
-	if node == 0 {
-		return "coordinator"
-	}
-	return fmt.Sprintf("shard %d", node-1)
-}
-
 // WriteChromeTrace writes spans (one trace, as returned by
 // Recorder.Spans) as a Chrome trace_event JSON document. Timestamps are
 // absolute unix microseconds; attributes and events are carried in each
 // slice's args so they show in the viewer's detail pane.
 func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 	file := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	nodes := map[int]bool{}
 	for _, s := range spans {
-		if !nodes[s.Node] {
-			nodes[s.Node] = true
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: s.Node,
-				Args: map[string]any{"name": nodeLabel(s.Node)},
-			})
-		}
 		args := map[string]any{
 			"span":   s.ID.String(),
 			"parent": s.Parent.String(),
@@ -83,7 +64,7 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 			dur = 0.001
 		}
 		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: s.Name, Ph: "X", Pid: s.Node, Tid: 0,
+			Name: s.Name, Ph: "X",
 			Ts: float64(s.Start) / 1e3, Dur: dur, Args: args,
 		})
 	}

@@ -25,16 +25,11 @@ type Explain struct {
 	Name string `json:"name"`
 	// Seconds is the root span's wall time.
 	Seconds float64 `json:"seconds"`
-	// Sharded reports whether the query ran through the shard
-	// coordinator (levels then aggregate the coordinator's exchange).
-	Sharded bool `json:"sharded,omitempty"`
 	// Levels is the per-predicate-level pipeline breakdown.
 	Levels []ExplainLevel `json:"levels"`
 	// Final is the engine's final scoring phase (absent when pruning
 	// alone answered the query or the root is a bare pipeline run).
 	Final *ExplainFinal `json:"final,omitempty"`
-	// Shards is the per-shard wall-time breakdown (sharded runs only).
-	Shards []ExplainShard `json:"shards,omitempty"`
 	// SpanCount is how many spans the trace holds.
 	SpanCount int `json:"span_count"`
 }
@@ -91,14 +86,6 @@ type ExplainRound struct {
 	Pruned int   `json:"pruned"`
 }
 
-// ExplainShard is one shard's wall-time contribution: the summed
-// duration of its worker-operation spans.
-type ExplainShard struct {
-	Shard   int     `json:"shard"`
-	Spans   int     `json:"spans"`
-	Seconds float64 `json:"seconds"`
-}
-
 // ExplainFinal summarises the engine's final phase (§5): candidate
 // pairs from the blocking index, pairs that passed the necessary
 // predicate and were scored with the similarity function P, and the
@@ -115,13 +102,12 @@ type ExplainFinal struct {
 
 // StripTimings zeroes every wall-clock field in place, leaving only the
 // deterministic counts — what the differential tests compare across
-// worker and shard counts.
+// worker counts.
 func (e *Explain) StripTimings() {
 	if e == nil {
 		return
 	}
 	e.Seconds = 0
-	e.Shards = nil
 	for i := range e.Levels {
 		e.Levels[i].CollapseSeconds = 0
 		e.Levels[i].BoundSeconds = 0
@@ -135,10 +121,8 @@ func (e *Explain) StripTimings() {
 }
 
 // BuildExplain folds one trace's finished spans (as returned by
-// Recorder.Spans) into an Explain report. It understands both pipeline
-// shapes: the single-process core (core.level spans) and the sharded
-// coordinator (shard.level spans); a trace holding neither yields a
-// report with empty Levels.
+// Recorder.Spans) into an Explain report; a trace holding no core.level
+// span yields a report with empty Levels.
 func BuildExplain(spans []SpanRecord) *Explain {
 	if len(spans) == 0 {
 		return nil
@@ -151,9 +135,7 @@ func BuildExplain(spans []SpanRecord) *Explain {
 		byID[s.ID] = s
 		children[s.Parent] = append(children[s.Parent], s)
 	}
-	// Root: the earliest span whose parent is absent from the set (the
-	// true root, or — on a shard node's partial trace — the earliest
-	// adopted span).
+	// Root: the earliest span whose parent is absent from the set.
 	for i := range spans {
 		s := &spans[i]
 		if byID[s.Parent] == nil {
@@ -164,15 +146,11 @@ func BuildExplain(spans []SpanRecord) *Explain {
 		}
 	}
 
-	perShard := make(map[int]*ExplainShard)
 	for i := range spans {
 		s := &spans[i]
 		switch s.Name {
-		case "core.level", "shard.level":
+		case "core.level":
 			e.Levels = append(e.Levels, buildLevel(s, children))
-			if s.Name == "shard.level" {
-				e.Sharded = true
-			}
 		case "engine.final.score":
 			if e.Final == nil {
 				e.Final = &ExplainFinal{}
@@ -191,38 +169,9 @@ func BuildExplain(spans []SpanRecord) *Explain {
 			}
 			e.Final.SegmentSeconds = float64(s.Dur) / 1e9
 		}
-		if isWorkerSpan(s.Name) {
-			// Per-shard wall time: worker-operation spans carry a
-			// "shard" numeric attribute (in-process) or a non-zero node
-			// (stitched HTTP peers, node = shard + 1).
-			idx := int(s.AttrNum("shard"))
-			if s.Node > 0 {
-				idx = s.Node - 1
-			}
-			es := perShard[idx]
-			if es == nil {
-				es = &ExplainShard{Shard: idx}
-				perShard[idx] = es
-			}
-			es.Spans++
-			es.Seconds += float64(s.Dur) / 1e9
-		}
 	}
 	sort.Slice(e.Levels, func(i, j int) bool { return e.Levels[i].Level < e.Levels[j].Level })
-	if len(perShard) > 0 {
-		for _, es := range perShard {
-			e.Shards = append(e.Shards, *es)
-		}
-		sort.Slice(e.Shards, func(i, j int) bool { return e.Shards[i].Shard < e.Shards[j].Shard })
-	}
 	return e
-}
-
-// isWorkerSpan reports whether a span name is a per-shard worker
-// operation (the unit of the per-shard wall-time breakdown).
-func isWorkerSpan(name string) bool {
-	const prefix = "shard.worker."
-	return len(name) > len(prefix) && name[:len(prefix)] == prefix
 }
 
 // buildLevel folds one level span and its phase children.
@@ -230,13 +179,13 @@ func buildLevel(level *SpanRecord, children map[SpanID][]*SpanRecord) ExplainLev
 	el := ExplainLevel{Level: int(level.AttrNum("level"))}
 	for _, ph := range children[level.ID] {
 		switch ph.Name {
-		case "core.collapse", "shard.collapse":
+		case "core.collapse":
 			el.CollapseEvals = int64(ph.AttrNum("evals"))
 			el.CollapseHits = int64(ph.AttrNum("hits"))
 			el.GroupsBefore = int(ph.AttrNum("groups_before"))
 			el.GroupsAfter = int(ph.AttrNum("groups_after"))
 			el.CollapseSeconds = float64(ph.Dur) / 1e9
-		case "core.bound", "shard.bound":
+		case "core.bound":
 			el.BoundEvals = int64(ph.AttrNum("evals"))
 			el.BoundHits = int64(ph.AttrNum("hits"))
 			el.MRank = int(ph.AttrNum("m_rank"))
@@ -259,14 +208,14 @@ func buildLevel(level *SpanRecord, children map[SpanID][]*SpanRecord) ExplainLev
 				}
 				el.BoundBlocks = append(el.BoundBlocks, blk)
 			}
-		case "core.prune", "shard.prune":
+		case "core.prune":
 			el.PruneEvals = int64(ph.AttrNum("evals"))
 			el.PruneHits = int64(ph.AttrNum("hits"))
 			el.Stage0Pruned = int(ph.AttrNum("stage0_pruned"))
 			el.Survivors = int(ph.AttrNum("survivors"))
 			el.PruneSeconds = float64(ph.Dur) / 1e9
 			for _, rd := range children[ph.ID] {
-				if rd.Name != "core.prune.pass" && rd.Name != "shard.prune.round" {
+				if rd.Name != "core.prune.pass" {
 					continue
 				}
 				el.Rounds = append(el.Rounds, ExplainRound{
@@ -288,11 +237,7 @@ func (e *Explain) WriteText(w io.Writer) {
 		fmt.Fprintln(w, "no explain data (query ran untraced)")
 		return
 	}
-	fmt.Fprintf(w, "EXPLAIN %s  trace=%s  %.3fs  (%d spans", e.Name, e.Trace, e.Seconds, e.SpanCount)
-	if e.Sharded {
-		fmt.Fprintf(w, ", sharded")
-	}
-	fmt.Fprintln(w, ")")
+	fmt.Fprintf(w, "EXPLAIN %s  trace=%s  %.3fs  (%d spans)\n", e.Name, e.Trace, e.Seconds, e.SpanCount)
 	for _, l := range e.Levels {
 		fmt.Fprintf(w, "level %d\n", l.Level)
 		fmt.Fprintf(w, "  collapse: %d -> %d groups  evals=%d hits=%d  %.3fs\n",
@@ -309,8 +254,5 @@ func (e *Explain) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "final: candidate_pairs=%d similarity_evals=%d  score=%.3fs embed=%.3fs segment=%.3fs\n",
 			e.Final.CandidatePairs, e.Final.SimilarityEvals,
 			e.Final.ScoreSeconds, e.Final.EmbedSeconds, e.Final.SegmentSeconds)
-	}
-	for _, s := range e.Shards {
-		fmt.Fprintf(w, "shard %d: %d spans, %.3fs worker wall time\n", s.Shard, s.Spans, s.Seconds)
 	}
 }

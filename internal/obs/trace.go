@@ -14,9 +14,8 @@ import (
 
 // This file is the causal half of the observability layer: a span-tree
 // tracer that complements the flat metric Sink. A trace is one query's
-// tree of timed spans — engine root, per-level pipeline phases, prune
-// passes, coordinator exchanges, and (stitched in after the fact)
-// remote shard-node work. The same constraints as the Sink apply, in
+// tree of timed spans — engine root, per-level pipeline phases and prune
+// passes. The same constraints as the Sink apply, in
 // the same order: zero cost when off (an untraced context.Context costs
 // one Value lookup and no allocation — guarded by
 // TestTracerUntracedNoAllocs), observational only (spans carry copies
@@ -54,7 +53,7 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // SpanID identifies one span within a trace. IDs are process-unique
 // 64-bit values rendered as 16 hex digits; the string form keeps them
 // exact through JSON (a raw uint64 above 2^53 would lose bits in a
-// float64 round trip, corrupting parent links when stitching).
+// float64 round trip, corrupting parent links).
 type SpanID uint64
 
 // String renders the ID as 16 hex digits.
@@ -104,14 +103,13 @@ type SpanEvent struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// SpanRecord is one finished span as stored by a Recorder and shipped
-// between nodes when stitching a distributed trace.
+// SpanRecord is one finished span as stored by a Recorder and served by
+// GET /debug/traces.
 type SpanRecord struct {
 	Trace  TraceID     `json:"trace"`
 	ID     SpanID      `json:"id"`
 	Parent SpanID      `json:"parent,omitempty"`
 	Name   string      `json:"name"`
-	Node   int         `json:"node"`
 	Start  int64       `json:"start_unix_ns"`
 	Dur    int64       `json:"dur_ns"`
 	Attrs  []Attr      `json:"attrs,omitempty"`
@@ -175,9 +173,8 @@ func NewRecorder(limit int) *Recorder {
 	r := &Recorder{limit: limit, traces: make(map[TraceID]*traceBuf)}
 	var seed [8]byte
 	if _, err := crand.Read(seed[:]); err == nil {
-		// Random base so span IDs from independently-seeded recorders
-		// (coordinator vs shard nodes) don't collide inside one stitched
-		// trace. Clear the top bit to keep headroom before wrapping.
+		// Random base so span IDs differ across restarts. Clear the top
+		// bit to keep headroom before wrapping.
 		r.next.Store(binary.BigEndian.Uint64(seed[:]) >> 1)
 	}
 	return r
@@ -226,22 +223,6 @@ func (tb *traceBuf) add(rec SpanRecord) {
 		return
 	}
 	tb.spans = append(tb.spans, rec)
-}
-
-// Import files spans recorded by another node into this Recorder,
-// forcing their Node to node — the stitching step after a distributed
-// query (the coordinator fetches each peer's spans for the trace and
-// imports them under the peer's shard number + 1).
-func (r *Recorder) Import(spans []SpanRecord, node int) {
-	if r == nil || len(spans) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rec := range spans {
-		rec.Node = node
-		r.bufFor(rec.Trace).add(rec)
-	}
 }
 
 // TraceSummary describes one retained trace.
@@ -305,11 +286,9 @@ type TraceSpan struct {
 	id       SpanID
 	parent   SpanID
 	name     string
-	node     int
 	start    time.Time
 	attrs    []Attr
 	events   []SpanEvent
-	remote   bool // placeholder for a parent on another node; never recorded
 	finished bool
 }
 
@@ -364,7 +343,7 @@ func (s *TraceSpan) Event(name string, attrs ...Attr) {
 // End finishes the span and files it with the Recorder. Safe on nil and
 // idempotent.
 func (s *TraceSpan) End() {
-	if s == nil || s.remote || s.finished {
+	if s == nil || s.finished {
 		return
 	}
 	s.finished = true
@@ -373,7 +352,6 @@ func (s *TraceSpan) End() {
 		ID:     s.id,
 		Parent: s.parent,
 		Name:   s.name,
-		Node:   s.node,
 		Start:  s.start.UnixNano(),
 		Dur:    int64(time.Since(s.start)),
 		Attrs:  s.attrs,
@@ -416,19 +394,6 @@ func (r *Recorder) StartTrace(ctx context.Context, name string) (context.Context
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// Adopt returns a context traced under a remote caller's trace and
-// parent span (as parsed from a traceparent header): children started
-// from it record into r with the remote span as parent, stitching this
-// node's work into the caller's trace. The placeholder parent itself is
-// never recorded here — the caller owns it.
-func (r *Recorder) Adopt(ctx context.Context, trace TraceID, parent SpanID) context.Context {
-	if r == nil || trace.IsZero() {
-		return ctx
-	}
-	ph := &TraceSpan{rec: r, trace: trace, id: parent, remote: true}
-	return context.WithValue(ctx, ctxKey{}, ph)
-}
-
 // StartChild opens a child of the context's active span and returns the
 // derived context plus the new span. On an untraced context it returns
 // (ctx, nil) without allocating — the pipeline's fast path.
@@ -443,44 +408,7 @@ func StartChild(ctx context.Context, name string) (context.Context, *TraceSpan) 
 		id:     parent.rec.newSpanID(),
 		parent: parent.id,
 		name:   name,
-		node:   parent.node,
 		start:  time.Now(),
 	}
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
-
-// Traceparent renders the context's active span as a traceparent-style
-// header value, "00-<32 hex trace>-<16 hex span>-01", or "" when the
-// context is untraced.
-func Traceparent(ctx context.Context) string {
-	sp := SpanFromContext(ctx)
-	if sp == nil {
-		return ""
-	}
-	return "00-" + sp.trace.String() + "-" + sp.id.String() + "-01"
-}
-
-// ParseTraceparent parses a traceparent-style header value. A missing,
-// truncated, or otherwise garbled value returns ok=false — the server
-// then simply starts its own trace (graceful degradation: the query is
-// unaffected, the stitched trace is merely partial).
-func ParseTraceparent(h string) (trace TraceID, span SpanID, ok bool) {
-	// 2 (version) + 1 + 32 (trace) + 1 + 16 (span) + 1 + 2 (flags)
-	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
-		return TraceID{}, 0, false
-	}
-	if err := trace.UnmarshalText([]byte(h[3:35])); err != nil {
-		return TraceID{}, 0, false
-	}
-	if err := span.UnmarshalText([]byte(h[36:52])); err != nil {
-		return TraceID{}, 0, false
-	}
-	if trace.IsZero() {
-		return TraceID{}, 0, false
-	}
-	return trace, span, true
-}
-
-// TraceparentHeader is the HTTP header carrying trace context across
-// the shard transport and serving endpoints.
-const TraceparentHeader = "Traceparent"

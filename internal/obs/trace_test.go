@@ -59,39 +59,6 @@ func TestSpanIDTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTraceparent(t *testing.T) {
-	rec := NewRecorder(1)
-	ctx, sp := rec.StartTrace(context.Background(), "q")
-	h := Traceparent(ctx)
-	tid, sid, ok := ParseTraceparent(h)
-	if !ok {
-		t.Fatalf("ParseTraceparent(%q): not ok", h)
-	}
-	if tid != sp.TraceID() || sid != sp.SpanID() {
-		t.Fatalf("parsed (%s, %s), want (%s, %s)", tid, sid, sp.TraceID(), sp.SpanID())
-	}
-	sp.End()
-
-	garbled := []string{
-		"",
-		"00-zzzz",
-		h[:len(h)-1],                             // truncated
-		strings.Replace(h, "-", "_", 1),          // wrong separators
-		"00-" + strings.Repeat("0", 32) + h[35:], // all-zero trace id
-		"00-" + strings.Repeat("x", 32) + h[35:], // non-hex trace id
-		h + "0",                                  // too long
-	}
-	for _, bad := range garbled {
-		if _, _, ok := ParseTraceparent(bad); ok {
-			t.Errorf("ParseTraceparent(%q): want ok=false", bad)
-		}
-	}
-	// An untraced context renders no header at all.
-	if got := Traceparent(context.Background()); got != "" {
-		t.Errorf("Traceparent(untraced) = %q, want empty", got)
-	}
-}
-
 func TestRecorderSpanTree(t *testing.T) {
 	rec := NewRecorder(4)
 	ctx, root := rec.StartTrace(context.Background(), "engine.topk")
@@ -181,56 +148,12 @@ func TestRecorderSpanCap(t *testing.T) {
 	}
 }
 
-func TestAdoptAndImport(t *testing.T) {
-	// Coordinator starts the trace; a "remote node" adopts the parsed
-	// header, records its own spans into its own recorder, and the
-	// coordinator imports them under node 1.
-	coord := NewRecorder(1)
-	ctx, root := coord.StartTrace(context.Background(), "server.topk")
-	header := Traceparent(ctx)
-	root.End()
-
-	remote := NewRecorder(1)
-	tid, sid, ok := ParseTraceparent(header)
-	if !ok {
-		t.Fatal("header did not parse")
-	}
-	rctx := remote.Adopt(context.Background(), tid, sid)
-	_, wsp := StartChild(rctx, "shard.worker.load")
-	wsp.End()
-
-	spans := remote.Spans(tid)
-	if len(spans) != 1 {
-		t.Fatalf("remote recorded %d spans, want 1 (the placeholder parent must not be filed)", len(spans))
-	}
-	if spans[0].Parent != sid {
-		t.Errorf("remote span parent = %s, want the adopted span %s", spans[0].Parent, sid)
-	}
-
-	coord.Import(spans, 1)
-	stitched := coord.Spans(tid)
-	if len(stitched) != 2 {
-		t.Fatalf("stitched trace has %d spans, want 2", len(stitched))
-	}
-	nodes := map[int]bool{}
-	for _, s := range stitched {
-		nodes[s.Node] = true
-	}
-	if !nodes[0] || !nodes[1] {
-		t.Errorf("stitched nodes = %v, want {0, 1}", nodes)
-	}
-}
-
 func TestNilTracerAndSpanAreInert(t *testing.T) {
 	var rec *Recorder
 	ctx, sp := rec.StartTrace(context.Background(), "q")
-	if sp != nil {
+	if sp != nil || SpanFromContext(ctx) != nil {
 		t.Fatal("nil recorder produced a span")
 	}
-	if got := rec.Adopt(ctx, TraceID{1}, 2); got != ctx {
-		t.Error("nil recorder Adopt changed the context")
-	}
-	rec.Import([]SpanRecord{{}}, 1)
 	if rec.Traces() != nil || rec.Spans(TraceID{}) != nil {
 		t.Error("nil recorder returned data")
 	}
@@ -249,8 +172,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	ctx, root := rec.StartTrace(context.Background(), "server.topk")
 	_, child := StartChild(ctx, "core.level")
 	child.End()
+	_, instant := StartChild(ctx, "engine.final")
+	instant.End()
 	root.End()
-	rec.Import([]SpanRecord{{Trace: root.TraceID(), ID: 999, Name: "shard.worker.load"}}, 2)
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, rec.Spans(root.TraceID())); err != nil {
@@ -273,26 +197,16 @@ func TestWriteChromeTrace(t *testing.T) {
 	if file.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q, want ms", file.DisplayTimeUnit)
 	}
-	metas := map[string]bool{}
-	var complete int
 	for _, ev := range file.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "process_name" {
-				metas[ev.Args["name"].(string)] = true
-			}
-		case "X":
-			complete++
-			if ev.Dur <= 0 {
-				t.Errorf("complete event %q has non-positive dur %v (zero-width spans must be clamped visible)", ev.Name, ev.Dur)
-			}
+		if ev.Ph != "X" {
+			t.Errorf("event %q has phase %q, want a complete event", ev.Name, ev.Ph)
+		}
+		if ev.Dur <= 0 {
+			t.Errorf("complete event %q has non-positive dur %v (zero-width spans must be clamped visible)", ev.Name, ev.Dur)
 		}
 	}
-	if !metas["coordinator"] || !metas["shard 1"] {
-		t.Errorf("process_name metas = %v, want coordinator and shard 1", metas)
-	}
-	if complete != 3 {
-		t.Errorf("complete events = %d, want 3", complete)
+	if len(file.TraceEvents) != 3 {
+		t.Errorf("complete events = %d, want 3", len(file.TraceEvents))
 	}
 }
 
@@ -335,8 +249,8 @@ func TestBuildExplainFromSyntheticTrace(t *testing.T) {
 	if e == nil {
 		t.Fatal("BuildExplain returned nil")
 	}
-	if e.Name != "engine.topk" || e.Sharded {
-		t.Fatalf("root = %q sharded=%v", e.Name, e.Sharded)
+	if e.Name != "engine.topk" {
+		t.Fatalf("root = %q", e.Name)
 	}
 	if len(e.Levels) != 1 {
 		t.Fatalf("levels = %d, want 1", len(e.Levels))

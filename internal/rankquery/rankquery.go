@@ -55,10 +55,9 @@ func TopKRank(d *records.Dataset, levels []predicate.Level, opts core.Options) (
 }
 
 // FromPruned finishes the §7.1 TopK rank query from an externally
-// produced pruning result — the path a sharded or remote coordinator
-// takes after internal/shard has already run the pruning phases. res
-// must come from the same dataset and levels; the groups carry global
-// record IDs.
+// produced pruning result — the path the serving layer takes, which
+// prunes once per (epoch, K) for /topk and /rank alike. res must come
+// from the same dataset and levels.
 func FromPruned(d *records.Dataset, levels []predicate.Level, res *core.Result, k int) *RankResult {
 	lastN := levels[len(levels)-1].Necessary
 	var m float64
@@ -136,8 +135,7 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 	}
 	// Canonicalise the order first: the upper bounds below are floating
 	// sums over neighbour weights, so the summation order must not depend
-	// on how the caller ordered the survivors (a sharded coordinator and
-	// the single-machine pruner deliver them differently).
+	// on how the caller ordered the survivors.
 	groups = append([]core.Group(nil), groups...)
 	core.SortGroupsByWeight(groups)
 	eval := core.BindReps(d, groups, n, nil)

@@ -193,7 +193,7 @@ func (s *Server) startHybridExact(ep *epoch, served []ApproxEntry, k, rr int) st
 	go func() {
 		defer s.bg.Done()
 		defer func() { <-s.sem }()
-		res, _, err := s.computeExact(context.Background(), ep, k, rr, false)
+		res, err := s.computeExact(context.Background(), ep, k, rr, false)
 		ent.topk, ent.err = res, err
 		s.answers.finish(ep.seq, key, ent)
 		s.metrics.Count("sketch.hybrid.refreshed", 1)

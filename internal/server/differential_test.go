@@ -27,8 +27,7 @@ type rawResult struct {
 // batch pipelines since the incremental rework — the server's maintained
 // collapse amortises them at ingest, so a served query reports the few
 // (often zero) evals of its delta work where the batch run reports the
-// full from-scratch sweep (the sharded differentials strip eval counters
-// for the same reason; see INCREMENTAL.md).
+// full from-scratch sweep (see INCREMENTAL.md).
 func stripTimes(stats []topk.LevelStats) {
 	for i := range stats {
 		stats[i].CollapseTime, stats[i].BoundTime, stats[i].PruneTime = 0, 0, 0

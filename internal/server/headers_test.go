@@ -145,15 +145,15 @@ func TestScrapeDifferential(t *testing.T) {
 	}
 
 	for _, path := range []string{"/topk?k=3&r=2", "/topk?k=5"} {
-		got := canonResult(t, queryRaw(t, scraped, path))
-		want := canonResult(t, queryRaw(t, control, path))
-		if got != want {
+		_, got := queryWithCache(t, scraped, path)
+		_, want := queryWithCache(t, control, path)
+		if got, want = canonTopK(t, got), canonTopK(t, want); !bytes.Equal(got, want) {
 			t.Fatalf("%s: scraped server diverged from control\nscraped: %s\ncontrol: %s", path, got, want)
 		}
 	}
-	got := canonRank(t, queryRaw(t, scraped, "/rank?k=3"))
-	want := canonRank(t, queryRaw(t, control, "/rank?k=3"))
-	if got != want {
+	_, got := queryWithCache(t, scraped, "/rank?k=3")
+	_, want := queryWithCache(t, control, "/rank?k=3")
+	if got, want = canonRankEvals(t, got), canonRankEvals(t, want); !bytes.Equal(got, want) {
 		t.Fatalf("/rank?k=3: scraped server diverged from control\nscraped: %s\ncontrol: %s", got, want)
 	}
 	// Approx answers carry no timings, so the whole body byte-compares.

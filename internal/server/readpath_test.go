@@ -2,16 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	topk "topkdedup"
-	"topkdedup/internal/faulty"
-	"topkdedup/internal/shard"
 )
 
 // readPathRecords is a seeded toy record set with enough entities per
@@ -215,49 +216,44 @@ func TestReadPathPrunesOncePerEpochK(t *testing.T) {
 	}
 }
 
-// TestReadPathErrorIsRetried: in coordinator mode a pruning that fails
-// on a peer is answered 502 and kept nowhere — the next request runs
-// the exchange again and, the peer being well, gets the standalone
-// answer as a plain miss.
+// TestReadPathErrorIsRetried: a request whose context is already
+// cancelled when its pruning would start gets an error that is kept
+// nowhere — not in the snapshot's per-K memo, not in the answer cache —
+// so the next request runs the pruning as a plain miss and gets the
+// answer a control server gives.
 func TestReadPathErrorIsRetried(t *testing.T) {
-	peers := make([]string, 2)
-	for i := range peers {
-		_, pts := newTestServer(t, nil)
-		peers[i] = pts.URL
-	}
-	var mu sync.Mutex
-	runs := 0
-	_, ts := newTestServer(t, func(c *Config) {
-		c.ShardPeers = peers
-		c.wrapShardTransport = func(inner shard.Transport) shard.Transport {
-			mu.Lock()
-			defer mu.Unlock()
-			if runs++; runs > 1 {
-				return inner
-			}
-			return faulty.Wrap(inner, faulty.Rule{Shard: -1, Op: faulty.OpCollapse, Action: faulty.Drop})
-		}
-	})
+	// No request timeout: http.TimeoutHandler would answer the cancelled
+	// request itself and leave the handler running behind the test's back.
+	srv, ts := newTestServer(t, func(c *Config) { c.RequestTimeout = -1 })
 	_, control := newTestServer(t, nil)
 	recs := readPathRecords(11, 80)
 	ingestBatch(t, ts, recs)
 	ingestBatch(t, control, recs)
 
-	resp, body := get(t, ts, "/topk?k=3&r=2")
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("first query: status %d, want 502: %s", resp.StatusCode, body)
-	}
-	status, got := queryWithCache(t, ts, "/topk?k=3&r=2")
-	if status != cacheMiss {
-		t.Fatalf("query after the failure: X-Cache %q, want %q (errors are not kept)", status, cacheMiss)
-	}
-	_, wantRes := queryWithCache(t, control, "/topk?k=3&r=2")
-	// Eval counters differ between a sharded and a standalone run
-	// (SHARDING.md); everything else is the byte-identity contract.
-	if g, w := canonResult(t, got), canonResult(t, wantRes); g != w {
-		t.Errorf("retried sharded answer != standalone\nsharded:    %s\nstandalone: %s", g, w)
-	}
-	if runs != 2 {
-		t.Errorf("the exchange ran %d times, want 2 (failed, then retried)", runs)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// Distinct Ks: the second path must not find the first one's pruning memoised.
+	for _, path := range []string{"/topk?k=3&r=2", "/rank?k=5"} {
+		before := counter(t, srv, "core.levels")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+			t.Fatalf("%s with a cancelled context: status %d body %s, want 500 naming the cancellation", path, rec.Code, rec.Body)
+		}
+		if moved := counter(t, srv, "core.levels") - before; moved != 0 {
+			t.Errorf("%s with a cancelled context ran %d pruning levels, want 0", path, moved)
+		}
+		status, got := queryWithCache(t, ts, path)
+		if status != cacheMiss {
+			t.Fatalf("%s after the failure: X-Cache %q, want %q (errors are not kept)", path, status, cacheMiss)
+		}
+		_, want := queryWithCache(t, control, path)
+		canon := canonTopK
+		if strings.HasPrefix(path, "/rank") {
+			canon = canonRankEvals
+		}
+		if g, w := canon(t, got), canon(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s retried answer != control\nretried: %s\ncontrol: %s", path, g, w)
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	topk "topkdedup"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/records"
-	"topkdedup/internal/shard"
 	"topkdedup/internal/stream"
 	"topkdedup/internal/wal"
 )
@@ -83,27 +82,6 @@ type Config struct {
 	// MaxBatch caps the records accepted in one ingest batch (default
 	// 10000); larger batches are rejected with 400.
 	MaxBatch int
-	// ShardPeers, when non-empty, puts the server in coordinator mode:
-	// /topk and /rank TopK queries partition each epoch's snapshot into
-	// one canopy-closed shard per peer and drive the bound-exchange
-	// protocol over the peers' /shard/* endpoints (each peer is a topkd
-	// run with -role shard against the same schema and domain). Results
-	// are byte-identical to standalone serving except for eval counters
-	// and phase times in the pruning stats. Thresholded /rank?t=
-	// queries always run locally. See SHARDING.md.
-	ShardPeers []string
-	// ShardClient is the HTTP client for coordinator→shard calls (nil
-	// selects a client with the server's RequestTimeout per call).
-	ShardClient *http.Client
-	// ShardReplicate mirrors every canopy part onto a primary + replica
-	// peer pair (the replica on the next peer in ring order), so one
-	// dead or stalled peer mid-query fails over with the answer
-	// unchanged. Requires >= 2 ShardPeers. See SHARDING.md.
-	ShardReplicate bool
-	// ShardReplica tunes failover (timeouts, hedging, retries) when
-	// ShardReplicate is set; the zero value selects shard.ReplicaOptions
-	// defaults.
-	ShardReplica shard.ReplicaOptions
 	// WALDir, when non-empty, makes ingest durable: every accepted batch
 	// is appended (and fsynced, per WALOptions.Sync) to a write-ahead
 	// log in this directory BEFORE it is applied, and New replays the
@@ -146,11 +124,6 @@ type Config struct {
 	// 0 selects 10s; a negative value disables the background ticker
 	// (/metrics scrapes still sample synchronously).
 	RuntimeSampleInterval time.Duration
-
-	// wrapShardTransport, when non-nil (in-package tests only), wraps
-	// the shard transport of every coordinator query — the
-	// fault-injection seam (internal/faulty).
-	wrapShardTransport func(shard.Transport) shard.Transport
 }
 
 func (c *Config) defaults() error {
@@ -213,12 +186,6 @@ type Server struct {
 	// publish.
 	answers answerCache
 
-	// Shard-node state: coordinator sessions loaded over /shard/load.
-	shardMu       sync.Mutex
-	shardSessions map[string]*shardSession
-	// Coordinator state: the client used for /shard/* calls to peers.
-	shardClient *http.Client
-
 	// Durability state (see durability.go): the open WAL (nil when
 	// Config.WALDir is empty), the accepted-batch count since the last
 	// snapshot (guarded by mu), and the records replayed at boot.
@@ -255,14 +222,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:           cfg,
-		metrics:       obs.NewCollector(),
-		logger:        cfg.Logger,
-		sem:           make(chan struct{}, cfg.MaxInFlight),
-		acc:           acc,
-		shardSessions: make(map[string]*shardSession),
-		shardClient:   cfg.ShardClient,
-		started:       time.Now(),
+		cfg:     cfg,
+		metrics: obs.NewCollector(),
+		logger:  cfg.Logger,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		acc:     acc,
+		started: time.Now(),
 	}
 	if !cfg.SLO.Disable {
 		s.slo = newSLOTracker(cfg.SLO, s.metrics)
@@ -283,18 +248,10 @@ func New(cfg Config) (*Server, error) {
 	// server collector so /metrics shows ingest-side work too.
 	acc.SetMetrics(s.metrics)
 	// Query-time pruning runs on the published snapshots, which inherit
-	// these from the accumulator.
-	acc.SetShards(cfg.Engine.Shards)
+	// this from the accumulator.
 	acc.SetPrunePasses(cfg.Engine.PrunePasses)
 	if cfg.TraceLimit >= 0 {
 		s.tracer = obs.NewRecorder(cfg.TraceLimit)
-	}
-	if s.shardClient == nil {
-		timeout := cfg.RequestTimeout
-		if timeout < 0 {
-			timeout = 0
-		}
-		s.shardClient = &http.Client{Timeout: timeout}
 	}
 	// Recover durable state before the first epoch publishes, so records
 	// that survived a crash are queryable from the very first snapshot.
@@ -333,35 +290,14 @@ func (s *Server) Metrics() *obs.Collector { return s.metrics }
 // serves.
 func (s *Server) Tracer() *obs.Recorder { return s.tracer }
 
-// traceCtx opens the root span of one query request: adopting the
-// caller's trace when a valid Traceparent header is present (the
-// coordinator→peer case), else starting a fresh trace. Returns
-// (r.Context(), nil) when tracing is disabled — the zero-cost path.
+// traceCtx opens the root span of one query request on a fresh trace.
+// Returns (r.Context(), nil) when tracing is disabled — the zero-cost
+// path.
 func (s *Server) traceCtx(r *http.Request, name string) (context.Context, *obs.TraceSpan) {
 	if s.tracer == nil {
 		return r.Context(), nil
 	}
-	if tid, sid, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		return obs.StartChild(s.tracer.Adopt(r.Context(), tid, sid), name)
-	}
 	return s.tracer.StartTrace(r.Context(), name)
-}
-
-// shardSpan opens the handler-side span of one /shard/* operation. It
-// records ONLY under an adopted caller trace (a missing, stripped, or
-// garbled Traceparent header leaves the operation untraced rather than
-// starting a throwaway local trace — graceful degradation: the
-// coordinator's stitched trace is merely partial, the query result is
-// untouched).
-func (s *Server) shardSpan(r *http.Request, name string) (context.Context, *obs.TraceSpan) {
-	if s.tracer == nil {
-		return r.Context(), nil
-	}
-	tid, sid, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	if !ok {
-		return r.Context(), nil
-	}
-	return obs.StartChild(s.tracer.Adopt(r.Context(), tid, sid), name)
 }
 
 // Records returns the write-side record count (including records not
@@ -461,18 +397,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/refresh", s.guard("refresh", http.MethodPost, s.handleRefresh))
 	mux.Handle("/topk", s.guard("topk", http.MethodGet, s.handleTopK))
 	mux.Handle("/rank", s.guard("rank", http.MethodGet, s.handleRank))
-	// Shard-executor endpoints: a coordinator peer loads a partition
-	// session and drives the bound-exchange protocol through them.
-	mux.Handle("/shard/load", s.guard("shard.load", http.MethodPost, s.handleShardLoad))
-	mux.Handle("/shard/collapse", s.guard("shard.collapse", http.MethodPost, s.handleShardCollapse))
-	mux.Handle("/shard/bounds", s.guard("shard.bounds", http.MethodPost, s.handleShardBounds))
-	mux.Handle("/shard/prune", s.guard("shard.prune", http.MethodPost, s.handleShardPrune))
-	mux.Handle("/shard/groups", s.guard("shard.groups", http.MethodPost, s.handleShardGroups))
-	mux.Handle("/shard/close", s.guard("shard.close", http.MethodPost, s.handleShardClose))
 	// Health, metrics, SLO state, and traces bypass the slot pool and
-	// timeout: they must answer even when the query path is saturated
-	// (and the shard coordinator stitches traces right after heavy
-	// queries).
+	// timeout: they must answer even when the query path is saturated.
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/slo", s.handleSLO)
@@ -711,7 +637,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	key := answerKey{kind: 't', k: k, r: rr}
 	status, ent := s.beginAnswer(ep.seq, key, explain)
 	var res *topk.Result
-	badGateway := false
 	switch status {
 	case cacheHit:
 		res = ent.topk
@@ -725,7 +650,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default: // cacheMiss computes and memoises; cacheBypass just computes
-		res, badGateway, err = s.computeExact(ctx, ep, k, rr, explain)
+		res, err = s.computeExact(ctx, ep, k, rr, explain)
 		if status == cacheMiss {
 			ent.topk, ent.err = res, err
 			s.answers.finish(ep.seq, key, ent)
@@ -733,11 +658,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	root.End()
 	if err != nil {
-		code := http.StatusInternalServerError
-		if badGateway {
-			code = http.StatusBadGateway
-		}
-		writeError(w, code, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := TopKResponse{
@@ -807,7 +728,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	res, status, err := s.rankAnswer(ctx, ep, answerKey{kind: 'k', k: k}, func() (*topk.RankResult, error) {
-		pd, _, perr := s.pruned(ctx, ep, k, false)
+		pd, perr := s.pruned(ctx, ep, k, false)
 		if perr != nil {
 			return nil, perr
 		}
@@ -854,37 +775,26 @@ func (s *Server) rankAnswer(ctx context.Context, ep *epoch, key answerKey, compu
 // computeExact runs the exact TopK pipeline over an epoch — the shared
 // compute step of the /topk miss path and hybrid mode's background
 // refresh: the epoch's pruning for K (pruned), then the final phase for
-// (K, R) on a per-query engine. The returned bool marks a
-// shard-peer failure (surfaced as 502 rather than 500).
-func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain bool) (*topk.Result, bool, error) {
-	pd, badGateway, err := s.pruned(ctx, ep, k, explain)
+// (K, R) on a per-query engine.
+func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain bool) (*topk.Result, error) {
+	pd, err := s.pruned(ctx, ep, k, explain)
 	if err != nil {
-		return nil, badGateway, err
+		return nil, err
 	}
-	res, err := s.finalEngine(ep, explain).TopKFromCtx(ctx, pd, k, rr)
-	return res, false, err
+	return s.finalEngine(ep, explain).TopKFromCtx(ctx, pd, k, rr)
 }
 
 // pruned is the server's one way to a pruning result: the epoch
 // snapshot's per-K memo (INCREMENTAL.md — the maintained level-1
-// collapse and at most one run of the K-dependent phases per epoch), or the shard peers in coordinator
-// mode. fresh bypasses the memo so ?explain=1 reports from a full span
-// tree. The result is shared between queries and read-only. The
-// returned bool marks a shard-peer failure.
-func (s *Server) pruned(ctx context.Context, ep *epoch, k int, fresh bool) (*topk.PrunedResult, bool, error) {
-	if len(s.cfg.ShardPeers) > 0 {
-		pd, err := s.shardedPruned(ctx, ep, k)
-		if err != nil {
-			return nil, true, fmt.Errorf("shard peers: %w", err)
-		}
-		return pd, false, nil
-	}
+// collapse and at most one run of the K-dependent phases per epoch).
+// fresh bypasses the memo so ?explain=1 reports from a full span tree.
+// The result is shared between queries and read-only.
+func (s *Server) pruned(ctx context.Context, ep *epoch, k int, fresh bool) (*topk.PrunedResult, error) {
 	run := ep.snap.TopKCtx
 	if fresh {
 		run = ep.snap.FreshTopKCtx
 	}
-	pd, err := run(ctx, k, s.cfg.Engine.Workers, s.metrics)
-	return pd, false, err
+	return run(ctx, k, s.cfg.Engine.Workers, s.metrics)
 }
 
 // finalEngine builds the per-query engine over an epoch's frozen

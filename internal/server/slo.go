@@ -24,7 +24,7 @@ const sloStep = 10 * time.Second
 // server-side (5xx) consume the error budget 1−Availability.
 type SLOObjective struct {
 	// Endpoint is the guarded endpoint name ("topk", "rank", "ingest",
-	// "refresh", or a shard.* endpoint).
+	// or "refresh").
 	Endpoint string
 	// LatencyTarget is the per-request latency threshold; a slower
 	// request counts as bad even when it succeeds.

@@ -42,6 +42,9 @@ func TestConcurrentSoak(t *testing.T) {
 	)
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.RefreshEvery = 0 // publish after every batch
+		// A worker pool on any host, so the pruning's fan-out goroutines
+		// run beside ingest and publication even where NumCPU is 1.
+		c.Engine.Workers = 4
 	})
 	client := ts.Client()
 

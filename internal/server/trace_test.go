@@ -4,15 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-
-	"topkdedup/internal/obs"
 )
 
 // traceRecords builds a deterministic record set spreading entities over
-// enough first-letter canopies that a 4-way canopy partition leaves no
-// shard empty.
+// eight first-letter canopies, so the prune passes have groups to kill.
 func traceRecords(n int) []IngestRecord {
 	recs := make([]IngestRecord, n)
 	for i := range recs {
@@ -26,37 +22,18 @@ func traceRecords(n int) []IngestRecord {
 	return recs
 }
 
-// tracedShardCluster is shardCluster keeping the coordinator's *Server
-// handle so tests can read its tracer and metrics directly.
-func tracedShardCluster(t *testing.T, n int, mutate func(*Config)) (*Server, *httptest.Server) {
-	t.Helper()
-	peers := make([]string, n)
-	for i := 0; i < n; i++ {
-		_, ts := newTestServer(t, nil)
-		peers[i] = ts.URL
-	}
-	return newTestServer(t, func(c *Config) {
-		c.ShardPeers = peers
-		if mutate != nil {
-			mutate(c)
-		}
-	})
-}
+// TestDebugTracesEndpoint covers the trace endpoint on a server pruning
+// with a worker pool: one /topk?explain=1 query yields one trace whose
+// spans GET /debug/traces?trace=<id> returns and whose Chrome export
+// decodes as a trace_event document; the EXPLAIN report names that trace
+// and its per-round pruned counts sum to what the core.prune.pass.pruned
+// metric saw; then the list shape, the unknown- and malformed-ID
+// responses, and the 404 when tracing is disabled by TraceLimit < 0.
+func TestDebugTracesEndpoint(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) { c.Engine.Workers = 4 })
+	ingestBatch(t, ts, traceRecords(96))
 
-// TestShardedTraceStitching is the end-to-end acceptance check of the
-// distributed tracing layer: one /topk?explain=1 query through a
-// coordinator with four HTTP shard peers must yield ONE trace on the
-// coordinator holding the coordinator's own spans (node 0) plus every
-// peer's worker spans (nodes 1..4) stitched in; its Chrome export must
-// decode as a loadable trace_event document; and the EXPLAIN report's
-// per-round pruned counts must sum to the same total as the
-// shard.prune.round.pruned metric the coordinator's collector saw.
-func TestShardedTraceStitching(t *testing.T) {
-	const shards = 4
-	srv, coord := tracedShardCluster(t, shards, nil)
-	ingestBatch(t, coord, traceRecords(96))
-
-	resp, body := get(t, coord, "/topk?k=3&r=2&explain=1")
+	resp, body := get(t, ts, "/topk?k=3&r=2&explain=1")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk: status %d: %s", resp.StatusCode, body)
 	}
@@ -71,15 +48,11 @@ func TestShardedTraceStitching(t *testing.T) {
 	if ex == nil {
 		t.Fatal("explain=1 returned no EXPLAIN report")
 	}
-	if !ex.Sharded {
-		t.Error("EXPLAIN does not mark the query as sharded")
-	}
 	if ex.Trace != tr.TraceID {
 		t.Errorf("EXPLAIN trace %q != response trace_id %q", ex.Trace, tr.TraceID)
 	}
 
-	// One stitched trace: spans from the coordinator and all four peers.
-	resp, body = get(t, coord, "/debug/traces?trace="+tr.TraceID)
+	resp, body = get(t, ts, "/debug/traces?trace="+tr.TraceID)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("debug/traces: status %d: %s", resp.StatusCode, body)
 	}
@@ -87,177 +60,50 @@ func TestShardedTraceStitching(t *testing.T) {
 	if err := json.Unmarshal(body, &full); err != nil {
 		t.Fatalf("decode trace: %v: %s", err, body)
 	}
-	nodes := map[int]bool{}
-	names := map[string]bool{}
+	spanNames := map[string]bool{}
 	for _, s := range full.Spans {
-		nodes[s.Node] = true
-		names[s.Name] = true
+		spanNames[s.Name] = true
 	}
-	for node := 0; node <= shards; node++ {
-		if !nodes[node] {
-			t.Errorf("stitched trace is missing node %d (have %v)", node, nodes)
+	for _, want := range []string{"server.topk", "core.level", "core.prune.pass"} {
+		if !spanNames[want] {
+			t.Errorf("trace is missing a %q span", want)
 		}
-	}
-	for _, want := range []string{"server.topk", "shard.level", "shard.worker.load", "shard.worker.prune"} {
-		if !names[want] {
-			t.Errorf("stitched trace is missing a %q span", want)
-		}
-	}
-	// The per-shard breakdown in EXPLAIN comes from the stitched worker
-	// spans; with four loaded peers it must cover all four.
-	if len(ex.Shards) != shards {
-		t.Errorf("EXPLAIN shard breakdown has %d entries, want %d: %+v", len(ex.Shards), shards, ex.Shards)
 	}
 
-	// Chrome export loads as the trace_event object shape with one
-	// process row per node.
-	resp, body = get(t, coord, "/debug/traces?trace="+tr.TraceID+"&format=chrome")
+	resp, body = get(t, ts, "/debug/traces?trace="+tr.TraceID+"&format=chrome")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chrome export: status %d: %s", resp.StatusCode, body)
 	}
 	var chrome struct {
 		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &chrome); err != nil {
 		t.Fatalf("chrome export did not decode: %v: %s", err, body)
 	}
-	if len(chrome.TraceEvents) == 0 {
-		t.Fatal("chrome export is empty")
-	}
-	procs := map[int]bool{}
-	for _, ev := range chrome.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "process_name" {
-			procs[ev.Pid] = true
-		}
-	}
-	if len(procs) != shards+1 {
-		t.Errorf("chrome export names %d processes, want %d", len(procs), shards+1)
+	if len(chrome.TraceEvents) != len(full.Spans) {
+		t.Errorf("chrome export has %d events for %d spans", len(chrome.TraceEvents), len(full.Spans))
 	}
 
 	// EXPLAIN's pruning rounds aggregate exactly what the metric stream
-	// saw: sum over levels and rounds of pruned == the collector's
-	// shard.prune.round.pruned observation total (this was the only
-	// query the coordinator answered).
+	// saw (this was the only query the server answered).
 	var explainPruned int64
 	for _, l := range ex.Levels {
 		for _, rd := range l.Rounds {
 			explainPruned += int64(rd.Pruned)
 		}
 	}
-	snap := srv.Metrics().Snapshot()
-	dist, ok := snap.Observations["shard.prune.round.pruned"]
+	dist, ok := srv.Metrics().Snapshot().Observations["core.prune.pass.pruned"]
 	if !ok {
-		t.Fatalf("collector has no shard.prune.round.pruned observations (have %v)", snap.Names())
+		t.Fatal("collector has no core.prune.pass.pruned observations")
 	}
 	if int64(dist.Sum) != explainPruned {
 		t.Errorf("EXPLAIN pruned total %d != metric sum %v", explainPruned, dist.Sum)
 	}
-}
 
-// headerTamperTransport garbles or strips the Traceparent header on
-// every outgoing request — a stand-in for a proxy or an older peer
-// build that does not forward trace context.
-type headerTamperTransport struct {
-	garble string // "" strips the header entirely
-}
-
-func (tt headerTamperTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	req = req.Clone(req.Context())
-	if tt.garble == "" {
-		req.Header.Del(obs.TraceparentHeader)
-	} else {
-		req.Header.Set(obs.TraceparentHeader, tt.garble)
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// TestTraceHeaderStripped is the graceful-degradation guarantee: when
-// the Traceparent header is stripped (or garbled) between coordinator
-// and shard peers, the query result must be byte-identical to the
-// untampered run — only the stitched trace degrades, to a partial
-// trace holding the coordinator's own spans and none from the peers.
-func TestTraceHeaderStripped(t *testing.T) {
-	recs := traceRecords(72)
-	const path = "/topk?k=3&r=2"
-
-	_, clean := tracedShardCluster(t, 4, nil)
-	ingestBatch(t, clean, recs)
-	want := canonResult(t, queryRaw(t, clean, path))
-
-	for _, tc := range []struct {
-		name   string
-		garble string
-	}{
-		{"stripped", ""},
-		{"garbled", "00-not-a-valid-traceparent-header-at-all-xx-yy-zz-00"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, coord := tracedShardCluster(t, 4, func(c *Config) {
-				c.ShardClient = &http.Client{Transport: headerTamperTransport{garble: tc.garble}}
-			})
-			ingestBatch(t, coord, recs)
-
-			resp, body := get(t, coord, path)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("topk: status %d: %s", resp.StatusCode, body)
-			}
-			var tr TopKResponse
-			if err := json.Unmarshal(body, &tr); err != nil {
-				t.Fatal(err)
-			}
-			var raw struct {
-				Result json.RawMessage `json:"result"`
-			}
-			if err := json.Unmarshal(body, &raw); err != nil {
-				t.Fatal(err)
-			}
-			if got := canonResult(t, raw.Result); got != want {
-				t.Errorf("tampered trace header changed the query result\n got: %s\nwant: %s", got, want)
-			}
-
-			// The coordinator still traced its own side of the query...
-			if tr.TraceID == "" {
-				t.Fatal("coordinator recorded no trace")
-			}
-			spans := srv.Tracer().Spans(mustTraceID(t, tr.TraceID))
-			if len(spans) == 0 {
-				t.Fatal("coordinator trace is empty")
-			}
-			// ...but no peer span could join it: every span is node 0.
-			for _, s := range spans {
-				if s.Node != 0 {
-					t.Errorf("span %q stitched from node %d despite tampered header", s.Name, s.Node)
-				}
-			}
-		})
-	}
-}
-
-func mustTraceID(t *testing.T, s string) obs.TraceID {
-	t.Helper()
-	var id obs.TraceID
-	if err := id.UnmarshalText([]byte(s)); err != nil {
-		t.Fatalf("trace id %q: %v", s, err)
-	}
-	return id
-}
-
-// TestDebugTracesEndpoint covers the trace-listing endpoint edges on a
-// standalone server: the list shape, the unknown- and malformed-ID
-// responses, and the 404 when tracing is disabled by TraceLimit < 0.
-func TestDebugTracesEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	ingestBatch(t, ts, names("alpha.v0", "alpha.v1", "beta.v0"))
-	if resp, body := get(t, ts, "/topk?k=2"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("topk: status %d: %s", resp.StatusCode, body)
-	}
-
-	resp, body := get(t, ts, "/debug/traces")
+	resp, body = get(t, ts, "/debug/traces")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("debug/traces: status %d: %s", resp.StatusCode, body)
 	}
@@ -291,11 +137,11 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk with tracing off: status %d: %s", resp.StatusCode, body)
 	}
-	var tr TopKResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
+	var untraced TopKResponse
+	if err := json.Unmarshal(body, &untraced); err != nil {
 		t.Fatal(err)
 	}
-	if tr.TraceID != "" {
-		t.Errorf("tracing disabled but response carries trace_id %q", tr.TraceID)
+	if untraced.TraceID != "" {
+		t.Errorf("tracing disabled but response carries trace_id %q", untraced.TraceID)
 	}
 }

@@ -14,8 +14,7 @@ type TraceListResponse struct {
 }
 
 // TraceResponse is the GET /debug/traces?trace=<id> body: one trace's
-// finished spans sorted by start time. The same shape shard.HTTP
-// decodes when stitching a distributed trace.
+// finished spans sorted by start time.
 type TraceResponse struct {
 	// Trace is the requested trace ID.
 	Trace obs.TraceID `json:"trace"`

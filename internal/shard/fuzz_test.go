@@ -169,8 +169,8 @@ func FuzzBoundMerge(f *testing.F) {
 			workers := make([]*Worker, len(part.Parts))
 			metas := make([][]GroupMeta, len(part.Parts))
 			for i, p := range part.Parts {
-				workers[i] = NewWorker(d, nil, p.Groups, levels, Options{K: k, Workers: 1})
-				metas[i], _, _, _ = workers[i].Collapse(0)
+				workers[i] = NewWorker(d, p.Groups, levels, Options{K: k, Workers: 1})
+				metas[i], _ = workers[i].Collapse(0)
 			}
 			merged, shardOf := mergeMetas(metas)
 			if len(merged) != len(entities) {
@@ -187,9 +187,7 @@ func FuzzBoundMerge(f *testing.F) {
 			sc := core.NewBoundScanner(d, entities, levels[0].Necessary, 1)
 			sc.ScanHits(len(entities))
 			for i, w := range workers {
-				if _, err := w.Bounds(&BoundsRequest{Op: BoundsScan, Count: counts[i]}); err != nil {
-					t.Fatal(err)
-				}
+				w.Scan(counts[i])
 			}
 			for i := range counts {
 				counts[i] = 0
@@ -197,11 +195,7 @@ func FuzzBoundMerge(f *testing.F) {
 			for p := 0; p <= len(merged); p++ {
 				sum := 0
 				for i, w := range workers {
-					resp, err := w.Bounds(&BoundsRequest{Op: BoundsCPN, Prefix: counts[i]})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum += resp.CPN
+					sum += w.CPN(counts[i])
 				}
 				if global := sc.CPNAt(p); global != sum {
 					t.Fatalf("shards=%d prefix %d: global CPN %d != shard sum %d", s, p, global, sum)

@@ -16,15 +16,11 @@ import (
 type ShardPart struct {
 	// GroupIndex lists the indices (into the Split input slice) of the
 	// initial groups assigned to this shard, ascending. Order matters:
-	// it makes the shard's local record-ID space map monotonically into
-	// the global one, which preserves every tie-break downstream.
+	// it keeps the shard's groups in the input's relative order, which
+	// preserves every tie-break downstream.
 	GroupIndex []int
-	// Groups are the corresponding initial groups (global record IDs).
+	// Groups are the corresponding initial groups.
 	Groups []core.Group
-	// RecordIDs are the global IDs of every member record of the shard's
-	// groups, ascending — the shard's slice of the dataset when a remote
-	// transport has to ship it.
-	RecordIDs []int
 }
 
 // Partition is a canopy-closed assignment of initial groups to shards.
@@ -93,9 +89,7 @@ func Split(d *records.Dataset, groups []core.Group, levels []predicate.Level, s 
 		p.Groups = make([]core.Group, len(p.GroupIndex))
 		for j, gi := range p.GroupIndex {
 			p.Groups[j] = groups[gi]
-			p.RecordIDs = append(p.RecordIDs, groups[gi].Members...)
 		}
-		sort.Ints(p.RecordIDs)
 	}
 	return &Partition{Parts: parts, Components: len(comps)}
 }

@@ -1,10 +1,13 @@
-// Package shard executes PrunedDedup (paper §4, Algorithm 2) across S
-// horizontal shards and proves the answer unchanged: for every shard
-// count the surviving groups, their order, the per-level lower bounds M,
-// and the ExactlyK early exit are byte-identical to the single-machine
-// pipeline in internal/core.
+// Package shard executes PrunedDedup (paper §4, Algorithm 2) over S
+// canopy-closed parts of one dataset and proves the answer unchanged: for
+// every shard count the surviving groups, their order, the per-level
+// lower bounds M, and the ExactlyK early exit are byte-identical to the
+// single-machine pipeline in internal/core. It is the end-to-end S-part
+// case of core.ReplayBound, kept as that proof (and timed by topkbench
+// -exp shard and the benchmark harness); nothing serves queries through
+// it — SHARDING.md has the measurements that decided that.
 //
-// Three pieces compose (see SHARDING.md for the full protocol):
+// Three pieces compose:
 //
 //   - Split partitions the initial groups by blocking key with a
 //     canopy-closure pass: groups sharing any blocking key of any
@@ -14,12 +17,12 @@
 //     representative set, no candidate pair of any later phase ever
 //     crosses a component — shards are independent at every level.
 //
-//   - Worker runs one shard's share of each phase on the refactored core
-//     primitives (core.CollapseWorkers, core.BoundScanner, core.Pruner),
-//     holding per-level state between coordinator calls.
+//   - Worker runs one shard's share of each phase on the core primitives
+//     (core.CollapseWorkers, core.BoundScanner, core.Pruner), holding
+//     per-level state between coordinator calls.
 //
 //   - The coordinator (Exchange) merges per-shard group metadata into the
-//     global rank order and runs the bound-exchange protocol, which is
+//     global rank order and runs the bound exchange, which is
 //     core.ReplayBound — the single-machine scan's own loop — over one
 //     part per shard: per block, shards report local greedy-independence
 //     verdicts and the loop replays them in global rank order through
@@ -27,17 +30,11 @@
 //     sum exactly across canopy components) whenever the cheap bound
 //     stalls — so the global rank m, the bound M and the evaluations
 //     counted come out exactly as on a single machine. Pruning then
-//     proceeds in
-//     coordinator-driven rounds: every round each shard runs one exact
-//     Jacobi refinement pass with the broadcast global M and reports how
-//     many groups died; the coordinator stops when no shard's alive set
-//     shrank (TA-style early termination), which is precisely the
-//     single-machine stop rule evaluated globally.
-//
-// A Transport abstracts the coordinator→shard calls; NewInProcess runs
-// every shard in the calling process against the shared dataset (the
-// topk.Config.Shards path), while NewHTTP drives remote topkd processes
-// through the /shard/* endpoints of internal/server.
+//     proceeds in coordinator-driven rounds: every round each shard runs
+//     one exact Jacobi refinement pass with the broadcast global M and
+//     reports how many groups died; the coordinator stops when no
+//     shard's alive set shrank, which is precisely the single-machine
+//     stop rule evaluated globally.
 package shard
 
 import (
@@ -60,46 +57,27 @@ type Options struct {
 	// matching core.Options.PrunePasses).
 	PrunePasses int
 	// Workers bounds each shard worker's pool for predicate evaluation
-	// (<= 0 means all CPUs). In-process shards share the process pool.
+	// (<= 0 means all CPUs); the shards share the process pool.
 	Workers int
-	// Replicate mirrors every shard onto a primary + replica endpoint
-	// pair behind a Replicated transport, so any single endpoint loss
-	// mid-query fails over with the answer unchanged (SHARDING.md
-	// "Replication and failover"). In-process runs pair two workers per
-	// part; RunHTTP places each part's replica on the next peer in ring
-	// order (requires >= 2 peers).
-	Replicate bool
-	// Replica tunes the failover behaviour when Replicate is set.
-	Replica ReplicaOptions
-	// Sink, when non-nil, receives the shard.* coordination metrics (see
-	// OBSERVABILITY.md) in addition to the core.* phase metrics the
-	// in-process workers emit. Observational only.
+	// Sink, when non-nil, receives the core.prune.* metrics the workers'
+	// pruners emit. Observational only.
 	Sink obs.Sink
-	// WrapTransport, when non-nil, wraps the run's transport after
-	// replication is applied and just before the exchange starts — the
-	// seam the deterministic fault-injection tests (internal/faulty)
-	// plug into. The wrapper sees the exchange-phase operations
-	// (collapse, bounds, prune, groups, close); the HTTP run path's
-	// partition loads go to the peers directly. Production runs leave it
-	// nil.
-	WrapTransport func(Transport) Transport
 }
 
-// Run executes the full sharded pipeline in the calling process: it
-// partitions the initial grouping with Split, starts one in-process
-// Worker per shard over the shared dataset, and drives Exchange. groups
-// may be nil to start from singletons (the batch entry point); the
-// streaming path passes its maintained level-1 grouping. The returned
-// result is byte-identical to core.PrunedDedupFromCtx on the same inputs at
-// every shard count; RunStats reports the coordination work.
+// Run executes the full sharded pipeline: it partitions the initial
+// grouping with Split, starts one Worker per shard over the shared
+// dataset, and drives Exchange. groups may be nil to start from
+// singletons. The returned result is byte-identical to
+// core.PrunedDedupFromCtx on the same inputs at every shard count;
+// RunStats reports the coordination work.
 func Run(d *records.Dataset, groups []core.Group, levels []predicate.Level, opts Options) (*core.Result, *RunStats, error) {
 	return RunCtx(context.Background(), d, groups, levels, opts)
 }
 
 // RunCtx is Run under a context. When ctx carries a trace span (see
-// internal/obs), the coordinator's exchange and the in-process workers'
-// operations record child spans into the trace; an untraced context
-// costs one nil check per coordinator step and nothing else.
+// internal/obs), each level's bound scan records a shard.bound span and
+// the workers' prune passes their core.prune.pass spans; nothing in the
+// run blocks on ctx.
 func RunCtx(ctx context.Context, d *records.Dataset, groups []core.Group, levels []predicate.Level, opts Options) (*core.Result, *RunStats, error) {
 	if opts.K < 1 {
 		return nil, nil, fmt.Errorf("shard: K must be >= 1, got %d", opts.K)
@@ -118,24 +96,11 @@ func RunCtx(ctx context.Context, d *records.Dataset, groups []core.Group, levels
 		groups = core.SingletonGroups(d)
 	}
 	parts := Split(d, groups, levels, s)
-	obs.Gauge(opts.Sink, "shard.partition.components", float64(parts.Components))
-	var t Transport = NewInProcess(d, parts, levels, opts)
-	if opts.Replicate {
-		// Two independent worker sets over the same parts: lock-step
-		// replication needs nothing more in-process.
-		rt, rerr := NewReplicated(t, NewInProcess(d, parts, levels, opts), opts.Replica, opts.Sink)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		t = rt
+	ws := make([]*Worker, len(parts.Parts))
+	for i, part := range parts.Parts {
+		ws[i] = NewWorker(d, part.Groups, levels, opts)
 	}
-	if opts.WrapTransport != nil {
-		t = opts.WrapTransport(t)
-	}
-	defer t.Close()
-	res, rs, err := Exchange(ctx, t, len(levels), d.Len(), opts)
-	if rs != nil {
-		rs.Components = parts.Components
-	}
+	res, rs, err := Exchange(ctx, ws, len(levels), d.Len(), opts)
+	rs.Components = parts.Components
 	return res, rs, err
 }

@@ -223,27 +223,21 @@ func stripTimes(res *core.Result) {
 }
 
 // canonGrid erases the fields that legitimately differ between the
-// incremental and scratch pipelines at a given sharding: phase times
-// always; collapse evals always (the maintained collapse amortised them
-// at ingest); prune evals only under sharding, where the coordinator's
-// split changes how work is counted but not what is answered (the PR-4
-// sharding contract). Bound evals stay: every part count consumes the
-// same ranks.
-func canonGrid(res *core.Result, sharded bool) {
+// incremental and scratch pipelines: phase times, and collapse evals
+// (the maintained collapse amortised them at ingest). Bound and prune
+// evals stay.
+func canonGrid(res *core.Result) {
 	stripTimes(res)
 	for i := range res.Stats {
 		res.Stats[i].CollapseEvals = 0
-		if sharded {
-			res.Stats[i].PruneEvals = 0
-		}
 	}
 }
 
-// TestIncrementalGridMatchesScratch is the Workers x Shards acceptance
-// grid: at every combination, a snapshot query seeded with the
-// maintained collapse must equal the from-scratch batch pipeline —
-// groups, weights, member
-// order, MRank, LowerBound, everything but the fields canonGrid erases.
+// TestIncrementalGridMatchesScratch is the Workers acceptance grid: at
+// every worker count, a snapshot query seeded with the maintained
+// collapse must equal the from-scratch batch pipeline — groups, weights,
+// member order, MRank, LowerBound, everything but the fields canonGrid
+// erases.
 func TestIncrementalGridMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	inc, err := New("grid", []string{"name"}, toyLevels())
@@ -256,27 +250,24 @@ func TestIncrementalGridMatchesScratch(t *testing.T) {
 			inc.Add(float64(rng.Intn(20))+rng.Float64(), fmt.Sprintf("E%03d", e),
 				fmt.Sprintf("%c%03d.v%d", 'a'+e%6, e, rng.Intn(2)))
 		}
-		for _, shards := range []int{1, 2, 3, 5} {
-			inc.SetShards(shards)
-			snap := inc.Snapshot()
-			for _, workers := range []int{1, 2, 4} {
-				for _, k := range []int{1, 3, 6} {
-					// Fresh: the per-K memo would answer every workers
-					// value after the first from the first one's run.
-					got, err := snap.FreshTopKCtx(context.Background(), k, workers, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := core.PrunedDedup(snap.Dataset(), toyLevels(), core.Options{K: k, Workers: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					canonGrid(got, shards > 1)
-					canonGrid(want, shards > 1)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d shards=%d workers=%d k=%d: incremental diverges from scratch\n got=%+v\nwant=%+v",
-							round, shards, workers, k, got, want)
-					}
+		snap := inc.Snapshot()
+		for _, workers := range []int{1, 2, 4} {
+			for _, k := range []int{1, 3, 6} {
+				// Fresh: the per-K memo would answer every workers
+				// value after the first from the first one's run.
+				got, err := snap.FreshTopKCtx(context.Background(), k, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.PrunedDedup(snap.Dataset(), toyLevels(), core.Options{K: k, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				canonGrid(got)
+				canonGrid(want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d workers=%d k=%d: incremental diverges from scratch\n got=%+v\nwant=%+v",
+						round, workers, k, got, want)
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"topkdedup/internal/obs"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
-	"topkdedup/internal/shard"
 )
 
 // Snapshot is an immutable point-in-time view of an Incremental
@@ -46,7 +45,6 @@ type Snapshot struct {
 	groups      []core.Group
 	levels      []predicate.Level
 	evals       int64
-	shards      int
 	prunePasses int
 	taken       time.Time
 
@@ -86,7 +84,6 @@ func (inc *Incremental) Snapshot() *Snapshot {
 		groups:      groups,
 		levels:      inc.levels,
 		evals:       inc.evals,
-		shards:      inc.shards,
 		prunePasses: inc.prunePasses,
 		taken:       time.Now(),
 		level1:      core.PrepareLevel(data, groups, inc.levels[0]),
@@ -118,10 +115,7 @@ func (s *Snapshot) Groups() []core.Group {
 // TopK answers the TopK count query over the frozen state, like
 // Incremental.TopK but safe for any number of concurrent callers on the
 // same Snapshot. workers and sink follow the core.Options conventions
-// (workers <= 0 means all CPUs; a nil sink is free). A SetShards value
-// in force when the snapshot was taken routes the pruning phases
-// through the sharded coordinator, with the same byte-identity
-// guarantee.
+// (workers <= 0 means all CPUs; a nil sink is free).
 func (s *Snapshot) TopK(k, workers int, sink obs.Sink) (*core.Result, error) {
 	return s.TopKCtx(context.Background(), k, workers, sink)
 }
@@ -190,13 +184,12 @@ func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo
 	return ent.res, ent.err
 }
 
-// prune runs the pruning phases of one query over the frozen state.
+// prune runs the pruning phases of one query over the frozen state. A
+// query whose context is already done is not worth a pruning: it gets
+// the context's error, which topK's memo does not keep.
 func (s *Snapshot) prune(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
-	if s.shards > 1 {
-		res, _, err := shard.RunCtx(ctx, s.data, s.Groups(), s.levels, shard.Options{
-			K: k, Shards: s.shards, PrunePasses: s.prunePasses, Workers: workers, Sink: sink,
-		})
-		return res, err
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, core.Options{
 		K: k, PrunePasses: s.prunePasses, Workers: workers, Sink: sink,

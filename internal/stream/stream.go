@@ -55,9 +55,6 @@ type Incremental struct {
 	// SetWorkers). Insertion-time maintenance is always serial — it is
 	// one record against a handful of components.
 	workers int
-	// shards routes query-time pruning through the sharded coordinator
-	// when > 1 (see SetShards).
-	shards int
 	// prunePasses is the exact refinement pass count of query-time
 	// pruning (see SetPrunePasses).
 	prunePasses int
@@ -158,20 +155,10 @@ func (inc *Incremental) mergeClosures(ra, rb, survivor int) {
 // safe for concurrent Eval when workers != 1 (the built-in domains are).
 func (inc *Incremental) SetWorkers(workers int) { inc.workers = workers }
 
-// SetShards routes the query-time pruning phases through the in-process
-// sharded coordinator (internal/shard) when shards > 1: the maintained
-// level-1 collapse is partitioned into canopy-closed shards and the
-// bound-exchange protocol reproduces the single-machine result byte for
-// byte (only the collapse and prune eval counters and phase times in the
-// stats may differ).
-// <= 1 — the default — runs the single-machine pipeline. Snapshots
-// taken after the call inherit the setting.
-func (inc *Incremental) SetShards(shards int) { inc.shards = shards }
-
 // SetPrunePasses sets the number of exact upper-bound refinement passes
 // query-time pruning runs (core.Options.PrunePasses; <= 0 — the default
 // — is the paper's 2). Snapshots taken after the call inherit the
-// setting, like SetShards.
+// setting.
 func (inc *Incremental) SetPrunePasses(passes int) { inc.prunePasses = passes }
 
 // SetMetrics attaches an observability sink: each Add emits the

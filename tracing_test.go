@@ -31,9 +31,6 @@ func TestTracerUntracedNoAllocs(t *testing.T) {
 		if obs.SpanFromContext(ctx) != nil {
 			t.Fatal("background context is traced")
 		}
-		if obs.Traceparent(ctx) != "" {
-			t.Fatal("background context rendered a traceparent")
-		}
 	})
 	if allocs != 0 {
 		t.Errorf("untraced context inspection: %.1f allocs/op, want 0", allocs)
@@ -51,12 +48,9 @@ func stripPruningTimes(stats []LevelStats) {
 
 // TestTracingDeterminism is the observational-only guarantee of the
 // tracing and EXPLAIN layers: with Config.Tracer and Config.Explain
-// both on, the query's answers are identical to an untraced run at
-// every Workers x Shards combination, and the EXPLAIN report itself
-// (timings stripped) is identical across worker counts within a shard
-// count. (EXPLAIN is not compared across shard counts: the sharded
-// coordinator legitimately reports different eval counters and bound
-// evolution than the single-machine sweep — see SHARDING.md.)
+// both on, the query's answers and pruning stats are identical to an
+// untraced run at every Workers count, and the EXPLAIN report itself
+// (timings stripped) is identical across worker counts.
 func TestTracingDeterminism(t *testing.T) {
 	d := toyData(31, 30, 8)
 	const k, r = 5, 3
@@ -67,60 +61,50 @@ func TestTracingDeterminism(t *testing.T) {
 	if ref.Explain != nil {
 		t.Fatal("untraced reference run produced an EXPLAIN report")
 	}
-	for _, shards := range []int{1, 4} {
-		var refExplain string
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Workers: workers, Shards: shards, Tracer: NewTracer(4), Explain: true}
-			got, err := New(d, toyLevels(), oracleScorer(), cfg).TopK(k, r)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if !reflect.DeepEqual(got.Answers, ref.Answers) {
-				t.Errorf("shards=%d workers=%d: traced answers differ from untraced reference", shards, workers)
-			}
-			if got.Survivors != ref.Survivors || got.Exact != ref.Exact {
-				t.Errorf("shards=%d workers=%d: survivors/exact (%d,%v) != reference (%d,%v)",
-					shards, workers, got.Survivors, got.Exact, ref.Survivors, ref.Exact)
-			}
-			if shards <= 1 {
-				// Single-machine pruning stats are part of the byte-identity
-				// contract at every worker count; the sharded coordinator's
-				// eval counters may differ from the reference.
-				g := append([]LevelStats(nil), got.Pruning...)
-				w := append([]LevelStats(nil), ref.Pruning...)
-				stripPruningTimes(g)
-				stripPruningTimes(w)
-				if !reflect.DeepEqual(g, w) {
-					t.Errorf("workers=%d: traced pruning stats differ from untraced reference", workers)
-				}
-			}
-			ex := got.Explain
-			if ex == nil {
-				t.Fatalf("shards=%d workers=%d: no EXPLAIN report", shards, workers)
-			}
-			if ex.Trace == "" || len(ex.Levels) == 0 || ex.SpanCount == 0 {
-				t.Fatalf("shards=%d workers=%d: degenerate EXPLAIN %+v", shards, workers, ex)
-			}
-			if (shards > 1) != ex.Sharded {
-				t.Errorf("shards=%d: EXPLAIN sharded=%v", shards, ex.Sharded)
-			}
-			if last := ex.Levels[len(ex.Levels)-1]; last.Survivors != got.Survivors {
-				t.Errorf("shards=%d workers=%d: EXPLAIN survivors %d != result survivors %d",
-					shards, workers, last.Survivors, got.Survivors)
-			}
-			ex.StripTimings()
-			// The trace ID is random per query; blank it before comparing.
-			ex.Trace = ""
-			enc, err := json.Marshal(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refExplain == "" {
-				refExplain = string(enc)
-			} else if string(enc) != refExplain {
-				t.Errorf("shards=%d workers=%d: EXPLAIN differs across worker counts\n got: %s\nwant: %s",
-					shards, workers, enc, refExplain)
-			}
+	var refExplain string
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Workers: workers, Tracer: NewTracer(4), Explain: true}
+		got, err := New(d, toyLevels(), oracleScorer(), cfg).TopK(k, r)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got.Answers, ref.Answers) {
+			t.Errorf("workers=%d: traced answers differ from untraced reference", workers)
+		}
+		if got.Survivors != ref.Survivors || got.Exact != ref.Exact {
+			t.Errorf("workers=%d: survivors/exact (%d,%v) != reference (%d,%v)",
+				workers, got.Survivors, got.Exact, ref.Survivors, ref.Exact)
+		}
+		g := append([]LevelStats(nil), got.Pruning...)
+		w := append([]LevelStats(nil), ref.Pruning...)
+		stripPruningTimes(g)
+		stripPruningTimes(w)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("workers=%d: traced pruning stats differ from untraced reference", workers)
+		}
+		ex := got.Explain
+		if ex == nil {
+			t.Fatalf("workers=%d: no EXPLAIN report", workers)
+		}
+		if ex.Trace == "" || len(ex.Levels) == 0 || ex.SpanCount == 0 {
+			t.Fatalf("workers=%d: degenerate EXPLAIN %+v", workers, ex)
+		}
+		if last := ex.Levels[len(ex.Levels)-1]; last.Survivors != got.Survivors {
+			t.Errorf("workers=%d: EXPLAIN survivors %d != result survivors %d",
+				workers, last.Survivors, got.Survivors)
+		}
+		ex.StripTimings()
+		// The trace ID is random per query; blank it before comparing.
+		ex.Trace = ""
+		enc, err := json.Marshal(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refExplain == "" {
+			refExplain = string(enc)
+		} else if string(enc) != refExplain {
+			t.Errorf("workers=%d: EXPLAIN differs across worker counts\n got: %s\nwant: %s",
+				workers, enc, refExplain)
 		}
 	}
 }
