@@ -35,7 +35,6 @@ go run ./cmd/doccheck -errata EXPERIMENTS.md \
     ./internal/embed \
     ./internal/eval \
     ./internal/experiments \
-    ./internal/faulty \
     ./internal/graph \
     ./internal/index \
     ./internal/intern \
@@ -83,16 +82,12 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int
 
 # One route to a pruning, each piece of work once: segment.BestR and the
 # canonical group order stay off reflection-based sort.Slice (BestR
-# merges sorted rows; groups sort by slices.SortFunc), and the engine
-# seeding the server's single route replaced (StartGroups) does not come
-# back under that name.
+# merges sorted rows; groups sort by slices.SortFunc).
 if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core/groups.go; then exit 1; fi
-if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'StartGroups' .; then exit 1; fi
 
 # One §4.2 bound scan: the consume loop (controller, block events) lives
 # in one non-test file — core.ReplayBound, which the single-machine scan
-# and internal/shard's S-part proof both run — and the estimator seam a second
-# loop once plugged into does not come back under that name.
+# and internal/shard's S-part proof both run.
 for pat in 'NewPrefixController(' '"bound.block"'; do
     n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=graph --exclude-dir=obs --exclude-dir=.bench_build "$pat" . | wc -l)
     if [ "$n" -ne 1 ]; then
@@ -100,43 +95,48 @@ for pat in 'NewPrefixController(' '"bound.block"'; do
         exit 1
     fi
 done
-if grep -rn --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.bench_build 'BoundEstimator' .; then exit 1; fi
 
 # One union-find on the write path: stream.Incremental owns the only
 # growable DSU (the sufficient closure Add maintains is also what decides
-# which groups a publish rebuilds), and the package that kept a second
-# one beside it does not come back.
+# which groups a publish rebuilds).
 n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=dsu --exclude-dir=.bench_build 'dsu.NewGrowable(' . | wc -l)
 if [ "$n" -ne 1 ]; then
     echo "dsu.NewGrowable( is called from $n non-test files outside internal/dsu, want 1" >&2
     exit 1
 fi
-if grep -rn --include='*.go' --exclude-dir=.bench_build 'topkdedup/internal/inc"' .; then exit 1; fi
 
-# One approximate tier: mode=approx is the head of the group list every
-# epoch publishes (stream.Snapshot.Heaviest). The Space-Saving summary
-# that estimated those weights, the auditor that re-checked its intervals
-# and the two options that sized and sampled them do not come back.
-if [ -e internal/sketch ]; then
-    echo "internal/sketch exists" >&2
-    exit 1
-fi
-if grep -rn --include='*.go' --exclude-dir=.bench_build 'topkdedup/internal/sketch' .; then exit 1; fi
-if grep -rnE --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh --exclude='BENCH_*' --exclude-dir=.bench_build --exclude-dir=.git 'SketchCapacity|AuditRate|sketch-capacity|audit-rate' .; then exit 1; fi
-
-# Sharding is a proof, not a tier: internal/shard keeps Split, Worker,
-# Exchange and Run as the S-part case of core.ReplayBound, byte-identical
-# to core.PrunedDedup. The HTTP transport, the shard-node endpoints,
-# replication and the Shards option measured slower than Workers on every
-# input (SHARDING.md) and do not come back.
-for f in internal/shard/http.go internal/shard/replica.go internal/server/shardnode.go; do
-    if [ -e "$f" ]; then
-        echo "$f exists" >&2
-        exit 1
-    fi
-done
-if grep -rnE --include='*.go' --exclude-dir=benchmark --exclude-dir=.bench_build '/shard/|ShardPeers|SetShards' .; then exit 1; fi
-if go run ./cmd/topkd -h 2>&1 | grep -E '^ +-(role|peers|replicate|shards)\b'; then exit 1; fi
+# What earlier PRs measured and deleted does not come back (in table
+# order: engine seeding, the estimator seam, the second union-find, the
+# sketch tier, sharding as a tier, WAL snapshots). One item a line:
+# `path`s must not exist; `go` is an ERE no .go file outside the frozen
+# benchmark/ may match; `text` an ERE no file may match outside
+# benchmark/ and the history files; `flag` an ERE of topkd flag names.
+gone() {
+    while read -r kind what; do
+        case "$kind" in
+        path) for f in $what; do if [ -e "$f" ]; then echo "$f exists" >&2; exit 1; fi; done ;;
+        go) if grep -rnE --include='*.go' --exclude-dir=benchmark --exclude-dir=.bench_build -- "$what" .; then exit 1; fi ;;
+        text) if grep -rnE --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh --exclude='BENCH_*' --exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=.git -- "$what" .; then exit 1; fi ;;
+        flag) if go run ./cmd/topkd -h 2>&1 | grep -E "^ +-($what)\\b"; then exit 1; fi ;;
+        *) echo "gone: bad line: $kind $what" >&2; exit 1 ;;
+        esac
+    done
+}
+gone <<'EOF'
+text StartGroups
+text BoundEstimator
+text topkdedup/internal/inc"
+path internal/sketch
+text topkdedup/internal/sketch
+text SketchCapacity|AuditRate|sketch-capacity|audit-rate
+path internal/shard/http.go internal/shard/replica.go internal/server/shardnode.go
+go /shard/|ShardPeers|SetShards
+path internal/faulty internal/wal/snapshot.go
+text internal/faulty
+text TKWALSN1|WALSnapshotEvery|wal-snapshot-every|snapMu
+go Checkpoint\(
+flag role|peers|replicate|shards|wal-snapshot-every
+EOF
 
 go build ./...
 go test -race ./...
@@ -167,7 +167,7 @@ rm -f "$promscrape"
 # mid-ingest and restarted on the same WAL directory; every acknowledged
 # batch must be recovered whole, and the reborn server must answer
 # queries and accept new ingests. The byte-level recovery guarantees
-# are pinned by the deterministic crash-point tests (internal/faulty) in
+# are pinned by the deterministic crash-point tests (wal.CrashAt) in
 # the race suite above; this exercises a real process kill end to end.
 go run ./cmd/topkd -crash-smoke
 

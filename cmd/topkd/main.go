@@ -51,27 +51,26 @@ import (
 
 // options collects every topkd flag; run consumes it whole.
 type options struct {
-	addr             string
-	schema           string
-	field            string
-	overlap          float64
-	refreshEvery     int
-	maxInFlight      int
-	requestTimeout   time.Duration
-	maxBatch         int
-	workers          int
-	in               string
-	smoke            bool
-	crashSmoke       bool
-	walDir           string
-	walFsync         string
-	walSnapshotEvery int
-	logLevel         string
-	traceLimit       int
-	modeDefault      string
-	sloTarget        time.Duration
-	runtimeSample    time.Duration
-	smokeProm        string
+	addr           string
+	schema         string
+	field          string
+	overlap        float64
+	refreshEvery   int
+	maxInFlight    int
+	requestTimeout time.Duration
+	maxBatch       int
+	workers        int
+	in             string
+	smoke          bool
+	crashSmoke     bool
+	walDir         string
+	walFsync       string
+	logLevel       string
+	traceLimit     int
+	modeDefault    string
+	sloTarget      time.Duration
+	runtimeSample  time.Duration
+	smokeProm      string
 }
 
 func main() {
@@ -90,7 +89,6 @@ func main() {
 	flag.BoolVar(&o.crashSmoke, "crash-smoke", false, "self-test: SIGKILL a child topkd mid-ingest, restart it on the same WAL, verify recovery, exit")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: ingest is logged and fsynced before it is applied, and replayed on boot (empty disables durability)")
 	flag.StringVar(&o.walFsync, "wal-fsync", "always", "WAL fsync policy: always (durable on 200), interval (background ticker), or never (OS page cache)")
-	flag.IntVar(&o.walSnapshotEvery, "wal-snapshot-every", 0, "write a WAL state snapshot and prune replayed segments every N ingest batches (0 = default 256, negative disables)")
 	flag.StringVar(&o.logLevel, "log", "", "structured JSON request logging to stderr: debug, info, warn, or error (empty disables)")
 	flag.IntVar(&o.traceLimit, "trace-limit", 0, "query traces retained for GET /debug/traces (0 = default ring, negative disables tracing)")
 	flag.StringVar(&o.modeDefault, "mode-default", "", "serving mode for /topk requests without ?mode=: exact, approx, or hybrid (empty = exact)")
@@ -173,7 +171,6 @@ func run(o options) error {
 		MaxBatch:              o.maxBatch,
 		WALDir:                o.walDir,
 		WALOptions:            wal.Options{Sync: fsync},
-		WALSnapshotEvery:      o.walSnapshotEvery,
 		TraceLimit:            o.traceLimit,
 		DefaultMode:           o.modeDefault,
 		SLO:                   server.SLOConfig{LatencyTarget: o.sloTarget},

@@ -3,7 +3,7 @@
 // reboot into a state byte-identical to a server that ingested exactly
 // the surviving batch prefix uninterrupted — same /topk bytes, same
 // /rank bytes, same record count. The crash is simulated through
-// Config.WALOptions.Hook (internal/faulty's CrashAt), so every case is
+// Config.WALOptions.Hook (wal.CrashAt), so every case is
 // deterministic and reproduces from its (point, index) or seed alone.
 package server
 
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	topk "topkdedup"
-	"topkdedup/internal/faulty"
 	"topkdedup/internal/wal"
 )
 
@@ -122,7 +121,7 @@ func runCrashCase(t *testing.T, plan [][]IngestRecord, p wal.CrashPoint, crashId
 	dir := t.TempDir()
 	srv1, ts1 := newTestServer(t, func(c *Config) {
 		c.WALDir = dir
-		c.WALOptions = wal.Options{Hook: faulty.CrashAt(p, uint64(crashIdx))}
+		c.WALOptions = wal.Options{Hook: wal.CrashAt(p, uint64(crashIdx))}
 	})
 	defer srv1.Close()
 	for b := 0; b <= crashIdx; b++ {
@@ -181,7 +180,6 @@ func TestCrashRecoveryRandomTruncationHTTP(t *testing.T) {
 	dir := t.TempDir()
 	srv1, ts1 := newTestServer(t, func(c *Config) {
 		c.WALDir = dir
-		c.WALSnapshotEvery = -1 // keep one plain segment chain to truncate
 	})
 	for b := 0; b < crashBatches; b++ {
 		ingestBatch(t, ts1, plan[b])
@@ -267,38 +265,6 @@ func TestCrashRecoveryRandomTruncationHTTP(t *testing.T) {
 	}
 }
 
-// TestWALSnapshotBoundsReplay checkpoints mid-stream and verifies the
-// next boot recovers everything (snapshot + tail) with the snapshot
-// actually in play: the pruned log alone no longer holds the early
-// batches.
-func TestWALSnapshotBoundsReplay(t *testing.T) {
-	plan := crashPlan()
-	dir := t.TempDir()
-	srv1, ts1 := newTestServer(t, func(c *Config) {
-		c.WALDir = dir
-		c.WALOptions = wal.Options{SegmentBytes: 256} // rotate often so pruning has segments to drop
-		c.WALSnapshotEvery = 2
-	})
-	for b := 0; b < crashBatches; b++ {
-		ingestBatch(t, ts1, plan[b])
-	}
-	ts1.Close()
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.dat"))
-	if len(snaps) != 1 {
-		t.Fatalf("want exactly one snapshot after checkpoints, got %v", snaps)
-	}
-	srv2, ts2 := bootServer(t, dir)
-	if got := srv2.Recovered(); got != crashBatches*crashBatchSize {
-		t.Fatalf("recovered %d records, want %d", got, crashBatches*crashBatchSize)
-	}
-	if got, want := crashCanon(t, ts2), referenceCanon(t, plan, crashBatches); got != want {
-		t.Fatalf("snapshot+tail recovery differs from uninterrupted run\ngot:  %s\nwant: %s", got, want)
-	}
-}
-
 // TestWALAppendErrorNeverApplies pins the WAL-then-apply ordering: when
 // the log refuses a batch (simulated crash), the accumulator must not
 // see any of its records, and the server's answers must be those of the
@@ -308,7 +274,7 @@ func TestWALAppendErrorNeverApplies(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.WALDir = dir
-		c.WALOptions = wal.Options{Hook: faulty.CrashAt(wal.CrashBeforeFrame, 1)}
+		c.WALOptions = wal.Options{Hook: wal.CrashAt(wal.CrashBeforeFrame, 1)}
 	})
 	defer srv.Close()
 	ingestBatch(t, ts, plan[0])

@@ -1,22 +1,21 @@
 // Durability wiring: the server side of internal/wal. New opens the
-// log, rebuilds the accumulator from the newest snapshot plus the WAL
-// tail, and handleIngest/Seed append every accepted batch BEFORE it is
-// applied (WAL-then-apply), so a crash at any instant recovers to a
-// state byte-identical to an uninterrupted run — the crash-recovery
-// property tests pin exactly that. See SERVING.md "Durability".
+// log, rebuilds the accumulator by replaying it from batch 0 (the log
+// is the state), and handleIngest/Seed append every accepted batch
+// BEFORE it is applied (WAL-then-apply), so a crash at any instant
+// recovers to a state byte-identical to an uninterrupted run — the
+// crash-recovery property tests pin exactly that. See SERVING.md
+// "Durability".
 package server
 
 import (
-	"fmt"
-	"time"
-
 	topk "topkdedup"
 	"topkdedup/internal/wal"
 )
 
-// openWAL opens Config.WALDir, replays the newest valid snapshot and
-// the log tail behind it into the accumulator, and leaves the log open
-// for the ingest path. No-op when durability is disabled. Called from
+// openWAL opens Config.WALDir, replays every logged batch into the
+// accumulator, and leaves the log open for the ingest path — boot cost
+// is linear in the records ever accepted (SERVING.md "Durability" has
+// the measured figure). No-op when durability is disabled. Called from
 // New before the initial epoch is published, so recovered records are
 // queryable immediately.
 func (s *Server) openWAL() error {
@@ -29,18 +28,7 @@ func (s *Server) openWAL() error {
 	if err != nil {
 		return err
 	}
-	applied, recs, ok, err := l.LatestSnapshot()
-	if err != nil {
-		l.Close()
-		return err
-	}
-	var from uint64
-	if ok {
-		s.apply(recs)
-		s.recovered += len(recs)
-		from = applied
-	}
-	if err := l.Replay(from, func(_ uint64, b wal.Batch) error {
+	if err := l.Replay(0, func(_ uint64, b wal.Batch) error {
 		s.apply(b)
 		s.recovered += len(b)
 		return nil
@@ -53,38 +41,9 @@ func (s *Server) openWAL() error {
 }
 
 // Recovered reports how many records boot recovery replayed from the
-// WAL (snapshot + tail). Zero when durability is disabled or the log
-// was empty. cmd/topkd uses it to skip file seeding after a restart.
+// WAL. Zero when durability is disabled or the log was empty. cmd/topkd
+// uses it to skip file seeding after a restart.
 func (s *Server) Recovered() int { return s.recovered }
-
-// Checkpoint writes a WAL snapshot of the full durable state and prunes
-// the segments it makes redundant, bounding the next boot's replay to
-// the tail behind the snapshot. The accumulator state is captured under
-// the write lock (so the snapshot lands exactly at a batch boundary)
-// but encoded and written outside it, so ingest is never blocked on a
-// disk write. No-op when durability is disabled. Safe for concurrent
-// use; concurrent checkpoints serialise.
-func (s *Server) Checkpoint() error {
-	if s.wal == nil {
-		return nil
-	}
-	s.mu.Lock()
-	applied := s.wal.NextIndex()
-	snap := s.acc.Snapshot()
-	s.mu.Unlock()
-	recs := walRecords(snap.Dataset(), s.cfg.Schema)
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if err := s.wal.WriteSnapshot(applied, recs); err != nil {
-		return err
-	}
-	if err := s.wal.PruneSegments(applied); err != nil {
-		return err
-	}
-	// Feeds the wal.checkpoint.age_seconds health gauge.
-	s.lastCheckpoint.Store(time.Now().UnixNano())
-	return nil
-}
 
 // Close releases the server's durable resources: it stops the runtime
 // sampler ticker, drains hybrid mode's background exact computations,
@@ -105,9 +64,8 @@ func (s *Server) Close() error {
 }
 
 // walRecords flattens a dataset into WAL records, in insertion order —
-// a checkpoint's snapshot of the frozen state, or Seed's one batch.
-// Replaying them re-Adds exactly the original sequence, which is what
-// makes recovery byte-identical.
+// Seed's one batch. Replaying them re-Adds exactly the original
+// sequence, which is what makes recovery byte-identical.
 func walRecords(d *topk.Dataset, schema []string) wal.Batch {
 	recs := make(wal.Batch, len(d.Recs))
 	for i, r := range d.Recs {
@@ -133,16 +91,4 @@ func walBatch(recs []IngestRecord) wal.Batch {
 		batch[i] = wal.Record{Weight: wgt, Truth: rec.Truth, Values: rec.Values}
 	}
 	return batch
-}
-
-// checkpointErr surfaces a background checkpoint failure: the batch is
-// durable in the log regardless, so the request already succeeded —
-// the failure is logged, not returned to the client.
-func (s *Server) checkpointErr(err error) {
-	if err == nil {
-		return
-	}
-	if s.logger != nil {
-		s.logger.Error("wal checkpoint failed", "err", fmt.Sprint(err))
-	}
 }

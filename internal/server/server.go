@@ -85,20 +85,14 @@ type Config struct {
 	// WALDir, when non-empty, makes ingest durable: every accepted batch
 	// is appended (and fsynced, per WALOptions.Sync) to a write-ahead
 	// log in this directory BEFORE it is applied, and New replays the
-	// newest snapshot plus the log tail on boot — a killed process
-	// recovers with groups and answers byte-identical to an
-	// uninterrupted run (SERVING.md "Durability"). Empty disables
-	// durability (the pre-WAL behaviour).
+	// log on boot — a killed process recovers with groups and answers
+	// byte-identical to an uninterrupted run (SERVING.md "Durability").
+	// Empty disables durability (the pre-WAL behaviour).
 	WALDir string
 	// WALOptions tunes the log (segment size, fsync policy, the test
 	// crash hook). The Sink field is ignored — wal.* metrics route to
 	// the server collector.
 	WALOptions wal.Options
-	// WALSnapshotEvery writes a flat state snapshot and prunes replayed
-	// segments every N accepted batches, bounding boot replay to the
-	// tail behind the newest snapshot. 0 selects 256; negative disables
-	// snapshotting (boot replays the whole log).
-	WALSnapshotEvery int
 	// DefaultMode is the /topk serving mode when the request omits
 	// ?mode=: "exact" (the default), "approx", or "hybrid". See
 	// SERVING.md "Approximate tier".
@@ -145,9 +139,6 @@ func (c *Config) defaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 10000
 	}
-	if c.WALSnapshotEvery == 0 {
-		c.WALSnapshotEvery = 256
-	}
 	switch c.DefaultMode {
 	case "":
 		c.DefaultMode = ModeExact
@@ -177,6 +168,10 @@ type Server struct {
 	mu      sync.Mutex // write side: acc, pending, publication
 	acc     *stream.Incremental
 	pending int // records accumulated since the last snapshot
+	// records mirrors acc.Len(), advanced by apply, so Records — and with
+	// it /healthz and /metrics — never waits on mu, which an ingest holds
+	// across the WAL's fsync.
+	records atomic.Int64
 
 	epoch atomic.Pointer[epoch]
 	seq   atomic.Uint64
@@ -187,12 +182,9 @@ type Server struct {
 	answers answerCache
 
 	// Durability state (see durability.go): the open WAL (nil when
-	// Config.WALDir is empty), the accepted-batch count since the last
-	// snapshot (guarded by mu), and the records replayed at boot.
-	wal        *wal.Log
-	walBatches int
-	recovered  int
-	snapMu     sync.Mutex // serialises Checkpoint's write + prune
+	// Config.WALDir is empty) and the records replayed at boot.
+	wal       *wal.Log
+	recovered int
 
 	// bg tracks hybrid-mode background exact computations and the runtime
 	// sampler loop so Close can drain them before releasing durable
@@ -200,15 +192,13 @@ type Server struct {
 	bg sync.WaitGroup
 
 	// Ops-grade telemetry state (slo.go): start time for uptime, the SLO
-	// tracker (nil when disabled), the runtime sampler and its ticker stop
-	// channel, and the last completed WAL checkpoint (unixnano, for
-	// wal.checkpoint.age_seconds).
-	started        time.Time
-	slo            *sloTracker
-	rtSampler      *obs.RuntimeSampler
-	rtStop         chan struct{}
-	stopOnce       sync.Once
-	lastCheckpoint atomic.Int64
+	// tracker (nil when disabled), and the runtime sampler with its ticker
+	// stop channel.
+	started   time.Time
+	slo       *sloTracker
+	rtSampler *obs.RuntimeSampler
+	rtStop    chan struct{}
+	stopOnce  sync.Once
 }
 
 // New creates a Server and publishes the initial (empty) snapshot as
@@ -302,11 +292,8 @@ func (s *Server) traceCtx(r *http.Request, name string) (context.Context, *obs.T
 
 // Records returns the write-side record count (including records not
 // yet visible to queries because no snapshot has been published since).
-func (s *Server) Records() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acc.Len()
-}
+// It takes no lock.
+func (s *Server) Records() int { return int(s.records.Load()) }
 
 // SnapshotInfo reports the published epoch: its sequence number, the
 // records visible to queries, and the snapshot's age.
@@ -358,14 +345,15 @@ func (s *Server) Seed(d *topk.Dataset) (int, error) {
 }
 
 // apply runs one batch through the accumulator in order — the write
-// side's only acc.Add loop. /ingest, Seed, and boot recovery's snapshot
-// restore and tail replay all go through it, so a recovered accumulator
-// re-Adds exactly the sequence the uninterrupted one did. Callers hold
-// s.mu, or own the server alone (New).
+// side's only acc.Add loop. /ingest, Seed, and boot recovery's log
+// replay all go through it, so a recovered accumulator re-Adds exactly
+// the sequence the uninterrupted one did. Callers hold s.mu, or own the
+// server alone (New).
 func (s *Server) apply(batch wal.Batch) {
 	for _, rec := range batch {
 		s.acc.Add(rec.Weight, rec.Truth, rec.Values...)
 	}
+	s.records.Add(int64(len(batch)))
 }
 
 // commitLocked makes one validated batch part of the write-side state:
@@ -540,20 +528,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
 		return
 	}
-	checkpoint := false
-	if s.wal != nil && s.cfg.WALSnapshotEvery > 0 {
-		s.walBatches++
-		if s.walBatches >= s.cfg.WALSnapshotEvery {
-			s.walBatches = 0
-			checkpoint = true
-		}
-	}
 	total := s.acc.Len()
 	seq := s.epoch.Load().seq
 	s.mu.Unlock()
-	if checkpoint {
-		s.checkpointErr(s.Checkpoint())
-	}
 	s.metrics.Count("server.ingest.records", int64(len(req.Records)))
 	s.metrics.Count("server.ingest.batches", 1)
 	writeJSON(w, http.StatusOK, IngestResponse{
@@ -930,8 +907,8 @@ func metricsFormat(r *http.Request) (string, error) {
 }
 
 // refreshHealthGauges brings every point-in-time gauge current right
-// before a scrape: epoch/record state, uptime, checkpoint age, the
-// runtime sampler, and the SLO burn rates. Counters and histograms are
+// before a scrape: epoch/record state, uptime, the runtime sampler, and
+// the SLO burn rates. Counters and histograms are
 // cumulative and need no refresh.
 func (s *Server) refreshHealthGauges() {
 	ep := s.epoch.Load()
@@ -939,16 +916,6 @@ func (s *Server) refreshHealthGauges() {
 	s.metrics.Gauge("server.snapshot.age_seconds", time.Since(ep.snap.Taken()).Seconds())
 	s.metrics.Gauge("server.records", float64(s.Records()))
 	s.metrics.Gauge("server.uptime_seconds", time.Since(s.started).Seconds())
-	if s.wal != nil {
-		// Age of the newest completed checkpoint; before the first one,
-		// the server's age (replay cost grows with this number either
-		// way).
-		since := time.Since(s.started)
-		if ts := s.lastCheckpoint.Load(); ts != 0 {
-			since = time.Since(time.Unix(0, ts))
-		}
-		s.metrics.Gauge("wal.checkpoint.age_seconds", since.Seconds())
-	}
 	s.rtSampler.Sample()
 	s.slo.refreshGauges()
 }

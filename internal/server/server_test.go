@@ -14,6 +14,7 @@ import (
 	topk "topkdedup"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
+	"topkdedup/internal/wal"
 )
 
 // Toy domain shared with the stream/core tests: S = exact name match,
@@ -402,6 +403,77 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if _, ok := m.Phases.Gauges["server.snapshot.seq"]; !ok {
 		t.Fatal("snapshot gauges not refreshed")
+	}
+}
+
+// TestProbesAnswerWhileIngestInWAL parks an /ingest inside wal.Append —
+// where the write lock is held across the fsync — and requires the
+// endpoints that "must answer even when the query path is saturated" to
+// answer anyway, with the pre-batch record count.
+func TestProbesAnswerWhileIngestInWAL(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.WALDir = t.TempDir()
+		c.WALOptions = wal.Options{Hook: func(p wal.CrashPoint, idx uint64) error {
+			if p == wal.CrashAfterFrame && idx == 1 {
+				close(parked)
+				<-release
+			}
+			return nil
+		}}
+	})
+	defer srv.Close()
+	ingestBatch(t, ts, names("alice", "alice", "bob"))
+	probes := []string{"/healthz", "/metrics?format=prom", "/metrics"}
+	for _, path := range probes {
+		get(t, ts, path) // warm the connection and the once-per-process state
+	}
+
+	body, _ := json.Marshal(IngestRequest{Records: names("carol")})
+	ingested := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			ingested <- 0
+			return
+		}
+		resp.Body.Close()
+		ingested <- resp.StatusCode
+	}()
+	<-parked
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	fetch := func(path string) ([]byte, error) {
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	for _, path := range probes {
+		// A probe that waits on the write lock misses every attempt; one
+		// that lost the CPU to another test package passes the next.
+		data, err := fetch(path)
+		for attempt := 1; attempt < 3 && err != nil; attempt++ {
+			data, err = fetch(path)
+		}
+		if err != nil {
+			t.Errorf("%s did not answer within 100ms while an ingest is inside wal.Append: %v", path, err)
+			continue
+		}
+		if path == "/healthz" {
+			var h HealthResponse
+			if err := json.Unmarshal(data, &h); err != nil || h.Records != 3 {
+				t.Errorf("healthz during the parked ingest: records %d (err %v), want the 3 applied", h.Records, err)
+			}
+		}
+	}
+	close(release)
+	if code := <-ingested; code != http.StatusOK {
+		t.Fatalf("parked ingest answered %d after release", code)
+	}
+	if got := srv.Records(); got != 4 {
+		t.Fatalf("records after release: %d, want 4", got)
 	}
 }
 

@@ -11,8 +11,6 @@
 //	wal-<firstIndex>.log   segments: 16-byte header (magic + first
 //	                       batch index), then length-prefixed
 //	                       CRC32C-framed batch records
-//	snap-<applied>.dat     flat snapshots of the full record state after
-//	                       the first <applied> batches (see snapshot.go)
 //
 // A frame is `len u32le | crc32c u32le | payload`; the payload is the
 // flat batch encoding of encodeBatch. A frame is the atomicity unit:
@@ -22,10 +20,13 @@
 // corrupt frame anywhere *before* the final segment is data loss, not a
 // crash artifact, and surfaces as ErrCorrupt.
 //
-// Boot recovery replays the newest valid snapshot plus only the WAL
-// tail behind it (Replay's from argument); WriteSnapshot + PruneSegments
-// keep that tail short. The Hook seam exists for the deterministic
-// crash-point tests in internal/faulty — production logs leave it nil.
+// The log is the state: the segments are the only durable format, and
+// boot recovery is Replay(0, …) re-applying every batch in order — linear
+// in the records ever accepted (SERVING.md has the measured cost). Open
+// therefore requires the segment chain to start at batch 0 and refuses,
+// with ErrCorrupt, a directory whose head is missing. The Hook seam
+// exists for the deterministic crash-point tests (CrashAt) — production
+// logs leave it nil.
 package wal
 
 import (
@@ -43,7 +44,7 @@ import (
 )
 
 // Record is one durable ingest record: the weight/truth/values triple
-// the serving layer accumulates. Snapshots persist the same shape.
+// the serving layer accumulates.
 type Record struct {
 	// Weight is the record's aggregation weight (already defaulted: the
 	// server normalises omitted weights to 1 before logging).
@@ -97,8 +98,25 @@ const (
 // CrashPoint with the batch index being appended, and a non-nil return
 // simulates a process crash at that point — the writer performs the
 // point's torn-write effect, marks itself dead, and surfaces ErrCrashed.
-// Production logs leave it nil; internal/faulty provides implementations.
+// Production logs leave it nil; CrashAt is the tests' implementation.
 type Hook func(point CrashPoint, index uint64) error
+
+// ErrInjected is the base error of every CrashAt fault; tests can
+// errors.Is against it to tell an injected crash from a real failure.
+var ErrInjected = errors.New("wal: injected fault")
+
+// CrashAt returns a Hook that simulates a process crash at exactly one
+// (crash point, batch index) pair, so a failing crash schedule replays
+// from its two numbers alone — the building block of the exhaustive
+// crash-point sweeps. Production code never calls it.
+func CrashAt(point CrashPoint, index uint64) Hook {
+	return func(p CrashPoint, idx uint64) error {
+		if p == point && idx == index {
+			return fmt.Errorf("%w: wal crash at point %d, batch %d", ErrInjected, point, index)
+		}
+		return nil
+	}
+}
 
 // Options configures Open. The zero value selects 64 MiB segments,
 // SyncAlways, and no hook.
@@ -150,7 +168,7 @@ type segment struct {
 	size  int64  // valid bytes (header + complete frames)
 }
 
-// Log is an open write-ahead log. Append/WriteSnapshot/Close are safe
+// Log is an open write-ahead log. Append/Close are safe
 // for concurrent use; replay helpers are read-only over closed state.
 type Log struct {
 	dir  string
@@ -198,20 +216,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// SetSink attaches a metrics sink after Open (the server wires its
-// collector in before recovery). Pass nil to detach.
-func (l *Log) SetSink(s obs.Sink) {
-	l.mu.Lock()
-	l.sink = s
-	l.openGauges()
-	l.mu.Unlock()
-}
-
 // openGauges publishes the open-segment health gauges (wal.open.segments
 // and wal.open.bytes). Callers hold l.mu (or, like Open, still own the
-// log exclusively); every path that changes the
-// segment chain — append growth, rotation, pruning, sink attach — calls
-// it so scrapes always see the current on-disk footprint.
+// log exclusively); every path that changes the segment chain — append
+// growth, rotation — calls it so scrapes always see the current on-disk
+// footprint.
 func (l *Log) openGauges() {
 	if l.sink == nil {
 		return
@@ -223,9 +232,6 @@ func (l *Log) openGauges() {
 	obs.Gauge(l.sink, "wal.open.segments", float64(len(l.segs)))
 	obs.Gauge(l.sink, "wal.open.bytes", float64(bytes))
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // NextIndex returns the index the next Append will be assigned — equal
 // to the number of complete batches the log has ever accepted.
@@ -257,13 +263,13 @@ func (l *Log) scan() error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 
-	snapApplied, _ := l.latestSnapshotApplied()
 	if len(segs) == 0 {
-		// Fresh log (or fully pruned behind a snapshot): indices resume
-		// after the snapshot.
-		l.next = snapApplied
-		l.segs = nil
-		return nil
+		return nil // fresh log: openActive creates the segment at batch 0
+	}
+	if first := segs[0].first; first != 0 {
+		// The log is the only copy of the data: a chain whose head is gone
+		// (an older binary pruned it behind a snapshot) cannot be recovered.
+		return fmt.Errorf("%w: first segment starts at batch %d, want 0", ErrCorrupt, first)
 	}
 	for i := range segs {
 		last := i == len(segs)-1
@@ -303,12 +309,6 @@ func (l *Log) scan() error {
 				obs.Count(l.sink, "wal.replay.truncated_bytes", fi.Size()-size)
 			}
 		}
-	}
-	if first := segs[0].first; first > snapApplied {
-		// Segments before the snapshot may be pruned, but the chain must
-		// still reach back to the snapshot boundary.
-		return fmt.Errorf("%w: first segment starts at batch %d but newest snapshot covers only %d",
-			ErrCorrupt, first, snapApplied)
 	}
 	l.segs = segs
 	tail := segs[len(segs)-1]

@@ -260,92 +260,116 @@ func TestMissingSegmentIsErrCorrupt(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripAndPrune(t *testing.T) {
+// dirState lists a directory as name → content, to assert a refused or
+// ignoring Open changed nothing on disk.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = string(data)
+	}
+	return state
+}
+
+// The log is the only copy of the data, so a chain whose head is gone —
+// what a binary that still pruned behind snapshots leaves — is refused
+// whole, never recovered from the middle, and Open touches nothing.
+func TestOpenRefusesChainNotAtZero(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state []Record
-	for i := 0; i < 30; i++ {
-		b := testBatch(i)
-		if _, err := l.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		state = append(state, b...)
-	}
-	if err := l.WriteSnapshot(30, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.PruneSegments(30); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(segs) != 1 {
-		t.Fatalf("prune left %d segments, want 1 (the active one)", len(segs))
-	}
-	// Post-snapshot tail.
-	var tailWant []Batch
-	for i := 30; i < 35; i++ {
-		b := testBatch(i)
-		if _, err := l.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		tailWant = append(tailWant, b)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatalf("reopen after prune: %v", err)
-	}
-	defer l2.Close()
-	applied, recs, ok, err := l2.LatestSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
-	}
-	if applied != 30 || !reflect.DeepEqual(recs, state) {
-		t.Fatalf("snapshot state mismatch: applied=%d", applied)
-	}
-	if got := collect(t, l2, applied); !reflect.DeepEqual(got, tailWant) {
-		t.Fatalf("tail replay after snapshot mismatch")
-	}
-}
-
-func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 40; i++ {
 		if _, err := l.Append(testBatch(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	older := []Record{{Weight: 1, Values: []string{"old"}}}
-	if err := l.WriteSnapshot(2, older); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Forge a newer snapshot with a broken trailing CRC by copying the
-	// valid one (WriteSnapshot can't be used — it deletes siblings).
-	data, err := os.ReadFile(l.snapPath(2))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segs) < 3 {
+		t.Fatalf("need >=3 segments, got %d", len(segs))
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	// A torn tail too: a refused Open must not even truncate it.
+	tail, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(data[8:16], 4) // bump applied
-	data[len(data)-1] ^= 0xff                    // break the CRC
-	if err := os.WriteFile(l.snapPath(4), data, 0o644); err != nil {
+	tail.Write([]byte{1, 2, 3})
+	tail.Close()
+	before := dirState(t, dir)
+	if _, err := Open(dir, Options{SegmentBytes: 256}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open with missing first segment: err=%v, want ErrCorrupt", err)
+	}
+	if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the directory")
+	}
+}
+
+// A snap-*.dat left beside a complete chain by an older binary is
+// neither read nor deleted: every record comes back from the log.
+func TestOpenIgnoresStaleSnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
 		t.Fatal(err)
 	}
-	applied, recs, ok, err := l.LatestSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+	var want []Batch
+	for i := 0; i < 12; i++ {
+		b := testBatch(i)
+		if _, err := l.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b)
 	}
-	if applied != 2 || !reflect.DeepEqual(recs, older) {
-		t.Fatalf("fallback chose applied=%d, want 2", applied)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Named as the old format named the state after 8 batches.
+	stale := filepath.Join(dir, fmt.Sprintf("snap-%016x.dat", 8))
+	content := []byte("a state snapshot no binary reads any more")
+	if err := os.WriteFile(stale, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatalf("open beside a stale snapshot file: %v", err)
+	}
+	defer l2.Close()
+	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d batches from the log, want %d", len(got), len(want))
+	}
+	if n := l2.NextIndex(); n != uint64(len(want)) {
+		t.Fatalf("NextIndex=%d, want %d", n, len(want))
+	}
+	if got, err := os.ReadFile(stale); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("stale snapshot file was touched: err=%v", err)
+	}
+}
+
+func TestCrashAtFiresOnce(t *testing.T) {
+	hook := CrashAt(CrashMidFrame, 3)
+	if err := hook(CrashMidFrame, 2); err != nil {
+		t.Fatalf("wrong index fired: %v", err)
+	}
+	if err := hook(CrashAfterSync, 3); err != nil {
+		t.Fatalf("wrong point fired: %v", err)
+	}
+	if err := hook(CrashMidFrame, 3); !errors.Is(err, ErrInjected) {
+		t.Fatalf("matching point/index must crash, got %v", err)
 	}
 }
 
@@ -407,16 +431,9 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 			p, i := p, i
 			t.Run(fmt.Sprintf("point%d_batch%d", p, i), func(t *testing.T) {
 				dir := t.TempDir()
-				crashAt := uint64(i)
-				hook := func(cp CrashPoint, idx uint64) error {
-					if cp == p && idx == crashAt {
-						return errors.New("boom")
-					}
-					return nil
-				}
 				// Small segments so crashes also land near rotation
 				// boundaries across the sweep.
-				l, err := Open(dir, Options{SegmentBytes: 256, Hook: hook})
+				l, err := Open(dir, Options{SegmentBytes: 256, Hook: CrashAt(p, uint64(i))})
 				if err != nil {
 					t.Fatal(err)
 				}
