@@ -105,6 +105,16 @@ if [ "$n" -ne 1 ]; then
     exit 1
 fi
 
+# One verdict path in the prune pass: the Pruner holds one evaluator,
+# (i, j, shared keys), and its pass calls it from one place — a
+# predicate's shared-count form is chosen when the predicate is bound
+# (predicate.P.BoundCounted), never by a second loop body.
+n=$(grep -c 'p\.eval(' internal/core/prune.go)
+if [ "$n" -ne 1 ]; then
+    echo "internal/core/prune.go calls p.eval( from $n places, want 1" >&2
+    exit 1
+fi
+
 # What earlier PRs measured and deleted does not come back (in table
 # order: engine seeding, the estimator seam, the second union-find, the
 # sketch tier, sharding as a tier, WAL snapshots). One item a line:
@@ -184,6 +194,12 @@ go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s ./internal/wal
 # and `go test -benchmem -bench=EngineTopKTracing`).
 go test -run '^$' -bench 'BenchmarkNoopSinkOverhead|BenchmarkEngineTopKTracing' -benchtime 1x -short .
 go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
+
+# Exact-count gate: the pruning pipeline's per-level counts (n, m, M, n′,
+# bound and prune evaluations) on a fixed-seed citation dataset, K in
+# {1, 10, 50}. Host-independent, unlike every wall-clock row, so a change
+# that evaluates, keeps or orders differently fails here by name.
+go test -count=1 -run 'TestExactCountsCitations' .
 
 # Alloc-regression smoke: the zero-alloc pins (stage-0 prune rescan,
 # bound predicate evaluators, pooled tokeniser, stop-word fast path) run

@@ -45,22 +45,50 @@ func (g *Group) Size() int { return len(g.Members) }
 // not pay for every group, and the evaluator must not be asked about an
 // unmarked one. nil binds every group.
 func BindReps(d *records.Dataset, groups []Group, p predicate.P, use []bool) func(i, j int) bool {
-	reps := make([]*records.Record, 0, len(groups))
+	reps, slot := usedReps(d, groups, use)
+	eval := p.Bound(reps)
+	if slot == nil {
+		return eval
+	}
+	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
+}
+
+// BindRepsCounted is BindReps for a phase whose pairs come from a
+// counted candidate walk over BlockReps' index (the prune pass): the
+// evaluator's third argument is the number of blocking keys the two
+// representatives share (predicate.P.BoundCounted). A predicate with a
+// shared-count form answers from it; any other ignores it, so the
+// caller runs one loop either way. Phases with no count to give —
+// collapse, the bound scan, the rank queries, the final-phase gate —
+// stay on BindReps.
+func BindRepsCounted(d *records.Dataset, groups []Group, p predicate.P, use []bool) func(i, j, shared int) bool {
+	reps, slot := usedReps(d, groups, use)
+	eval := p.BoundCounted(reps)
+	if slot == nil {
+		return eval
+	}
+	return func(i, j, shared int) bool { return eval(int(slot[i]), int(slot[j]), shared) }
+}
+
+// usedReps gathers the representative records of the groups use marks
+// (all of them when use is nil) and, unless use is nil, the map from
+// group index to position among them.
+func usedReps(d *records.Dataset, groups []Group, use []bool) (reps []*records.Record, slot []int32) {
+	reps = make([]*records.Record, 0, len(groups))
 	if use == nil {
 		for i := range groups {
 			reps = append(reps, d.Recs[groups[i].Rep])
 		}
-		return p.Bound(reps)
+		return reps, nil
 	}
-	slot := make([]int32, len(groups)) // group index -> position in reps
+	slot = make([]int32, len(groups))
 	for i := range groups {
 		if use[i] {
 			slot[i] = int32(len(reps))
 			reps = append(reps, d.Recs[groups[i].Rep])
 		}
 	}
-	eval := p.Bound(reps)
-	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
+	return reps, slot
 }
 
 // BlockReps indexes the groups' representatives by p's blocking keys

@@ -48,9 +48,10 @@ func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes 
 //
 // It additionally returns the necessary-predicate hit count (confirmed
 // neighbours across all passes) and, when ctx carries a trace span,
-// wraps the phase in a "core.prune" child span (with one
-// "core.prune.pass" span per Jacobi round) annotated with the counts the
-// EXPLAIN report renders. An untraced context costs one nil check.
+// wraps the phase in a "core.prune" child span (with a
+// "core.prune.stage0" span around the serial evaluation-free cascades and
+// one "core.prune.pass" span per Jacobi round) annotated with the counts
+// the EXPLAIN report renders. An untraced context costs one nil check.
 //
 // When sink is non-nil it receives the evaluation-free stage-0 kill
 // count (core.prune.stage0.pruned) and, for each exact refinement pass,
@@ -82,7 +83,7 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 		passes = 2
 	}
 	ctx, sp := obs.StartChild(ctx, "core.prune")
-	p := newPruner(d, groups, n, block(), m, workers, sink)
+	p := newPruner(ctx, d, groups, n, block(), m, workers, sink)
 	for pass := 0; pass < passes; pass++ {
 		pruned, passEvals, passHits := p.PassCtx(ctx)
 		evals += passEvals
@@ -114,8 +115,11 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 // neighbour's bound on another shard and come back to kill here. A
 // Pruner is not safe for concurrent use.
 type Pruner struct {
-	groups  []Group
-	eval    func(i, j int) bool // n bound to the stage-0 survivors' representatives
+	groups []Group
+	// eval is n bound to the stage-0 survivors' representatives; its third
+	// argument is the number of blocking keys the pair shares, which the
+	// pass's candidate walk counts anyway (BindRepsCounted).
+	eval    func(i, j, shared int) bool
 	m       float64
 	workers int
 	sink    obs.Sink
@@ -124,8 +128,9 @@ type Pruner struct {
 	// its per-group id lists. Everything below is a buffer retained
 	// across rounds and passes: totals (one slot per key id) backs the
 	// stage-0 bucket sums, s0stamp/s0cand the stage-0.5 candidate walks,
-	// next the Jacobi bound snapshot — so the stage-0 cascades and each
-	// pass's setup allocate nothing in steady state.
+	// next the Jacobi bound snapshot, scratches one walk state per pool
+	// worker — so the stage-0 cascades and each pass allocate nothing in
+	// steady state.
 	ix           *index.IDIndex
 	keyIDs       [][]uint32
 	u            []float64
@@ -139,11 +144,16 @@ type Pruner struct {
 	hitCount     []int64
 	die          []bool
 	stage0Pruned int
+	stage0Rounds int // cascade rounds the last RescanStage0 ran, both stages
 	passNum      int
 }
 
+// pruneScratch is one worker's walk state: count is
+// index.CandidatesCounted's per-group key count (all zero between
+// groups), cand the walk's result, gated the candidates that passed the
+// gate.
 type pruneScratch struct {
-	stamp       *index.Stamp
+	count       []int32
 	cand, gated []int32
 }
 
@@ -153,14 +163,17 @@ type pruneScratch struct {
 // over-approximation (stage 0) and the deduplicated candidate-weight
 // cascade (stage 0.5). When sink is non-nil it receives the
 // core.prune.bound gauge and the combined stage-0 kill count
-// (core.prune.stage0.pruned), exactly as PruneCtx documents.
+// (core.prune.stage0.pruned), exactly as PruneCtx documents. The
+// construction is untraced; PruneCtx's is not.
 func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, workers int, sink obs.Sink) *Pruner {
-	return newPruner(d, groups, n, BlockReps(d, groups, n, nil), m, workers, sink)
+	return newPruner(context.Background(), d, groups, n, BlockReps(d, groups, n, nil), m, workers, sink)
 }
 
 // newPruner is NewPruner over ix = BlockReps(d, groups, n, nil), which
-// it only reads: one index may back any number of Pruners at once.
-func newPruner(d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIndex, m float64, workers int, sink obs.Sink) *Pruner {
+// it only reads: one index may back any number of Pruners at once. A
+// traced ctx gets a "core.prune.stage0" child span around the serial
+// cascades — the part of the phase no worker count shortens.
+func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIndex, m float64, workers int, sink obs.Sink) *Pruner {
 	obs.Gauge(sink, "core.prune.bound", m)
 	ng := len(groups)
 	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink, ix: ix}
@@ -170,16 +183,21 @@ func newPruner(d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIn
 	p.live = make([]bool, ng)
 	p.totals = make([]float64, p.ix.KeySpace())
 	p.s0stamp = index.NewStamp(ng)
+	_, sp := obs.StartChild(ctx, "core.prune.stage0")
 	p.RescanStage0()
+	if sp != nil {
+		sp.Attr("pruned", float64(p.stage0Pruned))
+		sp.Attr("rounds", float64(p.stage0Rounds))
+		sp.End()
+	}
 	obs.Observe(sink, "core.prune.stage0.pruned", float64(p.stage0Pruned))
 	// The exact passes compare only groups the cascades left alive —
 	// usually a small part of the list. (A later RescanStage0 restores
 	// this same set: it reads only the groups, m and the round cap.)
-	p.eval = BindReps(d, groups, n, p.live)
-	nWorkers := parallel.Resolve(workers)
-	p.scratches = make([]pruneScratch, nWorkers)
+	p.eval = BindRepsCounted(d, groups, n, p.live)
+	p.scratches = make([]pruneScratch, parallel.Resolve(workers))
 	for w := range p.scratches {
-		p.scratches[w].stamp = index.NewStamp(ng)
+		p.scratches[w].count = make([]int32, ng)
 	}
 	p.evalCount = make([]int64, ng)
 	p.hitCount = make([]int64, ng)
@@ -202,6 +220,7 @@ func (p *Pruner) RescanStage0() {
 	for i := range p.live {
 		p.live[i] = true
 	}
+	p.stage0Rounds = 0
 
 	// Stage 0: bucket-total over-approximation, iterated to a fixpoint-ish
 	// state. Each round recomputes bucket totals over the still-alive
@@ -212,6 +231,7 @@ func (p *Pruner) RescanStage0() {
 	// totals live in a dense reused slice indexed by key id — no map, no
 	// per-round allocation.
 	for round := 0; round < prunePass0Rounds; round++ {
+		p.stage0Rounds++
 		clear(p.totals)
 		for i := range groups {
 			if !p.live[i] {
@@ -248,6 +268,7 @@ func (p *Pruner) RescanStage0() {
 	// much tighter than the bucket totals (no multi-counting across
 	// shared keys) and each kill cascades into the next round.
 	for round := 0; round < 4; round++ {
+		p.stage0Rounds++
 		changed := false
 		for i := range groups {
 			if !p.live[i] {
@@ -356,7 +377,9 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 		// Gate candidates and total their weight without evaluating:
 		// the deduplicated candidate total is itself an upper bound,
 		// so a group whose total cannot reach M dies evaluation-free.
-		sc.cand = p.ix.Candidates(i, p.keyIDs[i], sc.stamp, sc.cand[:0])
+		// The walk also leaves, per candidate, how many of i's keys it
+		// shares — all a count-form predicate needs for its verdict.
+		sc.cand = p.ix.CandidatesCounted(i, p.keyIDs[i], sc.count, sc.cand[:0])
 		sc.gated = sc.gated[:0]
 		remaining := 0.0
 		for _, j32 := range sc.cand {
@@ -384,7 +407,7 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 			for _, j32 := range gated {
 				j := int(j32)
 				p.evalCount[i]++
-				if p.eval(i, j) {
+				if p.eval(i, j, int(sc.count[j])) {
 					p.hitCount[i]++
 					ub += groups[j].Weight
 					if ub >= m {
@@ -399,6 +422,7 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 				}
 			}
 		}
+		index.ClearCounts(sc.count, sc.cand)
 		next[i] = ub
 		if ub < m {
 			p.die[i] = true

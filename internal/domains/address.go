@@ -76,10 +76,14 @@ func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
 	// N1: at least 4 common non-stop words in the name+address
 	// concatenation. Since 4 common words imply 2 common words, unordered
 	// word-pair keys are complete and give much smaller buckets than
-	// single-word keys.
-	n1 := predicate.Of("N1",
+	// single-word keys. They also carry the verdict: c common words are
+	// c·(c−1)/2 shared pair keys, increasing in c, so "at least
+	// commonWords common words" is "at least that many shared keys".
+	needPairs := commonWords * (commonWords - 1) / 2
+	n1 := predicate.OfCounted("N1",
 		func(r *records.Record) []int32 { return nonStop.Get(name(r) + " " + addr(r)) },
 		func(a, b []int32) bool { return strsim.IntersectSortedIDs(a, b) >= commonWords },
+		func(_, _ []int32, shared int) bool { return shared >= needPairs },
 		func(r *records.Record) []string {
 			ts := strsim.GetTokenScratch()
 			defer ts.Release()

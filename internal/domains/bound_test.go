@@ -9,6 +9,7 @@ import (
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/datagen"
+	"topkdedup/internal/index"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -120,6 +121,57 @@ func TestBoundMatchesEval(t *testing.T) {
 				if hits == 0 || hits == len(pairs) {
 					t.Errorf("%s level %d %s: %d of %d pairs true — the comparison saw one verdict only", bc.name, li+1, p.Name, hits, len(pairs))
 				}
+			}
+		}
+	}
+}
+
+// uncountedNecessary lists the necessary predicates that declare no
+// shared-count form (predicate.OfCounted), each with the reason its
+// blocking keys do not carry its verdict.
+var uncountedNecessary = map[string]string{
+	"students/N1": "keys take any lead byte of a name token, the match an a–z letter mask: two names sharing only a digit or non-ASCII initial share a key and do not match",
+}
+
+// TestCountFormMatchesMatch is the shared-count contract, one table for
+// every domain: each necessary predicate either has the count form —
+// then, with the count taken from the real walk over the predicate's own
+// blocking index, BoundCounted equals Bound on every candidate pair, in
+// both directions — or is named in uncountedNecessary.
+func TestCountFormMatchesMatch(t *testing.T) {
+	for _, bc := range boundCases() {
+		for li, level := range bc.build() {
+			n := level.Necessary
+			id := bc.name + "/" + n.Name
+			if reason, listed := uncountedNecessary[id]; listed != !n.Counted() {
+				t.Errorf("%s level %d: Counted() = %v, allowlisted = %v (%s)", id, li+1, n.Counted(), listed, reason)
+			}
+			if !n.Counted() {
+				continue
+			}
+			ix := n.Block(bc.d.Recs, nil)
+			match, decide := n.Bound(bc.d.Recs), n.BoundCounted(bc.d.Recs)
+			count := make([]int32, ix.Len())
+			var cand []int32
+			pairs, hits := 0, 0
+			for i := 0; i < ix.Len(); i++ {
+				cand = ix.CandidatesCounted(i, ix.KeyIDs()[i], count, cand[:0])
+				for _, j32 := range cand {
+					j := int(j32)
+					want := match(i, j)
+					if got := decide(i, j, int(count[j])); got != want {
+						t.Fatalf("%s level %d: records %d and %d share %d keys: count form %v, match %v", id, li+1, i, j, count[j], got, want)
+					}
+					pairs++
+					if want {
+						hits++
+					}
+				}
+				index.ClearCounts(count, cand)
+			}
+			t.Logf("%s level %d: %d ordered candidate pairs, %d matching", id, li+1, pairs, hits)
+			if hits == 0 || hits == pairs {
+				t.Errorf("%s level %d: %d of %d pairs true — the comparison saw one verdict only", id, li+1, hits, pairs)
 			}
 		}
 	}

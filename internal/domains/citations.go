@@ -140,12 +140,17 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 		grams   []int32
 		letters uint32 // initial-letter mask
 	}
-	n2 := predicate.Of("N2",
+	n2 := predicate.OfCounted("N2",
 		func(r *records.Record) n2Sig {
 			return n2Sig{cache.GramIDs(author(r)), cache.InitialLetters(author(r))}
 		},
 		func(a, b n2Sig) bool {
 			return a.letters&b.letters != 0 && strsim.OverlapExceeds(a.grams, b.grams, overlap, true)
+		},
+		// Keys are the author grams: shared keys = common grams.
+		func(a, b n2Sig, shared int) bool {
+			return a.letters&b.letters != 0 &&
+				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), overlap, true)
 		},
 		func(r *records.Record) []string { return gramKeys(cache, "c.n2", author(r)) })
 

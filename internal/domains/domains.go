@@ -116,11 +116,16 @@ func gramKeys(cache *strsim.Cache, prefix, value string) []string {
 // gramOverlapAbove is the single-field necessary predicate several
 // domains share: the field's 3-gram overlap ratio strictly exceeds thr,
 // blocked on one key per gram under keyPrefix. The signature is the
-// field's sorted interned gram ids.
+// field's sorted interned gram ids. The keys are the grams themselves,
+// so the keys a pair shares are its common grams and the count form is
+// the same threshold on that count (predicate.OfCounted).
 func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64, keyPrefix string) predicate.P {
-	return predicate.Of(name,
+	return predicate.OfCounted(name,
 		func(r *records.Record) []int32 { return cache.GramIDs(field(r)) },
 		func(a, b []int32) bool { return strsim.OverlapExceeds(a, b, thr, true) },
+		func(a, b []int32, shared int) bool {
+			return strsim.OverlapCountClears(shared, min(len(a), len(b)), thr, true)
+		},
 		func(r *records.Record) []string { return gramKeys(cache, keyPrefix, field(r)) })
 }
 

@@ -71,7 +71,9 @@ func Students(opts StudentOptions) Domain {
 		})
 
 	// N1: at least one common initial in the name and matching class and
-	// school code.
+	// school code. No shared-count form (predicate.OfCounted): the keys
+	// take any lead byte, the match only the a–z letter mask, so a pair
+	// sharing a key on a digit or non-ASCII initial is not a match.
 	type n1Sig struct {
 		class, school string
 		letters       uint32 // initial-letter mask
@@ -105,13 +107,19 @@ func Students(opts StudentOptions) Domain {
 		class, school string
 		grams         []int32
 	}
-	n2 := predicate.Of("N2",
+	n2 := predicate.OfCounted("N2",
 		func(r *records.Record) n2Sig {
 			return n2Sig{class(r), school(r), cache.GramIDs(name(r))}
 		},
 		func(a, b n2Sig) bool {
 			return a.class == b.class && a.school == b.school &&
 				strsim.OverlapExceeds(a.grams, b.grams, n2Overlap, false)
+		},
+		// Each key is one name gram under the record's class and school,
+		// so for a pair that agrees on both, shared keys = common grams.
+		func(a, b n2Sig, shared int) bool {
+			return a.class == b.class && a.school == b.school &&
+				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), n2Overlap, false)
 		},
 		func(r *records.Record) []string {
 			// The sorted gram list, not the gram map: see gramKeys.

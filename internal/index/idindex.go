@@ -22,12 +22,26 @@ type IDIndex struct {
 // lists item i's key ids, all < idSpace (typically intern.Table.Len()
 // after interning every key). The slice is retained as the index's
 // cached key inversion; callers must not mutate it afterwards.
+//
+// An id listed more than once for an item is indexed once: the item
+// enters that bucket once and keyIDs[i] is compacted in place to its
+// distinct ids in first-occurrence order. Every walk then meets a pair
+// once per key the two items share — what makes CandidatesCounted's
+// counts set-intersection sizes and keeps a bucket total from adding one
+// item's weight twice.
 func BuildID(n, idSpace int, keyIDs [][]uint32) *IDIndex {
 	ix := &IDIndex{n: n, buckets: make([][]int32, idSpace), keysOf: keyIDs}
 	for i := 0; i < n; i++ {
+		distinct := keyIDs[i][:0]
 		for _, id := range keyIDs[i] {
-			ix.buckets[id] = append(ix.buckets[id], int32(i))
+			b := ix.buckets[id]
+			if len(b) > 0 && b[len(b)-1] == int32(i) {
+				continue // items arrive ascending, so a repeat is the bucket's tail
+			}
+			ix.buckets[id] = append(b, int32(i))
+			distinct = append(distinct, id)
 		}
+		keyIDs[i] = distinct
 	}
 	return ix
 }
@@ -122,6 +136,40 @@ func (ix *IDIndex) Candidates(self int, keys []uint32, stamp *Stamp, dst []int32
 		}
 	}
 	return dst
+}
+
+// CandidatesCounted is Candidates with the visited-set replaced by a
+// count per item: it appends the same items in the same order, and for
+// each appended j leaves in count[j] how many of the given keys j
+// carries — |keys ∩ keys of j| when keys is an item's own list, since
+// BuildID keeps every list duplicate-free. count has one slot per item
+// and must be all zero on entry; the caller zeroes it over the returned
+// items (ClearCounts) once it has read what it needs, which keeps a
+// worker's steady state at one slice and no reset pass over all items.
+func (ix *IDIndex) CandidatesCounted(self int, keys []uint32, count []int32, dst []int32) []int32 {
+	if self >= 0 {
+		count[self] = 1 // never first-seen, so never appended
+	}
+	for _, k := range keys {
+		for _, j := range ix.buckets[k] {
+			if count[j] == 0 {
+				dst = append(dst, j)
+			}
+			count[j]++
+		}
+	}
+	if self >= 0 {
+		count[self] = 0
+	}
+	return dst
+}
+
+// ClearCounts zeroes count over the items a CandidatesCounted call
+// returned, restoring its all-zero precondition.
+func ClearCounts(count []int32, items []int32) {
+	for _, j := range items {
+		count[j] = 0
+	}
 }
 
 // ForEachPair enumerates every distinct unordered pair of items sharing

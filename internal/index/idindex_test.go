@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"topkdedup/internal/intern"
@@ -78,5 +79,77 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		build(keys)
+	}
+}
+
+// TestBuildIDDropsRepeatedKeys: an item that lists a key twice enters
+// that bucket once and keeps the key once, at its first position — the
+// index is what a duplicate-free build gives.
+func TestBuildIDDropsRepeatedKeys(t *testing.T) {
+	ix, tab := build([][]string{{"a", "b", "a"}, {"b", "b"}, {"a"}})
+	ref, _ := build([][]string{{"a", "b"}, {"b"}, {"a"}})
+	for _, key := range []string{"a", "b"} {
+		id, _ := tab.Lookup(key)
+		if got, want := ix.Bucket(id), ref.Bucket(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("bucket %q = %v, want %v", key, got, want)
+		}
+	}
+	if !reflect.DeepEqual(ix.KeyIDs(), ref.KeyIDs()) {
+		t.Errorf("KeyIDs = %v, want %v", ix.KeyIDs(), ref.KeyIDs())
+	}
+	if ix.PairCount() != ref.PairCount() {
+		t.Errorf("PairCount = %d, want %d", ix.PairCount(), ref.PairCount())
+	}
+}
+
+// TestCandidatesCounted: on random key lists (repeats included) the
+// counted walk returns Candidates' list in Candidates' order, leaves in
+// count the number of distinct keys each candidate shares with the item,
+// touches no other slot, and ClearCounts restores the all-zero state.
+func TestCandidatesCounted(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		keys := randomKeySets(r, 60, 15, 6)
+		ix, _ := build(keys)
+		stamp := NewStamp(ix.Len())
+		count := make([]int32, ix.Len())
+		sets := make([]map[string]bool, len(keys))
+		for i, ks := range keys {
+			sets[i] = map[string]bool{}
+			for _, k := range ks {
+				sets[i][k] = true
+			}
+		}
+		for i := range keys {
+			want := ix.Candidates(i, ix.KeyIDs()[i], stamp, nil)
+			got := ix.CandidatesCounted(i, ix.KeyIDs()[i], count, nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d item %d: counted walk %v, Candidates %v", trial, i, got, want)
+			}
+			listed := map[int32]bool{}
+			for _, j := range got {
+				listed[j] = true
+				shared := 0
+				for k := range sets[i] {
+					if sets[j][k] {
+						shared++
+					}
+				}
+				if int(count[j]) != shared {
+					t.Fatalf("trial %d pair (%d, %d): count %d, want %d shared keys", trial, i, j, count[j], shared)
+				}
+			}
+			for j, c := range count {
+				if c != 0 && !listed[int32(j)] {
+					t.Fatalf("trial %d item %d: count[%d] = %d for an item not returned", trial, i, j, c)
+				}
+			}
+			ClearCounts(count, got)
+			for j, c := range count {
+				if c != 0 {
+					t.Fatalf("trial %d item %d: count[%d] = %d after ClearCounts", trial, i, j, c)
+				}
+			}
+		}
 	}
 }

@@ -57,14 +57,16 @@ type ExplainLevel struct {
 	BoundSeconds float64        `json:"bound_seconds"`
 
 	// Prune: necessary-predicate evaluations/hits of the refinement
-	// passes, the evaluation-free stage-0 kill count, each Jacobi
-	// round, and the survivors.
-	PruneEvals   int64          `json:"prune_evals"`
-	PruneHits    int64          `json:"prune_hits"`
-	Stage0Pruned int            `json:"stage0_pruned"`
-	Rounds       []ExplainRound `json:"prune_rounds,omitempty"`
-	Survivors    int            `json:"survivors"`
-	PruneSeconds float64        `json:"prune_seconds"`
+	// passes, the evaluation-free stage-0 kill count and how much of
+	// PruneSeconds those serial cascades took (the rest runs on the
+	// worker pool), each Jacobi round, and the survivors.
+	PruneEvals    int64          `json:"prune_evals"`
+	PruneHits     int64          `json:"prune_hits"`
+	Stage0Pruned  int            `json:"stage0_pruned"`
+	Stage0Seconds float64        `json:"stage0_seconds"`
+	Rounds        []ExplainRound `json:"prune_rounds,omitempty"`
+	Survivors     int            `json:"survivors"`
+	PruneSeconds  float64        `json:"prune_seconds"`
 }
 
 // ExplainBlock is one step of the M lower bound's evolution: after
@@ -112,6 +114,7 @@ func (e *Explain) StripTimings() {
 		e.Levels[i].CollapseSeconds = 0
 		e.Levels[i].BoundSeconds = 0
 		e.Levels[i].PruneSeconds = 0
+		e.Levels[i].Stage0Seconds = 0
 	}
 	if e.Final != nil {
 		e.Final.ScoreSeconds = 0
@@ -215,15 +218,17 @@ func buildLevel(level *SpanRecord, children map[SpanID][]*SpanRecord) ExplainLev
 			el.Survivors = int(ph.AttrNum("survivors"))
 			el.PruneSeconds = float64(ph.Dur) / 1e9
 			for _, rd := range children[ph.ID] {
-				if rd.Name != "core.prune.pass" {
-					continue
+				switch rd.Name {
+				case "core.prune.stage0":
+					el.Stage0Seconds = float64(rd.Dur) / 1e9
+				case "core.prune.pass":
+					el.Rounds = append(el.Rounds, ExplainRound{
+						Round:  int(rd.AttrNum("round")),
+						Evals:  int64(rd.AttrNum("evals")),
+						Hits:   int64(rd.AttrNum("hits")),
+						Pruned: int(rd.AttrNum("pruned")),
+					})
 				}
-				el.Rounds = append(el.Rounds, ExplainRound{
-					Round:  int(rd.AttrNum("round")),
-					Evals:  int64(rd.AttrNum("evals")),
-					Hits:   int64(rd.AttrNum("hits")),
-					Pruned: int(rd.AttrNum("pruned")),
-				})
 			}
 			sort.Slice(el.Rounds, func(i, j int) bool { return el.Rounds[i].Round < el.Rounds[j].Round })
 		}
@@ -244,8 +249,8 @@ func (e *Explain) WriteText(w io.Writer) {
 			l.GroupsBefore, l.GroupsAfter, l.CollapseEvals, l.CollapseHits, l.CollapseSeconds)
 		fmt.Fprintf(w, "  bound:    M=%g at rank m=%d  evals=%d hits=%d  blocks=%d  %.3fs\n",
 			l.M, l.MRank, l.BoundEvals, l.BoundHits, len(l.BoundBlocks), l.BoundSeconds)
-		fmt.Fprintf(w, "  prune:    stage0=%d  survivors=%d  evals=%d hits=%d  %.3fs\n",
-			l.Stage0Pruned, l.Survivors, l.PruneEvals, l.PruneHits, l.PruneSeconds)
+		fmt.Fprintf(w, "  prune:    stage0=%d (%.3fs serial)  survivors=%d  evals=%d hits=%d  %.3fs\n",
+			l.Stage0Pruned, l.Stage0Seconds, l.Survivors, l.PruneEvals, l.PruneHits, l.PruneSeconds)
 		for _, r := range l.Rounds {
 			fmt.Fprintf(w, "    round %d: evals=%d hits=%d pruned=%d\n", r.Round, r.Evals, r.Hits, r.Pruned)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTraceIDTextRoundTrip(t *testing.T) {
@@ -233,6 +234,11 @@ func TestBuildExplainFromSyntheticTrace(t *testing.T) {
 	prn.Attr("hits", 12)
 	prn.Attr("stage0_pruned", 2)
 	prn.Attr("survivors", 9)
+	_, st0 := StartChild(pctx, "core.prune.stage0")
+	st0.Attr("pruned", 2)
+	st0.Attr("rounds", 3)
+	time.Sleep(time.Millisecond) // a duration the clock cannot read as zero
+	st0.End()
 	for round := 1; round <= 2; round++ {
 		_, pass := StartChild(pctx, "core.prune.pass")
 		pass.Attr("round", float64(round))
@@ -269,8 +275,11 @@ func TestBuildExplainFromSyntheticTrace(t *testing.T) {
 	if len(l.Rounds) != 2 || l.Rounds[0].Round != 1 || l.Rounds[0].Pruned != 2 || l.Rounds[1].Pruned != 1 {
 		t.Errorf("rounds: %+v", l.Rounds)
 	}
+	if l.Stage0Seconds <= 0 {
+		t.Errorf("stage0_seconds = %v, want the core.prune.stage0 span's duration", l.Stage0Seconds)
+	}
 	e.StripTimings()
-	if e.Seconds != 0 || e.Levels[0].CollapseSeconds != 0 {
+	if e.Seconds != 0 || e.Levels[0].CollapseSeconds != 0 || e.Levels[0].Stage0Seconds != 0 {
 		t.Error("StripTimings left wall-clock fields set")
 	}
 

@@ -31,10 +31,15 @@ type P struct {
 	// Eval(a,b) == true implies Keys(a) ∩ Keys(b) ≠ ∅.
 	Keys func(r *records.Record) []string
 
-	// bind, set by Of, precomputes the signatures of a record slice and
-	// returns the index-addressed evaluator over them; nil for a
-	// hand-written predicate, which Bound serves through Eval.
-	bind func(recs []*records.Record) func(i, j int) bool
+	// bind and bindCounted, set by Of and OfCounted, precompute the
+	// signatures of a record slice and return the index-addressed
+	// evaluator over them — bind the two-argument form, bindCounted the
+	// one that is also told how many blocking keys the pair shares; nil
+	// for a hand-written predicate, which Bound and BoundCounted serve
+	// through Eval. counted records whether bindCounted reads the count.
+	bind        func(recs []*records.Record) func(i, j int) bool
+	bindCounted func(recs []*records.Record) func(i, j, shared int) bool
+	counted     bool
 }
 
 // Of builds a predicate from a per-record signature and a match on two
@@ -49,17 +54,50 @@ type P struct {
 // sig may allocate and memoise but must be safe for concurrent use and
 // return the same signature for the same record every time.
 func Of[S any](name string, sig func(r *records.Record) S, match func(a, b S) bool, keys func(r *records.Record) []string) P {
+	return OfCounted(name, sig, match, nil, keys)
+}
+
+// OfCounted is Of for a predicate whose verdict on a candidate pair
+// follows from how many blocking keys the pair shares — a threshold on
+// the overlap of the very sets Keys enumerates. decide is the
+// shared-count form of match, under the contract
+//
+//	decide(sig(a), sig(b), |Keys(a) ∩ Keys(b)|) == match(sig(a), sig(b))
+//
+// for every pair of records sharing at least one key (Keys as a set: a
+// repeated key counts once, which is also how Block indexes it). A
+// candidate walk over Block's index meets exactly those shared keys, so
+// a phase that walks anyway (core's prune pass) hands decide the count
+// and the verdict costs no second read of the two key sets; decide may
+// still read anything else in the signatures. A predicate whose keys are
+// not the sets its match intersects must not declare one (students N1:
+// keys use any lead byte, the match an a–z letter mask). decide obeys
+// match's contract: pure, allocation-free, safe for concurrent use; nil
+// means no count form (Of).
+func OfCounted[S any](name string, sig func(r *records.Record) S, match func(a, b S) bool, decide func(a, b S, shared int) bool, keys func(r *records.Record) []string) P {
+	sigsOf := func(recs []*records.Record) []S {
+		sigs := make([]S, len(recs))
+		for i, r := range recs {
+			sigs[i] = sig(r)
+		}
+		return sigs
+	}
 	return P{
 		Name: name,
 		Eval: func(a, b *records.Record) bool { return match(sig(a), sig(b)) },
 		Keys: keys,
 		bind: func(recs []*records.Record) func(i, j int) bool {
-			sigs := make([]S, len(recs))
-			for i, r := range recs {
-				sigs[i] = sig(r)
-			}
+			sigs := sigsOf(recs)
 			return func(i, j int) bool { return match(sigs[i], sigs[j]) }
 		},
+		bindCounted: func(recs []*records.Record) func(i, j, shared int) bool {
+			sigs := sigsOf(recs)
+			if decide == nil {
+				return func(i, j, _ int) bool { return match(sigs[i], sigs[j]) }
+			}
+			return func(i, j, shared int) bool { return decide(sigs[i], sigs[j], shared) }
+		},
+		counted: decide != nil,
 	}
 }
 
@@ -80,6 +118,27 @@ func (p P) Bound(recs []*records.Record) func(i, j int) bool {
 	return func(i, j int) bool { return eval(recs[i], recs[j]) }
 }
 
+// BoundCounted is Bound for a phase that takes its pairs from a
+// candidate walk over Block(recs) and so knows, for each pair, how many
+// blocking keys the two records share: the evaluator takes that count as
+// its third argument and, for every pair sharing a key,
+// BoundCounted(recs)(i, j, shared) == Eval(recs[i], recs[j]). A
+// predicate from OfCounted answers from the count; any other ignores it
+// and evaluates as Bound does, so a caller binds once, this way, and
+// runs one loop whichever kind of predicate it was given.
+func (p P) BoundCounted(recs []*records.Record) func(i, j, shared int) bool {
+	if p.bindCounted != nil {
+		return p.bindCounted(recs)
+	}
+	eval := p.Eval
+	return func(i, j, _ int) bool { return eval(recs[i], recs[j]) }
+}
+
+// Counted reports whether the predicate declared a shared-count form
+// (OfCounted with a decide), that is, whether BoundCounted's evaluator
+// reads its count.
+func (p P) Counted() bool { return p.counted }
+
 // KeyIDs returns the record's blocking keys interned into tab as dense
 // uint32 ids, appended to dst (pass a reused slice to avoid per-record
 // allocation). Id order matches Keys order. The completeness contract
@@ -96,7 +155,10 @@ func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 // evaluator by index into recs. Every candidate walk — pairs sharing a
 // key, one item's candidates, bucket weight totals — reads this index,
 // so enumeration order is fixed everywhere: items ascending, each
-// item's keys in Keys order, buckets in insertion order.
+// item's keys in Keys order, buckets in insertion order. A key that Keys
+// lists more than once for a record is indexed once, at its first
+// position (index.BuildID): the record sits in that bucket once, and a
+// walk's per-candidate key count is the size of a set intersection.
 //
 // dst, when non-nil, is reused for the per-record id lists (the index
 // retains it; read it back with KeyIDs to hand to the next call), so a

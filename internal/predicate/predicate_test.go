@@ -173,3 +173,71 @@ func TestBoundEqualsEval(t *testing.T) {
 		t.Errorf("validators must keep working on a predicate built with Of: %v", v)
 	}
 }
+
+// TestBoundCountedForms: BoundCounted hands a declared decide the count
+// it is given and nothing else decides the pair; a predicate from Of and
+// a hand-written one ignore the count and answer as Bound does. One bind
+// computes each signature once.
+func TestBoundCountedForms(t *testing.T) {
+	d := dataset()
+	sigCalls := 0
+	name := func(r *records.Record) string { sigCalls++; return r.Field("name") }
+	eq := func(a, b string) bool { return a == b && a != "" }
+	// decide deliberately reads only the count, so the test sees which
+	// of the two forms answered.
+	counted := OfCounted("counted", name, eq, func(_, _ string, shared int) bool { return shared >= 2 }, nameEq().Keys)
+	if !counted.Counted() {
+		t.Error("OfCounted with a decide reports Counted() == false")
+	}
+	eval := counted.BoundCounted(d.Recs)
+	if sigCalls != d.Len() {
+		t.Errorf("OfCounted: %d signature computations for one bind over %d records", sigCalls, d.Len())
+	}
+	if eval(0, 1, 1) || !eval(0, 3, 2) {
+		t.Error("BoundCounted of a counted predicate did not answer from the count")
+	}
+	if got := counted.Bound(d.Recs); !got(0, 1) || got(0, 3) {
+		t.Error("Bound of a counted predicate must stay match on the signatures")
+	}
+	for _, p := range []P{Of("plain", name, eq, nameEq().Keys), nameEq(), sharesInitial()} {
+		if p.Counted() {
+			t.Errorf("%s: Counted() == true without a decide", p.Name)
+		}
+		eval := p.BoundCounted(d.Recs)
+		for i := range d.Recs {
+			for j := range d.Recs {
+				for _, shared := range []int{0, 1, 7} {
+					if got, want := eval(i, j, shared), p.Eval(d.Recs[i], d.Recs[j]); got != want {
+						t.Errorf("%s: BoundCounted(%d, %d, %d) = %v, Eval = %v", p.Name, i, j, shared, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockRepeatedKeyIndexedOnce: a Keys that lists one key twice puts
+// the record in that bucket once, so pairs, bucket sizes and the
+// per-record key lists are those of the single-key predicate.
+func TestBlockRepeatedKeyIndexedOnce(t *testing.T) {
+	d := dataset()
+	keyed := func(keys ...string) P {
+		return P{
+			Name: "k",
+			Eval: func(a, b *records.Record) bool { return true },
+			Keys: func(r *records.Record) []string { return keys },
+		}
+	}
+	twice, once := keyed("k", "k").Block(d.Recs, nil), keyed("k").Block(d.Recs, nil)
+	if got := twice.Bucket(0); len(got) != d.Len() {
+		t.Errorf("bucket of the repeated key holds %d items for %d records: %v", len(got), d.Len(), got)
+	}
+	if twice.PairCount() != once.PairCount() {
+		t.Errorf("PairCount = %d with the key repeated, %d without", twice.PairCount(), once.PairCount())
+	}
+	for i, ids := range twice.KeyIDs() {
+		if len(ids) != 1 {
+			t.Errorf("record %d keeps key ids %v, want one", i, ids)
+		}
+	}
+}

@@ -61,13 +61,27 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		t.Fatalf("decode trace: %v: %s", err, body)
 	}
 	spanNames := map[string]bool{}
+	stage0Pruned := 0
 	for _, s := range full.Spans {
 		spanNames[s.Name] = true
+		if s.Name == "core.prune.stage0" {
+			stage0Pruned += int(s.AttrNum("pruned"))
+			if s.AttrNum("rounds") < 2 {
+				t.Errorf("core.prune.stage0 rounds = %v, want one round of each cascade at least", s.AttrNum("rounds"))
+			}
+		}
 	}
-	for _, want := range []string{"server.topk", "core.level", "core.prune.pass"} {
+	for _, want := range []string{"server.topk", "core.level", "core.prune.stage0", "core.prune.pass"} {
 		if !spanNames[want] {
 			t.Errorf("trace is missing a %q span", want)
 		}
+	}
+	explainStage0 := 0
+	for _, l := range ex.Levels {
+		explainStage0 += l.Stage0Pruned
+	}
+	if stage0Pruned != explainStage0 {
+		t.Errorf("core.prune.stage0 spans pruned %d, EXPLAIN's levels %d", stage0Pruned, explainStage0)
 	}
 
 	resp, body = get(t, ts, "/debug/traces?trace="+tr.TraceID+"&format=chrome")

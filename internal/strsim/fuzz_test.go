@@ -2,6 +2,7 @@ package strsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -105,7 +106,8 @@ func byteIDs(s string) []int32 {
 // merge's verdict — OverlapSortedIDs compared against thr, with ratio 0
 // when either side is empty — at fixed thresholds and at every count
 // boundary c/min(len) and its float neighbours, where an early exit that
-// rounded differently would flip.
+// rounded differently would flip — and OverlapCountClears, handed the
+// true intersection size, to the same verdict.
 func checkOverlapExceeds(t *testing.T, a, b []int32) {
 	t.Helper()
 	ratio := 0.0
@@ -116,6 +118,7 @@ func checkOverlapExceeds(t *testing.T, a, b []int32) {
 	if small > 0 {
 		ratio = OverlapSortedIDs(a, b)
 	}
+	common := IntersectSortedIDs(a, b)
 	thrs := []float64{-1, 0, 0.3, 0.4, 0.5, 0.6, 0.9, 1, 1.5, math.NaN()}
 	for c := 0; c <= small; c++ {
 		edge := float64(c) / float64(small)
@@ -131,5 +134,33 @@ func checkOverlapExceeds(t *testing.T, a, b []int32) {
 		if OverlapExceeds(a, b, thr, true) != OverlapExceeds(b, a, thr, true) {
 			t.Fatalf("OverlapExceeds not symmetric on (%v, %v, %v)", a, b, thr)
 		}
+		for _, strict := range []bool{true, false} {
+			if got, want := OverlapCountClears(common, small, thr, strict), OverlapExceeds(a, b, thr, strict); got != want {
+				t.Fatalf("OverlapCountClears(%d, %d, %v, strict=%v) = %v, OverlapExceeds(%v, %v) = %v", common, small, thr, strict, got, a, b, want)
+			}
+		}
+	}
+}
+
+// TestOverlapCountClearsRandomSets runs checkOverlapExceeds over seeded
+// random sorted id sets, empty sides included: the count form of a
+// gram-overlap predicate (the count, the smaller size, the threshold)
+// and the early-exit merge over the two lists give one verdict.
+func TestOverlapCountClearsRandomSets(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	randomIDs := func() []int32 {
+		var ids []int32
+		for id := int32(0); id < 24; id++ {
+			if r.Intn(3) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		if r.Intn(10) == 0 {
+			return nil
+		}
+		return ids
+	}
+	for trial := 0; trial < 2000; trial++ {
+		checkOverlapExceeds(t, randomIDs(), randomIDs())
 	}
 }

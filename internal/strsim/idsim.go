@@ -65,6 +65,24 @@ func OverlapSortedIDs(a, b []int32) float64 {
 	return float64(IntersectSortedIDs(a, b)) / float64(small)
 }
 
+// OverlapCountClears is OverlapExceeds' verdict as a function of the
+// intersection size alone: whether count common ids, against a smaller
+// side of small ids, clear thr — ratio > thr when strict, ratio >= thr
+// otherwise, with the ratio 0 when the smaller side is empty. A caller
+// that already knows |A ∩ B| (the count form of a gram-overlap
+// predicate, see predicate.OfCounted) gets OverlapExceeds' answer from
+// it without reading either list.
+func OverlapCountClears(count, small int, thr float64, strict bool) bool {
+	ratio := 0.0
+	if small > 0 {
+		ratio = float64(count) / float64(small)
+	}
+	if strict {
+		return ratio > thr
+	}
+	return ratio >= thr
+}
+
 // OverlapExceeds reports whether the overlap coefficient of two sorted
 // id slices clears thr — ratio > thr when strict, ratio >= thr otherwise
 // — without finishing the merge once the verdict is settled. The ratio
@@ -79,20 +97,8 @@ func OverlapSortedIDs(a, b []int32) float64 {
 // as the count is reached, or as soon as one side has skipped more
 // unmatched ids than reaching it allows.
 func OverlapExceeds(a, b []int32, thr float64, strict bool) bool {
-	small := len(a)
-	if len(b) < small {
-		small = len(b)
-	}
-	pass := func(count int) bool {
-		ratio := 0.0
-		if small > 0 {
-			ratio = float64(count) / float64(small)
-		}
-		if strict {
-			return ratio > thr
-		}
-		return ratio >= thr
-	}
+	small := min(len(a), len(b))
+	pass := func(count int) bool { return OverlapCountClears(count, small, thr, strict) }
 	// need is the smallest intersection count that passes, small+1 when
 	// none does: start from the real-valued estimate and settle it with
 	// the float expression itself.
