@@ -55,8 +55,7 @@ go run ./cmd/doccheck -errata EXPERIMENTS.md \
     INCREMENTAL.md \
     OBSERVABILITY.md \
     README.md \
-    SERVING.md \
-    SHARDING.md
+    SERVING.md
 
 # Metric and trace span names in code must match the OBSERVABILITY.md
 # registry in both directions, and the registry must mangle injectively
@@ -70,7 +69,6 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
     ./internal/obs \
     ./internal/parallel \
     ./internal/server \
-    ./internal/shard \
     ./internal/stream \
     ./internal/wal
 
@@ -78,17 +76,16 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 # the only non-test code outside internal/index that builds an index, and
 # no pipeline package keeps a string-keyed bucket or owner map of its own.
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
-if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/shard internal/stream internal/experiments; then exit 1; fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/stream internal/experiments; then exit 1; fi
 
 # One route to a pruning, each piece of work once: segment.BestR and the
 # canonical group order stay off reflection-based sort.Slice (BestR
 # merges sorted rows; groups sort by slices.SortFunc).
 if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core/groups.go; then exit 1; fi
 
-# One §4.2 bound scan: the consume loop (controller, block events) lives
-# in one non-test file — core.ReplayBound, which the single-machine scan
-# and internal/shard's S-part proof both run.
-for pat in 'NewPrefixController(' '"bound.block"'; do
+# One §4.2 bound scan: the consume loop (the incremental prefix, block
+# events) lives in one non-test file — core.EstimateLowerBoundCtx's.
+for pat in 'graph.NewPrefix(' '"bound.block"'; do
     n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=graph --exclude-dir=obs --exclude-dir=.bench_build "$pat" . | wc -l)
     if [ "$n" -ne 1 ]; then
         echo "$pat appears in $n non-test files outside internal/graph and internal/obs, want 1" >&2
@@ -117,7 +114,8 @@ fi
 
 # What earlier PRs measured and deleted does not come back (in table
 # order: engine seeding, the estimator seam, the second union-find, the
-# sketch tier, sharding as a tier, WAL snapshots). One item a line:
+# sketch tier, sharding as a tier, WAL snapshots, the in-process sharded
+# pipeline and the part-generic bound scan it needed). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -146,6 +144,9 @@ text internal/faulty
 text TKWALSN1|WALSnapshotEvery|wal-snapshot-every|snapMu
 go Checkpoint\(
 flag role|peers|replicate|shards|wal-snapshot-every
+path SHARDING.md internal/shard/coordinator.go internal/shard/worker.go internal/shard/partition.go internal/shard/testdata internal/experiments/shard.go
+go BoundParts|PartScan|ReplayBound|LocalPrefix|PrefixController|shardParts
+text FuzzBoundMerge|SHARDING\.md
 EOF
 
 go build ./...
@@ -182,11 +183,10 @@ rm -f "$promscrape"
 go run ./cmd/topkd -crash-smoke
 
 # Fuzz smoke: a few seconds per target over the committed seed corpora
-# (similarity-measure contracts; R-best segmentation DP invariants;
-# cross-shard bound-merge equivalence; WAL replay).
+# (similarity-measure contracts; R-best segmentation DP invariants; WAL
+# replay).
 go test -run '^$' -fuzz '^FuzzStrsim$' -fuzztime 5s ./internal/strsim
 go test -run '^$' -fuzz '^FuzzSegmentDP$' -fuzztime 5s ./internal/segment
-go test -run '^$' -fuzz '^FuzzBoundMerge$' -fuzztime 5s ./internal/shard
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s ./internal/wal
 
 # Smoke-run the instrumentation overhead benchmarks (one iteration per
@@ -196,18 +196,19 @@ go test -run '^$' -bench 'BenchmarkNoopSinkOverhead|BenchmarkEngineTopKTracing' 
 go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 
 # Exact-count gate: the pruning pipeline's per-level counts (n, m, M, n′,
-# bound and prune evaluations) on a fixed-seed citation dataset, K in
-# {1, 10, 50}. Host-independent, unlike every wall-clock row, so a change
-# that evaluates, keeps or orders differently fails here by name.
+# bound and prune evaluations) on fixed-seed citation and students
+# datasets, K in {1, 10, 50}. Host-independent, unlike every wall-clock
+# row, so a change that evaluates, keeps or orders differently fails here
+# by name.
 go test -count=1 -run 'TestExactCountsCitations' .
 
-# Alloc-regression smoke: the zero-alloc pins (stage-0 prune rescan,
-# bound predicate evaluators, pooled tokeniser, stop-word fast path) run
-# as ordinary tests via testing.AllocsPerRun; re-run them by name so a
-# steady-state allocation sneaking into the hot path fails CI even when
-# unrelated packages are skipped, and smoke the hot-path benchmarks one
-# iteration each.
-go test -run 'TestStage0PruneNoAllocs' ./internal/core
+# Alloc-regression smoke: the allocation pins (stage-0 prune rescan, the
+# §4.2 bound scan, bound predicate evaluators, pooled tokeniser, stop-word
+# fast path) run as ordinary tests via testing.AllocsPerRun; re-run them
+# by name so a steady-state allocation sneaking into the hot path fails
+# CI even when unrelated packages are skipped, and smoke the hot-path
+# benchmarks one iteration each.
+go test -run 'TestStage0PruneNoAllocs|TestBoundScanAllocs' ./internal/core
 go test -run 'TestBoundEvalNoAllocs' ./internal/domains
 go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server

@@ -23,8 +23,7 @@
 //   - StartSpan / ObserveSince / ObserveDuration emit "<name>.seconds"
 //     (the obs duration convention);
 //   - StartChild / StartTrace / Event, and the repo's thin wrappers
-//     traceCtx / startQuerySpan / ReplayBound,
-//     emit trace span (or span event) names.
+//     traceCtx / startQuerySpan, emit trace span (or span event) names.
 //
 // The first string-shaped argument that looks like a dotted lower-case
 // name is taken; concatenation with a non-literal part becomes a `*`
@@ -89,7 +88,6 @@ var metricEmitters = map[string]string{
 	"Event":           "",
 	"traceCtx":        "",
 	"startQuerySpan":  "",
-	"ReplayBound":     "",
 }
 
 // opsPrefixes are the registry prefixes the ops-health surface depends

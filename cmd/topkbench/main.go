@@ -8,7 +8,7 @@
 //	topkbench -exp fig7 -exp fig6     # selected experiments
 //
 // Experiments: table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank,
-// stream, shard, all. Scales: small, default, full (record counts in
+// stream, all. Scales: small, default, full (record counts in
 // DESIGN.md §5). Serving-path numbers come from the benchmark module
 // (benchmark/README.md), not from here.
 package main
@@ -49,10 +49,7 @@ type benchExperiment struct {
 	Name      string                  `json:"name"`
 	ElapsedMS float64                 `json:"elapsed_ms"`
 	Rows      []experiments.TimingRow `json:"timing_rows,omitempty"`
-	// ShardRows carries the single-machine vs sharded sweep's per-cell
-	// timing and bound-exchange statistics (shard experiment only).
-	ShardRows []experiments.ShardRow `json:"shard_rows,omitempty"`
-	Phases    *obs.Snapshot          `json:"phases,omitempty"`
+	Phases    *obs.Snapshot           `json:"phases,omitempty"`
 }
 
 type expFlag []string
@@ -70,7 +67,7 @@ func (e *expFlag) Set(v string) error {
 
 func main() {
 	var exps expFlag
-	flag.Var(&exps, "exp", "experiment to run (repeatable / comma separated): table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank, stream, shard, all")
+	flag.Var(&exps, "exp", "experiment to run (repeatable / comma separated): table1, fig2, fig3, fig4, fig6, fig7, passes, embed, rank, stream, all")
 	scaleName := flag.String("scale", "default", "dataset scale: small, default, full")
 	jsonPath := flag.String("json", "", "write a machine-readable benchReport of the run to this path")
 	workersFlag := flag.String("workers", "", "comma-separated worker-pool bounds for the fig6 sweep (default \"1,<NumCPU>\"; 0 = NumCPU)")
@@ -171,30 +168,6 @@ func main() {
 	run("embed", noRows(func() error { return runEmbed(scale) }))
 	run("rank", noRows(func() error { return runRank(scale) }))
 	run("stream", noRows(func() error { return runStream(scale) }))
-
-	if all || want["shard"] {
-		fmt.Printf("== shard (scale %s) ==\n", *scaleName)
-		col := obs.NewCollector()
-		experiments.SetMetrics(col)
-		parallel.SetSink(col)
-		start := time.Now()
-		shardRows, err := runShard(scale, workerSweep)
-		elapsed := time.Since(start)
-		experiments.SetMetrics(nil)
-		parallel.SetSink(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shard failed: %v\n", err)
-			os.Exit(1)
-		}
-		exp := benchExperiment{
-			Name: "shard", ElapsedMS: float64(elapsed.Microseconds()) / 1000, ShardRows: shardRows,
-		}
-		if snap := col.Snapshot(); !snap.Empty() {
-			exp.Phases = snap
-		}
-		report.Experiments = append(report.Experiments, exp)
-		fmt.Printf("-- shard done in %s --\n\n", elapsed.Round(time.Millisecond))
-	}
 
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -404,43 +377,6 @@ func runRank(scale experiments.Scale) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-// runShard times PrunedDedup single-machine and through the sharded
-// coordinator over the K × worker bound × shard count grid, on citations
-// (one canopy component: every shard but one runs empty) and students
-// (hundreds of components: the data sharding is shaped for), verifying
-// every cell byte-identical to the single-machine pipeline. The "x
-// single" column is the answer to "does sharding pay": shard count 1
-// reads as the pure coordination overhead.
-func runShard(scale experiments.Scale, workerSweep []int) ([]experiments.ShardRow, error) {
-	cit, err := cachedSetup(fmt.Sprintf("citations/%d", scale.Citations), func() (*experiments.DomainData, error) {
-		return experiments.CitationSetup(scale.Citations, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	stu, err := cachedSetup(fmt.Sprintf("students/%d", scale.Students), func() (*experiments.DomainData, error) {
-		return experiments.StudentSetup(scale.Students, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("E12 — single-machine vs sharded PrunedDedup on %d citation and %d student records (median of 3 runs per cell)\n", cit.Data.Len(), stu.Data.Len())
-	var rows []experiments.ShardRow
-	for _, dd := range []*experiments.DomainData{cit, stu} {
-		ks := experiments.KsForScale(dd.Data.Len())
-		if len(ks) > 3 {
-			ks = ks[:3]
-		}
-		r, err := experiments.ShardSweep(dd, ks, []int{1, 2, 4, 8}, workerSweep)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
-	}
-	experiments.RenderShardTable(os.Stdout, rows)
-	return rows, nil
 }
 
 func runStream(scale experiments.Scale) error {

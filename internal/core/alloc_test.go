@@ -50,6 +50,28 @@ func TestRescanStage0Reproducible(t *testing.T) {
 	}
 }
 
+// TestBoundScanAllocs pins the allocations of one §4.2 scan at one
+// worker over boundInput's three blocks. K is past anything the 14
+// letters can certify and past the Min-fill check interval, so every
+// block is enumerated, verified and consumed and no full check runs
+// (Min-fill's map-backed graphs allocate a varying amount). The scan
+// builds its per-call state — intern table, buckets, seen stamps, the
+// prefix graph's adjacency maps, the bound evaluator — so the pin is not
+// zero; it is what the scan reads, plus one allocation the runtime is
+// sometimes counted for, and a per-block or per-rank allocation sneaking
+// in breaks it.
+func TestBoundScanAllocs(t *testing.T) {
+	const want = 6759
+	d, groups := boundInput(t, 0)
+	n := toyN()
+	allocs := testing.AllocsPerRun(20, func() {
+		EstimateLowerBound(d, groups, n, 10000)
+	})
+	if allocs > want+1 {
+		t.Fatalf("EstimateLowerBound = %v allocs/op, want %d", allocs, want)
+	}
+}
+
 // BenchmarkStage0Prune measures the evaluation-free stage-0 cascade in
 // steady state (buffers warm, no predicate evaluations).
 func BenchmarkStage0Prune(b *testing.B) {

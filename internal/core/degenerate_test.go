@@ -7,12 +7,11 @@ import (
 	"topkdedup/internal/records"
 )
 
-// The degenerate inputs the sharded partitioner can hand the bound and
-// prune phases: k larger than the group list, empty shards, and shards
-// holding nothing but singletons that share no blocking key. These must
-// all come back as clean no-ops (m = 0 disables pruning; pruning with a
-// positive M keeps every group that can reach it) rather than panics or
-// spurious kills.
+// Degenerate inputs to the bound and prune phases: k larger than the
+// group list, empty group lists, and lists holding nothing but
+// singletons that share no blocking key. These must all come back as
+// clean no-ops (m = 0 disables pruning; pruning with a positive M keeps
+// every group that can reach it) rather than panics or spurious kills.
 
 func singletonOnlyDataset(n int) *records.Dataset {
 	d := records.New("singletons", "name")
@@ -56,7 +55,7 @@ func TestEstimateLowerBoundEmptyInputs(t *testing.T) {
 }
 
 func TestBoundAndPruneSingletonOnlyShard(t *testing.T) {
-	// A shard of key-disjoint singletons: the N-graph has no edges, so
+	// Key-disjoint singletons: the N-graph has no edges, so
 	// the greedy independent set certifies k entities at rank exactly k,
 	// and M is the k-th weight.
 	d := singletonOnlyDataset(6)
@@ -87,9 +86,8 @@ func TestBoundAndPruneSingletonOnlyShard(t *testing.T) {
 }
 
 func TestPrunerPassesMatchWrapper(t *testing.T) {
-	// Driving the stateful Pruner pass-by-pass (as the shard coordinator
-	// does) must reproduce Prune exactly when the stop rule is
-	// the same.
+	// Driving the stateful Pruner pass-by-pass must reproduce Prune
+	// exactly when the stop rule is the same.
 	d := genDataset(7, 40, 6)
 	groups := SingletonGroups(d)
 	SortGroupsByWeight(groups)

@@ -155,16 +155,12 @@ func singletonGroups(d *records.Dataset) []Group {
 }
 
 // SingletonGroups wraps every record of the dataset in its own group —
-// the level-0 grouping Algorithm 2 starts from. Exported for the sharded
-// pipeline, which needs the same starting point before partitioning.
+// the level-0 grouping Algorithm 2 starts from.
 func SingletonGroups(d *records.Dataset) []Group { return singletonGroups(d) }
 
 // SortGroupsByWeight sorts groups by decreasing weight with ties broken
 // on ascending representative ID — the canonical rank order every phase
-// of PrunedDedup relies on. Exported for the sharded pipeline: shard
-// workers sort locally and the coordinator merges, and because a shard's
-// local record IDs map monotonically to global IDs, the merged order is
-// identical to sorting the global list directly.
+// of PrunedDedup relies on.
 func SortGroupsByWeight(groups []Group) { sortGroupsByWeight(groups) }
 
 // sortGroupsByWeight sorts groups by decreasing weight; ties break on

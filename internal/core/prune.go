@@ -64,10 +64,7 @@ func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes 
 //
 // Internally this drives a Pruner: construction runs the evaluation-free
 // cascades, then one PassCtx per exact refinement round until a pass kills
-// nothing. The sharded coordinator drives the same Pruner pass-by-pass
-// across shards so the stop decision ("no group died anywhere") is taken
-// globally, which is what keeps sharded survivors byte-identical to this
-// single-machine loop.
+// nothing.
 func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
 	return pruneCtx(ctx, d, groups, n, func() *index.IDIndex { return BlockReps(d, groups, n, nil) }, m, passes, workers, sink)
 }
@@ -107,13 +104,9 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 // Pruner is the stateful form of the §4.3 prune step. NewPruner runs the
 // evaluation-free stage-0 cascades; each PassCtx then performs one exact
 // Jacobi refinement round, and Alive returns the surviving groups in
-// their input order. PruneCtx composes these into the
-// single-machine loop (pass until nothing dies, capped at the configured
-// pass count); the sharded coordinator instead interleaves PassCtx calls
-// across shards, because a pass with no local kills does not mean the
-// global fixpoint is reached — a later global pass can tighten a
-// neighbour's bound on another shard and come back to kill here. A
-// Pruner is not safe for concurrent use.
+// their input order. PruneCtx composes these into the loop (pass until
+// nothing dies, capped at the configured pass count). A Pruner is not
+// safe for concurrent use.
 type Pruner struct {
 	groups []Group
 	// eval is n bound to the stage-0 survivors' representatives; its third

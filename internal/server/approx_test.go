@@ -59,6 +59,32 @@ func TestTopKRejectsUnknownModeAndParams(t *testing.T) {
 	}
 }
 
+// TestTopKRejectsRAboveMax: an R past MaxR is a typed 400 in every mode,
+// before any tier computes anything; MaxR itself is served, and an R
+// below 1 is still echoed as sent and answered as 1.
+func TestTopKRejectsRAboveMax(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	ingestBatch(t, ts, names("alice", "alice", "bob"))
+	for _, mode := range []string{ModeExact, ModeApprox, ModeHybrid} {
+		for _, r := range []int{MaxR + 1, 1000000} {
+			path := fmt.Sprintf("/topk?k=2&mode=%s&r=%d", mode, r)
+			resp, body := get(t, ts, path)
+			var er ErrorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Code != "bad_param" {
+				t.Fatalf("GET %s: status %d, body %s; want 400 bad_param", path, resp.StatusCode, body)
+			}
+		}
+	}
+	for _, r := range []int{MaxR, 0} {
+		path := fmt.Sprintf("/topk?k=2&r=%d", r)
+		resp, body := get(t, ts, path)
+		var tr TopKResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &tr) != nil || tr.R != r {
+			t.Fatalf("GET %s: status %d, body %s; want 200 echoing r=%d", path, resp.StatusCode, body, r)
+		}
+	}
+}
+
 func TestDefaultModeValidation(t *testing.T) {
 	if _, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), DefaultMode: "fast"}); err == nil {
 		t.Fatal("DefaultMode 'fast' should be rejected")

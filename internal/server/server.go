@@ -574,6 +574,15 @@ type TopKResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// MaxR is the largest R /topk accepts; above it the request is a 400
+// with code "bad_param". The final phase asks the R-best segmentation
+// for 6R+10 rankings and each of its DP rows holds that many cells, so
+// memory and time grow linearly in R with no context to stop them — at
+// the 84 positions of a K = 10 citations pruning, R = 100,000 allocates
+// about 2 GB, and a larger R ends the process. Every workload, example
+// and CLI default asks R <= 3.
+const MaxR = 100
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	k, err := intParam(r, "k", 10)
 	if err != nil {
@@ -587,6 +596,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if k < 1 {
 		writeError(w, http.StatusBadRequest, "k must be >= 1")
+		return
+	}
+	if rr > MaxR {
+		writeTypedError(w, http.StatusBadRequest, "bad_param", fmt.Sprintf("r must be <= %d, got %d", MaxR, rr))
 		return
 	}
 	mode, aerr := s.topkMode(r)
