@@ -93,6 +93,12 @@ for pat in 'graph.NewPrefix(' '"bound.block"'; do
     fi
 done
 
+# One Algorithm-2 level loop: core.PrunedDedupPreparedCtx's. The §7
+# rank queries finish a core pruning (M := T for the thresholded one)
+# and never collapse or prune on their own.
+if grep -rnF --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build 'for li, level := range levels' . | grep -v '^\./internal/core/pruneddedup\.go:'; then exit 1; fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'core\.(Collapse|Prune)\(' internal/rankquery; then exit 1; fi
+
 # One union-find on the write path: stream.Incremental owns the only
 # growable DSU (the sufficient closure Add maintains is also what decides
 # which groups a publish rebuilds).

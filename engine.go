@@ -643,8 +643,8 @@ func (e *Engine) TopKRank(k int) (*RankResult, error) {
 
 // TopKRankCtx is TopKRank under a context, with the same tracing
 // behaviour as TopKCtx: the query runs under an "engine.rank" root span
-// (or joins the context's trace); the rank pipeline records the root
-// span only.
+// (or joins the context's trace) with the pruning's core.* spans beneath
+// it.
 func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topk: K must be >= 1, got %d", k)
@@ -655,11 +655,17 @@ func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 		root.Attr("workers", float64(e.cfg.Workers))
 		defer root.End()
 	}
-	return rankquery.TopKRank(e.data, e.levels, e.coreOpts(k))
+	pd, err := core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
+	if err != nil {
+		return nil, err
+	}
+	return rankquery.FromPruned(e.data, e.levels, pd, k), nil
 }
 
 // ThresholdedRank answers the thresholded rank query (paper §7.2): a
 // ranked list of the groups with aggregate weight above t.
 func (e *Engine) ThresholdedRank(t float64) (*RankResult, error) {
-	return rankquery.ThresholdedRank(e.data, e.levels, t, e.cfg.PrunePasses)
+	opts := e.coreOpts(0)
+	opts.Threshold = t
+	return rankquery.ThresholdedRank(context.Background(), e.data, e.levels, opts)
 }

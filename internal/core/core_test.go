@@ -332,6 +332,14 @@ func TestPrunedDedupErrors(t *testing.T) {
 		t.Error("no levels should error")
 	}
 	empty := records.New("e", "name")
+	// Exactly one of K >= 1 and Threshold > 0, on any dataset.
+	for _, bad := range []Options{{}, {K: 0, Threshold: -1}, {K: 1, Threshold: 1}} {
+		for _, dd := range []*records.Dataset{d, empty} {
+			if _, err := PrunedDedup(dd, toyLevels(), bad); err == nil {
+				t.Errorf("%+v on %d records should error", bad, dd.Len())
+			}
+		}
+	}
 	res, err := PrunedDedup(empty, toyLevels(), Options{K: 1})
 	if err != nil || len(res.Groups) != 0 {
 		t.Errorf("empty dataset should give empty result: %v %v", res, err)

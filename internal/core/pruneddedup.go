@@ -15,8 +15,14 @@ import (
 
 // Options configures PrunedDedup.
 type Options struct {
-	// K is the TopK parameter (required, >= 1).
+	// K is the TopK parameter (>= 1) — unless Threshold is set, when it
+	// must be 0.
 	K int
+	// Threshold, when > 0, runs the §7.2 thresholded rank query instead
+	// of TopK: every level prunes against M := Threshold, the §4.2 bound
+	// scan never runs, and there is no exactly-K early stop. Exactly one
+	// of K >= 1 and Threshold > 0 must be set.
+	Threshold float64
 	// PrunePasses is the number of exact upper-bound refinement passes
 	// (default 2, the paper's choice).
 	PrunePasses int
@@ -33,13 +39,22 @@ type Options struct {
 	Sink obs.Sink
 }
 
+// check reports an Options that sets neither or both of K and Threshold.
+func (o Options) check() error {
+	if (o.K >= 1 && o.Threshold == 0) || (o.K == 0 && o.Threshold > 0) {
+		return nil
+	}
+	return fmt.Errorf("core: want K >= 1 or Threshold > 0, got K = %d, Threshold = %g", o.K, o.Threshold)
+}
+
 // PrunedDedup runs Algorithm 2 of the paper over the dataset: for each
 // predicate level (S_l, N_l) it collapses sure duplicates, estimates the
 // lower bound M on the K-th group's weight, and prunes groups that cannot
 // reach M. It stops early when exactly K groups survive (they are then
 // the exact answer). The surviving groups — typically a tiny fraction of
 // the input — are what the final expensive deduplication (criterion P +
-// R-best search, §5) operates on.
+// R-best search, §5) operates on. With Options.Threshold set, M is the
+// threshold at every level instead (§7.2's thresholded rank query).
 func PrunedDedup(d *records.Dataset, levels []predicate.Level, opts Options) (*Result, error) {
 	return PrunedDedupCtx(context.Background(), d, levels, opts)
 }
@@ -50,8 +65,8 @@ func PrunedDedup(d *records.Dataset, levels []predicate.Level, opts Options) (*R
 // untraced context adds one nil check per phase and nothing else.
 func PrunedDedupCtx(ctx context.Context, d *records.Dataset, levels []predicate.Level, opts Options) (*Result, error) {
 	if d.Len() == 0 {
-		if opts.K < 1 {
-			return nil, fmt.Errorf("core: K must be >= 1, got %d", opts.K)
+		if err := opts.check(); err != nil {
+			return nil, err
 		}
 		return &Result{}, nil
 	}
@@ -138,8 +153,8 @@ func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group,
 // which count a collapse where it ran. The result's Groups may share
 // storage with first and must be treated as read-only.
 func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *PreparedLevel, levels []predicate.Level, opts Options) (*Result, error) {
-	if opts.K < 1 {
-		return nil, fmt.Errorf("core: K must be >= 1, got %d", opts.K)
+	if err := opts.check(); err != nil {
+		return nil, err
 	}
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("core: at least one predicate level required")
@@ -183,15 +198,17 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 			obs.Observe(sink, "core.collapse.groups", float64(stats.NGroups))
 		}
 
-		start = time.Now()
-		var m float64
-		stats.MRank, m, stats.BoundEvals, _ = EstimateLowerBoundCtx(ctxL, d, groups, level.Necessary, opts.K, opts.Workers)
-		stats.BoundTime = time.Since(start)
+		m := opts.Threshold
+		if m == 0 {
+			start = time.Now()
+			stats.MRank, m, stats.BoundEvals, _ = EstimateLowerBoundCtx(ctxL, d, groups, level.Necessary, opts.K, opts.Workers)
+			stats.BoundTime = time.Since(start)
+			obs.ObserveDuration(sink, "core.bound", stats.BoundTime)
+			obs.Count(sink, "core.bound.evals", stats.BoundEvals)
+			obs.Gauge(sink, "core.bound.m_rank", float64(stats.MRank))
+			obs.Gauge(sink, "core.bound.lower", m)
+		}
 		stats.LowerBound = m
-		obs.ObserveDuration(sink, "core.bound", stats.BoundTime)
-		obs.Count(sink, "core.bound.evals", stats.BoundEvals)
-		obs.Gauge(sink, "core.bound.m_rank", float64(stats.MRank))
-		obs.Gauge(sink, "core.bound.lower", m)
 
 		start = time.Now()
 		groups, stats.PruneEvals, _ = pruneCtx(ctxL, d, groups, level.Necessary, lv.index, m, passes, opts.Workers, sink)
@@ -208,7 +225,7 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 		// Canonical order already: the level sorted its groups and
 		// pruning keeps the survivors in input order.
 		res.Groups = groups
-		if len(groups) == opts.K {
+		if opts.K > 0 && len(groups) == opts.K {
 			res.ExactlyK = true
 			obs.Count(sink, "core.exactly_k", 1)
 			break

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"topkdedup/internal/core"
@@ -22,21 +23,18 @@ type RankRow struct {
 
 // RankQueries runs the TopK count query, the TopK rank query, and a
 // thresholded rank query on the same dataset for each K, reporting how
-// many groups each keeps alive.
+// many groups each keeps alive. The count and rank queries share one
+// pruning per K.
 func RankQueries(dd *DomainData, ks []int) ([]RankRow, error) {
 	var rows []RankRow
 	for _, k := range ks {
-		opts := core.Options{K: k, Sink: metricsSink}
-		pd, err := core.PrunedDedup(dd.Data, dd.Domain.Levels, opts)
+		pd, err := core.PrunedDedup(dd.Data, dd.Domain.Levels, core.Options{K: k, Sink: metricsSink})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, RankRow{Query: "topk-count", K: k, Survivors: len(pd.Groups)})
 
-		rr, err := rankquery.TopKRank(dd.Data, dd.Domain.Levels, opts)
-		if err != nil {
-			return nil, err
-		}
+		rr := rankquery.FromPruned(dd.Data, dd.Domain.Levels, pd, k)
 		rows = append(rows, RankRow{
 			Query: "topk-rank", K: k,
 			Survivors: len(rr.Entries), ExtraPruned: rr.ExtraPruned,
@@ -47,7 +45,7 @@ func RankQueries(dd *DomainData, ks []int) ([]RankRow, error) {
 		// query that asks the equivalent question.
 		if len(pd.Groups) >= k && pd.Groups[k-1].Weight > 0 {
 			t := pd.Groups[k-1].Weight
-			tr, err := rankquery.ThresholdedRank(dd.Data, dd.Domain.Levels, t, 2)
+			tr, err := rankquery.ThresholdedRank(context.Background(), dd.Data, dd.Domain.Levels, core.Options{Threshold: t, Sink: metricsSink})
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package rankquery
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestTopKRankEdgeCases(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			d := buildDataset(tc.recs)
-			rr, err := TopKRank(d, toyLevels(), core.Options{K: tc.k})
+			rr, err := topKRank(d, toyLevels(), core.Options{K: tc.k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +179,7 @@ func TestThresholdedRankEdgeCases(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			d := buildDataset(tc.recs)
-			rr, err := ThresholdedRank(d, toyLevels(), tc.t, 2)
+			rr, err := ThresholdedRank(context.Background(), d, toyLevels(), core.Options{Threshold: tc.t})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +206,7 @@ func TestTopKRankKSweep(t *testing.T) {
 	d := genDataset(7, 8, 6)
 	prev := -1
 	for k := 1; k <= 20; k++ {
-		rr, err := TopKRank(d, toyLevels(), core.Options{K: k})
+		rr, err := topKRank(d, toyLevels(), core.Options{K: k})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

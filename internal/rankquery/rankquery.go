@@ -6,7 +6,7 @@
 package rankquery
 
 import (
-	"fmt"
+	"context"
 	"slices"
 	"sort"
 
@@ -25,7 +25,7 @@ type Entry struct {
 	Resolved bool
 }
 
-// RankResult is the output of TopKRank and ThresholdedRank.
+// RankResult is the output of FromPruned and ThresholdedRank.
 type RankResult struct {
 	// Entries are the surviving groups in decreasing weight with their
 	// upper bounds and resolution status.
@@ -35,23 +35,11 @@ type RankResult struct {
 	// ExtraPruned counts groups removed by the rank-specific resolved-
 	// neighbour pruning beyond the standard TopK prune.
 	ExtraPruned int
-	// Settled reports that the ranking is fully determined: for TopKRank,
+	// Settled reports that the ranking is fully determined: for FromPruned,
 	// the first K entries are resolved; for ThresholdedRank, the §7.2
 	// termination condition holds and Entries (all resolved) are the
 	// exact answer.
 	Settled bool
-}
-
-// TopKRank answers the TopK rank query of §7.1: the ranked order of the K
-// largest groups, each identified by a canonical member, without needing
-// exact sizes. All TopK pruning applies, plus neighbours of resolved
-// groups are discarded when they cannot influence any unresolved group.
-func TopKRank(d *records.Dataset, levels []predicate.Level, opts core.Options) (*RankResult, error) {
-	res, err := core.PrunedDedup(d, levels, opts)
-	if err != nil {
-		return nil, err
-	}
-	return FromPruned(d, levels, res, opts.K), nil
 }
 
 // FromPruned finishes the §7.1 TopK rank query from an externally
@@ -78,31 +66,26 @@ func FromPruned(d *records.Dataset, levels []predicate.Level, res *core.Result, 
 }
 
 // ThresholdedRank answers §7.2: a ranked list of all groups of weight
-// greater than threshold T. It reuses PrunedDedup with the lower bound
-// fixed to T instead of the estimated M.
-func ThresholdedRank(d *records.Dataset, levels []predicate.Level, t float64, prunePasses int) (*RankResult, error) {
-	if t <= 0 {
-		return nil, fmt.Errorf("rankquery: threshold must be positive, got %g", t)
+// greater than threshold T = opts.Threshold. It is Algorithm 2 with the
+// lower bound fixed to T instead of the estimated M (core.Options'
+// Threshold mode), finished by FromThreshold.
+func ThresholdedRank(ctx context.Context, d *records.Dataset, levels []predicate.Level, opts core.Options) (*RankResult, error) {
+	res, err := core.PrunedDedupCtx(ctx, d, levels, opts)
+	if err != nil {
+		return nil, err
 	}
-	groups := core.SingletonGroups(d)
-	var stats []core.LevelStats
-	for li, level := range levels {
-		st := core.LevelStats{Level: li + 1, LowerBound: t}
-		groups, st.CollapseEvals = core.Collapse(d, groups, level.Sufficient)
-		core.SortGroupsByWeight(groups)
-		st.NGroups = len(groups)
-		st.NGroupsPct = pct(len(groups), d.Len())
-		groups, st.PruneEvals = core.Prune(d, groups, level.Necessary, t, prunePasses)
-		st.Survivors = len(groups)
-		st.SurvivorsPct = pct(len(groups), d.Len())
-		stats = append(stats, st)
-	}
-	core.SortGroupsByWeight(groups)
-	lastN := levels[len(levels)-1].Necessary
-	rr := resolveEntries(d, groups, lastN, t)
-	rr.PrunedStats = stats
+	return FromThreshold(d, levels, res, opts.Threshold), nil
+}
+
+// FromThreshold finishes the §7.2 thresholded rank query from a pruning
+// run with core.Options.Threshold = t — the serving layer's path, which
+// prunes from its epoch's prepared level 1. res must come from the same
+// dataset and levels.
+func FromThreshold(d *records.Dataset, levels []predicate.Level, res *core.Result, t float64) *RankResult {
+	rr := resolveEntries(d, res.Groups, levels[len(levels)-1].Necessary, t)
+	rr.PrunedStats = res.Stats
 	rr.Settled = settledThreshold(rr.Entries, t)
-	return rr, nil
+	return rr
 }
 
 // settledThreshold checks the §7.2 termination condition: there is a k
@@ -128,10 +111,8 @@ func settledThreshold(entries []Entry, t float64) bool {
 // groups, marks resolved groups, and prunes neighbours of resolved groups
 // that cannot influence any unresolved group (§7.1).
 func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m float64) *RankResult {
-	ng := len(groups)
-	rr := &RankResult{}
-	if ng == 0 {
-		return rr
+	if len(groups) == 0 {
+		return &RankResult{}
 	}
 	// Canonicalise the order first: the upper bounds below are floating
 	// sums over neighbour weights, so the summation order must not depend
@@ -139,7 +120,7 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 	groups = append([]core.Group(nil), groups...)
 	core.SortGroupsByWeight(groups)
 	eval := core.BindReps(d, groups, n, nil)
-	adj := make([][]int, ng)
+	adj := make([][]int, len(groups))
 	core.BlockReps(d, groups, n, nil).ForEachPair(func(i, j int) bool {
 		if eval(i, j) {
 			adj[i] = append(adj[i], j)
@@ -147,76 +128,79 @@ func resolveEntries(d *records.Dataset, groups []core.Group, n predicate.P, m fl
 		}
 		return true
 	})
+	return resolve(groups, adj, m)
+}
+
+// resolve is resolveEntries over canonically ordered groups and their
+// N-adjacency lists (each pair once per side, no self loops). Weights
+// must not be negative, so every upper bound u[g] is at least w[g].
+func resolve(groups []core.Group, adj [][]int, m float64) *RankResult {
+	ng := len(groups)
+	w := make([]float64, ng)
 	u := make([]float64, ng)
 	for i := range groups {
 		// Neighbour discovery order follows the predicate's key order;
 		// sort so the floating sum below always accumulates in the
 		// canonical group order.
 		sort.Ints(adj[i])
-		u[i] = groups[i].Weight
+		w[i] = groups[i].Weight
+		u[i] = w[i]
 		for _, j := range adj[i] {
 			u[i] += groups[j].Weight
 		}
 	}
-	// Resolved: no ranking conflict with non-neighbours, and no neighbour
-	// can form a >= M group without it.
+	// Resolved: no ranking conflict with a non-neighbour g — one whose
+	// interval [w[g], u[g]] overlaps j's, w[j] < u[g] && w[g] < u[j] —
+	// and no neighbour can form a >= M group without j. Overlaps are
+	// counted on sorted copies: the groups with w[g] < u[j], less those
+	// with u[g] <= w[j] — which, as w <= u, is all of the latter except
+	// the flat groups (w == u) at weight w[j] when j is flat too. Then j
+	// itself and its neighbours are taken back out.
+	ws, us := slices.Clone(w), slices.Clone(u)
+	slices.Sort(ws)
+	slices.Sort(us)
+	flat := map[float64]int{}
+	for g := range w {
+		if w[g] == u[g] {
+			flat[w[g]]++
+		}
+	}
 	resolved := make([]bool, ng)
 	for j := range groups {
+		overlap, _ := slices.BinarySearch(ws, u[j])
+		overlap -= sort.Search(ng, func(i int) bool { return us[i] > w[j] })
+		if w[j] == u[j] {
+			overlap += flat[w[j]]
+		} else {
+			overlap-- // j overlaps itself
+		}
 		ok := true
-		isNbr := make(map[int]bool, len(adj[j]))
 		for _, g := range adj[j] {
-			isNbr[g] = true
-		}
-		for g := 0; g < ng && ok; g++ {
-			if g == j {
-				continue
+			if w[j] < u[g] && w[g] < u[j] {
+				overlap--
 			}
-			if isNbr[g] {
-				if u[g]-groups[j].Weight >= m {
-					ok = false
-				}
-			} else {
-				if !(groups[j].Weight >= u[g] || u[j] <= groups[g].Weight) {
-					ok = false
-				}
+			if u[g]-w[j] >= m {
+				ok = false
 			}
 		}
-		resolved[j] = ok
+		resolved[j] = ok && overlap == 0
 	}
 	// Prune: groups below M that are not adjacent to any unresolved group
 	// whose bound still reaches M play no further role.
-	keep := make([]bool, ng)
+	rr := &RankResult{}
 	for g := range groups {
-		if groups[g].Weight >= m {
-			keep[g] = true
-			continue
-		}
-		if !resolved[g] {
-			// keep only if it can matter on its own or via a live
-			// unresolved neighbourhood
-			keep[g] = u[g] >= m
-		}
+		keep := w[g] >= m || (!resolved[g] && u[g] >= m)
 		for _, i := range adj[g] {
-			if !resolved[i] && u[i] >= m {
-				keep[g] = true
+			if keep {
 				break
 			}
+			keep = !resolved[i] && u[i] >= m
 		}
-	}
-	for i := range groups {
-		if !keep[i] {
+		if !keep {
 			rr.ExtraPruned++
 			continue
 		}
-		rr.Entries = append(rr.Entries, Entry{Group: groups[i], Upper: u[i], Resolved: resolved[i]})
+		rr.Entries = append(rr.Entries, Entry{Group: groups[g], Upper: u[g], Resolved: resolved[g]})
 	}
-	slices.SortFunc(rr.Entries, func(a, b Entry) int { return core.CompareGroups(a.Group, b.Group) })
 	return rr
-}
-
-func pct(n, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(total)
 }

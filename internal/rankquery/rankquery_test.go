@@ -1,8 +1,12 @@
 package rankquery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"topkdedup/internal/core"
@@ -58,9 +62,19 @@ func genDataset(seed int64, numEntities, maxMentions int) *records.Dataset {
 	return d
 }
 
+// topKRank is the batch §7.1 TopK rank query: one pruning, finished by
+// FromPruned.
+func topKRank(d *records.Dataset, levels []predicate.Level, opts core.Options) (*RankResult, error) {
+	res, err := core.PrunedDedup(d, levels, opts)
+	if err != nil {
+		return nil, err
+	}
+	return FromPruned(d, levels, res, opts.K), nil
+}
+
 func TestTopKRankBasics(t *testing.T) {
 	d := genDataset(1, 12, 10)
-	rr, err := TopKRank(d, toyLevels(), core.Options{K: 3})
+	rr, err := topKRank(d, toyLevels(), core.Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +101,7 @@ func TestTopKRankDistinctLettersSettled(t *testing.T) {
 			d.Append(1, fmt.Sprintf("E%d", e), letter+".v0")
 		}
 	}
-	rr, err := TopKRank(d, toyLevels(), core.Options{K: 2})
+	rr, err := topKRank(d, toyLevels(), core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestTopKRankAmbiguousNotSettled(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		d.Append(1, "E2", "b.v0")
 	}
-	rr, err := TopKRank(d, toyLevels(), core.Options{K: 2})
+	rr, err := topKRank(d, toyLevels(), core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestTopKRankAmbiguousNotSettled(t *testing.T) {
 
 func TestThresholdedRankBasics(t *testing.T) {
 	d := genDataset(2, 10, 12)
-	rr, err := ThresholdedRank(d, toyLevels(), 5, 2)
+	rr, err := ThresholdedRank(context.Background(), d, toyLevels(), core.Options{Threshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +177,7 @@ func TestThresholdedRankSettledCase(t *testing.T) {
 	for k := 0; k < 2; k++ {
 		d.Append(1, "E1", "b.v0")
 	}
-	rr, err := ThresholdedRank(d, toyLevels(), 5, 2)
+	rr, err := ThresholdedRank(context.Background(), d, toyLevels(), core.Options{Threshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +191,10 @@ func TestThresholdedRankSettledCase(t *testing.T) {
 
 func TestThresholdedRankRejectsBadThreshold(t *testing.T) {
 	d := genDataset(3, 4, 4)
-	if _, err := ThresholdedRank(d, toyLevels(), 0, 2); err == nil {
+	if _, err := ThresholdedRank(context.Background(), d, toyLevels(), core.Options{Threshold: 0}); err == nil {
 		t.Error("threshold 0 should error")
 	}
-	if _, err := ThresholdedRank(d, toyLevels(), -2, 2); err == nil {
+	if _, err := ThresholdedRank(context.Background(), d, toyLevels(), core.Options{Threshold: -2}); err == nil {
 		t.Error("negative threshold should error")
 	}
 }
@@ -195,7 +209,7 @@ func TestTopKRankExtraPruning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := TopKRank(d, toyLevels(), opts)
+		rr, err := topKRank(d, toyLevels(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,4 +231,123 @@ func TestResolveEntriesEmpty(t *testing.T) {
 	if len(rr.Entries) != 0 {
 		t.Error("empty input should give empty result")
 	}
+}
+
+// resolveReference is resolve as a double loop: every pair of groups is
+// tested for a ranking conflict, neighbours through a per-group set.
+func resolveReference(groups []core.Group, adj [][]int, m float64) *RankResult {
+	ng := len(groups)
+	rr := &RankResult{}
+	u := make([]float64, ng)
+	for i := range groups {
+		sort.Ints(adj[i])
+		u[i] = groups[i].Weight
+		for _, j := range adj[i] {
+			u[i] += groups[j].Weight
+		}
+	}
+	resolved := make([]bool, ng)
+	for j := range groups {
+		ok := true
+		isNbr := make(map[int]bool, len(adj[j]))
+		for _, g := range adj[j] {
+			isNbr[g] = true
+		}
+		for g := 0; g < ng && ok; g++ {
+			if g == j {
+				continue
+			}
+			if isNbr[g] {
+				if u[g]-groups[j].Weight >= m {
+					ok = false
+				}
+			} else if !(groups[j].Weight >= u[g] || u[j] <= groups[g].Weight) {
+				ok = false
+			}
+		}
+		resolved[j] = ok
+	}
+	keep := make([]bool, ng)
+	for g := range groups {
+		if groups[g].Weight >= m {
+			keep[g] = true
+			continue
+		}
+		if !resolved[g] {
+			keep[g] = u[g] >= m
+		}
+		for _, i := range adj[g] {
+			if !resolved[i] && u[i] >= m {
+				keep[g] = true
+				break
+			}
+		}
+	}
+	for i := range groups {
+		if !keep[i] {
+			rr.ExtraPruned++
+			continue
+		}
+		rr.Entries = append(rr.Entries, Entry{Group: groups[i], Upper: u[i], Resolved: resolved[i]})
+	}
+	slices.SortFunc(rr.Entries, func(a, b Entry) int { return core.CompareGroups(a.Group, b.Group) })
+	return rr
+}
+
+// TestResolveSweepMatchesReference: over random weights and adjacency —
+// weights drawn from a few small integers so equal weights, w == u
+// groups and w[j] == u[g] boundaries are common, plus isolated groups
+// and zero weights — the sorted sweep gives the double loop's entries,
+// upper bounds, resolved flags and ExtraPruned.
+func TestResolveSweepMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	resolvedSeen, prunedSeen := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		ng := 1 + r.Intn(24)
+		groups := make([]core.Group, ng)
+		for i := range groups {
+			w := float64(r.Intn(5))
+			if trial%3 == 0 {
+				w += r.Float64()
+			}
+			groups[i] = core.Group{Rep: i, Members: []int{i}, Weight: w}
+		}
+		core.SortGroupsByWeight(groups)
+		density := r.Float64() * 0.4
+		adj := make([][]int, ng)
+		for i := 0; i < ng; i++ {
+			for j := i + 1; j < ng; j++ {
+				if r.Float64() < density {
+					adj[i] = append(adj[i], j)
+					adj[j] = append(adj[j], i)
+				}
+			}
+		}
+		m := float64(r.Intn(8))
+		if trial%2 == 0 {
+			m += 0.5
+		}
+		want := resolveReference(groups, cloneAdj(adj), m)
+		got := resolve(groups, cloneAdj(adj), m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (m=%g, groups %+v, adj %v):\nsweep     %+v\nreference %+v", trial, m, groups, adj, got, want)
+		}
+		for _, e := range want.Entries {
+			if e.Resolved {
+				resolvedSeen++
+			}
+		}
+		prunedSeen += want.ExtraPruned
+	}
+	if resolvedSeen == 0 || prunedSeen == 0 {
+		t.Errorf("%d resolved entries, %d extra-pruned groups: the trials exercised too little", resolvedSeen, prunedSeen)
+	}
+}
+
+func cloneAdj(adj [][]int) [][]int {
+	out := make([][]int, len(adj))
+	for i, a := range adj {
+		out[i] = slices.Clone(a)
+	}
+	return out
 }

@@ -364,7 +364,9 @@ func TestDifferentialInterleavedQueries(t *testing.T) {
 
 // TestDifferentialRankVsBatch extends the differential contract to the
 // rank endpoint: the served §7.1 rank answer must match the engine's
-// TopKRank over the same records.
+// TopKRank over the same records, and the served §7.2 answer
+// (/rank?t=, pruned from the epoch's level 1) the engine's
+// ThresholdedRank — collapse evals aside, like every served pruning.
 func TestDifferentialRankVsBatch(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		r := rand.New(rand.NewSource(int64(5000 + trial)))
@@ -385,39 +387,44 @@ func TestDifferentialRankVsBatch(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		ingestBatch(t, ts, recs)
 		k := 2 + r.Intn(4)
-		_, body := get(t, ts, fmt.Sprintf("/rank?k=%d", k))
+		th := 1 + float64(r.Intn(6))
+		_, rankBody := get(t, ts, fmt.Sprintf("/rank?k=%d", k))
+		_, threshBody := get(t, ts, fmt.Sprintf("/rank?t=%g", th))
 		ts.Close()
-		var raw struct {
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(body, &raw); err != nil {
-			t.Fatal(err)
-		}
-		var served topk.RankResult
-		if err := json.Unmarshal(raw.Result, &served); err != nil {
-			t.Fatalf("decode rank result: %v: %s", err, raw.Result)
-		}
-		stripTimes(served.PrunedStats)
-		got, err := json.Marshal(&served)
-		if err != nil {
-			t.Fatal(err)
-		}
+
 		d := topk.NewDataset("served", "name")
 		for _, rec := range recs {
 			d.Append(1, rec.Truth, rec.Values...)
 		}
 		eng := topk.New(d, toyLevels(), toyScorer(), topk.Config{})
-		res, err := eng.TopKRank(k)
+		rank, err := eng.TopKRank(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stripTimes(res.PrunedStats)
-		want, err := json.Marshal(res)
+		thresh, err := eng.ThresholdedRank(th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Fatalf("trial %d: served rank != batch rank\nserved: %s\nbatch:  %s", trial, got, want)
+		for _, c := range []struct {
+			form  string
+			body  []byte
+			batch *topk.RankResult
+		}{{fmt.Sprintf("k=%d", k), rankBody, rank}, {fmt.Sprintf("t=%g", th), threshBody, thresh}} {
+			var raw struct {
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal(c.body, &raw); err != nil {
+				t.Fatal(err)
+			}
+			got := canonRankEvals(t, raw.Result)
+			stripTimes(c.batch.PrunedStats)
+			want, err := json.Marshal(c.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("trial %d %s: served rank != batch rank\nserved: %s\nbatch:  %s", trial, c.form, got, want)
+			}
 		}
 	}
 }

@@ -232,8 +232,9 @@ func TestReadPathErrorIsRetried(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Distinct Ks: the second path must not find the first one's pruning memoised.
-	for _, path := range []string{"/topk?k=3&r=2", "/rank?k=5"} {
+	// Distinct Ks: the second path must not find the first one's pruning
+	// memoised. /rank?t= keeps no pruning at all.
+	for _, path := range []string{"/topk?k=3&r=2", "/rank?k=5", "/rank?t=2"} {
 		before := counter(t, srv, "core.levels")
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))

@@ -42,6 +42,7 @@ import (
 
 	topk "topkdedup"
 	"topkdedup/internal/obs"
+	"topkdedup/internal/rankquery"
 	"topkdedup/internal/records"
 	"topkdedup/internal/stream"
 	"topkdedup/internal/wal"
@@ -683,46 +684,51 @@ type RankResponse struct {
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	ep := s.epoch.Load()
+	var key answerKey
 	if tRaw := r.URL.Query().Get("t"); tRaw != "" {
 		t, err := strconv.ParseFloat(tRaw, 64)
 		if err != nil || !(t > 0) || math.IsInf(t, 0) {
 			writeError(w, http.StatusBadRequest, "t must be a positive number")
 			return
 		}
-		res, status, err := s.rankAnswer(r.Context(), ep, answerKey{kind: 'r', t: t}, func() (*topk.RankResult, error) {
-			return s.finalEngine(ep, false).ThresholdedRank(t)
-		})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+		key = answerKey{kind: 'r', t: t}
+	} else {
+		k, err := intParam(r, "k", 10)
+		if err != nil || k < 1 {
+			writeError(w, http.StatusBadRequest, "k must be >= 1")
 			return
 		}
-		w.Header().Set("X-Cache", status)
-		writeJSON(w, http.StatusOK, RankResponse{T: t, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res})
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil || k < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1")
-		return
-	}
-	if ep.snap.Len() == 0 {
-		// rankquery runs the core pipeline, which needs records; answer
-		// the empty epoch directly, outside the answer cache.
-		w.Header().Set("X-Cache", cacheBypass)
-		writeJSON(w, http.StatusOK, RankResponse{K: k, SnapshotSeq: ep.seq, Result: &topk.RankResult{}})
-		return
+		if ep.snap.Len() == 0 {
+			// Nothing to rank; answer the empty epoch directly, outside
+			// the answer cache.
+			w.Header().Set("X-Cache", cacheBypass)
+			writeJSON(w, http.StatusOK, RankResponse{K: k, SnapshotSeq: ep.seq, Result: &topk.RankResult{}})
+			return
+		}
+		key = answerKey{kind: 'k', k: k}
 	}
 	ctx, root := s.traceCtx(r, "server.rank")
 	if root != nil {
-		root.Attr("k", float64(k))
+		if key.kind == 'r' {
+			root.Attr("t", key.t)
+		} else {
+			root.Attr("k", float64(key.k))
+		}
 	}
 	start := time.Now()
-	res, status, err := s.rankAnswer(ctx, ep, answerKey{kind: 'k', k: k}, func() (*topk.RankResult, error) {
-		pd, perr := s.pruned(ctx, ep, k, false)
+	res, status, err := s.rankAnswer(ctx, ep, key, func() (*topk.RankResult, error) {
+		if key.kind == 'r' {
+			pd, perr := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Engine.Workers, s.metrics)
+			if perr != nil {
+				return nil, perr
+			}
+			return rankquery.FromThreshold(ep.snap.Dataset(), s.cfg.Levels, pd, key.t), nil
+		}
+		pd, perr := s.pruned(ctx, ep, key.k, false)
 		if perr != nil {
 			return nil, perr
 		}
-		return s.finalEngine(ep, false).TopKRankFrom(pd, k)
+		return s.finalEngine(ep, false).TopKRankFrom(pd, key.k)
 	})
 	root.End()
 	if err != nil {
@@ -730,12 +736,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.logger != nil && root != nil {
-		s.logger.Info("rank query", "k", k, "snapshot_seq", ep.seq, "cache", status,
+		s.logger.Info("rank query", "k", key.k, "t", key.t, "snapshot_seq", ep.seq, "cache", status,
 			"seconds", time.Since(start).Seconds(),
 			"trace", root.TraceID().String(), "span", root.SpanID().String())
 	}
 	w.Header().Set("X-Cache", status)
-	writeJSON(w, http.StatusOK, RankResponse{K: k, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res})
+	writeJSON(w, http.StatusOK, RankResponse{K: key.k, T: key.t, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res})
 }
 
 // rankAnswer answers one /rank form through the answer cache: hits
@@ -789,9 +795,8 @@ func (s *Server) pruned(ctx context.Context, ep *epoch, k int, fresh bool) (*top
 
 // finalEngine builds the per-query engine over an epoch's frozen
 // dataset, for the phases after pruning (Engine.TopKFromCtx,
-// TopKRankFrom) and the thresholded rank query. Engines are cheap
-// stateless wrappers; every query gets a fresh one so epochs can be
-// garbage collected as they age out. explain turns on the engine's
+// TopKRankFrom). Engines are cheap stateless wrappers; every query gets
+// a fresh one so epochs can be garbage collected as they age out. explain turns on the engine's
 // per-query EXPLAIN report (the ?explain=1 form); the query's spans land
 // in the server's tracer via the traced request context, not via
 // Config.Tracer.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"topkdedup/internal/obs"
 )
 
 // traceRecords builds a deterministic record set spreading entities over
@@ -157,5 +159,55 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 	if untraced.TraceID != "" {
 		t.Errorf("tracing disabled but response carries trace_id %q", untraced.TraceID)
+	}
+}
+
+// TestRankThresholdTraced: a /rank?t= query is one server.rank trace
+// whose pruning runs under a stream.threshold span — core.level beneath
+// it, prune phases beneath those — and, with M := t, no level runs the
+// §4.2 bound scan.
+func TestRankThresholdTraced(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Engine.Workers = 2 })
+	ingestBatch(t, ts, traceRecords(96))
+	if resp, body := get(t, ts, "/rank?t=2"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rank: status %d: %s", resp.StatusCode, body)
+	}
+	_, body := get(t, ts, "/debug/traces")
+	var list TraceListResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Traces) == 0 || list.Traces[0].Name != "server.rank" {
+		t.Fatalf("latest trace is not server.rank: %+v", list.Traces)
+	}
+	_, body = get(t, ts, "/debug/traces?trace="+list.Traces[0].ID.String())
+	var full TraceResponse
+	if err := json.Unmarshal(body, &full); err != nil {
+		t.Fatal(err)
+	}
+	name := map[obs.SpanID]string{}
+	for _, s := range full.Spans {
+		name[s.ID] = s.Name
+	}
+	levels, prunes := 0, 0
+	for _, s := range full.Spans {
+		switch s.Name {
+		case "stream.threshold":
+			if name[s.Parent] != "server.rank" {
+				t.Errorf("stream.threshold under %q, want server.rank", name[s.Parent])
+			}
+		case "core.level":
+			levels++
+			if name[s.Parent] != "stream.threshold" {
+				t.Errorf("core.level under %q, want stream.threshold", name[s.Parent])
+			}
+		case "core.prune":
+			prunes++
+		case "core.bound":
+			t.Errorf("a thresholded query ran the bound scan: %+v", s)
+		}
+	}
+	if levels != len(toyLevels()) || prunes == 0 {
+		t.Errorf("trace has %d core.level and %d core.prune spans, want %d levels that prune", levels, prunes, len(toyLevels()))
 	}
 }

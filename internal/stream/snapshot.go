@@ -152,8 +152,9 @@ func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo
 	defer sp.End()
 	ctx, tsp := obs.StartChild(ctx, "stream.topk")
 	defer tsp.End()
+	opts := core.Options{K: k, Workers: workers, Sink: sink}
 	if !memo {
-		return s.prune(ctx, k, workers, sink)
+		return s.prune(ctx, opts)
 	}
 	s.mu.Lock()
 	ent := s.pruned[k]
@@ -168,7 +169,7 @@ func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo
 	reused := true
 	ent.once.Do(func() {
 		reused = false
-		ent.res, ent.err = s.prune(ctx, k, workers, sink)
+		ent.res, ent.err = s.prune(ctx, opts)
 		if ent.err != nil {
 			s.mu.Lock()
 			if s.pruned[k] == ent {
@@ -184,16 +185,29 @@ func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo
 	return ent.res, ent.err
 }
 
+// ThresholdCtx runs the pruning of the §7.2 thresholded rank query
+// (core.Options.Threshold = t) over the frozen state, from the
+// snapshot's own level 1 like TopKCtx, under a stream.threshold child
+// span of a traced ctx. Nothing is memoised here — the serving layer
+// caches the finished answer per t. workers and sink follow TopK.
+func (s *Snapshot) ThresholdCtx(ctx context.Context, t float64, workers int, sink obs.Sink) (*core.Result, error) {
+	if s.data.Len() == 0 {
+		return &core.Result{}, nil
+	}
+	ctx, tsp := obs.StartChild(ctx, "stream.threshold")
+	defer tsp.End()
+	return s.prune(ctx, core.Options{Threshold: t, Workers: workers, Sink: sink})
+}
+
 // prune runs the pruning phases of one query over the frozen state. A
 // query whose context is already done is not worth a pruning: it gets
 // the context's error, which topK's memo does not keep.
-func (s *Snapshot) prune(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
+func (s *Snapshot) prune(ctx context.Context, opts core.Options) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, core.Options{
-		K: k, PrunePasses: s.prunePasses, Workers: workers, Sink: sink,
-	})
+	opts.PrunePasses = s.prunePasses
+	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, opts)
 }
 
 // Heaviest returns the k heaviest groups of the frozen level-1 collapse
