@@ -121,7 +121,9 @@ fi
 # What earlier PRs measured and deleted does not come back (in table
 # order: engine seeding, the estimator seam, the second union-find, the
 # sketch tier, sharding as a tier, WAL snapshots, the in-process sharded
-# pipeline and the part-generic bound scan it needed). One item a line:
+# pipeline and the part-generic bound scan it needed, the WAL's segment
+# chain with the knobs only tests set and the obs exports nothing
+# called). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -153,6 +155,8 @@ flag role|peers|replicate|shards|wal-snapshot-every
 path SHARDING.md internal/shard/coordinator.go internal/shard/worker.go internal/shard/partition.go internal/shard/testdata internal/experiments/shard.go
 go BoundParts|PartScan|ReplayBound|LocalPrefix|PrefixController|shardParts
 text FuzzBoundMerge|SHARDING\.md
+text SegmentBytes|SyncEvery|wal\.segment\.rotations|wal\.open\.segments|RuntimeSampleInterval|runtime-sample-interval|PublishExpvar|DefaultSLOObjectives
+flag runtime-sample-interval
 EOF
 
 go build ./...

@@ -69,7 +69,6 @@ type options struct {
 	traceLimit     int
 	modeDefault    string
 	sloTarget      time.Duration
-	runtimeSample  time.Duration
 	smokeProm      string
 }
 
@@ -92,8 +91,7 @@ func main() {
 	flag.StringVar(&o.logLevel, "log", "", "structured JSON request logging to stderr: debug, info, warn, or error (empty disables)")
 	flag.IntVar(&o.traceLimit, "trace-limit", 0, "query traces retained for GET /debug/traces (0 = default ring, negative disables tracing)")
 	flag.StringVar(&o.modeDefault, "mode-default", "", "serving mode for /topk requests without ?mode=: exact, approx, or hybrid (empty = exact)")
-	flag.DurationVar(&o.sloTarget, "slo-target", 0, "per-request latency SLO target; slower answers burn the error budget (0 = per-endpoint defaults)")
-	flag.DurationVar(&o.runtimeSample, "runtime-sample-interval", 0, "how often the runtime health gauges (GC, heap, goroutines) refresh between scrapes (0 = default 10s, negative disables the ticker)")
+	flag.DurationVar(&o.sloTarget, "slo-target", 0, "per-request latency SLO target; slower answers burn the error budget (0 = 1s)")
 	flag.StringVar(&o.smokeProm, "smoke-prom", "", "with -smoke: write the scraped Prometheus exposition to this file for external validation")
 	flag.Parse()
 
@@ -161,21 +159,20 @@ func run(o options) error {
 
 	levels, scorer := domains.Generic(field, o.overlap)
 	srv, err := server.New(server.Config{
-		Schema:                fields,
-		Levels:                levels,
-		Scorer:                topk.PairScorerFunc(scorer),
-		Engine:                topk.Config{Workers: o.workers},
-		RefreshEvery:          o.refreshEvery,
-		MaxInFlight:           o.maxInFlight,
-		RequestTimeout:        o.requestTimeout,
-		MaxBatch:              o.maxBatch,
-		WALDir:                o.walDir,
-		WALOptions:            wal.Options{Sync: fsync},
-		TraceLimit:            o.traceLimit,
-		DefaultMode:           o.modeDefault,
-		SLO:                   server.SLOConfig{LatencyTarget: o.sloTarget},
-		RuntimeSampleInterval: o.runtimeSample,
-		Logger:                logger,
+		Schema:         fields,
+		Levels:         levels,
+		Scorer:         topk.PairScorerFunc(scorer),
+		Engine:         topk.Config{Workers: o.workers},
+		RefreshEvery:   o.refreshEvery,
+		MaxInFlight:    o.maxInFlight,
+		RequestTimeout: o.requestTimeout,
+		MaxBatch:       o.maxBatch,
+		WALDir:         o.walDir,
+		WALOptions:     wal.Options{Sync: fsync},
+		TraceLimit:     o.traceLimit,
+		DefaultMode:    o.modeDefault,
+		SLO:            server.SLOConfig{LatencyTarget: o.sloTarget},
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

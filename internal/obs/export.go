@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 )
 
@@ -12,13 +11,4 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(c.Snapshot())
-}
-
-// PublishExpvar registers the Collector under the given name in the
-// process-wide expvar registry, so any HTTP server with the standard
-// /debug/vars handler (e.g. the one the -pprof flag of topkbench and
-// dedupcli starts) exports a live Snapshot. Publishing the same name
-// twice panics, per expvar's contract — publish once per process.
-func (c *Collector) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return c.Snapshot() }))
 }

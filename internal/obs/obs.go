@@ -1,7 +1,7 @@
 // Package obs is the pipeline's observability substrate: monotonic
 // counters, gauges, log-bucketed duration/size histograms, and a
 // lightweight span API, all funnelled through one pluggable Sink. It is
-// stdlib-only (sync, time, expvar) like the rest of the repository.
+// stdlib-only like the rest of the repository.
 //
 // Design constraints, in priority order:
 //
@@ -33,8 +33,7 @@ import "time"
 // in the event path.
 //
 // A nil Sink is the universal "off" switch: every helper in this
-// package and every instrumented call site treats nil as no-op. The Nop
-// type exists for places that need a non-nil Sink value.
+// package and every instrumented call site treats nil as no-op.
 type Sink interface {
 	// Count adds delta (may be negative for gauge-like adjustments,
 	// though pipeline counters only ever grow) to the named monotonic
@@ -108,57 +107,5 @@ func StartSpan(s Sink, name string) Span {
 func (sp Span) End() {
 	if sp.sink != nil {
 		sp.sink.Observe(sp.name+".seconds", time.Since(sp.start).Seconds())
-	}
-}
-
-// Nop is a Sink that discards everything. Prefer a nil Sink — it
-// short-circuits earlier — but Nop serves when an API demands a non-nil
-// value (e.g. benchmarking the sink-call overhead itself).
-type Nop struct{}
-
-// Count implements Sink.
-func (Nop) Count(string, int64) {}
-
-// Gauge implements Sink.
-func (Nop) Gauge(string, float64) {}
-
-// Observe implements Sink.
-func (Nop) Observe(string, float64) {}
-
-// Multi fans every event out to each non-nil sink in order. Use it to
-// feed a Collector and a custom exporter simultaneously.
-func Multi(sinks ...Sink) Sink {
-	out := make(multi, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-type multi []Sink
-
-// Count implements Sink.
-func (m multi) Count(name string, delta int64) {
-	for _, s := range m {
-		s.Count(name, delta)
-	}
-}
-
-// Gauge implements Sink.
-func (m multi) Gauge(name string, value float64) {
-	for _, s := range m {
-		s.Gauge(name, value)
-	}
-}
-
-// Observe implements Sink.
-func (m multi) Observe(name string, value float64) {
-	for _, s := range m {
-		s.Observe(name, value)
 	}
 }

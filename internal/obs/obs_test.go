@@ -122,28 +122,6 @@ func TestSpanObservesSeconds(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	a, b := NewCollector(), NewCollector()
-	m := Multi(a, nil, b)
-	m.Count("c", 2)
-	m.Gauge("g", 1)
-	m.Observe("o", 3)
-	for _, c := range []*Collector{a, b} {
-		if c.CounterValue("c") != 2 {
-			t.Error("counter not fanned out")
-		}
-		if v, ok := c.GaugeValue("g"); !ok || v != 1 {
-			t.Error("gauge not fanned out")
-		}
-		if d := c.Snapshot().Observations["o"]; d.Count != 1 {
-			t.Error("observation not fanned out")
-		}
-	}
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Error("empty Multi should collapse to nil")
-	}
-}
-
 func TestCollectorConcurrent(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup

@@ -370,15 +370,6 @@ func SpanFromContext(ctx context.Context) *TraceSpan {
 	return s
 }
 
-// ContextWithSpan returns ctx with sp as the active span (ctx unchanged
-// if sp is nil).
-func ContextWithSpan(ctx context.Context, sp *TraceSpan) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
 // StartTrace opens a new trace rooted at a fresh random trace ID and
 // returns the derived context plus the root span. On a nil Recorder it
 // returns (ctx, nil): the query runs untraced.

@@ -8,6 +8,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -190,7 +192,7 @@ func TestCrashRecoveryRandomTruncationHTTP(t *testing.T) {
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
-		t.Fatalf("want exactly one segment, got %v (%v)", segs, err)
+		t.Fatalf("want exactly one log file, got %v (%v)", segs, err)
 	}
 	orig, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -208,9 +210,10 @@ func TestCrashRecoveryRandomTruncationHTTP(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(tdir, filepath.Base(segs[0])), orig[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// A truncation inside the segment header mangles the file identity
-		// itself; refusing to boot (ErrCorrupt) is the correct posture
-		// there — silently recovering zero records is not.
+		// A truncation inside the header mangles the file identity itself,
+		// and no crash leaves one (the log is created with its header under
+		// a temporary name); refusing to boot (ErrCorrupt) is the correct
+		// posture there — silently recovering zero records is not.
 		if off < 16 {
 			if _, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), WALDir: tdir}); !errors.Is(err, wal.ErrCorrupt) {
 				return fmt.Errorf("offset %d (inside header): boot returned %v, want ErrCorrupt", off, err)
@@ -262,6 +265,47 @@ func TestCrashRecoveryRandomTruncationHTTP(t *testing.T) {
 			t.Fatalf("offset %d recovered %d records, shorter prefix recovered %d", off, srv.Recovered(), prev)
 		}
 		prev = srv.Recovered()
+	}
+}
+
+// TestMidLogFlipRefusesBoot flips one payload byte of batch 2 of a
+// 6-batch log. No crash leaves a damaged frame with acknowledged batches
+// after it, so boot must fail with wal.ErrCorrupt and leave the file as
+// it found it — never come up serving the two batches before the flip.
+func TestMidLogFlipRefusesBoot(t *testing.T) {
+	plan := crashPlan()
+	dir := t.TempDir()
+	srv1, ts1 := newTestServer(t, func(c *Config) { c.WALDir = dir })
+	for b := 0; b < crashBatches; b++ {
+		ingestBatch(t, ts1, plan[b])
+	}
+	ts1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal-0000000000000000.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 16 // past the header; each frame is len u32le | crc u32le | payload
+	for b := 0; b < 2; b++ {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	data[off+8+3] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), WALDir: dir})
+	if err == nil {
+		defer srv.Close()
+		t.Fatalf("boot over a mid-log flip recovered %d records, want wal.ErrCorrupt", srv.Recovered())
+	}
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("boot over a mid-log flip: %v, want wal.ErrCorrupt", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused boot changed the log (err=%v)", err)
 	}
 }
 

@@ -47,15 +47,11 @@ func (s *Server) Recovered() int { return s.recovered }
 
 // Close releases the server's durable resources: it stops the runtime
 // sampler ticker, drains hybrid mode's background exact computations,
-// then closes the WAL's active segment and its background sync ticker. Safe when durability is disabled, and safe to
-// call more than once (later calls re-close the WAL and report its
-// error).
+// then closes the WAL file and its background sync ticker. Safe when
+// durability is disabled, and safe to call more than once (later calls
+// re-close the WAL and report its error).
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() {
-		if s.rtStop != nil {
-			close(s.rtStop)
-		}
-	})
+	s.stopOnce.Do(func() { close(s.rtStop) })
 	s.bg.Wait()
 	if s.wal == nil {
 		return nil

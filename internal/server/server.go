@@ -90,9 +90,9 @@ type Config struct {
 	// byte-identical to an uninterrupted run (SERVING.md "Durability").
 	// Empty disables durability (the pre-WAL behaviour).
 	WALDir string
-	// WALOptions tunes the log (segment size, fsync policy, the test
-	// crash hook). The Sink field is ignored — wal.* metrics route to
-	// the server collector.
+	// WALOptions tunes the log (the fsync policy and the test crash
+	// hook). The Sink field is ignored — wal.* metrics route to the
+	// server collector.
 	WALOptions wal.Options
 	// DefaultMode is the /topk serving mode when the request omits
 	// ?mode=: "exact" (the default), "approx", or "hybrid". See
@@ -110,16 +110,17 @@ type Config struct {
 	// SLO configures the per-endpoint service-level objectives behind
 	// GET /slo, the slo.* burn-rate metrics, and /healthz's degraded
 	// status (see slo.go and OBSERVABILITY.md "SLOs and burn rates").
-	// The zero value enables the default objectives; SLO.Disable turns
-	// tracking off. Observational only: answers never change with SLO
-	// state.
+	// The zero value selects a 1s latency target. Observational only:
+	// answers never change with SLO state.
 	SLO SLOConfig
-	// RuntimeSampleInterval is the period of the runtime.* health
-	// sampler (GC pauses, heap, goroutines — see obs.RuntimeSampler).
-	// 0 selects 10s; a negative value disables the background ticker
-	// (/metrics scrapes still sample synchronously).
-	RuntimeSampleInterval time.Duration
 }
+
+// runtimeSampleEvery is the period of the background runtime.* health
+// sampler (GC pauses, heap, goroutines — see obs.RuntimeSampler).
+// /metrics scrapes also sample, but runtime.MemStats keeps only the last
+// 256 GC pauses, so without the ticker runtime.gc.pause.seconds would
+// miss the pauses between sparse scrapes.
+const runtimeSampleEvery = 10 * time.Second
 
 func (c *Config) defaults() error {
 	if len(c.Schema) == 0 {
@@ -193,8 +194,7 @@ type Server struct {
 	bg sync.WaitGroup
 
 	// Ops-grade telemetry state (slo.go): start time for uptime, the SLO
-	// tracker (nil when disabled), and the runtime sampler with its ticker
-	// stop channel.
+	// tracker, and the runtime sampler with its ticker stop channel.
 	started   time.Time
 	slo       *sloTracker
 	rtSampler *obs.RuntimeSampler
@@ -212,27 +212,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	metrics := obs.NewCollector()
 	s := &Server{
-		cfg:     cfg,
-		metrics: obs.NewCollector(),
-		logger:  cfg.Logger,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		acc:     acc,
-		started: time.Now(),
+		cfg:       cfg,
+		metrics:   metrics,
+		logger:    cfg.Logger,
+		sem:       make(chan struct{}, cfg.MaxInFlight),
+		acc:       acc,
+		started:   time.Now(),
+		slo:       newSLOTracker(cfg.SLO, metrics),
+		rtSampler: obs.NewRuntimeSampler(metrics),
+		rtStop:    make(chan struct{}),
 	}
-	if !cfg.SLO.Disable {
-		s.slo = newSLOTracker(cfg.SLO, s.metrics)
-	}
-	s.rtSampler = obs.NewRuntimeSampler(s.metrics)
-	if cfg.RuntimeSampleInterval >= 0 {
-		interval := cfg.RuntimeSampleInterval
-		if interval == 0 {
-			interval = 10 * time.Second
-		}
-		s.rtStop = make(chan struct{})
-		s.bg.Add(1)
-		go s.runtimeLoop(interval)
-	}
+	s.bg.Add(1)
+	go s.runtimeLoop()
 	s.answers.entries = make(map[answerKey]*answerEntry)
 	// Route the accumulator's maintenance metrics (stream.add.*, and the
 	// inc.delta.* rebuilt/reused group counts of each publish) into the
@@ -253,12 +246,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// runtimeLoop samples the Go runtime health gauges on a ticker until
-// Close stops it. Scrapes also sample synchronously, so the ticker only
-// keeps the gauges fresh for pull-less consumers (expvar, tests).
-func (s *Server) runtimeLoop(interval time.Duration) {
+// runtimeLoop samples the Go runtime health gauges every
+// runtimeSampleEvery until Close stops it.
+func (s *Server) runtimeLoop() {
 	defer s.bg.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(runtimeSampleEvery)
 	defer t.Stop()
 	s.rtSampler.Sample()
 	for {

@@ -16,97 +16,38 @@ import (
 	"topkdedup/internal/obs"
 )
 
-// sloStep is the bucket granularity of the burn-rate rings.
-const sloStep = 10 * time.Second
+const (
+	// sloStep is the bucket granularity of the burn-rate rings.
+	sloStep = 10 * time.Second
+	// sloFastWindow is the short burn-rate window — the trip wire for
+	// /healthz degradation.
+	sloFastWindow = 5 * time.Minute
+	// sloSlowWindow is the long burn-rate window — context for telling a
+	// blip from sustained burn.
+	sloSlowWindow = time.Hour
+	// sloFastBurn is the fast-window burn rate at or above which the
+	// server reports degraded: the classic "exhausts a 30-day budget in 2
+	// days" page threshold.
+	sloFastBurn = 14.4
+	// sloAvailability is every objective's good-request goal: the error
+	// budget is 1−sloAvailability of all requests.
+	sloAvailability = 0.999
+	// sloQuantile is the quantile the latency target is stated at
+	// (reporting only; burn tracking is per request).
+	sloQuantile = 0.99
+)
 
-// SLOObjective states one endpoint's service-level objective: requests
-// slower than LatencyTarget, rejected for capacity (429), or failed
-// server-side (5xx) consume the error budget 1−Availability.
-type SLOObjective struct {
-	// Endpoint is the guarded endpoint name ("topk", "rank", "ingest",
-	// or "refresh").
-	Endpoint string
-	// LatencyTarget is the per-request latency threshold; a slower
-	// request counts as bad even when it succeeds.
-	LatencyTarget time.Duration
-	// LatencyQuantile is the quantile the target is stated at (reporting
-	// only; burn tracking is per-request). Typically 0.99.
-	LatencyQuantile float64
-	// Availability is the good-request objective in (0, 1), e.g. 0.999:
-	// the error budget is 1−Availability of all requests.
-	Availability float64
-}
-
-// DefaultSLOObjectives returns the built-in objectives for the four
-// serving endpoints at the given latency target (0 selects 1s): p99
-// within the target, 99.9% of requests good.
-func DefaultSLOObjectives(latencyTarget time.Duration) []SLOObjective {
-	if latencyTarget <= 0 {
-		latencyTarget = time.Second
-	}
-	var objs []SLOObjective
-	for _, ep := range latencyEndpoints {
-		objs = append(objs, SLOObjective{
-			Endpoint: ep, LatencyTarget: latencyTarget, LatencyQuantile: 0.99, Availability: 0.999,
-		})
-	}
-	return objs
-}
-
-// SLOConfig configures the tracker (Config.SLO). The zero value enables
-// the defaults.
+// SLOConfig configures the tracker (Config.SLO): one objective per
+// guarded endpoint, each stated as p99 within LatencyTarget and 99.9% of
+// requests good. The zero value selects a 1s target.
 type SLOConfig struct {
-	// Disable turns SLO tracking off entirely: no slo.* metrics, GET
-	// /slo answers 404, /healthz never degrades.
-	Disable bool
-	// Objectives lists the tracked objectives; nil selects
-	// DefaultSLOObjectives(LatencyTarget).
-	Objectives []SLOObjective
-	// LatencyTarget overrides the default objectives' latency threshold
-	// when Objectives is nil (the topkd -slo-target flag). 0 selects 1s.
+	// LatencyTarget is the per-request latency threshold of every
+	// objective (the topkd -slo-target flag); a slower request counts as
+	// bad even when it succeeds. 0 selects 1s.
 	LatencyTarget time.Duration
-	// FastWindow is the short burn-rate window (default 5m) — the
-	// trip wire for /healthz degradation.
-	FastWindow time.Duration
-	// SlowWindow is the long burn-rate window (default 1h) — context for
-	// distinguishing a blip from sustained burn.
-	SlowWindow time.Duration
-	// FastBurnThreshold is the fast-window burn rate at or above which
-	// the server reports degraded. Default 14.4 (the classic "exhausts a
-	// 30-day budget in 2 days" page threshold).
-	FastBurnThreshold float64
 
 	// now, when non-nil (tests only), replaces the tracker's clock.
 	now func() time.Time
-}
-
-func (c *SLOConfig) withDefaults() {
-	if len(c.Objectives) == 0 {
-		c.Objectives = DefaultSLOObjectives(c.LatencyTarget)
-	}
-	for i := range c.Objectives {
-		if c.Objectives[i].LatencyTarget <= 0 {
-			c.Objectives[i].LatencyTarget = time.Second
-		}
-		if !(c.Objectives[i].LatencyQuantile > 0 && c.Objectives[i].LatencyQuantile <= 1) {
-			c.Objectives[i].LatencyQuantile = 0.99
-		}
-		if !(c.Objectives[i].Availability > 0 && c.Objectives[i].Availability < 1) {
-			c.Objectives[i].Availability = 0.999
-		}
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = time.Hour
-	}
-	if c.FastBurnThreshold <= 0 {
-		c.FastBurnThreshold = 14.4
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
 }
 
 // sloBucket is one 10-second tally; idx is the absolute bucket index so
@@ -116,28 +57,28 @@ type sloBucket struct {
 	total, bad int64
 }
 
-// sloSeries is one endpoint's ring of buckets covering the slow window.
-type sloSeries struct {
-	obj     SLOObjective
-	buckets []sloBucket
-}
-
 // sloTracker aggregates request outcomes into per-endpoint burn rates.
-// A nil tracker is inert: every method no-ops.
 type sloTracker struct {
-	cfg  SLOConfig
-	sink obs.Sink
+	target time.Duration
+	now    func() time.Time
+	sink   obs.Sink
 
-	mu     sync.Mutex
-	series map[string]*sloSeries
+	mu sync.Mutex
+	// series holds each guarded endpoint's ring of buckets covering the
+	// slow window.
+	series map[string][]sloBucket
 }
 
 func newSLOTracker(cfg SLOConfig, sink obs.Sink) *sloTracker {
-	cfg.withDefaults()
-	n := int(cfg.SlowWindow/sloStep) + 1
-	t := &sloTracker{cfg: cfg, sink: sink, series: make(map[string]*sloSeries, len(cfg.Objectives))}
-	for _, obj := range cfg.Objectives {
-		t.series[obj.Endpoint] = &sloSeries{obj: obj, buckets: make([]sloBucket, n)}
+	t := &sloTracker{target: cfg.LatencyTarget, now: cfg.now, sink: sink, series: make(map[string][]sloBucket, len(latencyEndpoints))}
+	if t.target <= 0 {
+		t.target = time.Second
+	}
+	if t.now == nil {
+		t.now = time.Now
+	}
+	for _, ep := range latencyEndpoints {
+		t.series[ep] = make([]sloBucket, int(sloSlowWindow/sloStep)+1)
 	}
 	return t
 }
@@ -146,18 +87,15 @@ func newSLOTracker(cfg SLOConfig, sink obs.Sink) *sloTracker {
 // without an objective are ignored; bad means 5xx, 429, or slower than
 // the latency target.
 func (t *sloTracker) record(endpoint string, status int, elapsed time.Duration) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	ser := t.series[endpoint]
 	if ser == nil {
 		t.mu.Unlock()
 		return
 	}
-	bad := status >= 500 || status == http.StatusTooManyRequests || elapsed > ser.obj.LatencyTarget
-	idx := t.cfg.now().UnixNano() / int64(sloStep)
-	b := &ser.buckets[int(idx%int64(len(ser.buckets)))]
+	bad := status >= 500 || status == http.StatusTooManyRequests || elapsed > t.target
+	idx := t.now().UnixNano() / int64(sloStep)
+	b := &ser[int(idx%int64(len(ser)))]
 	if b.idx != idx {
 		*b = sloBucket{idx: idx}
 	}
@@ -173,14 +111,10 @@ func (t *sloTracker) record(endpoint string, status int, elapsed time.Duration) 
 
 // windowLocked sums a series' buckets over the trailing window. Callers
 // hold t.mu.
-func (t *sloTracker) windowLocked(ser *sloSeries, window time.Duration) (total, bad int64) {
-	now := t.cfg.now().UnixNano() / int64(sloStep)
+func (t *sloTracker) windowLocked(ser []sloBucket, window time.Duration) (total, bad int64) {
+	now := t.now().UnixNano() / int64(sloStep)
 	span := int64(window / sloStep)
-	if span < 1 {
-		span = 1
-	}
-	for i := range ser.buckets {
-		b := ser.buckets[i]
+	for _, b := range ser {
 		if b.idx > now-span && b.idx <= now {
 			total += b.total
 			bad += b.bad
@@ -193,11 +127,11 @@ func (t *sloTracker) windowLocked(ser *sloSeries, window time.Duration) (total, 
 // fraction divided by the error budget. 1.0 means the budget is being
 // consumed exactly at the sustainable rate; above that it runs out
 // early.
-func burn(total, bad int64, availability float64) float64 {
+func burn(total, bad int64) float64 {
 	if total == 0 {
 		return 0
 	}
-	return (float64(bad) / float64(total)) / (1 - availability)
+	return (float64(bad) / float64(total)) / (1 - sloAvailability)
 }
 
 // SLOStatus is one objective's entry in the GET /slo report.
@@ -245,29 +179,29 @@ type SLOResponse struct {
 // quantiles.
 func (t *sloTracker) report(snap *obs.Snapshot) SLOResponse {
 	resp := SLOResponse{
-		FastWindowSeconds: t.cfg.FastWindow.Seconds(),
-		SlowWindowSeconds: t.cfg.SlowWindow.Seconds(),
-		FastBurnThreshold: t.cfg.FastBurnThreshold,
+		FastWindowSeconds: sloFastWindow.Seconds(),
+		SlowWindowSeconds: sloSlowWindow.Seconds(),
+		FastBurnThreshold: sloFastBurn,
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, obj := range t.cfg.Objectives {
-		ser := t.series[obj.Endpoint]
-		fTotal, fBad := t.windowLocked(ser, t.cfg.FastWindow)
-		sTotal, sBad := t.windowLocked(ser, t.cfg.SlowWindow)
+	for _, ep := range latencyEndpoints {
+		ser := t.series[ep]
+		fTotal, fBad := t.windowLocked(ser, sloFastWindow)
+		sTotal, sBad := t.windowLocked(ser, sloSlowWindow)
 		st := SLOStatus{
-			Endpoint:             obj.Endpoint,
-			LatencyTargetSeconds: obj.LatencyTarget.Seconds(),
-			LatencyQuantile:      obj.LatencyQuantile,
-			Availability:         obj.Availability,
+			Endpoint:             ep,
+			LatencyTargetSeconds: t.target.Seconds(),
+			LatencyQuantile:      sloQuantile,
+			Availability:         sloAvailability,
 			SlowWindowTotal:      sTotal,
 			SlowWindowBad:        sBad,
-			FastBurnRate:         burn(fTotal, fBad, obj.Availability),
-			SlowBurnRate:         burn(sTotal, sBad, obj.Availability),
+			FastBurnRate:         burn(fTotal, fBad),
+			SlowBurnRate:         burn(sTotal, sBad),
 		}
-		st.Tripped = st.FastBurnRate >= t.cfg.FastBurnThreshold
-		if d, ok := snap.Observations["server.http."+obj.Endpoint+".seconds"]; ok {
-			st.ObservedLatencySeconds = d.Quantile(obj.LatencyQuantile)
+		st.Tripped = st.FastBurnRate >= sloFastBurn
+		if d, ok := snap.Observations["server.http."+ep+".seconds"]; ok {
+			st.ObservedLatencySeconds = d.Quantile(sloQuantile)
 		}
 		if st.Tripped {
 			resp.Degraded = true
@@ -279,14 +213,10 @@ func (t *sloTracker) report(snap *obs.Snapshot) SLOResponse {
 
 // degraded reports whether any objective's fast burn is tripped.
 func (t *sloTracker) degraded() bool {
-	if t == nil {
-		return false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, obj := range t.cfg.Objectives {
-		total, bad := t.windowLocked(t.series[obj.Endpoint], t.cfg.FastWindow)
-		if burn(total, bad, obj.Availability) >= t.cfg.FastBurnThreshold {
+	for _, ser := range t.series {
+		if burn(t.windowLocked(ser, sloFastWindow)) >= sloFastBurn {
 			return true
 		}
 	}
@@ -296,9 +226,6 @@ func (t *sloTracker) degraded() bool {
 // refreshGauges publishes the slo.* burn-rate gauges — called at scrape
 // time so the exported numbers are current, not as-of the last request.
 func (t *sloTracker) refreshGauges() {
-	if t == nil {
-		return
-	}
 	type rates struct {
 		ep         string
 		fast, slow float64
@@ -306,12 +233,10 @@ func (t *sloTracker) refreshGauges() {
 	var all []rates
 	degraded := false
 	t.mu.Lock()
-	for _, obj := range t.cfg.Objectives {
-		ser := t.series[obj.Endpoint]
-		fTotal, fBad := t.windowLocked(ser, t.cfg.FastWindow)
-		sTotal, sBad := t.windowLocked(ser, t.cfg.SlowWindow)
-		r := rates{ep: obj.Endpoint, fast: burn(fTotal, fBad, obj.Availability), slow: burn(sTotal, sBad, obj.Availability)}
-		if r.fast >= t.cfg.FastBurnThreshold {
+	for _, ep := range latencyEndpoints {
+		ser := t.series[ep]
+		r := rates{ep: ep, fast: burn(t.windowLocked(ser, sloFastWindow)), slow: burn(t.windowLocked(ser, sloSlowWindow))}
+		if r.fast >= sloFastBurn {
 			degraded = true
 		}
 		all = append(all, r)
@@ -335,10 +260,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Cache-Control", "no-store")
-	if s.slo == nil {
-		writeError(w, http.StatusNotFound, "slo tracking disabled")
-		return
-	}
 	s.slo.refreshGauges()
 	writeJSON(w, http.StatusOK, s.slo.report(s.metrics.Snapshot()))
 }

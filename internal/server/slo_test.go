@@ -10,21 +10,24 @@ import (
 )
 
 // TestSLOTrackerBurnRates drives the tracker with a fake clock through
-// the burn-rate arithmetic: good traffic burns nothing, concentrated
-// failures trip the fast window, and both windows forget on schedule.
+// the burn-rate arithmetic at the fixed windows (5m fast, 1h slow), the
+// 99.9% availability goal and the 14.4 trip point: good traffic burns
+// nothing, concentrated failures trip the fast window, and both windows
+// forget on schedule.
 func TestSLOTrackerBurnRates(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	cfg := SLOConfig{
-		Objectives: []SLOObjective{{
-			Endpoint: "topk", LatencyTarget: time.Second, LatencyQuantile: 0.99, Availability: 0.99,
-		}},
-		FastWindow: time.Minute,
-		SlowWindow: 10 * time.Minute,
-		now:        func() time.Time { return now },
+	tr := newSLOTracker(SLOConfig{now: func() time.Time { return now }}, nil)
+	topkStatus := func(rep SLOResponse) SLOStatus {
+		for _, st := range rep.Objectives {
+			if st.Endpoint == "topk" {
+				return st
+			}
+		}
+		t.Fatalf("no topk objective in %+v", rep)
+		return SLOStatus{}
 	}
-	tr := newSLOTracker(cfg, nil)
 
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		tr.record("topk", http.StatusOK, time.Millisecond)
 	}
 	tr.record("ignored", http.StatusInternalServerError, 0) // no objective: dropped
@@ -32,52 +35,56 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 		t.Fatal("all-good traffic reported degraded")
 	}
 	rep := tr.report(&obs.Snapshot{})
-	if st := rep.Objectives[0]; st.FastBurnRate != 0 || st.SlowWindowTotal != 100 || st.SlowWindowBad != 0 {
+	if rep.FastWindowSeconds != 300 || rep.SlowWindowSeconds != 3600 || rep.FastBurnThreshold != 14.4 {
+		t.Fatalf("windows and threshold: %+v", rep)
+	}
+	if len(rep.Objectives) != len(latencyEndpoints) {
+		t.Fatalf("%d objectives, want one per endpoint (%d)", len(rep.Objectives), len(latencyEndpoints))
+	}
+	if st := topkStatus(rep); st.FastBurnRate != 0 || st.SlowWindowTotal != 1000 || st.SlowWindowBad != 0 ||
+		st.LatencyTargetSeconds != 1 || st.LatencyQuantile != 0.99 || st.Availability != 0.999 {
 		t.Fatalf("good traffic: %+v", st)
 	}
 
-	// 100 bad among 200 total in the fast window: burn = 0.5/0.01 = 50,
-	// past the default 14.4 threshold. Bad means 5xx, 429, or slow.
-	for i := 0; i < 98; i++ {
+	// 10 bad among 1010 total in the fast window: burn = (10/1010)/0.001
+	// ≈ 9.9, under the threshold. Bad means 5xx, 429, or slow.
+	for i := 0; i < 8; i++ {
 		tr.record("topk", http.StatusInternalServerError, 0)
 	}
 	tr.record("topk", http.StatusTooManyRequests, 0)
 	tr.record("topk", http.StatusOK, 2*time.Second) // slow success is bad too
+	if tr.degraded() {
+		t.Fatal("9.9x budget burn reported degraded")
+	}
+	// 10 more: burn = (20/1020)/0.001 ≈ 19.6, past 14.4.
+	for i := 0; i < 10; i++ {
+		tr.record("topk", http.StatusInternalServerError, 0)
+	}
 	if !tr.degraded() {
-		t.Fatal("50x budget burn not reported degraded")
+		t.Fatal("19.6x budget burn not reported degraded")
 	}
 	rep = tr.report(&obs.Snapshot{})
-	if st := rep.Objectives[0]; !st.Tripped || st.FastBurnRate < 14.4 || st.SlowWindowBad != 100 {
+	if st := topkStatus(rep); !st.Tripped || st.FastBurnRate < 14.4 || st.SlowWindowBad != 20 {
 		t.Fatalf("burning traffic: %+v", st)
 	}
 	if !rep.Degraded {
 		t.Fatal("report.Degraded false while an objective is tripped")
 	}
 
-	// Two minutes later the fast window has forgotten the burst but the
+	// Six minutes later the fast window has forgotten the burst but the
 	// slow window still remembers it.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(6 * time.Minute)
 	if tr.degraded() {
 		t.Fatal("degradation outlived the fast window")
 	}
-	rep = tr.report(&obs.Snapshot{})
-	if st := rep.Objectives[0]; st.FastBurnRate != 0 || st.SlowWindowBad != 100 {
+	if st := topkStatus(tr.report(&obs.Snapshot{})); st.FastBurnRate != 0 || st.SlowWindowBad != 20 {
 		t.Fatalf("after fast window: %+v", st)
 	}
 
 	// Past the slow window everything is forgotten.
-	now = now.Add(20 * time.Minute)
-	rep = tr.report(&obs.Snapshot{})
-	if st := rep.Objectives[0]; st.SlowWindowTotal != 0 || st.SlowBurnRate != 0 {
+	now = now.Add(time.Hour)
+	if st := topkStatus(tr.report(&obs.Snapshot{})); st.SlowWindowTotal != 0 || st.SlowBurnRate != 0 {
 		t.Fatalf("after slow window: %+v", st)
-	}
-
-	// A nil tracker (SLO disabled) is inert everywhere.
-	var nilTr *sloTracker
-	nilTr.record("topk", http.StatusInternalServerError, 0)
-	nilTr.refreshGauges()
-	if nilTr.degraded() {
-		t.Fatal("nil tracker degraded")
 	}
 }
 
@@ -87,7 +94,7 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 // while answers keep flowing untouched.
 func TestSLODegradedHealthz(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.SLO = SLOConfig{LatencyTarget: time.Nanosecond, FastBurnThreshold: 2}
+		c.SLO = SLOConfig{LatencyTarget: time.Nanosecond}
 	})
 	ingestBatch(t, ts, names("alice", "alice", "bob"))
 	for i := 0; i < 5; i++ {
@@ -133,7 +140,7 @@ func TestSLODegradedHealthz(t *testing.T) {
 	if v, ok := srv.Metrics().GaugeValue("slo.degraded"); !ok || v != 1 {
 		t.Fatalf("slo.degraded gauge = %v (set=%v), want 1", v, ok)
 	}
-	if v, _ := srv.Metrics().GaugeValue("slo.topk.burn_rate_fast"); v < 2 {
+	if v, _ := srv.Metrics().GaugeValue("slo.topk.burn_rate_fast"); v < sloFastBurn {
 		t.Fatal("slo.topk.burn_rate_fast gauge below threshold despite trip")
 	}
 	if srv.Metrics().CounterValue("slo.topk.bad") == 0 {
@@ -164,34 +171,5 @@ func TestSLORecovery(t *testing.T) {
 	}
 	if rep.Degraded || len(rep.Objectives) != len(latencyEndpoints) {
 		t.Fatalf("healthy /slo: %s", body)
-	}
-}
-
-// TestSLODisabled pins the opt-out: /slo answers 404, /healthz never
-// degrades, and no slo.* metrics appear.
-func TestSLODisabled(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.SLO = SLOConfig{Disable: true}
-	})
-	ingestBatch(t, ts, names("a"))
-	get(t, ts, "/topk?k=1")
-	resp, _ := get(t, ts, "/slo")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/slo with SLO disabled: want 404, got %d", resp.StatusCode)
-	}
-	_, body := get(t, ts, "/healthz")
-	var h HealthResponse
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" {
-		t.Fatalf("disabled SLO degraded healthz: %+v", h)
-	}
-	get(t, ts, "/metrics") // refreshes gauges; must not create slo.* rows
-	snap := srv.Metrics().Snapshot()
-	for name := range snap.Gauges {
-		if len(name) >= 4 && name[:4] == "slo." {
-			t.Fatalf("slo gauge %q present with SLO disabled", name)
-		}
 	}
 }

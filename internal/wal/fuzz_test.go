@@ -9,30 +9,30 @@ import (
 )
 
 // FuzzWALReplay feeds arbitrary bytes to Open/Replay as the contents of
-// a log's only segment. The contract under fuzzing: recovery either
-// fails with a clean typed error or yields a consistent prefix — a
-// sequence of batches that decode, replay in index order, and survive a
-// second Open byte-identically — and it never panics. Because the
-// damaged file is the *final* segment, ErrCorrupt is reserved for a
-// garbled header; frame-level damage is a torn tail and must recover
-// the prefix.
+// the log file. The contract under fuzzing: recovery either fails with a
+// clean typed error or yields a consistent prefix — a sequence of
+// batches that decode, replay in index order, and survive a second Open
+// byte-identically — and it never panics. A garbled header and damage
+// before the last frame (a frame that does not verify with non-zero
+// bytes after it, or a verified frame that does not decode) may be
+// ErrCorrupt; a torn or zero-filled tail must recover the prefix.
 func FuzzWALReplay(f *testing.F) {
-	// Seeds: an empty file, a bare header, a header plus garbage, and a
-	// genuine one-batch segment produced by the real writer.
+	// Seeds: an empty file, a bare header, a header plus garbage, and
+	// genuine logs produced by the real writer.
 	f.Add([]byte{})
-	f.Add([]byte(segMagic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte(segMagic + "\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"))
-	f.Add(validSegment(f, 1))
-	f.Add(validSegment(f, 3))
-	if seg := validSegment(f, 3); len(seg) > segHeaderLen+4 {
+	f.Add([]byte(logMagic + "\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte(logMagic + "\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"))
+	f.Add(validLog(f, 1))
+	f.Add(validLog(f, 3))
+	if flipped := validLog(f, 3); len(flipped) > headerLen+4 {
 		// Bit-flip inside the first frame.
-		seg[segHeaderLen+3] ^= 0x40
-		f.Add(seg)
+		flipped[headerLen+3] ^= 0x40
+		f.Add(flipped)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "wal-0000000000000000.log")
+		path := filepath.Join(dir, logName)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -80,9 +80,9 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// validSegment builds a real n-batch segment via the writer and returns
-// its raw bytes.
-func validSegment(f *testing.F, n int) []byte {
+// validLog builds a real n-batch log via the writer and returns its raw
+// bytes.
+func validLog(f *testing.F, n int) []byte {
 	f.Helper()
 	dir := f.TempDir()
 	l, err := Open(dir, Options{})
@@ -97,11 +97,7 @@ func validSegment(f *testing.F, n int) []byte {
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if len(segs) != 1 {
-		f.Fatalf("seed segment count %d", len(segs))
-	}
-	data, err := os.ReadFile(segs[0])
+	data, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
 		f.Fatal(err)
 	}

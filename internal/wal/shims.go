@@ -1,6 +1,6 @@
 package wal
 
-// The segmented log is the only durable format: the accumulator is a
+// The log file is the only durable format: the accumulator is a
 // pure function of the record sequence, so a state snapshot would hold
 // exactly the records the log already holds, and boot re-Adds every one
 // of them either way. The frozen benchmark harness (benchmark/replay.go)
@@ -17,6 +17,6 @@ func (l *Log) LatestSnapshot() (applied uint64, recs []Record, ok bool, err erro
 	return 0, nil, false, nil
 }
 
-// PruneSegments removes nothing and returns nil: the segment chain
-// always reaches back to batch 0 (Open refuses one that does not).
+// PruneSegments removes nothing and returns nil: the log is one file
+// that always starts at batch 0, and there is nothing else to remove.
 func (l *Log) PruneSegments(applied uint64) error { return nil }

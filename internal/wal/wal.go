@@ -1,4 +1,4 @@
-// Package wal makes ingest durable: a segmented write-ahead log whose
+// Package wal makes ingest durable: a write-ahead log in one file whose
 // append path is the serving layer's durability point (SERVING.md
 // "Durability"). Every accepted /ingest batch is framed, checksummed,
 // and (per the fsync policy) synced to disk before it touches the
@@ -8,25 +8,24 @@
 //
 // On-disk layout (one directory per log):
 //
-//	wal-<firstIndex>.log   segments: 16-byte header (magic + first
-//	                       batch index), then length-prefixed
-//	                       CRC32C-framed batch records
+//	wal-0000000000000000.log   16-byte header (magic + first batch
+//	                           index, always 0), then length-prefixed
+//	                           CRC32C-framed batch records
 //
 // A frame is `len u32le | crc32c u32le | payload`; the payload is the
 // flat batch encoding of encodeBatch. A frame is the atomicity unit:
-// replay accepts a frame only when its length and checksum verify, so a
-// torn tail (crash mid-write) drops the partial frame and nothing else.
-// Open truncates such a tail from the final segment; a short or
-// corrupt frame anywhere *before* the final segment is data loss, not a
-// crash artifact, and surfaces as ErrCorrupt.
+// replay accepts a frame only when its length and checksum verify and
+// its payload decodes. Open tells a crash from damage at the first frame
+// that does not verify: it truncates that frame and what follows only
+// when nothing complete can follow it (see validPrefix); anything else
+// is data loss, not a crash artifact, and surfaces as ErrCorrupt with
+// the directory left untouched.
 //
-// The log is the state: the segments are the only durable format, and
-// boot recovery is Replay(0, …) re-applying every batch in order — linear
-// in the records ever accepted (SERVING.md has the measured cost). Open
-// therefore requires the segment chain to start at batch 0 and refuses,
-// with ErrCorrupt, a directory whose head is missing. The Hook seam
-// exists for the deterministic crash-point tests (CrashAt) — production
-// logs leave it nil.
+// The log is the state: the file is the only durable format, and boot
+// recovery is Replay(0, …) re-applying every batch in order — linear in
+// the records ever accepted (SERVING.md has the measured cost). The Hook
+// seam exists for the deterministic crash-point tests (CrashAt) —
+// production logs leave it nil.
 package wal
 
 import (
@@ -34,9 +33,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,7 +58,7 @@ type Record struct {
 // Batch is one atomically logged ingest batch — the WAL's frame unit.
 type Batch []Record
 
-// SyncPolicy selects when Append fsyncs the active segment.
+// SyncPolicy selects when Append fsyncs the log file.
 type SyncPolicy int
 
 const (
@@ -66,13 +66,16 @@ const (
 	// the batch is on stable storage. The default and the only policy
 	// under which the crash-recovery tests may assume zero loss.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background ticker every
-	// Options.SyncEvery; a crash may lose the last interval's batches
-	// (but still never tears a frame).
+	// SyncInterval fsyncs from a background ticker every 100ms; a crash
+	// may lose the last interval's batches (but still never tears a
+	// frame).
 	SyncInterval
 	// SyncNever leaves syncing to the OS page cache.
 	SyncNever
 )
+
+// syncEvery is the SyncInterval ticker period.
+const syncEvery = 100 * time.Millisecond
 
 // CrashPoint identifies where inside one Append a fault Hook fires; the
 // four points cover every distinct on-disk outcome of a crash.
@@ -118,17 +121,11 @@ func CrashAt(point CrashPoint, index uint64) Hook {
 	}
 }
 
-// Options configures Open. The zero value selects 64 MiB segments,
-// SyncAlways, and no hook.
+// Options configures Open. The zero value selects SyncAlways and no
+// hook.
 type Options struct {
-	// SegmentBytes rotates the active segment once it would exceed this
-	// size (default 64 MiB; a frame larger than the limit still lands in
-	// one segment — frames never split).
-	SegmentBytes int64
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval ticker period (default 100ms).
-	SyncEvery time.Duration
 	// Hook is the fault-injection seam (tests only; nil in production).
 	Hook Hook
 	// Sink, when non-nil, receives the wal.* metrics (OBSERVABILITY.md).
@@ -142,95 +139,74 @@ var (
 	// ErrCrashed wraps the hook error of a simulated crash; the log is
 	// unusable afterwards, like the process it stands in for.
 	ErrCrashed = errors.New("wal: simulated crash")
-	// ErrCorrupt reports damage before the final segment's tail — a
-	// missing segment, a checksum mismatch, or a non-contiguous index —
-	// which recovery must refuse to silently skip.
+	// ErrCorrupt reports damage no crash can leave — a garbled header, a
+	// frame that does not verify with more than zero bytes after it, a
+	// verified frame that does not decode, or a second log file — which
+	// recovery must refuse rather than silently drop acknowledged
+	// batches.
 	ErrCorrupt = errors.New("wal: corrupt log")
 )
 
 const (
-	segMagic     = "TKWALSG1"
-	segHeaderLen = 16 // magic + first-index u64le
-	frameHeader  = 8  // len u32le + crc u32le
-	// maxFrame bounds a frame length read from disk; anything larger is
-	// corruption, not a real batch.
-	maxFrame = 1 << 30
+	// logName is the log's one file. The name and header keep the
+	// first-batch index of the segmented format this file descends from,
+	// which is always 0, so logs it wrote open unchanged.
+	logName     = "wal-0000000000000000.log"
+	logMagic    = "TKWALSG1"
+	headerLen   = 16 // magic + first-index u64le
+	frameHeader = 8  // len u32le + crc u32le
+	// tmpSuffix names the file Open writes the header under before
+	// renaming it into place.
+	tmpSuffix = ".tmp"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// segment is one on-disk log file's metadata, maintained by Open and
-// Append.
-type segment struct {
-	path  string
-	first uint64 // index of the segment's first batch
-	count uint64 // complete frames in the segment
-	size  int64  // valid bytes (header + complete frames)
-}
-
 // Log is an open write-ahead log. Append/Close are safe
 // for concurrent use; replay helpers are read-only over closed state.
 type Log struct {
-	dir  string
+	path string
 	opts Options
 
 	mu       sync.Mutex
-	segs     []segment
-	f        *os.File // active (last) segment
-	next     uint64   // index the next Append receives
-	dead     bool     // crashed via hook: all further ops fail
+	f        *os.File
+	size     int64  // valid bytes: header + complete frames
+	next     uint64 // index the next Append receives
+	dead     bool   // crashed via hook: all further ops fail
 	closed   bool
 	sink     obs.Sink
 	stopSync chan struct{} // SyncInterval ticker shutdown
 	syncWG   sync.WaitGroup
 }
 
-// Open scans dir (creating it if needed), validates every segment,
-// truncates a torn tail from the final segment, and returns a log
-// positioned to append. Corruption before the final segment's tail —
-// including a gap in the segment chain — fails with ErrCorrupt rather
-// than silently dropping acknowledged batches.
+// Open scans dir (creating it and the log if needed), verifies every
+// frame, truncates a torn tail, and returns a log positioned to append.
+// Damage a crash cannot explain fails with ErrCorrupt and changes
+// nothing on disk, rather than silently dropping acknowledged batches.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 64 << 20
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts, sink: opts.Sink}
-	if err := l.scan(); err != nil {
+	l := &Log{path: filepath.Join(dir, logName), opts: opts, sink: opts.Sink}
+	if err := l.scan(dir); err != nil {
 		return nil, err
 	}
-	if err := l.openActive(); err != nil {
-		return nil, err
+	f, err := os.OpenFile(l.path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l.openGauges()
+	if _, err := f.Seek(l.size, 0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	l.f = f
+	obs.Gauge(l.sink, "wal.open.bytes", float64(l.size))
 	if opts.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
 		l.syncWG.Add(1)
 		go l.syncLoop()
 	}
 	return l, nil
-}
-
-// openGauges publishes the open-segment health gauges (wal.open.segments
-// and wal.open.bytes). Callers hold l.mu (or, like Open, still own the
-// log exclusively); every path that changes the segment chain — append
-// growth, rotation — calls it so scrapes always see the current on-disk
-// footprint.
-func (l *Log) openGauges() {
-	if l.sink == nil {
-		return
-	}
-	var bytes int64
-	for i := range l.segs {
-		bytes += l.segs[i].size
-	}
-	obs.Gauge(l.sink, "wal.open.segments", float64(len(l.segs)))
-	obs.Gauge(l.sink, "wal.open.bytes", float64(bytes))
 }
 
 // NextIndex returns the index the next Append will be assigned — equal
@@ -241,190 +217,140 @@ func (l *Log) NextIndex() uint64 {
 	return l.next
 }
 
-// scan reads the segment chain: parses names, orders by first index,
-// verifies contiguity, counts complete frames, and truncates the final
-// segment's torn tail. A freshly crashed, not-yet-headered final
-// segment is reset rather than rejected.
-func (l *Log) scan() error {
-	entries, err := os.ReadDir(l.dir)
+// scan refuses a directory holding a second log file, creates the log
+// when it is absent, and otherwise verifies it, truncates its torn tail
+// and removes a temporary file a crashed creation left behind.
+func (l *Log) scan(dir string) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var segs []segment
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		var first uint64
-		if n, err := fmt.Sscanf(e.Name(), "wal-%016x.log", &first); n != 1 || err != nil {
-			continue
-		}
-		segs = append(segs, segment{path: filepath.Join(l.dir, e.Name()), first: first})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-
-	if len(segs) == 0 {
-		return nil // fresh log: openActive creates the segment at batch 0
-	}
-	if first := segs[0].first; first != 0 {
-		// The log is the only copy of the data: a chain whose head is gone
-		// (an older binary pruned it behind a snapshot) cannot be recovered.
-		return fmt.Errorf("%w: first segment starts at batch %d, want 0", ErrCorrupt, first)
-	}
-	for i := range segs {
-		last := i == len(segs)-1
-		count, size, serr := scanSegment(segs[i].path, segs[i].first)
-		if serr != nil {
-			if !last {
-				return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, segs[i].path, serr)
-			}
-			if errors.Is(serr, errBadHeader) && i > 0 {
-				// Crash between creating the file and writing its header:
-				// the segment holds nothing; reset it to continue from the
-				// previous segment's end.
-				segs[i].first = segs[i-1].first + segs[i-1].count
-				if werr := writeSegmentHeader(segs[i].path, segs[i].first); werr != nil {
-					return werr
-				}
-				count, size = 0, segHeaderLen
-			} else {
-				return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, segs[i].path, serr)
-			}
-		}
-		if i > 0 && segs[i].first != segs[i-1].first+segs[i-1].count {
-			return fmt.Errorf("%w: segment %s starts at %d, previous ends at %d",
-				ErrCorrupt, segs[i].path, segs[i].first, segs[i-1].first+segs[i-1].count)
-		}
-		segs[i].count, segs[i].size = count, size
-		if last {
-			// Drop the torn tail so appends never interleave with garbage.
-			fi, err := os.Stat(segs[i].path)
-			if err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			if fi.Size() > size {
-				if err := os.Truncate(segs[i].path, size); err != nil {
-					return fmt.Errorf("wal: truncate torn tail: %w", err)
-				}
-				obs.Count(l.sink, "wal.replay.truncated_bytes", fi.Size()-size)
-			}
+		if name := e.Name(); name != logName && strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
+			// A binary that rotated segments past 64 MiB left it. The log
+			// is the only copy of the data, so a multi-file directory is
+			// refused whole, never recovered from one of its files.
+			return fmt.Errorf("%w: %s beside %s", ErrCorrupt, name, logName)
 		}
 	}
-	l.segs = segs
-	tail := segs[len(segs)-1]
-	l.next = tail.first + tail.count
+	data, err := os.ReadFile(l.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		l.size = headerLen
+		return create(l.path)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if l.next, l.size, err = validPrefix(data); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, l.path, err)
+	}
+	if torn := int64(len(data)) - l.size; torn > 0 {
+		// Drop the torn tail so appends never interleave with garbage.
+		if err := os.Truncate(l.path, l.size); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		obs.Count(l.sink, "wal.replay.truncated_bytes", torn)
+	}
+	if err := os.Remove(l.path + tmpSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("wal: %w", err)
+	}
 	return nil
 }
 
-// errBadHeader distinguishes a missing/short/garbled segment header
-// from frame-level damage during scan.
-var errBadHeader = errors.New("bad segment header")
-
-// scanSegment walks one segment's frames and returns how many are
-// complete and the byte length of that valid prefix. Damage after the
-// valid prefix is reported only through size (the caller decides
-// whether it is a torn tail or corruption).
-func scanSegment(path string, wantFirst uint64) (count uint64, size int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
+// validPrefix walks a log file's frames and returns how many are
+// complete and the byte length of that valid prefix. At the first frame
+// that does not verify it stops without error only when nothing complete
+// can follow that frame — its header is incomplete, its declared length
+// runs past the end of the file, it ends exactly at the end of the file,
+// or only zero bytes follow it — which is every shape a crash mid-append
+// or a power loss after the last fsync leaves. Anything else, and a
+// frame whose checksum verifies but whose payload does not decode, is an
+// error.
+func validPrefix(data []byte) (count uint64, size int64, err error) {
+	if len(data) < headerLen || string(data[:8]) != logMagic {
+		return 0, 0, errors.New("bad header")
 	}
-	if len(data) < segHeaderLen || string(data[:8]) != segMagic {
-		return 0, 0, errBadHeader
+	if first := binary.LittleEndian.Uint64(data[8:16]); first != 0 {
+		return 0, 0, fmt.Errorf("header names first batch %d, want 0", first)
 	}
-	if first := binary.LittleEndian.Uint64(data[8:16]); first != wantFirst {
-		return 0, 0, fmt.Errorf("header names first index %d, file name says %d", first, wantFirst)
-	}
-	off := int64(segHeaderLen)
+	off := int64(headerLen)
 	for {
-		frame := data[off:]
-		if len(frame) < frameHeader {
+		rest := data[off:]
+		if len(rest) < frameHeader {
 			return count, off, nil
 		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n == 0 || n > maxFrame || int64(len(frame)) < frameHeader+int64(n) {
+		end := frameHeader + int64(binary.LittleEndian.Uint32(rest[:4]))
+		if end > int64(len(rest)) {
 			return count, off, nil
 		}
-		payload := frame[frameHeader : frameHeader+int64(n)]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:8]) {
-			return count, off, nil
+		payload := rest[frameHeader:end]
+		if len(payload) == 0 || crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
+			if allZero(rest[end:]) {
+				return count, off, nil
+			}
+			return count, off, fmt.Errorf("batch %d at offset %d does not verify and %d bytes follow it", count, off, int64(len(rest))-end)
 		}
 		if _, derr := decodeBatch(payload); derr != nil {
-			return count, off, nil
+			return count, off, fmt.Errorf("batch %d at offset %d: checksum verifies, payload does not decode: %v", count, off, derr)
 		}
-		off += frameHeader + int64(n)
+		off += end
 		count++
 	}
 }
 
-// writeSegmentHeader (re)initialises a segment file to an empty segment
-// starting at first.
-func writeSegmentHeader(path string, first uint64) error {
-	var hdr [segHeaderLen]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], first)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	return f.Close()
-}
-
-// segPath names the segment whose first batch index is first.
-func (l *Log) segPath(first uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("wal-%016x.log", first))
-}
-
-// openActive opens (creating if absent) the final segment for appends.
-func (l *Log) openActive() error {
-	if len(l.segs) == 0 {
-		path := l.segPath(l.next)
-		if err := writeSegmentHeader(path, l.next); err != nil {
-			return err
+// allZero reports whether b holds only zero bytes (true when empty).
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
 		}
-		l.segs = append(l.segs, segment{path: path, first: l.next, size: segHeaderLen})
 	}
-	tail := &l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(tail.path, os.O_WRONLY, 0o644)
+	return true
+}
+
+// create makes an empty log durably and atomically: the header is
+// written and fsynced under a temporary name, renamed into place, and
+// the directory fsynced. The log file therefore never exists without its
+// header, and an acknowledged first batch never loses its directory
+// entry to a power loss.
+func create(path string) error {
+	var hdr [headerLen]byte
+	copy(hdr[:8], logMagic)
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Seek(tail.size, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		err = f.Sync()
 	}
-	l.f = f
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		return fmt.Errorf("wal: create log: %w", err)
+	}
 	return nil
 }
 
-// rotate closes the active segment and starts a fresh one at l.next.
-func (l *Log) rotate() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate sync: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: rotate close: %w", err)
-	}
-	path := l.segPath(l.next)
-	if err := writeSegmentHeader(path, l.next); err != nil {
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	l.segs = append(l.segs, segment{path: path, first: l.next, size: segHeaderLen})
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if _, err := f.Seek(segHeaderLen, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
-	obs.Count(l.sink, "wal.segment.rotations", 1)
-	return nil
+	return err
 }
 
 // hook fires the fault hook at one crash point; a non-nil return marks
@@ -459,13 +385,6 @@ func (l *Log) Append(b Batch) (uint64, error) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	copy(frame[frameHeader:], payload)
 
-	tail := &l.segs[len(l.segs)-1]
-	if tail.size > segHeaderLen && tail.size+int64(len(frame)) > l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return 0, err
-		}
-		tail = &l.segs[len(l.segs)-1]
-	}
 	if err := l.hook(CrashBeforeFrame, idx); err != nil {
 		return 0, err
 	}
@@ -479,13 +398,12 @@ func (l *Log) Append(b Batch) (uint64, error) {
 		l.dead = true
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	tail.size += int64(len(frame))
-	tail.count++
+	l.size += int64(len(frame))
 	l.next++
 	obs.Count(l.sink, "wal.append.batches", 1)
 	obs.Count(l.sink, "wal.append.records", int64(len(b)))
 	obs.Count(l.sink, "wal.append.bytes", int64(len(frame)))
-	l.openGauges()
+	obs.Gauge(l.sink, "wal.open.bytes", float64(l.size))
 	if err := l.hook(CrashAfterFrame, idx); err != nil {
 		return 0, err
 	}
@@ -505,46 +423,39 @@ func (l *Log) Append(b Batch) (uint64, error) {
 }
 
 // Replay streams every complete batch with index >= from, in order,
-// into fn; segments wholly behind from are skipped without reading
-// their frames. fn returning an error aborts the replay with it.
-// Replay reads the state Open validated, so it cannot encounter new
-// corruption; it is safe before, between, and after Appends.
+// into fn. fn returning an error aborts the replay with it. Replay reads
+// the frames Open verified and Append wrote, so it cannot encounter new
+// corruption unless the file is changed behind the log's back; it is
+// safe before, between, and after Appends.
 func (l *Log) Replay(from uint64, fn func(idx uint64, b Batch) error) error {
 	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	sink := l.sink
+	size, count, sink := l.size, l.next, l.sink
 	l.mu.Unlock()
+	data, err := os.ReadFile(l.path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if int64(len(data)) < size {
+		return fmt.Errorf("%w: %s holds %d bytes, %d were written", ErrCorrupt, l.path, len(data), size)
+	}
 	var batches, recs int64
-	for _, seg := range segs {
-		if seg.first+seg.count <= from {
+	off := int64(headerLen)
+	for idx := uint64(0); idx < count; idx++ {
+		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
+		payload := data[off+frameHeader : off+frameHeader+n]
+		off += frameHeader + n
+		if idx < from {
 			continue
 		}
-		data, err := os.ReadFile(seg.path)
+		b, err := decodeBatch(payload)
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("%w: batch %d: %v", ErrCorrupt, idx, err)
 		}
-		if int64(len(data)) > seg.size {
-			data = data[:seg.size]
+		if err := fn(idx, b); err != nil {
+			return err
 		}
-		off := int64(segHeaderLen)
-		for i := uint64(0); i < seg.count; i++ {
-			n := binary.LittleEndian.Uint32(data[off : off+4])
-			payload := data[off+frameHeader : off+frameHeader+int64(n)]
-			off += frameHeader + int64(n)
-			idx := seg.first + i
-			if idx < from {
-				continue
-			}
-			b, err := decodeBatch(payload)
-			if err != nil {
-				return fmt.Errorf("%w: batch %d: %v", ErrCorrupt, idx, err)
-			}
-			if err := fn(idx, b); err != nil {
-				return err
-			}
-			batches++
-			recs += int64(len(b))
-		}
+		batches++
+		recs += int64(len(b))
 	}
 	obs.Count(sink, "wal.replay.batches", batches)
 	obs.Count(sink, "wal.replay.records", recs)
@@ -554,7 +465,7 @@ func (l *Log) Replay(from uint64, fn func(idx uint64, b Batch) error) error {
 // syncLoop is the SyncInterval background fsync ticker.
 func (l *Log) syncLoop() {
 	defer l.syncWG.Done()
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -574,7 +485,7 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Close syncs (unless the log crashed) and closes the active segment.
+// Close syncs (unless the log crashed) and closes the log file.
 // Further operations fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
