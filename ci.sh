@@ -123,7 +123,8 @@ fi
 # sketch tier, sharding as a tier, WAL snapshots, the in-process sharded
 # pipeline and the part-generic bound scan it needed, the WAL's segment
 # chain with the knobs only tests set and the obs exports nothing
-# called). One item a line:
+# called, the snapshot's per-K memo and the default-mode knob). One item
+# a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -157,7 +158,14 @@ go BoundParts|PartScan|ReplayBound|LocalPrefix|PrefixController|shardParts
 text FuzzBoundMerge|SHARDING\.md
 text SegmentBytes|SyncEvery|wal\.segment\.rotations|wal\.open\.segments|RuntimeSampleInterval|runtime-sample-interval|PublishExpvar|DefaultSLOObjectives
 flag runtime-sample-interval
+go FreshTopKCtx|prunedOnce|DefaultMode
+text stream\.topk\.reused|mode-default
+flag mode-default
 EOF
+
+# One memo on the read path: the epoch's (internal/server/cache.go). A
+# Snapshot is immutable and holds no lock, so snapshot.go needs no sync.
+if grep -n '"sync"' internal/stream/snapshot.go; then exit 1; fi
 
 go build ./...
 go test -race ./...

@@ -51,7 +51,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the query's span tree as Chrome trace_event JSON to this file (load in chrome://tracing or Perfetto)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
 	serverURL := flag.String("server", "", "base URL of a running topkd daemon; ingest the records there and query over HTTP instead of computing locally")
-	mode := flag.String("mode", "", "serving mode for the count query against -server: exact, approx, or hybrid (empty = daemon default; see SERVING.md)")
+	mode := flag.String("mode", "", "serving mode for the count query against -server: exact, approx, or hybrid (empty = exact; see SERVING.md)")
 	flag.Parse()
 	if *in == "" || *field == "" {
 		flag.Usage()

@@ -67,7 +67,6 @@ type options struct {
 	walFsync       string
 	logLevel       string
 	traceLimit     int
-	modeDefault    string
 	sloTarget      time.Duration
 	smokeProm      string
 }
@@ -90,7 +89,6 @@ func main() {
 	flag.StringVar(&o.walFsync, "wal-fsync", "always", "WAL fsync policy: always (durable on 200), interval (background ticker), or never (OS page cache)")
 	flag.StringVar(&o.logLevel, "log", "", "structured JSON request logging to stderr: debug, info, warn, or error (empty disables)")
 	flag.IntVar(&o.traceLimit, "trace-limit", 0, "query traces retained for GET /debug/traces (0 = default ring, negative disables tracing)")
-	flag.StringVar(&o.modeDefault, "mode-default", "", "serving mode for /topk requests without ?mode=: exact, approx, or hybrid (empty = exact)")
 	flag.DurationVar(&o.sloTarget, "slo-target", 0, "per-request latency SLO target; slower answers burn the error budget (0 = 1s)")
 	flag.StringVar(&o.smokeProm, "smoke-prom", "", "with -smoke: write the scraped Prometheus exposition to this file for external validation")
 	flag.Parse()
@@ -170,7 +168,6 @@ func run(o options) error {
 		WALDir:         o.walDir,
 		WALOptions:     wal.Options{Sync: fsync},
 		TraceLimit:     o.traceLimit,
-		DefaultMode:    o.modeDefault,
 		SLO:            server.SLOConfig{LatencyTarget: o.sloTarget},
 		Logger:         logger,
 	})

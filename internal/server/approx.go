@@ -12,14 +12,12 @@ package server
 import (
 	"context"
 	"net/http"
-	"sort"
-	"strconv"
 	"time"
 
 	topk "topkdedup"
 )
 
-// The /topk serving modes (Config.DefaultMode, ?mode=).
+// The /topk serving modes (?mode=; absent means ModeExact).
 const (
 	// ModeExact runs the full PrunedDedup pipeline.
 	ModeExact = "exact"
@@ -29,57 +27,6 @@ const (
 	// in the background.
 	ModeHybrid = "hybrid"
 )
-
-// apiError is a typed request-validation failure: a stable code plus
-// the human-readable message, serialised as ErrorResponse.
-type apiError struct {
-	code string
-	msg  string
-}
-
-// topkMode validates /topk's query parameters strictly and resolves
-// the serving mode. Unknown parameter names, malformed explain values,
-// and unrecognised modes are 400s with a typed code — a mode=aprox
-// typo must never silently serve exact.
-func (s *Server) topkMode(r *http.Request) (string, *apiError) {
-	q := r.URL.Query()
-	var unknown []string
-	for name := range q {
-		switch name {
-		case "k", "r", "explain", "mode":
-		default:
-			unknown = append(unknown, name)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		msg := "unknown query parameter"
-		if len(unknown) > 1 {
-			msg += "s"
-		}
-		for i, name := range unknown {
-			if i > 0 {
-				msg += ","
-			}
-			msg += " " + strconv.Quote(name)
-		}
-		return "", &apiError{code: "unknown_param", msg: msg}
-	}
-	if ex := q.Get("explain"); ex != "" && ex != "0" && ex != "1" {
-		return "", &apiError{code: "bad_param", msg: "explain must be 0 or 1, got " + strconv.Quote(ex)}
-	}
-	mode := q.Get("mode")
-	if mode == "" {
-		mode = s.cfg.DefaultMode
-	}
-	switch mode {
-	case ModeExact, ModeApprox, ModeHybrid:
-		return mode, nil
-	default:
-		return "", &apiError{code: "bad_mode",
-			msg: "mode must be exact, approx, or hybrid, got " + strconv.Quote(mode)}
-	}
-}
 
 // ApproxEntry is one entry of an approximate /topk answer: one group of
 // the epoch's level-1 sufficient closure. Count is its exact accumulated
@@ -162,15 +109,14 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, mode strin
 }
 
 // startHybridExact arranges for the exact (k, r) answer to land in the
-// epoch answer cache: a cache hit means it is already there, an
-// in-flight identical computation is left alone (singleflight), and a
-// miss claims the entry and computes in a background goroutine — the
-// hybrid request itself never waits. The background computation holds a
-// slot of the pool guard admits requests through, taken before the cache
-// entry is claimed, so MaxInFlight bounds it like any foreground query;
-// with no slot free nothing is claimed or computed
-// (sketch.hybrid.skipped). Returns the Exact field value for the
-// response.
+// epoch memo without the hybrid request waiting: a hit means it is
+// already there, an in-flight identical computation is left alone
+// (singleflight), and a miss computes in the background (answer's
+// background form). The background computation holds a slot of the pool
+// guard admits requests through, taken before the memo entry is
+// claimed, so MaxInFlight bounds it like any foreground query; with no
+// slot free nothing is claimed or computed (sketch.hybrid.skipped).
+// Returns the Exact field value for the response.
 func (s *Server) startHybridExact(ep *epoch, served []ApproxEntry, k, rr int) string {
 	select {
 	case s.sem <- struct{}{}:
@@ -179,28 +125,21 @@ func (s *Server) startHybridExact(ep *epoch, served []ApproxEntry, k, rr int) st
 		return "refreshing"
 	}
 	key := answerKey{kind: 't', k: k, r: rr}
-	status, ent := s.beginAnswer(ep.seq, key, false)
-	if status != cacheMiss {
-		<-s.sem
-		if status == cacheHit {
-			return "cached"
-		}
-		// cacheCoalesced: another request owns the computation; cacheBypass:
-		// the epoch moved on under us — nothing worth memoising either way.
-		return "refreshing"
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
+	_, status, _ := s.answer(context.Background(), ep, key, true, func(ent *answerEntry) (err error) {
 		defer func() { <-s.sem }()
-		res, err := s.computeExact(context.Background(), ep, k, rr, false)
-		ent.topk, ent.err = res, err
-		s.answers.finish(ep.seq, key, ent)
+		ent.topk, err = s.computeExact(context.Background(), ep, k, rr, false)
 		s.metrics.Count("sketch.hybrid.refreshed", 1)
 		if err == nil {
-			s.observeHybridError(served, res)
+			s.observeHybridError(served, ent.topk)
 		}
-	}()
+		return err
+	})
+	if status != cacheMiss { // nothing started: the slot goes back
+		<-s.sem
+	}
+	if status == cacheHit {
+		return "cached"
+	}
 	return "refreshing"
 }
 

@@ -85,25 +85,6 @@ func TestTopKRejectsRAboveMax(t *testing.T) {
 	}
 }
 
-func TestDefaultModeValidation(t *testing.T) {
-	if _, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), DefaultMode: "fast"}); err == nil {
-		t.Fatal("DefaultMode 'fast' should be rejected")
-	}
-	_, ts := newTestServer(t, func(c *Config) { c.DefaultMode = ModeApprox })
-	ingestBatch(t, ts, names("alice", "alice", "bob"))
-	_, body := get(t, ts, "/topk?k=2")
-	var ar ApproxTopKResponse
-	if err := json.Unmarshal(body, &ar); err != nil || ar.Mode != ModeApprox {
-		t.Fatalf("bare /topk under DefaultMode=approx served %s", body)
-	}
-	// An explicit mode still overrides the default.
-	_, body = get(t, ts, "/topk?k=2&mode=exact")
-	var tr TopKResponse
-	if err := json.Unmarshal(body, &tr); err != nil || tr.Result == nil {
-		t.Fatalf("mode=exact under DefaultMode=approx served %s", body)
-	}
-}
-
 func TestModeExactByteIdentical(t *testing.T) {
 	// TraceLimit -1 removes the per-query trace id, the one legitimately
 	// fresh field; everything else must match byte for byte.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -143,20 +144,21 @@ func TestExplainBypassesCache(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheSingleflight exercises the cache's state machine
-// directly: a second identical request that arrives while the first is
+// TestAnswerCacheSingleflight exercises an epoch memo's state machine
+// directly: a second identical lookup that arrives while the first is
 // still computing coalesces onto the same entry; once the owner
-// finishes, later requests hit; errored computations are evicted rather
-// than memoised; and requests from a stale epoch bypass.
+// finishes, later lookups hit; an errored computation is evicted rather
+// than memoised; and inserting into a full memo clears it first, so it
+// never holds more than memoLimit entries.
 func TestAnswerCacheSingleflight(t *testing.T) {
-	c := answerCache{entries: make(map[answerKey]*answerEntry)}
+	var c answerCache
 	key := answerKey{kind: 't', k: 3, r: 1}
 
-	status, owner := c.begin(1, key)
+	status, owner := c.begin(key)
 	if status != cacheMiss {
 		t.Fatalf("first begin: %q, want %q", status, cacheMiss)
 	}
-	status, ent := c.begin(1, key)
+	status, ent := c.begin(key)
 	if status != cacheCoalesced || ent != owner {
 		t.Fatalf("in-flight begin: %q (same entry %v), want coalesced on the owner's entry", status, ent == owner)
 	}
@@ -174,35 +176,42 @@ func TestAnswerCacheSingleflight(t *testing.T) {
 		}
 	}()
 	owner.topk = res
-	c.finish(1, key, owner)
+	c.finish(key, owner)
 	wg.Wait()
 
-	if status, ent = c.begin(1, key); status != cacheHit || ent.topk != res {
+	if status, ent = c.begin(key); status != cacheHit || ent.topk != res {
 		t.Fatalf("post-finish begin: %q, want hit with the memoised result", status)
 	}
 
-	// Stale epoch: bypass without touching the entries.
-	if status, _ = c.begin(0, key); status != cacheBypass {
-		t.Fatalf("stale-epoch begin: %q, want %q", status, cacheBypass)
-	}
-	if status, _ = c.begin(1, key); status != cacheHit {
-		t.Fatal("bypass must not evict the current epoch's entries")
-	}
-
-	// Newer epoch: lazy flush, the old answer is gone.
-	status, owner = c.begin(2, key)
-	if status != cacheMiss {
-		t.Fatalf("new-epoch begin: %q, want %q", status, cacheMiss)
-	}
-
-	// Errors are not memoised: finish evicts, the next request recomputes.
+	// Errors are not memoised: finish evicts, the next lookup recomputes.
+	failing := answerKey{kind: 'p', k: 3}
+	_, owner = c.begin(failing)
 	owner.err = fmt.Errorf("boom")
-	c.finish(2, key, owner)
-	if status, _ = c.begin(2, key); status != cacheMiss {
+	c.finish(failing, owner)
+	if status, owner = c.begin(failing); status != cacheMiss {
 		t.Fatalf("begin after errored finish: %q, want %q (errors must not be cached)", status, cacheMiss)
 	}
-	if c.size() != 1 {
-		t.Fatalf("cache size: %d, want 1 (only the recomputing entry)", c.size())
+	c.finish(failing, owner)
+	if c.size() != 2 {
+		t.Fatalf("memo size: %d, want 2 (the hit and the recomputed key)", c.size())
+	}
+
+	// Fill the memo to its limit; the next new key clears it first.
+	for i := 0; c.size() < memoLimit; i++ {
+		k := answerKey{kind: 'r', t: float64(i + 1)}
+		_, owner = c.begin(k)
+		c.finish(k, owner)
+	}
+	if status, _ = c.begin(key); status != cacheHit {
+		t.Fatalf("full memo: %q for a kept key, want %q", status, cacheHit)
+	}
+	overflow := answerKey{kind: 'k', k: 99}
+	if status, owner = c.begin(overflow); status != cacheMiss || c.size() != 1 {
+		t.Fatalf("insert into a full memo: %q with %d entries, want a miss alone in a cleared memo", status, c.size())
+	}
+	c.finish(overflow, owner)
+	if status, _ = c.begin(key); status != cacheMiss {
+		t.Fatalf("after the clear: %q for the old key, want %q", status, cacheMiss)
 	}
 }
 
@@ -210,18 +219,53 @@ func TestAnswerCacheSingleflight(t *testing.T) {
 // serving path: resolving a memoised answer must not allocate. ci.sh
 // runs it in the short-mode smoke suite.
 func TestAnswerCacheHitNoAllocs(t *testing.T) {
-	c := answerCache{entries: make(map[answerKey]*answerEntry)}
+	var c answerCache
 	key := answerKey{kind: 't', k: 10, r: 2}
-	_, owner := c.begin(7, key)
+	_, owner := c.begin(key)
 	owner.topk = &topk.Result{}
-	c.finish(7, key, owner)
+	c.finish(key, owner)
 	allocs := testing.AllocsPerRun(1000, func() {
-		status, ent := c.begin(7, key)
+		status, ent := c.begin(key)
 		if status != cacheHit || ent.topk == nil {
 			t.Fatal("expected a hit")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit lookup allocates: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestMemoBoundedUnderSweep: a client sweeping k on /topk or /rank, or t
+// on /rank, against a read-only server — one epoch that never moves on —
+// asks a new key every request. The epoch memo never holds more than
+// memoLimit entries, and a hot key asked between the sweep's requests
+// keeps its answer byte for byte (phase times aside) whether it is a hit
+// or a recompute after a clear.
+func TestMemoBoundedUnderSweep(t *testing.T) {
+	cases := []struct {
+		name, format string
+		canon        func(*testing.T, []byte) []byte
+	}{
+		{"topk_k", "/topk?k=%d", canonTopK},
+		{"rank_k", "/rank?k=%d", canonRankEvals},
+		{"rank_t", "/rank?t=1.%03d", canonRankEvals},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, nil)
+			ingestBatch(t, ts, readPathRecords(5, 120))
+			hot := fmt.Sprintf(tc.format, 1)
+			_, first := queryWithCache(t, ts, hot)
+			want := tc.canon(t, first)
+			for i := 2; i <= 3*memoLimit; i++ {
+				queryWithCache(t, ts, fmt.Sprintf(tc.format, i))
+				if n, _ := srv.Metrics().GaugeValue("inc.cache.entries"); n > memoLimit {
+					t.Fatalf("after %s: inc.cache.entries = %v, want <= %d", fmt.Sprintf(tc.format, i), n, memoLimit)
+				}
+				if _, got := queryWithCache(t, ts, hot); !bytes.Equal(tc.canon(t, got), want) {
+					t.Fatalf("after %d sweep requests %s changed:\n got %s\nwant %s", i-1, hot, tc.canon(t, got), want)
+				}
+			}
+		})
 	}
 }

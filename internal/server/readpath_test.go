@@ -77,7 +77,8 @@ func canonRankEvals(t *testing.T, data []byte) []byte {
 //     eval counts included (phase times zeroed; collapse evals too, which
 //     differ between any served and batch run — see stripTimes);
 //   - the core.levels counter moved by exactly one pruning per (epoch, K)
-//     that was asked, however many (K, R) shapes and clients asked it;
+//     that was asked, however many (K, R) shapes and clients asked it, and
+//     stream.topk.seconds has one sample per such pruning;
 //   - ?explain=1 still computes afresh: X-Cache bypass, the full per-level
 //     report, core.levels moved by that one run, answer unchanged.
 //
@@ -181,8 +182,8 @@ func TestReadPathPrunesOncePerEpochK(t *testing.T) {
 	if got := counter(t, srv, "core.levels"); got != wantLevels {
 		t.Errorf("core.levels = %d, want %d: one pruning per (epoch, K) over %v", got, wantLevels, levelsOf)
 	}
-	if got := counter(t, srv, "stream.topk.reused"); got == 0 {
-		t.Error("stream.topk.reused did not move: no miss reused a pruning")
+	if got := srv.Metrics().Snapshot().Observations["stream.topk.seconds"].Count; got != int64(len(levelsOf)) {
+		t.Errorf("stream.topk.seconds has %d samples, want one per (epoch, K): %d", got, len(levelsOf))
 	}
 
 	// ?explain=1: a fresh run with the whole report, the same answer.
@@ -218,9 +219,9 @@ func TestReadPathPrunesOncePerEpochK(t *testing.T) {
 
 // TestReadPathErrorIsRetried: a request whose context is already
 // cancelled when its pruning would start gets an error that is kept
-// nowhere — not in the snapshot's per-K memo, not in the answer cache —
-// so the next request runs the pruning as a plain miss and gets the
-// answer a control server gives.
+// nowhere — neither as the epoch memo's pruning nor as its answer — so
+// the next request runs the pruning as a plain miss and gets the answer
+// a control server gives.
 func TestReadPathErrorIsRetried(t *testing.T) {
 	// No request timeout: http.TimeoutHandler would answer the cancelled
 	// request itself and leave the handler running behind the test's back.
@@ -233,7 +234,7 @@ func TestReadPathErrorIsRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Distinct Ks: the second path must not find the first one's pruning
-	// memoised. /rank?t= keeps no pruning at all.
+	// memoised. /rank?t= memoises only its answer.
 	for _, path := range []string{"/topk?k=3&r=2", "/rank?k=5", "/rank?t=2"} {
 		before := counter(t, srv, "core.levels")
 		rec := httptest.NewRecorder()

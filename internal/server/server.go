@@ -32,8 +32,10 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,10 +96,6 @@ type Config struct {
 	// hook). The Sink field is ignored — wal.* metrics route to the
 	// server collector.
 	WALOptions wal.Options
-	// DefaultMode is the /topk serving mode when the request omits
-	// ?mode=: "exact" (the default), "approx", or "hybrid". See
-	// SERVING.md "Approximate tier".
-	DefaultMode string
 	// TraceLimit sizes the ring of recent query traces kept for
 	// GET /debug/traces: 0 keeps the default (obs.DefaultTraceLimit),
 	// a negative value disables tracing entirely (queries then run the
@@ -141,20 +139,16 @@ func (c *Config) defaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 10000
 	}
-	switch c.DefaultMode {
-	case "":
-		c.DefaultMode = ModeExact
-	case ModeExact, ModeApprox, ModeHybrid:
-	default:
-		return fmt.Errorf("server: DefaultMode %q is not exact, approx, or hybrid", c.DefaultMode)
-	}
 	return nil
 }
 
-// epoch is one published snapshot with its sequence number.
+// epoch is one published snapshot with its sequence number and the read
+// path's only memo: the epoch's answers and prunings (cache.go,
+// INCREMENTAL.md §6), freed with the epoch.
 type epoch struct {
-	snap *stream.Snapshot
-	seq  uint64
+	snap  *stream.Snapshot
+	seq   uint64
+	cache answerCache
 }
 
 // Server serves TopK count queries over records that keep arriving. See
@@ -177,11 +171,6 @@ type Server struct {
 
 	epoch atomic.Pointer[epoch]
 	seq   atomic.Uint64
-
-	// answers memoises query results per epoch with singleflight
-	// coalescing (see cache.go and INCREMENTAL.md); flushed on every
-	// publish.
-	answers answerCache
 
 	// Durability state (see durability.go): the open WAL (nil when
 	// Config.WALDir is empty) and the records replayed at boot.
@@ -226,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.bg.Add(1)
 	go s.runtimeLoop()
-	s.answers.entries = make(map[answerKey]*answerEntry)
 	// Route the accumulator's maintenance metrics (stream.add.*, and the
 	// inc.delta.* rebuilt/reused group counts of each publish) into the
 	// server collector so /metrics shows ingest-side work too.
@@ -301,9 +289,6 @@ func (s *Server) publishLocked() *epoch {
 	ep := &epoch{snap: s.acc.Snapshot(), seq: s.seq.Add(1)}
 	s.epoch.Store(ep)
 	s.pending = 0
-	// Invalidate the memoised answers of the previous epoch — the
-	// (epoch, parameters) cache contract of INCREMENTAL.md.
-	s.answers.flush(ep.seq)
 	s.metrics.Count("server.snapshot.published", 1)
 	return ep
 }
@@ -577,66 +562,40 @@ type TopKResponse struct {
 const MaxR = 100
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rr, err := intParam(r, "r", 1)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if k < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1")
-		return
-	}
-	if rr > MaxR {
-		writeTypedError(w, http.StatusBadRequest, "bad_param", fmt.Sprintf("r must be <= %d, got %d", MaxR, rr))
-		return
-	}
-	mode, aerr := s.topkMode(r)
+	q, aerr := parseQuery(r, "k", "r", "explain", "mode")
 	if aerr != nil {
 		writeTypedError(w, http.StatusBadRequest, aerr.code, aerr.msg)
 		return
 	}
 	// The engine answers r < 1 as r = 1 (Engine.TopKFromCtx), so they are
-	// one answer and one cache entry; only the echoed R keeps what was
+	// one answer and one memo entry; only the echoed R keeps what was
 	// sent.
-	sentR := rr
-	rr = max(rr, 1)
-	if mode != ModeExact {
-		s.handleApprox(w, r, mode, k, rr)
+	rr := max(q.r, 1)
+	if q.mode != ModeExact {
+		s.handleApprox(w, r, q.mode, q.k, rr)
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
 	ctx, root := s.traceCtx(r, "server.topk")
 	if root != nil {
-		root.Attr("k", float64(k))
+		root.Attr("k", float64(q.k))
 		root.Attr("r", float64(rr))
 	}
 	start := time.Now()
 	ep := s.epoch.Load()
-	key := answerKey{kind: 't', k: k, r: rr}
-	status, ent := s.beginAnswer(ep.seq, key, explain)
 	var res *topk.Result
-	switch status {
-	case cacheHit:
-		res = ent.topk
-	case cacheCoalesced:
-		select {
-		case <-ent.done:
-			res, err = ent.topk, ent.err
-		case <-ctx.Done():
-			root.End()
-			writeError(w, http.StatusServiceUnavailable, "canceled while waiting for coalesced query")
-			return
-		}
-	default: // cacheMiss computes and memoises; cacheBypass just computes
-		res, err = s.computeExact(ctx, ep, k, rr, explain)
-		if status == cacheMiss {
-			ent.topk, ent.err = res, err
-			s.answers.finish(ep.seq, key, ent)
+	var err error
+	status := cacheBypass
+	if q.explain {
+		s.metrics.Count("inc.cache.bypass", 1)
+		res, err = s.computeExact(ctx, ep, q.k, rr, true)
+	} else {
+		var ent *answerEntry
+		ent, status, err = s.answer(ctx, ep, answerKey{kind: 't', k: q.k, r: rr}, false, func(ent *answerEntry) (err error) {
+			ent.topk, err = s.computeExact(ctx, ep, q.k, rr, false)
+			return err
+		})
+		if err == nil {
+			res = ent.topk
 		}
 	}
 	root.End()
@@ -645,13 +604,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := TopKResponse{
-		K: k, R: sentR, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res,
+		K: q.k, R: q.r, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res,
 	}
 	if root != nil {
 		resp.TraceID = root.TraceID().String()
 	}
 	if s.logger != nil {
-		s.logger.Info("topk query", "k", k, "r", rr,
+		s.logger.Info("topk query", "k", q.k, "r", rr,
 			"snapshot_seq", ep.seq, "cache", status, "seconds", time.Since(start).Seconds(),
 			"trace", resp.TraceID, "span", root.SpanID().String())
 	}
@@ -675,29 +634,21 @@ type RankResponse struct {
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
+	q, aerr := parseQuery(r, "k", "t")
+	if aerr != nil {
+		writeTypedError(w, http.StatusBadRequest, aerr.code, aerr.msg)
+		return
+	}
 	ep := s.epoch.Load()
-	var key answerKey
-	if tRaw := r.URL.Query().Get("t"); tRaw != "" {
-		t, err := strconv.ParseFloat(tRaw, 64)
-		if err != nil || !(t > 0) || math.IsInf(t, 0) {
-			writeError(w, http.StatusBadRequest, "t must be a positive number")
-			return
-		}
-		key = answerKey{kind: 'r', t: t}
-	} else {
-		k, err := intParam(r, "k", 10)
-		if err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "k must be >= 1")
-			return
-		}
-		if ep.snap.Len() == 0 {
-			// Nothing to rank; answer the empty epoch directly, outside
-			// the answer cache.
-			w.Header().Set("X-Cache", cacheBypass)
-			writeJSON(w, http.StatusOK, RankResponse{K: k, SnapshotSeq: ep.seq, Result: &topk.RankResult{}})
-			return
-		}
-		key = answerKey{kind: 'k', k: k}
+	key := answerKey{kind: 'k', k: q.k}
+	if q.t > 0 {
+		key = answerKey{kind: 'r', t: q.t}
+	} else if ep.snap.Len() == 0 {
+		// Nothing to rank; answer the empty epoch directly, outside the
+		// memo.
+		w.Header().Set("X-Cache", cacheBypass)
+		writeJSON(w, http.StatusOK, RankResponse{K: q.k, SnapshotSeq: ep.seq, Result: &topk.RankResult{}})
+		return
 	}
 	ctx, root := s.traceCtx(r, "server.rank")
 	if root != nil {
@@ -708,19 +659,21 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	start := time.Now()
-	res, status, err := s.rankAnswer(ctx, ep, key, func() (*topk.RankResult, error) {
+	ent, status, err := s.answer(ctx, ep, key, false, func(ent *answerEntry) error {
 		if key.kind == 'r' {
-			pd, perr := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Engine.Workers, s.metrics)
-			if perr != nil {
-				return nil, perr
+			pd, err := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Engine.Workers, s.metrics)
+			if err != nil {
+				return err
 			}
-			return rankquery.FromThreshold(ep.snap.Dataset(), s.cfg.Levels, pd, key.t), nil
+			ent.rank = rankquery.FromThreshold(ep.snap.Dataset(), s.cfg.Levels, pd, key.t)
+			return nil
 		}
-		pd, perr := s.pruned(ctx, ep, key.k, false)
-		if perr != nil {
-			return nil, perr
+		pd, err := s.pruned(ctx, ep, key.k, false)
+		if err != nil {
+			return err
 		}
-		return s.finalEngine(ep, false).TopKRankFrom(pd, key.k)
+		ent.rank, err = s.finalEngine(ep, false).TopKRankFrom(pd, key.k)
+		return err
 	})
 	root.End()
 	if err != nil {
@@ -733,35 +686,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			"trace", root.TraceID().String(), "span", root.SpanID().String())
 	}
 	w.Header().Set("X-Cache", status)
-	writeJSON(w, http.StatusOK, RankResponse{K: key.k, T: key.t, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res})
+	writeJSON(w, http.StatusOK, RankResponse{K: key.k, T: key.t, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: ent.rank})
 }
 
-// rankAnswer answers one /rank form through the answer cache: hits
-// return the memoised result, coalesced requests wait for the in-flight
-// identical query, and misses run compute and memoise its outcome.
-func (s *Server) rankAnswer(ctx context.Context, ep *epoch, key answerKey, compute func() (*topk.RankResult, error)) (*topk.RankResult, string, error) {
-	status, ent := s.beginAnswer(ep.seq, key, false)
-	switch status {
-	case cacheHit:
-		return ent.rank, status, nil
-	case cacheCoalesced:
-		select {
-		case <-ent.done:
-			return ent.rank, status, ent.err
-		case <-ctx.Done():
-			return nil, status, fmt.Errorf("canceled while waiting for coalesced query")
-		}
-	}
-	res, err := compute()
-	if status == cacheMiss {
-		ent.rank, ent.err = res, err
-		s.answers.finish(ep.seq, key, ent)
-	}
-	return res, status, err
-}
-
-// computeExact runs the exact TopK pipeline over an epoch — the shared
-// compute step of the /topk miss path and hybrid mode's background
+// computeExact runs the exact TopK pipeline over an epoch — the compute
+// step of a /topk miss, of ?explain=1 and of hybrid mode's background
 // refresh: the epoch's pruning for K (pruned), then the final phase for
 // (K, R) on a per-query engine.
 func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain bool) (*topk.Result, error) {
@@ -772,17 +701,24 @@ func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain
 	return s.finalEngine(ep, explain).TopKFromCtx(ctx, pd, k, rr)
 }
 
-// pruned is the server's one way to a pruning result: the epoch
-// snapshot's per-K memo (INCREMENTAL.md — the maintained level-1
-// collapse and at most one run of the K-dependent phases per epoch).
-// fresh bypasses the memo so ?explain=1 reports from a full span tree.
-// The result is shared between queries and read-only.
-func (s *Server) pruned(ctx context.Context, ep *epoch, k int, fresh bool) (*topk.PrunedResult, error) {
-	run := ep.snap.TopKCtx
-	if fresh {
-		run = ep.snap.FreshTopKCtx
+// pruned is the server's one way to a pruning result: the epoch memo's
+// 'p' entry for K, so the K-dependent phases run at most once per
+// (epoch, K) however many (K, R) and /rank?k=K queries finish from them
+// (INCREMENTAL.md §1). explain prunes afresh outside the memo, so
+// ?explain=1 reports from a full span tree. The result is shared between
+// queries and read-only.
+func (s *Server) pruned(ctx context.Context, ep *epoch, k int, explain bool) (*topk.PrunedResult, error) {
+	if explain {
+		return ep.snap.TopKCtx(ctx, k, s.cfg.Engine.Workers, s.metrics)
 	}
-	return run(ctx, k, s.cfg.Engine.Workers, s.metrics)
+	ent, _, err := s.answer(ctx, ep, answerKey{kind: 'p', k: k}, false, func(ent *answerEntry) (err error) {
+		ent.pruned, err = ep.snap.TopKCtx(ctx, k, s.cfg.Engine.Workers, s.metrics)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ent.pruned, nil
 }
 
 // finalEngine builds the per-query engine over an epoch's frozen
@@ -1003,14 +939,101 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(data)
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+// apiError is a typed request-validation failure: a stable code plus
+// the human-readable message, serialised as ErrorResponse.
+type apiError struct {
+	code string
+	msg  string
+}
+
+// query is one /topk or /rank request's validated parameters.
+type query struct {
+	// k is 10 when absent.
+	k int
+	// r is 1 when absent; a value below 1 is kept as sent.
+	r int
+	// t is 0 when absent.
+	t       float64
+	explain bool
+	// mode is ModeExact when absent.
+	mode string
+}
+
+// parseQuery validates a /topk or /rank query string strictly, so a
+// typo never silently serves a default. A name outside allowed is
+// unknown_param; a k that is not an integer >= 1, an r that is not an
+// integer <= MaxR, a t that is not a positive finite number, k and t
+// together, or an explain other than 0 or 1 is bad_param; a mode other
+// than exact, approx or hybrid is bad_mode.
+func parseQuery(req *http.Request, allowed ...string) (query, *apiError) {
+	v := req.URL.Query()
+	var unknown []string
+	for name := range v {
+		if !slices.Contains(allowed, name) {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		msg := "unknown query parameter "
+		if len(unknown) > 1 {
+			msg = "unknown query parameters "
+		}
+		return query{}, &apiError{code: "unknown_param", msg: msg + strings.Join(unknown, ", ")}
+	}
+	bad := func(format string, args ...any) (query, *apiError) {
+		return query{}, &apiError{code: "bad_param", msg: fmt.Sprintf(format, args...)}
+	}
+	q := query{mode: ModeExact}
+	var err error
+	if q.k, err = intParam(v, "k", 10); err != nil {
+		return bad("%v", err)
+	}
+	if q.k < 1 {
+		return bad("k must be >= 1, got %d", q.k)
+	}
+	if q.r, err = intParam(v, "r", 1); err != nil {
+		return bad("%v", err)
+	}
+	if q.r > MaxR {
+		return bad("r must be <= %d, got %d", MaxR, q.r)
+	}
+	if raw := v.Get("t"); raw != "" {
+		if v.Get("k") != "" {
+			return bad("k and t are exclusive: k asks the TopK rank query, t the thresholded one")
+		}
+		t, err := strconv.ParseFloat(raw, 64)
+		if err != nil || !(t > 0) || math.IsInf(t, 0) {
+			return bad("t must be a positive number, got %q", raw)
+		}
+		q.t = t
+	}
+	switch ex := v.Get("explain"); ex {
+	case "", "0":
+	case "1":
+		q.explain = true
+	default:
+		return bad("explain must be 0 or 1, got %q", ex)
+	}
+	switch mode := v.Get("mode"); mode {
+	case "":
+	case ModeExact, ModeApprox, ModeHybrid:
+		q.mode = mode
+	default:
+		return query{}, &apiError{code: "bad_mode",
+			msg: "mode must be exact, approx, or hybrid, got " + strconv.Quote(mode)}
+	}
+	return q, nil
+}
+
+func intParam(v url.Values, name string, def int) (int, error) {
+	raw := v.Get(name)
 	if raw == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(raw)
+	n, err := strconv.Atoi(raw)
 	if err != nil {
 		return 0, fmt.Errorf("%s must be an integer, got %q", name, raw)
 	}
-	return v, nil
+	return n, nil
 }

@@ -304,12 +304,33 @@ func TestMethodFiltering(t *testing.T) {
 	}
 }
 
+// TestBadQueryParams: /topk and /rank validate through one parameter
+// check, so every malformed query is a typed 400 naming what is wrong —
+// an unknown name, k and t together, or a k that is no integer never
+// falls back to a default.
 func TestBadQueryParams(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	for _, path := range []string{"/topk?k=zero", "/topk?k=0", "/topk?k=-3", "/rank?k=0", "/rank?t=-1", "/rank?t=nan"} {
-		resp, body := get(t, ts, path)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: want 400, got %d: %s", path, resp.StatusCode, body)
+	cases := []struct {
+		path, code, says string
+	}{
+		{"/topk?k=zero", "bad_param", "k must be an integer"},
+		{"/topk?k=0", "bad_param", "k must be >= 1"},
+		{"/topk?k=-3", "bad_param", "k must be >= 1"},
+		{"/rank?k=0", "bad_param", "k must be >= 1"},
+		{"/rank?k=abc", "bad_param", "k must be an integer"},
+		{"/rank?t=-1", "bad_param", "t must be a positive number"},
+		{"/rank?t=nan", "bad_param", "t must be a positive number"},
+		{"/rank?k=2&t=1.5", "bad_param", "k and t"},
+		{"/rank?kk=3", "unknown_param", `"kk"`},
+		{"/rank?k=2&explain=1", "unknown_param", `"explain"`},
+		{"/rank?r=2&mode=exact", "unknown_param", `"mode", "r"`},
+	}
+	for _, tc := range cases {
+		resp, body := get(t, ts, tc.path)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil ||
+			er.Code != tc.code || !strings.Contains(er.Error, tc.says) {
+			t.Errorf("%s: status %d, body %s; want 400 %s saying %s", tc.path, resp.StatusCode, body, tc.code, tc.says)
 		}
 	}
 }

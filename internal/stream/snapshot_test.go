@@ -96,7 +96,7 @@ func TestSnapshotIsImmutableUnderGrowth(t *testing.T) {
 		if !reflect.DeepEqual(heaviest, wantGroups[:5]) {
 			t.Fatalf("%s: held Heaviest window moved under ingest\n got=%v\nwant=%v", name, heaviest, wantGroups[:5])
 		}
-		after, err := snap.FreshTopKCtx(context.Background(), 3, 1, nil)
+		after, err := snap.TopKCtx(context.Background(), 3, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,9 +243,9 @@ func (inc *Incremental) rebuild(c *closure) {
 	c.group, c.dirty = g, false
 }
 
-// TopK answers the TopK count query over the current state: the fresh
-// (un-memoised) TopK of a Snapshot taken now, so only the K-dependent
-// phases run and the result is the one a published snapshot serves.
+// TopK answers the TopK count query over the current state: the TopK of
+// a Snapshot taken now, so only the K-dependent phases run and the
+// result is the one a published snapshot serves.
 func (inc *Incremental) TopK(k int) (*core.Result, error) {
 	return inc.TopKCtx(context.Background(), k)
 }
@@ -255,5 +255,5 @@ func (inc *Incremental) TopK(k int) (*core.Result, error) {
 // K-dependent phases record their own spans beneath it; an untraced
 // context adds no work.
 func (inc *Incremental) TopKCtx(ctx context.Context, k int) (*core.Result, error) {
-	return inc.Snapshot().FreshTopKCtx(ctx, k, inc.workers, inc.sink)
+	return inc.Snapshot().TopKCtx(ctx, k, inc.workers, inc.sink)
 }
