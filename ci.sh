@@ -167,6 +167,11 @@ EOF
 # Snapshot is immutable and holds no lock, so snapshot.go needs no sync.
 if grep -n '"sync"' internal/stream/snapshot.go; then exit 1; fi
 
+# One similarity kernel: the domains' feature vectors and predicates read
+# strsim.PairScratch or the Cache's id slices, never a per-call map-built
+# gram or token set.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'strsim\.(QGrams|TokenSet|Jaccard)\(' internal/domains; then exit 1; fi
+
 go build ./...
 go test -race ./...
 
@@ -217,8 +222,16 @@ go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 # bound and prune evaluations) on fixed-seed citation and students
 # datasets, K in {1, 10, 50}. Host-independent, unlike every wall-clock
 # row, so a change that evaluates, keeps or orders differently fails here
-# by name.
-go test -count=1 -run 'TestExactCountsCitations' .
+# by name. The final-phase golden pins what comes after the pruning on
+# the same datasets with the trained scorers: a hash of the TopK(K, 3)
+# answers and engine.final.scored_pairs per K.
+go test -count=1 -run 'TestExactCountsCitations|TestFinalPhaseGolden' .
+
+# The pair kernel holds every built-in feature vector to the map-based
+# reference bit for bit, at one allocation per pair; smoke the per-domain
+# kernel-versus-reference benchmark one iteration each.
+go test -count=1 -run 'TestFeatureVectorsMatchReference|TestFeatureVecAllocs|TestPairMatchesReference' ./internal/strsim
+go test -run '^$' -bench 'BenchmarkFeatureVec' -benchtime 1x ./internal/strsim
 
 # Alloc-regression smoke: the allocation pins (stage-0 prune rescan, the
 # §4.2 bound scan, bound predicate evaluators, pooled tokeniser, stop-word
@@ -228,7 +241,7 @@ go test -count=1 -run 'TestExactCountsCitations' .
 # benchmarks one iteration each.
 go test -run 'TestStage0PruneNoAllocs|TestBoundScanAllocs' ./internal/core
 go test -run 'TestBoundEvalNoAllocs' ./internal/domains
-go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase' ./internal/strsim
+go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase|TestPairScratchNoAllocs' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server
 go test -run '^$' -bench 'BenchmarkStage0Prune' -benchtime 1x ./internal/core
 go test -run '^$' -bench 'BenchmarkTokenSet|BenchmarkIndexBuild' -benchtime 1x ./internal/strsim ./internal/index

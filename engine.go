@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -579,50 +580,61 @@ func logAddExp(a, b float64) float64 {
 
 // answerFromWitness converts one DP answer into the query's answer form:
 // the K aggregate-weight-largest segments of the witness grouping, with a
-// canonical signature for deduplication.
+// canonical signature for deduplication. Segments rank on their summed
+// weights alone; only the K kept get their member lists built.
 func (e *Engine) answerFromWitness(groups []Group, order []int, sa segment.Answer, k int) (Answer, string) {
-	type segGroup struct {
-		ag  AnswerGroup
-		pos int
+	type segRank struct {
+		weight   float64
+		rep, pos int
 	}
-	all := make([]segGroup, 0, len(sa.Full))
+	ranked := make([]segRank, len(sa.Full))
 	for si, seg := range sa.Full {
-		ag := AnswerGroup{}
+		r := segRank{pos: si}
 		bestW := -1.0
 		for p := seg.Start; p <= seg.End; p++ {
 			g := groups[order[p]]
-			ag.Records = append(ag.Records, g.Members...)
-			ag.Weight += g.Weight
+			r.weight += g.Weight
 			if g.Weight > bestW {
-				bestW = g.Weight
-				ag.Rep = g.Rep
+				bestW, r.rep = g.Weight, g.Rep
 			}
 		}
-		sort.Ints(ag.Records)
-		all = append(all, segGroup{ag: ag, pos: si})
+		ranked[si] = r
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].ag.Weight != all[b].ag.Weight {
-			return all[a].ag.Weight > all[b].ag.Weight
+	slices.SortFunc(ranked, func(a, b segRank) int {
+		switch {
+		case a.weight > b.weight:
+			return -1
+		case a.weight < b.weight:
+			return 1
 		}
-		return all[a].pos < all[b].pos
+		return a.pos - b.pos
 	})
-	if len(all) > k {
-		all = all[:k]
+	if len(ranked) > k {
+		ranked = ranked[:k]
 	}
 	ans := Answer{Score: sa.Score}
 	var sig strings.Builder
-	for _, sg := range all {
-		ans.Groups = append(ans.Groups, sg.ag)
+	for _, r := range ranked {
+		seg := sa.Full[r.pos]
+		size := 0
+		for p := seg.Start; p <= seg.End; p++ {
+			size += len(groups[order[p]].Members)
+		}
+		ag := AnswerGroup{Records: make([]int, 0, size), Weight: r.weight, Rep: r.rep}
+		for p := seg.Start; p <= seg.End; p++ {
+			ag.Records = append(ag.Records, groups[order[p]].Members...)
+		}
+		sort.Ints(ag.Records)
+		ans.Groups = append(ans.Groups, ag)
 		// Identity must reflect the exact record set: rep+size alone can
 		// collide when two candidate groupings swap equal-sized members.
 		h := fnv.New64a()
 		var buf [8]byte
-		for _, id := range sg.ag.Records {
+		for _, id := range ag.Records {
 			binary.LittleEndian.PutUint64(buf[:], uint64(id))
 			h.Write(buf[:])
 		}
-		fmt.Fprintf(&sig, "|%d:%d:%x", sg.ag.Rep, len(sg.ag.Records), h.Sum64())
+		fmt.Fprintf(&sig, "|%d:%d:%x", ag.Rep, len(ag.Records), h.Sum64())
 	}
 	return ans, sig.String()
 }

@@ -118,29 +118,19 @@ func AddressFeatures(c *strsim.Corpus, stop strsim.StopWords) FeatureSet {
 	return FeatureSet{
 		Names: names,
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := a.Field(datagen.FieldOwner), b.Field(datagen.FieldOwner)
-			aa, ab := a.Field(datagen.FieldAddress), b.Field(datagen.FieldAddress)
-			pinEq := 0.0
-			if a.Field(datagen.FieldPin) != "" && a.Field(datagen.FieldPin) == b.Field(datagen.FieldPin) {
-				pinEq = 1
-			}
-			fa := make(map[string]struct{})
-			for _, t := range stop.Filter(aa) {
-				fa[t] = struct{}{}
-			}
-			fb := make(map[string]struct{})
-			for _, t := range stop.Filter(ab) {
-				fb[t] = struct{}{}
-			}
-			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				initialsJaccard(na, nb),
-				strsim.JaroWinkler(na, nb),
-				strsim.AuthorSimilarity(c, na, nb),
-				strsim.JaccardGrams(aa, ab, 3),
-				strsim.Overlap(fa, fb),
-				pinEq,
-			}
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			v := make([]float64, len(names))
+			ps.Set(a.Field(datagen.FieldOwner), b.Field(datagen.FieldOwner))
+			v[0] = ps.JaccardGrams(3)
+			v[1] = ps.InitialsJaccard()
+			v[2] = ps.JaroWinkler()
+			v[3] = ps.AuthorSimilarity(c)
+			ps.Set(a.Field(datagen.FieldAddress), b.Field(datagen.FieldAddress))
+			v[4] = ps.JaccardGrams(3)
+			v[5] = ps.NonStopOverlap(stop)
+			v[6] = fieldsEqual(a, b, datagen.FieldPin)
+			return v
 		},
 	}
 }

@@ -182,34 +182,20 @@ func CitationFeatures(c *strsim.Corpus) FeatureSet {
 	return FeatureSet{
 		Names: names,
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := a.Field(datagen.FieldAuthor), b.Field(datagen.FieldAuthor)
-			ca, cb := a.Field(datagen.FieldCoauthors), b.Field(datagen.FieldCoauthors)
-			yearEq := 0.0
-			if a.Field(datagen.FieldYear) != "" && a.Field(datagen.FieldYear) == b.Field(datagen.FieldYear) {
-				yearEq = 1
-			}
-			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				strsim.GramOverlapRatio(na, nb, 3),
-				initialsJaccard(na, nb),
-				strsim.JaroWinkler(na, nb),
-				strsim.AuthorSimilarity(c, na, nb),
-				strsim.JaccardTokens(ca, cb),
-				strsim.CoauthorSimilarity(c, ca, cb),
-				yearEq,
-			}
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			v := make([]float64, len(names))
+			ps.Set(a.Field(datagen.FieldAuthor), b.Field(datagen.FieldAuthor))
+			v[0] = ps.JaccardGrams(3)
+			v[1] = ps.GramOverlapRatio(3)
+			v[2] = ps.InitialsJaccard()
+			v[3] = ps.JaroWinkler()
+			v[4] = ps.AuthorSimilarity(c)
+			ps.Set(a.Field(datagen.FieldCoauthors), b.Field(datagen.FieldCoauthors))
+			v[5] = ps.JaccardTokens()
+			v[6] = ps.CoauthorSimilarity(c)
+			v[7] = fieldsEqual(a, b, datagen.FieldYear)
+			return v
 		},
 	}
-}
-
-func initialsJaccard(a, b string) float64 {
-	sa := make(map[string]struct{})
-	for _, t := range strsim.Tokenize(a) {
-		sa[t[:1]] = struct{}{}
-	}
-	sb := make(map[string]struct{})
-	for _, t := range strsim.Tokenize(b) {
-		sb[t[:1]] = struct{}{}
-	}
-	return strsim.Jaccard(sa, sb)
 }

@@ -193,3 +193,12 @@ func lastToken(value string) string {
 }
 
 func keyf(parts ...string) string { return strings.Join(parts, "\x1f") }
+
+// fieldsEqual is the 0/1 feature "field f is non-empty and equal on both
+// records".
+func fieldsEqual(a, b *records.Record, f string) float64 {
+	if a.Field(f) != "" && a.Field(f) == b.Field(f) {
+		return 1
+	}
+	return 0
+}

@@ -49,21 +49,18 @@ func RestaurantFeatures(c *strsim.Corpus) FeatureSet {
 	return FeatureSet{
 		Names: names,
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := a.Field(datagen.FieldOwner), b.Field(datagen.FieldOwner)
-			eq := func(f string) float64 {
-				if a.Field(f) != "" && a.Field(f) == b.Field(f) {
-					return 1
-				}
-				return 0
-			}
-			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				strsim.JaroWinkler(na, nb),
-				c.TFIDFCosine(na, nb),
-				strsim.JaccardTokens(a.Field(datagen.FieldAddress), b.Field(datagen.FieldAddress)),
-				eq(datagen.FieldCity),
-				eq(datagen.FieldCuisine),
-			}
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			v := make([]float64, len(names))
+			ps.Set(a.Field(datagen.FieldOwner), b.Field(datagen.FieldOwner))
+			v[0] = ps.JaccardGrams(3)
+			v[1] = ps.JaroWinkler()
+			v[2] = ps.TFIDFCosine(c)
+			ps.Set(a.Field(datagen.FieldAddress), b.Field(datagen.FieldAddress))
+			v[3] = ps.JaccardTokens()
+			v[4] = fieldsEqual(a, b, datagen.FieldCity)
+			v[5] = fieldsEqual(a, b, datagen.FieldCuisine)
+			return v
 		},
 	}
 }
@@ -119,16 +116,18 @@ func AuthorOnlyFeatures(c *strsim.Corpus) FeatureSet {
 	return FeatureSet{
 		Names: names,
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := a.Field(datagen.FieldAuthor), b.Field(datagen.FieldAuthor)
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			ps.Set(a.Field(datagen.FieldAuthor), b.Field(datagen.FieldAuthor))
 			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				strsim.GramOverlapRatio(na, nb, 3),
-				initialsJaccard(na, nb),
-				strsim.JaroWinkler(na, nb),
-				strsim.AuthorSimilarity(c, na, nb),
-				c.TFIDFCosine(na, nb),
-				strsim.MongeElkan(na, nb, nil),
-				c.SoftTFIDF(na, nb, nil, 0.9),
+				ps.JaccardGrams(3),
+				ps.GramOverlapRatio(3),
+				ps.InitialsJaccard(),
+				ps.JaroWinkler(),
+				ps.AuthorSimilarity(c),
+				ps.TFIDFCosine(c),
+				ps.MongeElkan(nil),
+				ps.SoftTFIDF(c, nil, 0.9),
 			}
 		},
 	}
@@ -159,15 +158,17 @@ func GetoorDomain(c *strsim.Corpus) Domain {
 			"title.tfidf",
 		},
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := name(a), name(b)
-			ta, tb := title(a), title(b)
-			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				strsim.JaroWinkler(na, nb),
-				strsim.AuthorSimilarity(c, na, nb),
-				strsim.JaccardTokens(ta, tb),
-				c.TFIDFCosine(ta, tb),
-			}
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			v := make([]float64, 5)
+			ps.Set(name(a), name(b))
+			v[0] = ps.JaccardGrams(3)
+			v[1] = ps.JaroWinkler()
+			v[2] = ps.AuthorSimilarity(c)
+			ps.Set(title(a), title(b))
+			v[3] = ps.JaccardTokens()
+			v[4] = ps.TFIDFCosine(c)
+			return v
 		},
 	}
 	return Domain{

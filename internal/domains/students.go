@@ -158,25 +158,21 @@ func StudentFeatures() FeatureSet {
 	return FeatureSet{
 		Names: names,
 		Vec: func(a, b *records.Record) []float64 {
-			na, nb := a.Field(datagen.FieldName), b.Field(datagen.FieldName)
-			eq := func(f string) float64 {
-				if a.Field(f) != "" && a.Field(f) == b.Field(f) {
-					return 1
-				}
-				return 0
-			}
-			return []float64{
-				strsim.JaccardGrams(na, nb, 3),
-				strsim.GramOverlapRatio(na, nb, 3),
-				strsim.JaroWinkler(na, nb),
-				strsim.EditSimilarity(na, nb),
-				// Alignment similarity is robust to the dataset's
-				// missing-space errors ("anitadeshpande").
-				strsim.NeedlemanWunsch(na, nb),
-				eq(datagen.FieldBirthdate),
-				eq(datagen.FieldClass),
-				eq(datagen.FieldSchool),
-			}
+			ps := strsim.GetPairScratch()
+			defer ps.Release()
+			v := make([]float64, len(names))
+			ps.Set(a.Field(datagen.FieldName), b.Field(datagen.FieldName))
+			v[0] = ps.JaccardGrams(3)
+			v[1] = ps.GramOverlapRatio(3)
+			v[2] = ps.JaroWinkler()
+			v[3] = ps.EditSimilarity()
+			// Alignment similarity is robust to the dataset's
+			// missing-space errors ("anitadeshpande").
+			v[4] = ps.NeedlemanWunsch()
+			v[5] = fieldsEqual(a, b, datagen.FieldBirthdate)
+			v[6] = fieldsEqual(a, b, datagen.FieldClass)
+			v[7] = fieldsEqual(a, b, datagen.FieldSchool)
+			return v
 		},
 	}
 }

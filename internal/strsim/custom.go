@@ -2,43 +2,12 @@ package strsim
 
 import "strings"
 
-// hasInitialToken reports whether any token of the name is a single letter
-// (an initial such as the "S" in "S. Sarawagi").
-func hasInitialToken(name string) bool {
-	for _, t := range Tokenize(name) {
-		if len(t) == 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // FullNamesEqual reports whether both names consist only of full words (no
 // single-letter initials) and their token multisets match exactly.
 func FullNamesEqual(a, b string) bool {
-	if hasInitialToken(a) || hasInitialToken(b) {
-		return false
-	}
-	ta, tb := Tokenize(a), Tokenize(b)
-	if len(ta) != len(tb) {
-		return false
-	}
-	sortStrings(ta)
-	sortStrings(tb)
-	for i := range ta {
-		if ta[i] != tb[i] {
-			return false
-		}
-	}
-	return len(ta) > 0
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.FullNamesEqual()
 }
 
 // AuthorSimilarity is the paper's custom similarity on the Author field
@@ -46,20 +15,9 @@ func sortStrings(s []string) {
 // exactly; otherwise the maximum IDF weight of matching words, scaled to
 // take a maximum value of 1.
 func AuthorSimilarity(c *Corpus, a, b string) float64 {
-	if FullNamesEqual(a, b) {
-		return 1
-	}
-	maxIDF := c.MaxIDF()
-	if maxIDF == 0 {
-		return 0
-	}
-	sim := c.MaxMatchingIDF(a, b) / maxIDF
-	if sim >= 1 {
-		// Reserve exactly-1 for the full-name match so the two regimes of
-		// the piecewise definition stay distinguishable.
-		sim = 0.999
-	}
-	return sim
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.AuthorSimilarity(c)
 }
 
 // CoauthorSimilarity is the paper's custom similarity on the co-author
@@ -67,11 +25,9 @@ func AuthorSimilarity(c *Corpus, a, b string) float64 {
 // either of the two extremes 0 or 1; otherwise the percentage of matching
 // co-author words. The co-author field is a separator-joined list of names.
 func CoauthorSimilarity(c *Corpus, a, b string) float64 {
-	s := AuthorSimilarity(c, a, b)
-	if s == 0 || s == 1 {
-		return s
-	}
-	return WordOverlapFraction(a, b)
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.CoauthorSimilarity(c)
 }
 
 // SplitNameList splits a joined name list ("A Gupta; B Rao" or

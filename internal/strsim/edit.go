@@ -3,6 +3,13 @@ package strsim
 // Levenshtein returns the edit distance between a and b (unit costs for
 // insert, delete, substitute), computed over bytes with two rolling rows.
 func Levenshtein(a, b string) int {
+	ps := GetPairScratch()
+	defer ps.Release()
+	return ps.levenshtein(a, b)
+}
+
+// levenshtein is Levenshtein on the scratch's DP rows.
+func (ps *PairScratch) levenshtein(a, b string) int {
 	if a == b {
 		return 0
 	}
@@ -15,8 +22,7 @@ func Levenshtein(a, b string) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	prev := make([]int, len(a)+1)
-	cur := make([]int, len(a)+1)
+	prev, cur := ps.dpRows(len(a) + 1)
 	for i := range prev {
 		prev[i] = i
 	}
@@ -45,22 +51,28 @@ func Levenshtein(a, b string) int {
 // EditSimilarity maps Levenshtein distance into [0,1]:
 // 1 - dist/max(len(a), len(b)). Two empty strings give 1.
 func EditSimilarity(a, b string) float64 {
+	ps := GetPairScratch()
+	defer ps.Release()
+	return ps.editSimilarity(a, b)
+}
+
+func (ps *PairScratch) editSimilarity(a, b string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	maxLen := len(a)
-	if len(b) > maxLen {
-		maxLen = len(b)
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
+	return 1 - float64(ps.levenshtein(a, b))/float64(max(len(a), len(b)))
 }
 
 // Jaro returns the Jaro similarity of a and b in [0,1].
 func Jaro(a, b string) float64 {
+	ps := GetPairScratch()
+	defer ps.Release()
+	return ps.jaro(a, b)
+}
+
+// jaro is Jaro on the scratch's match flags.
+func (ps *PairScratch) jaro(a, b string) float64 {
 	if a == b {
-		if len(a) == 0 {
-			return 1
-		}
 		return 1
 	}
 	if len(a) == 0 || len(b) == 0 {
@@ -70,8 +82,7 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	aMatch := make([]bool, len(a))
-	bMatch := make([]bool, len(b))
+	aMatch, bMatch := ps.matchFlags(len(a), len(b))
 	matches := 0
 	for i := 0; i < len(a); i++ {
 		lo := i - window
@@ -119,7 +130,13 @@ func Jaro(a, b string) float64 {
 // scale p = 0.1 and maximum prefix length 4 — "an efficient approximation
 // of edit distance specifically tailored for names" (paper §6.1.1).
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	ps := GetPairScratch()
+	defer ps.Release()
+	return ps.jaroWinkler(a, b)
+}
+
+func (ps *PairScratch) jaroWinkler(a, b string) float64 {
+	j := ps.jaro(a, b)
 	prefix := 0
 	for prefix < len(a) && prefix < len(b) && prefix < 4 && a[prefix] == b[prefix] {
 		prefix++

@@ -9,10 +9,11 @@ import (
 // FuzzStrsim drives the pairwise similarity inventory with arbitrary
 // byte strings and checks the contracts every predicate and scorer in
 // the repo relies on: no panics, results in [0,1], symmetry, and
-// self-similarity 1 for non-empty inputs — and that the early-exit
-// merge OverlapExceeds gives the verdict of the full overlap ratio at
-// every threshold. ci.sh runs a short -fuzztime smoke over the committed
-// corpus on every build.
+// self-similarity 1 for non-empty inputs — that the early-exit merge
+// OverlapExceeds gives the verdict of the full overlap ratio at every
+// threshold, and that every measure the pair kernel rewrote returns its
+// map-based reference's bits. ci.sh runs a short -fuzztime smoke over
+// the committed corpus on every build.
 func FuzzStrsim(f *testing.F) {
 	seeds := [][2]string{
 		{"", ""},
@@ -82,8 +83,13 @@ func FuzzStrsim(f *testing.F) {
 		checkOverlapExceeds(t, cache.GramIDs(a), cache.GramIDs(b))
 		checkOverlapExceeds(t, byteIDs(a), byteIDs(b))
 		checkOverlapExceeds(t, byteIDs(a), nil)
+		checkAgainstReference(t, fuzzCorpus, a, b)
 	})
 }
+
+// fuzzCorpus gives the fuzzer's IDF measures both seen and unseen
+// tokens.
+var fuzzCorpus = referenceCorpus()
 
 // byteIDs returns the distinct bytes of s as an ascending id slice: a
 // second source of sorted id sets for the fuzzer, denser in overlaps

@@ -28,14 +28,7 @@ func IntersectSortedIDs(a, b []int32) int {
 // JaccardSortedIDs is Jaccard over sorted id slices: |A ∩ B| / |A ∪ B|,
 // with two empty sets defined as similarity 1 (matching Jaccard).
 func JaccardSortedIDs(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := IntersectSortedIDs(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
+	return jaccardCounts(len(a), len(b), IntersectSortedIDs(a, b))
 }
 
 // DiceSortedIDs is the Sørensen–Dice coefficient over sorted id slices.
@@ -55,14 +48,7 @@ func OverlapSortedIDs(a, b []int32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small := len(a)
-	if len(b) < small {
-		small = len(b)
-	}
-	return float64(IntersectSortedIDs(a, b)) / float64(small)
+	return overlapCounts(len(a), len(b), IntersectSortedIDs(a, b))
 }
 
 // OverlapCountClears is OverlapExceeds' verdict as a function of the

@@ -30,22 +30,7 @@ func TriGrams(s string) map[string]struct{} { return QGrams(s, 3) }
 // the paper's "common 3-Grams ... more than X% of the size of the smaller
 // field" measure. Empty inputs give 0.
 func GramOverlapRatio(a, b string, q int) float64 {
-	ga, gb := QGrams(a, q), QGrams(b, q)
-	return setOverlapRatio(ga, gb)
-}
-
-func setOverlapRatio(ga, gb map[string]struct{}) float64 {
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	if len(gb) < len(ga) {
-		ga, gb = gb, ga
-	}
-	common := 0
-	for g := range ga {
-		if _, ok := gb[g]; ok {
-			common++
-		}
-	}
-	return float64(common) / float64(len(ga))
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.GramOverlapRatio(q)
 }

@@ -27,15 +27,6 @@ type TokenScratch struct {
 	set     map[string]struct{}
 	counts  map[string]int
 	lowered map[string]string
-	termsA  []termWeight
-	termsB  []termWeight
-}
-
-// termWeight is one (token, term frequency) entry of a sorted term
-// vector (see Corpus.TFIDFCosine).
-type termWeight struct {
-	term string
-	tf   int
 }
 
 // lowerMemoCap bounds the persistent lower-casing memo of a pooled

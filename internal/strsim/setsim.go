@@ -1,25 +1,31 @@
 package strsim
 
+// jaccardCounts is Jaccard from set sizes: |A ∩ B| / |A ∪ B|, two empty
+// sets 1, one empty set 0. Every Jaccard form (maps, sorted ids, the
+// pair kernel's sorted slices) divides through it.
+func jaccardCounts(na, nb, common int) float64 {
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return float64(common) / float64(na+nb-common)
+}
+
+// overlapCounts is the overlap coefficient from set sizes: |A ∩ B| /
+// min(|A|, |B|), 0 when either set is empty.
+func overlapCounts(na, nb, common int) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return float64(common) / float64(min(na, nb))
+}
+
 // Jaccard returns |A ∩ B| / |A ∪ B| for the two sets. Two empty sets are
 // defined to have similarity 1 (identical), one empty set gives 0.
 func Jaccard[T comparable](a, b map[T]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for x := range a {
-		if _, ok := b[x]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return jaccardCounts(len(a), len(b), IntersectionSize(a, b))
 }
 
 // Overlap returns the overlap coefficient |A ∩ B| / min(|A|, |B|).
@@ -28,7 +34,7 @@ func Overlap[T comparable](a, b map[T]struct{}) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	return setOverlapRatioGeneric(a, b)
+	return overlapCounts(len(a), len(b), IntersectionSize(a, b))
 }
 
 // Dice returns the Sørensen–Dice coefficient 2|A ∩ B| / (|A| + |B|).
@@ -39,16 +45,7 @@ func Dice[T comparable](a, b map[T]struct{}) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for x := range a {
-		if _, ok := b[x]; ok {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(a)+len(b))
+	return 2 * float64(IntersectionSize(a, b)) / float64(len(a)+len(b))
 }
 
 // IntersectionSize returns |A ∩ B|.
@@ -65,40 +62,40 @@ func IntersectionSize[T comparable](a, b map[T]struct{}) int {
 	return inter
 }
 
-func setOverlapRatioGeneric[T comparable](a, b map[T]struct{}) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for x := range a {
-		if _, ok := b[x]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a))
-}
-
 // JaccardGrams is Jaccard similarity over the q-gram sets of two strings:
 // the "Jaccard similarity of 3-grams > T" predicate family from the paper.
 func JaccardGrams(a, b string, q int) float64 {
-	return Jaccard(QGrams(a, q), QGrams(b, q))
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.JaccardGrams(q)
 }
 
 // JaccardTokens is Jaccard similarity over the word-token sets.
 func JaccardTokens(a, b string) float64 {
-	return Jaccard(TokenSet(a), TokenSet(b))
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.JaccardTokens()
 }
 
 // WordOverlapFraction returns |tokens(a) ∩ tokens(b)| / min(|tokens(a)|,
 // |tokens(b)|): the paper's "fraction of common (non-stop) words" measure.
 func WordOverlapFraction(a, b string) float64 {
-	return setOverlapRatioGeneric(TokenSet(a), TokenSet(b))
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.WordOverlapFraction()
 }
 
 // CommonTokenCount returns the number of distinct tokens shared by a and b.
 func CommonTokenCount(a, b string) int {
-	return IntersectionSize(TokenSet(a), TokenSet(b))
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.CommonTokenCount()
+}
+
+// InitialsJaccard is Jaccard similarity over the sets of token initials
+// (first bytes): "S. Sarawagi" and "Sunita Sarawagi" give 1.
+func InitialsJaccard(a, b string) float64 {
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.InitialsJaccard()
 }

@@ -2,7 +2,6 @@ package strsim
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -100,17 +99,9 @@ func (c *Corpus) MinIDF(value string) float64 {
 // or 0 when they share no token. Used by the paper's custom author
 // similarity ("maximum IDF weight of matching words").
 func (c *Corpus) MaxMatchingIDF(a, b string) float64 {
-	sa := TokenSet(a)
-	best := 0.0
-	for t := range TokenSet(b) {
-		if _, ok := sa[t]; !ok {
-			continue
-		}
-		if v := c.IDF(t); v > best {
-			best = v
-		}
-	}
-	return best
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.MaxMatchingIDF(c)
 }
 
 // MaxIDF returns the largest IDF value any token can take in this corpus
@@ -122,32 +113,28 @@ func (c *Corpus) MaxIDF() float64 { return c.idfValue(0) }
 // b. Term frequency is raw count within the string; weights use the
 // corpus's smoothed IDF. Result is in [0,1]; two token-less strings give 1.
 //
-// The vectors are sorted term slices built in pooled scratch (no
-// per-call maps), and every floating sum accumulates in sorted term
-// order — deterministic run to run, where the previous map-iteration
+// The vectors are the pair scratch's sorted term slices (no per-call
+// maps), and every floating sum accumulates in sorted term order —
+// deterministic run to run, where the previous map-iteration
 // implementation let the summation order (and hence the low bits of the
 // result) vary.
 func (c *Corpus) TFIDFCosine(a, b string) float64 {
-	ts := GetTokenScratch()
-	defer ts.Release()
-	ts.termsA = appendSortedTerms(ts.termsA[:0], ts.Tokens(a))
-	ts.termsB = appendSortedTerms(ts.termsB[:0], ts.Tokens(b))
-	ta, tb := ts.termsA, ts.termsB
+	ps := pairOf(a, b)
+	defer ps.Release()
+	return ps.TFIDFCosine(c)
+}
+
+// TFIDFCosine is Corpus.TFIDFCosine on the pair's term vectors.
+func (ps *PairScratch) TFIDFCosine(c *Corpus) float64 {
+	ta, tb := ps.a.termVector(), ps.b.termVector()
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	var dot, na, nb float64
-	for _, t := range ta {
-		va := float64(t.tf) * c.IDF(t.term)
-		na += va * va
-	}
-	for _, t := range tb {
-		vb := float64(t.tf) * c.IDF(t.term)
-		nb += vb * vb
-	}
+	var dot float64
+	na, nb := tfidfNorm(c, ta), tfidfNorm(c, tb)
 	i, j := 0, 0
 	for i < len(ta) && j < len(tb) {
 		switch cmp := strings.Compare(ta[i].term, tb[j].term); {
@@ -172,25 +159,15 @@ func (c *Corpus) TFIDFCosine(a, b string) float64 {
 	return sim
 }
 
-// appendSortedTerms turns a token list into a term vector: sorted by
-// token, one entry per distinct token with its occurrence count,
-// appended to dst (whose storage is reused). The tokens' string headers
-// are copied, so the result stays valid after the token buffer is
-// reused.
-func appendSortedTerms(dst []termWeight, toks []string) []termWeight {
-	for _, t := range toks {
-		dst = append(dst, termWeight{term: t, tf: 1})
+// tfidfNorm is the squared norm of a term vector's TF-IDF weights,
+// summed in term order.
+func tfidfNorm(c *Corpus, terms []termWeight) float64 {
+	var n float64
+	for _, t := range terms {
+		v := float64(t.tf) * c.IDF(t.term)
+		n += v * v
 	}
-	slices.SortFunc(dst, func(a, b termWeight) int { return strings.Compare(a.term, b.term) })
-	out := dst[:0]
-	for _, t := range dst {
-		if n := len(out); n > 0 && out[n-1].term == t.term {
-			out[n-1].tf++
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
+	return n
 }
 
 // TopIDFTokens returns up to n tokens of value ordered by decreasing IDF
