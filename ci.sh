@@ -78,6 +78,13 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
 if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/stream internal/experiments; then exit 1; fi
 
+# An index build keeps nothing between calls: predicate.P.Block interns
+# into a table of its own, and core (the bound scan included) reads the
+# index it builds, never an intern.Table. Gram keys are the cache's
+# sorted gram slices, with no per-domain key prefix built onto each.
+if grep -rn --include='*.go' --exclude='*_test.go' 'topkdedup/internal/intern"' internal/core; then exit 1; fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'keyPrefix' internal/domains; then exit 1; fi
+
 # One route to a pruning, each piece of work once: segment.BestR and the
 # canonical group order stay off reflection-based sort.Slice (BestR
 # merges sorted rows; groups sort by slices.SortFunc).
@@ -240,6 +247,12 @@ go test -run '^$' -bench 'BenchmarkFeatureVec' -benchtime 1x ./internal/strsim
 # CI even when unrelated packages are skipped, and smoke the hot-path
 # benchmarks one iteration each.
 go test -run 'TestStage0PruneNoAllocs|TestBoundScanAllocs' ./internal/core
+# One index build is a handful of allocations whatever its key count
+# (TestBlockAllocs); the CSR index answers every query as the
+# bucket-per-key reference does; the bound scan reads the level's index,
+# so a repeated key cannot make a group its own candidate.
+go test -count=1 -run 'TestBlockAllocs|TestBoundScanRepeatedKeys' ./internal/core
+go test -count=1 -run 'TestIDIndexMatchesReference' ./internal/index
 go test -run 'TestBoundEvalNoAllocs' ./internal/domains
 go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase|TestPairScratchNoAllocs' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server

@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"topkdedup/internal/datagen"
+	"topkdedup/internal/domains"
+	"topkdedup/internal/index"
+)
 
 // stage0Fixture builds a warm Pruner over a generated dataset, skipping
 // the test when the seed fails to establish a usable lower bound.
@@ -51,24 +58,48 @@ func TestRescanStage0Reproducible(t *testing.T) {
 }
 
 // TestBoundScanAllocs pins the allocations of one §4.2 scan at one
-// worker over boundInput's three blocks. K is past anything the 14
-// letters can certify and past the Min-fill check interval, so every
-// block is enumerated, verified and consumed and no full check runs
-// (Min-fill's map-backed graphs allocate a varying amount). The scan
-// builds its per-call state — intern table, buckets, seen stamps, the
-// prefix graph's adjacency maps, the bound evaluator — so the pin is not
-// zero; it is what the scan reads, plus one allocation the runtime is
-// sometimes counted for, and a per-block or per-rank allocation sneaking
-// in breaks it.
+// worker over boundInput's three blocks, reading an index built outside
+// the measurement — as the level loop's scan reads its level's index. K
+// is past anything the 14 letters can certify and past the Min-fill
+// check interval, so every block is enumerated, verified and consumed and
+// no full check runs (Min-fill's map-backed graphs allocate a varying
+// amount). The scan builds its per-call state — seen stamps, pair and
+// verdict lists, the prefix graph's adjacency maps, the bound evaluator —
+// so the pin is not zero; it is what the scan reads, plus one allocation
+// the runtime is sometimes counted for, and a per-block or per-rank
+// allocation sneaking in breaks it.
 func TestBoundScanAllocs(t *testing.T) {
-	const want = 6759
+	const want = 5460
 	d, groups := boundInput(t, 0)
 	n := toyN()
+	ix := BlockReps(d, groups, n, nil)
+	block := func() *index.IDIndex { return ix }
 	allocs := testing.AllocsPerRun(20, func() {
-		EstimateLowerBound(d, groups, n, 10000)
+		estimateLowerBound(context.Background(), d, groups, n, block, 10000, 1)
 	})
 	if allocs > want+1 {
-		t.Fatalf("EstimateLowerBound = %v allocs/op, want %d", allocs, want)
+		t.Fatalf("estimateLowerBound = %v allocs/op, want %d", allocs, want)
+	}
+}
+
+// TestBlockAllocs pins what one index build costs: citations N1 over
+// the representatives of a 3,000-record dataset's level-1 groups (1,495
+// of them, 10,100 gram keys, 2,113 distinct). The build allocates the call's key
+// table, one flat id buffer (grown by doubling), the index's offset and
+// item slices, and the representative list — a count that grows with
+// the logarithm of the key count, never with the count itself. The gram
+// cache is warmed first: what it memoises is not the build's.
+func TestBlockAllocs(t *testing.T) {
+	const want = 38
+	d := datagen.Citations(datagen.DefaultCitationConfig(3000))
+	level := domains.Citations(domains.BuildDistinctCorpus(d, datagen.FieldAuthor), domains.CitationOptions{}).Levels[0]
+	groups, _ := Collapse(d, singletonGroups(d), level.Sufficient)
+	BlockReps(d, groups, level.Necessary, nil)
+	allocs := testing.AllocsPerRun(20, func() {
+		BlockReps(d, groups, level.Necessary, nil)
+	})
+	if allocs > want+1 {
+		t.Fatalf("BlockReps(N1) over %d groups = %v allocs/op, want %d", len(groups), allocs, want)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"topkdedup/internal/graph"
-	"topkdedup/internal/intern"
+	"topkdedup/internal/index"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/parallel"
 	"topkdedup/internal/predicate"
@@ -58,7 +58,20 @@ func EstimateLowerBound(d *records.Dataset, groups []Group, n predicate.P, k int
 // "bound.block" event per block consumed (ranks scanned and independent
 // so far, and M once certified): the trail the EXPLAIN report renders.
 // An untraced context costs one nil check.
+//
+// It blocks groups[:BoundScanLimit(groups, k)] under n for the scan;
+// Algorithm 2's level loop instead hands the scan the index of the
+// level's groups it keeps for the prune step (estimateLowerBound).
 func EstimateLowerBoundCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, k, workers int) (m int, lower float64, evals, hits int64) {
+	block := func() *index.IDIndex { return BlockReps(d, groups[:BoundScanLimit(groups, k)], n, nil) }
+	return estimateLowerBound(ctx, d, groups, n, block, k, workers)
+}
+
+// estimateLowerBound is EstimateLowerBoundCtx over the index block
+// returns, which it asks for once, when there is a rank to scan. The
+// index must be BlockReps under n over groups or a prefix of them at
+// least BoundScanLimit(groups, k) long; the scan only reads it.
+func estimateLowerBound(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, k, workers int) (m int, lower float64, evals, hits int64) {
 	if len(groups) == 0 || k < 1 {
 		return 0, 0, 0, 0
 	}
@@ -80,8 +93,11 @@ func EstimateLowerBoundCtx(ctx context.Context, d *records.Dataset, groups []Gro
 				obs.Num("independent", float64(prefix.Independent())), obs.Num("m", lower))
 		}
 	}
-	sc := newBoundScanner(d, groups, n, workers)
 	limit := BoundScanLimit(groups, k)
+	var sc *boundScanner
+	if limit > 0 {
+		sc = newBoundScanner(d, groups, n, block(), limit, workers)
+	}
 	for consumed < limit {
 		end := min(consumed+boundBlock, limit)
 		sc.scan(end)
@@ -135,14 +151,18 @@ func BoundScanLimit(groups []Group, k int) int {
 
 // boundScanner is the data half of the §4.2 scan: it walks a
 // weight-sorted group list in rank order, enumerating each group's
-// necessary-predicate candidates among earlier groups (blocked by the
-// predicate's keys and deduplicated) and verifying them on a worker pool.
-// It makes no stopping decisions; EstimateLowerBoundCtx feeds the
-// verified edges to a graph.Prefix.
+// necessary-predicate candidates among earlier groups and verifying them
+// on a worker pool. The candidates come from the index of the groups
+// under the predicate's keys: rank gi's earlier groups sharing a key are
+// the head of that key's bucket below gi (buckets are ascending), and a
+// rank stamp drops the ones met under a second shared key. It makes no
+// stopping decisions; EstimateLowerBoundCtx feeds the verified edges to
+// a graph.Prefix.
 type boundScanner struct {
 	d      *records.Dataset
 	groups []Group
 	n      predicate.P
+	ix     *index.IDIndex
 	// eval is n bound to the representatives of groups[:boundTo], a
 	// prefix grown (by doubling) as blocks with a pair to verify reach
 	// past it: most scans certify K entities within a block or two of a
@@ -150,17 +170,10 @@ type boundScanner struct {
 	eval    func(i, j int) bool
 	boundTo int
 	workers int
-	// Keys are interned incrementally as the scan discovers them; buckets
-	// is indexed by key id (grown to the table size each block), and seen
-	// is a stamp slice indexed by group rank — candidate dedup without a
-	// map probe per (key, prior-group) visit.
-	tab     *intern.Table
-	buckets [][]int32 // key id -> prior group indices
-	seen    []int32   // candidate dedup, stamped by consuming rank + 1
+	seen    []int32 // candidate dedup by rank, stamped by consuming rank + 1
 	// The current block: ranks [lo, at), their candidate pairs (rank
 	// lo+i's are pairs[pairStart[i]:pairStart[i+1]]) and verdicts.
 	lo, at    int
-	keyIDs    []uint32
 	pairs     []boundPair
 	pairStart []int
 	verdict   []bool
@@ -170,38 +183,38 @@ type boundScanner struct {
 type boundPair struct{ gi, gj int32 }
 
 // newBoundScanner returns a scanner over groups (which must be sorted by
-// decreasing weight, Rep ascending on ties) for necessary predicate n.
-func newBoundScanner(d *records.Dataset, groups []Group, n predicate.P, workers int) *boundScanner {
+// decreasing weight, Rep ascending on ties) for necessary predicate n,
+// reading ix, the index of at least groups[:limit] under n, for the
+// candidates of ranks below limit.
+func newBoundScanner(d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIndex, limit, workers int) *boundScanner {
 	return &boundScanner{
-		d: d, groups: groups, n: n, workers: workers,
-		tab:  intern.New(),
-		seen: make([]int32, len(groups)),
+		d: d, groups: groups, n: n, ix: ix, workers: workers,
+		seen: make([]int32, limit),
 	}
 }
 
 // scan makes ranks [at, end) the current block: it enumerates their
-// candidate pairs serially (so the bucket/seen state is identical to a
-// plain loop) and verifies them on the worker pool.
+// candidate pairs serially (rank order, each rank's keys in index order,
+// each bucket ascending — the order of a plain loop) and verifies them on
+// the worker pool.
 func (sc *boundScanner) scan(end int) {
 	sc.lo = sc.at
 	sc.pairs = sc.pairs[:0]
 	sc.pairStart = sc.pairStart[:0]
+	keysOf := sc.ix.KeyIDs()
 	for gi := sc.lo; gi < end; gi++ {
 		sc.pairStart = append(sc.pairStart, len(sc.pairs))
-		sc.keyIDs = sc.n.KeyIDs(sc.tab, sc.d.Recs[sc.groups[gi].Rep], sc.keyIDs[:0])
-		// Grow the bucket slice to cover any ids this group minted.
-		for len(sc.buckets) < sc.tab.Len() {
-			sc.buckets = append(sc.buckets, nil)
-		}
-		for _, key := range sc.keyIDs {
-			for _, gj := range sc.buckets[key] {
+		for _, key := range keysOf[gi] {
+			for _, gj := range sc.ix.Bucket(key) {
+				if int(gj) >= gi {
+					break // ascending: the rest are gi and later ranks
+				}
 				if sc.seen[gj] == int32(gi+1) {
 					continue
 				}
 				sc.seen[gj] = int32(gi + 1)
 				sc.pairs = append(sc.pairs, boundPair{int32(gi), gj})
 			}
-			sc.buckets[key] = append(sc.buckets[key], int32(gi))
 		}
 	}
 	sc.pairStart = append(sc.pairStart, len(sc.pairs))

@@ -160,3 +160,24 @@ func TestBoundScanGolden(t *testing.T) {
 		t.Error("no case certified its bound through a full check; the Min-fill path went untested")
 	}
 }
+
+// TestBoundScanRepeatedKeys: a necessary predicate whose Keys lists
+// every key twice blocks like one listing it once, so the §4.2 scan on
+// boundInput reports the same m, M, evaluations, hits and bound.block
+// trail either way — in particular, no group meets itself as an earlier
+// candidate under its repeated key.
+func TestBoundScanRepeatedKeys(t *testing.T) {
+	twice := toyN()
+	keys := twice.Keys
+	twice.Keys = func(r *records.Record) []string {
+		once := keys(r)
+		return append(append([]string(nil), once...), once...)
+	}
+	d, groups := boundInput(t, 0)
+	for _, k := range []int{1, 5, 10, 40} {
+		want, _, _ := traceBound(t, d, groups, toyN(), k)
+		if got, _, _ := traceBound(t, d, groups, twice, k); got != want {
+			t.Errorf("k=%d, keys listed twice:\n got %s\nwant %s", k, got, want)
+		}
+	}
+}

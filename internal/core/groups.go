@@ -94,10 +94,10 @@ func usedReps(d *records.Dataset, groups []Group, use []bool) (reps []*records.R
 // BlockReps indexes the groups' representatives by p's blocking keys
 // (predicate.P.Block): items of the returned index are indices into
 // groups, the same addressing as BindReps' evaluator. It is the one
-// place representative keys are interned and indexed — collapse, prune,
-// the final scoring phase, the rank queries and the experiment baselines
-// all take their candidates from it. dst is Block's reusable id-list
-// buffer; nil allocates.
+// place representative keys are interned and indexed — collapse, the
+// bound scan, prune, the final scoring phase, the rank queries and the
+// experiment baselines all take their candidates from it. dst is a
+// previous index's KeyIDs, whose id buffer Block reuses; nil allocates.
 func BlockReps(d *records.Dataset, groups []Group, p predicate.P, dst [][]uint32) *index.IDIndex {
 	reps := make([]*records.Record, len(groups))
 	for i := range groups {

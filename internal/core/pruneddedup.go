@@ -125,8 +125,12 @@ func (pl *PreparedLevel) collapsed(workers int) (fresh bool) {
 }
 
 // index returns BlockReps over the collapsed groups and the necessary
-// predicate, built on first use: a level whose bound comes out at zero
-// prunes nothing and never asks.
+// predicate, built on first use and then only read. The §4.2 bound scan
+// asks for it first (a TopK query's scan walks its buckets for each
+// rank's earlier candidates) and the prune step walks it next; on a
+// served epoch's level 1 every K's query reads the one build. A level
+// whose bound comes out at zero still built it for the scan; only one
+// with no rank to scan (every group at the minimum weight) never asks.
 func (pl *PreparedLevel) index() *index.IDIndex {
 	pl.block.Do(func() { pl.ix = BlockReps(pl.d, pl.groups, pl.level.Necessary, nil) })
 	return pl.ix
@@ -201,7 +205,7 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 		m := opts.Threshold
 		if m == 0 {
 			start = time.Now()
-			stats.MRank, m, stats.BoundEvals, _ = EstimateLowerBoundCtx(ctxL, d, groups, level.Necessary, opts.K, opts.Workers)
+			stats.MRank, m, stats.BoundEvals, _ = estimateLowerBound(ctxL, d, groups, level.Necessary, lv.index, opts.K, opts.Workers)
 			stats.BoundTime = time.Since(start)
 			obs.ObserveDuration(sink, "core.bound", stats.BoundTime)
 			obs.Count(sink, "core.bound.evals", stats.BoundEvals)

@@ -133,7 +133,7 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 		})
 
 	// N1: common author 3-grams exceed 60% of the smaller gram set.
-	n1 := gramOverlapAbove("N1", cache, author, overlap, "c.n1")
+	n1 := gramOverlapAbove("N1", cache, author, overlap)
 
 	// N2: N1 plus at least one common initial.
 	type n2Sig struct {
@@ -152,7 +152,7 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 			return a.letters&b.letters != 0 &&
 				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), overlap, true)
 		},
-		func(r *records.Record) []string { return gramKeys(cache, "c.n2", author(r)) })
+		func(r *records.Record) []string { return gramKeys(cache, author(r)) })
 
 	return Domain{
 		Name: "citations",

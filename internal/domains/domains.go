@@ -99,34 +99,30 @@ func sortedTokensKey(value string) string {
 	return strings.Join(toks, " ")
 }
 
-// gramKeys returns one blocking key per 3-gram of the value, with the
-// given prefix to keep domains' key spaces disjoint. The cache memoises
-// the sorted gram list across calls, so the keys come out in the same
-// order on every call — ranging the gram map instead would feed the
-// downstream interned indexes in a different order each run.
-func gramKeys(cache *strsim.Cache, prefix, value string) []string {
-	grams := cache.SortedGrams(value)
-	keys := make([]string, 0, len(grams))
-	for _, g := range grams {
-		keys = append(keys, prefix+g)
-	}
-	return keys
+// gramKeys returns one blocking key per 3-gram of the value: the
+// cache's memoised sorted gram list itself, shared and read-only like
+// every Keys result. Sorted, so the keys come out in the same order on
+// every call — ranging the gram map instead would feed the downstream
+// interned indexes in a different order each run. No prefix marks them
+// as grams: an index holds one predicate's keys, never two.
+func gramKeys(cache *strsim.Cache, value string) []string {
+	return cache.SortedGrams(value)
 }
 
 // gramOverlapAbove is the single-field necessary predicate several
 // domains share: the field's 3-gram overlap ratio strictly exceeds thr,
-// blocked on one key per gram under keyPrefix. The signature is the
-// field's sorted interned gram ids. The keys are the grams themselves,
-// so the keys a pair shares are its common grams and the count form is
-// the same threshold on that count (predicate.OfCounted).
-func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64, keyPrefix string) predicate.P {
+// blocked on one key per gram. The signature is the field's sorted
+// interned gram ids. The keys are the grams themselves, so the keys a
+// pair shares are its common grams and the count form is the same
+// threshold on that count (predicate.OfCounted).
+func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64) predicate.P {
 	return predicate.OfCounted(name,
 		func(r *records.Record) []int32 { return cache.GramIDs(field(r)) },
 		func(a, b []int32) bool { return strsim.OverlapExceeds(a, b, thr, true) },
 		func(a, b []int32, shared int) bool {
 			return strsim.OverlapCountClears(shared, min(len(a), len(b)), thr, true)
 		},
-		func(r *records.Record) []string { return gramKeys(cache, keyPrefix, field(r)) })
+		func(r *records.Record) []string { return gramKeys(cache, field(r)) })
 }
 
 // wordPairKeys returns one key per unordered pair of distinct non-stop

@@ -27,7 +27,7 @@ func Generic(field string, overlap float64) ([]predicate.Level, func(a, b *recor
 		func(rec *records.Record) string { return tokensKey.Get(val(rec)) },
 		func(a, b string) bool { return a != "" && a == b },
 		func(rec *records.Record) []string { return []string{"s:" + tokensKey.Get(val(rec))} })
-	n := gramOverlapAbove("N-grams", cache, val, overlap, "n:")
+	n := gramOverlapAbove("N-grams", cache, val, overlap)
 	scorer := func(a, b *records.Record) float64 {
 		sim := 0.5*cache.JaccardGrams(val(a), val(b)) + 0.5*strsim.JaroWinkler(val(a), val(b))
 		return 6 * (sim - 0.55)

@@ -27,7 +27,7 @@ func Restaurants(c *strsim.Corpus) Domain {
 			return []string{keyf("r.s1", tokensKey.Get(name(r)), tokensKey.Get(addr(r)), city(r))}
 		})
 
-	n1 := gramOverlapAbove("N1", cache, name, 0.4, "r.n1")
+	n1 := gramOverlapAbove("N1", cache, name, 0.4)
 
 	return Domain{
 		Name:     "restaurant",
@@ -93,7 +93,7 @@ func AuthorsOnly(c *strsim.Corpus) Domain {
 			}
 			return []string{keyf("au.s1", k)}
 		})
-	n1 := gramOverlapAbove("N1", cache, name, 0.3, "au.n1")
+	n1 := gramOverlapAbove("N1", cache, name, 0.3)
 	return Domain{
 		Name:     "authors",
 		Levels:   []predicate.Level{{Sufficient: s1, Necessary: n1}},
@@ -148,7 +148,7 @@ func GetoorDomain(c *strsim.Corpus) Domain {
 		func(r *records.Record) []string {
 			return []string{keyf("g.s1", tokensKey.Get(name(r)), tokensKey.Get(title(r)))}
 		})
-	n1 := gramOverlapAbove("N1", cache, name, 0.3, "g.n1")
+	n1 := gramOverlapAbove("N1", cache, name, 0.3)
 	feats := FeatureSet{
 		Names: []string{
 			"author.jaccard3gram",

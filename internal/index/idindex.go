@@ -6,22 +6,25 @@
 package index
 
 // IDIndex is an inverted index from interned blocking-key ids (dense
-// uint32 ids from an intern.Table) to the items carrying them. Buckets
-// live in one flat slice indexed by key id, so bucket lookup is an array
-// index, and the key inversion (item -> its key ids) is the build input
-// itself — ForEachPair and PairCount never re-derive it. Every
-// enumeration order is fixed by the build input: items ascending, each
-// item's keys in their build order, buckets in insertion order.
+// uint32 ids, first-seen order) to the items carrying them. Buckets are
+// laid out in compressed sparse rows: one flat item slice, cut by an
+// offset per key id, so bucket lookup is two array reads and a build
+// allocates the same few slices whatever the key count. The key
+// inversion (item -> its key ids) is the build input itself —
+// ForEachPair and PairCount never re-derive it. Every enumeration order
+// is fixed by the build input: items ascending, each item's keys in
+// their build order, every bucket ascending.
 type IDIndex struct {
-	n       int
-	buckets [][]int32
-	keysOf  [][]uint32
+	n      int
+	off    []int32 // bucket id is items[off[id]:off[id+1]]
+	items  []int32
+	keysOf [][]uint32
 }
 
 // BuildID indexes items [0, n) by their interned key ids. keyIDs[i]
-// lists item i's key ids, all < idSpace (typically intern.Table.Len()
-// after interning every key). The slice is retained as the index's
-// cached key inversion; callers must not mutate it afterwards.
+// lists item i's key ids, all < idSpace (the number of distinct keys
+// interned). The slice is retained as the index's cached key inversion;
+// callers must not mutate it afterwards.
 //
 // An id listed more than once for an item is indexed once: the item
 // enters that bucket once and keyIDs[i] is compacted in place to its
@@ -29,21 +32,42 @@ type IDIndex struct {
 // once per key the two items share — what makes CandidatesCounted's
 // counts set-intersection sizes and keeps a bucket total from adding one
 // item's weight twice.
+//
+// The build is two passes over the lists: the first counts each bucket's
+// size (a last-seen stamp per id drops the repeats), the second fills
+// the buckets in item order, so every bucket comes out ascending.
 func BuildID(n, idSpace int, keyIDs [][]uint32) *IDIndex {
-	ix := &IDIndex{n: n, buckets: make([][]int32, idSpace), keysOf: keyIDs}
+	off := make([]int32, idSpace+1)
+	at := make([]int32, idSpace) // pass 1: item+1 that last counted the id; pass 2: the id's fill cursor
 	for i := 0; i < n; i++ {
 		distinct := keyIDs[i][:0]
 		for _, id := range keyIDs[i] {
-			b := ix.buckets[id]
-			if len(b) > 0 && b[len(b)-1] == int32(i) {
-				continue // items arrive ascending, so a repeat is the bucket's tail
+			if at[id] == int32(i+1) {
+				continue
 			}
-			ix.buckets[id] = append(b, int32(i))
+			at[id] = int32(i + 1)
+			off[id+1]++
 			distinct = append(distinct, id)
 		}
 		keyIDs[i] = distinct
 	}
-	return ix
+	for id := 0; id < idSpace; id++ {
+		off[id+1] += off[id]
+	}
+	copy(at, off)
+	items := make([]int32, off[idSpace])
+	for i := 0; i < n; i++ {
+		for _, id := range keyIDs[i] {
+			items[at[id]] = int32(i)
+			at[id]++
+		}
+	}
+	return &IDIndex{n: n, off: off, items: items, keysOf: keyIDs}
+}
+
+// bucket returns key id's items; id must be < KeySpace.
+func (ix *IDIndex) bucket(id uint32) []int32 {
+	return ix.items[ix.off[id]:ix.off[id+1]:ix.off[id+1]]
 }
 
 // Len returns the number of indexed items.
@@ -53,21 +77,22 @@ func (ix *IDIndex) Len() int { return ix.n }
 // carried by at least one item).
 func (ix *IDIndex) BucketCount() int {
 	count := 0
-	for _, b := range ix.buckets {
-		if len(b) > 0 {
+	for id := range ix.KeySpace() {
+		if ix.off[id+1] > ix.off[id] {
 			count++
 		}
 	}
 	return count
 }
 
-// Bucket returns the items carrying the key id (shared slice; do not
-// mutate). Ids >= the build's idSpace yield an empty bucket.
+// Bucket returns the items carrying the key id, ascending (shared
+// slice; do not mutate). An empty bucket, and any id >= the build's
+// idSpace, yields nil.
 func (ix *IDIndex) Bucket(id uint32) []int32 {
-	if int(id) >= len(ix.buckets) {
+	if int(id) >= ix.KeySpace() || ix.off[id] == ix.off[id+1] {
 		return nil
 	}
-	return ix.buckets[id]
+	return ix.bucket(id)
 }
 
 // KeyIDs returns the build input: every item's key ids, indexed by item
@@ -76,25 +101,23 @@ func (ix *IDIndex) KeyIDs() [][]uint32 { return ix.keysOf }
 
 // KeySpace returns the build's idSpace — the length of any slice
 // indexed by key id, such as BucketWeightTotals' destination.
-func (ix *IDIndex) KeySpace() int { return len(ix.buckets) }
+func (ix *IDIndex) KeySpace() int { return len(ix.off) - 1 }
 
 // MaxBucket returns the size of the largest bucket.
 func (ix *IDIndex) MaxBucket() int {
-	best := 0
-	for _, b := range ix.buckets {
-		if len(b) > best {
-			best = len(b)
-		}
+	best := int32(0)
+	for id := range ix.KeySpace() {
+		best = max(best, ix.off[id+1]-ix.off[id])
 	}
-	return best
+	return int(best)
 }
 
 // ForEachBucket calls fn for every non-empty bucket in increasing id
 // order.
 func (ix *IDIndex) ForEachBucket(fn func(id uint32, items []int32)) {
-	for id, b := range ix.buckets {
-		if len(b) > 0 {
-			fn(uint32(id), b)
+	for id := range ix.KeySpace() {
+		if ix.off[id+1] > ix.off[id] {
+			fn(uint32(id), ix.bucket(uint32(id)))
 		}
 	}
 }
@@ -105,13 +128,14 @@ func (ix *IDIndex) ForEachBucket(fn func(id uint32, items []int32)) {
 // cheap upper bound: an item's neighbour weight is at most Σ over its
 // keys of (bucket total − own weight), since that sum only overcounts.
 func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64) []float64 {
-	if cap(dst) < len(ix.buckets) {
-		dst = make([]float64, len(ix.buckets))
+	ks := ix.KeySpace()
+	if cap(dst) < ks {
+		dst = make([]float64, ks)
 	}
-	dst = dst[:len(ix.buckets)]
-	for id, b := range ix.buckets {
+	dst = dst[:ks]
+	for id := range dst {
 		var t float64
-		for _, i := range b {
+		for _, i := range ix.bucket(uint32(id)) {
 			t += weight(int(i))
 		}
 		dst[id] = t
@@ -122,14 +146,14 @@ func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64)
 // Candidates appends to dst the distinct items sharing at least one of
 // the given key ids, excluding self, and returns the extended slice. The
 // stamp is reset internally. The enumeration order is the given key
-// order, then bucket insertion order.
+// order, then each bucket ascending.
 func (ix *IDIndex) Candidates(self int, keys []uint32, stamp *Stamp, dst []int32) []int32 {
 	stamp.Reset()
 	if self >= 0 {
 		stamp.Visit(self)
 	}
 	for _, k := range keys {
-		for _, j := range ix.buckets[k] {
+		for _, j := range ix.bucket(k) {
 			if !stamp.Visit(int(j)) {
 				dst = append(dst, j)
 			}
@@ -151,7 +175,7 @@ func (ix *IDIndex) CandidatesCounted(self int, keys []uint32, count []int32, dst
 		count[self] = 1 // never first-seen, so never appended
 	}
 	for _, k := range keys {
-		for _, j := range ix.buckets[k] {
+		for _, j := range ix.bucket(k) {
 			if count[j] == 0 {
 				dst = append(dst, j)
 			}
@@ -183,7 +207,7 @@ func (ix *IDIndex) ForEachPair(fn func(i, j int) bool) {
 		stamp.Reset()
 		stamp.Visit(i)
 		for _, k := range ix.keysOf[i] {
-			for _, j := range ix.buckets[k] {
+			for _, j := range ix.bucket(k) {
 				if int(j) <= i {
 					continue
 				}
@@ -208,7 +232,7 @@ func (ix *IDIndex) PairCount() int {
 		stamp.Reset()
 		stamp.Visit(i)
 		for _, k := range ix.keysOf[i] {
-			for _, j := range ix.buckets[k] {
+			for _, j := range ix.bucket(k) {
 				if int(j) > i && !stamp.Visit(int(j)) {
 					count++
 				}

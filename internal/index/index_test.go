@@ -5,14 +5,12 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"topkdedup/internal/intern"
 )
 
 // build interns the items' string keys in item order and indexes the ids.
-func build(keys [][]string) (*IDIndex, *intern.Table) {
+func build(keys [][]string) (*IDIndex, map[string]uint32) {
 	tab, keyIDs := internKeySets(keys)
-	return BuildID(len(keys), tab.Len(), keyIDs), tab
+	return BuildID(len(keys), len(tab), keyIDs), tab
 }
 
 func TestBuildAndBuckets(t *testing.T) {
@@ -24,11 +22,11 @@ func TestBuildAndBuckets(t *testing.T) {
 	if ix.BucketCount() != 3 || ix.KeySpace() != 3 {
 		t.Errorf("BucketCount = %d, KeySpace = %d, want 3, 3", ix.BucketCount(), ix.KeySpace())
 	}
-	b, _ := tab.Lookup("b")
+	b := tab["b"]
 	if got := ix.Bucket(b); len(got) != 2 {
 		t.Errorf("Bucket(b) = %v", got)
 	}
-	if got := ix.Bucket(uint32(tab.Len())); got != nil {
+	if got := ix.Bucket(uint32(len(tab))); got != nil {
 		t.Errorf("missing bucket should be nil, got %v", got)
 	}
 	if ix.MaxBucket() != 2 {
@@ -109,8 +107,8 @@ func TestBucketWeightTotals(t *testing.T) {
 	ix, tab := build(keys)
 	w := []float64{1, 2, 5}
 	totals := ix.BucketWeightTotals(func(i int) float64 { return w[i] }, nil)
-	a, _ := tab.Lookup("a")
-	b, _ := tab.Lookup("b")
+	a := tab["a"]
+	b := tab["b"]
 	if len(totals) != ix.KeySpace() || totals[a] != 3 || totals[b] != 5 {
 		t.Errorf("totals = %v", totals)
 	}

@@ -3,11 +3,14 @@
 // q-grams repeat heavily — every group contributes the same handful of
 // gram keys over and over — so the hot phases (index build, candidate
 // walks, bucket-total cascades) pay string hashing and map probing for
-// work that is really integer indexing. A Table is built once per
-// dataset/epoch (ids are assigned in first-seen order, so the same key
-// sequence always yields the same ids), after which the id space is dense
-// [0, Len()) and every downstream structure can be a plain slice indexed
-// by id instead of a string-keyed map.
+// work that is really integer indexing. A Table outlives the keys'
+// arrival: ids are assigned in first-seen order, so the same key sequence
+// always yields the same ids, and the id space is dense [0, Len()), so
+// every downstream structure can be a plain slice indexed by id instead
+// of a string-keyed map. The streaming accumulator keeps one for level
+// 1's sufficient keys, grown record by record. A one-shot index build
+// (predicate.P.Block) needs none of its locking and interns into a plain
+// map of its own.
 //
 // Concurrency: Intern takes a write lock and may be called from multiple
 // goroutines during the build phase; Lookup/Key/Len take a read lock and

@@ -28,7 +28,11 @@ type P struct {
 	// Eval reports whether the predicate holds for the pair.
 	Eval func(a, b *records.Record) bool
 	// Keys returns the blocking keys of a record. Completeness contract:
-	// Eval(a,b) == true implies Keys(a) ∩ Keys(b) ≠ ∅.
+	// Eval(a,b) == true implies Keys(a) ∩ Keys(b) ≠ ∅. The result may be
+	// shared (a gram predicate returns its cache's memoised gram list)
+	// and is read-only: callers range it and must not sort, append to or
+	// write it. Keys need not be distinct across predicates — every index
+	// is built over one predicate's keys alone.
 	Keys func(r *records.Record) []string
 
 	// bind and bindCounted, set by Of and OfCounted, precompute the
@@ -143,7 +147,9 @@ func (p P) Counted() bool { return p.counted }
 // uint32 ids, appended to dst (pass a reused slice to avoid per-record
 // allocation). Id order matches Keys order. The completeness contract
 // carries over verbatim: Eval(a,b) == true implies KeyIDs(a) ∩
-// KeyIDs(b) ≠ ∅ for ids from one table.
+// KeyIDs(b) ≠ ∅ for ids from one table. It is for a table that outlives
+// one build (the streaming accumulator's, grown record by record); Block
+// interns into a table of its own.
 func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 	return tab.InternAll(dst, p.Keys(r))
 }
@@ -155,24 +161,47 @@ func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 // evaluator by index into recs. Every candidate walk — pairs sharing a
 // key, one item's candidates, bucket weight totals — reads this index,
 // so enumeration order is fixed everywhere: items ascending, each
-// item's keys in Keys order, buckets in insertion order. A key that Keys
+// item's keys in Keys order, every bucket ascending. A key that Keys
 // lists more than once for a record is indexed once, at its first
 // position (index.BuildID): the record sits in that bucket once, and a
 // walk's per-candidate key count is the size of a set intersection.
 //
-// dst, when non-nil, is reused for the per-record id lists (the index
-// retains it; read it back with KeyIDs to hand to the next call), so a
-// caller building one index per query allocates them once.
+// The key table is the call's own: a map sized by len(recs), dropped
+// when the call returns, so nothing is kept between builds and no lock
+// is taken per key. Every record's id list is a window of one flat id
+// buffer.
+//
+// dst, when non-nil, is a previous call's KeyIDs handed back: its id
+// buffer is reused (the index retains it), so a caller building one
+// index per query allocates the buffer once.
 func (p P) Block(recs []*records.Record, dst [][]uint32) *index.IDIndex {
+	var flat []uint32
+	if len(dst) > 0 {
+		flat = dst[0][:0] // record 0's window starts the buffer and spans its capacity
+	}
 	if cap(dst) < len(recs) {
 		dst = make([][]uint32, len(recs))
 	}
 	dst = dst[:len(recs)]
-	tab := intern.New()
+	ids := make(map[string]uint32, len(recs))
+	ends := make([]int, len(recs))
 	for i, r := range recs {
-		dst[i] = p.KeyIDs(tab, r, dst[i][:0])
+		for _, k := range p.Keys(r) {
+			id, ok := ids[k]
+			if !ok {
+				id = uint32(len(ids))
+				ids[k] = id
+			}
+			flat = append(flat, id)
+		}
+		ends[i] = len(flat)
 	}
-	return index.BuildID(len(recs), tab.Len(), dst)
+	start := 0
+	for i, end := range ends {
+		dst[i] = flat[start:end]
+		start = end
+	}
+	return index.BuildID(len(recs), len(ids), dst)
 }
 
 // Level pairs one sufficient with one necessary predicate; PrunedDedup
