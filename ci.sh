@@ -130,8 +130,9 @@ fi
 # sketch tier, sharding as a tier, WAL snapshots, the in-process sharded
 # pipeline and the part-generic bound scan it needed, the WAL's segment
 # chain with the knobs only tests set and the obs exports nothing
-# called, the snapshot's per-K memo and the default-mode knob). One item
-# a line:
+# called, the snapshot's per-K memo and the default-mode knob, the
+# engine, domain and trainer options no program set and the exports no
+# program called). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -168,6 +169,8 @@ flag runtime-sample-interval
 go FreshTopKCtx|prunedOnce|DefaultMode
 text stream\.topk\.reused|mode-default
 flag mode-default
+go ModeViterbi|ScaleByMembersOff|EmbedAlpha|MaxGroupWidth|NonCandidatePenalty|SetPrunePasses|AddressOptions|TuneNecessary|Soundex
+path internal/predicate/tune.go internal/strsim/phonetic.go
 EOF
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
@@ -231,8 +234,9 @@ go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 # row, so a change that evaluates, keeps or orders differently fails here
 # by name. The final-phase golden pins what comes after the pruning on
 # the same datasets with the trained scorers: a hash of the TopK(K, 3)
-# answers and engine.final.scored_pairs per K.
-go test -count=1 -run 'TestExactCountsCitations|TestFinalPhaseGolden' .
+# answers and engine.final.scored_pairs per K; the Dedup golden pins
+# Engine.Dedup's groups and score on the citation dataset.
+go test -count=1 -run 'TestExactCountsCitations|TestFinalPhaseGolden|TestDedupGolden' .
 
 # The pair kernel holds every built-in feature vector to the map-based
 # reference bit for bit, at one allocation per pair; smoke the per-domain

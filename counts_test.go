@@ -43,8 +43,9 @@ func checkExactCounts(t *testing.T, dd *experiments.DomainData, want []countsRow
 }
 
 // TestExactCountsCitations pins what the pruning pipeline counts on one
-// fixed-seed citation dataset (3,000 requested, 2,970 generated) and one
-// fixed-seed students dataset, per K and per level: n, the rank m, the
+// fixed-seed citation dataset (3,000 requested, 2,970 generated), one
+// fixed-seed students dataset and one fixed-seed address dataset, per K
+// and per level: n, the rank m, the
 // bound M, n′ and the bound-scan and prune evaluation counts. The
 // numbers do not depend on the host or the worker count, so ci.sh can
 // fail on them where it cannot on a wall clock. A change that only makes
@@ -77,6 +78,17 @@ func TestExactCountsCitations(t *testing.T) {
 			{10, 2, 297, 10, 533.0978490345308, 45, 0, 109},
 			{50, 1, 1377, 51, 392.6906619562525, 552, 1, 827},
 			{50, 2, 493, 50, 408.9192529799738, 163, 1, 363},
+		})
+	})
+	t.Run("addresses", func(t *testing.T) {
+		dd, err := experiments.AddressSetup(3000, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExactCounts(t, dd, []countsRow{
+			{1, 1, 441, 1, 649.034558945075, 6, 0, 17},
+			{10, 1, 441, 16, 63.68667102968032, 53, 7, 556},
+			{50, 1, 441, 75, 9.74130250913963, 173, 74, 1388},
 		})
 	})
 }

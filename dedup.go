@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"topkdedup/internal/core"
-	"topkdedup/internal/embed"
 	"topkdedup/internal/obs"
-	"topkdedup/internal/score"
 	"topkdedup/internal/segment"
 )
 
@@ -50,36 +48,17 @@ func (e *Engine) Dedup() (*DedupResult, error) {
 		return res, nil
 	}
 
-	n := len(groups)
-	lastN := e.levels[len(e.levels)-1].Necessary
-	fs, _ := e.scoredCandidates(context.Background(), groups, lastN)
-	defer fs.release()
-	pairScore, edges := fs.pairScore, fs.edges
-	pf := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		if s, ok := pairScore[[2]int{i, j}]; ok {
-			return s
-		}
-		return e.cfg.NonCandidatePenalty
+	// No trace and no sink: Dedup's own span covers the search, which
+	// reports no engine.final.* spans of its own.
+	fin, err := e.newFinalSearch(context.Background(), groups, nil)
+	if err != nil {
+		return nil, err
 	}
-	order := embed.Greedy(n, pf, edges, embed.Options{Alpha: e.cfg.EmbedAlpha})
-	posPF := func(a, b int) float64 { return pf(order[a], order[b]) }
-	width := e.cfg.MaxGroupWidth
-	if width > n {
-		width = n
-	}
-	sc := score.NewSegmentScorer(n, width, posPF, nil)
-	defer sc.Release()
-	segs, best := segment.Best(sc)
-	var base float64
-	for p := 0; p < n; p++ {
-		base += sc.Score(p, p)
-	}
+	defer fin.release()
+	segs, best := segment.Best(fin.sc)
 
-	res := &DedupResult{Score: best - base}
-	for _, clusterIdx := range segment.Clusters(segs, order) {
+	res := &DedupResult{Score: best - fin.base}
+	for _, clusterIdx := range segment.Clusters(segs, fin.order) {
 		ag := AnswerGroup{}
 		bestW := -1.0
 		for _, gi := range clusterIdx {

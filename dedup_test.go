@@ -76,7 +76,7 @@ func TestDedupNilScorerReturnsSureComponents(t *testing.T) {
 
 func TestResultProbabilities(t *testing.T) {
 	d := toyData(9, 12, 10)
-	eng := New(d, toyLevels(), oracleScorer(), Config{Mode: ModeViterbi})
+	eng := New(d, toyLevels(), oracleScorer(), Config{})
 	res, err := eng.TopK(3, 3)
 	if err != nil {
 		t.Fatal(err)

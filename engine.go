@@ -21,43 +21,11 @@ import (
 	"topkdedup/internal/segment"
 )
 
-// Mode selects how answer scores combine over the groupings supporting an
-// answer.
-type Mode int
-
-// Answer scoring modes.
-const (
-	// ModeMarginal scores an answer by log Σ exp over all supporting
-	// groupings (the paper's definition of a TopK answer's score).
-	ModeMarginal Mode = iota
-	// ModeViterbi scores an answer by its best single supporting grouping.
-	ModeViterbi
-)
-
-// Config tunes the engine. The zero value gives the paper's defaults.
+// Config tunes the engine. The zero value is the paper's engine: answers
+// score by the sum over the groupings supporting them (§5), every other
+// constant of the algorithm is fixed, and only where the work runs and
+// what it reports are settable.
 type Config struct {
-	// PrunePasses is the number of exact upper-bound refinement passes in
-	// the prune step (default 2, the paper's choice).
-	PrunePasses int
-	// MaxGroupWidth caps how many collapsed groups one answer group may
-	// span in the segmentation search (default 24). Larger is slower;
-	// the paper's equivalent is "not considering any cluster including
-	// too many dissimilar points".
-	MaxGroupWidth int
-	// EmbedAlpha is the distance-decay factor of the greedy linear
-	// embedding, in (0, 1) (default 0.7).
-	EmbedAlpha float64
-	// Mode selects Viterbi or Marginal answer scoring (default Marginal).
-	Mode Mode
-	// NonCandidatePenalty is the score assigned to group pairs failing
-	// the last necessary predicate — known non-duplicates — so that
-	// answer groups never span them (default -1e6; must be negative).
-	NonCandidatePenalty float64
-	// ScaleByMembers multiplies the representative-pair score by the
-	// product of member counts, approximating the aggregate score over
-	// all cross-member pairs (§4.1's closing remark). Default true
-	// (disable with ScaleByMembersOff).
-	ScaleByMembersOff bool
 	// Workers bounds the worker pool used for predicate evaluation and
 	// pair scoring throughout the pipeline (collapse, bound estimation,
 	// prune, and the final phase's candidate scoring). <= 0 (the default)
@@ -146,21 +114,6 @@ func NewMetricsCollector() *MetricsCollector { return obs.NewCollector() }
 // process-wide knob. Pass nil to detach.
 func SetPoolMetrics(s MetricsSink) { parallel.SetSink(s) }
 
-func (c *Config) defaults() {
-	if c.PrunePasses <= 0 {
-		c.PrunePasses = 2
-	}
-	if c.MaxGroupWidth <= 0 {
-		c.MaxGroupWidth = 24
-	}
-	if c.EmbedAlpha <= 0 || c.EmbedAlpha >= 1 {
-		c.EmbedAlpha = 0.7
-	}
-	if c.NonCandidatePenalty >= 0 {
-		c.NonCandidatePenalty = -1e6
-	}
-}
-
 // Engine answers TopK queries over one dataset.
 type Engine struct {
 	data   *Dataset
@@ -174,7 +127,6 @@ type Engine struct {
 // groups is not resolved (each survivor is treated as one entity) and R
 // is capped at 1.
 func New(d *Dataset, levels []Level, scorer PairScorer, cfg Config) *Engine {
-	cfg.defaults()
 	return &Engine{data: d, levels: levels, scorer: scorer, cfg: cfg}
 }
 
@@ -190,8 +142,9 @@ type AnswerGroup struct {
 
 // Answer is one ranked TopK answer: K groups plus a score.
 type Answer struct {
-	// Score of the answer under the engine's Mode. Meaningful only
-	// relative to other answers of the same query.
+	// Score of the answer: log Σ exp over the supporting groupings the
+	// search enumerated. Meaningful only relative to other answers of the
+	// same query.
 	Score float64
 	// Groups are the K answer groups in decreasing weight.
 	Groups []AnswerGroup
@@ -316,7 +269,7 @@ func (e *Engine) attachExplain(res *Result, root *obs.TraceSpan) {
 // coreOpts assembles the core options of one query from the engine
 // configuration.
 func (e *Engine) coreOpts(k int) core.Options {
-	return core.Options{K: k, PrunePasses: e.cfg.PrunePasses, Workers: e.cfg.Workers, Sink: e.cfg.Metrics}
+	return core.Options{K: k, Workers: e.cfg.Workers, Sink: e.cfg.Metrics}
 }
 
 // finishTopKCtx turns a pruning result into the query answer, running
@@ -397,82 +350,37 @@ func (e *Engine) groupsToAnswer(groups []Group, k int) Answer {
 
 // finalPhase resolves residual ambiguity among the surviving groups:
 // score candidate group pairs with P, embed, and run the R-best
-// segmentation search (paper §5).
+// segmentation search (paper §5). It returns ctx.Err() at each phase
+// boundary; the segmentation search itself runs to the end.
 func (e *Engine) finalPhase(ctx context.Context, groups []Group, k, r int) ([]Answer, error) {
-	n := len(groups)
-	lastN := e.levels[len(e.levels)-1].Necessary
-
-	// Candidate group pairs: those passing the last necessary predicate.
-	scoreSpan := obs.StartSpan(e.cfg.Metrics, "engine.final.score")
-	_, spScore := obs.StartChild(ctx, "engine.final.score")
-	fs, candidatePairs := e.scoredCandidates(ctx, groups, lastN)
-	defer fs.release()
-	pairScore, edges := fs.pairScore, fs.edges
-	if spScore != nil {
-		spScore.Attr("candidate_pairs", float64(candidatePairs))
-		spScore.Attr("scored_pairs", float64(len(edges)))
-		spScore.End()
+	fin, err := e.newFinalSearch(ctx, groups, e.cfg.Metrics)
+	if err != nil {
+		return nil, err
 	}
-	scoreSpan.End()
-	pf := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		if s, ok := pairScore[[2]int{i, j}]; ok {
-			return s
-		}
-		return e.cfg.NonCandidatePenalty
-	}
-
-	embedSpan := obs.StartSpan(e.cfg.Metrics, "engine.final.embed")
-	_, spEmbed := obs.StartChild(ctx, "engine.final.embed")
-	order := embed.Greedy(n, pf, edges, embed.Options{Alpha: e.cfg.EmbedAlpha})
-	spEmbed.End()
-	embedSpan.End()
-	posPF := func(pi, pj int) float64 { return pf(order[pi], order[pj]) }
-	width := e.cfg.MaxGroupWidth
-	if width > n {
-		width = n
-	}
-	sc := score.NewSegmentScorer(n, width, posPF, nil)
-	defer sc.Release()
-	mode := segment.Marginal
-	if e.cfg.Mode == ModeViterbi {
-		mode = segment.Viterbi
-	}
+	defer fin.release()
 	// Answer generation runs over the R'-best groupings rather than the
 	// paper's length-stratified TopR: positions here are collapsed groups
 	// with heterogeneous weights, so "largest segments by position count"
 	// can exclude the best grouping when lengths tie. Each grouping maps
 	// to its K aggregate-weight-largest segments; groupings mapping to the
-	// same answer identity merge (max score in Viterbi mode, log-sum-exp
-	// in Marginal mode — a truncated approximation of the paper's full
-	// marginal, since only the R' best groupings contribute).
+	// same answer identity merge by log-sum-exp — a truncated
+	// approximation of the paper's full marginal, since only the R' best
+	// groupings contribute.
 	rPrime := 6*r + 10
 	segSpan := obs.StartSpan(e.cfg.Metrics, "engine.final.segment")
 	defer segSpan.End()
 	_, spSeg := obs.StartChild(ctx, "engine.final.segment")
 	defer spSeg.End()
-	rankings := segment.BestR(sc, rPrime)
+	rankings := segment.BestR(fin.sc, rPrime)
 	if len(rankings) == 0 {
 		return []Answer{e.groupsToAnswer(groups, k)}, nil
-	}
-	// Normalise scores against the all-singletons segmentation so the
-	// partition-independent constant (Eq. 1 rewards every cross negative
-	// edge, including the engine's non-candidate penalties) cancels:
-	// score 0 means "no merging", positive means merges net-agree with P.
-	var base float64
-	for p := 0; p < n; p++ {
-		base += sc.Score(p, p)
 	}
 	var out []Answer
 	index := map[string]int{}
 	for _, rk := range rankings {
-		ans, sig := e.answerFromWitness(groups, order, segment.Answer{Score: rk.Score - base, Full: rk.Segs}, k)
+		ans, sig := e.answerFromWitness(groups, fin.order, segment.Answer{Score: rk.Score - fin.base, Full: rk.Segs}, k)
 		if at, ok := index[sig]; ok {
-			if mode == segment.Marginal {
-				out[at].Score = logAddExp(out[at].Score, ans.Score)
-			}
+			out[at].Score = logAddExp(out[at].Score, ans.Score)
 			continue
 		}
 		index[sig] = len(out)
@@ -485,12 +393,90 @@ func (e *Engine) finalPhase(ctx context.Context, groups []Group, k, r int) ([]An
 	return out, nil
 }
 
+// finalSearch is the segmentation search space over a set of groups that
+// TopK's final phase and Dedup both search (paper §5.3): P's scores on
+// the candidate pairs, the greedy linear embedding, the segment scorer
+// over it, and the score of the all-singletons segmentation.
+type finalSearch struct {
+	fs    *finalScratch
+	order []int
+	sc    *score.SegmentScorer
+	// base is the all-singletons segmentation's score. Subtracting it
+	// cancels the partition-independent constant (Eq. 1 rewards every
+	// cross negative edge, including the non-candidate penalties): 0
+	// means "no merging", positive means merges net-agree with P.
+	base float64
+}
+
+// newFinalSearch builds the search space over groups. A pair failing the
+// last necessary predicate scores score.NonCandidateScore; segments
+// span at most score.MaxSegmentWidth groups. The engine.final.score and
+// engine.final.embed spans go to sink and to ctx's trace. It returns
+// ctx.Err() on entry, after the candidate scoring and after the
+// embedding; the caller releases what it returns.
+func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Sink) (*finalSearch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := len(groups)
+	lastN := e.levels[len(e.levels)-1].Necessary
+
+	// Candidate group pairs: those passing the last necessary predicate.
+	scoreSpan := obs.StartSpan(sink, "engine.final.score")
+	_, spScore := obs.StartChild(ctx, "engine.final.score")
+	fs, candidatePairs := e.scoredCandidates(ctx, groups, lastN)
+	pairScore, edges := fs.pairScore, fs.edges
+	if spScore != nil {
+		spScore.Attr("candidate_pairs", float64(candidatePairs))
+		spScore.Attr("scored_pairs", float64(len(edges)))
+		spScore.End()
+	}
+	scoreSpan.End()
+	if err := ctx.Err(); err != nil {
+		fs.release()
+		return nil, err
+	}
+	pf := func(i, j int) float64 {
+		if i > j {
+			i, j = j, i
+		}
+		if s, ok := pairScore[[2]int{i, j}]; ok {
+			return s
+		}
+		return score.NonCandidateScore
+	}
+
+	embedSpan := obs.StartSpan(sink, "engine.final.embed")
+	_, spEmbed := obs.StartChild(ctx, "engine.final.embed")
+	order := embed.Greedy(n, pf, edges)
+	spEmbed.End()
+	embedSpan.End()
+	if err := ctx.Err(); err != nil {
+		fs.release()
+		return nil, err
+	}
+	posPF := func(pi, pj int) float64 { return pf(order[pi], order[pj]) }
+	sc := score.NewSegmentScorer(n, score.MaxSegmentWidth, posPF, nil)
+	var base float64
+	for p := 0; p < n; p++ {
+		base += sc.Score(p, p)
+	}
+	return &finalSearch{fs: fs, order: order, sc: sc, base: base}, nil
+}
+
+// release returns the search's pooled tables and scratch.
+func (f *finalSearch) release() {
+	f.sc.Release()
+	f.fs.release()
+}
+
 // finalScratch holds the final phase's per-query buffers — the key-id
 // inversion, candidate pair list, score slots, embedding edges, and the
 // pair-score map — pooled across queries so a serving process answering
 // a stream of TopK queries stops re-growing them. A scratch is owned by
-// one query at a time: scoredCandidates acquires it, finalPhase releases
-// it (after the embedding and segmentation no longer read the map).
+// one query at a time: scoredCandidates acquires it, finalSearch.release
+// returns it (after the embedding and the segment scorer have read the
+// map).
 type finalScratch struct {
 	keyIDs    [][]uint32
 	cands     []scoredPair
@@ -553,10 +539,11 @@ func (e *Engine) scoredCandidates(ctx context.Context, groups []Group, lastN Pre
 		if !gate(int(c.i), int(c.j)) {
 			return
 		}
+		// Scale by the product of member counts, approximating the
+		// aggregate score over all cross-member pairs (§4.1's closing
+		// remark).
 		s := e.scorer.Score(e.data.Recs[groups[c.i].Rep], e.data.Recs[groups[c.j].Rep])
-		if !e.cfg.ScaleByMembersOff {
-			s *= float64(len(groups[c.i].Members) * len(groups[c.j].Members))
-		}
+		s *= float64(len(groups[c.i].Members) * len(groups[c.j].Members))
 		slots[t] = pairSlot{s: s, ok: true}
 	})
 	for t, c := range cands {

@@ -1,6 +1,12 @@
 package topk
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"topkdedup/internal/core"
+)
 
 // TestTopKRBeyondFeasible asks for far more alternative answers than the
 // instance can support: R is capped by the number of distinct
@@ -69,5 +75,32 @@ func TestTopKNilScorerCapsR(t *testing.T) {
 	}
 	if len(res.Answers) != 1 {
 		t.Fatalf("nil scorer returned %d answers, want exactly 1", len(res.Answers))
+	}
+}
+
+// TestTopKFromCtxCancelledInFinalPhase prunes under a live context, then
+// finishes the query under a cancelled one: the final phase must notice
+// the done context, return context.Canceled and no answers, rather than
+// run its scoring, embedding and segmentation to the end.
+func TestTopKFromCtxCancelledInFinalPhase(t *testing.T) {
+	d := toyData(42, 20, 15)
+	levels := toyLevels()
+	const k = 3
+	pd, err := core.PrunedDedupCtx(context.Background(), d, levels, core.Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pd.ExactlyK || len(pd.Groups) <= k {
+		t.Fatalf("the pruning decided the answer alone (%d survivors); the test needs one that reaches the final phase", len(pd.Groups))
+	}
+	eng := New(d, levels, oracleScorer(), Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := eng.TopKFromCtx(ctx, pd, k, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("got answers %+v under a cancelled context, want none", res.Answers)
 	}
 }

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -8,11 +9,12 @@ import (
 	"topkdedup/internal/eval"
 	"topkdedup/internal/experiments"
 	"topkdedup/internal/predicate"
+	"topkdedup/internal/score"
 )
 
 func TestTopKMarginalModeRuns(t *testing.T) {
 	d := toyData(11, 15, 12)
-	eng := New(d, toyLevels(), oracleScorer(), Config{Mode: ModeMarginal})
+	eng := New(d, toyLevels(), oracleScorer(), Config{})
 	res, err := eng.TopK(3, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -35,38 +37,36 @@ func TestTopKMarginalModeRuns(t *testing.T) {
 	}
 }
 
-func TestTopKScaleByMembersOff(t *testing.T) {
-	d := toyData(13, 12, 10)
-	for _, off := range []bool{false, true} {
-		eng := New(d, toyLevels(), oracleScorer(), Config{Mode: ModeViterbi, ScaleByMembersOff: off})
-		res, err := eng.TopK(2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// With the oracle scorer both settings find the truth top-2.
-		want := truthTopK(d, 2)
-		for i := range want {
-			if res.Answers[0].Groups[i].Weight != want[i].Weight {
-				t.Errorf("scaleOff=%v group %d weight %v, want %v",
-					off, i, res.Answers[0].Groups[i].Weight, want[i].Weight)
-			}
+// TestTopKNarrowWidthStillAnswers gives one entity more fragments than a
+// segment may span (score.MaxSegmentWidth): the engine must still produce
+// a K-group answer, with that entity under-assembled — never an answer
+// group wider than the cap or heavier than the truth.
+func TestTopKNarrowWidthStillAnswers(t *testing.T) {
+	d := NewDataset("wide", "name")
+	const fragments = score.MaxSegmentWidth + 6
+	for v := 0; v < fragments; v++ {
+		d.Append(1, "E0", fmt.Sprintf("a000.v%d", v))
+	}
+	for e := 1; e <= 4; e++ {
+		for m := 0; m < 3+e; m++ {
+			d.Append(1, fmt.Sprintf("E%d", e), fmt.Sprintf("a%03d.v0", e))
 		}
 	}
-}
-
-func TestTopKNarrowWidthStillAnswers(t *testing.T) {
-	d := toyData(17, 15, 12)
-	eng := New(d, toyLevels(), oracleScorer(), Config{Mode: ModeViterbi, MaxGroupWidth: 2})
+	eng := New(d, toyLevels(), oracleScorer(), Config{})
 	res, err := eng.TopK(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Exact {
+		t.Fatal("the pruning decided the answer alone; the test needs the segmentation search")
+	}
 	if len(res.Answers) == 0 || len(res.Answers[0].Groups) != 3 {
 		t.Fatalf("narrow width should still produce a K-group answer: %+v", res.Answers)
 	}
-	// With width 2, no answer group may span more than 2 collapsed groups;
-	// entities with 3 fragments will be under-assembled, so weights may be
-	// lower than truth — but never higher.
+	top := res.Answers[0].Groups[0]
+	if len(top.Records) > score.MaxSegmentWidth {
+		t.Errorf("top group spans %d fragments, more than the cap %d", len(top.Records), score.MaxSegmentWidth)
+	}
 	want := truthTopK(d, 3)
 	for i := range want {
 		if res.Answers[0].Groups[i].Weight > want[i].Weight+1e-9 {

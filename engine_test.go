@@ -82,11 +82,10 @@ func truthTopK(d *Dataset, k int) []core.Group {
 func TestTopKMatchesTruthWithOracleScorer(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		d := toyData(seed, 20, 15)
-		// Viterbi mode: the best answer is the single highest-scoring
-		// grouping, which under an oracle scorer is exactly the truth.
-		// (Marginal mode aggregates mass over all supporting groupings and
-		// may legitimately rank a fuzzier answer first.)
-		eng := New(d, toyLevels(), oracleScorer(), Config{Mode: ModeViterbi})
+		// Under an oracle scorer the truth is the highest-scoring grouping
+		// by a margin no fuzzier answer's summed mass over its supporting
+		// groupings makes up, so the best answer is exactly the truth.
+		eng := New(d, toyLevels(), oracleScorer(), Config{})
 		for _, k := range []int{1, 3, 5} {
 			res, err := eng.TopK(k, 2)
 			if err != nil {
@@ -254,7 +253,7 @@ func TestTopKSecondAnswerDiffers(t *testing.T) {
 		}
 		return -2
 	})
-	eng := New(d, toyLevels(), ambiguous, Config{Mode: ModeViterbi})
+	eng := New(d, toyLevels(), ambiguous, Config{})
 	res, err := eng.TopK(2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -273,17 +272,6 @@ func TestTopKSecondAnswerDiffers(t *testing.T) {
 	}
 	if sig(res.Answers[0]) == sig(res.Answers[1]) {
 		t.Error("top two answers should differ structurally")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.defaults()
-	if c.PrunePasses != 2 || c.MaxGroupWidth != 24 || c.EmbedAlpha != 0.7 {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-	if c.NonCandidatePenalty >= 0 {
-		t.Error("penalty must default negative")
 	}
 }
 

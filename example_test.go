@@ -47,7 +47,7 @@ func Example() {
 		return 5 * (strsim.JaroWinkler(a.Field("name"), b.Field("name")) - 0.72)
 	})
 
-	eng := topk.New(d, []topk.Level{{Sufficient: sufficient, Necessary: necessary}}, scorer, topk.Config{Mode: topk.ModeViterbi})
+	eng := topk.New(d, []topk.Level{{Sufficient: sufficient, Necessary: necessary}}, scorer, topk.Config{})
 	res, err := eng.TopK(2, 1)
 	if err != nil {
 		panic(err)

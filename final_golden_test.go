@@ -87,3 +87,40 @@ func TestFinalPhaseGolden(t *testing.T) {
 		})
 	})
 }
+
+// canonicalDedup renders a Dedup result bit for bit, like
+// canonicalAnswers: the score, then every group's weight, representative
+// and member ids.
+func canonicalDedup(res *DedupResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "score %016x\n", math.Float64bits(res.Score))
+	for _, g := range res.Groups {
+		fmt.Fprintf(&b, " group w=%016x rep=%d %v\n", math.Float64bits(g.Weight), g.Rep, g.Records)
+	}
+	return b.String()
+}
+
+// TestDedupGolden pins Engine.Dedup on the citation dataset of
+// TestFinalPhaseGolden with its trained scorer: a hash of the groups and
+// the score. Dedup reaches the final phase's set-up (candidate scoring,
+// the non-candidate penalty, member scaling, the embedding, the width
+// clamp and the singleton baseline) through a path of its own, with no
+// pruning in front of it.
+func TestDedupGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a scorer")
+	}
+	dd, err := experiments.CitationSetup(3000, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(dd.Data, dd.Domain.Levels, dd.Model, Config{}).Dedup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(canonicalDedup(res)))
+	got := fmt.Sprintf("groups=%d %x", len(res.Groups), sum[:8])
+	if want := "groups=1134 70d668d687fdb263"; got != want {
+		t.Errorf("Dedup: got %s, want %s", got, want)
+	}
+}

@@ -62,14 +62,17 @@ type LabeledPair struct {
 	Dup  bool
 }
 
+// The SGD schedule of Train: full passes over the shuffled training
+// pairs, the initial learning rate (decayed as rate/(1 + 0.1·epoch)), and
+// the L2 regularisation strength.
+const (
+	trainEpochs       = 30
+	trainLearningRate = 0.5
+	trainL2           = 1e-4
+)
+
 // TrainOptions controls gradient-descent training.
 type TrainOptions struct {
-	// Epochs of full passes over the shuffled training pairs (default 30).
-	Epochs int
-	// LearningRate for SGD (default 0.5).
-	LearningRate float64
-	// L2 regularisation strength (default 1e-4).
-	L2 float64
 	// Seed for shuffling (default 1).
 	Seed int64
 	// Workers bounds the worker pool for the feature-extraction
@@ -84,28 +87,13 @@ type TrainOptions struct {
 	Sink obs.Sink
 }
 
-func (o *TrainOptions) defaults() {
-	if o.Epochs <= 0 {
-		o.Epochs = 30
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.5
-	}
-	if o.L2 < 0 {
-		o.L2 = 0
-	} else if o.L2 == 0 {
-		o.L2 = 1e-4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
-
 // Train fits a logistic-regression model on the labelled pairs with
 // mini-batchless SGD and a decaying learning rate. It returns an error
 // when there are no pairs or only one class.
 func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts TrainOptions) (*Model, error) {
-	opts.defaults()
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("classifier: no training pairs")
 	}
@@ -152,8 +140,8 @@ func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts Train
 	defer trainSpan.End()
 	r := rand.New(rand.NewSource(opts.Seed))
 	order := r.Perm(len(pairs))
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		lr := opts.LearningRate / (1 + 0.1*float64(epoch))
+	for epoch := 0; epoch < trainEpochs; epoch++ {
+		lr := trainLearningRate / (1 + 0.1*float64(epoch))
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			x, y := xs[i], ys[i]
@@ -168,7 +156,7 @@ func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts Train
 			}
 			g := cw * (p - y)
 			for j := range m.Weights {
-				m.Weights[j] -= lr * (g*x[j] + opts.L2*m.Weights[j])
+				m.Weights[j] -= lr * (g*x[j] + trainL2*m.Weights[j])
 			}
 			m.Bias -= lr * g
 		}

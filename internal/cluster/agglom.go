@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 
 	"topkdedup/internal/score"
 )
@@ -142,38 +141,4 @@ func (d *Dendrogram) LeafOrder() []int {
 	}
 	walk(root)
 	return order
-}
-
-// Cut returns the flat clustering obtained by refusing every merge with
-// similarity below minSim: the frontiers of the hierarchy the paper's
-// §5.2 enumerates. Clusters are ordered by smallest member.
-func (d *Dendrogram) Cut(minSim float64) [][]int {
-	parent := make(map[int]int)
-	for i, m := range d.Merges {
-		if m.Sim >= minSim {
-			parent[m.A] = d.N + i
-			parent[m.B] = d.N + i
-		}
-	}
-	rootOf := func(v int) int {
-		for {
-			p, ok := parent[v]
-			if !ok {
-				return v
-			}
-			v = p
-		}
-	}
-	byRoot := map[int][]int{}
-	for leaf := 0; leaf < d.N; leaf++ {
-		r := rootOf(leaf)
-		byRoot[r] = append(byRoot[r], leaf)
-	}
-	out := make([][]int, 0, len(byRoot))
-	for _, c := range byRoot {
-		sort.Ints(c)
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

@@ -182,7 +182,7 @@ func TestExactFallbackOnLargeComponent(t *testing.T) {
 	assertPartition(t, res.Clusters, n)
 }
 
-func TestAgglomerativeLeafOrderAndCut(t *testing.T) {
+func TestAgglomerativeLeafOrder(t *testing.T) {
 	pf, _ := toyPF()
 	d := Agglomerative(5, pf, AverageLink)
 	order := d.LeafOrder()
@@ -195,20 +195,6 @@ func TestAgglomerativeLeafOrderAndCut(t *testing.T) {
 			t.Fatalf("leaf order repeats %d", v)
 		}
 		seen[v] = true
-	}
-	// Cutting at similarity 0 keeps only positive merges: {0,1,2}, {3,4}.
-	cut := d.Cut(0)
-	want := [][]int{{0, 1, 2}, {3, 4}}
-	if !reflect.DeepEqual(cut, want) {
-		t.Errorf("Cut(0) = %v, want %v", cut, want)
-	}
-	// Cutting above all similarities gives singletons.
-	if got := d.Cut(1e9); len(got) != 5 {
-		t.Errorf("Cut(inf) = %v", got)
-	}
-	// Cutting below all similarities gives a single cluster.
-	if got := d.Cut(-1e9); len(got) != 1 || len(got[0]) != 5 {
-		t.Errorf("Cut(-inf) = %v", got)
 	}
 }
 

@@ -7,42 +7,23 @@ import (
 	"topkdedup/internal/strsim"
 )
 
-// AddressOptions tunes the address-domain predicates.
-type AddressOptions struct {
-	// NameWordOverlap is S1's required fraction of common non-stop name
-	// words (default 0.7, the paper's "greater than 0.7").
-	NameWordOverlap float64
-	// AddrWordOverlap is S1's required fraction of matching non-stop
-	// address words (default 0.6).
-	AddrWordOverlap float64
-	// CommonWords is N1's required number of common non-stop words in the
-	// name+address concatenation (default 4).
-	CommonWords int
-	// StopWords used for the non-stop filters (default
-	// strsim.AddressStopWords).
-	StopWords strsim.StopWords
-}
-
-func (o *AddressOptions) defaults() {
-	if o.NameWordOverlap <= 0 {
-		o.NameWordOverlap = 0.7
-	}
-	if o.AddrWordOverlap <= 0 {
-		o.AddrWordOverlap = 0.6
-	}
-	if o.CommonWords <= 0 {
-		o.CommonWords = 4
-	}
-	if o.StopWords == nil {
-		o.StopWords = strsim.AddressStopWords
-	}
-}
+// The address predicates' thresholds (§6.1.3).
+const (
+	// addressNameWordOverlap is S1's fraction of common non-stop name
+	// words: the paper's "greater than 0.7".
+	addressNameWordOverlap = 0.7
+	// addressAddrWordOverlap is S1's fraction of matching non-stop
+	// address words: at least 0.6.
+	addressAddrWordOverlap = 0.6
+	// addressCommonWords is N1's number of common non-stop words in the
+	// name+address concatenation: at least 4.
+	addressCommonWords = 4
+)
 
 // Addresses builds the address domain of §6.1.3 with its single
 // sufficient/necessary predicate level.
-func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
-	opts.defaults()
-	nameOverlap, addrOverlap, commonWords := opts.NameWordOverlap, opts.AddrWordOverlap, opts.CommonWords
+func Addresses(c *strsim.Corpus) Domain {
+	stop := strsim.AddressStopWords
 	cache := strsim.NewSharedCache(c)
 	name := func(r *records.Record) string { return r.Field(datagen.FieldOwner) }
 	addr := func(r *records.Record) string { return r.Field(datagen.FieldAddress) }
@@ -51,7 +32,7 @@ func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
 	// token ids, memoised per distinct string — by a concurrency-safe
 	// memo, since predicates are bound and evaluated from worker pools.
 	nonStop := strsim.NewMemo(func(s string) []int32 {
-		return cache.InternTokens(opts.StopWords.Filter(s))
+		return cache.InternTokens(stop.Filter(s))
 	})
 
 	// S1: initials of names match exactly, > 0.7 common non-stop name
@@ -66,8 +47,8 @@ func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
 		},
 		func(a, b s1Sig) bool {
 			return a.initials == b.initials &&
-				strsim.OverlapSortedIDs(a.name, b.name) > nameOverlap &&
-				strsim.OverlapSortedIDs(a.addr, b.addr) >= addrOverlap
+				strsim.OverlapSortedIDs(a.name, b.name) > addressNameWordOverlap &&
+				strsim.OverlapSortedIDs(a.addr, b.addr) >= addressAddrWordOverlap
 		},
 		func(r *records.Record) []string {
 			return []string{keyf("a.s1", cache.SortedInitials(name(r)))}
@@ -78,23 +59,24 @@ func Addresses(c *strsim.Corpus, opts AddressOptions) Domain {
 	// word-pair keys are complete and give much smaller buckets than
 	// single-word keys. They also carry the verdict: c common words are
 	// c·(c−1)/2 shared pair keys, increasing in c, so "at least
-	// commonWords common words" is "at least that many shared keys".
-	needPairs := commonWords * (commonWords - 1) / 2
+	// addressCommonWords common words" is "at least that many shared
+	// keys".
+	const needPairs = addressCommonWords * (addressCommonWords - 1) / 2
 	n1 := predicate.OfCounted("N1",
 		func(r *records.Record) []int32 { return nonStop.Get(name(r) + " " + addr(r)) },
-		func(a, b []int32) bool { return strsim.IntersectSortedIDs(a, b) >= commonWords },
+		func(a, b []int32) bool { return strsim.IntersectSortedIDs(a, b) >= addressCommonWords },
 		func(_, _ []int32, shared int) bool { return shared >= needPairs },
 		func(r *records.Record) []string {
 			ts := strsim.GetTokenScratch()
 			defer ts.Release()
-			toks := opts.StopWords.FilterTokens(ts.Tokens(name(r) + " " + addr(r)))
+			toks := stop.FilterTokens(ts.Tokens(name(r) + " " + addr(r)))
 			return wordPairKeys("a.n1|", toks)
 		})
 
 	return Domain{
 		Name:     "addresses",
 		Levels:   []predicate.Level{{Sufficient: s1, Necessary: n1}},
-		Features: AddressFeatures(c, opts.StopWords),
+		Features: AddressFeatures(c, stop),
 	}
 }
 

@@ -35,7 +35,7 @@ func boundCases() []boundCase {
 		}},
 		{"students", stu, func() []predicate.Level { return Students(StudentOptions{}).Levels }},
 		{"address", adr, func() []predicate.Level {
-			return Addresses(BuildCorpus(adr, datagen.FieldOwner, datagen.FieldAddress), AddressOptions{}).Levels
+			return Addresses(BuildCorpus(adr, datagen.FieldOwner, datagen.FieldAddress)).Levels
 		}},
 		{"restaurant", res, func() []predicate.Level { return Restaurants(BuildCorpus(res, datagen.FieldOwner)).Levels }},
 		{"authors", aut, func() []predicate.Level { return AuthorsOnly(BuildCorpus(aut, datagen.FieldAuthor)).Levels }},
@@ -213,7 +213,7 @@ func TestBoundEvalNoAllocs(t *testing.T) {
 func TestAddressPruneParallel(t *testing.T) {
 	d := datagen.Addresses(datagen.DefaultAddressConfig(3000))
 	run := func(workers int) ([]core.Group, int64) {
-		level := Addresses(BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress), AddressOptions{}).Levels[0]
+		level := Addresses(BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress)).Levels[0]
 		groups, _ := core.CollapseWorkers(d, core.SingletonGroups(d), level.Sufficient, workers)
 		core.SortGroupsByWeight(groups)
 		_, m, _, _ := core.EstimateLowerBoundCtx(context.Background(), d, groups, level.Necessary, 10, workers)

@@ -7,37 +7,30 @@ import (
 	"topkdedup/internal/strsim"
 )
 
-// CitationOptions tunes the citation-domain predicates. Zero values take
-// the defaults documented on each field.
-type CitationOptions struct {
-	// RareDFCap is the maximum document frequency for an author word to
-	// count as "sufficiently rare" in S1 (the role of the paper's
-	// "minimum IDF at least 13", with frequencies over *distinct* author
-	// renderings — see domains.BuildDistinctCorpus). A prolific author
-	// easily has dozens of distinct renderings of a genuinely rare
-	// surname (every typo'd mention is a new distinct rendering), so the
-	// cap must comfortably exceed that while staying below the distinct-
-	// rendering counts of pool surnames. Default: 25 + corpusDocs/350.
-	RareDFCap int
-	// GramOverlap is the N1/N2 3-gram overlap fraction (default 0.6, the
-	// paper's 60%).
-	GramOverlap float64
-	// CommonCoauthorWords is S2's required common co-author word count
-	// (default 3).
-	CommonCoauthorWords int
-}
+// CitationOptions is empty: every citation threshold is a constant of
+// the paper's (see below). The type stays because callers built against
+// the options form pass CitationOptions{}.
+type CitationOptions struct{}
 
-func (o *CitationOptions) defaults(corpusDocs int) {
-	if o.RareDFCap <= 0 {
-		o.RareDFCap = 25 + corpusDocs/350
-	}
-	if o.GramOverlap <= 0 {
-		o.GramOverlap = 0.6
-	}
-	if o.CommonCoauthorWords <= 0 {
-		o.CommonCoauthorWords = 3
-	}
-}
+// The citation predicates' thresholds (§6.1.1).
+const (
+	// citationGramOverlap is N1's and N2's author 3-gram overlap: common
+	// grams exceed the paper's 60 % of the smaller gram set.
+	citationGramOverlap = 0.6
+	// citationCoauthorWords is S2's "at least three common co-author
+	// words".
+	citationCoauthorWords = 3
+)
+
+// citationRareDFCap is the maximum document frequency for an author word
+// to count as "sufficiently rare" in S1 — the role of the paper's
+// "minimum IDF at least 13", with frequencies over *distinct* author
+// renderings (see domains.BuildDistinctCorpus). A prolific author easily
+// has dozens of distinct renderings of a genuinely rare surname (every
+// typo'd mention is a new distinct rendering), so the cap must
+// comfortably exceed that while staying below the distinct-rendering
+// counts of pool surnames; it grows with the corpus.
+func citationRareDFCap(corpusDocs int) int { return 25 + corpusDocs/350 }
 
 // Citations builds the citation domain of §6.1.1: two levels of
 // sufficient/necessary predicates over the author (and co-author) fields,
@@ -45,10 +38,8 @@ func (o *CitationOptions) defaults(corpusDocs int) {
 //
 // The corpus must be built over the author field (see BuildCorpus); it
 // supplies the IDF statistics for S1 and the custom similarities.
-func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
-	opts.defaults(c.DocCount())
-	rareIDF := rareWordIDFThreshold(c, opts.RareDFCap)
-	overlap, coWords := opts.GramOverlap, opts.CommonCoauthorWords
+func Citations(c *strsim.Corpus, _ CitationOptions) Domain {
+	rareIDF := rareWordIDFThreshold(c, citationRareDFCap(c.DocCount()))
 	cache := strsim.NewSharedCache(c)
 
 	author := func(r *records.Record) string { return r.Field(datagen.FieldAuthor) }
@@ -113,7 +104,7 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 		},
 		func(a, b s2Sig) bool {
 			return a.last != "" && a.last == b.last && a.initials == b.initials &&
-				strsim.IntersectSortedIDs(a.coauthors, b.coauthors) >= coWords
+				strsim.IntersectSortedIDs(a.coauthors, b.coauthors) >= citationCoauthorWords
 		},
 		// S2-true pairs share >= 3 coauthor words, hence at least one
 		// unordered coauthor word pair — so (initials, last, word-pair)
@@ -133,7 +124,7 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 		})
 
 	// N1: common author 3-grams exceed 60% of the smaller gram set.
-	n1 := gramOverlapAbove("N1", cache, author, overlap)
+	n1 := gramOverlapAbove("N1", cache, author, citationGramOverlap)
 
 	// N2: N1 plus at least one common initial.
 	type n2Sig struct {
@@ -145,12 +136,12 @@ func Citations(c *strsim.Corpus, opts CitationOptions) Domain {
 			return n2Sig{cache.GramIDs(author(r)), cache.InitialLetters(author(r))}
 		},
 		func(a, b n2Sig) bool {
-			return a.letters&b.letters != 0 && strsim.OverlapExceeds(a.grams, b.grams, overlap, true)
+			return a.letters&b.letters != 0 && strsim.OverlapExceeds(a.grams, b.grams, citationGramOverlap, true)
 		},
 		// Keys are the author grams: shared keys = common grams.
 		func(a, b n2Sig, shared int) bool {
 			return a.letters&b.letters != 0 &&
-				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), overlap, true)
+				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), citationGramOverlap, true)
 		},
 		func(r *records.Record) []string { return gramKeys(cache, author(r)) })
 

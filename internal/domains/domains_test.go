@@ -57,7 +57,7 @@ func TestStudentPredicatesValid(t *testing.T) {
 func TestAddressPredicatesValid(t *testing.T) {
 	d := datagen.Addresses(datagen.DefaultAddressConfig(4000))
 	c := BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress)
-	dom := Addresses(c, AddressOptions{})
+	dom := Addresses(c)
 	if len(dom.Levels) != 1 {
 		t.Fatal("addresses should have one level")
 	}

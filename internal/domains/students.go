@@ -7,32 +7,24 @@ import (
 	"topkdedup/internal/strsim"
 )
 
-// StudentOptions tunes the students-domain predicates.
-type StudentOptions struct {
-	// S2GramOverlap is the name 3-gram overlap required by S2 (default
-	// 0.9, the paper's 90%).
-	S2GramOverlap float64
-	// N2GramOverlap is the name 3-gram overlap required by N2 (default
-	// 0.5, the paper's 50%).
-	N2GramOverlap float64
-}
+// StudentOptions is empty: both students thresholds are constants of
+// the paper's (see below). The type stays because callers built against
+// the options form pass StudentOptions{}.
+type StudentOptions struct{}
 
-func (o *StudentOptions) defaults() {
-	if o.S2GramOverlap <= 0 {
-		o.S2GramOverlap = 0.9
-	}
-	if o.N2GramOverlap <= 0 {
-		o.N2GramOverlap = 0.5
-	}
-}
+// The students predicates' name 3-gram overlaps (§6.1.2).
+const (
+	// studentS2GramOverlap is S2's: the paper's 90 %.
+	studentS2GramOverlap = 0.9
+	// studentN2GramOverlap is N2's: the paper's 50 %.
+	studentN2GramOverlap = 0.5
+)
 
 // Students builds the students domain of §6.1.2. Class and school code are
 // assumed reliable (the paper: "other fields like the school code and
 // class code are believed to be correct"); names and birth dates carry
 // entry errors.
-func Students(opts StudentOptions) Domain {
-	opts.defaults()
-	s2Overlap, n2Overlap := opts.S2GramOverlap, opts.N2GramOverlap
+func Students(_ StudentOptions) Domain {
 	cache := strsim.NewSharedCache(nil)
 	nameKey := strsim.NewMemo(sortedTokensKey)
 	name := func(r *records.Record) string { return r.Field(datagen.FieldName) }
@@ -64,7 +56,7 @@ func Students(opts StudentOptions) Domain {
 		},
 		func(a, b s2Sig) bool {
 			return a.class == b.class && a.school == b.school && a.dob == b.dob &&
-				strsim.OverlapExceeds(a.grams, b.grams, s2Overlap, false)
+				strsim.OverlapExceeds(a.grams, b.grams, studentS2GramOverlap, false)
 		},
 		func(r *records.Record) []string {
 			return []string{keyf("st.s2", class(r), school(r), dob(r))}
@@ -113,13 +105,13 @@ func Students(opts StudentOptions) Domain {
 		},
 		func(a, b n2Sig) bool {
 			return a.class == b.class && a.school == b.school &&
-				strsim.OverlapExceeds(a.grams, b.grams, n2Overlap, false)
+				strsim.OverlapExceeds(a.grams, b.grams, studentN2GramOverlap, false)
 		},
 		// Each key is one name gram under the record's class and school,
 		// so for a pair that agrees on both, shared keys = common grams.
 		func(a, b n2Sig, shared int) bool {
 			return a.class == b.class && a.school == b.school &&
-				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), n2Overlap, false)
+				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), studentN2GramOverlap, false)
 		},
 		func(r *records.Record) []string {
 			// The sorted gram list, not the gram map: see gramKeys.

@@ -24,20 +24,14 @@ type Edge struct {
 	A, B int
 }
 
-// Options configures the greedy embedding.
-type Options struct {
-	// Alpha is the distance-decay factor in (0, 1); default 0.7.
-	Alpha float64
-}
+// Alpha is Eq. 3's distance-decay factor α, in (0, 1): an item placed
+// d positions back attracts with weight α^d.
+const Alpha = 0.7
 
 // Greedy returns a permutation of [0, n): order[pos] = item. Ties and
 // fresh-cluster starts are broken deterministically (lowest item id with
 // the highest total positive mass first).
-func Greedy(n int, pf score.PairFunc, edges []Edge, opts Options) []int {
-	alpha := opts.Alpha
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.7
-	}
+func Greedy(n int, pf score.PairFunc, edges []Edge) []int {
 	adj := make([][]int, n)
 	posMass := make([]float64, n)
 	for _, e := range edges {
@@ -85,7 +79,7 @@ func Greedy(n int, pf score.PairFunc, edges []Edge, opts Options) []int {
 			if p <= 0 {
 				continue
 			}
-			val[u] = val[u]*math.Pow(alpha, float64(t-stamp[u])) + p
+			val[u] = val[u]*math.Pow(Alpha, float64(t-stamp[u])) + p
 			stamp[u] = t
 			if !inTouched[u] {
 				inTouched[u] = true
@@ -104,7 +98,7 @@ func Greedy(n int, pf score.PairFunc, edges []Edge, opts Options) []int {
 				continue
 			}
 			w = append(w, k)
-			eff := val[k] * math.Pow(alpha, float64(t-stamp[k]))
+			eff := val[k] * math.Pow(Alpha, float64(t-stamp[k]))
 			if eff > bestVal || (eff == bestVal && best != -1 && k < best) {
 				if eff > 0 {
 					best, bestVal = k, eff

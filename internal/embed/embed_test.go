@@ -34,7 +34,7 @@ func twoClusterPF() (score.PairFunc, []Edge, int) {
 
 func TestGreedyIsPermutation(t *testing.T) {
 	pf, edges, n := twoClusterPF()
-	order := Greedy(n, pf, edges, Options{})
+	order := Greedy(n, pf, edges)
 	if len(order) != n {
 		t.Fatalf("order length %d", len(order))
 	}
@@ -49,7 +49,7 @@ func TestGreedyIsPermutation(t *testing.T) {
 
 func TestGreedyGroupsContiguous(t *testing.T) {
 	pf, edges, n := twoClusterPF()
-	order := Greedy(n, pf, edges, Options{})
+	order := Greedy(n, pf, edges)
 	// Each true cluster should occupy contiguous positions.
 	group := func(i int) int {
 		if i < 3 {
@@ -96,7 +96,7 @@ func TestGreedyBeatsRandomOnCost(t *testing.T) {
 			}
 		}
 	}
-	greedy := Greedy(n, pf, edges, Options{})
+	greedy := Greedy(n, pf, edges)
 	random := Random(n, 7)
 	cg, cr := Cost(greedy, pf, edges), Cost(random, pf, edges)
 	if cg >= cr {
@@ -106,8 +106,8 @@ func TestGreedyBeatsRandomOnCost(t *testing.T) {
 
 func TestGreedyDeterministic(t *testing.T) {
 	pf, edges, n := twoClusterPF()
-	a := Greedy(n, pf, edges, Options{})
-	b := Greedy(n, pf, edges, Options{})
+	a := Greedy(n, pf, edges)
+	b := Greedy(n, pf, edges)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("greedy embedding must be deterministic")
@@ -116,19 +116,9 @@ func TestGreedyDeterministic(t *testing.T) {
 }
 
 func TestGreedyNoEdges(t *testing.T) {
-	order := Greedy(4, func(i, j int) float64 { return 0 }, nil, Options{})
+	order := Greedy(4, func(i, j int) float64 { return 0 }, nil)
 	if len(order) != 4 {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestGreedyBadAlphaDefaults(t *testing.T) {
-	pf, edges, n := twoClusterPF()
-	for _, alpha := range []float64{0, -1, 1, 2} {
-		order := Greedy(n, pf, edges, Options{Alpha: alpha})
-		if len(order) != n {
-			t.Fatalf("alpha=%v: bad order %v", alpha, order)
-		}
 	}
 }
 

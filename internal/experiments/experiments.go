@@ -158,7 +158,7 @@ func StudentSetupNoise(target int, noise float64, withModel bool) (*DomainData, 
 func AddressSetup(target int, withModel bool) (*DomainData, error) {
 	d := datagen.Addresses(datagen.DefaultAddressConfig(target))
 	corpus := domains.BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress)
-	dom := domains.Addresses(corpus, domains.AddressOptions{})
+	dom := domains.Addresses(corpus)
 	dd := &DomainData{Name: "addresses", Data: d, Domain: dom}
 	if withModel {
 		m, acc, err := trainModel(d, dom, 13)
@@ -187,9 +187,7 @@ func Fig7Setup(name string, target int) (*DomainData, error) {
 		dom = domains.Restaurants(domains.BuildCorpus(d, datagen.FieldOwner))
 	case "address":
 		d = datagen.AddressSample(23, target/3)
-		dom = domains.Addresses(
-			domains.BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress),
-			domains.AddressOptions{})
+		dom = domains.Addresses(domains.BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress))
 	case "getoor":
 		d = datagen.Getoor(24, target)
 		dom = domains.GetoorDomain(domains.BuildCorpus(d, datagen.FieldAuthor, datagen.FieldTitle))

@@ -60,19 +60,16 @@ func candidatePairs(dd *DomainData) (score.PairFunc, []cluster.Edge) {
 		// Pairs failing the necessary predicate are known non-duplicates;
 		// a hard penalty keeps segmentations from spanning them (at 0 the
 		// DP would merge unrelated neighbours for free).
-		return -1e6
+		return score.NonCandidateScore
 	}
 	return pf, edges
 }
 
 // segmentationClusters runs embedding + best-segmentation over the
 // candidate graph and returns the resulting partition.
-func segmentationClusters(n int, pf score.PairFunc, edges []cluster.Edge, order []int, width int) [][]int {
-	if width > n {
-		width = n
-	}
+func segmentationClusters(n int, pf score.PairFunc, order []int) [][]int {
 	posPF := func(a, b int) float64 { return pf(order[a], order[b]) }
-	sc := score.NewSegmentScorer(n, width, posPF, nil)
+	sc := score.NewSegmentScorer(n, score.MaxSegmentWidth, posPF, nil)
 	segs, _ := segment.Best(sc)
 	return segment.Clusters(segs, order)
 }
@@ -96,8 +93,8 @@ func Fig7(name string, target int) (*QualityRow, error) {
 	pf, edges := candidatePairs(dd)
 
 	exact := cluster.ExactWorkersObs(n, pf, edges, 18, 0, metricsSink)
-	order := embed.Greedy(n, pf, embedEdges(edges), embed.Options{})
-	embedded := segmentationClusters(n, pf, edges, order, 24)
+	order := embed.Greedy(n, pf, embedEdges(edges))
+	embedded := segmentationClusters(n, pf, order)
 	tc := cluster.TransitiveClosure(n, pf, edges)
 
 	row := &QualityRow{
@@ -175,7 +172,7 @@ func EmbedAblation(name string, target int) ([]EmbedAblationRow, error) {
 		name  string
 		order []int
 	}{
-		{"greedy-eq3", embed.Greedy(n, pf, embedEdges(edges), embed.Options{})},
+		{"greedy-eq3", embed.Greedy(n, pf, embedEdges(edges))},
 		{"spectral", embed.Spectral(n, pf, embedEdges(edges), 0)},
 		{"hierarchy-leaves", cluster.Agglomerative(n, pf, cluster.AverageLink).LeafOrder()},
 		{"identity", embed.Identity(n)},
@@ -183,7 +180,7 @@ func EmbedAblation(name string, target int) ([]EmbedAblationRow, error) {
 	}
 	var rows []EmbedAblationRow
 	for _, o := range orders {
-		clusters := segmentationClusters(n, pf, edges, o.order, 24)
+		clusters := segmentationClusters(n, pf, o.order)
 		rows = append(rows, EmbedAblationRow{
 			Dataset:     name,
 			Order:       o.name,

@@ -127,20 +127,6 @@ func RunFig6Method(dd *DomainData, method string, k int) (int64, error) {
 	return 0, fmt.Errorf("unknown fig6 method %q", method)
 }
 
-// RunFig6MethodWorkers is RunFig6Method for the pruned pipeline at an
-// explicit worker-pool bound (other methods have no parallel path and
-// ignore workers).
-func RunFig6MethodWorkers(dd *DomainData, method string, k, workers int) (int64, error) {
-	if method == "Canopy+Collapse+Prune" {
-		if dd.Model == nil {
-			return 0, fmt.Errorf("fig6 requires a trained scorer")
-		}
-		evals, _, err := runPruned(dd, k, workers)
-		return evals, err
-	}
-	return RunFig6Method(dd, method, k)
-}
-
 // topKByWeight finalises any of the baselines: group weights from a
 // disjoint-set over records, then take the K heaviest.
 func topKByWeight(d *records.Dataset, uf *dsu.DSU, k int) []float64 {

@@ -43,11 +43,6 @@ func New() *Table {
 	return &Table{ids: make(map[string]uint32)}
 }
 
-// NewSized returns an empty table with capacity hints for about n keys.
-func NewSized(n int) *Table {
-	return &Table{ids: make(map[string]uint32, n), keys: make([]string, 0, n)}
-}
-
 // Intern returns the id of key, assigning the next dense id on first
 // sight. Ids are stable for a given insertion sequence: rebuilding a
 // table from the same key stream yields identical ids. Intern panics if

@@ -35,7 +35,7 @@ func TestInternBasic(t *testing.T) {
 }
 
 func TestInternAllOrder(t *testing.T) {
-	tab := NewSized(4)
+	tab := New()
 	ids := tab.InternAll(nil, []string{"x", "y", "x", "z"})
 	want := []uint32{0, 1, 0, 2}
 	for i, id := range ids {

@@ -24,16 +24,10 @@ type Matrix struct {
 	back *matrixBacking
 }
 
-// NewMatrix evaluates f on every unordered pair of [0, n) and caches the
-// results. Use only for small working sets (O(n²) memory).
-//
-// Serial entry point: NewMatrixWorkers with one worker.
-func NewMatrix(n int, f PairFunc) *Matrix {
-	return NewMatrixWorkers(n, f, 1)
-}
-
-// NewMatrixWorkers is NewMatrix with the fill spread over a worker pool
-// (workers <= 0 means all CPUs, 1 is serial), one task per row — every
+// NewMatrixWorkers evaluates f on every unordered pair of [0, n) and
+// caches the results — use only for small working sets (O(n²) memory).
+// The fill is spread over a worker pool (workers <= 0 means all CPUs, 1
+// is serial), one task per row — every
 // cell is written by exactly one row, so the matrix is identical at
 // every worker count. f must be symmetric and, when workers != 1, safe
 // for concurrent use.
@@ -135,31 +129,6 @@ func CCScore(m *Matrix, clusters [][]int) float64 {
 	var s float64
 	for _, c := range clusters {
 		s += GroupScore(m, c)
-	}
-	return s
-}
-
-// Agreements counts the standard correlation-clustering agreement value of
-// a partition: the total |P| over positive within-group pairs and negative
-// cross-group pairs. Useful as an alternative quality view in tests.
-func Agreements(m *Matrix, clusters [][]int) float64 {
-	groupOf := make([]int, m.n)
-	for gi, c := range clusters {
-		for _, x := range c {
-			groupOf[x] = gi
-		}
-	}
-	var s float64
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			p := m.At(i, j)
-			if groupOf[i] == groupOf[j] && p > 0 {
-				s += p
-			}
-			if groupOf[i] != groupOf[j] && p < 0 {
-				s -= p
-			}
-		}
 	}
 	return s
 }

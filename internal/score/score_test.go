@@ -14,12 +14,12 @@ func toyMatrix() *Matrix {
 		{0, 1}: 2, {2, 3}: 1,
 		{0, 2}: -1, {0, 3}: -1, {1, 2}: -1, {1, 3}: -0.5,
 	}
-	return NewMatrix(4, func(i, j int) float64 {
+	return NewMatrixWorkers(4, func(i, j int) float64 {
 		if i > j {
 			i, j = j, i
 		}
 		return scores[[2]int{i, j}]
-	})
+	}, 1)
 }
 
 func TestMatrixAt(t *testing.T) {
@@ -71,7 +71,7 @@ func TestCCScoreIdentity(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(7)
-		m := NewMatrix(n, func(i, j int) float64 { return r.Float64()*4 - 2 })
+		m := NewMatrixWorkers(n, func(i, j int) float64 { return r.Float64()*4 - 2 }, 1)
 		// Random partition.
 		assign := make([]int, n)
 		for i := range assign {
@@ -106,22 +106,13 @@ func TestCCScoreIdentity(t *testing.T) {
 	}
 }
 
-func TestAgreements(t *testing.T) {
-	m := toyMatrix()
-	got := Agreements(m, [][]int{{0, 1}, {2, 3}})
-	// within pos: 2 + 1; cross neg magnitudes: 1+1+1+0.5
-	if got != 6.5 {
-		t.Errorf("Agreements = %v, want 6.5", got)
-	}
-}
-
 func TestSegmentScorerMatchesGroupScore(t *testing.T) {
 	// With full width and identity ordering, SegmentScorer.Score(i,j)
 	// must equal GroupScore of the contiguous members.
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(8)
-		m := NewMatrix(n, func(i, j int) float64 { return r.Float64()*4 - 2 })
+		m := NewMatrixWorkers(n, func(i, j int) float64 { return r.Float64()*4 - 2 }, 1)
 		sc := NewSegmentScorer(n, n, m.At, nil)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {

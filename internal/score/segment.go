@@ -2,6 +2,17 @@ package score
 
 import "sync"
 
+// MaxSegmentWidth caps how many ordered items one segment may span in the
+// final phase's segmentation search: the paper's "not considering any
+// cluster including too many dissimilar points" (§5.3.2), over collapsed
+// groups.
+const MaxSegmentWidth = 24
+
+// NonCandidateScore is the pair score of two items failing the last
+// necessary predicate — known non-duplicates — so that no segment of
+// positive score ever spans them.
+const NonCandidateScore = -1e6
+
 // SegmentScorer precomputes Group_Score values for contiguous segments of
 // a linear ordering, the S(i, j) of the paper's segmentation DP (§5.3.2).
 // Only segments of width at most maxWidth are representable — the paper's

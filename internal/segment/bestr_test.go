@@ -205,8 +205,8 @@ func TestBestREdgeCases(t *testing.T) {
 }
 
 // BenchmarkBestR measures the R-best DP at the engine's shape: a few
-// hundred surviving groups, the default MaxGroupWidth band, and the
-// 6R+10 candidates the final phase asks for at R = 3 and R = 1.
+// hundred surviving groups, the score.MaxSegmentWidth band, and the 6R+10
+// candidates the final phase asks for at R = 3 and R = 1.
 func BenchmarkBestR(b *testing.B) {
 	sc := randScorer(1, 600, 24)
 	for _, r := range []int{28, 16} {

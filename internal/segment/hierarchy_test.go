@@ -22,7 +22,7 @@ func randPF(seed int64, n int) score.PairFunc {
 }
 
 func groupingScore(pf score.PairFunc, n int, clusters [][]int) float64 {
-	m := score.NewMatrix(n, pf)
+	m := score.NewMatrixWorkers(n, pf, 1)
 	return score.CCScore(m, clusters)
 }
 

@@ -63,7 +63,7 @@ type Config struct {
 	// Scorer is the final pairwise criterion P for R-best answers. May
 	// be nil: queries still run, but R is capped at 1 (see topk.New).
 	Scorer topk.PairScorer
-	// Engine carries the engine knobs (PrunePasses, Workers, ...).
+	// Engine carries the engine configuration (Workers, Tracer, ...).
 	// Engine.Metrics is ignored — the server routes query metrics to
 	// its own collector, exported over /metrics.
 	Engine topk.Config
@@ -219,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 	// inc.delta.* rebuilt/reused group counts of each publish) into the
 	// server collector so /metrics shows ingest-side work too.
 	acc.SetMetrics(s.metrics)
-	// Query-time pruning runs on the published snapshots, which inherit
-	// this from the accumulator.
-	acc.SetPrunePasses(cfg.Engine.PrunePasses)
 	if cfg.TraceLimit >= 0 {
 		s.tracer = obs.NewRecorder(cfg.TraceLimit)
 	}

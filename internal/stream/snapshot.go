@@ -38,12 +38,11 @@ import (
 // Taking a snapshot requires the same external synchronisation as every
 // other Incremental method; using a taken Snapshot requires none.
 type Snapshot struct {
-	data        *records.Dataset
-	groups      []core.Group
-	levels      []predicate.Level
-	evals       int64
-	prunePasses int
-	taken       time.Time
+	data   *records.Dataset
+	groups []core.Group
+	levels []predicate.Level
+	evals  int64
+	taken  time.Time
 
 	level1 *core.PreparedLevel
 }
@@ -66,13 +65,12 @@ func (inc *Incremental) Snapshot() *Snapshot {
 		Recs: inc.data.Recs[:n:n],
 	}
 	return &Snapshot{
-		data:        data,
-		groups:      groups,
-		levels:      inc.levels,
-		evals:       inc.evals,
-		prunePasses: inc.prunePasses,
-		taken:       time.Now(),
-		level1:      core.PrepareLevel(data, groups, inc.levels[0]),
+		data:   data,
+		groups: groups,
+		levels: inc.levels,
+		evals:  inc.evals,
+		taken:  time.Now(),
+		level1: core.PrepareLevel(data, groups, inc.levels[0]),
 	}
 }
 
@@ -142,7 +140,6 @@ func (s *Snapshot) prune(ctx context.Context, opts core.Options) (*core.Result, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts.PrunePasses = s.prunePasses
 	return core.PrunedDedupPreparedCtx(ctx, s.data, s.level1, s.levels, opts)
 }
 

@@ -55,9 +55,6 @@ type Incremental struct {
 	// SetWorkers). Insertion-time maintenance is always serial — it is
 	// one record against a handful of components.
 	workers int
-	// prunePasses is the exact refinement pass count of query-time
-	// pruning (see SetPrunePasses).
-	prunePasses int
 	// sink receives the stream.* metrics and the query-time core.*
 	// metrics (see SetMetrics).
 	sink obs.Sink
@@ -154,12 +151,6 @@ func (inc *Incremental) mergeClosures(ra, rb, survivor int) {
 // results are identical at every worker count; the predicates must be
 // safe for concurrent Eval when workers != 1 (the built-in domains are).
 func (inc *Incremental) SetWorkers(workers int) { inc.workers = workers }
-
-// SetPrunePasses sets the number of exact upper-bound refinement passes
-// query-time pruning runs (core.Options.PrunePasses; <= 0 — the default
-// — is the paper's 2). Snapshots taken after the call inherit the
-// setting.
-func (inc *Incremental) SetPrunePasses(passes int) { inc.prunePasses = passes }
 
 // SetMetrics attaches an observability sink: each Add emits the
 // stream.add.records and stream.add.evals counters, each Groups emits

@@ -1,7 +1,5 @@
 package strsim
 
-import "strings"
-
 // FullNamesEqual reports whether both names consist only of full words (no
 // single-letter initials) and their token multisets match exactly.
 func FullNamesEqual(a, b string) bool {
@@ -28,19 +26,4 @@ func CoauthorSimilarity(c *Corpus, a, b string) float64 {
 	ps := pairOf(a, b)
 	defer ps.Release()
 	return ps.CoauthorSimilarity(c)
-}
-
-// SplitNameList splits a joined name list ("A Gupta; B Rao" or
-// "A Gupta, B Rao") into individual names on ';' and ',' boundaries,
-// trimming whitespace and dropping empties.
-func SplitNameList(list string) []string {
-	fields := strings.FieldsFunc(list, func(r rune) bool { return r == ';' || r == ',' })
-	out := fields[:0]
-	for _, f := range fields {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -1,9 +1,6 @@
 package strsim
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestFullNamesEqual(t *testing.T) {
 	tests := []struct {
@@ -64,27 +61,5 @@ func TestCoauthorSimilarity(t *testing.T) {
 	mid := CoauthorSimilarity(c, "sunita sarawagi, vinay deshpande", "sunita sarawagi, anhai doan")
 	if want := WordOverlapFraction("sunita sarawagi, vinay deshpande", "sunita sarawagi, anhai doan"); mid != want {
 		t.Errorf("mid-range should equal word overlap: got %v, want %v", mid, want)
-	}
-}
-
-func TestSplitNameList(t *testing.T) {
-	tests := []struct {
-		in   string
-		want []string
-	}{
-		{"", nil},
-		{"A Gupta", []string{"A Gupta"}},
-		{"A Gupta; B Rao", []string{"A Gupta", "B Rao"}},
-		{"A Gupta , B Rao ;C Das", []string{"A Gupta", "B Rao", "C Das"}},
-		{";;,", nil},
-	}
-	for _, tc := range tests {
-		got := SplitNameList(tc.in)
-		if len(got) == 0 && len(tc.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("SplitNameList(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }

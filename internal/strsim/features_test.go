@@ -70,7 +70,7 @@ func refFeatureSets(n int) []refFeatureSet {
 				refEq(a, b, datagen.FieldSchool),
 			}
 		}},
-		{"addresses", addrD, domains.Addresses(addrC, domains.AddressOptions{}), func(a, b *records.Record) []float64 {
+		{"addresses", addrD, domains.Addresses(addrC), func(a, b *records.Record) []float64 {
 			na, nb := a.Field(datagen.FieldOwner), b.Field(datagen.FieldOwner)
 			aa, ab := a.Field(datagen.FieldAddress), b.Field(datagen.FieldAddress)
 			return []float64{

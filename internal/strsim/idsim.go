@@ -31,17 +31,6 @@ func JaccardSortedIDs(a, b []int32) float64 {
 	return jaccardCounts(len(a), len(b), IntersectSortedIDs(a, b))
 }
 
-// DiceSortedIDs is the Sørensen–Dice coefficient over sorted id slices.
-func DiceSortedIDs(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return 2 * float64(IntersectSortedIDs(a, b)) / float64(len(a)+len(b))
-}
-
 // OverlapSortedIDs is the overlap coefficient |A ∩ B| / min(|A|, |B|)
 // over sorted id slices, with two empty sets giving 1 (matching Overlap).
 func OverlapSortedIDs(a, b []int32) float64 {

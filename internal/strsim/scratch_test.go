@@ -69,17 +69,6 @@ func TestTokenScratchNoAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendTokensMatchesTokenize covers the exported append form.
-func TestAppendTokensMatchesTokenize(t *testing.T) {
-	var buf []string
-	for _, s := range scratchInputs {
-		buf = AppendTokens(buf[:0], s)
-		if want := Tokenize(s); !reflect.DeepEqual(append([]string(nil), buf...), want) {
-			t.Errorf("AppendTokens(%q) = %v, want %v", s, buf, want)
-		}
-	}
-}
-
 // TestStopWordsContainsNoAllocLowercase: the fast path must not
 // lower-case already-lowercase words (the original implementation
 // allocated on every Contains call).

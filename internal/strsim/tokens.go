@@ -17,16 +17,9 @@ import (
 // Tokenize splits s into lower-cased word tokens. A token is a maximal run
 // of letters or digits; everything else is a separator. The result is
 // allocated fresh on every call; the pooled TokenScratch path reuses
-// buffers instead (see AppendTokens).
+// buffers instead.
 func Tokenize(s string) []string {
 	return appendTokens(nil, s, nil)
-}
-
-// AppendTokens is Tokenize appending into dst, so callers holding a
-// reusable slice avoid the per-call slice allocation. ASCII tokens that
-// are already lower-case are sliced straight out of s without copying.
-func AppendTokens(dst []string, s string) []string {
-	return appendTokens(dst, s, nil)
 }
 
 // appendTokens is the one tokeniser both the allocating and the pooled
