@@ -85,10 +85,11 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int
 if grep -rn --include='*.go' --exclude='*_test.go' 'topkdedup/internal/intern"' internal/core; then exit 1; fi
 if grep -rn --include='*.go' --exclude='*_test.go' 'keyPrefix' internal/domains; then exit 1; fi
 
-# One route to a pruning, each piece of work once: segment.BestR and the
-# canonical group order stay off reflection-based sort.Slice (BestR
-# merges sorted rows; groups sort by slices.SortFunc).
-if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core/groups.go; then exit 1; fi
+# One route to a pruning, each piece of work once: segment.BestR, the
+# canonical group order and the prune pass's heaviest-first order stay
+# off reflection-based sort.Slice (BestR merges sorted rows; groups and
+# gated candidates sort by slices.SortFunc, which allocates nothing).
+if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core; then exit 1; fi
 
 # One §4.2 bound scan: the consume loop (the incremental prefix, block
 # events) lives in one non-test file — core.EstimateLowerBoundCtx's.
@@ -132,7 +133,8 @@ fi
 # chain with the knobs only tests set and the obs exports nothing
 # called, the snapshot's per-K memo and the default-mode knob, the
 # engine, domain and trainer options no program set and the exports no
-# program called). One item a line:
+# program called, the stamp-form candidate walk prune no longer
+# collects). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -171,6 +173,7 @@ text stream\.topk\.reused|mode-default
 flag mode-default
 go ModeViterbi|ScaleByMembersOff|EmbedAlpha|MaxGroupWidth|NonCandidatePenalty|SetPrunePasses|AddressOptions|TuneNecessary|Soundex
 path internal/predicate/tune.go internal/strsim/phonetic.go
+go \(ix \*IDIndex\) Candidates\(|ix\.Candidates\(
 EOF
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
@@ -250,7 +253,11 @@ go test -run '^$' -bench 'BenchmarkFeatureVec' -benchtime 1x ./internal/strsim
 # by name so a steady-state allocation sneaking into the hot path fails
 # CI even when unrelated packages are skipped, and smoke the hot-path
 # benchmarks one iteration each.
-go test -run 'TestStage0PruneNoAllocs|TestBoundScanAllocs' ./internal/core
+go test -run 'TestStage0PruneNoAllocs|TestPrunePassAllocs|TestBoundScanAllocs' ./internal/core
+# The prune kernel walks only as far as its verdicts read and sorts
+# without allocating; it must leave every bound, kill, eval and hit of
+# the full-walk, sort.Slice reference forms kept in its test file.
+go test -count=1 -run 'TestStage0MatchesFullWalk|TestPassMatchesReference|TestHeavierFirstMatchesSortSlice' ./internal/core
 # One index build is a handful of allocations whatever its key count
 # (TestBlockAllocs); the CSR index answers every query as the
 # bucket-per-key reference does; the bound scan reads the level's index,

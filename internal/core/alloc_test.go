@@ -35,6 +35,27 @@ func TestStage0PruneNoAllocs(t *testing.T) {
 	}
 }
 
+// TestPrunePassAllocs pins one warm exact pass at one worker to at most
+// one allocation, the worker closure: the gate, the gated (weight,
+// index) pairs and their heaviest-first sort all run in buffers the
+// Pruner retains. Each run restores the stage-0 state first (pinned at
+// zero allocations above), so every run is the same first pass.
+func TestPrunePassAllocs(t *testing.T) {
+	p := stage0Fixture(t, 200, 8, 3)
+	ctx := context.Background()
+	pass := func() int64 {
+		p.RescanStage0()
+		_, evals, _ := p.PassCtx(ctx)
+		return evals
+	}
+	if pass() == 0 {
+		t.Fatal("setup: the pass evaluated nothing")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pass() }); allocs > 1 {
+		t.Fatalf("PassCtx = %v allocs/op, want at most 1", allocs)
+	}
+}
+
 // TestRescanStage0Reproducible: re-running the stage-0 cascades from
 // scratch reproduces exactly the construction-time state.
 func TestRescanStage0Reproducible(t *testing.T) {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"topkdedup/internal/index"
@@ -118,20 +118,24 @@ type Pruner struct {
 	sink    obs.Sink
 
 	// ix indexes the groups by n's blocking keys (BlockReps); keyIDs is
-	// its per-group id lists. Everything below is a buffer retained
-	// across rounds and passes: totals (one slot per key id) backs the
-	// stage-0 bucket sums, s0stamp/s0cand the stage-0.5 candidate walks,
-	// next the Jacobi bound snapshot, scratches one walk state per pool
-	// worker — so the stage-0 cascades and each pass allocate nothing in
-	// steady state.
+	// its per-group id lists; weight is every group's weight, dense, so
+	// the walks read 8 bytes per candidate rather than a Group. u and
+	// live are the bounds and liveness the verdicts read. Everything
+	// below them is a buffer retained across rounds and passes: totals
+	// (one slot per key id) backs the stage-0 bucket sums, s0stamp the
+	// stage-0.5 walks' first-visit set, next the Jacobi bound snapshot,
+	// gate a pass's frozen per-candidate gate, scratches one walk state
+	// per pool worker — so the stage-0 cascades allocate nothing in steady
+	// state and a pass allocates only its worker closure.
 	ix           *index.IDIndex
 	keyIDs       [][]uint32
+	weight       []float64
 	u            []float64
-	next         []float64
 	live         []bool
 	totals       []float64
 	s0stamp      *index.Stamp
-	s0cand       []int32
+	next         []float64
+	gate         []bool
 	scratches    []pruneScratch
 	evalCount    []int64
 	hitCount     []int64
@@ -144,10 +148,34 @@ type Pruner struct {
 // pruneScratch is one worker's walk state: count is
 // index.CandidatesCounted's per-group key count (all zero between
 // groups), cand the walk's result, gated the candidates that passed the
-// gate.
+// gate, each with its weight.
 type pruneScratch struct {
-	count       []int32
-	cand, gated []int32
+	count []int32
+	cand  []int32
+	gated []gatedCand
+}
+
+// gatedCand is a candidate that passed a pass's gate, carrying its
+// weight so the sort and the eval loop read it in place.
+type gatedCand struct {
+	w float64
+	j int32
+}
+
+// heavierFirst orders gated candidates by weight, heaviest first, and
+// reports equal weights as equal: slices.SortFunc under it yields the
+// permutation sort.Slice yields under "a.w > b.w", ties included, since
+// both are the standard library's one generated pdqsort
+// (TestHeavierFirstMatchesSortSlice). The order decides which candidates
+// a group evaluates, so every pinned eval count depends on it.
+func heavierFirst(a, b gatedCand) int {
+	switch {
+	case a.w > b.w:
+		return -1
+	case a.w < b.w:
+		return 1
+	}
+	return 0
 }
 
 // NewPruner builds the prune state for bound m (must be > 0; callers
@@ -171,8 +199,11 @@ func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predic
 	ng := len(groups)
 	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink, ix: ix}
 	p.keyIDs = p.ix.KeyIDs()
+	p.weight = make([]float64, ng)
+	for i := range groups {
+		p.weight[i] = groups[i].Weight
+	}
 	p.u = make([]float64, ng)
-	p.next = make([]float64, ng)
 	p.live = make([]bool, ng)
 	p.totals = make([]float64, p.ix.KeySpace())
 	p.s0stamp = index.NewStamp(ng)
@@ -188,6 +219,8 @@ func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predic
 	// usually a small part of the list. (A later RescanStage0 restores
 	// this same set: it reads only the groups, m and the round cap.)
 	p.eval = BindRepsCounted(d, groups, n, p.live)
+	p.next = make([]float64, ng)
+	p.gate = make([]bool, ng)
 	p.scratches = make([]pruneScratch, parallel.Resolve(workers))
 	for w := range p.scratches {
 		p.scratches[w].count = make([]int32, ng)
@@ -209,7 +242,7 @@ func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predic
 // allocs/op. Always serial, so it contributes the same state at every
 // worker count.
 func (p *Pruner) RescanStage0() {
-	groups, m := p.groups, p.m
+	weight, m := p.weight, p.m
 	for i := range p.live {
 		p.live[i] = true
 	}
@@ -226,20 +259,19 @@ func (p *Pruner) RescanStage0() {
 	for round := 0; round < prunePass0Rounds; round++ {
 		p.stage0Rounds++
 		clear(p.totals)
-		for i := range groups {
+		for i, w := range weight {
 			if !p.live[i] {
 				continue
 			}
 			for _, k := range p.keyIDs[i] {
-				p.totals[k] += groups[i].Weight
+				p.totals[k] += w
 			}
 		}
 		changed := false
-		for i := range groups {
+		for i, w := range weight {
 			if !p.live[i] {
 				continue
 			}
-			w := groups[i].Weight
 			ub := w
 			for _, k := range p.keyIDs[i] {
 				ub += p.totals[k] - w
@@ -259,28 +291,33 @@ func (p *Pruner) RescanStage0() {
 	// exact neighbourhood weight an evaluation pass could at most confirm
 	// — to a fixpoint, still without a single predicate evaluation. It is
 	// much tighter than the bucket totals (no multi-counting across
-	// shared keys) and each kill cascades into the next round.
+	// shared keys) and each kill cascades into the next round. A group's
+	// walk visits its keys' buckets in order, each candidate once (the
+	// stamp), and stops the moment the gated sum reaches M: the verdict
+	// only compares the sum with M, so the rest of the walk could change
+	// nothing. Candidates, summation order and break point are those of
+	// collecting every candidate first and summing after.
 	for round := 0; round < 4; round++ {
 		p.stage0Rounds++
 		changed := false
-		for i := range groups {
-			if !p.live[i] {
+		for i, w := range weight {
+			if !p.live[i] || w >= m {
 				continue
 			}
-			w := groups[i].Weight
-			if w >= m {
-				continue
-			}
-			p.s0cand = p.ix.Candidates(i, p.keyIDs[i], p.s0stamp, p.s0cand[:0])
 			total := w
-			for _, j32 := range p.s0cand {
-				j := int(j32)
-				if !p.live[j] || (groups[j].Weight < m && p.u[j] < m) {
-					continue
-				}
-				total += groups[j].Weight
-				if total >= m {
-					break
+			p.s0stamp.Reset()
+			p.s0stamp.Visit(i)
+		walk:
+			for _, k := range p.keyIDs[i] {
+				for _, j32 := range p.ix.Bucket(k) {
+					j := int(j32)
+					if p.s0stamp.Visit(j) || !p.live[j] || (weight[j] < m && p.u[j] < m) {
+						continue
+					}
+					total += weight[j]
+					if total >= m {
+						break walk
+					}
 				}
 			}
 			if total < p.u[i] {
@@ -346,23 +383,28 @@ func (p *Pruner) Alive() []Group {
 func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	p.passNum++
 	ctx, sp := obs.StartChild(ctx, "core.prune.pass")
-	groups, m := p.groups, p.m
+	weight, m := p.weight, p.m
 	passStart := time.Time{}
 	if p.sink != nil {
 		passStart = time.Now()
 	}
 	next := p.next // retained snapshot buffer; swapped with u at pass end
 	copy(next, p.u)
-	for i := range p.evalCount {
+	// Liveness and bounds are frozen for the whole pass, so whether a
+	// candidate counts — alive, and not below M on both its weight and
+	// its bound — is decided once per group here rather than once per
+	// walk that meets it.
+	for i, w := range weight {
+		p.gate[i] = p.live[i] && !(w < m && p.u[i] < m)
 		p.evalCount[i] = 0
 		p.hitCount[i] = 0
 		p.die[i] = false
 	}
-	parallel.ForWorkerCtx(ctx, p.workers, len(groups), func(wk, i int) {
+	parallel.ForWorkerCtx(ctx, p.workers, len(weight), func(wk, i int) {
 		if !p.live[i] {
 			return
 		}
-		w := groups[i].Weight
+		w := weight[i]
 		if w >= m {
 			return // survives on its own weight; gates stay valid
 		}
@@ -375,40 +417,36 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 		sc.cand = p.ix.CandidatesCounted(i, p.keyIDs[i], sc.count, sc.cand[:0])
 		sc.gated = sc.gated[:0]
 		remaining := 0.0
-		for _, j32 := range sc.cand {
-			j := int(j32)
-			if !p.live[j] || (groups[j].Weight < m && p.u[j] < m) {
-				continue
+		for _, j := range sc.cand {
+			if p.gate[j] {
+				sc.gated = append(sc.gated, gatedCand{weight[j], j})
+				remaining += weight[j]
 			}
-			sc.gated = append(sc.gated, j32)
-			remaining += groups[j].Weight
 		}
 		ub := w
 		if w+remaining >= m {
 			// Heaviest candidates first: confirmations cross M soonest
-			// and failed evaluations shrink `remaining` fastest. The
-			// sort only pays off near the survive/die boundary; far
-			// above it a handful of evaluations settles the group
-			// anyway, and sorting thousands of candidates per group
-			// would dominate the pass.
+			// and failed evaluations shrink `remaining` fastest. Far
+			// above the survive/die boundary a handful of evaluations
+			// settles the group in walk order anyway, so a long list
+			// there stays unsorted. The condition, like the order,
+			// decides which pairs are evaluated: every pinned eval
+			// count depends on it.
 			gated := sc.gated
 			if w+remaining < 4*m || len(gated) < 64 {
-				sort.Slice(gated, func(a, b int) bool {
-					return groups[gated[a]].Weight > groups[gated[b]].Weight
-				})
+				slices.SortFunc(gated, heavierFirst)
 			}
-			for _, j32 := range gated {
-				j := int(j32)
+			for _, c := range gated {
 				p.evalCount[i]++
-				if p.eval(i, j, int(sc.count[j])) {
+				if p.eval(i, int(c.j), int(sc.count[c.j])) {
 					p.hitCount[i]++
-					ub += groups[j].Weight
+					ub += c.w
 					if ub >= m {
 						ub = m // "at least M": survival certain
 						break
 					}
 				} else {
-					remaining -= groups[j].Weight
+					remaining -= c.w
 					if ub+remaining < m {
 						break // cannot reach M any more
 					}
@@ -423,7 +461,7 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	})
 	// Deterministic reduction: fold counters and liveness in index
 	// order on the calling goroutine.
-	for i := range groups {
+	for i := range weight {
 		evals += p.evalCount[i]
 		hits += p.hitCount[i]
 		if p.die[i] {

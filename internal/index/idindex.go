@@ -143,33 +143,16 @@ func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64)
 	return dst
 }
 
-// Candidates appends to dst the distinct items sharing at least one of
-// the given key ids, excluding self, and returns the extended slice. The
-// stamp is reset internally. The enumeration order is the given key
-// order, then each bucket ascending.
-func (ix *IDIndex) Candidates(self int, keys []uint32, stamp *Stamp, dst []int32) []int32 {
-	stamp.Reset()
-	if self >= 0 {
-		stamp.Visit(self)
-	}
-	for _, k := range keys {
-		for _, j := range ix.bucket(k) {
-			if !stamp.Visit(int(j)) {
-				dst = append(dst, j)
-			}
-		}
-	}
-	return dst
-}
-
-// CandidatesCounted is Candidates with the visited-set replaced by a
-// count per item: it appends the same items in the same order, and for
-// each appended j leaves in count[j] how many of the given keys j
-// carries — |keys ∩ keys of j| when keys is an item's own list, since
-// BuildID keeps every list duplicate-free. count has one slot per item
-// and must be all zero on entry; the caller zeroes it over the returned
-// items (ClearCounts) once it has read what it needs, which keeps a
-// worker's steady state at one slice and no reset pass over all items.
+// CandidatesCounted appends to dst the distinct items sharing at least
+// one of the given key ids, excluding self, and returns the extended
+// slice. The enumeration order is the given key order, then each bucket
+// ascending, each item at its first visit. For each appended j it
+// leaves in count[j] how many of the given keys j carries — |keys ∩
+// keys of j| when keys is an item's own list, since BuildID keeps every
+// list duplicate-free. count has one slot per item and must be all zero
+// on entry; the caller zeroes it over the returned items (ClearCounts)
+// once it has read what it needs, which keeps a worker's steady state at
+// one slice and no reset pass over all items.
 func (ix *IDIndex) CandidatesCounted(self int, keys []uint32, count []int32, dst []int32) []int32 {
 	if self >= 0 {
 		count[self] = 1 // never first-seen, so never appended

@@ -82,17 +82,20 @@ func TestPairCountMultiKeyDedup(t *testing.T) {
 }
 
 func TestCandidates(t *testing.T) {
-	keys := [][]string{{"a", "b"}, {"a"}, {"b"}, {"c"}}
+	keys := [][]string{{"a", "b"}, {"a", "b"}, {"b"}, {"c"}}
 	ix, _ := build(keys)
-	stamp := NewStamp(4)
-	got := ix.Candidates(0, ix.KeyIDs()[0], stamp, nil)
+	count := make([]int32, 4)
+	got := ix.CandidatesCounted(0, ix.KeyIDs()[0], count, nil)
 	ints := make([]int, len(got))
 	for i, v := range got {
 		ints[i] = int(v)
 	}
 	sort.Ints(ints)
 	if len(ints) != 2 || ints[0] != 1 || ints[1] != 2 {
-		t.Errorf("Candidates = %v, want [1 2]", ints)
+		t.Errorf("CandidatesCounted = %v, want [1 2]", ints)
+	}
+	if count[1] != 2 || count[2] != 1 {
+		t.Errorf("shared-key counts %v, want 2 for item 1 and 1 for item 2", count)
 	}
 	// self excluded
 	for _, v := range got {
@@ -189,11 +192,12 @@ func TestForEachPairMatchesBruteForce(t *testing.T) {
 				return false
 			}
 		}
-		// Candidates(i) is i's side of the same pair set: each partner
-		// once, never i itself.
-		stamp := NewStamp(n)
+		// CandidatesCounted(i) is i's side of the same pair set: each
+		// partner once, never i itself.
+		count := make([]int32, n)
 		for i := 0; i < n; i++ {
-			cand := ix.Candidates(i, ix.KeyIDs()[i], stamp, nil)
+			cand := ix.CandidatesCounted(i, ix.KeyIDs()[i], count, nil)
+			ClearCounts(count, cand)
 			for _, j := range cand {
 				lo, hi := min(i, int(j)), max(i, int(j))
 				if lo == hi || !want[[2]int{lo, hi}] {
