@@ -134,7 +134,8 @@ fi
 # called, the snapshot's per-K memo and the default-mode knob, the
 # engine, domain and trainer options no program set and the exports no
 # program called, the stamp-form candidate walk prune no longer
-# collects). One item a line:
+# collects, the serving knobs only one value of was ever set and the
+# strsim exports only their own tests called). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -174,16 +175,20 @@ flag mode-default
 go ModeViterbi|ScaleByMembersOff|EmbedAlpha|MaxGroupWidth|NonCandidatePenalty|SetPrunePasses|AddressOptions|TuneNecessary|Soundex
 path internal/predicate/tune.go internal/strsim/phonetic.go
 go \(ix \*IDIndex\) Candidates\(|ix\.Candidates\(
+flag refresh-every|wal-fsync|trace-limit|slo-target
+go \b(RefreshEvery|TraceLimit|SyncInterval|SLOConfig|syncLoop|SetWorkers)\b
+go \b(Jaccard|Overlap|Dice)(\[[a-z]+\])?\(|\b(Jaccard|Overlap|Dice)\[|\b(TermCounts|TopIDFTokens|VocabSize)\b
 EOF
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
 # Snapshot is immutable and holds no lock, so snapshot.go needs no sync.
 if grep -n '"sync"' internal/stream/snapshot.go; then exit 1; fi
 
-# One similarity kernel: the domains' feature vectors and predicates read
+# One similarity kernel: feature vectors and predicates read
 # strsim.PairScratch or the Cache's id slices, never a per-call map-built
-# gram or token set.
-if grep -rnE --include='*.go' --exclude='*_test.go' 'strsim\.(QGrams|TokenSet|Jaccard)\(' internal/domains; then exit 1; fi
+# gram or token set; QGrams and TokenSet stay for the kernel's
+# map-based reference in internal/strsim's tests.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build 'strsim\.(QGrams|TokenSet)\(' .; then exit 1; fi
 
 go build ./...
 go test -race ./...

@@ -44,7 +44,6 @@ func startChild(walDir string) (*child, error) {
 		"-addr", "127.0.0.1:0",
 		"-wal", walDir,
 		"-schema", "name",
-		"-refresh-every", "0",
 	)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

@@ -13,6 +13,11 @@
 //	GET  /healthz   liveness, snapshot freshness, build info, SLO status
 //	GET  /metrics   JSON metrics, or Prometheus text with ?format=prom
 //	GET  /slo       per-endpoint SLO burn-rate report
+//	GET  /debug/traces  the most recent query traces
+//
+// Every ingest batch publishes a new snapshot, so a query sees every
+// acknowledged batch. With -wal, every batch is fsynced before it is
+// acknowledged. Each objective behind /slo is a 1 s latency target.
 //
 // Usage:
 //
@@ -46,7 +51,6 @@ import (
 	"topkdedup/internal/domains"
 	"topkdedup/internal/obs"
 	"topkdedup/internal/server"
-	"topkdedup/internal/wal"
 )
 
 // options collects every topkd flag; run consumes it whole.
@@ -55,7 +59,6 @@ type options struct {
 	schema         string
 	field          string
 	overlap        float64
-	refreshEvery   int
 	maxInFlight    int
 	requestTimeout time.Duration
 	maxBatch       int
@@ -64,10 +67,7 @@ type options struct {
 	smoke          bool
 	crashSmoke     bool
 	walDir         string
-	walFsync       string
 	logLevel       string
-	traceLimit     int
-	sloTarget      time.Duration
 	smokeProm      string
 }
 
@@ -77,7 +77,6 @@ func main() {
 	flag.StringVar(&o.schema, "schema", "name", "comma-separated record field schema")
 	flag.StringVar(&o.field, "field", "", "primary entity-name field (default: first schema field)")
 	flag.Float64Var(&o.overlap, "overlap", 0.5, "necessary-predicate 3-gram overlap threshold")
-	flag.IntVar(&o.refreshEvery, "refresh-every", 0, "snapshot policy: 0 = every batch, N > 0 = every N records, negative = only on POST /refresh")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 64, "bounded request queue size; excess requests get 429")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 30*time.Second, "per-request budget before a 503 (negative disables)")
 	flag.IntVar(&o.maxBatch, "max-batch", 10000, "max records per ingest batch")
@@ -86,10 +85,7 @@ func main() {
 	flag.BoolVar(&o.smoke, "smoke", false, "self-test: serve on an ephemeral port, run a client session against it, shut down, exit")
 	flag.BoolVar(&o.crashSmoke, "crash-smoke", false, "self-test: SIGKILL a child topkd mid-ingest, restart it on the same WAL, verify recovery, exit")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: ingest is logged and fsynced before it is applied, and replayed on boot (empty disables durability)")
-	flag.StringVar(&o.walFsync, "wal-fsync", "always", "WAL fsync policy: always (durable on 200), interval (background ticker), or never (OS page cache)")
 	flag.StringVar(&o.logLevel, "log", "", "structured JSON request logging to stderr: debug, info, warn, or error (empty disables)")
-	flag.IntVar(&o.traceLimit, "trace-limit", 0, "query traces retained for GET /debug/traces (0 = default ring, negative disables tracing)")
-	flag.DurationVar(&o.sloTarget, "slo-target", 0, "per-request latency SLO target; slower answers burn the error budget (0 = 1s)")
 	flag.StringVar(&o.smokeProm, "smoke-prom", "", "with -smoke: write the scraped Prometheus exposition to this file for external validation")
 	flag.Parse()
 
@@ -112,28 +108,11 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
-// syncPolicy maps the -wal-fsync flag to its wal.SyncPolicy.
-func syncPolicy(name string) (wal.SyncPolicy, error) {
-	switch name {
-	case "always", "":
-		return wal.SyncAlways, nil
-	case "interval":
-		return wal.SyncInterval, nil
-	case "never":
-		return wal.SyncNever, nil
-	}
-	return 0, fmt.Errorf("bad -wal-fsync %q (use always, interval, or never)", name)
-}
-
 func run(o options) error {
 	if o.crashSmoke {
 		return crashSmoke()
 	}
 	logger, err := newLogger(o.logLevel)
-	if err != nil {
-		return err
-	}
-	fsync, err := syncPolicy(o.walFsync)
 	if err != nil {
 		return err
 	}
@@ -160,15 +139,11 @@ func run(o options) error {
 		Schema:         fields,
 		Levels:         levels,
 		Scorer:         topk.PairScorerFunc(scorer),
-		Engine:         topk.Config{Workers: o.workers},
-		RefreshEvery:   o.refreshEvery,
+		Workers:        o.workers,
 		MaxInFlight:    o.maxInFlight,
 		RequestTimeout: o.requestTimeout,
 		MaxBatch:       o.maxBatch,
 		WALDir:         o.walDir,
-		WALOptions:     wal.Options{Sync: fsync},
-		TraceLimit:     o.traceLimit,
-		SLO:            server.SLOConfig{LatencyTarget: o.sloTarget},
 		Logger:         logger,
 	})
 	if err != nil {

@@ -67,7 +67,7 @@ type ApproxTopKResponse struct {
 	// (k, r), "refreshing" otherwise. Empty in approx mode.
 	Exact string `json:"exact,omitempty"`
 	// TraceID names the query's trace (fetch the span tree from
-	// /debug/traces?trace=<id>); empty when tracing is disabled.
+	// /debug/traces?trace=<id>).
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -79,20 +79,15 @@ const XApproxBound = "X-Approx-Bound"
 func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, mode string, k, rr int) {
 	ep := s.epoch.Load()
 	_, root := s.traceCtx(r, "server.approx")
-	if root != nil {
-		root.Attr("k", float64(k))
-	}
+	root.Attr("k", float64(k))
 	start := time.Now()
 	groups := ep.snap.Heaviest(k)
 	resp := ApproxTopKResponse{
 		K: k, Mode: mode, SnapshotSeq: ep.seq, Records: ep.snap.Len(),
-		Entries: make([]ApproxEntry, len(groups)),
+		Entries: make([]ApproxEntry, len(groups)), TraceID: root.TraceID().String(),
 	}
 	for i, g := range groups {
 		resp.Entries[i] = ApproxEntry{Rep: g.Rep, Count: g.Weight, Lower: g.Weight}
-	}
-	if root != nil {
-		resp.TraceID = root.TraceID().String()
 	}
 	if mode == ModeHybrid {
 		resp.Exact = s.startHybridExact(ep, resp.Entries, k, rr)

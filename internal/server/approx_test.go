@@ -86,9 +86,9 @@ func TestTopKRejectsRAboveMax(t *testing.T) {
 }
 
 func TestModeExactByteIdentical(t *testing.T) {
-	// TraceLimit -1 removes the per-query trace id, the one legitimately
-	// fresh field; everything else must match byte for byte.
-	_, ts := newTestServer(t, func(c *Config) { c.TraceLimit = -1 })
+	// Apart from the per-query trace id, the one legitimately fresh
+	// field, the bodies must match byte for byte.
+	_, ts := newTestServer(t, nil)
 	ingestBatch(t, ts, names("alice", "alice", "alice", "bob", "bob", "carol", "cory"))
 	resp, def := get(t, ts, "/topk?k=3&r=2")
 	if resp.StatusCode != http.StatusOK {
@@ -98,7 +98,7 @@ func TestModeExactByteIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mode=exact /topk: %d: %s", resp.StatusCode, explicit)
 	}
-	if string(def) != string(explicit) {
+	if def, explicit = withoutTraceID(def), withoutTraceID(explicit); string(def) != string(explicit) {
 		t.Fatalf("mode=exact diverges from default path\ndefault: %s\nexplicit: %s", def, explicit)
 	}
 }
@@ -247,7 +247,7 @@ func TestHybridRefreshHoldsSlot(t *testing.T) {
 	scorer := toyScorer()
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.MaxInFlight = maxInFlight
-		c.Engine.Workers = 1 // one scorer call at a time per computation
+		c.Workers = 1 // one scorer call at a time per computation
 		c.Scorer = topk.PairScorerFunc(func(a, b *records.Record) float64 {
 			n := running.Add(1)
 			defer running.Add(-1)
@@ -315,7 +315,7 @@ func TestHybridRefreshHoldsSlot(t *testing.T) {
 // computation, one cache entry, one body apart from the echoed r — on
 // the exact path and for hybrid's view of the cache.
 func TestTopKNormalisesR(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.TraceLimit = -1 })
+	_, ts := newTestServer(t, nil)
 	ingestBatch(t, ts, names("alice", "alice", "alice", "bob", "bob", "carol"))
 	var bodies [][]byte
 	for i, r := range []int{0, -7, 1} {
@@ -337,6 +337,7 @@ func TestTopKNormalisesR(t *testing.T) {
 		if tr.R != r {
 			t.Fatalf("r=%d echoed as %d", r, tr.R)
 		}
+		body = withoutTraceID(body)
 		bodies = append(bodies, bytes.Replace(body, []byte(fmt.Sprintf(`"r":%d,`, r)), []byte(`"r":1,`), 1))
 	}
 	if !bytes.Equal(bodies[0], bodies[2]) || !bytes.Equal(bodies[1], bodies[2]) {
@@ -389,7 +390,7 @@ func closurePrefix(t *testing.T, schema []string, levels []topk.Level, recs []In
 // order, or at odds with the exact engine answer — "" when none is.
 func runApproxCase(t *testing.T, c *approxCase) string {
 	t.Helper()
-	srv, err := New(Config{Schema: c.schema, Levels: c.levels, TraceLimit: -1})
+	srv, err := New(Config{Schema: c.schema, Levels: c.levels})
 	if err != nil {
 		t.Fatal(err)
 	}

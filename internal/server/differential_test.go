@@ -188,16 +188,7 @@ func TestDifferentialSnapshotVsBatch(t *testing.T) {
 		k := 1 + r.Intn(6)
 		rr := 1 + r.Intn(3)
 
-		cfg := Config{Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer()}
-		// Alternate refresh policies across trials; the final /refresh in
-		// serveTopKBytes pins the queried epoch to the full record set.
-		switch trial % 3 {
-		case 1:
-			cfg.RefreshEvery = 7
-		case 2:
-			cfg.RefreshEvery = -1
-		}
-		srv, err := New(cfg)
+		srv, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer()})
 		if err != nil {
 			t.Fatal(err)
 		}

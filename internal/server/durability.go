@@ -47,7 +47,7 @@ func (s *Server) Recovered() int { return s.recovered }
 
 // Close releases the server's durable resources: it stops the runtime
 // sampler ticker, drains hybrid mode's background exact computations,
-// then closes the WAL file and its background sync ticker. Safe when
+// then closes the WAL file. Safe when
 // durability is disabled, and safe to call more than once (later calls
 // re-close the WAL and report its error).
 func (s *Server) Close() error {

@@ -115,12 +115,10 @@ func TestPromScrapeCoversRegistry(t *testing.T) {
 // TestScrapeDifferential is the observational-purity anchor: a server
 // scraped aggressively between ingest batches — both formats — must
 // serve exactly the answers an unscraped twin serves over the same
-// records. Tracing is disabled on both so approx bodies are
-// byte-comparable.
+// records. Approx bodies byte-compare once their trace ids are removed.
 func TestScrapeDifferential(t *testing.T) {
-	quiet := func(c *Config) { c.TraceLimit = -1 }
-	_, scraped := newTestServer(t, quiet)
-	_, control := newTestServer(t, quiet)
+	_, scraped := newTestServer(t, nil)
+	_, control := newTestServer(t, nil)
 
 	r := rand.New(rand.NewSource(4242))
 	for batch := 0; batch < 3; batch++ {
@@ -156,9 +154,10 @@ func TestScrapeDifferential(t *testing.T) {
 	if got, want = canonRankEvals(t, got), canonRankEvals(t, want); !bytes.Equal(got, want) {
 		t.Fatalf("/rank?k=3: scraped server diverged from control\nscraped: %s\ncontrol: %s", got, want)
 	}
-	// Approx answers carry no timings, so the whole body byte-compares.
-	gotRaw := approxBody(t, scraped, "/topk?k=3&mode=approx")
-	wantRaw := approxBody(t, control, "/topk?k=3&mode=approx")
+	// Approx answers carry no timings, so all but the trace id
+	// byte-compares.
+	gotRaw := withoutTraceID(approxBody(t, scraped, "/topk?k=3&mode=approx"))
+	wantRaw := withoutTraceID(approxBody(t, control, "/topk?k=3&mode=approx"))
 	if !bytes.Equal(gotRaw, wantRaw) {
 		t.Fatalf("approx answer diverged under scraping\nscraped: %s\ncontrol: %s", gotRaw, wantRaw)
 	}

@@ -11,9 +11,7 @@ import (
 )
 
 func TestSeedPublishesImmediately(t *testing.T) {
-	cfg := Config{Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer(),
-		RefreshEvery: -1} // manual refresh only — Seed must still publish
-	srv, err := New(cfg)
+	srv, err := New(Config{Schema: []string{"name"}, Levels: toyLevels(), Scorer: toyScorer()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,8 @@
 //   - Ingest (POST /ingest) mutates the write-side accumulator under a
 //     mutex, one JSON batch at a time.
 //   - Queries (GET /topk, GET /rank) run against immutable
-//     copy-on-write stream.Snapshot epochs, published at a configurable
-//     refresh policy (after every batch, after every N accepted
-//     records, or only on demand via POST /refresh). Queries therefore
+//     copy-on-write stream.Snapshot epochs, published after every
+//     ingest batch (POST /refresh forces one more). Queries therefore
 //     never block ingest, never race it, and never observe a
 //     half-applied batch: a snapshot is only ever taken at a batch
 //     boundary.
@@ -63,16 +62,10 @@ type Config struct {
 	// Scorer is the final pairwise criterion P for R-best answers. May
 	// be nil: queries still run, but R is capped at 1 (see topk.New).
 	Scorer topk.PairScorer
-	// Engine carries the engine configuration (Workers, Tracer, ...).
-	// Engine.Metrics is ignored — the server routes query metrics to
-	// its own collector, exported over /metrics.
-	Engine topk.Config
-	// RefreshEvery controls snapshot publication: 0 publishes after
-	// every ingest batch, N > 0 publishes after at least N records
-	// accumulated since the last snapshot (checked at batch boundaries
-	// only), and a negative value disables automatic publication so
-	// only POST /refresh advances the epoch.
-	RefreshEvery int
+	// Workers bounds the worker pool of every query's phases, as
+	// topk.Config.Workers does: <= 0 (the default) means all CPUs, 1 runs
+	// fully serial, and answers are byte-identical at every count.
+	Workers int
 	// MaxInFlight bounds the ingest/query requests admitted at once —
 	// the request queue of the backpressure design. Requests beyond it
 	// receive 429 immediately. Default 64.
@@ -96,21 +89,10 @@ type Config struct {
 	// hook). The Sink field is ignored — wal.* metrics route to the
 	// server collector.
 	WALOptions wal.Options
-	// TraceLimit sizes the ring of recent query traces kept for
-	// GET /debug/traces: 0 keeps the default (obs.DefaultTraceLimit),
-	// a negative value disables tracing entirely (queries then run the
-	// engine's zero-cost untraced path and /debug/traces answers 404).
-	TraceLimit int
 	// Logger, when non-nil, receives structured request logs (one line
 	// per query with the trace and span IDs attached, plus debug lines
 	// per guarded endpoint). nil disables logging.
 	Logger *slog.Logger
-	// SLO configures the per-endpoint service-level objectives behind
-	// GET /slo, the slo.* burn-rate metrics, and /healthz's degraded
-	// status (see slo.go and OBSERVABILITY.md "SLOs and burn rates").
-	// The zero value selects a 1s latency target. Observational only:
-	// answers never change with SLO state.
-	SLO SLOConfig
 }
 
 // runtimeSampleEvery is the period of the background runtime.* health
@@ -157,13 +139,12 @@ type epoch struct {
 type Server struct {
 	cfg     Config
 	metrics *obs.Collector
-	tracer  *obs.Recorder // nil when Config.TraceLimit < 0
+	tracer  *obs.Recorder // the last obs.DefaultTraceLimit query traces
 	logger  *slog.Logger
 	sem     chan struct{}
 
-	mu      sync.Mutex // write side: acc, pending, publication
-	acc     *stream.Incremental
-	pending int // records accumulated since the last snapshot
+	mu  sync.Mutex // write side: acc and publication
+	acc *stream.Incremental
 	// records mirrors acc.Len(), advanced by apply, so Records — and with
 	// it /healthz and /metrics — never waits on mu, which an ingest holds
 	// across the WAL's fsync.
@@ -205,11 +186,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   metrics,
+		tracer:    obs.NewRecorder(obs.DefaultTraceLimit),
 		logger:    cfg.Logger,
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		acc:       acc,
 		started:   time.Now(),
-		slo:       newSLOTracker(cfg.SLO, metrics),
+		slo:       newSLOTracker(metrics),
 		rtSampler: obs.NewRuntimeSampler(metrics),
 		rtStop:    make(chan struct{}),
 	}
@@ -219,9 +201,6 @@ func New(cfg Config) (*Server, error) {
 	// inc.delta.* rebuilt/reused group counts of each publish) into the
 	// server collector so /metrics shows ingest-side work too.
 	acc.SetMetrics(s.metrics)
-	if cfg.TraceLimit >= 0 {
-		s.tracer = obs.NewRecorder(cfg.TraceLimit)
-	}
 	// Recover durable state before the first epoch publishes, so records
 	// that survived a crash are queryable from the very first snapshot.
 	if err := s.openWAL(); err != nil {
@@ -253,24 +232,18 @@ func (s *Server) runtimeLoop() {
 // metrics (the same data GET /metrics serves).
 func (s *Server) Metrics() *obs.Collector { return s.metrics }
 
-// Tracer exposes the server's trace recorder (nil when tracing is
-// disabled via Config.TraceLimit < 0) — the same data GET /debug/traces
-// serves.
+// Tracer exposes the server's trace recorder — the same data
+// GET /debug/traces serves.
 func (s *Server) Tracer() *obs.Recorder { return s.tracer }
 
 // traceCtx opens the root span of one query request on a fresh trace.
-// Returns (r.Context(), nil) when tracing is disabled — the zero-cost
-// path.
 func (s *Server) traceCtx(r *http.Request, name string) (context.Context, *obs.TraceSpan) {
-	if s.tracer == nil {
-		return r.Context(), nil
-	}
 	return s.tracer.StartTrace(r.Context(), name)
 }
 
-// Records returns the write-side record count (including records not
-// yet visible to queries because no snapshot has been published since).
-// It takes no lock.
+// Records returns the write-side record count, which runs ahead of the
+// published epoch only while a batch is being committed. It takes no
+// lock.
 func (s *Server) Records() int { return int(s.records.Load()) }
 
 // SnapshotInfo reports the published epoch: its sequence number, the
@@ -285,7 +258,6 @@ func (s *Server) SnapshotInfo() (seq uint64, records int, age time.Duration) {
 func (s *Server) publishLocked() *epoch {
 	ep := &epoch{snap: s.acc.Snapshot(), seq: s.seq.Add(1)}
 	s.epoch.Store(ep)
-	s.pending = 0
 	s.metrics.Count("server.snapshot.published", 1)
 	return ep
 }
@@ -312,7 +284,7 @@ func (s *Server) Seed(d *topk.Dataset) (int, error) {
 	defer s.mu.Unlock()
 	// Seeded records follow the same WAL-then-apply ordering as /ingest,
 	// so a restart recovers them without re-reading the file.
-	if _, err := s.commitLocked(walRecords(d, s.cfg.Schema), true); err != nil {
+	if err := s.commitLocked(walRecords(d, s.cfg.Schema)); err != nil {
 		return 0, fmt.Errorf("server: seed wal append: %w", err)
 	}
 	s.metrics.Count("server.ingest.records", int64(len(d.Recs)))
@@ -334,22 +306,16 @@ func (s *Server) apply(batch wal.Batch) {
 // commitLocked makes one validated batch part of the write-side state:
 // WAL-then-apply (a batch that cannot be made durable is never applied,
 // so an acknowledged batch is always recoverable and a failed one leaves
-// no trace), then the pending count, and a new epoch when publish is set
-// or Config.RefreshEvery is due. It reports whether it published. Callers
-// hold s.mu.
-func (s *Server) commitLocked(batch wal.Batch, publish bool) (bool, error) {
+// no trace), then a new epoch. Callers hold s.mu.
+func (s *Server) commitLocked(batch wal.Batch) error {
 	if s.wal != nil {
 		if _, err := s.wal.Append(batch); err != nil {
-			return false, err
+			return err
 		}
 	}
 	s.apply(batch)
-	s.pending += len(batch)
-	if publish || (s.cfg.RefreshEvery >= 0 && s.pending >= s.cfg.RefreshEvery) {
-		s.publishLocked()
-		return true, nil
-	}
-	return false, nil
+	s.publishLocked()
+	return nil
 }
 
 // Handler returns the server's HTTP handler. It is safe to serve from
@@ -457,10 +423,8 @@ type IngestResponse struct {
 	Accepted int `json:"accepted"`
 	// Records is the write-side total after the batch.
 	Records int `json:"records"`
-	// SnapshotSeq is the current published epoch after the batch.
+	// SnapshotSeq is the epoch the batch published.
 	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// Published reports whether this batch triggered a new snapshot.
-	Published bool `json:"published"`
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -497,8 +461,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// same sequence and recovery is byte-identical.
 	batch := walBatch(req.Records)
 	s.mu.Lock()
-	published, err := s.commitLocked(batch, false)
-	if err != nil {
+	if err := s.commitLocked(batch); err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, "wal append: "+err.Error())
 		return
@@ -509,7 +472,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Count("server.ingest.records", int64(len(req.Records)))
 	s.metrics.Count("server.ingest.batches", 1)
 	writeJSON(w, http.StatusOK, IngestResponse{
-		Accepted: len(req.Records), Records: total, SnapshotSeq: seq, Published: published,
+		Accepted: len(req.Records), Records: total, SnapshotSeq: seq,
 	})
 }
 
@@ -545,7 +508,7 @@ type TopKResponse struct {
 	// same records in one shot — the differential tests' contract.
 	Result *topk.Result `json:"result"`
 	// TraceID names the query's trace (fetch the span tree from
-	// /debug/traces?trace=<id>); empty when tracing is disabled.
+	// /debug/traces?trace=<id>).
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -573,10 +536,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, root := s.traceCtx(r, "server.topk")
-	if root != nil {
-		root.Attr("k", float64(q.k))
-		root.Attr("r", float64(rr))
-	}
+	root.Attr("k", float64(q.k))
+	root.Attr("r", float64(rr))
 	start := time.Now()
 	ep := s.epoch.Load()
 	var res *topk.Result
@@ -602,9 +563,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := TopKResponse{
 		K: q.k, R: q.r, SnapshotSeq: ep.seq, Records: ep.snap.Len(), Result: res,
-	}
-	if root != nil {
-		resp.TraceID = root.TraceID().String()
+		TraceID: root.TraceID().String(),
 	}
 	if s.logger != nil {
 		s.logger.Info("topk query", "k", q.k, "r", rr,
@@ -648,17 +607,15 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, root := s.traceCtx(r, "server.rank")
-	if root != nil {
-		if key.kind == 'r' {
-			root.Attr("t", key.t)
-		} else {
-			root.Attr("k", float64(key.k))
-		}
+	if key.kind == 'r' {
+		root.Attr("t", key.t)
+	} else {
+		root.Attr("k", float64(key.k))
 	}
 	start := time.Now()
 	ent, status, err := s.answer(ctx, ep, key, false, func(ent *answerEntry) error {
 		if key.kind == 'r' {
-			pd, err := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Engine.Workers, s.metrics)
+			pd, err := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Workers, s.metrics)
 			if err != nil {
 				return err
 			}
@@ -677,7 +634,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if s.logger != nil && root != nil {
+	if s.logger != nil {
 		s.logger.Info("rank query", "k", key.k, "t", key.t, "snapshot_seq", ep.seq, "cache", status,
 			"seconds", time.Since(start).Seconds(),
 			"trace", root.TraceID().String(), "span", root.SpanID().String())
@@ -706,10 +663,10 @@ func (s *Server) computeExact(ctx context.Context, ep *epoch, k, rr int, explain
 // queries and read-only.
 func (s *Server) pruned(ctx context.Context, ep *epoch, k int, explain bool) (*topk.PrunedResult, error) {
 	if explain {
-		return ep.snap.TopKCtx(ctx, k, s.cfg.Engine.Workers, s.metrics)
+		return ep.snap.TopKCtx(ctx, k, s.cfg.Workers, s.metrics)
 	}
 	ent, _, err := s.answer(ctx, ep, answerKey{kind: 'p', k: k}, false, func(ent *answerEntry) (err error) {
-		ent.pruned, err = ep.snap.TopKCtx(ctx, k, s.cfg.Engine.Workers, s.metrics)
+		ent.pruned, err = ep.snap.TopKCtx(ctx, k, s.cfg.Workers, s.metrics)
 		return err
 	})
 	if err != nil {
@@ -721,15 +678,13 @@ func (s *Server) pruned(ctx context.Context, ep *epoch, k int, explain bool) (*t
 // finalEngine builds the per-query engine over an epoch's frozen
 // dataset, for the phases after pruning (Engine.TopKFromCtx,
 // TopKRankFrom). Engines are cheap stateless wrappers; every query gets
-// a fresh one so epochs can be garbage collected as they age out. explain turns on the engine's
-// per-query EXPLAIN report (the ?explain=1 form); the query's spans land
-// in the server's tracer via the traced request context, not via
-// Config.Tracer.
+// a fresh one so epochs can be garbage collected as they age out.
+// explain turns on the engine's per-query EXPLAIN report (the ?explain=1
+// form); the query's spans land in the server's tracer via the traced
+// request context.
 func (s *Server) finalEngine(ep *epoch, explain bool) *topk.Engine {
-	cfg := s.cfg.Engine
-	cfg.Metrics = s.metrics
-	cfg.Explain = explain
-	return topk.New(ep.snap.Dataset(), s.cfg.Levels, s.cfg.Scorer, cfg)
+	return topk.New(ep.snap.Dataset(), s.cfg.Levels, s.cfg.Scorer,
+		topk.Config{Workers: s.cfg.Workers, Metrics: s.metrics, Explain: explain})
 }
 
 // HealthResponse is the GET /healthz body.

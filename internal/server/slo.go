@@ -35,20 +35,10 @@ const (
 	// sloQuantile is the quantile the latency target is stated at
 	// (reporting only; burn tracking is per request).
 	sloQuantile = 0.99
+	// sloLatencyTarget is every objective's per-request latency
+	// threshold: a slower request counts as bad even when it succeeds.
+	sloLatencyTarget = time.Second
 )
-
-// SLOConfig configures the tracker (Config.SLO): one objective per
-// guarded endpoint, each stated as p99 within LatencyTarget and 99.9% of
-// requests good. The zero value selects a 1s target.
-type SLOConfig struct {
-	// LatencyTarget is the per-request latency threshold of every
-	// objective (the topkd -slo-target flag); a slower request counts as
-	// bad even when it succeeds. 0 selects 1s.
-	LatencyTarget time.Duration
-
-	// now, when non-nil (tests only), replaces the tracker's clock.
-	now func() time.Time
-}
 
 // sloBucket is one 10-second tally; idx is the absolute bucket index so
 // a ring slot can tell a stale epoch from the current one.
@@ -57,8 +47,12 @@ type sloBucket struct {
 	total, bad int64
 }
 
-// sloTracker aggregates request outcomes into per-endpoint burn rates.
+// sloTracker aggregates request outcomes into per-endpoint burn rates:
+// one objective per guarded endpoint, each stated as p99 within target
+// and 99.9% of requests good.
 type sloTracker struct {
+	// target is sloLatencyTarget and now is time.Now; tests in this
+	// package replace them to trip or step the tracker.
 	target time.Duration
 	now    func() time.Time
 	sink   obs.Sink
@@ -69,14 +63,8 @@ type sloTracker struct {
 	series map[string][]sloBucket
 }
 
-func newSLOTracker(cfg SLOConfig, sink obs.Sink) *sloTracker {
-	t := &sloTracker{target: cfg.LatencyTarget, now: cfg.now, sink: sink, series: make(map[string][]sloBucket, len(latencyEndpoints))}
-	if t.target <= 0 {
-		t.target = time.Second
-	}
-	if t.now == nil {
-		t.now = time.Now
-	}
+func newSLOTracker(sink obs.Sink) *sloTracker {
+	t := &sloTracker{target: sloLatencyTarget, now: time.Now, sink: sink, series: make(map[string][]sloBucket, len(latencyEndpoints))}
 	for _, ep := range latencyEndpoints {
 		t.series[ep] = make([]sloBucket, int(sloSlowWindow/sloStep)+1)
 	}

@@ -16,7 +16,8 @@ import (
 // forget on schedule.
 func TestSLOTrackerBurnRates(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	tr := newSLOTracker(SLOConfig{now: func() time.Time { return now }}, nil)
+	tr := newSLOTracker(nil)
+	tr.now = func() time.Time { return now }
 	topkStatus := func(rep SLOResponse) SLOStatus {
 		for _, st := range rep.Objectives {
 			if st.Endpoint == "topk" {
@@ -93,9 +94,10 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 // /slo reports the tripped objective, and the slo.* gauges publish —
 // while answers keep flowing untouched.
 func TestSLODegradedHealthz(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.SLO = SLOConfig{LatencyTarget: time.Nanosecond}
-	})
+	srv, ts := newTestServer(t, nil)
+	srv.slo.mu.Lock()
+	srv.slo.target = time.Nanosecond
+	srv.slo.mu.Unlock()
 	ingestBatch(t, ts, names("alice", "alice", "bob"))
 	for i := 0; i < 5; i++ {
 		resp, body := get(t, ts, "/topk?k=2")

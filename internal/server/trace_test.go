@@ -29,10 +29,10 @@ func traceRecords(n int) []IngestRecord {
 // spans GET /debug/traces?trace=<id> returns and whose Chrome export
 // decodes as a trace_event document; the EXPLAIN report names that trace
 // and its per-round pruned counts sum to what the core.prune.pass.pruned
-// metric saw; then the list shape, the unknown- and malformed-ID
-// responses, and the 404 when tracing is disabled by TraceLimit < 0.
+// metric saw; then the list shape and the unknown- and malformed-ID
+// responses.
 func TestDebugTracesEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) { c.Engine.Workers = 4 })
+	srv, ts := newTestServer(t, func(c *Config) { c.Workers = 4 })
 	ingestBatch(t, ts, traceRecords(96))
 
 	resp, body := get(t, ts, "/topk?k=3&r=2&explain=1")
@@ -142,24 +142,6 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("unknown trace id: status %d: %s", resp.StatusCode, body)
 	}
-
-	_, off := newTestServer(t, func(c *Config) { c.TraceLimit = -1 })
-	if resp, _ := get(t, off, "/debug/traces"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("tracing disabled: status %d, want 404", resp.StatusCode)
-	}
-	// Queries still answer normally with tracing off, without a trace id.
-	ingestBatch(t, off, names("alpha.v0", "beta.v0"))
-	resp, body = get(t, off, "/topk?k=1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("topk with tracing off: status %d: %s", resp.StatusCode, body)
-	}
-	var untraced TopKResponse
-	if err := json.Unmarshal(body, &untraced); err != nil {
-		t.Fatal(err)
-	}
-	if untraced.TraceID != "" {
-		t.Errorf("tracing disabled but response carries trace_id %q", untraced.TraceID)
-	}
 }
 
 // TestRankThresholdTraced: a /rank?t= query is one server.rank trace
@@ -167,7 +149,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 // it, prune phases beneath those — and, with M := t, no level runs the
 // §4.2 bound scan.
 func TestRankThresholdTraced(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.Engine.Workers = 2 })
+	_, ts := newTestServer(t, func(c *Config) { c.Workers = 2 })
 	ingestBatch(t, ts, traceRecords(96))
 	if resp, body := get(t, ts, "/rank?t=2"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rank: status %d: %s", resp.StatusCode, body)

@@ -25,13 +25,8 @@ type TraceResponse struct {
 // handleDebugTraces serves the trace ring. Without parameters it lists
 // retained traces; with ?trace=<32-hex-id> it returns that trace's
 // spans (&format=chrome converts them to the Chrome trace_event JSON
-// that chrome://tracing and Perfetto load directly). Answers 404 when
-// tracing is disabled (Config.TraceLimit < 0).
+// that chrome://tracing and Perfetto load directly).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (TraceLimit < 0)")
-		return
-	}
 	raw := r.URL.Query().Get("trace")
 	if raw == "" {
 		writeJSON(w, http.StatusOK, TraceListResponse{Traces: s.tracer.Traces()})

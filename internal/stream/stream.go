@@ -51,10 +51,6 @@ type Incremental struct {
 	keyIDs   []uint32
 	// evals counts sufficient-predicate evaluations (diagnostics).
 	evals int64
-	// workers bounds the worker pool of the query-time phases (see
-	// SetWorkers). Insertion-time maintenance is always serial — it is
-	// one record against a handful of components.
-	workers int
 	// sink receives the stream.* metrics and the query-time core.*
 	// metrics (see SetMetrics).
 	sink obs.Sink
@@ -145,13 +141,6 @@ func (inc *Incremental) mergeClosures(ra, rb, survivor int) {
 	inc.closures[dead] = nil
 }
 
-// SetWorkers bounds the worker pool used by TopK's query-time phases
-// (collapse of deeper levels, bound estimation, prune). <= 0 — the
-// zero-valued default — means all CPUs; 1 runs fully serial. Query
-// results are identical at every worker count; the predicates must be
-// safe for concurrent Eval when workers != 1 (the built-in domains are).
-func (inc *Incremental) SetWorkers(workers int) { inc.workers = workers }
-
 // SetMetrics attaches an observability sink: each Add emits the
 // stream.add.records and stream.add.evals counters, each Groups emits
 // the inc.delta.* rebuilt/reused group counts, and each TopK emits a
@@ -236,7 +225,9 @@ func (inc *Incremental) rebuild(c *closure) {
 
 // TopK answers the TopK count query over the current state: the TopK of
 // a Snapshot taken now, so only the K-dependent phases run and the
-// result is the one a published snapshot serves.
+// result is the one a published snapshot serves. Its query-time phases
+// run on all CPUs (Snapshot.TopKCtx with workers 0); a caller that needs
+// another bound calls Snapshot().TopKCtx itself.
 func (inc *Incremental) TopK(k int) (*core.Result, error) {
 	return inc.TopKCtx(context.Background(), k)
 }
@@ -246,5 +237,5 @@ func (inc *Incremental) TopK(k int) (*core.Result, error) {
 // K-dependent phases record their own spans beneath it; an untraced
 // context adds no work.
 func (inc *Incremental) TopKCtx(ctx context.Context, k int) (*core.Result, error) {
-	return inc.Snapshot().TopKCtx(ctx, k, inc.workers, inc.sink)
+	return inc.Snapshot().TopKCtx(ctx, k, 0, inc.sink)
 }

@@ -26,13 +26,13 @@ func IntersectSortedIDs(a, b []int32) int {
 }
 
 // JaccardSortedIDs is Jaccard over sorted id slices: |A ∩ B| / |A ∪ B|,
-// with two empty sets defined as similarity 1 (matching Jaccard).
+// with two empty sets defined as similarity 1 and one empty set 0.
 func JaccardSortedIDs(a, b []int32) float64 {
 	return jaccardCounts(len(a), len(b), IntersectSortedIDs(a, b))
 }
 
 // OverlapSortedIDs is the overlap coefficient |A ∩ B| / min(|A|, |B|)
-// over sorted id slices, with two empty sets giving 1 (matching Overlap).
+// over sorted id slices, with two empty sets giving 1 and one empty set 0.
 func OverlapSortedIDs(a, b []int32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1

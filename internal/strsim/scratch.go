@@ -25,7 +25,6 @@ import "sync"
 type TokenScratch struct {
 	toks    []string
 	set     map[string]struct{}
-	counts  map[string]int
 	lowered map[string]string
 }
 
@@ -37,7 +36,6 @@ const lowerMemoCap = 1 << 16
 var tokenScratchPool = sync.Pool{New: func() any {
 	return &TokenScratch{
 		set:     make(map[string]struct{}, 16),
-		counts:  make(map[string]int, 16),
 		lowered: make(map[string]string, 16),
 	}
 }}
@@ -55,7 +53,7 @@ func (ts *TokenScratch) Release() {
 }
 
 // Tokens returns the lower-cased word tokens of s in a reused slice
-// (valid until the next Tokens/TokenSet/TermCounts call on ts).
+// (valid until the next Tokens/TokenSet call on ts).
 func (ts *TokenScratch) Tokens(s string) []string {
 	if len(ts.lowered) > lowerMemoCap {
 		clear(ts.lowered)
@@ -73,14 +71,4 @@ func (ts *TokenScratch) TokenSet(s string) map[string]struct{} {
 		ts.set[t] = struct{}{}
 	}
 	return ts.set
-}
-
-// TermCounts returns the token -> occurrence-count map of s in a reused
-// map (valid until the next TermCounts call on ts).
-func (ts *TokenScratch) TermCounts(s string) map[string]int {
-	clear(ts.counts)
-	for _, t := range ts.Tokens(s) {
-		ts.counts[t]++
-	}
-	return ts.counts
 }

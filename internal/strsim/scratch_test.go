@@ -30,19 +30,6 @@ func TestTokenScratchMatchesPackageFuncs(t *testing.T) {
 				t.Errorf("TokenSet(%q) = %v, want %v", s, got, want)
 			}
 		}
-		counts := ts.TermCounts(s)
-		want := map[string]int{}
-		for _, tok := range Tokenize(s) {
-			want[tok]++
-		}
-		if len(counts) != len(want) {
-			t.Errorf("TermCounts(%q) = %v, want %v", s, counts, want)
-		}
-		for k, v := range want {
-			if counts[k] != v {
-				t.Errorf("TermCounts(%q)[%q] = %d, want %d", s, k, counts[k], v)
-			}
-		}
 	}
 }
 

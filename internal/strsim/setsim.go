@@ -1,8 +1,8 @@
 package strsim
 
 // jaccardCounts is Jaccard from set sizes: |A ∩ B| / |A ∪ B|, two empty
-// sets 1, one empty set 0. Every Jaccard form (maps, sorted ids, the
-// pair kernel's sorted slices) divides through it.
+// sets 1, one empty set 0. Every Jaccard form (sorted ids, the pair
+// kernel's sorted slices) divides through it.
 func jaccardCounts(na, nb, common int) float64 {
 	if na == 0 && nb == 0 {
 		return 1
@@ -20,32 +20,6 @@ func overlapCounts(na, nb, common int) float64 {
 		return 0
 	}
 	return float64(common) / float64(min(na, nb))
-}
-
-// Jaccard returns |A ∩ B| / |A ∪ B| for the two sets. Two empty sets are
-// defined to have similarity 1 (identical), one empty set gives 0.
-func Jaccard[T comparable](a, b map[T]struct{}) float64 {
-	return jaccardCounts(len(a), len(b), IntersectionSize(a, b))
-}
-
-// Overlap returns the overlap coefficient |A ∩ B| / min(|A|, |B|).
-// Two empty sets give 1, one empty set gives 0.
-func Overlap[T comparable](a, b map[T]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	return overlapCounts(len(a), len(b), IntersectionSize(a, b))
-}
-
-// Dice returns the Sørensen–Dice coefficient 2|A ∩ B| / (|A| + |B|).
-func Dice[T comparable](a, b map[T]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return 2 * float64(IntersectionSize(a, b)) / float64(len(a)+len(b))
 }
 
 // IntersectionSize returns |A ∩ B|.

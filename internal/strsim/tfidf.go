@@ -2,7 +2,6 @@ package strsim
 
 import (
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -56,9 +55,6 @@ func (c *Corpus) Freeze() {
 
 // DocCount returns the number of documents added.
 func (c *Corpus) DocCount() int { return c.docCount }
-
-// VocabSize returns the number of distinct tokens seen.
-func (c *Corpus) VocabSize() int { return len(c.df) }
 
 func (c *Corpus) idfValue(df int) float64 {
 	// Smoothed IDF in natural-log space. Unseen tokens (df=0) get the
@@ -168,21 +164,4 @@ func tfidfNorm(c *Corpus, terms []termWeight) float64 {
 		n += v * v
 	}
 	return n
-}
-
-// TopIDFTokens returns up to n tokens of value ordered by decreasing IDF
-// (rarest first); ties break lexicographically for determinism.
-func (c *Corpus) TopIDFTokens(value string, n int) []string {
-	toks := Tokenize(value)
-	sort.Slice(toks, func(i, j int) bool {
-		vi, vj := c.IDF(toks[i]), c.IDF(toks[j])
-		if vi != vj {
-			return vi > vj
-		}
-		return toks[i] < toks[j]
-	})
-	if len(toks) > n {
-		toks = toks[:n]
-	}
-	return toks
 }

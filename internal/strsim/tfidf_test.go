@@ -19,9 +19,6 @@ func TestCorpusCounts(t *testing.T) {
 	if c.DocCount() != 3 {
 		t.Errorf("DocCount = %d, want 3", c.DocCount())
 	}
-	if c.VocabSize() != 4 {
-		t.Errorf("VocabSize = %d, want 4", c.VocabSize())
-	}
 }
 
 func TestIDFOrdering(t *testing.T) {
@@ -120,17 +117,5 @@ func TestTFIDFCosineSymmetricAndBounded(t *testing.T) {
 		if s1 < 0 || s1 > 1 {
 			t.Errorf("out of range: %v for %q %q", s1, p[0], p[1])
 		}
-	}
-}
-
-func TestTopIDFTokens(t *testing.T) {
-	c := buildCorpus("common rare", "common a", "common b", "common c")
-	got := c.TopIDFTokens("common rare", 1)
-	if len(got) != 1 || got[0] != "rare" {
-		t.Errorf("TopIDFTokens = %v, want [rare]", got)
-	}
-	all := c.TopIDFTokens("common rare", 10)
-	if len(all) != 2 {
-		t.Errorf("TopIDFTokens cap = %v", all)
 	}
 }

@@ -58,7 +58,9 @@ type Record struct {
 // Batch is one atomically logged ingest batch — the WAL's frame unit.
 type Batch []Record
 
-// SyncPolicy selects when Append fsyncs the log file.
+// SyncPolicy selects whether Append fsyncs the log file. Open rejects
+// any other value. SyncNever was 2 while a background-ticker policy sat
+// between the two and is 1 now; nothing persists a policy.
 type SyncPolicy int
 
 const (
@@ -66,16 +68,11 @@ const (
 	// the batch is on stable storage. The default and the only policy
 	// under which the crash-recovery tests may assume zero loss.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background ticker every 100ms; a crash
-	// may lose the last interval's batches (but still never tears a
-	// frame).
-	SyncInterval
-	// SyncNever leaves syncing to the OS page cache.
+	// SyncNever leaves syncing to the OS page cache: a crash of the
+	// machine may lose the batches the OS had not yet written back, and
+	// may leave a log Open refuses with ErrCorrupt.
 	SyncNever
 )
-
-// syncEvery is the SyncInterval ticker period.
-const syncEvery = 100 * time.Millisecond
 
 // CrashPoint identifies where inside one Append a fault Hook fires; the
 // four points cover every distinct on-disk outcome of a crash.
@@ -168,22 +165,24 @@ type Log struct {
 	path string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	size     int64  // valid bytes: header + complete frames
-	next     uint64 // index the next Append receives
-	dead     bool   // crashed via hook: all further ops fail
-	closed   bool
-	sink     obs.Sink
-	stopSync chan struct{} // SyncInterval ticker shutdown
-	syncWG   sync.WaitGroup
+	mu     sync.Mutex
+	f      *os.File
+	size   int64  // valid bytes: header + complete frames
+	next   uint64 // index the next Append receives
+	dead   bool   // crashed via hook: all further ops fail
+	closed bool
+	sink   obs.Sink
 }
 
 // Open scans dir (creating it and the log if needed), verifies every
 // frame, truncates a torn tail, and returns a log positioned to append.
 // Damage a crash cannot explain fails with ErrCorrupt and changes
 // nothing on disk, rather than silently dropping acknowledged batches.
+// A Sync policy other than SyncAlways or SyncNever is an error.
 func Open(dir string, opts Options) (*Log, error) {
+	if opts.Sync != SyncAlways && opts.Sync != SyncNever {
+		return nil, fmt.Errorf("wal: unknown sync policy %d", opts.Sync)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -201,11 +200,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.f = f
 	obs.Gauge(l.sink, "wal.open.bytes", float64(l.size))
-	if opts.Sync == SyncInterval {
-		l.stopSync = make(chan struct{})
-		l.syncWG.Add(1)
-		go l.syncLoop()
-	}
 	return l, nil
 }
 
@@ -369,8 +363,8 @@ func (l *Log) hook(p CrashPoint, idx uint64) error {
 // Append frames, writes, and (per the sync policy) fsyncs one batch,
 // returning the batch's log index. The batch is durable — and will be
 // recovered — exactly when Append returns nil under SyncAlways; under
-// the laxer policies it is recovered unless the crash beats the next
-// sync. Append must succeed before the batch is applied to any
+// SyncNever it is recovered unless the crash beats the OS's write-back.
+// Append must succeed before the batch is applied to any
 // in-memory state: WAL-then-apply is the serving layer's ordering.
 func (l *Log) Append(b Batch) (uint64, error) {
 	l.mu.Lock()
@@ -462,46 +456,15 @@ func (l *Log) Replay(from uint64, fn func(idx uint64, b Batch) error) error {
 	return nil
 }
 
-// syncLoop is the SyncInterval background fsync ticker.
-func (l *Log) syncLoop() {
-	defer l.syncWG.Done()
-	t := time.NewTicker(syncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopSync:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && !l.dead {
-				start := time.Now()
-				if l.f.Sync() == nil {
-					obs.Count(l.sink, "wal.fsyncs", 1)
-					obs.ObserveSince(l.sink, "wal.fsync", start)
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // Close syncs (unless the log crashed) and closes the log file.
 // Further operations fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	stop := l.stopSync
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		l.syncWG.Wait()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var err error
 	if !l.dead {
 		err = l.f.Sync()

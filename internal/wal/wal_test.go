@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"topkdedup/internal/obs"
 )
@@ -505,37 +504,28 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalPolicy(t *testing.T) {
-	dir := t.TempDir()
-	sink := obs.NewCollector()
-	l, err := Open(dir, Options{Sync: SyncInterval, Sink: sink})
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRejectsUnknownSyncPolicy: a policy other than SyncAlways or
+// SyncNever is an error from Open, which then writes nothing, rather
+// than a log that silently never fsyncs.
+func TestOpenRejectsUnknownSyncPolicy(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncNever + 1, SyncNever + 2, -1} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if l, err := Open(dir, Options{Sync: p}); err == nil {
+			l.Close()
+			t.Fatalf("Open with sync policy %d succeeded, want an error", p)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Open with sync policy %d left %s behind (stat: %v)", p, dir, err)
+		}
 	}
-	var want []Batch
-	for i := 0; i < 10; i++ {
-		b := testBatch(i)
-		if _, err := l.Append(b); err != nil {
+	for _, p := range []SyncPolicy{SyncAlways, SyncNever} {
+		l, err := Open(t.TempDir(), Options{Sync: p})
+		if err != nil {
+			t.Fatalf("Open with sync policy %d: %v", p, err)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, b)
-	}
-	// Appends under SyncInterval do not fsync; the ticker must.
-	for deadline := time.Now().Add(5 * time.Second); sink.CounterValue("wal.fsyncs") == 0; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the SyncInterval ticker never fsynced")
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SyncInterval replay mismatch")
 	}
 }
 
