@@ -85,10 +85,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int
 if grep -rn --include='*.go' --exclude='*_test.go' 'topkdedup/internal/intern"' internal/core; then exit 1; fi
 if grep -rn --include='*.go' --exclude='*_test.go' 'keyPrefix' internal/domains; then exit 1; fi
 
-# One route to a pruning, each piece of work once: segment.BestR, the
-# canonical group order and the prune pass's heaviest-first order stay
-# off reflection-based sort.Slice (BestR merges sorted rows; groups and
-# gated candidates sort by slices.SortFunc, which allocates nothing).
+# One route to a pruning, each piece of work once: segment.BestR and the
+# canonical group order stay off reflection-based sort.Slice (BestR
+# merges sorted rows; groups sort by slices.SortFunc, which allocates
+# nothing), and so does every other non-test file of internal/core.
 if grep -n --include='*.go' --exclude='*_test.go' -r 'sort\.Slice(' internal/segment internal/core; then exit 1; fi
 
 # One §4.2 bound scan: the consume loop (the incremental prefix, block
@@ -117,9 +117,10 @@ if [ "$n" -ne 1 ]; then
 fi
 
 # One verdict path in the prune pass: the Pruner holds one evaluator,
-# (i, j, shared keys), and its pass calls it from one place — a
-# predicate's shared-count form is chosen when the predicate is bound
-# (predicate.P.BoundCounted), never by a second loop body.
+# (i, j), and its walk calls it from one place, when a pair's shared-key
+# count reaches its need — a predicate's count filter is read when the
+# predicate is bound (predicate.P.BoundNeed), never by a second loop
+# body.
 n=$(grep -c 'p\.eval(' internal/core/prune.go)
 if [ "$n" -ne 1 ]; then
     echo "internal/core/prune.go calls p.eval( from $n places, want 1" >&2
@@ -135,7 +136,9 @@ fi
 # engine, domain and trainer options no program set and the exports no
 # program called, the stamp-form candidate walk prune no longer
 # collects, the serving knobs only one value of was ever set and the
-# strsim exports only their own tests called). One item a line:
+# strsim exports only their own tests called, the prune pass's sorted
+# candidate list and shared-count verdict, and the server's trace
+# accessor nothing called). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -178,6 +181,7 @@ go \(ix \*IDIndex\) Candidates\(|ix\.Candidates\(
 flag refresh-every|wal-fsync|trace-limit|slo-target
 go \b(RefreshEvery|TraceLimit|SyncInterval|SLOConfig|syncLoop|SetWorkers)\b
 go \b(Jaccard|Overlap|Dice)(\[[a-z]+\])?\(|\b(Jaccard|Overlap|Dice)\[|\b(TermCounts|TopIDFTokens|VocabSize)\b
+go \b(heavierFirst|gatedCand|BoundCounted|BindRepsCounted|CandidatesCounted|ClearCounts)\b|\(s \*Server\) Tracer\(
 EOF
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
@@ -259,10 +263,18 @@ go test -run '^$' -bench 'BenchmarkFeatureVec' -benchtime 1x ./internal/strsim
 # CI even when unrelated packages are skipped, and smoke the hot-path
 # benchmarks one iteration each.
 go test -run 'TestStage0PruneNoAllocs|TestPrunePassAllocs|TestBoundScanAllocs' ./internal/core
-# The prune kernel walks only as far as its verdicts read and sorts
-# without allocating; it must leave every bound, kill, eval and hit of
-# the full-walk, sort.Slice reference forms kept in its test file.
-go test -count=1 -run 'TestStage0MatchesFullWalk|TestPassMatchesReference|TestHeavierFirstMatchesSortSlice' ./internal/core
+# The prune kernel walks only as far as its verdicts read and evaluates
+# a pair only once it shares its need of keys: stage 0 must leave every
+# bound and kill of the full-walk reference kept in its test file, each
+# exact pass must keep exactly the groups the brute-force reference
+# keeps, and a count filter must keep the survivors of its need-1 twin
+# at no more evaluations. The count filters themselves: OverlapNeed is
+# the smallest count that clears, BoundNeed hands each record's need
+# over, and every domain's matching candidate pairs share their need.
+go test -count=1 -run 'TestStage0MatchesFullWalk|TestPassMatchesReference|TestPrunerCountFormMatchesEvalTwin' ./internal/core
+go test -count=1 -run 'TestOverlapNeed' ./internal/strsim
+go test -count=1 -run 'TestBoundNeedForms' ./internal/predicate
+go test -count=1 -run 'TestCountFormMatchesMatch' ./internal/domains
 # One index build is a handful of allocations whatever its key count
 # (TestBlockAllocs); the CSR index answers every query as the
 # bucket-per-key reference does; the bound scan reads the level's index,

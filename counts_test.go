@@ -58,12 +58,12 @@ func TestExactCountsCitations(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkExactCounts(t, dd, []countsRow{
-			{1, 1, 1495, 1, 69, 10, 0, 54098},
-			{1, 2, 10, 1, 69, 10, 0, 10},
-			{10, 1, 1495, 17, 12, 136, 13, 112787},
-			{10, 2, 136, 17, 12, 132, 13, 1367},
-			{50, 1, 1495, 68, 6, 347, 150, 102114},
-			{50, 2, 346, 68, 6, 332, 148, 5612},
+			{1, 1, 1495, 1, 69, 10, 0, 1368},
+			{1, 2, 10, 1, 69, 10, 0, 14},
+			{10, 1, 1495, 17, 12, 136, 13, 1734},
+			{10, 2, 136, 17, 12, 132, 13, 451},
+			{50, 1, 1495, 68, 6, 347, 150, 1576},
+			{50, 2, 346, 68, 6, 332, 148, 757},
 		})
 	})
 	t.Run("students", func(t *testing.T) {
@@ -72,12 +72,12 @@ func TestExactCountsCitations(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkExactCounts(t, dd, []countsRow{
-			{1, 1, 1377, 1, 713.9285518074853, 146, 0, 505},
-			{1, 2, 135, 1, 713.9285518074853, 3, 0, 18},
-			{10, 1, 1377, 10, 522.7827930239284, 331, 0, 718},
-			{10, 2, 297, 10, 533.0978490345308, 45, 0, 109},
-			{50, 1, 1377, 51, 392.6906619562525, 552, 1, 827},
-			{50, 2, 493, 50, 408.9192529799738, 163, 1, 363},
+			{1, 1, 1377, 1, 713.9285518074853, 146, 0, 558},
+			{1, 2, 135, 1, 713.9285518074853, 3, 0, 12},
+			{10, 1, 1377, 10, 522.7827930239284, 331, 0, 797},
+			{10, 2, 297, 10, 533.0978490345308, 45, 0, 100},
+			{50, 1, 1377, 51, 392.6906619562525, 552, 1, 952},
+			{50, 2, 493, 50, 408.9192529799738, 163, 1, 326},
 		})
 	})
 	t.Run("addresses", func(t *testing.T) {
@@ -86,9 +86,9 @@ func TestExactCountsCitations(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkExactCounts(t, dd, []countsRow{
-			{1, 1, 441, 1, 649.034558945075, 6, 0, 17},
-			{10, 1, 441, 16, 63.68667102968032, 53, 7, 556},
-			{50, 1, 441, 75, 9.74130250913963, 173, 74, 1388},
+			{1, 1, 441, 1, 649.034558945075, 6, 0, 10},
+			{10, 1, 441, 16, 63.68667102968032, 53, 7, 162},
+			{50, 1, 441, 75, 9.74130250913963, 173, 74, 279},
 		})
 	})
 }

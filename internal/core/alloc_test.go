@@ -36,9 +36,9 @@ func TestStage0PruneNoAllocs(t *testing.T) {
 }
 
 // TestPrunePassAllocs pins one warm exact pass at one worker to at most
-// one allocation, the worker closure: the gate, the gated (weight,
-// index) pairs and their heaviest-first sort all run in buffers the
-// Pruner retains. Each run restores the stage-0 state first (pinned at
+// one allocation, the worker closure: the gate and every group's walk
+// (its per-candidate key counts included) run in buffers the Pruner
+// retains. Each run restores the stage-0 state first (pinned at
 // zero allocations above), so every run is the same first pass.
 func TestPrunePassAllocs(t *testing.T) {
 	p := stage0Fixture(t, 200, 8, 3)

@@ -39,16 +39,18 @@ func runPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, wor
 
 // TestPrunerCountFormMatchesEvalTwin: on citations and students, at
 // every level, K and worker count, the Pruner over a domain's necessary
-// predicate — which answers from the walk's shared-key count where the
-// predicate declares that form — leaves the survivors, bounds, eval and
-// hit counts and stage-0 kills of the Pruner over the predicate's
-// {Name, Eval, Keys} literal twin, the Eval-only path every hand-written
-// predicate takes. Under -race it is also the check that the per-worker
-// count slices are not shared.
+// predicate — whose count filter skips every pair sharing fewer keys
+// than its need — leaves the survivors, bounds and stage-0 kills of the
+// Pruner over the predicate's {Name, Eval, Keys} literal twin, the
+// need-1 path every hand-written predicate takes, and evaluates no more
+// pairs than the twin. (The hits differ: a walk stops once its sum
+// reaches M, and the filter moves a pair's evaluation to a later key.)
+// Each form's counts are the same at every worker count. Under -race it is also the check that the
+// per-worker walk slots are not shared.
 func TestPrunerCountFormMatchesEvalTwin(t *testing.T) {
 	cit := datagen.Citations(datagen.DefaultCitationConfig(1500))
 	stu := datagen.Students(datagen.DefaultStudentConfig(4000))
-	counted, evals := 0, int64(0)
+	var evals, twinEvals int64
 	for _, tc := range []struct {
 		name   string
 		d      *records.Dataset
@@ -68,27 +70,33 @@ func TestPrunerCountFormMatchesEvalTwin(t *testing.T) {
 					t.Fatalf("%s K=%d level %d: no lower bound, nothing to prune", tc.name, k, li+1)
 				}
 				twin := predicate.P{Name: n.Name, Eval: n.Eval, Keys: n.Keys}
-				want := runPruner(tc.d, groups, twin, m, 1)
-				for _, workers := range []int{1, 2, 4} {
-					for _, p := range []predicate.P{n, twin} {
-						got := runPruner(tc.d, groups, p, m, workers)
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s K=%d level %d %s (count form %v) workers=%d: %s\nwant %s",
-								tc.name, k, li+1, n.Name, p.Counted(), workers, got.summary(), want.summary())
+				want, counted := runPruner(tc.d, groups, twin, m, 1), runPruner(tc.d, groups, n, m, 1)
+				same := counted
+				same.Evals, same.Hits = want.Evals, want.Hits
+				if !reflect.DeepEqual(same, want) || counted.Evals > want.Evals {
+					t.Errorf("%s K=%d level %d %s: count filter %s\nneed-1 twin %s",
+						tc.name, k, li+1, n.Name, counted.summary(), want.summary())
+				}
+				for _, workers := range []int{2, 4} {
+					for _, run := range []struct {
+						p    predicate.P
+						want prunerOutcome
+					}{{twin, want}, {n, counted}} {
+						if got := runPruner(tc.d, groups, run.p, m, workers); !reflect.DeepEqual(got, run.want) {
+							t.Errorf("%s K=%d level %d %s workers=%d: %s\nwant %s",
+								tc.name, k, li+1, n.Name, workers, got.summary(), run.want.summary())
 						}
 					}
 				}
-				t.Logf("%s K=%d level %d %s counted=%v: %s", tc.name, k, li+1, n.Name, n.Counted(), want.summary())
-				if n.Counted() {
-					counted++
-					evals += want.Evals
-				}
+				t.Logf("%s K=%d level %d %s: %s; twin evaluates %d", tc.name, k, li+1, n.Name, counted.summary(), want.Evals)
+				evals += counted.Evals
+				twinEvals += want.Evals
 				groups = want.Alive
 			}
 		}
 	}
-	if counted == 0 || evals == 0 {
-		t.Errorf("%d count-form prunes evaluating %d pairs — the comparison exercised nothing", counted, evals)
+	if evals == 0 || evals >= twinEvals {
+		t.Errorf("count filters evaluated %d pairs, need-1 twins %d — the comparison exercised nothing", evals, twinEvals)
 	}
 }
 

@@ -45,29 +45,31 @@ func (g *Group) Size() int { return len(g.Members) }
 // not pay for every group, and the evaluator must not be asked about an
 // unmarked one. nil binds every group.
 func BindReps(d *records.Dataset, groups []Group, p predicate.P, use []bool) func(i, j int) bool {
-	reps, slot := usedReps(d, groups, use)
-	eval := p.Bound(reps)
-	if slot == nil {
-		return eval
-	}
-	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
+	return BindRepsNeed(d, groups, p, use, nil)
 }
 
-// BindRepsCounted is BindReps for a phase whose pairs come from a
-// counted candidate walk over BlockReps' index (the prune pass): the
-// evaluator's third argument is the number of blocking keys the two
-// representatives share (predicate.P.BoundCounted). A predicate with a
-// shared-count form answers from it; any other ignores it, so the
-// caller runs one loop either way. Phases with no count to give —
-// collapse, the bound scan, the rank queries, the final-phase gate —
-// stay on BindReps.
-func BindRepsCounted(d *records.Dataset, groups []Group, p predicate.P, use []bool) func(i, j, shared int) bool {
+// BindRepsNeed is BindReps for the prune pass, whose pairs come from a
+// counted candidate walk over BlockReps' index: it also fills need (one
+// slot per group; nil fills nothing) with each used group's
+// count-filter need (predicate.P.BoundNeed), so a pair whose shared-key
+// count never reaches the smaller of its two needs need not be
+// evaluated. Unused groups' slots are left as they are.
+func BindRepsNeed(d *records.Dataset, groups []Group, p predicate.P, use []bool, need []int32) func(i, j int) bool {
 	reps, slot := usedReps(d, groups, use)
-	eval := p.BoundCounted(reps)
 	if slot == nil {
-		return eval
+		return p.BoundNeed(reps, need)
 	}
-	return func(i, j, shared int) bool { return eval(int(slot[i]), int(slot[j]), shared) }
+	var repNeed []int32
+	if need != nil {
+		repNeed = make([]int32, len(reps))
+	}
+	eval := p.BoundNeed(reps, repNeed)
+	for i := range need {
+		if use[i] {
+			need[i] = repNeed[slot[i]]
+		}
+	}
+	return func(i, j int) bool { return eval(int(slot[i]), int(slot[j])) }
 }
 
 // usedReps gathers the representative records of the groups use marks

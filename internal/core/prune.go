@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"topkdedup/internal/index"
@@ -109,10 +108,11 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 // safe for concurrent use.
 type Pruner struct {
 	groups []Group
-	// eval is n bound to the stage-0 survivors' representatives; its third
-	// argument is the number of blocking keys the pair shares, which the
-	// pass's candidate walk counts anyway (BindRepsCounted).
-	eval    func(i, j, shared int) bool
+	// eval is n bound to the stage-0 survivors' representatives and need
+	// their count filters (BindRepsNeed): the pass evaluates a pair when
+	// its shared-key count reaches the smaller need.
+	eval    func(i, j int) bool
+	need    []int32
 	m       float64
 	workers int
 	sink    obs.Sink
@@ -123,10 +123,10 @@ type Pruner struct {
 	// live are the bounds and liveness the verdicts read. Everything
 	// below them is a buffer retained across rounds and passes: totals
 	// (one slot per key id) backs the stage-0 bucket sums, s0stamp the
-	// stage-0.5 walks' first-visit set, next the Jacobi bound snapshot,
-	// gate a pass's frozen per-candidate gate, scratches one walk state
-	// per pool worker — so the stage-0 cascades allocate nothing in steady
-	// state and a pass allocates only its worker closure.
+	// stage-0.5 walks' first-visit set, gate a pass's frozen
+	// per-candidate gate, scratches one walk state per pool worker — so
+	// the stage-0 cascades allocate nothing in steady state and a pass
+	// allocates only its worker closure.
 	ix           *index.IDIndex
 	keyIDs       [][]uint32
 	weight       []float64
@@ -134,48 +134,30 @@ type Pruner struct {
 	live         []bool
 	totals       []float64
 	s0stamp      *index.Stamp
-	next         []float64
 	gate         []bool
 	scratches    []pruneScratch
-	evalCount    []int64
-	hitCount     []int64
-	die          []bool
 	stage0Pruned int
 	stage0Rounds int // cascade rounds the last RescanStage0 ran, both stages
 	passNum      int
 }
 
-// pruneScratch is one worker's walk state: count is
-// index.CandidatesCounted's per-group key count (all zero between
-// groups), cand the walk's result, gated the candidates that passed the
-// gate, each with its weight.
+// pruneScratch is one worker's walk state and its share of a pass's
+// counts. slot holds, per group, the walk that last met it (cur names
+// the current one) and how many more shared keys that walk must meet
+// before the pair reaches its need.
 type pruneScratch struct {
-	count []int32
-	cand  []int32
-	gated []gatedCand
+	slot        []walkSlot
+	cur         uint32
+	evals, hits int64
+	pruned      int
 }
 
-// gatedCand is a candidate that passed a pass's gate, carrying its
-// weight so the sort and the eval loop read it in place.
-type gatedCand struct {
-	w float64
-	j int32
-}
-
-// heavierFirst orders gated candidates by weight, heaviest first, and
-// reports equal weights as equal: slices.SortFunc under it yields the
-// permutation sort.Slice yields under "a.w > b.w", ties included, since
-// both are the standard library's one generated pdqsort
-// (TestHeavierFirstMatchesSortSlice). The order decides which candidates
-// a group evaluates, so every pinned eval count depends on it.
-func heavierFirst(a, b gatedCand) int {
-	switch {
-	case a.w > b.w:
-		return -1
-	case a.w < b.w:
-		return 1
-	}
-	return 0
+// walkSlot is one candidate's state in a worker's current walk: left
+// counts down from the pair's need at each shared key met, and the pair
+// is evaluated when it reaches 0 — once, since it only falls further.
+type walkSlot struct {
+	stamp uint32
+	left  int32
 }
 
 // NewPruner builds the prune state for bound m (must be > 0; callers
@@ -218,16 +200,13 @@ func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predic
 	// The exact passes compare only groups the cascades left alive —
 	// usually a small part of the list. (A later RescanStage0 restores
 	// this same set: it reads only the groups, m and the round cap.)
-	p.eval = BindRepsCounted(d, groups, n, p.live)
-	p.next = make([]float64, ng)
+	p.need = make([]int32, ng)
+	p.eval = BindRepsNeed(d, groups, n, p.live, p.need)
 	p.gate = make([]bool, ng)
 	p.scratches = make([]pruneScratch, parallel.Resolve(workers))
 	for w := range p.scratches {
-		p.scratches[w].count = make([]int32, ng)
+		p.scratches[w].slot = make([]walkSlot, ng)
 	}
-	p.evalCount = make([]int64, ng)
-	p.hitCount = make([]int64, ng)
-	p.die = make([]bool, ng)
 	return p
 }
 
@@ -357,29 +336,35 @@ func (p *Pruner) Alive() []Group {
 }
 
 // PassCtx runs one exact refinement pass with the previous pass's bounds
-// (a Jacobi update over both bounds and liveness — the pass reads the
-// stored bounds and liveness as frozen snapshots and publishes new ones,
-// so the per-group computations are independent and the pass
-// parallelises). It returns how many groups the pass killed, how many
-// candidate pairs it evaluated and how many of those were confirmed
-// neighbours; when the Pruner was built with a sink, the pass also emits
-// core.prune.pass.{evals,pruned,seconds}, and when ctx carries a trace
-// span it is wrapped in a "core.prune.pass" child span annotated with
-// the round number and its eval/hit/pruned counts (an untraced context
-// costs one nil check).
+// (a Jacobi update over both bounds and liveness — the pass freezes
+// which groups count as neighbours before any walk starts and only then
+// publishes new bounds, so the per-group computations are independent
+// and the pass parallelises). It returns how many groups the pass
+// killed, how many candidate pairs it evaluated and how many of those
+// were confirmed neighbours; when the Pruner was built with a sink, the
+// pass also emits core.prune.pass.{evals,pruned,seconds}, and when ctx
+// carries a trace span it is wrapped in a "core.prune.pass" child span
+// annotated with the round number and its eval/hit/pruned counts (an
+// untraced context costs one nil check).
 //
-// Two observations keep the necessary-predicate join far below a full
+// A live group below M gets one walk over its keys' buckets (walk): it
+// survives iff its weight plus the weight of its gated candidates that
+// satisfy n reaches M. Two observations keep that join far below a full
 // canopy enumeration:
 //
 //   - every bound is only ever compared against M (survive: ub >= M;
-//     gate a neighbour: u_j >= M), so the neighbour sum of a group can
-//     stop the moment it crosses M — when M is small, almost every
-//     group certifies survival after a couple of confirmed neighbours;
-//   - when M is large, the evaluation-free cascades have already killed
-//     the tail, so only a small live set enumerates at all.
+//     gate a neighbour: u_j >= M), so the walk can stop the moment the
+//     sum crosses M — when M is small, almost every group certifies
+//     survival after a couple of confirmed neighbours;
+//   - n's count filter says how many keys a matching pair shares at
+//     least, so a pair is evaluated only when the walk has met that
+//     many — most candidates share a gram or two and never are.
 //
 // Early-stopped bounds are stored as exactly M ("at least M"), which
-// keeps both comparisons truthful.
+// keeps both comparisons truthful. Which groups survive is the sum's
+// verdict, whatever order the walk meets the pairs in (for integer
+// weights exactly; fractional ones sum with the order's rounding); the
+// evaluation and hit counts depend on the order.
 func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	p.passNum++
 	ctx, sp := obs.StartChild(ctx, "core.prune.pass")
@@ -388,86 +373,36 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	if p.sink != nil {
 		passStart = time.Now()
 	}
-	next := p.next // retained snapshot buffer; swapped with u at pass end
-	copy(next, p.u)
 	// Liveness and bounds are frozen for the whole pass, so whether a
 	// candidate counts — alive, and not below M on both its weight and
 	// its bound — is decided once per group here rather than once per
-	// walk that meets it.
+	// walk that meets it. After this only group i's own walk reads or
+	// writes live[i] and u[i].
 	for i, w := range weight {
 		p.gate[i] = p.live[i] && !(w < m && p.u[i] < m)
-		p.evalCount[i] = 0
-		p.hitCount[i] = 0
-		p.die[i] = false
+	}
+	for w := range p.scratches {
+		sc := &p.scratches[w]
+		sc.evals, sc.hits, sc.pruned = 0, 0, 0
 	}
 	parallel.ForWorkerCtx(ctx, p.workers, len(weight), func(wk, i int) {
-		if !p.live[i] {
-			return
-		}
-		w := weight[i]
-		if w >= m {
-			return // survives on its own weight; gates stay valid
+		if !p.live[i] || weight[i] >= m {
+			return // dead, or survives on its own weight
 		}
 		sc := &p.scratches[wk]
-		// Gate candidates and total their weight without evaluating:
-		// the deduplicated candidate total is itself an upper bound,
-		// so a group whose total cannot reach M dies evaluation-free.
-		// The walk also leaves, per candidate, how many of i's keys it
-		// shares — all a count-form predicate needs for its verdict.
-		sc.cand = p.ix.CandidatesCounted(i, p.keyIDs[i], sc.count, sc.cand[:0])
-		sc.gated = sc.gated[:0]
-		remaining := 0.0
-		for _, j := range sc.cand {
-			if p.gate[j] {
-				sc.gated = append(sc.gated, gatedCand{weight[j], j})
-				remaining += weight[j]
-			}
-		}
-		ub := w
-		if w+remaining >= m {
-			// Heaviest candidates first: confirmations cross M soonest
-			// and failed evaluations shrink `remaining` fastest. Far
-			// above the survive/die boundary a handful of evaluations
-			// settles the group in walk order anyway, so a long list
-			// there stays unsorted. The condition, like the order,
-			// decides which pairs are evaluated: every pinned eval
-			// count depends on it.
-			gated := sc.gated
-			if w+remaining < 4*m || len(gated) < 64 {
-				slices.SortFunc(gated, heavierFirst)
-			}
-			for _, c := range gated {
-				p.evalCount[i]++
-				if p.eval(i, int(c.j), int(sc.count[c.j])) {
-					p.hitCount[i]++
-					ub += c.w
-					if ub >= m {
-						ub = m // "at least M": survival certain
-						break
-					}
-				} else {
-					remaining -= c.w
-					if ub+remaining < m {
-						break // cannot reach M any more
-					}
-				}
-			}
-		}
-		index.ClearCounts(sc.count, sc.cand)
-		next[i] = ub
-		if ub < m {
-			p.die[i] = true
+		p.u[i] = p.walk(sc, i)
+		if p.u[i] < m {
+			p.live[i] = false
+			sc.pruned++
 		}
 	})
-	// Deterministic reduction: fold counters and liveness in index
-	// order on the calling goroutine.
-	for i := range weight {
-		evals += p.evalCount[i]
-		hits += p.hitCount[i]
-		if p.die[i] {
-			p.live[i] = false
-			pruned++
-		}
+	// The counts are integer sums, so folding them per worker gives the
+	// same totals at every worker count.
+	for w := range p.scratches {
+		sc := &p.scratches[w]
+		evals += sc.evals
+		hits += sc.hits
+		pruned += sc.pruned
 	}
 	if p.sink != nil {
 		obs.Observe(p.sink, "core.prune.pass.evals", float64(evals))
@@ -481,8 +416,54 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 		sp.Attr("pruned", float64(pruned))
 		sp.End()
 	}
-	p.u, p.next = next, p.u
 	return pruned, evals, hits
+}
+
+// walk is group i's exact bound for the current pass: its weight plus
+// the weight of every gated candidate n confirms, or exactly M once
+// that sum reaches M. It visits i's keys' buckets in order, counting
+// per candidate the keys met so far, and evaluates a pair once, at the
+// key that brings its count to the smaller of the two needs; by the
+// count-filter contract a pair that never gets there does not satisfy
+// n. No candidate list is built: the first evaluation that lifts the
+// sum to M ends the walk.
+func (p *Pruner) walk(sc *pruneScratch, i int) float64 {
+	sc.cur++
+	if sc.cur == 0 { // wrapped; forget every earlier walk
+		clear(sc.slot)
+		sc.cur = 1
+	}
+	cur, slot, gate, need, weight, m := sc.cur, sc.slot, p.gate, p.need, p.weight, p.m
+	ub := weight[i]
+	var evals, hits int64
+walk:
+	for _, k := range p.keyIDs[i] {
+		for _, j32 := range p.ix.Bucket(k) {
+			j := int(j32)
+			if !gate[j] || j == i {
+				continue
+			}
+			s := &slot[j]
+			if s.stamp != cur {
+				s.stamp, s.left = cur, min(need[i], need[j])
+			}
+			if s.left--; s.left != 0 {
+				continue
+			}
+			evals++
+			if p.eval(i, j) {
+				hits++
+				ub += weight[j]
+				if ub >= m {
+					ub = m // "at least M": survival certain
+					break walk
+				}
+			}
+		}
+	}
+	sc.evals += evals
+	sc.hits += hits
+	return ub
 }
 
 // prunePass0Rounds caps the evaluation-free bucket-total refinement

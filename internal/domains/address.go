@@ -57,15 +57,14 @@ func Addresses(c *strsim.Corpus) Domain {
 	// N1: at least 4 common non-stop words in the name+address
 	// concatenation. Since 4 common words imply 2 common words, unordered
 	// word-pair keys are complete and give much smaller buckets than
-	// single-word keys. They also carry the verdict: c common words are
-	// c·(c−1)/2 shared pair keys, increasing in c, so "at least
-	// addressCommonWords common words" is "at least that many shared
-	// keys".
+	// single-word keys. They also give the count filter: c common words
+	// are c·(c−1)/2 shared pair keys, so a match shares at least
+	// needPairs keys.
 	const needPairs = addressCommonWords * (addressCommonWords - 1) / 2
 	n1 := predicate.OfCounted("N1",
 		func(r *records.Record) []int32 { return nonStop.Get(name(r) + " " + addr(r)) },
 		func(a, b []int32) bool { return strsim.IntersectSortedIDs(a, b) >= addressCommonWords },
-		func(_, _ []int32, shared int) bool { return shared >= needPairs },
+		func([]int32) int { return needPairs },
 		func(r *records.Record) []string {
 			ts := strsim.GetTokenScratch()
 			defer ts.Release()

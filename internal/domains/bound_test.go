@@ -4,12 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"topkdedup/internal/core"
 	"topkdedup/internal/datagen"
-	"topkdedup/internal/index"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
@@ -127,51 +127,68 @@ func TestBoundMatchesEval(t *testing.T) {
 }
 
 // uncountedNecessary lists the necessary predicates that declare no
-// shared-count form (predicate.OfCounted), each with the reason its
-// blocking keys do not carry its verdict.
+// count filter (predicate.OfCounted), each with the reason their
+// blocking keys bound a match's shared keys by no more than one.
 var uncountedNecessary = map[string]string{
-	"students/N1": "keys take any lead byte of a name token, the match an a–z letter mask: two names sharing only a digit or non-ASCII initial share a key and do not match",
+	"students/N1": "a match shares one name initial under the same class and school, hence one key — what every candidate shares",
 }
 
-// TestCountFormMatchesMatch is the shared-count contract, one table for
-// every domain: each necessary predicate either has the count form —
-// then, with the count taken from the real walk over the predicate's own
-// blocking index, BoundCounted equals Bound on every candidate pair, in
-// both directions — or is named in uncountedNecessary.
+// TestCountFormMatchesMatch is the count-filter contract, one table for
+// every domain: each necessary predicate either declares a need above 1
+// for some record — then, with the shared-key count taken from the real
+// walk over the predicate's own blocking index, every candidate pair
+// that matches shares at least the smaller of its two needs — or is
+// named in uncountedNecessary.
 func TestCountFormMatchesMatch(t *testing.T) {
 	for _, bc := range boundCases() {
 		for li, level := range bc.build() {
 			n := level.Necessary
 			id := bc.name + "/" + n.Name
-			if reason, listed := uncountedNecessary[id]; listed != !n.Counted() {
-				t.Errorf("%s level %d: Counted() = %v, allowlisted = %v (%s)", id, li+1, n.Counted(), listed, reason)
+			need := make([]int32, bc.d.Len())
+			match := n.BoundNeed(bc.d.Recs, need)
+			counted := slices.ContainsFunc(need, func(v int32) bool { return v > 1 })
+			if reason, listed := uncountedNecessary[id]; listed == counted {
+				t.Errorf("%s level %d: declares a count filter %v, allowlisted %v (%s)", id, li+1, counted, listed, reason)
 			}
-			if !n.Counted() {
+			if !counted {
 				continue
 			}
 			ix := n.Block(bc.d.Recs, nil)
-			match, decide := n.Bound(bc.d.Recs), n.BoundCounted(bc.d.Recs)
-			count := make([]int32, ix.Len())
+			shared := make([]int32, ix.Len())
 			var cand []int32
-			pairs, hits := 0, 0
+			pairs, hits, filtered := 0, 0, 0
 			for i := 0; i < ix.Len(); i++ {
-				cand = ix.CandidatesCounted(i, ix.KeyIDs()[i], count, cand[:0])
-				for _, j32 := range cand {
-					j := int(j32)
-					want := match(i, j)
-					if got := decide(i, j, int(count[j])); got != want {
-						t.Fatalf("%s level %d: records %d and %d share %d keys: count form %v, match %v", id, li+1, i, j, count[j], got, want)
-					}
-					pairs++
-					if want {
-						hits++
+				cand = cand[:0]
+				for _, k := range ix.KeyIDs()[i] {
+					for _, j := range ix.Bucket(k) {
+						if int(j) == i {
+							continue
+						}
+						if shared[j] == 0 {
+							cand = append(cand, j)
+						}
+						shared[j]++
 					}
 				}
-				index.ClearCounts(count, cand)
+				for _, j32 := range cand {
+					j := int(j32)
+					pairs++
+					least := min(need[i], need[j])
+					if shared[j] < least {
+						filtered++
+					}
+					if match(i, j) {
+						hits++
+						if shared[j] < least {
+							t.Fatalf("%s level %d: records %d and %d match sharing %d keys, needs %d and %d", id, li+1, i, j, shared[j], need[i], need[j])
+						}
+					}
+					shared[j] = 0
+				}
 			}
-			t.Logf("%s level %d: %d ordered candidate pairs, %d matching", id, li+1, pairs, hits)
-			if hits == 0 || hits == pairs {
-				t.Errorf("%s level %d: %d of %d pairs true — the comparison saw one verdict only", id, li+1, hits, pairs)
+			t.Logf("%s level %d: %d ordered candidate pairs, %d below their need, %d matching", id, li+1, pairs, filtered, hits)
+			if hits == 0 || filtered == 0 {
+				t.Errorf("%s level %d: %d of %d pairs match, %d filtered — the check saw one side only", id, li+1, hits, pairs, filtered)
 			}
 		}
 	}

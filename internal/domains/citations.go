@@ -139,10 +139,7 @@ func Citations(c *strsim.Corpus, _ CitationOptions) Domain {
 			return a.letters&b.letters != 0 && strsim.OverlapExceeds(a.grams, b.grams, citationGramOverlap, true)
 		},
 		// Keys are the author grams: shared keys = common grams.
-		func(a, b n2Sig, shared int) bool {
-			return a.letters&b.letters != 0 &&
-				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), citationGramOverlap, true)
-		},
+		func(a n2Sig) int { return strsim.OverlapNeed(len(a.grams), citationGramOverlap, true) },
 		func(r *records.Record) []string { return gramKeys(cache, author(r)) })
 
 	return Domain{

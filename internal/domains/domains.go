@@ -113,15 +113,14 @@ func gramKeys(cache *strsim.Cache, value string) []string {
 // domains share: the field's 3-gram overlap ratio strictly exceeds thr,
 // blocked on one key per gram. The signature is the field's sorted
 // interned gram ids. The keys are the grams themselves, so the keys a
-// pair shares are its common grams and the count form is the same
-// threshold on that count (predicate.OfCounted).
+// pair shares are its common grams, and a match shares at least the
+// count that clears thr against the smaller gram set: the count filter
+// (predicate.OfCounted) is strsim.OverlapNeed of the set's size.
 func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64) predicate.P {
 	return predicate.OfCounted(name,
 		func(r *records.Record) []int32 { return cache.GramIDs(field(r)) },
 		func(a, b []int32) bool { return strsim.OverlapExceeds(a, b, thr, true) },
-		func(a, b []int32, shared int) bool {
-			return strsim.OverlapCountClears(shared, min(len(a), len(b)), thr, true)
-		},
+		func(a []int32) int { return strsim.OverlapNeed(len(a), thr, true) },
 		func(r *records.Record) []string { return gramKeys(cache, field(r)) })
 }
 

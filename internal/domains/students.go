@@ -63,9 +63,9 @@ func Students(_ StudentOptions) Domain {
 		})
 
 	// N1: at least one common initial in the name and matching class and
-	// school code. No shared-count form (predicate.OfCounted): the keys
-	// take any lead byte, the match only the a–z letter mask, so a pair
-	// sharing a key on a digit or non-ASCII initial is not a match.
+	// school code. No count filter (predicate.OfCounted): a match shares
+	// one initial, hence one key, and one shared key is what every
+	// candidate has.
 	type n1Sig struct {
 		class, school string
 		letters       uint32 // initial-letter mask
@@ -109,10 +109,7 @@ func Students(_ StudentOptions) Domain {
 		},
 		// Each key is one name gram under the record's class and school,
 		// so for a pair that agrees on both, shared keys = common grams.
-		func(a, b n2Sig, shared int) bool {
-			return a.class == b.class && a.school == b.school &&
-				strsim.OverlapCountClears(shared, min(len(a.grams), len(b.grams)), studentN2GramOverlap, false)
-		},
+		func(a n2Sig) int { return strsim.OverlapNeed(len(a.grams), studentN2GramOverlap, false) },
 		func(r *records.Record) []string {
 			// The sorted gram list, not the gram map: see gramKeys.
 			grams := cache.SortedGrams(name(r))

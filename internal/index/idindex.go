@@ -29,9 +29,9 @@ type IDIndex struct {
 // An id listed more than once for an item is indexed once: the item
 // enters that bucket once and keyIDs[i] is compacted in place to its
 // distinct ids in first-occurrence order. Every walk then meets a pair
-// once per key the two items share — what makes CandidatesCounted's
-// counts set-intersection sizes and keeps a bucket total from adding one
-// item's weight twice.
+// once per key the two items share — what makes a walk's per-candidate
+// key count a set-intersection size and keeps a bucket total from adding
+// one item's weight twice.
 //
 // The build is two passes over the lists: the first counts each bucket's
 // size (a last-seen stamp per id drops the repeats), the second fills
@@ -141,42 +141,6 @@ func (ix *IDIndex) BucketWeightTotals(weight func(i int) float64, dst []float64)
 		dst[id] = t
 	}
 	return dst
-}
-
-// CandidatesCounted appends to dst the distinct items sharing at least
-// one of the given key ids, excluding self, and returns the extended
-// slice. The enumeration order is the given key order, then each bucket
-// ascending, each item at its first visit. For each appended j it
-// leaves in count[j] how many of the given keys j carries — |keys ∩
-// keys of j| when keys is an item's own list, since BuildID keeps every
-// list duplicate-free. count has one slot per item and must be all zero
-// on entry; the caller zeroes it over the returned items (ClearCounts)
-// once it has read what it needs, which keeps a worker's steady state at
-// one slice and no reset pass over all items.
-func (ix *IDIndex) CandidatesCounted(self int, keys []uint32, count []int32, dst []int32) []int32 {
-	if self >= 0 {
-		count[self] = 1 // never first-seen, so never appended
-	}
-	for _, k := range keys {
-		for _, j := range ix.bucket(k) {
-			if count[j] == 0 {
-				dst = append(dst, j)
-			}
-			count[j]++
-		}
-	}
-	if self >= 0 {
-		count[self] = 0
-	}
-	return dst
-}
-
-// ClearCounts zeroes count over the items a CandidatesCounted call
-// returned, restoring its all-zero precondition.
-func ClearCounts(count []int32, items []int32) {
-	for _, j := range items {
-		count[j] = 0
-	}
 }
 
 // ForEachPair enumerates every distinct unordered pair of items sharing

@@ -116,75 +116,6 @@ func TestBuildIDDropsRepeatedKeys(t *testing.T) {
 	}
 }
 
-// stampCandidates is the visited-set form of the candidate walk: the
-// items sharing one of keys, excluding self, keys in order and each
-// bucket ascending, a Stamp dropping the repeats.
-func stampCandidates(ix *IDIndex, self int, keys []uint32, stamp *Stamp) []int32 {
-	var dst []int32
-	stamp.Reset()
-	stamp.Visit(self)
-	for _, k := range keys {
-		for _, j := range ix.Bucket(k) {
-			if !stamp.Visit(int(j)) {
-				dst = append(dst, j)
-			}
-		}
-	}
-	return dst
-}
-
-// TestCandidatesCounted: on random key lists (repeats included) the
-// counted walk returns the stamp walk's list in its order, leaves in
-// count the number of distinct keys each candidate shares with the item,
-// touches no other slot, and ClearCounts restores the all-zero state.
-func TestCandidatesCounted(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		keys := randomKeySets(r, 60, 15, 6)
-		ix, _ := build(keys)
-		stamp := NewStamp(ix.Len())
-		count := make([]int32, ix.Len())
-		sets := make([]map[string]bool, len(keys))
-		for i, ks := range keys {
-			sets[i] = map[string]bool{}
-			for _, k := range ks {
-				sets[i][k] = true
-			}
-		}
-		for i := range keys {
-			want := stampCandidates(ix, i, ix.KeyIDs()[i], stamp)
-			got := ix.CandidatesCounted(i, ix.KeyIDs()[i], count, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d item %d: counted walk %v, stamp walk %v", trial, i, got, want)
-			}
-			listed := map[int32]bool{}
-			for _, j := range got {
-				listed[j] = true
-				shared := 0
-				for k := range sets[i] {
-					if sets[j][k] {
-						shared++
-					}
-				}
-				if int(count[j]) != shared {
-					t.Fatalf("trial %d pair (%d, %d): count %d, want %d shared keys", trial, i, j, count[j], shared)
-				}
-			}
-			for j, c := range count {
-				if c != 0 && !listed[int32(j)] {
-					t.Fatalf("trial %d item %d: count[%d] = %d for an item not returned", trial, i, j, c)
-				}
-			}
-			ClearCounts(count, got)
-			for j, c := range count {
-				if c != 0 {
-					t.Fatalf("trial %d item %d: count[%d] = %d after ClearCounts", trial, i, j, c)
-				}
-			}
-		}
-	}
-}
-
 // refIndex is the bucket-per-key builder the CSR layout replaced: one
 // slice per key id, appended to in item order. TestIDIndexMatchesReference
 // holds every IDIndex method to it.
@@ -228,22 +159,6 @@ func (ix *refIndex) bucketCount() (count, largest int) {
 	return count, largest
 }
 
-func (ix *refIndex) candidates(self int, keys []uint32) (cand []int32, count []int32) {
-	count = make([]int32, ix.n)
-	for _, k := range keys {
-		for _, j := range ix.buckets[k] {
-			if int(j) == self {
-				continue
-			}
-			if count[j] == 0 {
-				cand = append(cand, j)
-			}
-			count[j]++
-		}
-	}
-	return cand, count
-}
-
 func (ix *refIndex) pairs() [][2]int {
 	var out [][2]int
 	seen := map[[2]int]bool{}
@@ -265,8 +180,7 @@ func (ix *refIndex) pairs() [][2]int {
 // the CSR index answers every query exactly as the bucket-per-key
 // reference: buckets (out of range too), the compacted key lists, the
 // key space, bucket count and largest bucket, ForEachBucket's sequence,
-// bucket weight totals, both candidate walks (with and without a self,
-// counts included), ForEachPair's sequence and PairCount.
+// bucket weight totals, ForEachPair's sequence and PairCount.
 func TestIDIndexMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -329,23 +243,6 @@ func TestIDIndexMatchesReference(t *testing.T) {
 			if totals[id] != want {
 				fail("bucket %d total %v, want %v", id, totals[id], want)
 			}
-		}
-		counts := make([]int32, n)
-		for self := -1; self < n; self++ {
-			var keys []uint32
-			if self >= 0 {
-				keys = ix.KeyIDs()[self]
-			} else {
-				for c := r.Intn(6); c > 0; c-- {
-					keys = append(keys, uint32(r.Intn(idSpace)))
-				}
-			}
-			wantCand, wantCount := ref.candidates(self, keys)
-			got := ix.CandidatesCounted(self, keys, counts, nil)
-			if !reflect.DeepEqual(got, wantCand) || !reflect.DeepEqual(counts, wantCount) {
-				fail("CandidatesCounted(%d, %v) = %v counts %v, want %v counts %v", self, keys, got, counts, wantCand, wantCount)
-			}
-			ClearCounts(counts, got)
 		}
 		var pairs [][2]int
 		ix.ForEachPair(func(i, j int) bool { pairs = append(pairs, [2]int{i, j}); return true })

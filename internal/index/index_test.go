@@ -81,30 +81,6 @@ func TestPairCountMultiKeyDedup(t *testing.T) {
 	}
 }
 
-func TestCandidates(t *testing.T) {
-	keys := [][]string{{"a", "b"}, {"a", "b"}, {"b"}, {"c"}}
-	ix, _ := build(keys)
-	count := make([]int32, 4)
-	got := ix.CandidatesCounted(0, ix.KeyIDs()[0], count, nil)
-	ints := make([]int, len(got))
-	for i, v := range got {
-		ints[i] = int(v)
-	}
-	sort.Ints(ints)
-	if len(ints) != 2 || ints[0] != 1 || ints[1] != 2 {
-		t.Errorf("CandidatesCounted = %v, want [1 2]", ints)
-	}
-	if count[1] != 2 || count[2] != 1 {
-		t.Errorf("shared-key counts %v, want 2 for item 1 and 1 for item 2", count)
-	}
-	// self excluded
-	for _, v := range got {
-		if v == 0 {
-			t.Error("self should be excluded")
-		}
-	}
-}
-
 func TestBucketWeightTotals(t *testing.T) {
 	keys := [][]string{{"a"}, {"a"}, {"b"}}
 	ix, tab := build(keys)
@@ -143,7 +119,7 @@ func TestStampWraparound(t *testing.T) {
 	}
 }
 
-// Property: ForEachPair, PairCount and Candidates enumerate exactly the
+// Property: ForEachPair and PairCount enumerate exactly the
 // distinct key-sharing pairs, each once, matching a brute-force
 // computation.
 func TestForEachPairMatchesBruteForce(t *testing.T) {
@@ -189,25 +165,6 @@ func TestForEachPairMatchesBruteForce(t *testing.T) {
 		}
 		for p, c := range got {
 			if c != 1 || !want[p] {
-				return false
-			}
-		}
-		// CandidatesCounted(i) is i's side of the same pair set: each
-		// partner once, never i itself.
-		count := make([]int32, n)
-		for i := 0; i < n; i++ {
-			cand := ix.CandidatesCounted(i, ix.KeyIDs()[i], count, nil)
-			ClearCounts(count, cand)
-			for _, j := range cand {
-				lo, hi := min(i, int(j)), max(i, int(j))
-				if lo == hi || !want[[2]int{lo, hi}] {
-					return false
-				}
-				got[[2]int{lo, hi}]++
-			}
-		}
-		for _, c := range got {
-			if c != 3 { // once from the walk, once from each side
 				return false
 			}
 		}

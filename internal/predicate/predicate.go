@@ -35,15 +35,12 @@ type P struct {
 	// is built over one predicate's keys alone.
 	Keys func(r *records.Record) []string
 
-	// bind and bindCounted, set by Of and OfCounted, precompute the
-	// signatures of a record slice and return the index-addressed
-	// evaluator over them — bind the two-argument form, bindCounted the
-	// one that is also told how many blocking keys the pair shares; nil
-	// for a hand-written predicate, which Bound and BoundCounted serve
-	// through Eval. counted records whether bindCounted reads the count.
-	bind        func(recs []*records.Record) func(i, j int) bool
-	bindCounted func(recs []*records.Record) func(i, j, shared int) bool
-	counted     bool
+	// bind, set by Of and OfCounted, precomputes the signatures of a
+	// record slice and returns the index-addressed evaluator over them,
+	// first writing each record's count-filter need into need when need
+	// is non-nil; nil for a hand-written predicate, which Bound serves
+	// through Eval.
+	bind func(recs []*records.Record, need []int32) func(i, j int) bool
 }
 
 // Of builds a predicate from a per-record signature and a match on two
@@ -61,47 +58,41 @@ func Of[S any](name string, sig func(r *records.Record) S, match func(a, b S) bo
 	return OfCounted(name, sig, match, nil, keys)
 }
 
-// OfCounted is Of for a predicate whose verdict on a candidate pair
-// follows from how many blocking keys the pair shares — a threshold on
-// the overlap of the very sets Keys enumerates. decide is the
-// shared-count form of match, under the contract
+// OfCounted is Of for a predicate with a count filter: need gives, per
+// record, how many blocking keys a matching partner shares with it at
+// least, under the one-sided contract
 //
-//	decide(sig(a), sig(b), |Keys(a) ∩ Keys(b)|) == match(sig(a), sig(b))
+//	match(sig(a), sig(b)) ⇒ |Keys(a) ∩ Keys(b)| ≥ min(need(sig(a)), need(sig(b)))
 //
-// for every pair of records sharing at least one key (Keys as a set: a
-// repeated key counts once, which is also how Block indexes it). A
-// candidate walk over Block's index meets exactly those shared keys, so
-// a phase that walks anyway (core's prune pass) hands decide the count
-// and the verdict costs no second read of the two key sets; decide may
-// still read anything else in the signatures. A predicate whose keys are
-// not the sets its match intersects must not declare one (students N1:
-// keys use any lead byte, the match an a–z letter mask). decide obeys
-// match's contract: pure, allocation-free, safe for concurrent use; nil
-// means no count form (Of).
-func OfCounted[S any](name string, sig func(r *records.Record) S, match func(a, b S) bool, decide func(a, b S, shared int) bool, keys func(r *records.Record) []string) P {
-	sigsOf := func(recs []*records.Record) []S {
-		sigs := make([]S, len(recs))
-		for i, r := range recs {
-			sigs[i] = sig(r)
-		}
-		return sigs
-	}
+// (Keys as a set: a repeated key counts once, which is also how Block
+// indexes it). A candidate walk over Block's index meets exactly the
+// shared keys, so a phase that walks anyway (core's prune pass) can
+// count them and run match only for a pair whose count reaches the
+// smaller need: a pair that never does cannot match. The filter only
+// ever skips evaluations; the verdict is always match's. A threshold on
+// the overlap of the very sets Keys enumerates has a natural need (the
+// smallest count that clears it, strsim.OverlapNeed); a predicate whose
+// keys carry no such bound declares none. need is pure and safe for
+// concurrent use; a value below 1 counts as 1, and nil (Of) means 1 for
+// every record — evaluate at the first shared key.
+func OfCounted[S any](name string, sig func(r *records.Record) S, match func(a, b S) bool, need func(s S) int, keys func(r *records.Record) []string) P {
 	return P{
 		Name: name,
 		Eval: func(a, b *records.Record) bool { return match(sig(a), sig(b)) },
 		Keys: keys,
-		bind: func(recs []*records.Record) func(i, j int) bool {
-			sigs := sigsOf(recs)
+		bind: func(recs []*records.Record, needs []int32) func(i, j int) bool {
+			sigs := make([]S, len(recs))
+			for i, r := range recs {
+				sigs[i] = sig(r)
+			}
+			for i := range needs {
+				needs[i] = 1
+				if need != nil {
+					needs[i] = int32(max(1, need(sigs[i])))
+				}
+			}
 			return func(i, j int) bool { return match(sigs[i], sigs[j]) }
 		},
-		bindCounted: func(recs []*records.Record) func(i, j, shared int) bool {
-			sigs := sigsOf(recs)
-			if decide == nil {
-				return func(i, j, _ int) bool { return match(sigs[i], sigs[j]) }
-			}
-			return func(i, j, shared int) bool { return decide(sigs[i], sigs[j], shared) }
-		},
-		counted: decide != nil,
 	}
 }
 
@@ -115,33 +106,25 @@ func OfCounted[S any](name string, sig func(r *records.Record) S, match func(a, 
 // afterwards does not change what Bound evaluates.) The evaluator is
 // read-only and safe for concurrent use whenever the predicate is.
 func (p P) Bound(recs []*records.Record) func(i, j int) bool {
+	return p.BoundNeed(recs, nil)
+}
+
+// BoundNeed is Bound for a phase that takes its pairs from a counted
+// candidate walk over Block(recs): it also writes into need, when it is
+// non-nil (one slot per record), each record's count-filter need — the
+// value OfCounted declared, at least 1, and 1 for any other predicate.
+// Every pair the evaluator answers true for shares at least
+// min(need[i], need[j]) blocking keys.
+func (p P) BoundNeed(recs []*records.Record, need []int32) func(i, j int) bool {
 	if p.bind != nil {
-		return p.bind(recs)
+		return p.bind(recs, need)
+	}
+	for i := range need {
+		need[i] = 1
 	}
 	eval := p.Eval
 	return func(i, j int) bool { return eval(recs[i], recs[j]) }
 }
-
-// BoundCounted is Bound for a phase that takes its pairs from a
-// candidate walk over Block(recs) and so knows, for each pair, how many
-// blocking keys the two records share: the evaluator takes that count as
-// its third argument and, for every pair sharing a key,
-// BoundCounted(recs)(i, j, shared) == Eval(recs[i], recs[j]). A
-// predicate from OfCounted answers from the count; any other ignores it
-// and evaluates as Bound does, so a caller binds once, this way, and
-// runs one loop whichever kind of predicate it was given.
-func (p P) BoundCounted(recs []*records.Record) func(i, j, shared int) bool {
-	if p.bindCounted != nil {
-		return p.bindCounted(recs)
-	}
-	eval := p.Eval
-	return func(i, j, _ int) bool { return eval(recs[i], recs[j]) }
-}
-
-// Counted reports whether the predicate declared a shared-count form
-// (OfCounted with a decide), that is, whether BoundCounted's evaluator
-// reads its count.
-func (p P) Counted() bool { return p.counted }
 
 // KeyIDs returns the record's blocking keys interned into tab as dense
 // uint32 ids, appended to dst (pass a reused slice to avoid per-record

@@ -174,45 +174,48 @@ func TestBoundEqualsEval(t *testing.T) {
 	}
 }
 
-// TestBoundCountedForms: BoundCounted hands a declared decide the count
-// it is given and nothing else decides the pair; a predicate from Of and
-// a hand-written one ignore the count and answer as Bound does. One bind
-// computes each signature once.
-func TestBoundCountedForms(t *testing.T) {
+// TestBoundNeedForms: BoundNeed writes the need OfCounted declared per
+// record, raised to at least 1, and the evaluator stays match on the
+// signatures; a predicate from Of and a hand-written one need 1
+// everywhere and evaluate as Eval does. One bind computes each
+// signature once, and a nil need slice is left alone.
+func TestBoundNeedForms(t *testing.T) {
 	d := dataset()
 	sigCalls := 0
 	name := func(r *records.Record) string { sigCalls++; return r.Field("name") }
 	eq := func(a, b string) bool { return a == b && a != "" }
-	// decide deliberately reads only the count, so the test sees which
-	// of the two forms answered.
-	counted := OfCounted("counted", name, eq, func(_, _ string, shared int) bool { return shared >= 2 }, nameEq().Keys)
-	if !counted.Counted() {
-		t.Error("OfCounted with a decide reports Counted() == false")
-	}
-	eval := counted.BoundCounted(d.Recs)
+	counted := OfCounted("counted", name, eq, func(s string) int { return len(s) - 3 }, nameEq().Keys)
+	need := make([]int32, d.Len())
+	eval := counted.BoundNeed(d.Recs, need)
 	if sigCalls != d.Len() {
 		t.Errorf("OfCounted: %d signature computations for one bind over %d records", sigCalls, d.Len())
 	}
-	if eval(0, 1, 1) || !eval(0, 3, 2) {
-		t.Error("BoundCounted of a counted predicate did not answer from the count")
-	}
-	if got := counted.Bound(d.Recs); !got(0, 1) || got(0, 3) {
-		t.Error("Bound of a counted predicate must stay match on the signatures")
+	for i, r := range d.Recs {
+		if want := int32(max(1, len(r.Field("name"))-3)); need[i] != want {
+			t.Errorf("record %d (%q): need %d, want %d", i, r.Field("name"), need[i], want)
+		}
+		for j := range d.Recs {
+			if got, want := eval(i, j), counted.Eval(r, d.Recs[j]); got != want {
+				t.Errorf("counted: BoundNeed(%d, %d) = %v, Eval = %v", i, j, got, want)
+			}
+		}
 	}
 	for _, p := range []P{Of("plain", name, eq, nameEq().Keys), nameEq(), sharesInitial()} {
-		if p.Counted() {
-			t.Errorf("%s: Counted() == true without a decide", p.Name)
+		for i := range need {
+			need[i] = 7
 		}
-		eval := p.BoundCounted(d.Recs)
+		eval := p.BoundNeed(d.Recs, need)
 		for i := range d.Recs {
+			if need[i] != 1 {
+				t.Errorf("%s: record %d need %d, want 1", p.Name, i, need[i])
+			}
 			for j := range d.Recs {
-				for _, shared := range []int{0, 1, 7} {
-					if got, want := eval(i, j, shared), p.Eval(d.Recs[i], d.Recs[j]); got != want {
-						t.Errorf("%s: BoundCounted(%d, %d, %d) = %v, Eval = %v", p.Name, i, j, shared, got, want)
-					}
+				if got, want := eval(i, j), p.Eval(d.Recs[i], d.Recs[j]); got != want {
+					t.Errorf("%s: BoundNeed(%d, %d) = %v, Eval = %v", p.Name, i, j, got, want)
 				}
 			}
 		}
+		p.BoundNeed(d.Recs, nil)
 	}
 }
 

@@ -232,10 +232,6 @@ func (s *Server) runtimeLoop() {
 // metrics (the same data GET /metrics serves).
 func (s *Server) Metrics() *obs.Collector { return s.metrics }
 
-// Tracer exposes the server's trace recorder — the same data
-// GET /debug/traces serves.
-func (s *Server) Tracer() *obs.Recorder { return s.tracer }
-
 // traceCtx opens the root span of one query request on a fresh trace.
 func (s *Server) traceCtx(r *http.Request, name string) (context.Context, *obs.TraceSpan) {
 	return s.tracer.StartTrace(r.Context(), name)

@@ -149,9 +149,9 @@ func checkOverlapExceeds(t *testing.T, a, b []int32) {
 }
 
 // TestOverlapCountClearsRandomSets runs checkOverlapExceeds over seeded
-// random sorted id sets, empty sides included: the count form of a
-// gram-overlap predicate (the count, the smaller size, the threshold)
-// and the early-exit merge over the two lists give one verdict.
+// random sorted id sets, empty sides included: the verdict from the
+// count (the count, the smaller size, the threshold) and the early-exit
+// merge over the two lists are one verdict.
 func TestOverlapCountClearsRandomSets(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	randomIDs := func() []int32 {
@@ -168,5 +168,30 @@ func TestOverlapCountClearsRandomSets(t *testing.T) {
 	}
 	for trial := 0; trial < 2000; trial++ {
 		checkOverlapExceeds(t, randomIDs(), randomIDs())
+	}
+}
+
+// TestOverlapNeed: OverlapNeed is exactly the count filter its doc
+// states — for every smaller-side size up to 256 and every count from 1
+// to it, a count clears the threshold iff it reaches the need — and the
+// need never falls as the smaller side grows, which is what lets a
+// predicate take the need of the smaller set as the smaller need.
+func TestOverlapNeed(t *testing.T) {
+	for _, thr := range []float64{0.5, 0.6} {
+		for _, strict := range []bool{true, false} {
+			prev := 0
+			for s := 0; s <= 256; s++ {
+				need := OverlapNeed(s, thr, strict)
+				if need < 1 || need < prev {
+					t.Fatalf("OverlapNeed(%d, %v, strict=%v) = %d after %d at %d", s, thr, strict, need, prev, s-1)
+				}
+				prev = need
+				for c := 1; c <= s; c++ {
+					if got, want := c >= need, OverlapCountClears(c, s, thr, strict); got != want {
+						t.Fatalf("OverlapNeed(%d, %v, strict=%v) = %d, but OverlapCountClears(%d) = %v", s, thr, strict, need, c, want)
+					}
+				}
+			}
+		}
 	}
 }

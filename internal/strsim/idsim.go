@@ -43,10 +43,9 @@ func OverlapSortedIDs(a, b []int32) float64 {
 // OverlapCountClears is OverlapExceeds' verdict as a function of the
 // intersection size alone: whether count common ids, against a smaller
 // side of small ids, clear thr — ratio > thr when strict, ratio >= thr
-// otherwise, with the ratio 0 when the smaller side is empty. A caller
-// that already knows |A ∩ B| (the count form of a gram-overlap
-// predicate, see predicate.OfCounted) gets OverlapExceeds' answer from
-// it without reading either list.
+// otherwise, with the ratio 0 when the smaller side is empty: for
+// |A ∩ B| it is OverlapExceeds' answer, and OverlapNeed is the smallest
+// count it holds for.
 func OverlapCountClears(count, small int, thr float64, strict bool) bool {
 	ratio := 0.0
 	if small > 0 {
@@ -56,6 +55,37 @@ func OverlapCountClears(count, small int, thr float64, strict bool) bool {
 		return ratio > thr
 	}
 	return ratio >= thr
+}
+
+// OverlapNeed is the count filter of a gram-overlap predicate: the
+// smallest count c >= 1 with OverlapCountClears(c, small, thr, strict),
+// small+1 when no count up to small clears. For thresholds in [0, 1) it
+// is non-decreasing in small, so for two sets the need of the smaller
+// is the smaller need: two sets whose overlap clears thr share at least
+// min(OverlapNeed(|A|), OverlapNeed(|B|)) ids.
+func OverlapNeed(small int, thr float64, strict bool) int {
+	return max(1, overlapNeed(small, thr, strict))
+}
+
+// overlapNeed is the smallest intersection count in [0, small] that
+// clears thr against a smaller side of small, small+1 when none does:
+// it starts from the real-valued estimate and settles it with the float
+// expression itself.
+func overlapNeed(small int, thr float64, strict bool) int {
+	pass := func(count int) bool { return OverlapCountClears(count, small, thr, strict) }
+	need := 0
+	if est := thr * float64(small); est > float64(small) {
+		need = small + 1
+	} else if est > 0 {
+		need = int(est)
+	}
+	for need > 0 && pass(need-1) {
+		need--
+	}
+	for need <= small && !pass(need) {
+		need++
+	}
+	return need
 }
 
 // OverlapExceeds reports whether the overlap coefficient of two sorted
@@ -73,22 +103,7 @@ func OverlapCountClears(count, small int, thr float64, strict bool) bool {
 // unmatched ids than reaching it allows.
 func OverlapExceeds(a, b []int32, thr float64, strict bool) bool {
 	small := min(len(a), len(b))
-	pass := func(count int) bool { return OverlapCountClears(count, small, thr, strict) }
-	// need is the smallest intersection count that passes, small+1 when
-	// none does: start from the real-valued estimate and settle it with
-	// the float expression itself.
-	need := 0
-	if est := thr * float64(small); est > float64(small) {
-		need = small + 1
-	} else if est > 0 {
-		need = int(est)
-	}
-	for need > 0 && pass(need-1) {
-		need--
-	}
-	for need <= small && !pass(need) {
-		need++
-	}
+	need := overlapNeed(small, thr, strict)
 	if need == 0 {
 		return true
 	}
