@@ -101,7 +101,7 @@ for pat in 'graph.NewPrefix(' '"bound.block"'; do
     fi
 done
 
-# One Algorithm-2 level loop: core.PrunedDedupPreparedCtx's. The §7
+# One Algorithm-2 level loop: core's prunedDedup. The §7
 # rank queries finish a core pruning (M := T for the thresholded one)
 # and never collapse or prune on their own.
 if grep -rnF --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build 'for li, level := range levels' . | grep -v '^\./internal/core/pruneddedup\.go:'; then exit 1; fi
@@ -113,6 +113,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'core\.(Collapse|Prune)\(' i
 n=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=dsu --exclude-dir=.bench_build 'dsu.NewGrowable(' . | wc -l)
 if [ "$n" -ne 1 ]; then
     echo "dsu.NewGrowable( is called from $n non-test files outside internal/dsu, want 1" >&2
+    exit 1
+fi
+
+# One closure kernel: core.Insert is the sufficient closure's only step,
+# called by the batch collapse (internal/core/collapse.go) and by the
+# streaming accumulator's Add (internal/stream/stream.go) and by nothing
+# else, so a served level 1 is batch's collapse, eval count included.
+callers=$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build '(^|[^.[:alnum:]_]|core\.)Insert\(' . | sort | tr '\n' ' ')
+if [ "$callers" != "./internal/core/collapse.go ./internal/stream/stream.go " ]; then
+    echo "core.Insert is called from: $callers; want internal/core/collapse.go and internal/stream/stream.go" >&2
     exit 1
 fi
 
@@ -137,8 +147,10 @@ fi
 # program called, the stamp-form candidate walk prune no longer
 # collects, the serving knobs only one value of was ever set and the
 # strsim exports only their own tests called, the prune pass's sorted
-# candidate list and shared-count verdict, and the server's trace
-# accessor nothing called). One item a line:
+# candidate list and shared-count verdict, the server's trace accessor
+# nothing called, and the second closure kernel: collapse's chunked
+# verify-and-merge, the accumulator's one-eval-per-root dedup and the
+# collapse wrappers folded into core.Collapse). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -182,6 +194,7 @@ flag refresh-every|wal-fsync|trace-limit|slo-target
 go \b(RefreshEvery|TraceLimit|SyncInterval|SLOConfig|syncLoop|SetWorkers)\b
 go \b(Jaccard|Overlap|Dice)(\[[a-z]+\])?\(|\b(Jaccard|Overlap|Dice)\[|\b(TermCounts|TopIDFTokens|VocabSize)\b
 go \b(heavierFirst|gatedCand|BoundCounted|BindRepsCounted|CandidatesCounted|ClearCounts)\b|\(s \*Server\) Tracer\(
+go \b(collapseChunk|seenRoot|CollapseWorkers)\b|\(pl \*PreparedLevel\) collapsed\(
 EOF
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
@@ -241,14 +254,16 @@ go test -run '^$' -bench 'BenchmarkNoopSinkOverhead|BenchmarkEngineTopKTracing' 
 go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 
 # Exact-count gate: the pruning pipeline's per-level counts (n, m, M, n′,
-# bound and prune evaluations) on fixed-seed citation and students
-# datasets, K in {1, 10, 50}. Host-independent, unlike every wall-clock
+# bound, prune and collapse evaluations) on fixed-seed citation, students
+# and address datasets, K in {1, 10, 50}. Host-independent, unlike every wall-clock
 # row, so a change that evaluates, keeps or orders differently fails here
 # by name. The final-phase golden pins what comes after the pruning on
 # the same datasets with the trained scorers: a hash of the TopK(K, 3)
 # answers and engine.final.scored_pairs per K; the Dedup golden pins
-# Engine.Dedup's groups and score on the citation dataset.
-go test -count=1 -run 'TestExactCountsCitations|TestFinalPhaseGolden|TestDedupGolden' .
+# Engine.Dedup's groups and score on the citation dataset. The served
+# pipeline (a stream snapshot) equals batch on the same three domains,
+# every eval count included.
+go test -count=1 -run 'TestExactCountsCitations|TestServedMatchesBatch|TestFinalPhaseGolden|TestDedupGolden' .
 
 # The pair kernel holds every built-in feature vector to the map-based
 # reference bit for bit, at one allocation per pair; smoke the per-domain

@@ -36,7 +36,7 @@ func (e *Engine) Dedup() (*DedupResult, error) {
 	groups := coreSingletons(d)
 	for _, level := range e.levels {
 		var evals int64
-		groups, evals = core.CollapseWorkers(d, groups, level.Sufficient, e.cfg.Workers)
+		groups, evals = core.Collapse(d, groups, level.Sufficient)
 		obs.Count(e.cfg.Metrics, "core.collapse.evals", evals)
 	}
 	if e.scorer == nil {

@@ -27,8 +27,9 @@ import (
 // what it reports are settable.
 type Config struct {
 	// Workers bounds the worker pool used for predicate evaluation and
-	// pair scoring throughout the pipeline (collapse, bound estimation,
-	// prune, and the final phase's candidate scoring). <= 0 (the default)
+	// pair scoring in bound estimation, prune and the final phase's
+	// candidate scoring; the sufficient-predicate collapse is serial
+	// (core.Insert's union-find is its schedule). <= 0 (the default)
 	// means all CPUs; 1 runs fully serial. Results are byte-identical at
 	// every worker count. When Workers != 1 the predicates and scorer
 	// must be safe for concurrent use — the built-in domains are (they

@@ -2,56 +2,68 @@ package core
 
 import (
 	"topkdedup/internal/dsu"
-	"topkdedup/internal/parallel"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 )
 
-// collapseChunk is how many candidate pairs are buffered before a
-// verify-and-merge flush. The chunk boundary is what makes the parallel
-// schedule deterministic: pairs already connected at the start of a
-// chunk are filtered without evaluation, the rest are verified (in
-// parallel when workers > 1), and the resulting merges apply serially in
-// enumeration order — so the evaluation set, the eval counter, and the
-// union sequence depend only on the chunk size, never on the worker
-// count.
-const collapseChunk = 4096
+// Insert is the one step of the sufficient closure (§4.1: the collapse is
+// the transitive closure of S): it inserts item i into uf, whose items
+// below i are already inserted. i is evaluated against every earlier item
+// j that shares one of its keys and is not yet in i's component, each
+// candidate once, and a match unions them. match(j, i) is S on the two
+// items (earlier first); bucket(k) lists key k's items ascending, and the
+// walk stops at the first item ≥ i, so a bucket may hold later items too.
+// seen is a per-item stamp owned by the caller, one slot per item, never
+// holding i+1 before this call. merged, when non-nil, is called after
+// each union with the two roots it joined and the surviving one. Returns
+// the number of evaluations.
+//
+// Both closures call it: Collapse, item by item over its index, and the
+// streaming accumulator (internal/stream) record by record as they
+// arrive. The union-find state before each step, the walk and so the
+// eval count are then the same for the same item order, so a served
+// level 1 is batch's collapse, counts included.
+func Insert(uf *dsu.DSU, seen []int32, i int, keys []uint32, bucket func(k uint32) []int32, match func(j, i int) bool, merged func(ri, rj, root int)) (evals int64) {
+	stamp := int32(i + 1)
+	for _, k := range keys {
+		for _, j := range bucket(k) {
+			if int(j) >= i {
+				break
+			}
+			if seen[j] == stamp {
+				continue
+			}
+			seen[j] = stamp
+			ri, rj := uf.Find(i), uf.Find(int(j))
+			if ri == rj {
+				continue
+			}
+			evals++
+			if match(int(j), i) {
+				uf.Union(ri, rj)
+				if merged != nil {
+					merged(ri, rj, uf.Find(ri))
+				}
+			}
+		}
+	}
+	return evals
+}
 
 // Collapse merges groups connected by the transitive closure of the
 // sufficient predicate s, evaluated on group representatives (§4.1:
 // collapsing on representatives is safe because all members are already
-// sure duplicates and "duplicate-of" is transitive). Candidate pairs come
-// from the predicate's blocking keys; the union-find short-circuits pairs
-// already connected at chunk granularity, so redundant pairs cost a find
-// (plus, at most, one extra evaluation when the connecting merge landed
-// within the same chunk).
+// sure duplicates and "duplicate-of" is transitive). It inserts the
+// groups one by one in input order (Insert) over the index of their
+// representatives' blocking keys, serially: the union-find decides which
+// candidates still need an evaluation, so the order is the schedule.
 //
-// Returns the merged groups (unsorted) and the number of predicate
-// evaluations performed. Serial entry point: CollapseWorkers with one
-// worker.
+// Returns the merged groups, ordered by their first input group (groups
+// itself when nothing merged; it is never written), and the number of
+// predicate evaluations performed. Every evaluation that holds is a
+// union, so the hit count is len(groups) minus the groups returned.
 func Collapse(d *records.Dataset, groups []Group, s predicate.P) ([]Group, int64) {
-	return CollapseWorkers(d, groups, s, 1)
-}
-
-// CollapseWorkers is Collapse with predicate verification spread over a
-// worker pool (workers <= 0 means all CPUs, 1 is serial). s.Eval must be
-// safe for concurrent use when workers != 1. The result — groups, group
-// membership, and the eval counter — is identical for every worker
-// count.
-func CollapseWorkers(d *records.Dataset, groups []Group, s predicate.P, workers int) ([]Group, int64) {
-	merged, evals, _ := CollapseWorkersHits(d, groups, s, workers)
-	return merged, evals
-}
-
-// CollapseWorkersHits is CollapseWorkers returning additionally the
-// sufficient-predicate hit count — how many evaluations returned true
-// (and so contributed a union). Hits, like evals, are deterministic at
-// every worker count; the EXPLAIN layer reports them per level.
-func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, workers int) ([]Group, int64, int64) {
 	n := len(groups)
-	// The pair walk below enumerates in the index's fixed order, so chunk
-	// boundaries — and with them the eval counter — are identical run to
-	// run.
 	ix := BlockReps(d, groups, s, nil)
 	// Only a group sharing a bucket with another can appear in a pair.
 	paired := make([]bool, n)
@@ -65,52 +77,17 @@ func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, work
 	}
 	eval := BindReps(d, groups, s, paired)
 	uf := dsu.New(n)
-	var evals, hits int64
-
-	type pair struct{ a, b int32 }
-	buf := make([]pair, 0, collapseChunk)
-	todo := make([]int32, 0, collapseChunk) // indices into buf needing evaluation
-	verdict := make([]bool, collapseChunk)
-	flush := func() {
-		// Filter: pairs already connected need no evaluation. This runs
-		// before any of the chunk's merges, so it is independent of the
-		// worker count.
-		todo = todo[:0]
-		for t, p := range buf {
-			if !uf.Same(int(p.a), int(p.b)) {
-				todo = append(todo, int32(t))
-			}
+	seen := make([]int32, n)
+	var evals int64
+	for i, keys := range ix.KeyIDs() {
+		if paired[i] {
+			evals += Insert(uf, seen, i, keys, ix.Bucket, eval, nil)
 		}
-		evals += int64(len(todo))
-		// Verify in parallel; each slot is owned by one index.
-		parallel.For(workers, len(todo), func(k int) {
-			p := buf[todo[k]]
-			verdict[k] = eval(int(p.a), int(p.b))
-		})
-		// Merge serially in enumeration order — the deterministic
-		// reduction that keeps the union-find state identical at every
-		// worker count.
-		for k, t := range todo {
-			if verdict[k] {
-				hits++
-				p := buf[t]
-				uf.Union(int(p.a), int(p.b))
-			}
-		}
-		buf = buf[:0]
 	}
-	ix.ForEachPair(func(i, j int) bool {
-		buf = append(buf, pair{int32(i), int32(j)})
-		if len(buf) == collapseChunk {
-			flush()
-		}
-		return true
-	})
-	flush()
-
 	if uf.Components() == n {
-		return groups, evals, hits // nothing merged
+		return groups, evals // nothing merged
 	}
+
 	merged := make([]Group, 0, uf.Components())
 	for _, members := range uf.GroupSlices() {
 		if len(members) == 1 {
@@ -131,5 +108,14 @@ func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, work
 		g.Rep = groups[best].Rep
 		merged = append(merged, g)
 	}
-	return merged, evals, hits
+	return merged, evals
+}
+
+// CollapseWorkersHits is Collapse returning additionally the hit count
+// (evaluations that held, len(groups) minus the groups returned). It is
+// kept with its signature for the frozen benchmark harness
+// (benchmark/batch.go); workers is unused, since the collapse is serial.
+func CollapseWorkersHits(d *records.Dataset, groups []Group, s predicate.P, workers int) ([]Group, int64, int64) {
+	merged, evals := Collapse(d, groups, s)
+	return merged, evals, int64(len(groups) - len(merged))
 }

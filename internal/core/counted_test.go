@@ -62,7 +62,7 @@ func TestPrunerCountFormMatchesEvalTwin(t *testing.T) {
 		for _, k := range []int{1, 10, 50} {
 			groups := singletonGroups(tc.d)
 			for li, level := range tc.levels {
-				groups, _ = CollapseWorkers(tc.d, groups, level.Sufficient, 2)
+				groups, _ = Collapse(tc.d, groups, level.Sufficient)
 				sortGroupsByWeight(groups)
 				n := level.Necessary
 				_, m, _, _ := EstimateLowerBoundCtx(context.Background(), tc.d, groups, n, k, 2)

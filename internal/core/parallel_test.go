@@ -17,26 +17,6 @@ func workerCounts() []int {
 	return counts
 }
 
-// TestCollapseWorkersDeterministic: the merged groups AND the eval
-// counter must be byte-identical at every worker count — parallelism may
-// only change the wall clock.
-func TestCollapseWorkersDeterministic(t *testing.T) {
-	d := genDataset(11, 60, 6)
-	base := singletonGroups(d)
-	refGroups, refEvals := CollapseWorkers(d, singletonGroups(d), toyS(), 1)
-	sortGroupsByWeight(refGroups)
-	for _, w := range workerCounts()[1:] {
-		got, evals := CollapseWorkers(d, append([]Group(nil), base...), toyS(), w)
-		sortGroupsByWeight(got)
-		if evals != refEvals {
-			t.Errorf("workers=%d: evals %d != serial %d", w, evals, refEvals)
-		}
-		if !reflect.DeepEqual(got, refGroups) {
-			t.Errorf("workers=%d: collapsed groups differ from serial", w)
-		}
-	}
-}
-
 // TestEstimateLowerBoundWorkersDeterministic: m, M, and the eval counter
 // match the serial scan at every worker count.
 func TestEstimateLowerBoundWorkersDeterministic(t *testing.T) {

@@ -27,8 +27,9 @@ type Options struct {
 	// (default 2, the paper's choice).
 	PrunePasses int
 	// Workers bounds the worker pool used for predicate evaluation in the
-	// collapse, bound-estimation, and prune phases. <= 0 means all CPUs;
-	// 1 runs fully serial. Results are identical at every worker count;
+	// bound-estimation and prune phases (the collapse is serial: Insert's
+	// union-find is its schedule). <= 0 means all CPUs; 1 runs fully
+	// serial. Results are identical at every worker count;
 	// the predicates must be safe for concurrent Eval when Workers != 1
 	// (the built-in domains are — they share a strsim.NewSharedCache).
 	Workers int
@@ -77,51 +78,32 @@ func PrunedDedupCtx(ctx context.Context, d *records.Dataset, levels []predicate.
 // depend on K: the groups collapsed under the level's sufficient
 // predicate and put in canonical order, the collapse's counts, and the
 // index of the collapsed groups' representatives under the necessary
-// predicate's blocking keys that the prune step walks. Both halves are
-// computed on first use and kept, so a level prepared once serves any
+// predicate's blocking keys that the prune step walks. The index is
+// built on first use and kept, so a level prepared once serves any
 // number of queries, concurrently — stream.Snapshot holds one for level
 // 1 of its epoch. Nothing reachable from a PreparedLevel is written
-// after it is computed, and the input groups are never written at all.
+// after it is computed.
 type PreparedLevel struct {
 	d     *records.Dataset
 	level predicate.Level
 
-	collapse    sync.Once
-	input       []Group // dropped once collapsed
-	before      int     // len(input)
-	groups      []Group
-	evals, hits int64
+	groups []Group
+	before int // the number of items the collapse started from
+	evals  int64
 
 	block sync.Once
 	ix    *index.IDIndex
 }
 
-// PrepareLevel returns the level's K-independent work over groups (each
-// group's members must already be established duplicates), to be
-// computed on first use. groups is only read.
-func PrepareLevel(d *records.Dataset, groups []Group, level predicate.Level) *PreparedLevel {
-	return &PreparedLevel{d: d, level: level, input: groups}
-}
-
-// collapsed runs the sufficient-predicate collapse and the weight sort
-// unless an earlier call did, and reports whether this call did the
-// work — what decides whether its evaluations are counted as performed.
-func (pl *PreparedLevel) collapsed(workers int) (fresh bool) {
-	pl.collapse.Do(func() {
-		fresh = true
-		pl.before = len(pl.input)
-		pl.groups, pl.evals, pl.hits = CollapseWorkersHits(pl.d, pl.input, pl.level.Sufficient, workers)
-		pl.input = nil
-		if !slices.IsSortedFunc(pl.groups, CompareGroups) {
-			if len(pl.groups) == pl.before {
-				// Nothing merged, so CollapseWorkersHits handed the
-				// input back, and that is not ours to write.
-				pl.groups = slices.Clone(pl.groups)
-			}
-			sortGroupsByWeight(pl.groups)
-		}
-	})
-	return fresh
+// PrepareLevel returns the level's K-independent work given its finished
+// collapse: groups are the closure of level.Sufficient over before
+// starting items (each an established group of duplicates), in canonical
+// order (SortGroupsByWeight), found with evals evaluations of the one
+// closure kernel (Insert). The streaming accumulator hands its
+// maintained closure in this way, so a served level 1 is batch's,
+// counts included. groups is only read.
+func PrepareLevel(d *records.Dataset, groups []Group, level predicate.Level, before int, evals int64) *PreparedLevel {
+	return &PreparedLevel{d: d, level: level, groups: groups, before: before, evals: evals}
 }
 
 // index returns BlockReps over the collapsed groups and the necessary
@@ -140,23 +122,26 @@ func (pl *PreparedLevel) index() *index.IDIndex {
 // (each group's members must already be established duplicates), with
 // the same optional tracing as PrunedDedupCtx. groups is only read.
 func PrunedDedupFromCtx(ctx context.Context, d *records.Dataset, groups []Group, levels []predicate.Level, opts Options) (*Result, error) {
-	var first *PreparedLevel
-	if len(levels) > 0 { // else PrunedDedupPreparedCtx reports it
-		first = PrepareLevel(d, groups, levels[0])
-	}
-	return PrunedDedupPreparedCtx(ctx, d, first, levels, opts)
+	return prunedDedup(ctx, d, groups, nil, levels, opts)
 }
 
-// PrunedDedupPreparedCtx is PrunedDedupFromCtx with level 1 handed in
-// prepared (PrepareLevel over d, the starting groups and levels[0]) —
-// the entry point for incremental/streaming use: stream.Snapshot keeps
-// one prepared level 1 per epoch, so a query pays its collapse and its
-// blocking only if no earlier query of the epoch did. The result is the
-// one PrunedDedupFromCtx gives on the same starting groups, LevelStats
-// eval counts included; only the sink's core.collapse.* metrics differ,
-// which count a collapse where it ran. The result's Groups may share
-// storage with first and must be treated as read-only.
+// PrunedDedupPreparedCtx is PrunedDedupFromCtx with level 1's collapse
+// handed in done (PrepareLevel with levels[0]) — the entry point for
+// incremental/streaming use: stream.Snapshot prepares its maintained
+// closure once per epoch, so a query never collapses level 1 and pays
+// its N1 blocking only if no earlier query of the epoch did. The
+// result, LevelStats eval counts included, is the one PrunedDedupFromCtx
+// gives from the groups the collapse started from; only the sink's
+// core.collapse.* metrics differ, which count a collapse where it ran.
+// The result's Groups may share storage with first and must be treated
+// as read-only.
 func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *PreparedLevel, levels []predicate.Level, opts Options) (*Result, error) {
+	return prunedDedup(ctx, d, nil, first, levels, opts)
+}
+
+// prunedDedup is Algorithm 2 from groups, or from level 1 already
+// collapsed when first is non-nil.
+func prunedDedup(ctx context.Context, d *records.Dataset, groups []Group, first *PreparedLevel, levels []predicate.Level, opts Options) (*Result, error) {
 	if err := opts.check(); err != nil {
 		return nil, err
 	}
@@ -183,12 +168,24 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 
 		start := time.Now()
 		_, spC := obs.StartChild(ctxL, "core.collapse")
-		fresh := lv.collapsed(opts.Workers)
-		groups := lv.groups
+		fresh := lv == nil
+		if fresh {
+			merged, evals := Collapse(d, groups, level.Sufficient)
+			if !slices.IsSortedFunc(merged, CompareGroups) {
+				if len(merged) == len(groups) {
+					// Nothing merged, so Collapse handed the input
+					// back, and that is not ours to write.
+					merged = slices.Clone(merged)
+				}
+				sortGroupsByWeight(merged)
+			}
+			lv = PrepareLevel(d, merged, level, len(groups), evals)
+		}
+		groups = lv.groups
 		stats.CollapseEvals = lv.evals
 		if spC != nil {
 			spC.Attr("evals", float64(stats.CollapseEvals))
-			spC.Attr("hits", float64(lv.hits))
+			spC.Attr("hits", float64(lv.before-len(groups)))
 			spC.Attr("groups_before", float64(lv.before))
 			spC.Attr("groups_after", float64(len(groups)))
 			spC.End()
@@ -234,9 +231,7 @@ func PrunedDedupPreparedCtx(ctx context.Context, d *records.Dataset, first *Prep
 			obs.Count(sink, "core.exactly_k", 1)
 			break
 		}
-		if li+1 < len(levels) {
-			lv = PrepareLevel(d, groups, levels[li+1])
-		}
+		lv = nil
 	}
 	return res, nil
 }

@@ -231,7 +231,7 @@ func TestAddressPruneParallel(t *testing.T) {
 	d := datagen.Addresses(datagen.DefaultAddressConfig(3000))
 	run := func(workers int) ([]core.Group, int64) {
 		level := Addresses(BuildCorpus(d, datagen.FieldOwner, datagen.FieldAddress)).Levels[0]
-		groups, _ := core.CollapseWorkers(d, core.SingletonGroups(d), level.Sufficient, workers)
+		groups, _ := core.Collapse(d, core.SingletonGroups(d), level.Sufficient)
 		core.SortGroupsByWeight(groups)
 		_, m, _, _ := core.EstimateLowerBoundCtx(context.Background(), d, groups, level.Necessary, 10, workers)
 		if m <= 0 {

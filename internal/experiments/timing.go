@@ -207,7 +207,7 @@ func canopyJoin(dd *DomainData, groups []core.Group, n predicate.P) (*dsu.DSU, i
 // and scores only canopy pairs.
 func runCanopy(dd *DomainData, k int) int64 {
 	// A singleton group's index is its record's ID.
-	uf, evals := canopyJoin(dd, singletons(dd.Data), dd.Domain.Levels[0].Necessary)
+	uf, evals := canopyJoin(dd, core.SingletonGroups(dd.Data), dd.Domain.Levels[0].Necessary)
 	topKByWeight(dd.Data, uf, k)
 	return evals
 }
@@ -216,7 +216,7 @@ func runCanopy(dd *DomainData, k int) int64 {
 // sufficient predicates before the canopy join, so P runs on collapsed
 // representatives.
 func runCanopyCollapse(dd *DomainData) int64 {
-	groups := singletons(dd.Data)
+	groups := core.SingletonGroups(dd.Data)
 	for _, level := range dd.Domain.Levels {
 		groups, _ = core.Collapse(dd.Data, groups, level.Sufficient)
 	}
@@ -237,14 +237,6 @@ func runPruned(dd *DomainData, k, workers int) (int64, int, error) {
 	_, evals := canopyJoin(dd, res.Groups, dd.Domain.Levels[len(dd.Domain.Levels)-1].Necessary)
 	obs.Count(metricsSink, "bench.final.evals", evals)
 	return evals, len(res.Groups), nil
-}
-
-func singletons(d *records.Dataset) []core.Group {
-	groups := make([]core.Group, d.Len())
-	for i, r := range d.Recs {
-		groups[i] = core.Group{Rep: r.ID, Members: []int{r.ID}, Weight: r.Weight}
-	}
-	return groups
 }
 
 // RenderTimingTable prints the Figure-6 comparison.

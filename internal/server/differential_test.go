@@ -20,18 +20,13 @@ type rawResult struct {
 	Result      json.RawMessage `json:"result"`
 }
 
-// stripTimes zeroes the wall-clock phase timings and the collapse eval
-// counters inside per-level stats. Everything else in a result is
-// deterministic and compared byte for byte. Timings legitimately vary
-// run to run; collapse evals legitimately differ between the served and
-// batch pipelines since the incremental rework — the server's maintained
-// collapse amortises them at ingest, so a served query reports the few
-// (often zero) evals of its delta work where the batch run reports the
-// full from-scratch sweep (see INCREMENTAL.md).
+// stripTimes zeroes the wall-clock phase timings inside per-level
+// stats, which legitimately vary run to run. Everything else in a
+// result, every eval count included, is deterministic and compared byte
+// for byte.
 func stripTimes(stats []topk.LevelStats) {
 	for i := range stats {
 		stats[i].CollapseTime, stats[i].BoundTime, stats[i].PruneTime = 0, 0, 0
-		stats[i].CollapseEvals = 0
 	}
 }
 

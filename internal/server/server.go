@@ -62,9 +62,11 @@ type Config struct {
 	// Scorer is the final pairwise criterion P for R-best answers. May
 	// be nil: queries still run, but R is capped at 1 (see topk.New).
 	Scorer topk.PairScorer
-	// Workers bounds the worker pool of every query's phases, as
-	// topk.Config.Workers does: <= 0 (the default) means all CPUs, 1 runs
-	// fully serial, and answers are byte-identical at every count.
+	// Workers bounds the worker pool of every query's bound, prune and
+	// final phases, as topk.Config.Workers does (level 1's collapse is
+	// the accumulator's, paid at ingest, serially): <= 0 (the default)
+	// means all CPUs, 1 runs fully serial, and answers are
+	// byte-identical at every count.
 	Workers int
 	// MaxInFlight bounds the ingest/query requests admitted at once —
 	// the request queue of the backpressure design. Requests beyond it

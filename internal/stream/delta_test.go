@@ -79,7 +79,8 @@ func TestStreamGroupsMatchScratch(t *testing.T) {
 // bridgeLevels is a domain whose sufficient predicate is "the two names
 // share a token": a record carrying tokens of two existing closures joins
 // them, so — unlike toyLevels, where a record joins at most one group —
-// Add merges closures that both already hold members.
+// Add merges closures that both already hold members. Keyed on the
+// tokens themselves, every key bucket is a clique of S.
 func bridgeLevels() []predicate.Level {
 	share := predicate.P{
 		Name: "share-token",
@@ -96,6 +97,22 @@ func bridgeLevels() []predicate.Level {
 		Keys: func(r *records.Record) []string { return strings.Fields(r.Field("name")) },
 	}
 	return []predicate.Level{{Sufficient: share, Necessary: share}}
+}
+
+// initialLevels is bridgeLevels keyed on each token's first letter: a
+// key bucket holds records that S does not all match, so a closure
+// kernel that evaluates a new record against one member per component
+// it meets, rather than every candidate, misses a match.
+func initialLevels() []predicate.Level {
+	levels := bridgeLevels()
+	levels[0].Sufficient.Keys = func(r *records.Record) []string {
+		var keys []string
+		for _, tok := range strings.Fields(r.Field("name")) {
+			keys = append(keys, tok[:1])
+		}
+		return keys
+	}
+	return levels
 }
 
 // bridgeClass returns the from-scratch sufficient closure of the bridge
@@ -118,38 +135,42 @@ func bridgeClass(inc *Incremental) func(*records.Record) string {
 // the bridge domain — most records carry one token, some carry two and
 // join whatever closures hold them — and checks the delta-rebuilt
 // collapse equals the from-scratch sweep after every batch, including
-// Members order, Weight bit patterns, and Rep choice.
+// Members order, Weight bit patterns, and Rep choice. The initials
+// domain runs the same feed with key buckets that are not cliques of S.
 func TestGroupsMatchesScratch(t *testing.T) {
-	merges := 0
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		inc, err := New("bridge", []string{"name"}, bridgeLevels())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tokens := 8 + rng.Intn(40)
-		for batch := 0; batch < 12; batch++ {
-			before := len(inc.Groups())
-			added := 1 + rng.Intn(9)
-			for i := 0; i < added; i++ {
-				name := fmt.Sprintf("t%02d", rng.Intn(tokens))
-				if rng.Intn(4) == 0 {
-					name += fmt.Sprintf(" t%02d", rng.Intn(tokens))
+	for name, levels := range map[string][]predicate.Level{"bridge": bridgeLevels(), "initials": initialLevels()} {
+		merges := 0
+		for trial := 0; trial < 10; trial++ {
+			rng := rand.New(rand.NewSource(int64(100 + trial)))
+			inc, err := New(name, []string{"name"}, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tokens := 8 + rng.Intn(40)
+			token := func() string { return fmt.Sprintf("%c%02d", 'a'+rng.Intn(5), rng.Intn(tokens)) }
+			for batch := 0; batch < 12; batch++ {
+				before := len(inc.Groups())
+				added := 1 + rng.Intn(9)
+				for i := 0; i < added; i++ {
+					name := token()
+					if rng.Intn(4) == 0 {
+						name += " " + token()
+					}
+					inc.Add(float64(rng.Intn(20))+rng.Float64(), "", name)
 				}
-				inc.Add(float64(rng.Intn(20))+rng.Float64(), "", name)
-			}
-			got := inc.Groups()
-			want := scratchGroups(inc, bridgeClass(inc))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d batch %d: delta groups diverge from scratch\n got=%v\nwant=%v", trial, batch, got, want)
-			}
-			if len(got) < before {
-				merges++ // fewer groups after ingest: existing closures were joined
+				got := inc.Groups()
+				want := scratchGroups(inc, bridgeClass(inc))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d batch %d: delta groups diverge from scratch\n got=%v\nwant=%v", name, trial, batch, got, want)
+				}
+				if len(got) < before {
+					merges++ // fewer groups after ingest: existing closures were joined
+				}
 			}
 		}
-	}
-	if merges == 0 {
-		t.Fatal("no batch merged existing closures; the bridge feed lost its point")
+		if merges == 0 {
+			t.Fatalf("%s: no batch merged existing closures; the bridge feed lost its point", name)
+		}
 	}
 }
 
@@ -222,22 +243,11 @@ func stripTimes(res *core.Result) {
 	}
 }
 
-// canonGrid erases the fields that legitimately differ between the
-// incremental and scratch pipelines: phase times, and collapse evals
-// (the maintained collapse amortised them at ingest). Bound and prune
-// evals stay.
-func canonGrid(res *core.Result) {
-	stripTimes(res)
-	for i := range res.Stats {
-		res.Stats[i].CollapseEvals = 0
-	}
-}
-
 // TestIncrementalGridMatchesScratch is the Workers acceptance grid: at
 // every worker count, a snapshot query seeded with the maintained
 // collapse must equal the from-scratch batch pipeline — groups, weights,
-// member order, MRank, LowerBound, everything but the fields canonGrid
-// erases.
+// member order, MRank, LowerBound and every eval count; only phase times
+// are erased.
 func TestIncrementalGridMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	inc, err := New("grid", []string{"name"}, toyLevels())
@@ -261,8 +271,8 @@ func TestIncrementalGridMatchesScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				canonGrid(got)
-				canonGrid(want)
+				stripTimes(got)
+				stripTimes(want)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d workers=%d k=%d: incremental diverges from scratch\n got=%+v\nwant=%+v",
 						round, workers, k, got, want)

@@ -28,11 +28,12 @@ import (
 // shared read-only — nothing in core ever writes to an input group's
 // Members.
 //
-// A snapshot also owns the level-1 prefix of Algorithm 2 (level1 — the
-// S1 collapse of the maintained groups, the weight sort and the N1
-// blocking index, none of which depend on K), computed by the first
-// query that needs it and kept, read-only, for as long as the snapshot
-// is reachable. Nothing that depends on a query is kept here: the
+// A snapshot also owns the level-1 prefix of Algorithm 2 (level1): the
+// maintained groups are level 1's finished collapse, since Add runs the
+// collapse's own closure kernel (core.Insert) and counts its
+// evaluations, so what is left is the N1 blocking index, which does not
+// depend on K either. It is built by the first query that needs it and
+// kept, read-only, for as long as the snapshot is reachable. Nothing that depends on a query is kept here: the
 // serving layer memoises per epoch (internal/server).
 //
 // Taking a snapshot requires the same external synchronisation as every
@@ -70,7 +71,7 @@ func (inc *Incremental) Snapshot() *Snapshot {
 		levels: inc.levels,
 		evals:  inc.evals,
 		taken:  time.Now(),
-		level1: core.PrepareLevel(data, groups, inc.levels[0]),
+		level1: core.PrepareLevel(data, groups, inc.levels[0], n, inc.evals),
 	}
 }
 

@@ -5,10 +5,11 @@
 // relevant data subset").
 //
 // An Incremental accumulator keeps the level-1 sufficient-predicate
-// collapse up to date as records arrive: each insertion unions the new
-// record with existing sure-duplicate components via the predicate's
-// blocking keys, so the dominant cost of Algorithm 2's first phase is
-// amortised over the feed. TopK queries then run only the K-dependent
+// collapse up to date as records arrive: each insertion is core.Insert,
+// the batch collapse's own closure step, over the predicate's blocking
+// keys, so the dominant cost of Algorithm 2's first phase is amortised
+// over the feed and the maintained groups are batch's level-1 collapse,
+// eval count included. TopK queries then run only the K-dependent
 // phases (lower bound, prune, deeper levels) on the pre-collapsed state.
 //
 // The closure is one structure with one owner: the union-find Add
@@ -44,11 +45,10 @@ type Incremental struct {
 	// not a string-map probe.
 	tab     *intern.Table
 	buckets [][]int32
-	// seenRoot stamps component roots already evaluated against the
-	// incoming record (stamp = the record's id + 1), replacing a per-Add
-	// map allocation; keyIDs is the per-Add interned-key scratch.
-	seenRoot []int32
-	keyIDs   []uint32
+	// seen is core.Insert's per-record stamp; keyIDs is the per-Add
+	// interned-key scratch.
+	seen   []int32
+	keyIDs []uint32
 	// evals counts sufficient-predicate evaluations (diagnostics).
 	evals int64
 	// sink receives the stream.* metrics and the query-time core.*
@@ -85,43 +85,34 @@ func New(name string, schema []string, levels []predicate.Level) (*Incremental, 
 }
 
 // Add appends one record and merges it with any existing sure-duplicate
-// component. It returns the record's ID. Cost is one predicate
-// evaluation per distinct component sharing a blocking key (typically
-// one).
+// component: core.Insert, the one closure kernel, evaluates it against
+// every earlier record sharing a blocking key that is not yet in its
+// component. It returns the record's ID.
 func (inc *Incremental) Add(weight float64, truth string, values ...string) int {
 	rec := inc.data.Append(weight, truth, values...)
 	id := inc.uf.Add()
 	inc.closures = append(inc.closures, &closure{members: []int32{int32(id)}, dirty: true})
+	inc.seen = append(inc.seen, 0)
 	s := inc.levels[0].Sufficient
-	before := inc.evals
 	inc.keyIDs = s.KeyIDs(inc.tab, rec, inc.keyIDs[:0])
 	for len(inc.buckets) < inc.tab.Len() {
 		inc.buckets = append(inc.buckets, nil)
 	}
-	inc.seenRoot = append(inc.seenRoot, 0) // slot for the new record's root
-	stamp := int32(id + 1)
+	recs := inc.data.Recs
+	evals := core.Insert(inc.uf, inc.seen, id, inc.keyIDs,
+		func(k uint32) []int32 { return inc.buckets[k] },
+		func(j, i int) bool { return s.Eval(recs[j], recs[i]) },
+		inc.mergeClosures)
 	for _, key := range inc.keyIDs {
-		for _, other := range inc.buckets[key] {
-			root := inc.uf.Find(int(other))
-			if root == inc.uf.Find(id) {
-				continue
-			}
-			if inc.seenRoot[root] == stamp {
-				continue
-			}
-			inc.seenRoot[root] = stamp
-			inc.evals++
-			if s.Eval(rec, inc.data.Recs[other]) {
-				ra := inc.uf.Find(id)
-				inc.uf.Union(id, int(other))
-				inc.mergeClosures(ra, root, inc.uf.Find(id))
-			}
+		// A key Keys lists twice enters its bucket once.
+		if b := inc.buckets[key]; len(b) == 0 || b[len(b)-1] != int32(id) {
+			inc.buckets[key] = append(b, int32(id))
 		}
-		inc.buckets[key] = append(inc.buckets[key], int32(id))
 	}
+	inc.evals += evals
 	if inc.sink != nil {
 		inc.sink.Count("stream.add.records", 1)
-		inc.sink.Count("stream.add.evals", inc.evals-before)
+		inc.sink.Count("stream.add.evals", evals)
 	}
 	return id
 }

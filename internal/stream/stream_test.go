@@ -58,8 +58,8 @@ func TestNewRequiresLevels(t *testing.T) {
 }
 
 func TestIncrementalCollapseMatchesBatch(t *testing.T) {
-	// For an exact-match sufficient predicate, the incremental partition
-	// must equal the batch Collapse partition.
+	// The incremental partition equals the batch Collapse partition, and
+	// Add spent the evaluations Collapse does: both run core.Insert.
 	levels := toyLevels()
 	keys, keysCalls := levels[0].Sufficient.Keys, 0
 	levels[0].Sufficient.Keys = func(r *records.Record) []string { keysCalls++; return keys(r) }
@@ -76,9 +76,12 @@ func TestIncrementalCollapseMatchesBatch(t *testing.T) {
 	incGroups := inc.Groups()
 
 	d := inc.Dataset()
-	batch, _ := core.Collapse(d, singletons(d), toyLevels()[0].Sufficient)
+	batch, evals := core.Collapse(d, core.SingletonGroups(d), toyLevels()[0].Sufficient)
 	if len(batch) != len(incGroups) {
 		t.Fatalf("incremental %d groups, batch %d", len(incGroups), len(batch))
+	}
+	if evals != inc.Evals() {
+		t.Fatalf("incremental %d evals, batch %d", inc.Evals(), evals)
 	}
 	// Compare as partitions via member signatures.
 	sig := func(gs []core.Group) map[string]bool {
@@ -203,14 +206,6 @@ func coveredRecords(res *core.Result) map[int]bool {
 		}
 	}
 	return out
-}
-
-func singletons(d *records.Dataset) []core.Group {
-	groups := make([]core.Group, d.Len())
-	for i, r := range d.Recs {
-		groups[i] = core.Group{Rep: r.ID, Members: []int{r.ID}, Weight: r.Weight}
-	}
-	return groups
 }
 
 func sortInts(s []int) {
