@@ -148,9 +148,10 @@ fi
 # collects, the serving knobs only one value of was ever set and the
 # strsim exports only their own tests called, the prune pass's sorted
 # candidate list and shared-count verdict, the server's trace accessor
-# nothing called, and the second closure kernel: collapse's chunked
+# nothing called, the second closure kernel: collapse's chunked
 # verify-and-merge, the accumulator's one-eval-per-root dedup and the
-# collapse wrappers folded into core.Collapse). One item a line:
+# collapse wrappers folded into core.Collapse, and every way to time or
+# trace a phase but obs.Start). One item a line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -195,7 +196,15 @@ go \b(RefreshEvery|TraceLimit|SyncInterval|SLOConfig|syncLoop|SetWorkers)\b
 go \b(Jaccard|Overlap|Dice)(\[[a-z]+\])?\(|\b(Jaccard|Overlap|Dice)\[|\b(TermCounts|TopIDFTokens|VocabSize)\b
 go \b(heavierFirst|gatedCand|BoundCounted|BindRepsCounted|CandidatesCounted|ClearCounts)\b|\(s \*Server\) Tracer\(
 go \b(collapseChunk|seenRoot|CollapseWorkers)\b|\(pl \*PreparedLevel\) collapsed\(
+go obs\.(Span|StartSpan|ObserveSince|ObserveDuration)\b
+go obs\.(StartChild|TraceSpan|SpanFromContext)\b|\.StartTrace\(
 EOF
+
+# One clock per phase: core's phases and the engine's are timed by the
+# obs.Start phase that also files their span and their .seconds
+# observation (LevelStats store what End returns), so no non-test file
+# of internal/core, engine.go or dedup.go reads the clock itself.
+if grep -nE 'time\.(Now|Since)\(' internal/core/*.go engine.go dedup.go | grep -v '_test\.go:'; then exit 1; fi
 
 # One memo on the read path: the epoch's (internal/server/cache.go). A
 # Snapshot is immutable and holds no lock, so snapshot.go needs no sync.
@@ -265,6 +274,12 @@ go test -run '^$' -bench 'BenchmarkPromExposition' -benchtime 1x ./internal/obs
 # every eval count included.
 go test -count=1 -run 'TestExactCountsCitations|TestServedMatchesBatch|TestFinalPhaseGolden|TestDedupGolden' .
 
+# Each phase reports once: LevelStats times are their spans' Dur and
+# their .seconds observations exactly; what the pipeline emits, its
+# EXPLAIN and its span tree are pinned on the citation dataset; a phase
+# on an untraced context with a nil sink allocates nothing.
+go test -count=1 -run 'TestPhaseTimesAreSpanTimes|TestObservabilityGolden|TestTracerUntracedNoAllocs' .
+
 # The pair kernel holds every built-in feature vector to the map-based
 # reference bit for bit, at one allocation per pair; smoke the per-domain
 # kernel-versus-reference benchmark one iteration each.
@@ -299,5 +314,8 @@ go test -count=1 -run 'TestIDIndexMatchesReference' ./internal/index
 go test -run 'TestBoundEvalNoAllocs' ./internal/domains
 go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase|TestPairScratchNoAllocs' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server
+# A coalesced /topk or /rank waiter whose own request is live computes
+# the key itself when the owner's request is cancelled.
+go test -count=1 -run 'TestCoalescedWaiterOutlivesOwnerCancel' ./internal/server
 go test -run '^$' -bench 'BenchmarkStage0Prune' -benchtime 1x ./internal/core
 go test -run '^$' -bench 'BenchmarkTokenSet|BenchmarkIndexBuild' -benchtime 1x ./internal/strsim ./internal/index

@@ -20,10 +20,13 @@
 // Code side. obscheck scans call expressions by callee name:
 //
 //   - Count / Gauge / Observe emit the metric name as written;
-//   - StartSpan / ObserveSince / ObserveDuration emit "<name>.seconds"
-//     (the obs duration convention);
-//   - StartChild / StartTrace / Event, and the repo's thin wrappers
-//     traceCtx / startQuerySpan, emit trace span (or span event) names.
+//   - Start (obs.Start and Recorder.Start, the one phase instrument)
+//     and the engine's thin wrapper startQuery, all (ctx, sink, name),
+//     emit the trace span name unless ctx is context.Background() and
+//     "<name>.seconds" (the obs duration convention) unless sink is
+//     nil;
+//   - Event and the server's thin wrapper traceCtx emit trace span (or
+//     span event) names.
 //
 // The first string-shaped argument that looks like a dotted lower-case
 // name is taken; concatenation with a non-literal part becomes a `*`
@@ -58,6 +61,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"regexp"
 	"sort"
@@ -74,21 +78,12 @@ var nameRE = regexp.MustCompile(`^[a-z*][a-z0-9_*]*(\.[a-z0-9_*]+)+$`)
 // promNameRE is the shape of a valid Prometheus family name.
 var promNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// metricEmitters map a callee name to the suffix appended to the name
-// argument ("" for metrics and span names, ".seconds" for durations).
-var metricEmitters = map[string]string{
-	"Count":           "",
-	"Gauge":           "",
-	"Observe":         "",
-	"StartSpan":       ".seconds",
-	"ObserveSince":    ".seconds",
-	"ObserveDuration": ".seconds",
-	"StartChild":      "",
-	"StartTrace":      "",
-	"Event":           "",
-	"traceCtx":        "",
-	"startQuerySpan":  "",
-}
+// nameEmitters are the callees whose first name-shaped argument is
+// emitted as written: a metric, a span event or (traceCtx) a span.
+var nameEmitters = map[string]bool{"Count": true, "Gauge": true, "Observe": true, "Event": true, "traceCtx": true}
+
+// phaseStarters are the callees that open a phase: (ctx, sink, name).
+var phaseStarters = map[string]bool{"Start": true, "startQuery": true}
 
 // opsPrefixes are the registry prefixes the ops-health surface depends
 // on; each must keep at least one registry row.
@@ -358,22 +353,30 @@ func scanDir(dir string, emitted map[string][]string) error {
 				if !ok {
 					return true
 				}
-				suffix, ok := metricEmitters[calleeName(call.Fun)]
-				if !ok {
+				callee := calleeName(call.Fun)
+				if !phaseStarters[callee] && !nameEmitters[callee] {
+					return true
+				}
+				p := fset.Position(call.Pos())
+				at := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+				if phaseStarters[callee] && len(call.Args) == 3 {
+					name, isStr := evalString(call.Args[2])
+					if !isStr || !nameRE.MatchString(name) {
+						return true
+					}
+					if types.ExprString(call.Args[0]) != "context.Background()" {
+						emitted[name] = append(emitted[name], at)
+					}
+					if types.ExprString(call.Args[1]) != "nil" {
+						emitted[name+".seconds"] = append(emitted[name+".seconds"], at)
+					}
 					return true
 				}
 				for _, arg := range call.Args {
-					s, isStr := evalString(arg)
-					if !isStr {
-						continue
+					if name, isStr := evalString(arg); isStr && nameRE.MatchString(name) {
+						emitted[name] = append(emitted[name], at)
+						break
 					}
-					name := s + suffix
-					if !nameRE.MatchString(name) {
-						continue
-					}
-					p := fset.Position(call.Pos())
-					emitted[name] = append(emitted[name], fmt.Sprintf("%s:%d", p.Filename, p.Line))
-					break
 				}
 				return true
 			})

@@ -30,14 +30,14 @@ type DedupResult struct {
 // With a nil scorer the sure-duplicate components themselves are
 // returned.
 func (e *Engine) Dedup() (*DedupResult, error) {
-	sp := obs.StartSpan(e.cfg.Metrics, "engine.dedup")
-	defer sp.End()
+	_, dp := obs.Start(context.Background(), e.cfg.Metrics, "engine.dedup")
+	defer dp.End()
 	d := e.data
-	groups := coreSingletons(d)
+	groups := core.SingletonGroups(d)
 	for _, level := range e.levels {
 		var evals int64
 		groups, evals = core.Collapse(d, groups, level.Sufficient)
-		obs.Count(e.cfg.Metrics, "core.collapse.evals", evals)
+		dp.Count("core.collapse.evals", evals)
 	}
 	if e.scorer == nil {
 		res := &DedupResult{}
@@ -48,13 +48,15 @@ func (e *Engine) Dedup() (*DedupResult, error) {
 		return res, nil
 	}
 
-	// No trace and no sink: Dedup's own span covers the search, which
-	// reports no engine.final.* spans of its own.
+	// No trace and no sink: Dedup's own phase covers the search, which
+	// reports no engine.final.*.seconds of its own, only its pair counts.
 	fin, err := e.newFinalSearch(context.Background(), groups, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer fin.release()
+	dp.Count("engine.final.candidate_pairs", fin.candidatePairs)
+	dp.Count("engine.final.scored_pairs", int64(len(fin.fs.edges)))
 	segs, best := segment.Best(fin.sc)
 
 	res := &DedupResult{Score: best - fin.base}
@@ -75,14 +77,4 @@ func (e *Engine) Dedup() (*DedupResult, error) {
 	}
 	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Weight > res.Groups[j].Weight })
 	return res, nil
-}
-
-// coreSingletons wraps every record in its own group (mirrors the
-// unexported core helper).
-func coreSingletons(d *Dataset) []Group {
-	groups := make([]Group, d.Len())
-	for i, r := range d.Recs {
-		groups[i] = Group{Rep: r.ID, Members: []int{r.ID}, Weight: r.Weight}
-	}
-	return groups
 }

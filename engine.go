@@ -217,21 +217,16 @@ func (e *Engine) TopKCtx(ctx context.Context, k, r int) (*Result, error) {
 	if r < 1 {
 		r = 1
 	}
-	ctx, root := e.startQuerySpan(ctx, "engine.topk")
-	if root != nil {
-		root.Attr("k", float64(k))
-		root.Attr("r", float64(r))
-		root.Attr("workers", float64(e.cfg.Workers))
-	}
-	sp := obs.StartSpan(e.cfg.Metrics, "engine.topk")
+	ctx, root := e.startQuery(ctx, e.cfg.Metrics, "engine.topk")
+	root.Attr("k", float64(k))
+	root.Attr("r", float64(r))
+	root.Attr("workers", float64(e.cfg.Workers))
 	pd, err := core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
 	if err != nil {
-		sp.End()
 		root.End()
 		return nil, err
 	}
 	res, err := e.finishTopKCtx(ctx, pd, k, r)
-	sp.End()
 	root.End()
 	if err != nil {
 		return nil, err
@@ -240,28 +235,22 @@ func (e *Engine) TopKCtx(ctx context.Context, k, r int) (*Result, error) {
 	return res, nil
 }
 
-// startQuerySpan opens the query's span: a child when ctx is already
-// traced, else a fresh root trace on Config.Tracer (or an ephemeral
-// recorder when only Config.Explain asks for one). Returns (ctx, nil)
-// when tracing is off entirely — the zero-cost path.
-func (e *Engine) startQuerySpan(ctx context.Context, name string) (context.Context, *obs.TraceSpan) {
-	if obs.SpanFromContext(ctx) != nil {
-		return obs.StartChild(ctx, name)
-	}
+// startQuery opens the query's phase, timed into sink: a child span
+// when ctx is already traced, else the root of a fresh trace on
+// Config.Tracer (or an ephemeral recorder when only Config.Explain asks
+// for one), else no span at all — the zero-cost path.
+func (e *Engine) startQuery(ctx context.Context, sink obs.Sink, name string) (context.Context, obs.Phase) {
 	rec := e.cfg.Tracer
-	if rec == nil && e.cfg.Explain {
+	if rec == nil && e.cfg.Explain && !obs.Traced(ctx) {
 		rec = obs.NewRecorder(1)
 	}
-	if rec == nil {
-		return ctx, nil
-	}
-	return rec.StartTrace(ctx, name)
+	return rec.Start(ctx, sink, name)
 }
 
 // attachExplain derives Result.Explain from the finished query trace
 // when Config.Explain asks for it.
-func (e *Engine) attachExplain(res *Result, root *obs.TraceSpan) {
-	if !e.cfg.Explain || root == nil {
+func (e *Engine) attachExplain(res *Result, root obs.Phase) {
+	if !e.cfg.Explain || !root.Traced() {
 		return
 	}
 	res.Explain = obs.BuildExplain(root.Recorder().Spans(root.TraceID()))
@@ -316,10 +305,8 @@ func (e *Engine) TopKFromCtx(ctx context.Context, pd *PrunedResult, k, r int) (*
 	if r < 1 {
 		r = 1
 	}
-	ctx, root := e.startQuerySpan(ctx, "engine.topk")
-	sp := obs.StartSpan(e.cfg.Metrics, "engine.topk")
+	ctx, root := e.startQuery(ctx, e.cfg.Metrics, "engine.topk")
 	res, err := e.finishTopKCtx(ctx, pd, k, r)
-	sp.End()
 	root.End()
 	if err != nil {
 		return nil, err
@@ -368,10 +355,8 @@ func (e *Engine) finalPhase(ctx context.Context, groups []Group, k, r int) ([]An
 	// approximation of the paper's full marginal, since only the R' best
 	// groupings contribute.
 	rPrime := 6*r + 10
-	segSpan := obs.StartSpan(e.cfg.Metrics, "engine.final.segment")
-	defer segSpan.End()
-	_, spSeg := obs.StartChild(ctx, "engine.final.segment")
-	defer spSeg.End()
+	_, seg := obs.Start(ctx, e.cfg.Metrics, "engine.final.segment")
+	defer seg.End()
 	rankings := segment.BestR(fin.sc, rPrime)
 	if len(rankings) == 0 {
 		return []Answer{e.groupsToAnswer(groups, k)}, nil
@@ -407,12 +392,15 @@ type finalSearch struct {
 	// cross negative edge, including the non-candidate penalties): 0
 	// means "no merging", positive means merges net-agree with P.
 	base float64
+	// candidatePairs is how many candidate pairs the scoring considered
+	// (engine.final.candidate_pairs).
+	candidatePairs int64
 }
 
 // newFinalSearch builds the search space over groups. A pair failing the
 // last necessary predicate scores score.NonCandidateScore; segments
 // span at most score.MaxSegmentWidth groups. The engine.final.score and
-// engine.final.embed spans go to sink and to ctx's trace. It returns
+// engine.final.embed phases report to sink and to ctx's trace. It returns
 // ctx.Err() on entry, after the candidate scoring and after the
 // embedding; the caller releases what it returns.
 func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Sink) (*finalSearch, error) {
@@ -423,16 +411,12 @@ func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Si
 	lastN := e.levels[len(e.levels)-1].Necessary
 
 	// Candidate group pairs: those passing the last necessary predicate.
-	scoreSpan := obs.StartSpan(sink, "engine.final.score")
-	_, spScore := obs.StartChild(ctx, "engine.final.score")
+	_, sp := obs.Start(ctx, sink, "engine.final.score")
 	fs, candidatePairs := e.scoredCandidates(ctx, groups, lastN)
 	pairScore, edges := fs.pairScore, fs.edges
-	if spScore != nil {
-		spScore.Attr("candidate_pairs", float64(candidatePairs))
-		spScore.Attr("scored_pairs", float64(len(edges)))
-		spScore.End()
-	}
-	scoreSpan.End()
+	sp.Count("engine.final.candidate_pairs", int64(candidatePairs))
+	sp.Count("engine.final.scored_pairs", int64(len(edges)))
+	sp.End()
 	if err := ctx.Err(); err != nil {
 		fs.release()
 		return nil, err
@@ -447,11 +431,9 @@ func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Si
 		return score.NonCandidateScore
 	}
 
-	embedSpan := obs.StartSpan(sink, "engine.final.embed")
-	_, spEmbed := obs.StartChild(ctx, "engine.final.embed")
+	_, em := obs.Start(ctx, sink, "engine.final.embed")
 	order := embed.Greedy(n, pf, edges)
-	spEmbed.End()
-	embedSpan.End()
+	em.End()
 	if err := ctx.Err(); err != nil {
 		fs.release()
 		return nil, err
@@ -462,7 +444,7 @@ func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Si
 	for p := 0; p < n; p++ {
 		base += sc.Score(p, p)
 	}
-	return &finalSearch{fs: fs, order: order, sc: sc, base: base}, nil
+	return &finalSearch{fs: fs, order: order, sc: sc, base: base, candidatePairs: int64(candidatePairs)}, nil
 }
 
 // release returns the search's pooled tables and scratch.
@@ -554,8 +536,6 @@ func (e *Engine) scoredCandidates(ctx context.Context, groups []Group, lastN Pre
 		fs.pairScore[[2]int{int(c.i), int(c.j)}] = slots[t].s
 		fs.edges = append(fs.edges, embed.Edge{A: int(c.i), B: int(c.j)})
 	}
-	obs.Count(e.cfg.Metrics, "engine.final.candidate_pairs", int64(len(cands)))
-	obs.Count(e.cfg.Metrics, "engine.final.scored_pairs", int64(len(fs.edges)))
 	return fs, len(cands)
 }
 
@@ -649,12 +629,11 @@ func (e *Engine) TopKRankCtx(ctx context.Context, k int) (*RankResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topk: K must be >= 1, got %d", k)
 	}
-	ctx, root := e.startQuerySpan(ctx, "engine.rank")
-	if root != nil {
-		root.Attr("k", float64(k))
-		root.Attr("workers", float64(e.cfg.Workers))
-		defer root.End()
-	}
+	// No engine.rank.seconds row: the phase times the span only.
+	ctx, root := e.startQuery(ctx, nil, "engine.rank")
+	root.Attr("k", float64(k))
+	root.Attr("workers", float64(e.cfg.Workers))
+	defer root.End()
 	pd, err := core.PrunedDedupCtx(ctx, e.data, e.levels, e.coreOpts(k))
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@
 package classifier
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,7 +116,7 @@ func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts Train
 	dim := len(feats.Names)
 	xs := make([][]float64, len(pairs))
 	ys := make([]float64, len(pairs))
-	featSpan := obs.StartSpan(opts.Sink, "classifier.features")
+	_, fp := obs.Start(context.Background(), opts.Sink, "classifier.features")
 	parallel.For(opts.Workers, len(pairs), func(i int) {
 		p := pairs[i]
 		xs[i] = feats.Vec(d.Recs[p.A], d.Recs[p.B])
@@ -123,8 +124,8 @@ func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts Train
 			ys[i] = 1
 		}
 	})
-	featSpan.End()
-	obs.Count(opts.Sink, "classifier.features.pairs", int64(len(pairs)))
+	fp.Count("classifier.features.pairs", int64(len(pairs)))
+	fp.End()
 	for i := range xs {
 		if len(xs[i]) != dim {
 			return nil, fmt.Errorf("classifier: feature vector length %d != %d names", len(xs[i]), dim)
@@ -136,8 +137,8 @@ func Train(d *records.Dataset, feats FeatureSet, pairs []LabeledPair, opts Train
 	wNeg := float64(len(pairs)) / (2 * float64(neg))
 
 	m := &Model{Feats: feats, Weights: make([]float64, dim)}
-	trainSpan := obs.StartSpan(opts.Sink, "classifier.train")
-	defer trainSpan.End()
+	_, tp := obs.Start(context.Background(), opts.Sink, "classifier.train")
+	defer tp.End()
 	r := rand.New(rand.NewSource(opts.Seed))
 	order := r.Perm(len(pairs))
 	for epoch := 0; epoch < trainEpochs; epoch++ {

@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"context"
 	"sort"
-	"time"
 
 	"topkdedup/internal/dsu"
 	"topkdedup/internal/obs"
@@ -61,10 +61,7 @@ func ExactWorkers(n int, pf score.PairFunc, edges []Edge, maxComponent, workers 
 // observational only: the partition is byte-identical with or without
 // it, at every worker count.
 func ExactWorkersObs(n int, pf score.PairFunc, edges []Edge, maxComponent, workers int, sink obs.Sink) Result {
-	start := time.Time{}
-	if sink != nil {
-		start = time.Now()
-	}
+	_, ph := obs.Start(context.Background(), sink, "cluster.exact")
 	if maxComponent <= 0 {
 		maxComponent = 18
 	}
@@ -130,12 +127,10 @@ func ExactWorkersObs(n int, pf score.PairFunc, edges []Edge, maxComponent, worke
 		res.Clusters = append(res.Clusters, parts[ci]...)
 	}
 	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i][0] < res.Clusters[j][0] })
-	if sink != nil {
-		obs.ObserveSince(sink, "cluster.exact", start)
-		obs.Count(sink, "cluster.exact.components", int64(len(roots)))
-		obs.Count(sink, "cluster.exact.fallbacks", fallbacks)
-		obs.Gauge(sink, "cluster.exact.largest_component", float64(res.LargestComponent))
-	}
+	ph.Count("cluster.exact.components", int64(len(roots)))
+	ph.Count("cluster.exact.fallbacks", fallbacks)
+	ph.Gauge("cluster.exact.largest_component", float64(res.LargestComponent))
+	ph.End()
 	return res
 }
 

@@ -96,7 +96,7 @@ func TestBoundScanAllocs(t *testing.T) {
 	ix := BlockReps(d, groups, n, nil)
 	block := func() *index.IDIndex { return ix }
 	allocs := testing.AllocsPerRun(20, func() {
-		estimateLowerBound(context.Background(), d, groups, n, block, 10000, 1)
+		estimateLowerBound(context.Background(), nil, d, groups, n, block, 10000, 1)
 	})
 	if allocs > want+1 {
 		t.Fatalf("estimateLowerBound = %v allocs/op, want %d", allocs, want)

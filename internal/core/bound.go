@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"topkdedup/internal/graph"
 	"topkdedup/internal/index"
@@ -54,42 +55,43 @@ func EstimateLowerBound(d *records.Dataset, groups []Group, n predicate.P, k int
 // and M = 0, at BoundScanLimit.
 //
 // When ctx carries a trace span, the scan is recorded as a "core.bound"
-// child span — attributes evals, hits, m_rank and m — with one
+// child span — attributes evals, hits, m_rank and lower — with one
 // "bound.block" event per block consumed (ranks scanned and independent
 // so far, and M once certified): the trail the EXPLAIN report renders.
-// An untraced context costs one nil check.
+// An untraced context costs one context lookup.
 //
 // It blocks groups[:BoundScanLimit(groups, k)] under n for the scan;
 // Algorithm 2's level loop instead hands the scan the index of the
 // level's groups it keeps for the prune step (estimateLowerBound).
 func EstimateLowerBoundCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, k, workers int) (m int, lower float64, evals, hits int64) {
 	block := func() *index.IDIndex { return BlockReps(d, groups[:BoundScanLimit(groups, k)], n, nil) }
-	return estimateLowerBound(ctx, d, groups, n, block, k, workers)
+	m, lower, evals, hits, _ = estimateLowerBound(ctx, nil, d, groups, n, block, k, workers)
+	return m, lower, evals, hits
 }
 
 // estimateLowerBound is EstimateLowerBoundCtx over the index block
-// returns, which it asks for once, when there is a rank to scan. The
-// index must be BlockReps under n over groups or a prefix of them at
-// least BoundScanLimit(groups, k) long; the scan only reads it.
-func estimateLowerBound(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, k, workers int) (m int, lower float64, evals, hits int64) {
+// returns, which it asks for once, when there is a rank to scan, timed
+// and counted as the core.bound phase into sink (nil for none); it also
+// returns the phase's duration. The index must be BlockReps under n
+// over groups or a prefix of them at least BoundScanLimit(groups, k)
+// long; the scan only reads it.
+func estimateLowerBound(ctx context.Context, sink obs.Sink, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, k, workers int) (m int, lower float64, evals, hits int64, dur time.Duration) {
+	_, ph := obs.Start(ctx, sink, "core.bound")
+	defer func() {
+		ph.Count("core.bound.evals", evals)
+		ph.Attr("hits", float64(hits))
+		ph.Gauge("core.bound.m_rank", float64(m))
+		ph.Gauge("core.bound.lower", lower)
+		dur = ph.End()
+	}()
 	if len(groups) == 0 || k < 1 {
-		return 0, 0, 0, 0
+		return 0, 0, 0, 0, 0
 	}
 	consumed := 0
 	prefix := graph.NewPrefix(k)
-	_, sp := obs.StartChild(ctx, "core.bound")
-	defer func() {
-		if sp != nil {
-			sp.Attr("evals", float64(evals))
-			sp.Attr("hits", float64(hits))
-			sp.Attr("m_rank", float64(m))
-			sp.Attr("m", lower)
-			sp.End()
-		}
-	}()
 	blockEvent := func() {
-		if sp != nil {
-			sp.Event("bound.block", obs.Num("scanned", float64(consumed)),
+		if ph.Traced() {
+			ph.Event("bound.block", obs.Num("scanned", float64(consumed)),
 				obs.Num("independent", float64(prefix.Independent())), obs.Num("m", lower))
 		}
 	}
@@ -113,7 +115,7 @@ func estimateLowerBound(ctx context.Context, d *records.Dataset, groups []Group,
 				m = prefix.ReachedAt()
 				lower = groups[m-1].Weight
 				blockEvent()
-				return m, lower, evals, hits
+				return m, lower, evals, hits, 0
 			}
 		}
 		blockEvent()
@@ -121,7 +123,7 @@ func estimateLowerBound(ctx context.Context, d *records.Dataset, groups []Group,
 	// The limit stops short of the list's last group at the latest (its
 	// weight is the floor), so there is no exhausted list to run a final
 	// check on: a scan that gets here has certified nothing.
-	return 0, 0, evals, hits
+	return 0, 0, evals, hits, 0
 }
 
 // BoundScanLimit returns how many prefix groups the §4.2 scan may

@@ -61,7 +61,7 @@ func boundInput(tb testing.TB, seed int64) (*records.Dataset, []Group) {
 func traceBound(t *testing.T, d *records.Dataset, groups []Group, n predicate.P, k int) (line string, m, lastScanned int) {
 	t.Helper()
 	rec := obs.NewRecorder(1)
-	ctx, root := rec.StartTrace(context.Background(), "test")
+	ctx, root := rec.Start(context.Background(), nil, "test")
 	m, lower, evals, hits := EstimateLowerBoundCtx(ctx, d, groups, n, k, 1)
 	root.End()
 	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -94,33 +94,34 @@ func traceBound(t *testing.T, d *records.Dataset, groups []Group, n predicate.P,
 
 // boundGolden is what the §4.2 scan reported on boundInput, recorded
 // from the part-generic replay loop the single-prefix scan replaced and
-// kept since: (m, M, evals, hits), the span's attributes, and the
-// bound.block trail.
+// kept since: (m, M, evals, hits), the span's attributes (M's key is
+// lower, its registry name's last segment, since the scan reports
+// through one obs.Phase), and the bound.block trail.
 var boundGolden = []string{
-	"toyN seed=0 k=1: m=1 M=5.795412272601073 evals=0 hits=0 | evals=0 hits=0 m_rank=1 m=5.795412272601073 | 1/1/5.795412272601073",
-	"toyN seed=0 k=5: m=5 M=5.495961845427317 evals=0 hits=0 | evals=0 hits=0 m_rank=5 m=5.495961845427317 | 5/5/5.495961845427317",
-	"toyN seed=0 k=20: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=0 k=100: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=0 k=142: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=0 k=150: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=1 k=1: m=1 M=5.6364714775591125 evals=0 hits=0 | evals=0 hits=0 m_rank=1 m=5.6364714775591125 | 1/1/5.6364714775591125",
-	"toyN seed=1 k=5: m=5 M=5.384318016982538 evals=0 hits=0 | evals=0 hits=0 m_rank=5 m=5.384318016982538 | 5/5/5.384318016982538",
-	"toyN seed=1 k=20: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=1 k=100: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=1 k=142: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"toyN seed=1 k=150: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 m=0 | 256/14/0 512/14/0 599/14/0",
-	"nearN seed=0 k=1: m=1 M=5.795412272601073 evals=0 hits=0 | evals=0 hits=0 m_rank=1 m=5.795412272601073 | 1/1/5.795412272601073",
-	"nearN seed=0 k=5: m=5 M=5.495961845427317 evals=0 hits=0 | evals=0 hits=0 m_rank=5 m=5.495961845427317 | 5/5/5.495961845427317",
-	"nearN seed=0 k=20: m=25 M=5.131952884607271 evals=23 hits=5 | evals=23 hits=5 m_rank=25 m=5.131952884607271 | 25/20/5.131952884607271",
-	"nearN seed=0 k=100: m=209 M=3.5917225213511177 evals=1500 hits=183 | evals=1500 hits=183 m_rank=209 m=3.5917225213511177 | 209/100/3.5917225213511177",
-	"nearN seed=0 k=142: m=489 M=1.5817867117950137 evals=11561 hits=1465 | evals=11561 hits=1465 m_rank=489 m=1.5817867117950137 | 256/107/0 512/135/0 573/136/1.5817867117950137",
-	"nearN seed=0 k=150: m=0 M=0 evals=12678 hits=1599 | evals=12678 hits=1599 m_rank=0 m=0 | 256/107/0 512/135/0 599/138/0",
-	"nearN seed=1 k=1: m=1 M=5.6364714775591125 evals=0 hits=0 | evals=0 hits=0 m_rank=1 m=5.6364714775591125 | 1/1/5.6364714775591125",
-	"nearN seed=1 k=5: m=5 M=5.384318016982538 evals=0 hits=0 | evals=0 hits=0 m_rank=5 m=5.384318016982538 | 5/5/5.384318016982538",
-	"nearN seed=1 k=20: m=20 M=5.13240575067336 evals=12 hits=0 | evals=12 hits=0 m_rank=20 m=5.13240575067336 | 20/20/5.13240575067336",
-	"nearN seed=1 k=100: m=218 M=3.5861148101222238 evals=1722 hits=214 | evals=1722 hits=214 m_rank=218 m=3.5861148101222238 | 218/100/3.5861148101222238",
-	"nearN seed=1 k=142: m=589 M=1.0579194345781633 evals=12333 hits=1599 | evals=12333 hits=1599 m_rank=589 m=1.0579194345781633 | 256/107/0 512/138/0 589/142/1.0579194345781633",
-	"nearN seed=1 k=150: m=0 M=0 evals=12757 hits=1646 | evals=12757 hits=1646 m_rank=0 m=0 | 256/107/0 512/138/0 599/144/0",
+	"toyN seed=0 k=1: m=1 M=5.795412272601073 evals=0 hits=0 | evals=0 hits=0 m_rank=1 lower=5.795412272601073 | 1/1/5.795412272601073",
+	"toyN seed=0 k=5: m=5 M=5.495961845427317 evals=0 hits=0 | evals=0 hits=0 m_rank=5 lower=5.495961845427317 | 5/5/5.495961845427317",
+	"toyN seed=0 k=20: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=0 k=100: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=0 k=142: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=0 k=150: m=0 M=0 evals=12678 hits=12678 | evals=12678 hits=12678 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=1 k=1: m=1 M=5.6364714775591125 evals=0 hits=0 | evals=0 hits=0 m_rank=1 lower=5.6364714775591125 | 1/1/5.6364714775591125",
+	"toyN seed=1 k=5: m=5 M=5.384318016982538 evals=0 hits=0 | evals=0 hits=0 m_rank=5 lower=5.384318016982538 | 5/5/5.384318016982538",
+	"toyN seed=1 k=20: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=1 k=100: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=1 k=142: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"toyN seed=1 k=150: m=0 M=0 evals=12757 hits=12757 | evals=12757 hits=12757 m_rank=0 lower=0 | 256/14/0 512/14/0 599/14/0",
+	"nearN seed=0 k=1: m=1 M=5.795412272601073 evals=0 hits=0 | evals=0 hits=0 m_rank=1 lower=5.795412272601073 | 1/1/5.795412272601073",
+	"nearN seed=0 k=5: m=5 M=5.495961845427317 evals=0 hits=0 | evals=0 hits=0 m_rank=5 lower=5.495961845427317 | 5/5/5.495961845427317",
+	"nearN seed=0 k=20: m=25 M=5.131952884607271 evals=23 hits=5 | evals=23 hits=5 m_rank=25 lower=5.131952884607271 | 25/20/5.131952884607271",
+	"nearN seed=0 k=100: m=209 M=3.5917225213511177 evals=1500 hits=183 | evals=1500 hits=183 m_rank=209 lower=3.5917225213511177 | 209/100/3.5917225213511177",
+	"nearN seed=0 k=142: m=489 M=1.5817867117950137 evals=11561 hits=1465 | evals=11561 hits=1465 m_rank=489 lower=1.5817867117950137 | 256/107/0 512/135/0 573/136/1.5817867117950137",
+	"nearN seed=0 k=150: m=0 M=0 evals=12678 hits=1599 | evals=12678 hits=1599 m_rank=0 lower=0 | 256/107/0 512/135/0 599/138/0",
+	"nearN seed=1 k=1: m=1 M=5.6364714775591125 evals=0 hits=0 | evals=0 hits=0 m_rank=1 lower=5.6364714775591125 | 1/1/5.6364714775591125",
+	"nearN seed=1 k=5: m=5 M=5.384318016982538 evals=0 hits=0 | evals=0 hits=0 m_rank=5 lower=5.384318016982538 | 5/5/5.384318016982538",
+	"nearN seed=1 k=20: m=20 M=5.13240575067336 evals=12 hits=0 | evals=12 hits=0 m_rank=20 lower=5.13240575067336 | 20/20/5.13240575067336",
+	"nearN seed=1 k=100: m=218 M=3.5861148101222238 evals=1722 hits=214 | evals=1722 hits=214 m_rank=218 lower=3.5861148101222238 | 218/100/3.5861148101222238",
+	"nearN seed=1 k=142: m=589 M=1.0579194345781633 evals=12333 hits=1599 | evals=12333 hits=1599 m_rank=589 lower=1.0579194345781633 | 256/107/0 512/138/0 589/142/1.0579194345781633",
+	"nearN seed=1 k=150: m=0 M=0 evals=12757 hits=1646 | evals=12757 hits=1646 m_rank=0 lower=0 | 256/107/0 512/138/0 599/144/0",
 }
 
 // TestBoundScanGolden pins the §4.2 scan on boundInput for two necessary

@@ -50,13 +50,16 @@ func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes 
 // wraps the phase in a "core.prune" child span (with a
 // "core.prune.stage0" span around the serial evaluation-free cascades and
 // one "core.prune.pass" span per Jacobi round) annotated with the counts
-// the EXPLAIN report renders. An untraced context costs one nil check.
+// the EXPLAIN report renders. An untraced context costs one context
+// lookup.
 //
-// When sink is non-nil it receives the evaluation-free stage-0 kill
-// count (core.prune.stage0.pruned) and, for each exact refinement pass,
-// the pairs evaluated, groups pruned, and wall time
-// (core.prune.pass.{evals,pruned,seconds}); the bound M the passes
-// compare against is emitted as the core.prune.bound gauge. Emission is
+// When sink is non-nil it receives the phase's wall time, evaluations
+// and survivors (core.prune.{seconds,evals,survivors}), the
+// evaluation-free stage-0 kill count (core.prune.stage0.pruned) and,
+// for each exact refinement pass, the pairs evaluated, groups pruned,
+// and wall time (core.prune.pass.{evals,pruned,seconds}); the bound M
+// the passes compare against is emitted as the core.prune.bound gauge.
+// A bound of 0 prunes nothing and records no span. Emission is
 // per phase and per pass, never per pair, and the sink is observational
 // only: survivors, bounds, and the eval counter are byte-identical with
 // or without it, at every worker count.
@@ -65,20 +68,30 @@ func Prune(d *records.Dataset, groups []Group, n predicate.P, m float64, passes 
 // cascades, then one PassCtx per exact refinement round until a pass kills
 // nothing.
 func PruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
-	return pruneCtx(ctx, d, groups, n, func() *index.IDIndex { return BlockReps(d, groups, n, nil) }, m, passes, workers, sink)
+	alive, evals, hits, _ = pruneCtx(ctx, d, groups, n, func() *index.IDIndex { return BlockReps(d, groups, n, nil) }, m, passes, workers, sink)
+	return alive, evals, hits
 }
 
 // pruneCtx is PruneCtx with the groups' blocking index under n supplied
 // by block, which is called only when something can be pruned — a
-// PreparedLevel hands in the index it keeps.
-func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64) {
+// PreparedLevel hands in the index it keeps. The phase is timed and
+// counted into sink as core.prune (core.prune.seconds, .evals,
+// .survivors, and .bound when there is a bound to prune against), and
+// its duration is returned.
+func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, block func() *index.IDIndex, m float64, passes, workers int, sink obs.Sink) (alive []Group, evals, hits int64, dur time.Duration) {
 	if m <= 0 || len(groups) == 0 {
-		return groups, 0, 0
+		// Nothing can be pruned: the phase is timed and counted, but
+		// a no-op records no span.
+		_, ph := obs.Start(context.Background(), sink, "core.prune")
+		ph.Count("core.prune.evals", 0)
+		ph.Observe("core.prune.survivors", float64(len(groups)))
+		return groups, 0, 0, ph.End()
 	}
 	if passes < 1 {
 		passes = 2
 	}
-	ctx, sp := obs.StartChild(ctx, "core.prune")
+	ctx, ph := obs.Start(ctx, sink, "core.prune")
+	ph.Gauge("core.prune.bound", m)
 	p := newPruner(ctx, d, groups, n, block(), m, workers, sink)
 	for pass := 0; pass < passes; pass++ {
 		pruned, passEvals, passHits := p.PassCtx(ctx)
@@ -89,15 +102,11 @@ func pruneCtx(ctx context.Context, d *records.Dataset, groups []Group, n predica
 		}
 	}
 	alive = p.Alive()
-	if sp != nil {
-		sp.Attr("m", m)
-		sp.Attr("evals", float64(evals))
-		sp.Attr("hits", float64(hits))
-		sp.Attr("stage0_pruned", float64(p.Stage0Pruned()))
-		sp.Attr("survivors", float64(len(alive)))
-		sp.End()
-	}
-	return alive, evals, hits
+	ph.Count("core.prune.evals", evals)
+	ph.Attr("hits", float64(hits))
+	ph.Attr("stage0_pruned", float64(p.Stage0Pruned()))
+	ph.Observe("core.prune.survivors", float64(len(alive)))
+	return alive, evals, hits, ph.End()
 }
 
 // Pruner is the stateful form of the §4.3 prune step. NewPruner runs the
@@ -164,10 +173,10 @@ type walkSlot struct {
 // handle m <= 0 and empty group lists as "nothing prunable") and runs
 // the evaluation-free stages: the iterated bucket-total
 // over-approximation (stage 0) and the deduplicated candidate-weight
-// cascade (stage 0.5). When sink is non-nil it receives the
-// core.prune.bound gauge and the combined stage-0 kill count
-// (core.prune.stage0.pruned), exactly as PruneCtx documents. The
-// construction is untraced; PruneCtx's is not.
+// cascade (stage 0.5). When sink is non-nil it receives the combined
+// stage-0 kill count (core.prune.stage0.pruned) and each PassCtx's
+// metrics, exactly as PruneCtx documents. The construction is untraced;
+// PruneCtx's is not.
 func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, workers int, sink obs.Sink) *Pruner {
 	return newPruner(context.Background(), d, groups, n, BlockReps(d, groups, n, nil), m, workers, sink)
 }
@@ -177,7 +186,6 @@ func NewPruner(d *records.Dataset, groups []Group, n predicate.P, m float64, wor
 // traced ctx gets a "core.prune.stage0" child span around the serial
 // cascades — the part of the phase no worker count shortens.
 func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predicate.P, ix *index.IDIndex, m float64, workers int, sink obs.Sink) *Pruner {
-	obs.Gauge(sink, "core.prune.bound", m)
 	ng := len(groups)
 	p := &Pruner{groups: groups, m: m, workers: workers, sink: sink, ix: ix}
 	p.keyIDs = p.ix.KeyIDs()
@@ -189,13 +197,13 @@ func newPruner(ctx context.Context, d *records.Dataset, groups []Group, n predic
 	p.live = make([]bool, ng)
 	p.totals = make([]float64, p.ix.KeySpace())
 	p.s0stamp = index.NewStamp(ng)
-	_, sp := obs.StartChild(ctx, "core.prune.stage0")
+	// No core.prune.stage0.seconds row: the phase times the trace span
+	// only, and its kill count goes to the sink beside it.
+	_, ph := obs.Start(ctx, nil, "core.prune.stage0")
 	p.RescanStage0()
-	if sp != nil {
-		sp.Attr("pruned", float64(p.stage0Pruned))
-		sp.Attr("rounds", float64(p.stage0Rounds))
-		sp.End()
-	}
+	ph.Attr("pruned", float64(p.stage0Pruned))
+	ph.Attr("rounds", float64(p.stage0Rounds))
+	ph.End()
 	obs.Observe(sink, "core.prune.stage0.pruned", float64(p.stage0Pruned))
 	// The exact passes compare only groups the cascades left alive —
 	// usually a small part of the list. (A later RescanStage0 restores
@@ -345,7 +353,7 @@ func (p *Pruner) Alive() []Group {
 // pass also emits core.prune.pass.{evals,pruned,seconds}, and when ctx
 // carries a trace span it is wrapped in a "core.prune.pass" child span
 // annotated with the round number and its eval/hit/pruned counts (an
-// untraced context costs one nil check).
+// untraced context costs one context lookup).
 //
 // A live group below M gets one walk over its keys' buckets (walk): it
 // survives iff its weight plus the weight of its gated candidates that
@@ -367,12 +375,8 @@ func (p *Pruner) Alive() []Group {
 // evaluation and hit counts depend on the order.
 func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 	p.passNum++
-	ctx, sp := obs.StartChild(ctx, "core.prune.pass")
+	ctx, ph := obs.Start(ctx, p.sink, "core.prune.pass")
 	weight, m := p.weight, p.m
-	passStart := time.Time{}
-	if p.sink != nil {
-		passStart = time.Now()
-	}
 	// Liveness and bounds are frozen for the whole pass, so whether a
 	// candidate counts — alive, and not below M on both its weight and
 	// its bound — is decided once per group here rather than once per
@@ -404,18 +408,11 @@ func (p *Pruner) PassCtx(ctx context.Context) (pruned int, evals, hits int64) {
 		hits += sc.hits
 		pruned += sc.pruned
 	}
-	if p.sink != nil {
-		obs.Observe(p.sink, "core.prune.pass.evals", float64(evals))
-		obs.Observe(p.sink, "core.prune.pass.pruned", float64(pruned))
-		obs.ObserveSince(p.sink, "core.prune.pass", passStart)
-	}
-	if sp != nil {
-		sp.Attr("round", float64(p.passNum))
-		sp.Attr("evals", float64(evals))
-		sp.Attr("hits", float64(hits))
-		sp.Attr("pruned", float64(pruned))
-		sp.End()
-	}
+	ph.Attr("round", float64(p.passNum))
+	ph.Observe("core.prune.pass.evals", float64(evals))
+	ph.Attr("hits", float64(hits))
+	ph.Observe("core.prune.pass.pruned", float64(pruned))
+	ph.End()
 	return pruned, evals, hits
 }
 

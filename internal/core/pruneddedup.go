@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"topkdedup/internal/index"
 	"topkdedup/internal/obs"
@@ -63,7 +62,7 @@ func PrunedDedup(d *records.Dataset, levels []predicate.Level, opts Options) (*R
 // PrunedDedupCtx is PrunedDedup under a context. When ctx carries a
 // trace span (see internal/obs), every level and phase records child
 // spans annotated with the counts the EXPLAIN report is built from; an
-// untraced context adds one nil check per phase and nothing else.
+// untraced context adds one context lookup per phase and nothing else.
 func PrunedDedupCtx(ctx context.Context, d *records.Dataset, levels []predicate.Level, opts Options) (*Result, error) {
 	if d.Len() == 0 {
 		if err := opts.check(); err != nil {
@@ -163,13 +162,18 @@ func prunedDedup(ctx context.Context, d *records.Dataset, groups []Group, first 
 	lv := first
 	for li, level := range levels {
 		stats := LevelStats{Level: li + 1}
-		ctxL, spL := obs.StartChild(ctx, "core.level")
-		spL.Attr("level", float64(li+1))
+		ctxL, lp := obs.Start(ctx, nil, "core.level")
+		lp.Attr("level", float64(li+1))
 
-		start := time.Now()
-		_, spC := obs.StartChild(ctxL, "core.collapse")
-		fresh := lv == nil
-		if fresh {
+		// A served level 1 arrives collapsed: its phase reports the
+		// collapse's counts to the trace only, since core.collapse.*
+		// count the collapses that ran.
+		csink := sink
+		if lv != nil {
+			csink = nil
+		}
+		_, cp := obs.Start(ctxL, csink, "core.collapse")
+		if lv == nil {
 			merged, evals := Collapse(d, groups, level.Sufficient)
 			if !slices.IsSortedFunc(merged, CompareGroups) {
 				if len(merged) == len(groups) {
@@ -183,46 +187,27 @@ func prunedDedup(ctx context.Context, d *records.Dataset, groups []Group, first 
 		}
 		groups = lv.groups
 		stats.CollapseEvals = lv.evals
-		if spC != nil {
-			spC.Attr("evals", float64(stats.CollapseEvals))
-			spC.Attr("hits", float64(lv.before-len(groups)))
-			spC.Attr("groups_before", float64(lv.before))
-			spC.Attr("groups_after", float64(len(groups)))
-			spC.End()
-		}
-		stats.CollapseTime = time.Since(start)
+		cp.Count("core.collapse.evals", stats.CollapseEvals)
+		cp.Attr("hits", float64(lv.before-len(groups)))
+		cp.Attr("groups_before", float64(lv.before))
+		cp.Observe("core.collapse.groups", float64(len(groups)))
+		stats.CollapseTime = cp.End()
 		stats.NGroups = len(groups)
 		stats.NGroupsPct = pct(len(groups))
-		if fresh {
-			obs.ObserveDuration(sink, "core.collapse", stats.CollapseTime)
-			obs.Count(sink, "core.collapse.evals", stats.CollapseEvals)
-			obs.Observe(sink, "core.collapse.groups", float64(stats.NGroups))
-		}
 
 		m := opts.Threshold
 		if m == 0 {
-			start = time.Now()
-			stats.MRank, m, stats.BoundEvals, _ = estimateLowerBound(ctxL, d, groups, level.Necessary, lv.index, opts.K, opts.Workers)
-			stats.BoundTime = time.Since(start)
-			obs.ObserveDuration(sink, "core.bound", stats.BoundTime)
-			obs.Count(sink, "core.bound.evals", stats.BoundEvals)
-			obs.Gauge(sink, "core.bound.m_rank", float64(stats.MRank))
-			obs.Gauge(sink, "core.bound.lower", m)
+			stats.MRank, m, stats.BoundEvals, _, stats.BoundTime = estimateLowerBound(ctxL, sink, d, groups, level.Necessary, lv.index, opts.K, opts.Workers)
 		}
 		stats.LowerBound = m
 
-		start = time.Now()
-		groups, stats.PruneEvals, _ = pruneCtx(ctxL, d, groups, level.Necessary, lv.index, m, passes, opts.Workers, sink)
-		stats.PruneTime = time.Since(start)
+		groups, stats.PruneEvals, _, stats.PruneTime = pruneCtx(ctxL, d, groups, level.Necessary, lv.index, m, passes, opts.Workers, sink)
 		stats.Survivors = len(groups)
 		stats.SurvivorsPct = pct(len(groups))
-		obs.ObserveDuration(sink, "core.prune", stats.PruneTime)
-		obs.Count(sink, "core.prune.evals", stats.PruneEvals)
-		obs.Observe(sink, "core.prune.survivors", float64(stats.Survivors))
 
 		res.Stats = append(res.Stats, stats)
 		obs.Count(sink, "core.levels", 1)
-		spL.End()
+		lp.End()
 		// Canonical order already: the level sorted its groups and
 		// pruning keeps the survivors in input order.
 		res.Groups = groups

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -232,10 +233,10 @@ func runPruned(dd *DomainData, k, workers int) (int64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	finalSpan := obs.StartSpan(metricsSink, "bench.final")
-	defer finalSpan.End()
+	_, ph := obs.Start(context.Background(), metricsSink, "bench.final")
+	defer ph.End()
 	_, evals := canopyJoin(dd, res.Groups, dd.Domain.Levels[len(dd.Domain.Levels)-1].Necessary)
-	obs.Count(metricsSink, "bench.final.evals", evals)
+	ph.Count("bench.final.evals", evals)
 	return evals, len(res.Groups), nil
 }
 

@@ -40,20 +40,12 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 			"parent": s.Parent.String(),
 		}
 		for _, a := range s.Attrs {
-			if a.Str != "" {
-				args[a.Key] = a.Str
-			} else {
-				args[a.Key] = a.Num
-			}
+			args[a.Key] = a.Num
 		}
 		for i, ev := range s.Events {
 			evArgs := map[string]any{"at_us": float64(ev.At) / 1e3}
 			for _, a := range ev.Attrs {
-				if a.Str != "" {
-					evArgs[a.Key] = a.Str
-				} else {
-					evArgs[a.Key] = a.Num
-				}
+				evArgs[a.Key] = a.Num
 			}
 			args[fmt.Sprintf("event.%d.%s", i, ev.Name)] = evArgs
 		}

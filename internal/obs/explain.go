@@ -186,13 +186,13 @@ func buildLevel(level *SpanRecord, children map[SpanID][]*SpanRecord) ExplainLev
 			el.CollapseEvals = int64(ph.AttrNum("evals"))
 			el.CollapseHits = int64(ph.AttrNum("hits"))
 			el.GroupsBefore = int(ph.AttrNum("groups_before"))
-			el.GroupsAfter = int(ph.AttrNum("groups_after"))
+			el.GroupsAfter = int(ph.AttrNum("groups"))
 			el.CollapseSeconds = float64(ph.Dur) / 1e9
 		case "core.bound":
 			el.BoundEvals = int64(ph.AttrNum("evals"))
 			el.BoundHits = int64(ph.AttrNum("hits"))
 			el.MRank = int(ph.AttrNum("m_rank"))
-			el.M = ph.AttrNum("m")
+			el.M = ph.AttrNum("lower")
 			el.BoundSeconds = float64(ph.Dur) / 1e9
 			for _, ev := range ph.Events {
 				if ev.Name != "bound.block" {

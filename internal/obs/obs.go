@@ -1,15 +1,16 @@
 // Package obs is the pipeline's observability substrate: monotonic
 // counters, gauges, log-bucketed duration/size histograms, and a
-// lightweight span API, all funnelled through one pluggable Sink. It is
+// lightweight span tree, all fed by one phase instrument (Start). It is
 // stdlib-only like the rest of the repository.
 //
 // Design constraints, in priority order:
 //
 //  1. Zero cost when off. Every instrumented call site takes a Sink
 //     value; a nil Sink (the default everywhere) short-circuits before
-//     any allocation or clock read, so the uninstrumented pipeline is
-//     byte-for-byte the PR-1 pipeline (guarded by
-//     BenchmarkNoopSinkOverhead).
+//     any allocation, so the uninstrumented pipeline is byte-for-byte
+//     the PR-1 pipeline (guarded by BenchmarkNoopSinkOverhead). A phase
+//     reads the clock twice whatever its sink: that one duration is
+//     also the phase time core's LevelStats report.
 //  2. Observational only. Sinks receive copies of values the pipeline
 //     already computed; nothing reads a metric back into control flow,
 //     so results stay byte-identical at every Workers count with any
@@ -19,11 +20,15 @@
 //     a Sink is never called per record or per pair.
 //
 // The stable metric/span name registry lives in OBSERVABILITY.md; names
-// are dot-separated, spans observe their duration in seconds under
+// are dot-separated, and a phase observes its duration in seconds under
 // "<name>.seconds".
 package obs
 
-import "time"
+import (
+	"context"
+	"strings"
+	"time"
+)
 
 // Sink receives metric events from the pipeline. Implementations must
 // be safe for concurrent use (phases running on the worker pool emit
@@ -42,7 +47,7 @@ type Sink interface {
 	// Gauge sets the named gauge to its latest value.
 	Gauge(name string, value float64)
 	// Observe records one sample of the named distribution (histogram).
-	// Span durations arrive here, in seconds, under "<span>.seconds".
+	// Phase durations arrive here, in seconds, under "<phase>.seconds".
 	Observe(name string, value float64)
 }
 
@@ -67,45 +72,118 @@ func Observe(s Sink, name string, value float64) {
 	}
 }
 
-// ObserveSince is a nil-safe duration observation under "<name>.seconds"
-// for call sites that already hold a start time (the core phases, which
-// time themselves for LevelStats anyway).
-func ObserveSince(s Sink, name string, start time.Time) {
-	if s != nil {
-		s.Observe(name+".seconds", time.Since(start).Seconds())
-	}
-}
-
-// ObserveDuration is a nil-safe observation of an already-measured
-// duration under "<name>.seconds".
-func ObserveDuration(s Sink, name string, d time.Duration) {
-	if s != nil {
-		s.Observe(name+".seconds", d.Seconds())
-	}
-}
-
-// Span is an in-flight trace span. The zero Span (returned by StartSpan
-// on a nil Sink) is inert: End is a no-op and costs two nil checks.
-type Span struct {
+// Phase is one timed pipeline phase, the package's one instrument: it
+// reads the clock when Start opens it and once more when End closes
+// it, and that one duration is the phase's `<name>.seconds` observation,
+// its trace span's Dur and what End returns (core's LevelStats times).
+// Count, Gauge and Observe write a value once under its registry name:
+// to the sink, and to the span as the attribute named by the name's
+// last segment. A Phase is a value owned by the goroutine that started
+// it; on an untraced context with a nil sink it allocates nothing.
+type Phase struct {
 	sink  Sink
 	name  string
 	start time.Time
+	span  *span
 }
 
-// StartSpan opens a span. On End the elapsed wall time is observed, in
-// seconds, under "<name>.seconds". With a nil sink no clock is read.
-func StartSpan(s Sink, name string) Span {
-	if s == nil {
-		return Span{}
+// Start opens a phase: a child span of ctx's trace when ctx is traced
+// (the returned context carries it, so the phase's own phases nest
+// beneath it), no span otherwise. End observes `<name>.seconds` into
+// sink unless sink is nil.
+func Start(ctx context.Context, sink Sink, name string) (context.Context, Phase) {
+	ph := Phase{sink: sink, name: name, start: time.Now()}
+	if parent, _ := ctx.Value(ctxKey{}).(*span); parent != nil {
+		ph.span = &span{rec: parent.rec, trace: parent.trace, id: parent.rec.newSpanID(), parent: parent.id, name: name, start: ph.start}
+		ctx = context.WithValue(ctx, ctxKey{}, ph.span)
 	}
-	return Span{sink: s, name: name, start: time.Now()}
+	return ctx, ph
 }
 
-// End closes the span, emitting its duration. Safe on the zero Span and
-// safe to call at most once; additional calls emit additional (wrong)
-// observations, so don't.
-func (sp Span) End() {
-	if sp.sink != nil {
-		sp.sink.Observe(sp.name+".seconds", time.Since(sp.start).Seconds())
+// Traced reports whether the phase records a trace span.
+func (p Phase) Traced() bool { return p.span != nil }
+
+// Count adds delta to the named counter and sets the span attribute
+// named by the name's last segment to delta.
+func (p Phase) Count(name string, delta int64) {
+	Count(p.sink, name, delta)
+	p.attr(name, float64(delta))
+}
+
+// Gauge sets the named gauge and the span attribute named by the name's
+// last segment.
+func (p Phase) Gauge(name string, value float64) {
+	Gauge(p.sink, name, value)
+	p.attr(name, value)
+}
+
+// Observe records one sample of the named distribution and sets the
+// span attribute named by the name's last segment.
+func (p Phase) Observe(name string, value float64) {
+	Observe(p.sink, name, value)
+	p.attr(name, value)
+}
+
+// attr sets the span attribute keyed by name's last segment.
+func (p Phase) attr(name string, v float64) {
+	if p.span != nil {
+		p.Attr(name[strings.LastIndexByte(name, '.')+1:], v)
 	}
+}
+
+// Attr sets a trace-only numeric attribute (one no sink row carries,
+// such as a hit count or a round number).
+func (p Phase) Attr(key string, v float64) {
+	if p.span != nil {
+		p.span.attrs = append(p.span.attrs, Attr{Key: key, Num: v})
+	}
+}
+
+// Event records a point event on the span at the current time. The
+// attrs slice is built by the caller before the call, so hot paths
+// guard it with Traced.
+func (p Phase) Event(name string, attrs ...Attr) {
+	if p.span != nil {
+		p.span.events = append(p.span.events, SpanEvent{Name: name, At: time.Now().UnixNano(), Attrs: attrs})
+	}
+}
+
+// End closes the phase and returns its duration, which it has observed
+// under `<name>.seconds` (when the sink is non-nil) and filed as the
+// span's Dur (when traced). Call it once: a second call files no
+// second span but observes a second duration.
+func (p Phase) End() time.Duration {
+	d := time.Since(p.start)
+	if p.sink != nil {
+		p.sink.Observe(p.name+".seconds", d.Seconds())
+	}
+	if p.span != nil {
+		p.span.end(d)
+	}
+	return d
+}
+
+// TraceID returns the phase's trace ID (zero when untraced).
+func (p Phase) TraceID() TraceID {
+	if p.span == nil {
+		return TraceID{}
+	}
+	return p.span.trace
+}
+
+// SpanID returns the phase's span ID (0 when untraced).
+func (p Phase) SpanID() SpanID {
+	if p.span == nil {
+		return 0
+	}
+	return p.span.id
+}
+
+// Recorder returns the Recorder the phase's span records into (nil when
+// untraced) — callers use it to read the finished trace back.
+func (p Phase) Recorder() *Recorder {
+	if p.span == nil {
+		return nil
+	}
+	return p.span.rec
 }

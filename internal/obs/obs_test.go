@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"sync"
@@ -100,25 +101,47 @@ func TestNilSinkHelpersAreNoops(t *testing.T) {
 	Count(nil, "x", 1)
 	Gauge(nil, "x", 1)
 	Observe(nil, "x", 1)
-	ObserveSince(nil, "x", time.Now())
-	ObserveDuration(nil, "x", time.Second)
-	sp := StartSpan(nil, "x")
-	sp.End()
-	var zero Span
-	zero.End()
+	_, ph := Start(context.Background(), nil, "x")
+	ph.Count("x.n", 1)
+	ph.End()
 }
 
-func TestSpanObservesSeconds(t *testing.T) {
+// TestPhaseObservesSeconds: End observes the phase's one duration
+// under "<name>.seconds" and returns it, and the phase's counts reach
+// the sink under their registry names and its span under their last
+// segments.
+func TestPhaseObservesSeconds(t *testing.T) {
 	c := NewCollector()
-	sp := StartSpan(c, "phase")
+	rec := NewRecorder(1)
+	ctx, root := rec.Start(context.Background(), nil, "root")
+	_, ph := Start(ctx, c, "phase")
+	ph.Count("phase.evals", 7)
+	ph.Gauge("phase.lower", 2.5)
 	time.Sleep(2 * time.Millisecond)
-	sp.End()
+	dur := ph.End()
+	root.End()
 	d, ok := c.Snapshot().Observations["phase.seconds"]
 	if !ok || d.Count != 1 {
-		t.Fatalf("span not recorded: %+v", d)
+		t.Fatalf("phase not recorded: %+v", d)
 	}
-	if d.Sum < 0.002 {
-		t.Errorf("span duration %gs, want >= 2ms", d.Sum)
+	if d.Sum != dur.Seconds() || dur < 2*time.Millisecond {
+		t.Errorf("observed %gs, End returned %v, want the same duration >= 2ms", d.Sum, dur)
+	}
+	if c.CounterValue("phase.evals") != 7 {
+		t.Errorf("phase.evals = %d, want 7", c.CounterValue("phase.evals"))
+	}
+	var sp *SpanRecord
+	spans := rec.Spans(root.TraceID())
+	for i := range spans {
+		if spans[i].Name == "phase" {
+			sp = &spans[i]
+		}
+	}
+	if sp == nil {
+		t.Fatal("no phase span")
+	}
+	if sp.Dur != int64(dur) || sp.AttrNum("evals") != 7 || sp.AttrNum("lower") != 2.5 {
+		t.Errorf("span dur %d attrs %+v, want dur %d, evals 7, lower 2.5", sp.Dur, sp.Attrs, int64(dur))
 	}
 }
 

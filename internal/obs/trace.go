@@ -15,12 +15,13 @@ import (
 // This file is the causal half of the observability layer: a span-tree
 // tracer that complements the flat metric Sink. A trace is one query's
 // tree of timed spans — engine root, per-level pipeline phases and prune
-// passes. The same constraints as the Sink apply, in
-// the same order: zero cost when off (an untraced context.Context costs
-// one Value lookup and no allocation — guarded by
-// TestTracerUntracedNoAllocs), observational only (spans carry copies
-// of values the pipeline computed anyway), and phase-granular (spans
-// wrap phases and passes, never records or pairs).
+// passes — each the traced half of one Phase (see Start). The same
+// constraints as the Sink apply, in the same order: zero cost when off
+// (a phase on an untraced context.Context costs one Value lookup and no
+// allocation — guarded by TestTracerUntracedNoAllocs), observational
+// only (spans carry copies of values the pipeline computed anyway), and
+// phase-granular (spans wrap phases and passes, never records or
+// pairs).
 //
 // The trace span name registry lives in OBSERVABILITY.md next to the
 // metric registry; cmd/obscheck keeps both in sync with the code.
@@ -79,21 +80,16 @@ func (s *SpanID) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Attr is one key/value attribute on a span or event. Exactly one of
-// Str and Num is meaningful; numeric attributes (counts, bounds, ranks)
-// use Num, everything else Str. Values stay exact through JSON up to
-// 2^53, far beyond any pipeline count.
+// Attr is one numeric key/value attribute on a span or event (a count,
+// bound or rank). Values stay exact through JSON up to 2^53, far beyond
+// any pipeline count.
 type Attr struct {
 	Key string  `json:"k"`
-	Str string  `json:"s,omitempty"`
 	Num float64 `json:"n,omitempty"`
 }
 
-// Num builds a numeric attribute.
+// Num builds an attribute.
 func Num(key string, v float64) Attr { return Attr{Key: key, Num: v} }
-
-// Str builds a string attribute.
-func Str(key, v string) Attr { return Attr{Key: key, Str: v} }
 
 // SpanEvent is one timestamped point event inside a span (e.g. the M
 // lower bound after one exchange block).
@@ -116,7 +112,7 @@ type SpanRecord struct {
 	Events []SpanEvent `json:"events,omitempty"`
 }
 
-// AttrNum returns the named numeric attribute (0 if absent).
+// AttrNum returns the named attribute (0 if absent).
 func (r *SpanRecord) AttrNum(key string) float64 {
 	for _, a := range r.Attrs {
 		if a.Key == key {
@@ -124,16 +120,6 @@ func (r *SpanRecord) AttrNum(key string) float64 {
 		}
 	}
 	return 0
-}
-
-// AttrStr returns the named string attribute ("" if absent).
-func (r *SpanRecord) AttrStr(key string) string {
-	for _, a := range r.Attrs {
-		if a.Key == key {
-			return a.Str
-		}
-	}
-	return ""
 }
 
 // Recorder collects finished spans, keyed by trace, in a bounded ring
@@ -275,85 +261,34 @@ func (r *Recorder) Spans(id TraceID) []SpanRecord {
 	return out
 }
 
-// TraceSpan is one in-flight span. A nil *TraceSpan (what StartChild
-// hands back on an untraced context) is inert: every method is a
-// nil-safe no-op, so call sites don't branch. A span is owned by the
-// goroutine that started it; attach attributes and events from that
-// goroutine only.
-type TraceSpan struct {
-	rec      *Recorder
-	trace    TraceID
-	id       SpanID
-	parent   SpanID
-	name     string
-	start    time.Time
-	attrs    []Attr
-	events   []SpanEvent
-	finished bool
+// span is one in-flight trace span, the traced half of a Phase. It is
+// owned by the goroutine that started the phase; attributes and events
+// are attached from that goroutine only.
+type span struct {
+	rec    *Recorder
+	trace  TraceID
+	id     SpanID
+	parent SpanID
+	name   string
+	start  time.Time
+	attrs  []Attr
+	events []SpanEvent
+	filed  bool
 }
 
-// Recorder returns the Recorder the span records into (nil for a nil
-// span) — callers use it to read the finished trace back.
-func (s *TraceSpan) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec
-}
-
-// TraceID returns the span's trace ID (zero for nil).
-func (s *TraceSpan) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.trace
-}
-
-// SpanID returns the span's own ID (0 for nil).
-func (s *TraceSpan) SpanID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// Attr attaches a numeric attribute. No-op on nil.
-func (s *TraceSpan) Attr(key string, v float64) {
-	if s != nil {
-		s.attrs = append(s.attrs, Attr{Key: key, Num: v})
-	}
-}
-
-// AttrStr attaches a string attribute. No-op on nil.
-func (s *TraceSpan) AttrStr(key, v string) {
-	if s != nil {
-		s.attrs = append(s.attrs, Attr{Key: key, Str: v})
-	}
-}
-
-// Event records a point event at the current time. No-op on nil — but
-// note the attrs slice is built by the caller before the nil check, so
-// hot paths should guard (`if sp != nil`) when passing attributes.
-func (s *TraceSpan) Event(name string, attrs ...Attr) {
-	if s != nil {
-		s.events = append(s.events, SpanEvent{Name: name, At: time.Now().UnixNano(), Attrs: attrs})
-	}
-}
-
-// End finishes the span and files it with the Recorder. Safe on nil and
-// idempotent.
-func (s *TraceSpan) End() {
-	if s == nil || s.finished {
+// end files the finished span, which lasted d, with the Recorder, once.
+func (s *span) end(d time.Duration) {
+	if s.filed {
 		return
 	}
-	s.finished = true
+	s.filed = true
 	s.rec.record(SpanRecord{
 		Trace:  s.trace,
 		ID:     s.id,
 		Parent: s.parent,
 		Name:   s.name,
 		Start:  s.start.UnixNano(),
-		Dur:    int64(time.Since(s.start)),
+		Dur:    int64(d),
 		Attrs:  s.attrs,
 		Events: s.events,
 	})
@@ -362,44 +297,26 @@ func (s *TraceSpan) End() {
 // ctxKey keys the active span in a context.Context.
 type ctxKey struct{}
 
-// SpanFromContext returns the context's active span, or nil when the
-// context is untraced. The untraced path is one map-free Value walk and
-// allocates nothing.
-func SpanFromContext(ctx context.Context) *TraceSpan {
-	s, _ := ctx.Value(ctxKey{}).(*TraceSpan)
-	return s
+// Traced reports whether ctx carries an active trace span. The untraced
+// path is one map-free Value walk and allocates nothing.
+func Traced(ctx context.Context) bool {
+	s, _ := ctx.Value(ctxKey{}).(*span)
+	return s != nil
 }
 
-// StartTrace opens a new trace rooted at a fresh random trace ID and
-// returns the derived context plus the root span. On a nil Recorder it
-// returns (ctx, nil): the query runs untraced.
-func (r *Recorder) StartTrace(ctx context.Context, name string) (context.Context, *TraceSpan) {
-	if r == nil {
-		return ctx, nil
+// Start opens a phase like the package's Start, except that on an
+// untraced ctx it roots a fresh trace (a new random trace ID) on r. On a
+// nil Recorder it is Start: the phase joins ctx's trace if there is one
+// and records no span otherwise.
+func (r *Recorder) Start(ctx context.Context, sink Sink, name string) (context.Context, Phase) {
+	if r == nil || Traced(ctx) {
+		return Start(ctx, sink, name)
 	}
+	ph := Phase{sink: sink, name: name, start: time.Now()}
 	var tid TraceID
 	if _, err := crand.Read(tid[:]); err != nil {
-		return ctx, nil
+		return ctx, ph
 	}
-	sp := &TraceSpan{rec: r, trace: tid, id: r.newSpanID(), name: name, start: time.Now()}
-	return context.WithValue(ctx, ctxKey{}, sp), sp
-}
-
-// StartChild opens a child of the context's active span and returns the
-// derived context plus the new span. On an untraced context it returns
-// (ctx, nil) without allocating — the pipeline's fast path.
-func StartChild(ctx context.Context, name string) (context.Context, *TraceSpan) {
-	parent, _ := ctx.Value(ctxKey{}).(*TraceSpan)
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := &TraceSpan{
-		rec:    parent.rec,
-		trace:  parent.trace,
-		id:     parent.rec.newSpanID(),
-		parent: parent.id,
-		name:   name,
-		start:  time.Now(),
-	}
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+	ph.span = &span{rec: r, trace: tid, id: r.newSpanID(), name: name, start: ph.start}
+	return context.WithValue(ctx, ctxKey{}, ph.span), ph
 }

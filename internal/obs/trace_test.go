@@ -62,12 +62,12 @@ func TestSpanIDTextRoundTrip(t *testing.T) {
 
 func TestRecorderSpanTree(t *testing.T) {
 	rec := NewRecorder(4)
-	ctx, root := rec.StartTrace(context.Background(), "engine.topk")
+	ctx, root := rec.Start(context.Background(), nil, "engine.topk")
 	root.Attr("k", 10)
-	ctx2, child := StartChild(ctx, "core.level")
+	ctx2, child := Start(ctx, nil, "core.level")
 	child.Attr("level", 1)
 	child.Event("bound.block", Num("scanned", 32), Num("m", 7.5))
-	_, grand := StartChild(ctx2, "core.prune.pass")
+	_, grand := Start(ctx2, nil, "core.prune.pass")
 	grand.End()
 	child.End()
 	root.End()
@@ -103,7 +103,7 @@ func TestRecorderSpanTree(t *testing.T) {
 	if len(lvl.Events) != 1 || lvl.Events[0].Name != "bound.block" {
 		t.Fatalf("events = %+v", lvl.Events)
 	}
-	// End is idempotent: a second End must not file a duplicate.
+	// A second End must not file a duplicate span.
 	child.End()
 	if got := len(rec.Spans(root.TraceID())); got != 3 {
 		t.Fatalf("after double End: %d spans, want 3", got)
@@ -114,7 +114,7 @@ func TestRecorderRingEviction(t *testing.T) {
 	rec := NewRecorder(2)
 	var ids []TraceID
 	for i := 0; i < 3; i++ {
-		_, sp := rec.StartTrace(context.Background(), "q")
+		_, sp := rec.Start(context.Background(), nil, "q")
 		sp.End()
 		ids = append(ids, sp.TraceID())
 	}
@@ -131,9 +131,9 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderSpanCap(t *testing.T) {
 	rec := NewRecorder(1)
-	ctx, root := rec.StartTrace(context.Background(), "q")
+	ctx, root := rec.Start(context.Background(), nil, "q")
 	for i := 0; i < maxSpansPerTrace+10; i++ {
-		_, sp := StartChild(ctx, "core.prune.pass")
+		_, sp := Start(ctx, nil, "core.prune.pass")
 		sp.End()
 	}
 	root.End()
@@ -151,29 +151,32 @@ func TestRecorderSpanCap(t *testing.T) {
 
 func TestNilTracerAndSpanAreInert(t *testing.T) {
 	var rec *Recorder
-	ctx, sp := rec.StartTrace(context.Background(), "q")
-	if sp != nil || SpanFromContext(ctx) != nil {
+	ctx, ph := rec.Start(context.Background(), nil, "q")
+	if ph.Traced() || Traced(ctx) {
 		t.Fatal("nil recorder produced a span")
 	}
 	if rec.Traces() != nil || rec.Spans(TraceID{}) != nil {
 		t.Error("nil recorder returned data")
 	}
-	// All span methods are nil-safe no-ops.
-	sp.Attr("k", 1)
-	sp.AttrStr("s", "v")
-	sp.Event("e")
-	sp.End()
-	if sp.Recorder() != nil || !sp.TraceID().IsZero() || sp.SpanID() != 0 {
-		t.Error("nil span leaked identity")
+	// Every method of an untraced phase is a no-op but End, which
+	// still times the phase.
+	ph.Attr("k", 1)
+	ph.Count("x.evals", 1)
+	ph.Event("e")
+	if ph.End() < 0 {
+		t.Error("negative phase duration")
+	}
+	if ph.Recorder() != nil || !ph.TraceID().IsZero() || ph.SpanID() != 0 {
+		t.Error("untraced phase leaked identity")
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder(1)
-	ctx, root := rec.StartTrace(context.Background(), "server.topk")
-	_, child := StartChild(ctx, "core.level")
+	ctx, root := rec.Start(context.Background(), nil, "server.topk")
+	_, child := Start(ctx, nil, "core.level")
 	child.End()
-	_, instant := StartChild(ctx, "engine.final")
+	_, instant := Start(ctx, nil, "engine.final")
 	instant.End()
 	root.End()
 
@@ -213,38 +216,38 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestBuildExplainFromSyntheticTrace(t *testing.T) {
 	rec := NewRecorder(1)
-	ctx, root := rec.StartTrace(context.Background(), "engine.topk")
-	lctx, lvl := StartChild(ctx, "core.level")
+	ctx, root := rec.Start(context.Background(), nil, "engine.topk")
+	lctx, lvl := Start(ctx, nil, "core.level")
 	lvl.Attr("level", 1)
-	_, col := StartChild(lctx, "core.collapse")
-	col.Attr("evals", 10)
+	_, col := Start(lctx, nil, "core.collapse")
+	col.Count("core.collapse.evals", 10)
 	col.Attr("hits", 4)
 	col.Attr("groups_before", 20)
-	col.Attr("groups_after", 16)
+	col.Observe("core.collapse.groups", 16)
 	col.End()
-	_, bnd := StartChild(lctx, "core.bound")
-	bnd.Attr("evals", 30)
+	_, bnd := Start(lctx, nil, "core.bound")
+	bnd.Count("core.bound.evals", 30)
 	bnd.Attr("hits", 5)
-	bnd.Attr("m_rank", 3)
-	bnd.Attr("m", 8.5)
+	bnd.Gauge("core.bound.m_rank", 3)
+	bnd.Gauge("core.bound.lower", 8.5)
 	bnd.Event("bound.block", Num("scanned", 16), Num("independent", 3), Num("m", 8.5))
 	bnd.End()
-	pctx, prn := StartChild(lctx, "core.prune")
-	prn.Attr("evals", 40)
+	pctx, prn := Start(lctx, nil, "core.prune")
+	prn.Count("core.prune.evals", 40)
 	prn.Attr("hits", 12)
 	prn.Attr("stage0_pruned", 2)
-	prn.Attr("survivors", 9)
-	_, st0 := StartChild(pctx, "core.prune.stage0")
+	prn.Observe("core.prune.survivors", 9)
+	_, st0 := Start(pctx, nil, "core.prune.stage0")
 	st0.Attr("pruned", 2)
 	st0.Attr("rounds", 3)
 	time.Sleep(time.Millisecond) // a duration the clock cannot read as zero
 	st0.End()
 	for round := 1; round <= 2; round++ {
-		_, pass := StartChild(pctx, "core.prune.pass")
+		_, pass := Start(pctx, nil, "core.prune.pass")
 		pass.Attr("round", float64(round))
-		pass.Attr("evals", 20)
+		pass.Observe("core.prune.pass.evals", 20)
 		pass.Attr("hits", 6)
-		pass.Attr("pruned", float64(3-round))
+		pass.Observe("core.prune.pass.pruned", float64(3-round))
 		pass.End()
 	}
 	prn.End()

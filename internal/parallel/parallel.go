@@ -76,8 +76,8 @@ func For(workers, n int, body func(i int)) {
 // ForCtx is For under a context: when ctx carries an active trace span
 // (see internal/obs), the loop is wrapped in one "parallel.for" child
 // span annotated with the task count and resolved worker bound. An
-// untraced context adds a single nil check — no allocation, no clock
-// read — so the hot path stays identical to For.
+// untraced context adds a single context lookup — no allocation, no
+// clock read — so the hot path stays identical to For.
 func ForCtx(ctx context.Context, workers, n int, body func(i int)) {
 	ForWorkerCtx(ctx, workers, n, func(_, i int) { body(i) })
 }
@@ -85,10 +85,11 @@ func ForCtx(ctx context.Context, workers, n int, body func(i int)) {
 // ForWorkerCtx is ForWorker under a context, with the same optional
 // "parallel.for" loop span as ForCtx.
 func ForWorkerCtx(ctx context.Context, workers, n int, body func(worker, i int)) {
-	if _, sp := obs.StartChild(ctx, "parallel.for"); sp != nil {
-		sp.Attr("n", float64(n))
-		sp.Attr("workers", float64(Resolve(workers)))
-		defer sp.End()
+	if obs.Traced(ctx) {
+		_, ph := obs.Start(ctx, nil, "parallel.for")
+		ph.Attr("n", float64(n))
+		ph.Attr("workers", float64(Resolve(workers)))
+		defer ph.End()
 	}
 	ForWorker(workers, n, body)
 }

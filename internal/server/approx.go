@@ -12,7 +12,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"time"
 
 	topk "topkdedup"
 )
@@ -80,7 +79,6 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, mode strin
 	ep := s.epoch.Load()
 	_, root := s.traceCtx(r, "server.approx")
 	root.Attr("k", float64(k))
-	start := time.Now()
 	groups := ep.snap.Heaviest(k)
 	resp := ApproxTopKResponse{
 		K: k, Mode: mode, SnapshotSeq: ep.seq, Records: ep.snap.Len(),
@@ -92,12 +90,12 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, mode strin
 	if mode == ModeHybrid {
 		resp.Exact = s.startHybridExact(ep, resp.Entries, k, rr)
 	}
-	root.End()
+	dur := root.End()
 	s.metrics.Count("sketch.serve."+mode, 1)
-	s.metrics.Observe("sketch.serve.seconds", time.Since(start).Seconds())
+	s.metrics.Observe("sketch.serve.seconds", dur.Seconds())
 	if s.logger != nil {
 		s.logger.Info("approx topk query", "k", k, "mode", mode, "snapshot_seq", ep.seq,
-			"seconds", time.Since(start).Seconds(), "trace", resp.TraceID)
+			"seconds", dur.Seconds(), "trace", resp.TraceID)
 	}
 	w.Header().Set(XApproxBound, "0")
 	writeJSON(w, http.StatusOK, resp)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -115,7 +116,9 @@ func (c *answerCache) size() int {
 // answer is the read path's one lookup-or-compute step, on ep's memo. A
 // hit returns the kept entry. A miss owns a fresh entry: compute fills
 // its result field, and the entry is kept, or evicted if compute failed.
-// A coalesced lookup waits for the owner, or until ctx is done.
+// A coalesced lookup waits for the owner, or until ctx is done; if the
+// owner fails on its own context's cancellation while ctx is live, the
+// lookup starts over and computes the key itself.
 //
 // With background set, answer does not wait: a coalesced lookup returns
 // a nil entry at once, and a miss runs compute on a goroutine Close
@@ -161,6 +164,12 @@ func (s *Server) answer(ctx context.Context, ep *epoch, key answerKey, backgroun
 		case <-ent.done:
 		case <-ctx.Done():
 			return nil, status, fmt.Errorf("canceled while waiting for coalesced query: %w", ctx.Err())
+		}
+		if ent.err != nil && ctx.Err() == nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
+			// The owner's request was cancelled, not this one: its
+			// errored entry is evicted, so this lookup takes the key
+			// over (or coalesces onto whoever did first).
+			return s.answer(ctx, ep, key, false, compute)
 		}
 	}
 	return ent, status, ent.err

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	topk "topkdedup"
 )
@@ -212,6 +215,60 @@ func TestAnswerCacheSingleflight(t *testing.T) {
 	c.finish(overflow, owner)
 	if status, _ = c.begin(key); status != cacheMiss {
 		t.Fatalf("after the clear: %q for the old key, want %q", status, cacheMiss)
+	}
+}
+
+// TestCoalescedWaiterOutlivesOwnerCancel: a lookup coalesced onto an
+// identical in-flight computation whose owner's request is cancelled
+// mid-compute must not inherit that cancellation. Its own context is
+// live, so it takes the key over, computes, and answers.
+func TestCoalescedWaiterOutlivesOwnerCancel(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	ingestBatch(t, ts, names("alice", "alice", "bob"))
+	ep := srv.epoch.Load()
+	key := answerKey{kind: 't', k: 1, r: 1}
+
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, _, err := srv.answer(ownerCtx, ep, key, false, func(*answerEntry) error {
+			close(started)
+			<-release
+			return ownerCtx.Err()
+		})
+		ownerDone <- err
+	}()
+	<-started
+
+	want := &topk.Result{}
+	type outcome struct {
+		ent *answerEntry
+		err error
+	}
+	waiterDone := make(chan outcome, 1)
+	coalescedBefore := counter(t, srv, "inc.cache.coalesced")
+	go func() {
+		ent, _, err := srv.answer(context.Background(), ep, key, false, func(ent *answerEntry) error {
+			ent.topk = want
+			return nil
+		})
+		waiterDone <- outcome{ent, err}
+	}()
+	for counter(t, srv, "inc.cache.coalesced") == coalescedBefore {
+		time.Sleep(time.Millisecond)
+	}
+	cancelOwner()
+	close(release)
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner: %v, want its own cancellation", err)
+	}
+	got := <-waiterDone
+	if got.err != nil {
+		t.Fatalf("live waiter got the owner's error: %v", got.err)
+	}
+	if got.ent.topk != want {
+		t.Fatalf("waiter's answer is not the one it computed")
 	}
 }
 

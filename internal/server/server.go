@@ -234,9 +234,10 @@ func (s *Server) runtimeLoop() {
 // metrics (the same data GET /metrics serves).
 func (s *Server) Metrics() *obs.Collector { return s.metrics }
 
-// traceCtx opens the root span of one query request on a fresh trace.
-func (s *Server) traceCtx(r *http.Request, name string) (context.Context, *obs.TraceSpan) {
-	return s.tracer.StartTrace(r.Context(), name)
+// traceCtx opens the root phase of one query request on a fresh trace;
+// its End is the request's duration, which the request log reports.
+func (s *Server) traceCtx(r *http.Request, name string) (context.Context, obs.Phase) {
+	return s.tracer.Start(r.Context(), nil, name)
 }
 
 // Records returns the write-side record count, which runs ahead of the
@@ -536,7 +537,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ctx, root := s.traceCtx(r, "server.topk")
 	root.Attr("k", float64(q.k))
 	root.Attr("r", float64(rr))
-	start := time.Now()
 	ep := s.epoch.Load()
 	var res *topk.Result
 	var err error
@@ -554,7 +554,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			res = ent.topk
 		}
 	}
-	root.End()
+	dur := root.End()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -565,7 +565,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.logger != nil {
 		s.logger.Info("topk query", "k", q.k, "r", rr,
-			"snapshot_seq", ep.seq, "cache", status, "seconds", time.Since(start).Seconds(),
+			"snapshot_seq", ep.seq, "cache", status, "seconds", dur.Seconds(),
 			"trace", resp.TraceID, "span", root.SpanID().String())
 	}
 	w.Header().Set("X-Cache", status)
@@ -610,7 +610,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	} else {
 		root.Attr("k", float64(key.k))
 	}
-	start := time.Now()
 	ent, status, err := s.answer(ctx, ep, key, false, func(ent *answerEntry) error {
 		if key.kind == 'r' {
 			pd, err := ep.snap.ThresholdCtx(ctx, key.t, s.cfg.Workers, s.metrics)
@@ -627,14 +626,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		ent.rank, err = s.finalEngine(ep, false).TopKRankFrom(pd, key.k)
 		return err
 	})
-	root.End()
+	dur := root.End()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if s.logger != nil {
 		s.logger.Info("rank query", "k", key.k, "t", key.t, "snapshot_seq", ep.seq, "cache", status,
-			"seconds", time.Since(start).Seconds(),
+			"seconds", dur.Seconds(),
 			"trace", root.TraceID().String(), "span", root.SpanID().String())
 	}
 	w.Header().Set("X-Cache", status)

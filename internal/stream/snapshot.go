@@ -53,10 +53,10 @@ type Snapshot struct {
 // returned Snapshot is immutable and safe for unsynchronised concurrent
 // use from then on.
 func (inc *Incremental) Snapshot() *Snapshot {
-	start := time.Now()
+	_, ph := obs.Start(context.Background(), inc.sink, "stream.snapshot")
+	defer ph.End()
 	n := inc.data.Len()
 	groups := inc.Groups()
-	defer obs.ObserveSince(inc.sink, "stream.snapshot", start)
 	data := &records.Dataset{
 		Name:   inc.data.Name,
 		Schema: inc.data.Schema,
@@ -114,10 +114,8 @@ func (s *Snapshot) TopKCtx(ctx context.Context, k, workers int, sink obs.Sink) (
 	if s.data.Len() == 0 {
 		return &core.Result{}, nil
 	}
-	sp := obs.StartSpan(sink, "stream.topk")
-	defer sp.End()
-	ctx, tsp := obs.StartChild(ctx, "stream.topk")
-	defer tsp.End()
+	ctx, ph := obs.Start(ctx, sink, "stream.topk")
+	defer ph.End()
 	return s.prune(ctx, core.Options{K: k, Workers: workers, Sink: sink})
 }
 
@@ -129,8 +127,9 @@ func (s *Snapshot) ThresholdCtx(ctx context.Context, t float64, workers int, sin
 	if s.data.Len() == 0 {
 		return &core.Result{}, nil
 	}
-	ctx, tsp := obs.StartChild(ctx, "stream.threshold")
-	defer tsp.End()
+	// No stream.threshold.seconds row: the phase times the span only.
+	ctx, ph := obs.Start(ctx, nil, "stream.threshold")
+	defer ph.End()
 	return s.prune(ctx, core.Options{Threshold: t, Workers: workers, Sink: sink})
 }
 

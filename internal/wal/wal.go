@@ -29,6 +29,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,7 +39,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"topkdedup/internal/obs"
 )
@@ -402,13 +402,13 @@ func (l *Log) Append(b Batch) (uint64, error) {
 		return 0, err
 	}
 	if l.opts.Sync == SyncAlways {
-		start := time.Now()
+		_, ph := obs.Start(context.Background(), l.sink, "wal.fsync")
 		if err := l.f.Sync(); err != nil {
 			l.dead = true
 			return 0, fmt.Errorf("wal: fsync: %w", err)
 		}
+		ph.End()
 		obs.Count(l.sink, "wal.fsyncs", 1)
-		obs.ObserveSince(l.sink, "wal.fsync", start)
 	}
 	if err := l.hook(CrashAfterSync, idx); err != nil {
 		return 0, err

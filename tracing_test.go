@@ -5,35 +5,96 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"topkdedup/internal/obs"
 )
 
 // TestTracerUntracedNoAllocs is the zero-cost-when-off guard the tracer
 // design promises (see the trace model in OBSERVABILITY.md): on an
-// untraced context, starting a child span, attaching attributes and
-// events, and ending it must allocate nothing at all — the pipeline
-// pays one context Value lookup per phase and no more.
+// untraced context with a nil sink, opening a phase, writing its counts,
+// attributes and events, and ending it must allocate nothing at all —
+// the pipeline pays one context Value lookup and two clock reads per
+// phase and no more.
 func TestTracerUntracedNoAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		c, sp := obs.StartChild(ctx, "core.collapse")
-		sp.Attr("evals", 1)
-		sp.AttrStr("phase", "collapse")
-		sp.Event("bound.block")
-		sp.End()
+		c, ph := obs.Start(ctx, nil, "core.collapse")
+		ph.Count("core.collapse.evals", 1)
+		ph.Gauge("core.bound.lower", 1)
+		ph.Observe("core.collapse.groups", 1)
+		ph.Attr("hits", 1)
+		ph.Event("bound.block")
+		ph.End()
 		_ = c
 	})
 	if allocs != 0 {
-		t.Errorf("StartChild on untraced context: %.1f allocs/op, want 0", allocs)
+		t.Errorf("obs.Start on untraced context, nil sink: %.1f allocs/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(1000, func() {
-		if obs.SpanFromContext(ctx) != nil {
+		if obs.Traced(ctx) {
 			t.Fatal("background context is traced")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("untraced context inspection: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPhaseTimesAreSpanTimes holds each pipeline phase to one clock: in
+// a traced query with a collector attached, every level's CollapseTime,
+// BoundTime and PruneTime is its core.collapse / core.bound / core.prune
+// span's Dur exactly, and the sink's core.{collapse,bound,prune}.seconds
+// observe those same durations, one per level.
+func TestPhaseTimesAreSpanTimes(t *testing.T) {
+	d := toyData(37, 30, 8)
+	tracer := NewTracer(1)
+	sink := NewMetricsCollector()
+	res, err := New(d, toyLevels(), oracleScorer(), Config{Tracer: tracer, Metrics: sink, Workers: 2}).TopKCtx(context.Background(), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tracer.Spans(tracer.Traces()[0].ID)
+	// Each level's phase spans, by name, under its core.level span.
+	byLevel := map[int]map[string]SpanRecord{}
+	levelOf := map[obs.SpanID]int{}
+	for _, s := range spans {
+		if s.Name == "core.level" {
+			levelOf[s.ID] = int(s.AttrNum("level"))
+			byLevel[int(s.AttrNum("level"))] = map[string]SpanRecord{}
+		}
+	}
+	for _, s := range spans {
+		if l, ok := levelOf[s.Parent]; ok {
+			byLevel[l][s.Name] = s
+		}
+	}
+	if len(res.Pruning) == 0 || len(byLevel) != len(res.Pruning) {
+		t.Fatalf("%d levels in LevelStats, %d core.level spans", len(res.Pruning), len(byLevel))
+	}
+	var want [3]float64
+	for _, st := range res.Pruning {
+		phases := byLevel[st.Level]
+		for i, c := range []struct {
+			name string
+			got  time.Duration
+		}{{"core.collapse", st.CollapseTime}, {"core.bound", st.BoundTime}, {"core.prune", st.PruneTime}} {
+			sp, ok := phases[c.name]
+			if !ok {
+				t.Fatalf("level %d has no %s span", st.Level, c.name)
+			}
+			if int64(c.got) != sp.Dur {
+				t.Errorf("level %d: LevelStats %s time %d ns, span Dur %d ns", st.Level, c.name, int64(c.got), sp.Dur)
+			}
+			want[i] += c.got.Seconds()
+		}
+	}
+	obsv := sink.Snapshot().Observations
+	for i, name := range []string{"core.collapse.seconds", "core.bound.seconds", "core.prune.seconds"} {
+		got := obsv[name]
+		if got.Count != int64(len(res.Pruning)) || got.Sum != want[i] {
+			t.Errorf("%s: count %d sum %g, want count %d sum %g", name, got.Count, got.Sum, len(res.Pruning), want[i])
+		}
 	}
 }
 
