@@ -78,10 +78,12 @@ go run ./cmd/obscheck -doc OBSERVABILITY.md \
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=index --exclude-dir=.bench_build 'index\.BuildID(' . | grep -v '^\./internal/predicate/predicate\.go:'; then exit 1; fi
 if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[string\](\[\]int32|int32)' internal/core internal/rankquery internal/stream internal/experiments; then exit 1; fi
 
-# An index build keeps nothing between calls: predicate.P.Block interns
-# into a table of its own, and core (the bound scan included) reads the
-# index it builds, never an intern.Table. Gram keys are the cache's
-# sorted gram slices, with no per-domain key prefix built onto each.
+# An index build keeps nothing between calls: predicate.P.Block numbers
+# its keys itself (renumbering a domain's key ids through a pooled table
+# it resets, or interning Keys into a map of its own), and core (the
+# bound scan included) reads the index it builds, never an intern.Table.
+# Gram keys are the cache's gram ids (their text its sorted grams), with
+# no per-domain key prefix built onto each.
 if grep -rn --include='*.go' --exclude='*_test.go' 'topkdedup/internal/intern"' internal/core; then exit 1; fi
 if grep -rn --include='*.go' --exclude='*_test.go' 'keyPrefix' internal/domains; then exit 1; fi
 
@@ -150,8 +152,11 @@ fi
 # candidate list and shared-count verdict, the server's trace accessor
 # nothing called, the second closure kernel: collapse's chunked
 # verify-and-merge, the accumulator's one-eval-per-root dedup and the
-# collapse wrappers folded into core.Collapse, and every way to time or
-# trace a phase but obs.Start). One item a line:
+# collapse wrappers folded into core.Collapse, every way to time or
+# trace a phase but obs.Start, and the gram cache's memos of sorted gram
+# strings and of gram maps with the hand-locked id maps beside them, now
+# the gram ids an index build reads and an intern.Table). One item a
+# line:
 # `path`s must not exist; `go` is an ERE no .go file outside the frozen
 # benchmark/ may match; `text` an ERE no file may match outside
 # benchmark/ and the history files; `flag` an ERE of topkd flag names.
@@ -198,6 +203,7 @@ go \b(heavierFirst|gatedCand|BoundCounted|BindRepsCounted|CandidatesCounted|Clea
 go \b(collapseChunk|seenRoot|CollapseWorkers)\b|\(pl \*PreparedLevel\) collapsed\(
 go obs\.(Span|StartSpan|ObserveSince|ObserveDuration)\b
 go obs\.(StartChild|TraceSpan|SpanFromContext)\b|\.StartTrace\(
+go sorted +\*Memo|\bc\.sorted\b|\b(internMu|internSorted)\b|\b(gramID|tokID) +map\[|\bc\.grams\b|\(c \*Cache\) TriGrams\(
 EOF
 
 # One clock per phase: core's phases and the engine's are timed by the
@@ -311,6 +317,14 @@ go test -count=1 -run 'TestCountFormMatchesMatch' ./internal/domains
 # so a repeated key cannot make a group its own candidate.
 go test -count=1 -run 'TestBlockAllocs|TestBoundScanRepeatedKeys' ./internal/core
 go test -count=1 -run 'TestIDIndexMatchesReference' ./internal/index
+# Block reads the key ids a domain memoises and builds, for every
+# predicate of every domain, the index the string keys give (the
+# string-keyed build is the reference in the test file), also when
+# several builds mint a fresh domain's ids at once; smoke the
+# per-predicate build benchmark one iteration each.
+go test -race -count=1 -run 'TestBlockIDsMatchStringKeys|TestBlockIDsConcurrentMint' ./internal/domains
+go test -count=1 -run 'TestBlockReadsKeyIDs' ./internal/predicate
+go test -run '^$' -bench 'BenchmarkBlock' -benchtime 1x ./internal/domains
 go test -run 'TestBoundEvalNoAllocs' ./internal/domains
 go test -run 'TestTokenScratchNoAllocs|TestStopWordsContainsNoAllocLowercase|TestPairScratchNoAllocs' ./internal/strsim
 go test -run 'TestAnswerCacheHitNoAllocs' ./internal/server

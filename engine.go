@@ -411,8 +411,8 @@ func (e *Engine) newFinalSearch(ctx context.Context, groups []Group, sink obs.Si
 	lastN := e.levels[len(e.levels)-1].Necessary
 
 	// Candidate group pairs: those passing the last necessary predicate.
-	_, sp := obs.Start(ctx, sink, "engine.final.score")
-	fs, candidatePairs := e.scoredCandidates(ctx, groups, lastN)
+	scoreCtx, sp := obs.Start(ctx, sink, "engine.final.score")
+	fs, candidatePairs := e.scoredCandidates(scoreCtx, groups, lastN)
 	pairScore, edges := fs.pairScore, fs.edges
 	sp.Count("engine.final.candidate_pairs", int64(candidatePairs))
 	sp.Count("engine.final.scored_pairs", int64(len(edges)))

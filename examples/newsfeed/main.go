@@ -154,9 +154,9 @@ func orgDomain() ([]topk.Level, topk.PairScorer) {
 			return cache.GramOverlapRatio(name(a), name(b)) > 0.35
 		},
 		Keys: func(rec *topk.Record) []string {
-			grams := cache.TriGrams(name(rec))
+			grams := cache.SortedGrams(name(rec))
 			keys := make([]string, 0, len(grams))
-			for g := range grams {
+			for _, g := range grams {
 				keys = append(keys, "n:"+g)
 			}
 			return keys

@@ -105,13 +105,20 @@ func TestBoundScanAllocs(t *testing.T) {
 
 // TestBlockAllocs pins what one index build costs: citations N1 over
 // the representatives of a 3,000-record dataset's level-1 groups (1,495
-// of them, 10,100 gram keys, 2,113 distinct). The build allocates the call's key
-// table, one flat id buffer (grown by doubling), the index's offset and
-// item slices, and the representative list — a count that grows with
-// the logarithm of the key count, never with the count itself. The gram
-// cache is warmed first: what it memoises is not the build's.
+// of them, 10,100 gram keys, 2,113 distinct). The build reads the gram
+// cache's key ids and renumbers them through a pooled table, so it
+// allocates no key table: one flat id buffer (grown by doubling), the
+// per-record windows, the index's offset and item slices, and the
+// representative list — a count that grows with the logarithm of the
+// key count, never with the count itself. The gram cache is warmed
+// first: what it memoises is not the build's. Under -race sync.Pool
+// drops Puts at random, so the pin holds only in a normal build (ci.sh
+// runs this test by name in one).
 func TestBlockAllocs(t *testing.T) {
-	const want = 38
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	const want = 22
 	d := datagen.Citations(datagen.DefaultCitationConfig(3000))
 	level := domains.Citations(domains.BuildDistinctCorpus(d, datagen.FieldAuthor), domains.CitationOptions{}).Levels[0]
 	groups, _ := Collapse(d, singletonGroups(d), level.Sufficient)

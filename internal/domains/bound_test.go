@@ -22,13 +22,17 @@ type boundCase struct {
 	build func() []predicate.Level
 }
 
-func boundCases() []boundCase {
-	cit := datagen.Citations(datagen.DefaultCitationConfig(1200))
-	stu := datagen.Students(datagen.DefaultStudentConfig(1200))
-	adr := datagen.Addresses(datagen.DefaultAddressConfig(1200))
-	res := datagen.Restaurants(datagen.RestaurantConfig{Seed: 4, NumRestaurants: 500, Noise: 0.8})
-	aut := datagen.AuthorNames(5, 900)
-	get := datagen.Getoor(6, 900)
+func boundCases() []boundCase { return boundCasesAt(1200) }
+
+// boundCasesAt is boundCases at about n records per dataset (the
+// Figure-7 sets at 5/12 and 3/4 of n).
+func boundCasesAt(n int) []boundCase {
+	cit := datagen.Citations(datagen.DefaultCitationConfig(n))
+	stu := datagen.Students(datagen.DefaultStudentConfig(n))
+	adr := datagen.Addresses(datagen.DefaultAddressConfig(n))
+	res := datagen.Restaurants(datagen.RestaurantConfig{Seed: 4, NumRestaurants: n * 5 / 12, Noise: 0.8})
+	aut := datagen.AuthorNames(5, n*3/4)
+	get := datagen.Getoor(6, n*3/4)
 	return []boundCase{
 		{"citations", cit, func() []predicate.Level {
 			return Citations(BuildDistinctCorpus(cit, datagen.FieldAuthor), CitationOptions{}).Levels

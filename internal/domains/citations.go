@@ -71,6 +71,17 @@ func Citations(c *strsim.Corpus, _ CitationOptions) Domain {
 	// initials-plus-rarity would merge any two rare names sharing an
 	// initials multiset.
 	type s1Sig struct{ initials, rareContent string }
+	// Records whose content words are not all rare can never satisfy S1,
+	// so they get no key at all; the rest key on initials plus content
+	// tokens (complete: S1-true pairs agree on both). The key is one
+	// function of the author rendering, so Block reads its id.
+	s1Keys, s1IDs := valueKey(author, func(name string) string {
+		content := nameOf.Get(name).rareContent
+		if content == "" {
+			return ""
+		}
+		return keyf("c.s1", cache.SortedInitials(name), content)
+	})
 	s1 := predicate.Of("S1",
 		func(r *records.Record) s1Sig {
 			name := author(r)
@@ -79,17 +90,7 @@ func Citations(c *strsim.Corpus, _ CitationOptions) Domain {
 		func(a, b s1Sig) bool {
 			return a.rareContent != "" && a.rareContent == b.rareContent && a.initials == b.initials
 		},
-		// Records whose content words are not all rare can never satisfy
-		// S1, so they get no key at all; the rest key on initials plus
-		// content tokens (complete: S1-true pairs agree on both).
-		func(r *records.Record) []string {
-			name := author(r)
-			content := nameOf.Get(name).rareContent
-			if content == "" {
-				return nil
-			}
-			return []string{keyf("c.s1", cache.SortedInitials(name), content)}
-		})
+		s1Keys).WithKeyIDs(s1IDs)
 
 	// S2: initials match exactly, at least three common co-author words,
 	// and the last names match.
@@ -140,7 +141,8 @@ func Citations(c *strsim.Corpus, _ CitationOptions) Domain {
 		},
 		// Keys are the author grams: shared keys = common grams.
 		func(a n2Sig) int { return strsim.OverlapNeed(len(a.grams), citationGramOverlap, true) },
-		func(r *records.Record) []string { return gramKeys(cache, author(r)) })
+		func(r *records.Record) []string { return gramKeys(cache, author(r)) }).
+		WithKeyIDs(gramKeyIDs(cache, author))
 
 	return Domain{
 		Name: "citations",

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"topkdedup/internal/intern"
 	"topkdedup/internal/predicate"
 	"topkdedup/internal/records"
 	"topkdedup/internal/strsim"
@@ -100,28 +101,67 @@ func sortedTokensKey(value string) string {
 }
 
 // gramKeys returns one blocking key per 3-gram of the value: the
-// cache's memoised sorted gram list itself, shared and read-only like
-// every Keys result. Sorted, so the keys come out in the same order on
-// every call — ranging the gram map instead would feed the downstream
-// interned indexes in a different order each run. No prefix marks them
-// as grams: an index holds one predicate's keys, never two.
+// cache's sorted gram list. Sorted, so the keys come out in the same
+// order on every call — ranging the gram map instead would feed the
+// downstream interned indexes in a different order each run. No prefix
+// marks them as grams: an index holds one predicate's keys, never two.
 func gramKeys(cache *strsim.Cache, value string) []string {
 	return cache.SortedGrams(value)
 }
 
+// gramKeyIDs is gramKeys' id form (predicate.P.WithKeyIDs): the cache's
+// memoised gram ids of the field, in gramKeys' order.
+func gramKeyIDs(cache *strsim.Cache, field func(*records.Record) string) func([]uint32, *records.Record) []uint32 {
+	return func(dst []uint32, r *records.Record) []uint32 {
+		return append(dst, cache.GramKeyIDs(field(r))...)
+	}
+}
+
+// valueKey gives both forms of a predicate's blocking key when the key
+// is one function of one field value: key maps the value to its one key
+// text ("" for no key). keys returns the text; ids appends its id from
+// an intern table of the predicate's, minted on first sight and
+// memoised per distinct value, so an index build hashes the field value
+// and builds no text. Only Block reads ids: the memo is filled by index
+// builds, never by Eval or Keys.
+func valueKey(field func(*records.Record) string, key func(value string) string) (keys func(*records.Record) []string, ids func([]uint32, *records.Record) []uint32) {
+	tab := intern.New()
+	id := strsim.NewMemo(func(v string) int64 {
+		if k := key(v); k != "" {
+			return int64(tab.Intern(k))
+		}
+		return -1
+	})
+	keys = func(r *records.Record) []string {
+		if k := key(field(r)); k != "" {
+			return []string{k}
+		}
+		return nil
+	}
+	ids = func(dst []uint32, r *records.Record) []uint32 {
+		if i := id.Get(field(r)); i >= 0 {
+			dst = append(dst, uint32(i))
+		}
+		return dst
+	}
+	return keys, ids
+}
+
 // gramOverlapAbove is the single-field necessary predicate several
 // domains share: the field's 3-gram overlap ratio strictly exceeds thr,
-// blocked on one key per gram. The signature is the field's sorted
-// interned gram ids. The keys are the grams themselves, so the keys a
-// pair shares are its common grams, and a match shares at least the
-// count that clears thr against the smaller gram set: the count filter
-// (predicate.OfCounted) is strsim.OverlapNeed of the set's size.
+// blocked on one key per gram (which Block reads as the cache's gram
+// ids). The signature is the field's sorted interned gram ids. The keys
+// are the grams themselves, so the keys a pair shares are its common
+// grams, and a match shares at least the count that clears thr against
+// the smaller gram set: the count filter (predicate.OfCounted) is
+// strsim.OverlapNeed of the set's size.
 func gramOverlapAbove(name string, cache *strsim.Cache, field func(*records.Record) string, thr float64) predicate.P {
 	return predicate.OfCounted(name,
 		func(r *records.Record) []int32 { return cache.GramIDs(field(r)) },
 		func(a, b []int32) bool { return strsim.OverlapExceeds(a, b, thr, true) },
 		func(a []int32) int { return strsim.OverlapNeed(len(a), thr, true) },
-		func(r *records.Record) []string { return gramKeys(cache, field(r)) })
+		func(r *records.Record) []string { return gramKeys(cache, field(r)) }).
+		WithKeyIDs(gramKeyIDs(cache, field))
 }
 
 // wordPairKeys returns one key per unordered pair of distinct non-stop

@@ -23,10 +23,11 @@ func Generic(field string, overlap float64) ([]predicate.Level, func(a, b *recor
 	val := func(rec *records.Record) string { return rec.Field(field) }
 
 	tokensKey := strsim.NewMemo(sortedTokensKey)
+	sKeys, sIDs := valueKey(val, func(v string) string { return "s:" + tokensKey.Get(v) })
 	s := predicate.Of("S-exact",
 		func(rec *records.Record) string { return tokensKey.Get(val(rec)) },
 		func(a, b string) bool { return a != "" && a == b },
-		func(rec *records.Record) []string { return []string{"s:" + tokensKey.Get(val(rec))} })
+		sKeys).WithKeyIDs(sIDs)
 	n := gramOverlapAbove("N-grams", cache, val, overlap)
 	scorer := func(a, b *records.Record) float64 {
 		sim := 0.5*cache.JaccardGrams(val(a), val(b)) + 0.5*strsim.JaroWinkler(val(a), val(b))

@@ -83,16 +83,17 @@ func AuthorsOnly(c *strsim.Corpus) Domain {
 		}
 		return sortedTokensKey(n)
 	})
+	s1Keys, s1IDs := valueKey(name, func(n string) string {
+		k := fullNameKey.Get(n)
+		if k == "" {
+			return "" // can never satisfy S1
+		}
+		return keyf("au.s1", k)
+	})
 	s1 := predicate.Of("S1",
 		func(r *records.Record) string { return fullNameKey.Get(name(r)) },
 		func(a, b string) bool { return a != "" && a == b },
-		func(r *records.Record) []string {
-			k := fullNameKey.Get(name(r))
-			if k == "" {
-				return nil // can never satisfy S1
-			}
-			return []string{keyf("au.s1", k)}
-		})
+		s1Keys).WithKeyIDs(s1IDs)
 	n1 := gramOverlapAbove("N1", cache, name, 0.3)
 	return Domain{
 		Name:     "authors",

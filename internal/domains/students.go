@@ -111,11 +111,11 @@ func Students(_ StudentOptions) Domain {
 		// so for a pair that agrees on both, shared keys = common grams.
 		func(a n2Sig) int { return strsim.OverlapNeed(len(a.grams), studentN2GramOverlap, false) },
 		func(r *records.Record) []string {
-			// The sorted gram list, not the gram map: see gramKeys.
-			grams := cache.SortedGrams(name(r))
-			keys := make([]string, 0, len(grams))
-			for _, g := range grams {
-				keys = append(keys, keyf("st.n2", g, class(r), school(r)))
+			// The sorted gram list, not the gram map: see gramKeys. The
+			// list is the call's own, so the keys overwrite it.
+			keys := cache.SortedGrams(name(r))
+			for i, g := range keys {
+				keys[i] = keyf("st.n2", g, class(r), school(r))
 			}
 			return keys
 		})

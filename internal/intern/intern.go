@@ -8,9 +8,13 @@
 // always yields the same ids, and the id space is dense [0, Len()), so
 // every downstream structure can be a plain slice indexed by id instead
 // of a string-keyed map. The streaming accumulator keeps one for level
-// 1's sufficient keys, grown record by record. A one-shot index build
-// (predicate.P.Block) needs none of its locking and interns into a plain
-// map of its own.
+// 1's sufficient keys, grown record by record; a strsim.Cache keeps one
+// for its grams and one for its tokens; and a domain predicate whose key
+// is one function of one field value keeps one for its key texts
+// (internal/domains). The gram ids and the key-text ids are what an
+// index build (predicate.P.Block) reads and renumbers: it hashes no key
+// string for them, and interns into a call-local map only the keys of a
+// predicate that has no ids.
 //
 // Concurrency: Intern takes a write lock and may be called from multiple
 // goroutines during the build phase; Lookup/Key/Len take a read lock and
@@ -75,6 +79,18 @@ func (t *Table) InternAll(dst []uint32, keys []string) []uint32 {
 	for _, k := range keys {
 		dst = append(dst, t.Intern(k))
 	}
+	return dst
+}
+
+// AppendKeys appends the strings of ids to dst and returns the extended
+// slice, the inverse of InternAll. It panics on ids never returned by
+// Intern.
+func (t *Table) AppendKeys(dst []string, ids []uint32) []string {
+	t.mu.RLock()
+	for _, id := range ids {
+		dst = append(dst, t.keys[id])
+	}
+	t.mu.RUnlock()
 	return dst
 }
 

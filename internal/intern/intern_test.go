@@ -43,6 +43,9 @@ func TestInternAllOrder(t *testing.T) {
 			t.Fatalf("InternAll ids = %v, want %v", ids, want)
 		}
 	}
+	if keys := tab.AppendKeys([]string{"w"}, ids); strings.Join(keys, ",") != "w,x,y,x,z" {
+		t.Fatalf("AppendKeys = %v, want [w x y x z]", keys)
+	}
 }
 
 // TestInternIDStability pins the id-assignment contract the index layer

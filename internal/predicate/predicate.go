@@ -11,10 +11,17 @@
 // function must be *complete* — whenever the predicate holds for a pair,
 // the two records share at least one key. (This is the standard canopy /
 // blocking property.)
+//
+// Keys are strings at this boundary. An index build (Block) reads ids
+// instead wherever a domain hands them out (WithKeyIDs): a key that is
+// one function of one field value has an id the domain memoises per
+// value, so a build renumbers ids and hashes no key text. A predicate
+// with string keys only is interned per build.
 package predicate
 
 import (
 	"fmt"
+	"sync"
 
 	"topkdedup/internal/index"
 	"topkdedup/internal/intern"
@@ -34,6 +41,10 @@ type P struct {
 	// write it. Keys need not be distinct across predicates — every index
 	// is built over one predicate's keys alone.
 	Keys func(r *records.Record) []string
+
+	// ids, set by WithKeyIDs, appends a record's blocking keys to dst as
+	// ids of the domain's; nil for a predicate whose Block interns Keys.
+	ids func(dst []uint32, r *records.Record) []uint32
 
 	// bind, set by Of and OfCounted, precomputes the signatures of a
 	// record slice and returns the index-addressed evaluator over them,
@@ -126,13 +137,28 @@ func (p P) BoundNeed(recs []*records.Record, need []int32) func(i, j int) bool {
 	return func(i, j int) bool { return eval(recs[i], recs[j]) }
 }
 
+// WithKeyIDs returns p with a second form of its blocking keys, which
+// Block reads instead of Keys: ids appends r's keys to dst as ids a
+// domain hands out (a memo per field value, an intern table), the i-th
+// id naming Keys(r)[i], and for p's lifetime two keys get the same id
+// exactly when their strings are equal. The ids need not be dense or
+// start at 0 — Block renumbers them — but they size the build's
+// renumbering table, so they should be dense over the domain's keys.
+// ids must be safe for concurrent use. Keys stays the definition: a
+// value from WithKeyIDs keeps its ids if a new Keys is assigned to it
+// afterwards.
+func (p P) WithKeyIDs(ids func(dst []uint32, r *records.Record) []uint32) P {
+	p.ids = ids
+	return p
+}
+
 // KeyIDs returns the record's blocking keys interned into tab as dense
 // uint32 ids, appended to dst (pass a reused slice to avoid per-record
 // allocation). Id order matches Keys order. The completeness contract
 // carries over verbatim: Eval(a,b) == true implies KeyIDs(a) ∩
 // KeyIDs(b) ≠ ∅ for ids from one table. It is for a table that outlives
 // one build (the streaming accumulator's, grown record by record); Block
-// interns into a table of its own.
+// renumbers ids of its own.
 func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 	return tab.InternAll(dst, p.Keys(r))
 }
@@ -149,9 +175,14 @@ func (p P) KeyIDs(tab *intern.Table, r *records.Record, dst []uint32) []uint32 {
 // position (index.BuildID): the record sits in that bucket once, and a
 // walk's per-candidate key count is the size of a set intersection.
 //
-// The key table is the call's own: a map sized by len(recs), dropped
-// when the call returns, so nothing is kept between builds and no lock
-// is taken per key. Every record's id list is a window of one flat id
+// One loop reads every record's keys as the build's dense ids, numbered
+// in first-seen order. A predicate with ids (WithKeyIDs) hands over the
+// domain's, which the loop renumbers through a slice indexed by source
+// id, so no key string is built or hashed; a predicate with Keys only is
+// interned into a map of the call's own, sized by len(recs), whose ids
+// are first-seen already. Either way the index is the one the strings
+// give. Nothing is kept between builds: the renumbering table is pooled
+// and reset, and every record's id list is a window of one flat id
 // buffer.
 //
 // dst, when non-nil, is a previous call's KeyIDs handed back: its id
@@ -166,25 +197,81 @@ func (p P) Block(recs []*records.Record, dst [][]uint32) *index.IDIndex {
 		dst = make([][]uint32, len(recs))
 	}
 	dst = dst[:len(recs)]
-	ids := make(map[string]uint32, len(recs))
+	var local map[string]uint32
+	var rn *renumber
+	if p.ids == nil {
+		local = make(map[string]uint32, len(recs))
+	} else {
+		rn = renumbers.Get().(*renumber)
+	}
 	ends := make([]int, len(recs))
 	for i, r := range recs {
-		for _, k := range p.Keys(r) {
-			id, ok := ids[k]
-			if !ok {
-				id = uint32(len(ids))
-				ids[k] = id
+		if p.ids != nil {
+			start := len(flat)
+			flat = p.ids(flat, r)
+			rn.apply(flat[start:])
+		} else {
+			for _, k := range p.Keys(r) {
+				id, ok := local[k]
+				if !ok {
+					id = uint32(len(local))
+					local[k] = id
+				}
+				flat = append(flat, id)
 			}
-			flat = append(flat, id)
 		}
 		ends[i] = len(flat)
+	}
+	space := len(local)
+	if rn != nil {
+		space = rn.reset()
+		renumbers.Put(rn)
 	}
 	start := 0
 	for i, end := range ends {
 		dst[i] = flat[start:end]
 		start = end
 	}
-	return index.BuildID(len(recs), len(ids), dst)
+	return index.BuildID(len(recs), space, dst)
+}
+
+// renumber maps source key ids to one build's dense ids, numbered in
+// first-seen order.
+type renumber struct {
+	dense []uint32 // source id -> dense id + 1; 0 while unseen
+	seen  []uint32 // source ids in first-seen order: dense id -> source id
+}
+
+// renumbers pools renumbering tables: a table is as long as its largest
+// source id, and reset touches only the ids a build saw, so a build
+// costs its key count, not its domain's id space.
+var renumbers = sync.Pool{New: func() any { return new(renumber) }}
+
+// apply renumbers ids in place.
+func (rn *renumber) apply(ids []uint32) {
+	for i, id := range ids {
+		if int(id) >= len(rn.dense) {
+			rn.dense = append(rn.dense, make([]uint32, int(id)+1-len(rn.dense))...)
+		}
+		d := rn.dense[id]
+		if d == 0 {
+			rn.seen = append(rn.seen, id)
+			d = uint32(len(rn.seen))
+			rn.dense[id] = d
+		}
+		ids[i] = d - 1
+	}
+}
+
+// reset clears what apply recorded and returns the number of distinct
+// ids it saw.
+func (rn *renumber) reset() int {
+	n := len(rn.seen)
+	for _, id := range rn.seen {
+		rn.dense[id] = 0
+	}
+	rn.seen = rn.seen[:0]
+	return n
 }
 
 // Level pairs one sufficient with one necessary predicate; PrunedDedup

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"reflect"
 	"testing"
 
 	"topkdedup/internal/records"
@@ -242,5 +243,43 @@ func TestBlockRepeatedKeyIndexedOnce(t *testing.T) {
 		if len(ids) != 1 {
 			t.Errorf("record %d keeps key ids %v, want one", i, ids)
 		}
+	}
+}
+
+// TestBlockReadsKeyIDs: a predicate given its keys as ids (WithKeyIDs)
+// — here sparse, large, listed out of first-seen order and with a
+// repeat — builds the index its string keys give, on the first build
+// and on a second that reuses the first's id buffer and the pooled
+// renumbering table; and Block reads the ids, not Keys.
+func TestBlockReadsKeyIDs(t *testing.T) {
+	d := dataset()
+	keys := func(r *records.Record) []string {
+		n := r.Field("name")
+		if n == "" {
+			return nil
+		}
+		return []string{n[:1], "len" + string(rune('0'+len(n)%10)), n[:1]}
+	}
+	ids := func(dst []uint32, r *records.Record) []uint32 {
+		for _, k := range keys(r) {
+			dst = append(dst, 1000+7*uint32(k[0])+uint32(k[len(k)-1]))
+		}
+		return dst
+	}
+	str := P{Name: "str", Eval: func(a, b *records.Record) bool { return true }, Keys: keys}
+	byID := str.WithKeyIDs(ids)
+	byID.Keys = func(*records.Record) []string { panic("Block called Keys") }
+	want := str.Block(d.Recs, nil)
+	got := byID.Block(d.Recs, nil)
+	for pass := range 2 {
+		if got.KeySpace() != want.KeySpace() || !reflect.DeepEqual(got.KeyIDs(), want.KeyIDs()) {
+			t.Fatalf("pass %d: key space %d, key ids %v; want %d, %v", pass, got.KeySpace(), got.KeyIDs(), want.KeySpace(), want.KeyIDs())
+		}
+		for id := range uint32(want.KeySpace()) {
+			if !reflect.DeepEqual(got.Bucket(id), want.Bucket(id)) {
+				t.Fatalf("pass %d: bucket %d = %v, want %v", pass, id, got.Bucket(id), want.Bucket(id))
+			}
+		}
+		got = byID.Block(d.Recs, got.KeyIDs())
 	}
 }

@@ -3,20 +3,22 @@ package strsim
 import (
 	"slices"
 	"sort"
-	"sync"
+
+	"topkdedup/internal/intern"
 )
 
-// Cache memoises per-string derived structures (token sets, 3-gram sets,
-// initials, IDF minima) keyed by the raw field value. Field values repeat
-// heavily across records and every predicate evaluation needs the same
-// derived sets, so memoisation turns the per-record cost of a predicate
-// signature (see predicate.Of) into a handful of map probes. Each
-// derived structure is one Memo.
+// Cache memoises per-string derived structures (token sets, 3-gram id
+// sets, initials, IDF minima) keyed by the raw field value. Field values
+// repeat heavily across records and every predicate evaluation needs the
+// same derived sets, so memoisation turns the per-record cost of a
+// predicate signature (see predicate.Of) into a handful of map probes.
+// Each derived structure is one Memo.
 //
 // Concurrency semantics are fixed at construction:
 //
-//   - NewCache returns an unsynchronised cache: zero locking overhead,
-//     NOT safe for concurrent use. Use it for strictly serial code.
+//   - NewCache returns an unsynchronised cache: its memos take no lock
+//     (only minting a gram or token id does), NOT safe for concurrent
+//     use. Use it for strictly serial code.
 //   - NewSharedCache returns a sharded concurrent cache, safe for use
 //     from many goroutines at once — this is what the predicate domains
 //     use so that the pipeline's parallel phases can bind and evaluate
@@ -28,23 +30,28 @@ type Cache struct {
 	shared bool
 	corpus *Corpus
 
-	grams    *Memo[map[string]struct{}]
 	tokens   *Memo[map[string]struct{}]
 	initials *Memo[string]
 	letters  *Memo[uint32]
 	minIDF   *Memo[float64]
-	gramIDs  *Memo[[]int32]
+	gramIDs  *Memo[gramSet]
 	tokIDs   *Memo[[]int32]
-	sorted   *Memo[[]string]
 
 	// Interned gram/token representation: every distinct gram (and,
 	// separately, token) gets an integer id; per-string gram and token
 	// sets are cached as sorted id slices, so overlap predicates
 	// intersect by merge instead of map probing. The id tables are
-	// global to the cache with their own lock in shared mode.
-	internMu sync.Mutex
-	gramID   map[string]int32
-	tokID    map[string]int32
+	// global to the cache and lock on their own.
+	gramTab, tokTab *intern.Table
+}
+
+// gramSet is one string's 3-gram set as interned ids, memoised in two
+// orders: ascending by id (the merge input of the overlap predicates)
+// and in the grams' lexicographic order (blocking keys: SortedGrams'
+// order).
+type gramSet struct {
+	ids  []int32
+	keys []uint32
 }
 
 // NewCache returns an empty unsynchronised cache. corpus may be nil when
@@ -59,8 +66,7 @@ func NewCache(corpus *Corpus) *Cache { return newCache(false, corpus) }
 func NewSharedCache(corpus *Corpus) *Cache { return newCache(true, corpus) }
 
 func newCache(shared bool, corpus *Corpus) *Cache {
-	c := &Cache{shared: shared, corpus: corpus, gramID: make(map[string]int32), tokID: make(map[string]int32)}
-	c.grams = newMemo(shared, TriGrams)
+	c := &Cache{shared: shared, corpus: corpus, gramTab: intern.New(), tokTab: intern.New()}
 	c.tokens = newMemo(shared, TokenSet)
 	c.initials = newMemo(shared, SortedInitials)
 	c.letters = newMemo(shared, initialLetters)
@@ -70,51 +76,27 @@ func newCache(shared bool, corpus *Corpus) *Cache {
 		}
 		return corpus.MinIDF(s)
 	})
-	c.gramIDs = newMemo(shared, func(s string) []int32 {
-		grams := c.TriGrams(s)
-		keys := make([]string, 0, len(grams))
+	c.gramIDs = newMemo(shared, func(s string) gramSet {
+		grams := TriGrams(s)
+		text := make([]string, 0, len(grams))
 		for g := range grams {
-			keys = append(keys, g)
+			text = append(text, g)
 		}
-		return c.internSorted(c.gramID, keys)
+		sort.Strings(text)
+		keys := c.gramTab.InternAll(make([]uint32, 0, len(text)), text)
+		ids := make([]int32, len(keys))
+		for i, id := range keys {
+			ids[i] = int32(id)
+		}
+		slices.Sort(ids)
+		return gramSet{ids: ids, keys: keys}
 	})
 	c.tokIDs = newMemo(shared, func(s string) []int32 { return c.InternTokens(Tokenize(s)) })
-	c.sorted = newMemo(shared, func(s string) []string {
-		grams := c.TriGrams(s)
-		out := make([]string, 0, len(grams))
-		for g := range grams {
-			out = append(out, g)
-		}
-		sort.Strings(out)
-		return out
-	})
 	return c
 }
 
 // Shared reports whether the cache is safe for concurrent use.
 func (c *Cache) Shared() bool { return c.shared }
-
-// internSorted maps keys to their dense ids in table (minting ids for
-// unseen keys) and returns the ids ascending and duplicate-free.
-func (c *Cache) internSorted(table map[string]int32, keys []string) []int32 {
-	ids := make([]int32, 0, len(keys))
-	if c.shared {
-		c.internMu.Lock()
-	}
-	for _, k := range keys {
-		id, ok := table[k]
-		if !ok {
-			id = int32(len(table))
-			table[k] = id
-		}
-		ids = append(ids, id)
-	}
-	if c.shared {
-		c.internMu.Unlock()
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
-}
 
 // initialLetters is the uncached form of Cache.InitialLetters.
 func initialLetters(s string) uint32 {
@@ -126,9 +108,6 @@ func initialLetters(s string) uint32 {
 	}
 	return mask
 }
-
-// TriGrams returns the memoised 3-gram set of s.
-func (c *Cache) TriGrams(s string) map[string]struct{} { return c.grams.Get(s) }
 
 // TokenSet returns the memoised token set of s.
 func (c *Cache) TokenSet(s string) map[string]struct{} { return c.tokens.Get(s) }
@@ -158,7 +137,7 @@ func (c *Cache) MinIDF(s string) float64 { return c.minIDF.Get(s) }
 // GramIDs returns the string's 3-gram set as a sorted slice of interned
 // gram ids (memoised). Id values depend on interning order and are only
 // meaningful within one Cache; intersection sizes are order-independent.
-func (c *Cache) GramIDs(s string) []int32 { return c.gramIDs.Get(s) }
+func (c *Cache) GramIDs(s string) []int32 { return c.gramIDs.Get(s).ids }
 
 // TokenIDs returns the string's distinct-token set as a sorted slice of
 // interned token ids (memoised), mirroring GramIDs for word tokens. Id
@@ -170,13 +149,32 @@ func (c *Cache) TokenIDs(s string) []int32 { return c.tokIDs.Get(s) }
 // of ids from the table TokenIDs uses, for callers that filter or
 // combine tokens before interning (the address domain's non-stop word
 // sets). Not memoised: wrap it in a Memo keyed by the source string.
-func (c *Cache) InternTokens(toks []string) []int32 { return c.internSorted(c.tokID, toks) }
+func (c *Cache) InternTokens(toks []string) []int32 {
+	ids := make([]int32, len(toks))
+	for i, t := range toks {
+		ids[i] = int32(c.tokTab.Intern(t))
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// GramKeyIDs returns the ids of SortedGrams(s), in that order
+// (memoised, shared and read-only): the same gram set as GramIDs, as one
+// blocking key id per gram. Two strings' lists hold the same id exactly
+// where they hold the same gram, so an index build can read them in
+// place of the gram text (predicate.P.WithKeyIDs).
+func (c *Cache) GramKeyIDs(s string) []uint32 { return c.gramIDs.Get(s).keys }
 
 // SortedGrams returns the string's 3-gram set as a lexicographically
-// sorted slice (memoised). Blocking-key builders range it instead of the
-// gram map, so their key order — and everything downstream that depends
-// on it, like interned id assignment — is deterministic run to run.
-func (c *Cache) SortedGrams(s string) []string { return c.sorted.Get(s) }
+// sorted slice, read back from the memoised GramKeyIDs through the gram
+// table: a new slice per call, the caller's to keep or overwrite. Blocking-key builders range it instead
+// of the gram map, so their key order — and everything downstream that
+// depends on it, like interned id assignment — is deterministic run to
+// run.
+func (c *Cache) SortedGrams(s string) []string {
+	keys := c.GramKeyIDs(s)
+	return c.gramTab.AppendKeys(make([]string, 0, len(keys)), keys)
+}
 
 // GramOverlapRatio is GramOverlapRatio over memoised 3-gram sets, using
 // the interned sorted-id representation (merge intersection). Note the

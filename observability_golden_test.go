@@ -162,6 +162,8 @@ func TestObservabilityGolden(t *testing.T) {
 		}
 		var b strings.Builder
 		renderSpanTree(&b, tracer.Spans(tracer.Traces()[0].ID))
-		checkGolden(t, "span tree", b.String(), "581b2b70af03af67")
+		// The final scoring's parallel.for files under engine.final.score,
+		// the phase that runs it.
+		checkGolden(t, "span tree", b.String(), "be29199302e0977b")
 	})
 }
